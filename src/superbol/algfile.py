@@ -64,7 +64,11 @@ def _parse_expr(text, base, index_of, dim, line_no):
         if not first and not sign_tok:
             raise ParseError("expected '+' or '-' between terms",
                              line_no, base + m.start() + 1)
-        coeff = Fraction(coeff_tok.replace(" ", "")) if coeff_tok else Fraction(1)
+        try:
+            coeff = Fraction(coeff_tok.replace(" ", "")) if coeff_tok else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError("zero denominator in coefficient %r" % coeff_tok,
+                             line_no, base + m.start(2) + 1) from None
         if sign_tok == "-":
             coeff = -coeff
         idx = index_of.get(label_tok)

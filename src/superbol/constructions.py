@@ -10,33 +10,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import rat, sign
-from .structures import AlgebraDef, TernaryStructure, require_axioms
+from .structures import AlgebraDef, TernaryStructure, _into, require_axioms
 
 
 def lie_to_supertriple(L):
     """Lie superalgebra to Lie supertriple system via [x,y,z] := [[x,y],z]."""
     require_axioms(L, "lie")
     n = L.space.dim
-    bt = L.binary.table
-    table = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            xy = bt[i][j]
-            row = []
-            for k in range(n):
-                out = [0] * n
-                for m, c in enumerate(xy):
-                    if c:
-                        ent = bt[m][k]
-                        for t in range(n):
-                            if ent[t]:
-                                out[t] += c * ent[t]
-                row.append(tuple(rat(c) for c in out))
-            plane.append(tuple(row))
-        table.append(tuple(plane))
+    E, col = L.binary.entries, L.binary.col
+    table = tuple(tuple(tuple(tuple(rat(c) for c in _into([0] * n, E[i][j], col[k]))
+                              for k in range(n)) for j in range(n)) for i in range(n))
     out = AlgebraDef("lts(%s)" % L.name, L.space, binary=None,
-                     ternary=TernaryStructure(L.space, tuple(table)))
+                     ternary=TernaryStructure(L.space, table))
     require_axioms(out, "lie_supertriple")
     return out
 
@@ -56,32 +41,18 @@ def malcev_to_bol(M):
     require_axioms(M, "malcev")
     n = M.space.dim
     par = M.space.parities
-    bt = M.binary.table
+    E, col = M.binary.entries, M.binary.col
     third = Fraction(1, 3)
-
-    def bracket_vb(vec, k):
-        out = [0] * n
-        for m, c in enumerate(vec):
-            if c:
-                ent = bt[m][k]
-                for t in range(n):
-                    if ent[t]:
-                        out[t] += c * ent[t]
-        return out
-
     table = []
     for i in range(n):
         plane = []
         for j in range(n):
             row = []
             for k in range(n):
-                s1 = sign(par[i] * (par[j] + par[k]))
-                s2 = sign(par[k] * (par[i] + par[j]))
-                a = bracket_vb(bt[i][j], k)
-                b = bracket_vb(bt[j][k], i)
-                c = bracket_vb(bt[k][i], j)
-                row.append(tuple(rat(third * (2 * x - s1 * y - s2 * z))
-                                 for x, y, z in zip(a, b, c)))
+                acc = _into([0] * n, E[i][j], col[k], 2)
+                _into(acc, E[j][k], col[i], -sign(par[i] * (par[j] + par[k])))
+                _into(acc, E[k][i], col[j], -sign(par[k] * (par[i] + par[j])))
+                row.append(tuple(rat(third * c) for c in acc))
             plane.append(tuple(row))
         table.append(tuple(plane))
     out = AlgebraDef("bol(%s)" % M.name, M.space, binary=M.binary,

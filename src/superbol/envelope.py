@@ -26,8 +26,8 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector,
 from .linalg import (AffineSubspace, _in_row_span, _span_coordinates,
                      nullspace, rref, solve_affine, span_reduce)
 from .structures import (AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, _bv, _t_bbv, _t_bvb,
-                         _t_vbb, _vb, _vv, require_axioms)
+                         StructureError, Witness, _columns, _into, _sparse,
+                         _vector, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -110,10 +110,6 @@ def pair_bracket(B, p, q):
     return PseudoDerivationPair(graded_commutator(p.operator, q.operator), comp)
 
 
-def _op_col(matrix, j, n):
-    return tuple(matrix[i][j] for i in range(n))
-
-
 def check_pseudo(B, pair):
     """Pointwise verification that the pair derives both products.
 
@@ -126,60 +122,44 @@ def check_pseudo(B, pair):
     n = B.space.dim
     par = B.space.parities
     lab = B.space.labels
-    tt = B.ternary.table
-    bt = B.binary.table
-    M = pair.operator.matrix
+    Eb, col = B.binary.entries, B.binary.col
+    ts = B.ternary
+    Et = ts.entries
+    P = _columns(pair.operator)
     r = pair.degree
-    a = pair.companion.coords
+    a = _sparse(pair.companion.coords)
     witnesses = []
 
-    def apply_op(vec):
-        out = [0] * n
-        for m, c in enumerate(vec):
-            if c:
-                for t in range(n):
-                    if M[t][m]:
-                        out[t] += c * M[t][m]
-        return out
-
     for i in range(n):
         pi = par[i]
+        s1 = sign(r * pi)
         for j in range(n):
-            pj = par[j]
+            s2 = sign(r * (pi + par[j]))
             for k in range(n):
-                acc = apply_op(tt[i][j][k])
-                rhs = [0] * n
-                for t, c in enumerate(_t_vbb(tt, _op_col(M, i, n), j, k, n)):
-                    rhs[t] += c
-                s = sign(r * pi)
-                for t, c in enumerate(_t_bvb(tt, i, _op_col(M, j, n), k, n)):
-                    rhs[t] += s * c
-                s = sign(r * (pi + pj))
-                for t, c in enumerate(_t_bbv(tt, i, j, _op_col(M, k, n), n)):
-                    rhs[t] += s * c
-                defect = tuple(rat(x - y) for x, y in zip(rhs, acc))
-                if any(defect):
+                # RHS - LHS: [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k]
+                # - P[e_i, e_j, e_k], with the signs of the triple rule
+                acc = _into([0] * n, P[i], ts.first[j][k])
+                _into(acc, P[j], ts.mid[i][k], s1)
+                _into(acc, P[k], Et[i][j], s2)
+                _into(acc, Et[i][j][k], P, -1)
+                if any(acc):
                     witnesses.append(Witness("derives-triple", (lab[i], lab[j], lab[k]),
-                                             SuperVector(B.space, defect)))
+                                             _vector(B.space, acc)))
 
     for i in range(n):
         pi = par[i]
         for j in range(n):
-            pj = par[j]
-            lhs = apply_op(bt[i][j])
-            rhs = list(_bv(bt, _op_col(M, i, n), j, n))
-            s = sign(r * pi)
-            for t, c in enumerate(_vb(bt, i, _op_col(M, j, n), n)):
-                rhs[t] += s * c
-            s = sign(r * (pi + pj))
-            for t, c in enumerate(_t_bbv(tt, i, j, a, n)):
-                rhs[t] += s * c
-            for t, c in enumerate(_vv(bt, a, bt[i][j], n)):
-                rhs[t] += c
-            defect = tuple(rat(x - y) for x, y in zip(rhs, lhs))
-            if any(defect):
+            # RHS - LHS: [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j)
+            # - P(e_i e_j), with the signs of the product rule
+            acc = _into([0] * n, P[i], col[j])
+            _into(acc, P[j], Eb[i], sign(r * pi))
+            _into(acc, a, Et[i][j], sign(r * (pi + par[j])))
+            for m, c in a:
+                _into(acc, Eb[i][j], Eb[m], c)
+            _into(acc, Eb[i][j], P, -1)
+            if any(acc):
                 witnesses.append(Witness("derives-product", (lab[i], lab[j]),
-                                         SuperVector(B.space, defect)))
+                                         _vector(B.space, acc)))
     subject = "pair of degree %d on %s" % (r, B.name)
     return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
 
@@ -202,9 +182,9 @@ def companion_space(B, P):
     if not triple_ok:
         return AffineSubspace.empty()
 
-    tt = B.ternary.table
-    bt = B.binary.table
-    M = P.matrix
+    Eb, col = B.binary.entries, B.binary.col
+    Et = B.ternary.entries
+    Pc = _columns(P)
     rows, rhs = [], []
     for m in range(n):
         if par[m] != r:
@@ -214,25 +194,19 @@ def companion_space(B, P):
             rhs.append(0)
     for i in range(n):
         pi = par[i]
-        s1 = sign(r * pi)
         for j in range(n):
-            pj = par[j]
-            s2 = sign(r * (pi + pj))
-            w = bt[i][j]
-            lhs = [0] * n
-            for m, c in enumerate(w):
-                if c:
-                    for t in range(n):
-                        if M[t][m]:
-                            lhs[t] += c * M[t][m]
-            known = list(_bv(bt, _op_col(M, i, n), j, n))
-            for t, c in enumerate(_vb(bt, i, _op_col(M, j, n), n)):
-                known[t] += s1 * c
-            mw = [_vb(bt, m, w, n) for m in range(n)]
+            s2 = sign(r * (pi + par[j]))
+            w = Eb[i][j]
+            # the right-hand side: P(e_i e_j) - [P e_i, e_j] -+ [e_i, P e_j]
+            known = _into([0] * n, w, Pc)
+            _into(known, Pc[i], col[j], -1)
+            _into(known, Pc[j], Eb[i], -sign(r * pi))
+            # column m, the coefficient of a_m: +-[e_i, e_j, e_m] + e_m.(e_i e_j)
+            cols = [_into(_into([0] * n, w, Eb[m]), ((m, 1),), Et[i][j], s2)
+                    for m in range(n)]
             for t in range(n):
-                coeff = [rat(s2 * tt[i][j][m][t] + mw[m][t]) for m in range(n)]
-                rows.append(coeff)
-                rhs.append(rat(lhs[t] - known[t]))
+                rows.append([rat(c[t]) for c in cols])
+                rhs.append(rat(known[t]))
     return solve_affine(rows, rhs)
 
 
@@ -318,6 +292,7 @@ def ps_space(B):
     par = B.space.parities
     tt = B.ternary.table
     bt = B.binary.table
+    Eb = B.binary.entries
     nun = n * n + n
 
     def op_idx(t, m):
@@ -368,7 +343,7 @@ def ps_space(B):
                 pj = par[j]
                 s2 = sign(r * (pi + pj))
                 w = bt[i][j]
-                mw = [_vb(bt, m, w, n) for m in range(n)]
+                mw = [_into([0] * n, Eb[i][j], Eb[m]) for m in range(n)]
                 for t in range(n):
                     row = [0] * nun
                     for m in range(n):

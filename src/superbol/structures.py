@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graded import GradingError, SuperVector, rat, sign
 from .linalg import Subspace, nullspace, span_reduce
@@ -40,21 +41,63 @@ class AxiomError(ValueError):
         self.report = report
 
 
-def _norm_table_entry(space, coords, parity, what):
-    coords = tuple(rat(c) for c in coords)
+def _sparse(coords):
+    """The nonzero (index, coefficient) pairs of a coordinate sequence."""
+    return tuple((t, c) for t, c in enumerate(coords) if c)
+
+
+def _into(acc, vec, rows, s=1):
+    """acc += s * sum of c * rows[m] over the pairs (m, c) of vec.
+
+    vec and every rows[m] are sparse (index, coefficient) tuples and acc
+    is a dense coordinate list, which is returned.  Every contraction of
+    a structure table with a vector is one call, with rows a row view of
+    the table's sparse form: `entries[i]` is [e_i, .] for a binary
+    product, `col[k]` is [., e_k], and so on.
+    """
+    for m, c in vec:
+        row = rows[m]
+        if row:
+            c = c if s == 1 else s * c
+            for t, d in row:
+                acc[t] += c * d
+    return acc
+
+
+def _vector(space, acc):
+    return SuperVector(space, tuple(rat(c) for c in acc))
+
+
+def _columns(f):
+    """f(e_m) for every m: the row view that applies the map f."""
+    return tuple(_sparse(c) for c in zip(*f.matrix))
+
+
+def _sparse_entry(space, coords, parity, at):
+    # one table cell, validated: its sparse form with exact coefficients
     if len(coords) != space.dim:
-        raise StructureError("%s: expected %d coordinates" % (what, space.dim))
-    for t, c in enumerate(coords):
-        if c and space.parities[t] != parity:
-            raise GradingError(
-                "%s: output has a component on %s of wrong parity"
-                % (what, space.labels[t]))
-    return coords
+        raise StructureError("%s: expected %d coordinates"
+                             % (_product_name(space, at), space.dim))
+    entry = tuple((t, rat(c)) for t, c in enumerate(coords) if c)
+    for t, _ in entry:
+        if space.parities[t] != parity:
+            raise GradingError("%s: output has a component on %s of wrong parity"
+                               % (_product_name(space, at), space.labels[t]))
+    return entry
+
+
+def _product_name(space, at):
+    return "product [%s]" % ",".join(space.labels[i] for i in at)
 
 
 @dataclass(frozen=True)
 class BinaryStructure:
-    """table[i][j] holds the coordinates of e_i * e_j."""
+    """table[i][j] holds the coordinates of e_i * e_j.
+
+    The sparse form, built once per object, holds the same constants:
+    entries[i][j] is the tuple of nonzero (t, c) of e_i * e_j, and
+    col[k][m] = entries[m][k] is the row view of right multiplication.
+    """
 
     space: object
     table: tuple
@@ -64,10 +107,14 @@ class BinaryStructure:
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise StructureError("binary table must be %d x %d" % (n, n))
         par = self.space.parities
-        for i in range(n):
-            for j in range(n):
-                _norm_table_entry(self.space, self.table[i][j], (par[i] + par[j]) % 2,
-                                  "product [%s,%s]" % (self.space.labels[i], self.space.labels[j]))
+        # validating every cell and building the sparse form is one pass
+        object.__setattr__(self, "entries", tuple(
+            tuple(_sparse_entry(self.space, self.table[i][j], (par[i] + par[j]) % 2, (i, j))
+                  for j in range(n)) for i in range(n)))
+
+    @cached_property
+    def col(self):
+        return tuple(zip(*self.entries))
 
     @classmethod
     def from_products(cls, space, products):
@@ -102,25 +149,22 @@ class BinaryStructure:
         return SuperVector(self.space, self.table[i][j])
 
     def eval(self, x, y):
-        n = self.space.dim
-        out = [0] * n
-        for i, a in enumerate(x.coords):
-            if not a:
-                continue
-            for j, b in enumerate(y.coords):
-                if not b:
-                    continue
-                entry = self.table[i][j]
-                ab = a * b
-                for t in range(n):
-                    if entry[t]:
-                        out[t] += ab * entry[t]
-        return SuperVector(self.space, tuple(rat(c) for c in out))
+        acc = [0] * self.space.dim
+        ys = _sparse(y.coords)
+        for i, a in _sparse(x.coords):
+            _into(acc, ys, self.entries[i], a)
+        return _vector(self.space, acc)
 
 
 @dataclass(frozen=True)
 class TernaryStructure:
-    """table[i][j][k] holds the coordinates of [e_i, e_j, e_k]."""
+    """table[i][j][k] holds the coordinates of [e_i, e_j, e_k].
+
+    The sparse form, built once per object: entries[i][j][k] is the
+    tuple of nonzero (t, c) of [e_i, e_j, e_k], with the row views
+    first[j][k][m] = entries[m][j][k] and mid[i][k][m] = entries[i][m][k]
+    for a vector in the first and the middle slot.
+    """
 
     space: object
     table: tuple
@@ -131,13 +175,19 @@ class TernaryStructure:
                 or any(len(r) != n for p in self.table for r in p):
             raise StructureError("ternary table must be %d x %d x %d" % (n, n, n))
         par = self.space.parities
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    _norm_table_entry(
-                        self.space, self.table[i][j][k], (par[i] + par[j] + par[k]) % 2,
-                        "product [%s,%s,%s]" % (self.space.labels[i],
-                                                self.space.labels[j], self.space.labels[k]))
+        # validating every cell and building the sparse form is one pass
+        object.__setattr__(self, "entries", tuple(
+            tuple(tuple(_sparse_entry(self.space, self.table[i][j][k],
+                                      (par[i] + par[j] + par[k]) % 2, (i, j, k))
+                        for k in range(n)) for j in range(n)) for i in range(n)))
+
+    @cached_property
+    def first(self):
+        return tuple(tuple(zip(*plane)) for plane in zip(*self.entries))
+
+    @cached_property
+    def mid(self):
+        return tuple(tuple(zip(*plane)) for plane in self.entries)
 
     @classmethod
     def from_products(cls, space, products):
@@ -172,24 +222,12 @@ class TernaryStructure:
         return SuperVector(self.space, self.table[i][j][k])
 
     def eval(self, x, y, z):
-        n = self.space.dim
-        out = [0] * n
-        for i, a in enumerate(x.coords):
-            if not a:
-                continue
-            for j, b in enumerate(y.coords):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(z.coords):
-                    if not c:
-                        continue
-                    entry = self.table[i][j][k]
-                    abc = ab * c
-                    for t in range(n):
-                        if entry[t]:
-                            out[t] += abc * entry[t]
-        return SuperVector(self.space, tuple(rat(c) for c in out))
+        acc = [0] * self.space.dim
+        ys, zs = _sparse(y.coords), _sparse(z.coords)
+        for i, a in _sparse(x.coords):
+            for j, b in ys:
+                _into(acc, zs, self.entries[i][j], a * b)
+        return _vector(self.space, acc)
 
 
 @dataclass(frozen=True)
@@ -222,16 +260,6 @@ class AlgebraDef:
         return self.ternary.eval(x, y, z)
 
 
-def eval_binary(A, x, y):
-    """Bilinear extension of A's binary structure constants."""
-    return A.product(x, y)
-
-
-def eval_ternary(A, x, y, z):
-    """Trilinear extension of A's ternary structure constants."""
-    return A.triple(x, y, z)
-
-
 @dataclass(frozen=True)
 class Witness:
     axiom: str
@@ -259,220 +287,158 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# raw-table contractions; vec arguments are coordinate sequences
+# axiom sweeps; each yields Witness objects in lexicographic tuple order and
+# visits only the tuples where some term of its identity can be nonzero
 
 
-def _bv(table, vec, k, n):
-    # [vec, e_k]
-    out = [0] * n
-    for m, c in enumerate(vec):
-        if c:
-            row = table[m][k]
-            for t in range(n):
-                if row[t]:
-                    out[t] += c * row[t]
-    return out
-
-
-def _vb(table, i, vec, n):
-    # [e_i, vec]
-    out = [0] * n
-    for m, c in enumerate(vec):
-        if c:
-            row = table[i][m]
-            for t in range(n):
-                if row[t]:
-                    out[t] += c * row[t]
-    return out
-
-
-def _vv(table, u, v, n):
-    # [u, v]
-    out = [0] * n
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if b:
-                row = table[i][j]
-                ab = a * b
-                for t in range(n):
-                    if row[t]:
-                        out[t] += ab * row[t]
-    return out
-
-
-def _t_bbv(table, i, j, vec, n):
-    # [e_i, e_j, vec]
-    out = [0] * n
-    for m, c in enumerate(vec):
-        if c:
-            row = table[i][j][m]
-            for t in range(n):
-                if row[t]:
-                    out[t] += c * row[t]
-    return out
-
-
-def _t_bvb(table, i, vec, k, n):
-    # [e_i, vec, e_k]
-    out = [0] * n
-    for m, c in enumerate(vec):
-        if c:
-            row = table[i][m][k]
-            for t in range(n):
-                if row[t]:
-                    out[t] += c * row[t]
-    return out
-
-
-def _t_vbb(table, vec, j, k, n):
-    # [vec, e_j, e_k]
-    out = [0] * n
-    for m, c in enumerate(vec):
-        if c:
-            row = table[m][j][k]
-            for t in range(n):
-                if row[t]:
-                    out[t] += c * row[t]
-    return out
-
-
-def _addto(acc, vec, s):
-    if s == 1:
-        for t, c in enumerate(vec):
-            if c:
-                acc[t] += c
-    else:
-        for t, c in enumerate(vec):
-            if c:
-                acc[t] -= c
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# axiom sweeps; each yields Witness objects in lexicographic tuple order
-
-
-def _sweep_binary_skew(space, table, axiom="skew"):
+def _sweep_binary_skew(space, bs):
     n, par, lab = space.dim, space.parities, space.labels
+    E, table = bs.entries, bs.table
     for i in range(n):
         for j in range(n):
-            s = sign(par[i] * par[j])
-            defect = tuple(rat(a + s * b) for a, b in zip(table[i][j], table[j][i]))
-            if any(defect):
-                yield Witness(axiom, (lab[i], lab[j]), SuperVector(space, defect))
+            if E[i][j] or E[j][i]:
+                s = sign(par[i] * par[j])
+                defect = tuple(rat(a + s * b) for a, b in zip(table[i][j], table[j][i]))
+                if any(defect):
+                    yield Witness("skew", (lab[i], lab[j]), SuperVector(space, defect))
 
 
-def _sweep_super_jacobi(space, table):
+def _sweep_super_jacobi(space, bs):
     n, par, lab = space.dim, space.parities, space.labels
+    E, col = bs.entries, bs.col
     for i in range(n):
         pi = par[i]
         for j in range(n):
             pj = par[j]
             for k in range(n):
                 pk = par[k]
-                acc = [0] * n
-                _addto(acc, _bv(table, table[i][j], k, n), 1)
-                _addto(acc, _bv(table, table[j][k], i, n), sign(pi * (pj + pk)))
-                _addto(acc, _bv(table, table[k][i], j, n), sign(pk * (pi + pj)))
-                if any(acc):
-                    yield Witness("jacobi", (lab[i], lab[j], lab[k]),
-                                  SuperVector(space, tuple(rat(c) for c in acc)))
+                if E[i][j] or E[j][k] or E[k][i]:
+                    acc = _into([0] * n, E[i][j], col[k])
+                    _into(acc, E[j][k], col[i], sign(pi * (pj + pk)))
+                    _into(acc, E[k][i], col[j], sign(pk * (pi + pj)))
+                    if any(acc):
+                        yield Witness("jacobi", (lab[i], lab[j], lab[k]), _vector(space, acc))
 
 
-def _sweep_malcev(space, table):
+def _sweep_malcev(space, bs):
     n, par, lab = space.dim, space.parities, space.labels
+    E, col = bs.entries, bs.col
+    # [[e_a, e_b], e_c] and [e_a, [e_b, e_c]] for every triple
+    right = [[[_sparse(_into([0] * n, E[a][b], col[c])) for c in range(n)]
+              for b in range(n)] for a in range(n)]
+    left = [[[_sparse(_into([0] * n, E[b][c], E[a])) for c in range(n)]
+             for b in range(n)] for a in range(n)]
     for i in range(n):
         for j in range(n):
+            pj = par[j]
             for k in range(n):
+                pk, ik, ijk = par[k], E[i][k], right[i][j][k]
                 for l in range(n):
-                    pi, pj, pk, pl = par[i], par[j], par[k], par[l]
+                    pl = par[l]
+                    jkl, ikl, ilj = right[j][k][l], left[i][k][l], right[i][l][j]
+                    if not (ijk or jkl or ikl or ilj or (ik and E[j][l])):
+                        continue
                     # RHS - LHS of the Malcev identity
                     acc = [0] * n
-                    _addto(acc, _vv(table, table[i][k], table[j][l], n), sign(pj * pk))
-                    _addto(acc, _bv(table, _bv(table, table[i][j], k, n), l, n), -1)
-                    _addto(acc, _vb(table, i, _bv(table, table[j][k], l, n), n), 1)
-                    _addto(acc, _bv(table, _vb(table, i, table[k][l], n), j, n),
-                           sign(pj * (pk + pl)))
-                    _addto(acc, _bv(table, _bv(table, table[i][l], j, n), k, n),
-                           sign(pl * (pj + pk)))
+                    s = sign(pj * pk)
+                    for a, c in ik:
+                        _into(acc, E[j][l], E[a], s * c)
+                    _into(acc, ijk, col[l], -1)
+                    _into(acc, jkl, E[i])
+                    _into(acc, ikl, col[j], sign(pj * (pk + pl)))
+                    _into(acc, ilj, col[k], sign(pl * (pj + pk)))
                     if any(acc):
                         yield Witness("malcev", (lab[i], lab[j], lab[k], lab[l]),
-                                      SuperVector(space, tuple(rat(c) for c in acc)))
+                                      _vector(space, acc))
 
 
-def _sweep_ternary_skew(space, table):
+def _sweep_ternary_skew(space, ts):
     n, par, lab = space.dim, space.parities, space.labels
+    E, table = ts.entries, ts.table
     for i in range(n):
         for j in range(n):
             s = sign(par[i] * par[j])
             for k in range(n):
-                defect = tuple(rat(a + s * b) for a, b in zip(table[i][j][k], table[j][i][k]))
-                if any(defect):
-                    yield Witness("triple-skew", (lab[i], lab[j], lab[k]),
-                                  SuperVector(space, defect))
+                if E[i][j][k] or E[j][i][k]:
+                    defect = tuple(rat(a + s * b)
+                                   for a, b in zip(table[i][j][k], table[j][i][k]))
+                    if any(defect):
+                        yield Witness("triple-skew", (lab[i], lab[j], lab[k]),
+                                      SuperVector(space, defect))
 
 
-def _sweep_ternary_jacobi(space, table):
+def _sweep_ternary_jacobi(space, ts):
     n, par, lab = space.dim, space.parities, space.labels
+    E, table = ts.entries, ts.table
     for i in range(n):
         pi = par[i]
         for j in range(n):
             pj = par[j]
             for k in range(n):
                 pk = par[k]
-                s1 = sign(pi * (pj + pk))
-                s2 = sign(pk * (pi + pj))
-                acc = list(table[i][j][k])
-                _addto(acc, table[j][k][i], s1)
-                _addto(acc, table[k][i][j], s2)
-                if any(acc):
-                    yield Witness("triple-jacobi", (lab[i], lab[j], lab[k]),
-                                  SuperVector(space, tuple(rat(c) for c in acc)))
+                if E[i][j][k] or E[j][k][i] or E[k][i][j]:
+                    s1 = sign(pi * (pj + pk))
+                    s2 = sign(pk * (pi + pj))
+                    defect = tuple(rat(a + s1 * b + s2 * c) for a, b, c in
+                                   zip(table[i][j][k], table[j][k][i], table[k][i][j]))
+                    if any(defect):
+                        yield Witness("triple-jacobi", (lab[i], lab[j], lab[k]),
+                                      SuperVector(space, defect))
 
 
-def _sweep_nambu(space, table):
+def _sweep_nambu(space, ts):
+    # D = D_{i,j} = [e_i, e_j, .] must be a superderivation of the triple
     n, par, lab = space.dim, space.parities, space.labels
+    E, first, mid = ts.entries, ts.first, ts.mid
     for i in range(n):
         for j in range(n):
+            D = E[i][j]
+            if not any(D):
+                continue
             pij = par[i] + par[j]
             for u in range(n):
                 pu = par[u]
+                Du, Eu, mid_u = D[u], E[u], mid[u]
+                s1 = sign(pu * pij)
                 for v in range(n):
-                    puv = pu + par[v]
+                    Dv, Euv, first_v = D[v], Eu[v], first[v]
+                    s2 = sign(pij * (pu + par[v]))
                     for w in range(n):
-                        acc = [0] * n
-                        _addto(acc, _t_vbb(table, table[i][j][u], v, w, n), 1)
-                        _addto(acc, _t_bvb(table, u, table[i][j][v], w, n), sign(pu * pij))
-                        _addto(acc, _t_bbv(table, u, v, table[i][j][w], n), sign(pij * puv))
-                        _addto(acc, _t_bbv(table, i, j, table[u][v][w], n), -1)
+                        acc = _into([0] * n, Du, first_v[w])
+                        _into(acc, Dv, mid_u[w], s1)
+                        _into(acc, D[w], Euv, s2)
+                        _into(acc, Euv[w], D, -1)
                         if any(acc):
                             yield Witness("nambu", (lab[i], lab[j], lab[u], lab[v], lab[w]),
-                                          SuperVector(space, tuple(rat(c) for c in acc)))
+                                          _vector(space, acc))
 
 
-def _sweep_product_rule(space, bin_table, ter_table):
-    # the ternary bracket [x,y,.] acts on a binary product u.v the way a
-    # pseudo superderivation with companion x.y does
+def _sweep_product_rule(space, bs, ts):
+    # the ternary bracket D = [x,y,.] acts on a binary product u.v the way
+    # a pseudo superderivation with companion x.y does
     n, par, lab = space.dim, space.parities, space.labels
+    Eb, col, Et = bs.entries, bs.col, ts.entries
     for i in range(n):
         for j in range(n):
+            D, xy = Et[i][j], Eb[i][j]
+            if not xy and not any(D):
+                continue
             pij = par[i] + par[j]
-            xy = bin_table[i][j]
+            # the two terms acting on u.v, as one row view:
+            # [x.y, e_m] - D(e_m) for every m
+            act = [_sparse(_into(_into([0] * n, xy, col[m]), ((m, 1),), D, -1))
+                   for m in range(n)]
             for u in range(n):
                 pu = par[u]
+                s1 = sign(pu * pij)
                 for v in range(n):
-                    puv = pu + par[v]
-                    acc = [0] * n
-                    _addto(acc, _vb(bin_table, u, ter_table[i][j][v], n), sign(pu * pij))
-                    _addto(acc, _bv(bin_table, ter_table[i][j][u], v, n), 1)
-                    _addto(acc, _t_bbv(ter_table, u, v, xy, n), sign(pij * puv))
-                    _addto(acc, _vv(bin_table, xy, bin_table[u][v], n), 1)
-                    _addto(acc, _t_bbv(ter_table, i, j, bin_table[u][v], n), -1)
+                    acc = _into([0] * n, D[v], Eb[u], s1)
+                    _into(acc, D[u], col[v])
+                    _into(acc, xy, Et[u][v], sign(pij * (pu + par[v])))
+                    _into(acc, Eb[u][v], act)
                     if any(acc):
                         yield Witness("product-rule", (lab[i], lab[j], lab[u], lab[v]),
-                                      SuperVector(space, tuple(rat(c) for c in acc)))
+                                      _vector(space, acc))
 
 
 def _require(A, binary=False, ternary=False):
@@ -495,28 +461,28 @@ def check_axioms(A, kind):
     witnesses = []
     if kind == "lie":
         _require(A, binary=True)
-        witnesses += _sweep_binary_skew(space, A.binary.table)
-        witnesses += _sweep_super_jacobi(space, A.binary.table)
+        witnesses += _sweep_binary_skew(space, A.binary)
+        witnesses += _sweep_super_jacobi(space, A.binary)
     elif kind == "malcev":
         _require(A, binary=True)
-        witnesses += _sweep_binary_skew(space, A.binary.table)
-        witnesses += _sweep_malcev(space, A.binary.table)
+        witnesses += _sweep_binary_skew(space, A.binary)
+        witnesses += _sweep_malcev(space, A.binary)
     elif kind == "supertriple":
         _require(A, ternary=True)
-        witnesses += _sweep_ternary_skew(space, A.ternary.table)
-        witnesses += _sweep_ternary_jacobi(space, A.ternary.table)
+        witnesses += _sweep_ternary_skew(space, A.ternary)
+        witnesses += _sweep_ternary_jacobi(space, A.ternary)
     elif kind == "lie_supertriple":
         _require(A, ternary=True)
-        witnesses += _sweep_ternary_skew(space, A.ternary.table)
-        witnesses += _sweep_ternary_jacobi(space, A.ternary.table)
-        witnesses += _sweep_nambu(space, A.ternary.table)
+        witnesses += _sweep_ternary_skew(space, A.ternary)
+        witnesses += _sweep_ternary_jacobi(space, A.ternary)
+        witnesses += _sweep_nambu(space, A.ternary)
     else:
         _require(A, binary=True, ternary=True)
-        witnesses += _sweep_binary_skew(space, A.binary.table)
-        witnesses += _sweep_ternary_skew(space, A.ternary.table)
-        witnesses += _sweep_ternary_jacobi(space, A.ternary.table)
-        witnesses += _sweep_nambu(space, A.ternary.table)
-        witnesses += _sweep_product_rule(space, A.binary.table, A.ternary.table)
+        witnesses += _sweep_binary_skew(space, A.binary)
+        witnesses += _sweep_ternary_skew(space, A.ternary)
+        witnesses += _sweep_ternary_jacobi(space, A.ternary)
+        witnesses += _sweep_nambu(space, A.ternary)
+        witnesses += _sweep_product_rule(space, A.binary, A.ternary)
     return CheckReport(A.name, kind, not witnesses, tuple(witnesses))
 
 
@@ -537,21 +503,25 @@ def center(A):
     are present.
     """
     n = A.space.dim
-    rows = []
+    # row views with x in the free slot: view[m] is the product with e_m there
+    views = []
     if A.binary is not None:
-        bt = A.binary.table
         for j in range(n):
-            for t in range(n):
-                rows.append([bt[m][j][t] for m in range(n)])
-                rows.append([bt[j][m][t] for m in range(n)])
+            views += (A.binary.col[j], A.binary.entries[j])
     if A.ternary is not None:
-        tt = A.ternary.table
+        ts = A.ternary
         for j in range(n):
             for k in range(n):
-                for t in range(n):
-                    rows.append([tt[m][j][k][t] for m in range(n)])
-                    rows.append([tt[j][m][k][t] for m in range(n)])
-                    rows.append([tt[j][k][m][t] for m in range(n)])
+                views += (ts.first[j][k], ts.mid[j][k], ts.entries[j][k])
+    rows = []
+    for view in views:
+        # one equation per output coordinate some e_m reaches; the
+        # coordinates no e_m reaches give all-zero rows, left out
+        by_t = {}
+        for m, entry in enumerate(view):
+            for t, c in entry:
+                by_t.setdefault(t, [0] * n)[m] = c
+        rows += (by_t[t] for t in sorted(by_t))
     basis = nullspace(rows, n)
     return span_reduce(A.space, [SuperVector(A.space, tuple(b)) for b in basis])
 
@@ -612,24 +582,34 @@ def check_morphism(f, A, B):
     if (A.binary is None) != (B.binary is None) or (A.ternary is None) != (B.ternary is None):
         raise StructureError("A and B carry different structure kinds")
 
-    def push(v):
-        return SuperVector(B.space, f(v).coords)
-
+    n = A.space.dim
     lab = A.space.labels
-    basis = A.space.basis()
+    fcol = _columns(f)
     witnesses = []
     if A.binary is not None:
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                defect = B.binary.eval(push(x), push(y)) - push(A.binary.eval(x, y))
-                if not defect.is_zero():
-                    witnesses.append(Witness("binary-hom", (lab[i], lab[j]), defect))
+        EA = A.binary.entries
+        # [f e_i, e_m] for every i, m; then [f e_i, f e_j] - f(e_i e_j)
+        fe_b = [[_sparse(_into([0] * n, fcol[i], B.binary.col[m])) for m in range(n)]
+                for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                acc = _into(_into([0] * n, fcol[j], fe_b[i]), EA[i][j], fcol, -1)
+                if any(acc):
+                    witnesses.append(Witness("binary-hom", (lab[i], lab[j]),
+                                             _vector(B.space, acc)))
     if A.ternary is not None:
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                for k, z in enumerate(basis):
-                    defect = B.ternary.eval(push(x), push(y), push(z)) \
-                        - push(A.ternary.eval(x, y, z))
-                    if not defect.is_zero():
-                        witnesses.append(Witness("ternary-hom", (lab[i], lab[j], lab[k]), defect))
+        EA, EB = A.ternary.entries, B.ternary.entries
+        # push one slot at a time, last to first:
+        # b_b_f[a][k][m] = [e_a, e_m, f e_k], b_f_f[j][k][a] = [e_a, f e_j, f e_k]
+        b_b_f = [[[_sparse(_into([0] * n, fcol[k], EB[a][m])) for m in range(n)]
+                  for k in range(n)] for a in range(n)]
+        b_f_f = [[[_sparse(_into([0] * n, fcol[j], b_b_f[a][k])) for a in range(n)]
+                  for k in range(n)] for j in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = _into(_into([0] * n, fcol[i], b_f_f[j][k]), EA[i][j][k], fcol, -1)
+                    if any(acc):
+                        witnesses.append(Witness("ternary-hom", (lab[i], lab[j], lab[k]),
+                                                 _vector(B.space, acc)))
     return CheckReport("%s -> %s" % (A.name, B.name), "morphism", not witnesses, tuple(witnesses))

@@ -129,6 +129,14 @@ def test_declarations_must_precede_products():
     assert "declarations must precede products" in e.message
 
 
+def test_zero_denominator():
+    text = "even e1 e2\nbinary [e1,e2] = e2 + 1/0*e1\n"
+    e = _err(text)
+    assert "zero denominator" in e.message
+    assert e.line == 2
+    assert e.col == text.split("\n")[1].index("1/0") + 1
+
+
 def test_no_labels():
     assert "no basis labels declared" in _err("name lonely\n").message
 

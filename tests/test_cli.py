@@ -233,3 +233,13 @@ def test_subprocess_entry_point():
     again = subprocess.run(base + ["--format", "machine", "killing-ricci", "L2_3_1_bol"],
                            capture_output=True)
     assert twice.stdout == again.stdout
+
+
+def test_zero_denominator_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "zero.alg"
+    bad.write_text("name z\neven e1 e2\nbinary [e1,e2] = 1/0*e1\n")
+    done = subprocess.run([sys.executable, "-m", "superbol", "check", str(bad), "--kind", "lie"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: line 3, col 18: zero denominator in coefficient '1/0'\n"

@@ -1,0 +1,170 @@
+"""The sparse axiom sweeps and check_morphism against the slow reference.
+
+`slow_reference` keeps the dense sweeps the package used before its
+sparse kernel.  Both must give the same report for every kind: the same
+verdict, the same witnesses in the same order, and the same exact
+defects, coordinate types included (ints where a value is integral).
+Inputs are catalog algebras, random single-constant mutations of them
+(most of which fail), and small dense even re-basings, mutated or not.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import slow_reference
+import superbol as sb
+from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
+
+
+def _osp12():
+    space = sb.SuperSpace.even_first(("h", "e", "f"), ("x", "y"))
+
+    def vec(**coeffs):
+        return tuple(coeffs.get(label, 0) for label in space.labels)
+
+    return AlgebraDef("osp12", space, binary=BinaryStructure.from_products(space, {
+        (0, 1): vec(e=2), (0, 2): vec(f=-2), (1, 2): vec(h=1),
+        (0, 3): vec(x=1), (0, 4): vec(y=-1), (1, 4): vec(x=-1), (2, 3): vec(y=-1),
+        (3, 3): vec(e=2), (3, 4): vec(h=1), (4, 4): vec(f=-2),
+    }))
+
+
+def _pool():
+    aff2 = sb.catalog.load("aff2_lie")
+    osp = _osp12()
+    return [ent.algebra for ent in sb.catalog.entries()] + [
+        sb.lie_to_supertriple(aff2), sb.malcev_to_bol(aff2), osp,
+        sb.lie_to_supertriple(osp), sb.malcev_to_bol(osp),
+    ]
+
+
+POOL = _pool()
+SMALL = [A for A in POOL if A.space.dim <= 4]
+VALUES = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3))
+
+
+def typed(report):
+    return [(w.axiom, w.at, tuple((type(c), c) for c in w.defect.coords))
+            for w in report.witnesses]
+
+
+def assert_same_checks(A):
+    for kind in sb.KINDS:
+        try:
+            slow = slow_reference.check_axioms(A, kind)
+        except sb.StructureError:
+            try:
+                sb.check_axioms(A, kind)
+            except sb.StructureError:
+                continue
+            raise AssertionError("%s: only the reference raised for %s" % (A.name, kind))
+        fast = sb.check_axioms(A, kind)
+        assert fast == slow, (A.name, kind)
+        assert typed(fast) == typed(slow), (A.name, kind)
+
+
+def assert_same_morphism(f, A, B):
+    slow = slow_reference.check_morphism(f, A, B)
+    fast = sb.check_morphism(f, A, B)
+    # the reference subtracts two vectors and leaves integral Fractions;
+    # the fast check normalizes every coordinate
+    assert fast == slow
+    assert str(fast) == str(slow)
+    assert all(type(c) is int or c.denominator != 1
+               for w in fast.witnesses for c in w.defect.coords)
+    return fast
+
+
+def mutate(A, rng):
+    """A with one structure constant changed, within the grading; no
+    mirror is completed, so most mutants fail several axioms."""
+    n = A.space.dim
+    par = A.space.parities
+    arity = rng.choice([k for k, s in ((2, A.binary), (3, A.ternary)) if s is not None])
+    cell = tuple(rng.randrange(n) for _ in range(arity))
+    targets = [t for t in range(n) if par[t] == sum(par[i] for i in cell) % 2]
+    if not targets:
+        return A
+    t = rng.choice(targets)
+    value = rng.choice(VALUES)
+
+    def edit(table, at):
+        if not at:
+            return tuple(value if m == t else c for m, c in enumerate(table))
+        return tuple(edit(sub, at[1:]) if m == at[0] else sub for m, sub in enumerate(table))
+
+    if arity == 2:
+        return AlgebraDef(A.name + "*", A.space, binary=BinaryStructure(A.space, edit(
+            A.binary.table, cell)), ternary=A.ternary)
+    return AlgebraDef(A.name + "*", A.space, binary=A.binary,
+                      ternary=TernaryStructure(A.space, edit(A.ternary.table, cell)))
+
+
+def even_map(space, rng):
+    """A random invertible even map with small integer entries."""
+    n = space.dim
+    par = space.parities
+    while True:
+        rows = [[rng.randint(-2, 2) if par[i] == par[j] else 0 for j in range(n)]
+                for i in range(n)]
+        g = sb.GradedMap.from_rows(space, 0, rows)
+        try:
+            g.inverse()
+        except ZeroDivisionError:
+            continue
+        return g
+
+
+def transport(A, g):
+    """The algebra whose e_i is g(e_i) of A: constants g^-1 A(g e_i, ...)."""
+    ginv = g.inverse()
+    n = A.space.dim
+    images = [g(e) for e in A.space.basis()]
+    binary = ternary = None
+    if A.binary is not None:
+        binary = BinaryStructure(A.space, tuple(
+            tuple(ginv(slow_reference._eval_binary(A, images[i], images[j])).coords
+                  for j in range(n)) for i in range(n)))
+    if A.ternary is not None:
+        ternary = TernaryStructure(A.space, tuple(tuple(tuple(
+            ginv(slow_reference._eval_ternary(A, images[i], images[j], images[k])).coords
+            for k in range(n)) for j in range(n)) for i in range(n)))
+    return AlgebraDef("dense " + A.name, A.space, binary=binary, ternary=ternary)
+
+
+def test_catalog_and_derived_algebras_match_the_reference():
+    for A in POOL:
+        assert_same_checks(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(POOL) - 1), st.integers(0, 2 ** 32))
+def test_single_constant_mutations_match_the_reference(index, seed):
+    assert_same_checks(mutate(POOL[index], random.Random(seed)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, len(SMALL) - 1), st.integers(0, 2 ** 32), st.booleans())
+def test_dense_rebasings_match_the_reference(index, seed, mutated):
+    rng = random.Random(seed)
+    A = SMALL[index]
+    g = even_map(A.space, rng)
+    C = transport(A, g)
+    if mutated:
+        C = mutate(C, rng)
+    assert_same_checks(C)
+    report = assert_same_morphism(g, C, A)
+    assert report.passed or mutated
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, len(SMALL) - 1), st.integers(0, 2 ** 32))
+def test_arbitrary_even_maps_match_the_reference(index, seed):
+    rng = random.Random(seed)
+    A = SMALL[index]
+    f = even_map(A.space, rng)
+    assert_same_morphism(f, A, A)
+    assert_same_morphism(f, mutate(A, rng), A)

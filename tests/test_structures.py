@@ -108,6 +108,15 @@ def test_center_of_catalog_algebras():
     assert sb.center(sb.catalog.load("aff2_lie")).dim == 0
 
 
+def test_center_of_a_large_zero_table():
+    # the sweeps and the center skip zero tables: dim 24 takes well under
+    # a second where a dense sweep over all tuples takes minutes
+    ent = sb.catalog.entry("abelian_24_0")
+    Z = sb.center(ent.algebra)
+    assert Z.dim == 24
+    assert Z == sb.whole_space(ent.algebra.space)
+
+
 def test_classify_ladder_on_l2_3_1():
     B = sb.catalog.load("L2_3_1_bol")
     e = B.space.basis()
