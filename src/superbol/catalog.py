@@ -1,4 +1,11 @@
-"""Built-in example algebras, verified against their declared axioms on load."""
+"""Built-in example algebras, verified against their declared axioms on load.
+
+Besides the fixed entries, every key abelian_m_n names the Bol algebra
+with m even and n odd generators and all products zero, for
+1 <= m + n <= ABELIAN_MAX_DIM (64); a larger key is a ValueError raised
+before anything is built, since building and verifying it costs time
+and memory that grow as (m + n)^4.
+"""
 
 from __future__ import annotations
 
@@ -83,6 +90,8 @@ _FIXED = (
 
 _ABELIAN = re.compile(r"^abelian_(\d+)_(\d+)$")
 
+ABELIAN_MAX_DIM = 64
+
 
 def keys():
     return tuple(key for key, _, _, _ in _FIXED)
@@ -96,6 +105,9 @@ def build(key):
     match = _ABELIAN.match(key)
     if match:
         m, n = int(match.group(1)), int(match.group(2))
+        if m + n > ABELIAN_MAX_DIM:
+            raise ValueError("%s has dimension %d; abelian_m_n allows at most %d"
+                             % (key, m + n, ABELIAN_MAX_DIM))
         return CatalogEntry(key, "bol", _abelian(m, n),
                             "all products zero, %d even and %d odd generators" % (m, n))
     raise KeyError("unknown catalog key %r; known: %s, abelian_m_n"

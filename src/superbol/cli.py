@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when an axiom check fails (witnesses are
-printed), 2 on usage or parse errors.  Output is deterministic: the
-same argv and file bytes produce the same bytes on stdout.
+printed), 2 on usage or parse errors and when stdout closes before the
+output is written.  Output is deterministic: the same argv and file
+bytes produce the same bytes on stdout.
 
 `--format machine` prints one `key = value` fact per line with keys
 sorted lexicographically; indices are zero-padded so the text sort
@@ -365,6 +366,20 @@ def build_parser():
     return parser
 
 
+def _write(lines):
+    """Print lines to stdout, flushed; exit code 2 when nobody reads them."""
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError as err:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: %s" % err, file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -375,30 +390,18 @@ def main(argv=None):
         print("error: %s" % err, file=sys.stderr)
         return 2
     except AxiomError as err:
-        out = []
+        code, facts, lines = 1, {}, []
         if fmt == "machine":
-            facts = {}
             _witness_facts(err.report, facts)
-            out = ["%s = %s" % (k, facts[k]) for k in sorted(facts)]
         else:
-            _report_lines(err.report, out)
-        print("\n".join(out))
-        return 1
+            _report_lines(err.report, lines)
     except (StructureError, EnvelopeError, GradingError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    if facts is None:
-        # raw text output (.alg), same in both formats
-        if lines:
-            print("\n".join(lines))
-        return code
-    if fmt == "machine":
-        for key in sorted(facts):
-            print("%s = %s" % (key, facts[key]))
-    else:
-        if lines:
-            print("\n".join(lines))
-    return code
+    # raw text output (.alg) comes with facts None, the same in both formats
+    if facts is not None and fmt == "machine":
+        lines = ["%s = %s" % (key, facts[key]) for key in sorted(facts)]
+    return _write(lines) or code

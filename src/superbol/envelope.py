@@ -3,7 +3,10 @@
 A pair (P, a) consists of a homogeneous operator and a companion vector
 of the same degree.  Pairs flatten to coordinate vectors of length
 dim^2 + dim (operator entries row-major, then companion coordinates),
-which is the representation used for spans and membership tests.
+which is the representation used for spans and membership tests.  The
+triple rule and the product rule that define the pseudo superderivation
+pairs are written once, term by term, in `_rules`: check_pseudo evaluates
+them, companion_space and ps_space solve them as linear systems.
 
 The enveloping algebra of a Bol algebra B over a pair space H >= IPS(B)
 is B + H with
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector,
-                     graded_commutator, rat, sign)
+                     graded_commutator, sign)
 from .linalg import (AffineSubspace, _in_row_span, _span_coordinates,
                      nullspace, rref, solve_affine, span_reduce)
 from .structures import (AlgebraDef, BinaryStructure, CheckReport,
@@ -110,6 +113,81 @@ def pair_bracket(B, p, q):
     return PseudoDerivationPair(graded_commutator(p.operator, q.operator), comp)
 
 
+def _rules(B, r):
+    """The triple rule and the product rule for degree-r pairs, in witness order.
+
+    Yields (axiom, at, terms, w) per basis tuple `at`.  A pair (P, a)
+    obeys the rule at `at` when RHS - LHS, the sum of s * (x[slot]
+    contracted through view) over the (slot, view, s) in terms minus P(w),
+    is zero; x[slot] is P e_slot, or a for slot n, and every view is a
+    row view of B's sparse form.
+    """
+    n, par = B.space.dim, B.space.parities
+    Eb, col = B.binary.entries, B.binary.col
+    Et, first, mid = B.ternary.entries, B.ternary.first, B.ternary.mid
+    for i in range(n):
+        s1 = sign(r * par[i])
+        for j in range(n):
+            s2 = sign(r * (par[i] + par[j]))
+            for k in range(n):
+                # [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k]
+                yield ("derives-triple", (i, j, k),
+                       ((i, first[j][k], 1), (j, mid[i][k], s1), (k, Et[i][j], s2)),
+                       Et[i][j][k])
+    for i in range(n):
+        s1 = sign(r * par[i])
+        for j in range(n):
+            w = Eb[i][j]
+            # [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j),
+            # where a.(e_i e_j) is the sum of c [a, e_q] over the (q, c) of e_i e_j
+            yield ("derives-product", (i, j),
+                   ((i, col[j], 1), (j, Eb[i], s1), (n, Et[i][j], sign(r * (par[i] + par[j]))))
+                   + tuple((n, col[q], c) for q, c in w),
+                   w)
+
+
+def _equations(B, r, x, cells):
+    """The rules for degree r as the rows (*coefficients, b) of a linear system.
+
+    Unknown u is the e_m coordinate of x[slot] for (slot, m) = cells[u];
+    x[slot] holds the known coordinates, sparse, with x as in _rules.  One
+    equation per rule tuple and coordinate, without 0 = 0 or repeats; the
+    rows stop after an equation 0 = b with b nonzero, which has no solution.
+    """
+    n = B.space.dim
+    var = [[(m, u) for u, (s, m) in enumerate(cells) if s == slot] for slot in range(n + 1)]
+    seen = set()
+    for _, _, terms, w in _rules(B, r):
+        # b: P(w) minus the known part of the terms
+        b = _into([0] * n, w, x)
+        by_t = {}
+        for slot, view, s in terms:
+            _into(b, x[slot], view, -s)
+            for m, u in var[slot]:
+                for t, c in view[m]:
+                    by_t.setdefault(t, [0] * len(cells))[u] += s * c
+        for q, c in w:
+            for t, u in var[q]:
+                by_t.setdefault(t, [0] * len(cells))[u] -= c
+        if not by_t and not any(b):
+            continue
+        for t in range(n):
+            row = (*by_t.get(t, [0] * len(cells)), b[t])
+            if any(row) and row not in seen:
+                seen.add(row)
+                yield row
+                if not any(row[:-1]):
+                    return
+
+
+def _flatten(values, cells, n):
+    """The flattened pair holding values at the cells (as in _equations), 0 elsewhere."""
+    out = [0] * (n * n + n)
+    for (slot, m), v in zip(cells, values):
+        out[m * n + slot if slot < n else n * n + m] = v
+    return tuple(out)
+
+
 def check_pseudo(B, pair):
     """Pointwise verification that the pair derives both products.
 
@@ -120,47 +198,16 @@ def check_pseudo(B, pair):
     if pair.space != B.space:
         raise GradingError("pair lives outside the algebra")
     n = B.space.dim
-    par = B.space.parities
     lab = B.space.labels
-    Eb, col = B.binary.entries, B.binary.col
-    ts = B.ternary
-    Et = ts.entries
-    P = _columns(pair.operator)
-    r = pair.degree
-    a = _sparse(pair.companion.coords)
+    x = _columns(pair.operator) + (_sparse(pair.companion.coords),)
     witnesses = []
-
-    for i in range(n):
-        pi = par[i]
-        s1 = sign(r * pi)
-        for j in range(n):
-            s2 = sign(r * (pi + par[j]))
-            for k in range(n):
-                # RHS - LHS: [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k]
-                # - P[e_i, e_j, e_k], with the signs of the triple rule
-                acc = _into([0] * n, P[i], ts.first[j][k])
-                _into(acc, P[j], ts.mid[i][k], s1)
-                _into(acc, P[k], Et[i][j], s2)
-                _into(acc, Et[i][j][k], P, -1)
-                if any(acc):
-                    witnesses.append(Witness("derives-triple", (lab[i], lab[j], lab[k]),
-                                             _vector(B.space, acc)))
-
-    for i in range(n):
-        pi = par[i]
-        for j in range(n):
-            # RHS - LHS: [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j)
-            # - P(e_i e_j), with the signs of the product rule
-            acc = _into([0] * n, P[i], col[j])
-            _into(acc, P[j], Eb[i], sign(r * pi))
-            _into(acc, a, Et[i][j], sign(r * (pi + par[j])))
-            for m, c in a:
-                _into(acc, Eb[i][j], Eb[m], c)
-            _into(acc, Eb[i][j], P, -1)
-            if any(acc):
-                witnesses.append(Witness("derives-product", (lab[i], lab[j]),
-                                         _vector(B.space, acc)))
-    subject = "pair of degree %d on %s" % (r, B.name)
+    for axiom, at, terms, w in _rules(B, pair.degree):
+        acc = _into([0] * n, w, x, -1)
+        for slot, view, s in terms:
+            _into(acc, x[slot], view, s)
+        if any(acc):
+            witnesses.append(Witness(axiom, tuple(lab[i] for i in at), _vector(B.space, acc)))
+    subject = "pair of degree %d on %s" % (pair.degree, B.name)
     return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
 
 
@@ -174,40 +221,15 @@ def companion_space(B, P):
     if P.space != B.space:
         raise GradingError("operator lives outside the algebra")
     n = B.space.dim
-    par = B.space.parities
-    r = P.degree
-    probe = PseudoDerivationPair(P, B.space.zero())
-    triple_ok = not any(w.axiom == "derives-triple"
-                        for w in check_pseudo(B, probe).witnesses)
-    if not triple_ok:
-        return AffineSubspace.empty()
-
-    Eb, col = B.binary.entries, B.binary.col
-    Et = B.ternary.entries
-    Pc = _columns(P)
-    rows, rhs = [], []
-    for m in range(n):
-        if par[m] != r:
-            row = [0] * n
-            row[m] = 1
-            rows.append(row)
-            rhs.append(0)
-    for i in range(n):
-        pi = par[i]
-        for j in range(n):
-            s2 = sign(r * (pi + par[j]))
-            w = Eb[i][j]
-            # the right-hand side: P(e_i e_j) - [P e_i, e_j] -+ [e_i, P e_j]
-            known = _into([0] * n, w, Pc)
-            _into(known, Pc[i], col[j], -1)
-            _into(known, Pc[j], Eb[i], -sign(r * pi))
-            # column m, the coefficient of a_m: +-[e_i, e_j, e_m] + e_m.(e_i e_j)
-            cols = [_into(_into([0] * n, w, Eb[m]), ((m, 1),), Et[i][j], s2)
-                    for m in range(n)]
-            for t in range(n):
-                rows.append([rat(c[t]) for c in cols])
-                rhs.append(rat(known[t]))
-    return solve_affine(rows, rhs)
+    # the unknowns: the companion coordinates of P's degree
+    cells = [(n, m) for m in range(n) if B.space.parities[m] == P.degree]
+    # with no equation at all, every companion of the right parity solves
+    aug = list(_equations(B, P.degree, _columns(P) + ((),), cells)) or [(0,) * (len(cells) + 1)]
+    solution = solve_affine([row[:-1] for row in aug], [row[-1] for row in aug])
+    if solution.is_empty:
+        return solution
+    return AffineSubspace(_flatten(solution.point, cells, n)[n * n:],
+                          tuple(_flatten(d, cells, n)[n * n:] for d in solution.directions))
 
 
 @dataclass(frozen=True)
@@ -284,82 +306,22 @@ def ips_space(B, K=None):
 def ps_space(B):
     """Full solution space of the two derivation rules, per degree.
 
-    Unknowns are the operator entries plus the companion coordinates;
-    both rules are linear in them, so the space is an exact nullspace.
-    Contains ips_space(B); the containment is verified.
+    Unknowns are the operator entries the degree's block structure allows
+    plus the companion coordinates of that parity; both rules are linear
+    in them, so the space is an exact nullspace.  Contains ips_space(B);
+    the containment is verified.
     """
     n = B.space.dim
     par = B.space.parities
-    tt = B.ternary.table
-    bt = B.binary.table
-    Eb = B.binary.entries
-    nun = n * n + n
-
-    def op_idx(t, m):
-        return t * n + m
-
     all_pairs = []
     for r in (0, 1):
-        rows = []
-        # block structure of a degree-r operator, parity of the companion
-        for t in range(n):
-            for m in range(n):
-                if par[t] != (par[m] + r) % 2:
-                    row = [0] * nun
-                    row[op_idx(t, m)] = 1
-                    rows.append(row)
-        for m in range(n):
-            if par[m] != r:
-                row = [0] * nun
-                row[n * n + m] = 1
-                rows.append(row)
-        # triple rule, LHS - RHS = 0
-        for i in range(n):
-            pi = par[i]
-            s1 = sign(r * pi)
-            for j in range(n):
-                pj = par[j]
-                s2 = sign(r * (pi + pj))
-                for k in range(n):
-                    vec = tt[i][j][k]
-                    for t in range(n):
-                        row = [0] * nun
-                        for m in range(n):
-                            if vec[m]:
-                                row[op_idx(t, m)] += vec[m]
-                            if tt[m][j][k][t]:
-                                row[op_idx(m, i)] -= tt[m][j][k][t]
-                            if tt[i][m][k][t]:
-                                row[op_idx(m, j)] -= s1 * tt[i][m][k][t]
-                            if tt[i][j][m][t]:
-                                row[op_idx(m, k)] -= s2 * tt[i][j][m][t]
-                        if any(row):
-                            rows.append(row)
-        # product rule, LHS - RHS = 0
-        for i in range(n):
-            pi = par[i]
-            s1 = sign(r * pi)
-            for j in range(n):
-                pj = par[j]
-                s2 = sign(r * (pi + pj))
-                w = bt[i][j]
-                mw = [_into([0] * n, Eb[i][j], Eb[m]) for m in range(n)]
-                for t in range(n):
-                    row = [0] * nun
-                    for m in range(n):
-                        if w[m]:
-                            row[op_idx(t, m)] += w[m]
-                        if bt[m][j][t]:
-                            row[op_idx(m, i)] -= bt[m][j][t]
-                        if bt[i][m][t]:
-                            row[op_idx(m, j)] -= s1 * bt[i][m][t]
-                        companion = s2 * tt[i][j][m][t] + mw[m][t]
-                        if companion:
-                            row[n * n + m] -= companion
-                    if any(row):
-                        rows.append(row)
-        for vec in nullspace(rows, nun):
-            all_pairs.append(PseudoDerivationPair.from_flat(B.space, tuple(vec)))
+        # the unknowns: the coordinates a degree-r pair may have nonzero
+        cells = [(slot, m) for m in range(n) for slot in range(n)
+                 if par[m] == (par[slot] + r) % 2]
+        cells += [(n, m) for m in range(n) if par[m] == r]
+        rows = [row[:-1] for row in _equations(B, r, ((),) * (n + 1), cells)]
+        for vec in nullspace(rows, len(cells)):
+            all_pairs.append(PseudoDerivationPair.from_flat(B.space, _flatten(vec, cells, n)))
     out = PairSpace.from_pairs(B, all_pairs)
     if not out.contains_space(ips_space(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")

@@ -185,26 +185,6 @@ def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _invert_rows(matrix):
-    """Exact inverse of a square matrix given as row lists; None if singular."""
-    n = len(matrix)
-    a = [[rat(x) for x in row] + ident for row, ident in zip(matrix, _identity_rows(n))]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1, 1) / a[row][col]
-        a[row] = [rat(inv * x) for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [rat(x - f * y) for x, y in zip(a[r], a[row])]
-        row += 1
-    return [r[n:] for r in a]
-
-
 @dataclass(frozen=True)
 class GradedMap:
     """Homogeneous linear map; matrix[i][j] is the e_i coefficient of f(e_j)."""
@@ -304,10 +284,14 @@ class GradedMap:
                        for i, p in enumerate(self.space.parities)))
 
     def inverse(self):
-        inv = _invert_rows([list(r) for r in self.matrix])
-        if inv is None:
+        from .linalg import rref  # linalg imports this module
+        n = self.space.dim
+        # [M | I] reduces to [I | M^-1] exactly when M is invertible
+        reduced, pivots = rref([list(row) + ident
+                                for row, ident in zip(self.matrix, _identity_rows(n))])
+        if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("map is singular")
-        return GradedMap.from_rows(self.space, self.degree, inv)
+        return GradedMap.from_rows(self.space, self.degree, [row[n:] for row in reduced])
 
 
 def supertrace(f):

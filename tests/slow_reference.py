@@ -1,4 +1,5 @@
-"""Slow reference for the axiom sweeps and the morphism check.
+"""Slow reference for the axiom sweeps, the morphism check and the two
+pseudo-derivation rules.
 
 These are the dense sweeps the package used before its sparse kernel:
 every identity is evaluated on every basis tuple by scanning all n
@@ -7,9 +8,18 @@ vectors through f and the dense evaluators one tuple at a time.  They
 share no code with `superbol.structures` beyond its value types, so
 `tests/test_reference.py` can hold the fast checks to them: the same
 reports, witnesses in the same order, and the same exact defects.
+
+check_pseudo, companion_space and ps_space are the versions that wrote
+the triple rule and the product rule out once each, each copy with its
+own signs, before the package derived all three from one description of
+the rules.  They keep their own copies of the sparse contraction helpers
+and share no rule code with `superbol.envelope`.
 """
 
+from superbol.envelope import (EnvelopeError, PairSpace, PseudoDerivationPair,
+                               ips_space)
 from superbol.graded import GradingError, SuperVector, rat, sign
+from superbol.linalg import AffineSubspace, nullspace, solve_affine
 from superbol.structures import (KIND_ALIASES, KINDS, CheckReport,
                                  StructureError, Witness)
 
@@ -353,3 +363,224 @@ def check_morphism(f, A, B):
                     if not defect.is_zero():
                         witnesses.append(Witness("ternary-hom", (lab[i], lab[j], lab[k]), defect))
     return CheckReport("%s -> %s" % (A.name, B.name), "morphism", not witnesses, tuple(witnesses))
+
+
+# ---------------------------------------------------------------------------
+# pseudo superderivation pairs, each rule written out in each function
+
+
+def _sparse(coords):
+    """The nonzero (index, coefficient) pairs of a coordinate sequence."""
+    return tuple((t, c) for t, c in enumerate(coords) if c)
+
+
+def _into(acc, vec, rows, s=1):
+    """acc += s * sum of c * rows[m] over the pairs (m, c) of vec.
+
+    vec and every rows[m] are sparse (index, coefficient) tuples and acc
+    is a dense coordinate list, which is returned.  Every contraction of
+    a structure table with a vector is one call, with rows a row view of
+    the table's sparse form: `entries[i]` is [e_i, .] for a binary
+    product, `col[k]` is [., e_k], and so on.
+    """
+    for m, c in vec:
+        row = rows[m]
+        if row:
+            c = c if s == 1 else s * c
+            for t, d in row:
+                acc[t] += c * d
+    return acc
+
+
+def _vector(space, acc):
+    return SuperVector(space, tuple(rat(c) for c in acc))
+
+
+def _columns(f):
+    """f(e_m) for every m: the row view that applies the map f."""
+    return tuple(_sparse(c) for c in zip(*f.matrix))
+
+
+def check_pseudo(B, pair):
+    """Pointwise verification that the pair derives both products.
+
+    derives-triple is the Leibniz-type rule on the ternary bracket
+    (companion-free); derives-product is the rule on the binary product
+    involving the companion.  Defects are RHS - LHS.
+    """
+    if pair.space != B.space:
+        raise GradingError("pair lives outside the algebra")
+    n = B.space.dim
+    par = B.space.parities
+    lab = B.space.labels
+    Eb, col = B.binary.entries, B.binary.col
+    ts = B.ternary
+    Et = ts.entries
+    P = _columns(pair.operator)
+    r = pair.degree
+    a = _sparse(pair.companion.coords)
+    witnesses = []
+
+    for i in range(n):
+        pi = par[i]
+        s1 = sign(r * pi)
+        for j in range(n):
+            s2 = sign(r * (pi + par[j]))
+            for k in range(n):
+                # RHS - LHS: [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k]
+                # - P[e_i, e_j, e_k], with the signs of the triple rule
+                acc = _into([0] * n, P[i], ts.first[j][k])
+                _into(acc, P[j], ts.mid[i][k], s1)
+                _into(acc, P[k], Et[i][j], s2)
+                _into(acc, Et[i][j][k], P, -1)
+                if any(acc):
+                    witnesses.append(Witness("derives-triple", (lab[i], lab[j], lab[k]),
+                                             _vector(B.space, acc)))
+
+    for i in range(n):
+        pi = par[i]
+        for j in range(n):
+            # RHS - LHS: [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j)
+            # - P(e_i e_j), with the signs of the product rule
+            acc = _into([0] * n, P[i], col[j])
+            _into(acc, P[j], Eb[i], sign(r * pi))
+            _into(acc, a, Et[i][j], sign(r * (pi + par[j])))
+            for m, c in a:
+                _into(acc, Eb[i][j], Eb[m], c)
+            _into(acc, Eb[i][j], P, -1)
+            if any(acc):
+                witnesses.append(Witness("derives-product", (lab[i], lab[j]),
+                                         _vector(B.space, acc)))
+    subject = "pair of degree %d on %s" % (r, B.name)
+    return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
+
+
+def companion_space(B, P):
+    """All companions a making (P, a) a pseudo superderivation pair.
+
+    Returns the exact affine solution set of the product rule, which is
+    empty when P fails the (companion-free) triple rule.  Coordinates
+    are over B's basis.
+    """
+    if P.space != B.space:
+        raise GradingError("operator lives outside the algebra")
+    n = B.space.dim
+    par = B.space.parities
+    r = P.degree
+    probe = PseudoDerivationPair(P, B.space.zero())
+    triple_ok = not any(w.axiom == "derives-triple"
+                        for w in check_pseudo(B, probe).witnesses)
+    if not triple_ok:
+        return AffineSubspace.empty()
+
+    Eb, col = B.binary.entries, B.binary.col
+    Et = B.ternary.entries
+    Pc = _columns(P)
+    rows, rhs = [], []
+    for m in range(n):
+        if par[m] != r:
+            row = [0] * n
+            row[m] = 1
+            rows.append(row)
+            rhs.append(0)
+    for i in range(n):
+        pi = par[i]
+        for j in range(n):
+            s2 = sign(r * (pi + par[j]))
+            w = Eb[i][j]
+            # the right-hand side: P(e_i e_j) - [P e_i, e_j] -+ [e_i, P e_j]
+            known = _into([0] * n, w, Pc)
+            _into(known, Pc[i], col[j], -1)
+            _into(known, Pc[j], Eb[i], -sign(r * pi))
+            # column m, the coefficient of a_m: +-[e_i, e_j, e_m] + e_m.(e_i e_j)
+            cols = [_into(_into([0] * n, w, Eb[m]), ((m, 1),), Et[i][j], s2)
+                    for m in range(n)]
+            for t in range(n):
+                rows.append([rat(c[t]) for c in cols])
+                rhs.append(rat(known[t]))
+    return solve_affine(rows, rhs)
+
+
+def ps_space(B):
+    """Full solution space of the two derivation rules, per degree.
+
+    Unknowns are the operator entries plus the companion coordinates;
+    both rules are linear in them, so the space is an exact nullspace.
+    Contains ips_space(B); the containment is verified.
+    """
+    n = B.space.dim
+    par = B.space.parities
+    tt = B.ternary.table
+    bt = B.binary.table
+    Eb = B.binary.entries
+    nun = n * n + n
+
+    def op_idx(t, m):
+        return t * n + m
+
+    all_pairs = []
+    for r in (0, 1):
+        rows = []
+        # block structure of a degree-r operator, parity of the companion
+        for t in range(n):
+            for m in range(n):
+                if par[t] != (par[m] + r) % 2:
+                    row = [0] * nun
+                    row[op_idx(t, m)] = 1
+                    rows.append(row)
+        for m in range(n):
+            if par[m] != r:
+                row = [0] * nun
+                row[n * n + m] = 1
+                rows.append(row)
+        # triple rule, LHS - RHS = 0
+        for i in range(n):
+            pi = par[i]
+            s1 = sign(r * pi)
+            for j in range(n):
+                pj = par[j]
+                s2 = sign(r * (pi + pj))
+                for k in range(n):
+                    vec = tt[i][j][k]
+                    for t in range(n):
+                        row = [0] * nun
+                        for m in range(n):
+                            if vec[m]:
+                                row[op_idx(t, m)] += vec[m]
+                            if tt[m][j][k][t]:
+                                row[op_idx(m, i)] -= tt[m][j][k][t]
+                            if tt[i][m][k][t]:
+                                row[op_idx(m, j)] -= s1 * tt[i][m][k][t]
+                            if tt[i][j][m][t]:
+                                row[op_idx(m, k)] -= s2 * tt[i][j][m][t]
+                        if any(row):
+                            rows.append(row)
+        # product rule, LHS - RHS = 0
+        for i in range(n):
+            pi = par[i]
+            s1 = sign(r * pi)
+            for j in range(n):
+                pj = par[j]
+                s2 = sign(r * (pi + pj))
+                w = bt[i][j]
+                mw = [_into([0] * n, Eb[i][j], Eb[m]) for m in range(n)]
+                for t in range(n):
+                    row = [0] * nun
+                    for m in range(n):
+                        if w[m]:
+                            row[op_idx(t, m)] += w[m]
+                        if bt[m][j][t]:
+                            row[op_idx(m, i)] -= bt[m][j][t]
+                        if bt[i][m][t]:
+                            row[op_idx(m, j)] -= s1 * bt[i][m][t]
+                        companion = s2 * tt[i][j][m][t] + mw[m][t]
+                        if companion:
+                            row[n * n + m] -= companion
+                    if any(row):
+                        rows.append(row)
+        for vec in nullspace(rows, nun):
+            all_pairs.append(PseudoDerivationPair.from_flat(B.space, tuple(vec)))
+    out = PairSpace.from_pairs(B, all_pairs)
+    if not out.contains_space(ips_space(B)):
+        raise EnvelopeError("inner pairs escaped the pseudo derivation space")
+    return out

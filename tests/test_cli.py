@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -195,6 +196,16 @@ def test_catalog_list_and_show(capsys):
     assert A.space.even_dim == 3 and A.space.odd_dim == 2
 
 
+def test_abelian_keys_above_the_cap_exit_2(capsys):
+    code, out, err = run(capsys, "center", "abelian_60_5")
+    assert code == 2 and out == ""
+    assert err == "error: abelian_60_5 has dimension 65; abelian_m_n allows at most 64\n"
+    code, _, err = run(capsys, "catalog", "show", "abelian_0_65")
+    assert code == 2 and err.startswith("error: abelian_0_65 has dimension 65")
+    code, out, _ = run(capsys, "center", "abelian_24_0")
+    assert code == 0 and out.startswith("center of abelian_24_0: dim 24\n")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "catalog", "show", "no_such_key")
     assert code == 2 and err.startswith("error:")
@@ -243,3 +254,16 @@ def test_zero_denominator_exits_2_without_traceback(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: line 3, col 18: zero denominator in coefficient '1/0'\n"
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader before the child writes a byte
+    try:
+        done = subprocess.run([sys.executable, "-m", "superbol", "center", "abelian_2_2"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    # one error line: no traceback, and no "Exception ignored" at shutdown
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -1,4 +1,5 @@
-"""The sparse axiom sweeps and check_morphism against the slow reference.
+"""The sparse axiom sweeps, check_morphism and the pseudo-derivation
+rules against the slow reference.
 
 `slow_reference` keeps the dense sweeps the package used before its
 sparse kernel.  Both must give the same report for every kind: the same
@@ -6,6 +7,12 @@ verdict, the same witnesses in the same order, and the same exact
 defects, coordinate types included (ints where a value is integral).
 Inputs are catalog algebras, random single-constant mutations of them
 (most of which fail), and small dense even re-basings, mutated or not.
+
+It also keeps check_pseudo, companion_space and ps_space as they were
+when each wrote the two rules out itself.  check_pseudo reports must
+match in the same way, on the identity probe, inner pairs, ps_space's
+basis and brackets, and random pairs that respect the grading;
+companion_space and ps_space must return equal spaces.
 """
 
 import random
@@ -168,3 +175,79 @@ def test_arbitrary_even_maps_match_the_reference(index, seed):
     f = even_map(A.space, rng)
     assert_same_morphism(f, A, A)
     assert_same_morphism(f, mutate(A, rng), A)
+
+
+BOLS = [A for A in POOL if A.binary is not None and A.ternary is not None]
+SMALL_BOLS = [A for A in BOLS if A.space.dim <= 4]
+
+
+def random_pair(A, rng):
+    """A random pair whose operator and companion respect the grading."""
+    n = A.space.dim
+    par = A.space.parities
+    r = rng.randrange(2)
+    rows = [[rng.choice(VALUES) if par[t] == (par[m] + r) % 2 else 0 for m in range(n)]
+            for t in range(n)]
+    companion = [rng.choice(VALUES) if par[m] == r else 0 for m in range(n)]
+    return sb.PseudoDerivationPair(sb.GradedMap.from_rows(A.space, r, rows),
+                                   A.space.vector(companion))
+
+
+def probes(B, ps, rng, brackets):
+    """The identity probe, every inner pair, the basis of ps and some of
+    its brackets (all of them when brackets is None)."""
+    basis = B.space.basis()
+    out = [sb.PseudoDerivationPair(sb.GradedMap.identity(B.space), B.space.zero())]
+    out += [sb.inner_pair(B, x, y) for x in basis for y in basis]
+    out += ps.basis
+    both = [(p, q) for p in ps.basis for q in ps.basis]
+    if brackets is not None:
+        both = rng.sample(both, min(brackets, len(both)))
+    out += [sb.pair_bracket(B, p, q) for p, q in both]
+    return out
+
+
+def assert_same_pseudo(B, pair):
+    slow = slow_reference.check_pseudo(B, pair)
+    fast = sb.check_pseudo(B, pair)
+    assert fast == slow, (B.name, str(pair))
+    assert typed(fast) == typed(slow), (B.name, str(pair))
+    assert sb.companion_space(B, pair.operator) == \
+        slow_reference.companion_space(B, pair.operator), (B.name, str(pair))
+
+
+def assert_same_pairs(B, rng, brackets=None):
+    ps = sb.ps_space(B)
+    assert ps == slow_reference.ps_space(B), B.name
+    for pair in probes(B, ps, rng, brackets):
+        assert_same_pseudo(B, pair)
+    for _ in range(4):
+        assert_same_pseudo(B, random_pair(B, rng))
+
+
+def test_pseudo_rules_match_the_reference():
+    rng = random.Random(0)
+    for B in BOLS:
+        assert_same_pairs(B, rng)
+    # one dense copy of the largest input; the slow reference takes
+    # seconds on it, so the random re-basings below stay at dim 4
+    osp = BOLS[-1]
+    assert_same_pairs(transport(osp, even_map(osp.space, rng)), rng, brackets=6)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, len(SMALL_BOLS) - 1), st.integers(0, 2 ** 32))
+def test_pseudo_rules_on_dense_rebasings_match_the_reference(index, seed):
+    rng = random.Random(seed)
+    A = SMALL_BOLS[index]
+    assert_same_pairs(transport(A, even_map(A.space, rng)), rng, brackets=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(BOLS) - 1), st.integers(0, 2 ** 32), st.booleans())
+def test_random_pairs_match_the_reference(index, seed, mutated):
+    rng = random.Random(seed)
+    B = BOLS[index]
+    if mutated:
+        B = mutate(B, rng)
+    assert_same_pseudo(B, random_pair(B, rng))
