@@ -142,7 +142,7 @@ def cmd_killing(args, fmt):
     lines.append("Killing form of %s" % A.name)
     _matrix_lines(A.space.labels, form.gram, lines)
     lines.append("  supersymmetric: %s, nondegenerate: %s"
-                 % (_flag(form.is_supersymmetric()), _flag(form.is_nondegenerate())))
+                 % (facts["supersymmetric"], facts["nondegenerate"]))
     return 0, facts, lines
 
 
@@ -209,7 +209,7 @@ def cmd_pseudo(args, fmt):
     lines.append("pseudo superderivation pairs of %s" % B.name)
     lines.append("  inner: dim %d" % ips.dim)
     lines.append("  maximal: dim %d" % ps.dim)
-    lines.append("  inner inside maximal: %s" % _flag(ps.contains_space(ips)))
+    lines.append("  inner inside maximal: %s" % facts["ips_inside_ps"])
     return 0, facts, lines
 
 

@@ -16,18 +16,20 @@ is B + H with
     [x, (P,a)]    = -(-1)^{deg(P) par(x)} P(x),
     [(P,a),(Q,b)] = ([P,Q], P(b) - (-1)^{deg P deg Q} Q(a) - a.b).
 
-Every constructed enveloping algebra is re-checked against the Lie
-axioms; violations raise instead of producing a bad algebra.
+The last block is the bracket coordinates a PairSpace keeps from its
+closure check.  Every constructed enveloping algebra is re-checked
+against the Lie axioms; violations raise instead of producing a bad
+algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector,
                      graded_commutator, sign)
-from .linalg import (AffineSubspace, _in_row_span, _span_coordinates,
-                     nullspace, rref, solve_affine, span_reduce)
+from .linalg import (AffineSubspace, _span_coordinates, nullspace, rref,
+                     solve_affine, span_reduce)
 from .structures import (AlgebraDef, BinaryStructure, CheckReport,
                          StructureError, Witness, _columns, _into, _sparse,
                          _vector, require_axioms)
@@ -237,29 +239,34 @@ class PairSpace:
     """Span of pseudo superderivation pairs, closed under pair_bracket.
 
     `basis` holds homogeneous pairs recovered from the reduced flattened
-    rows, so equality of PairSpaces is equality of spans.
+    rows, so equality of PairSpaces is equality of spans.  brackets[m][l]
+    holds the coordinates of pair_bracket(basis[m], basis[l]) over the
+    basis, computed once to verify closure.
     """
 
     algebra: AlgebraDef
     basis: tuple
     rows: tuple
+    brackets: tuple = field(compare=False, repr=False)
 
     @classmethod
-    def from_pairs(cls, algebra, pairs, verify_closure=True):
+    def from_pairs(cls, algebra, pairs):
         for p in pairs:
             if p.space != algebra.space:
                 raise GradingError("pair lives outside the algebra")
         reduced, _ = rref([p.flatten() for p in pairs])
         basis = tuple(PseudoDerivationPair.from_flat(algebra.space, row) for row in reduced)
-        out = cls(algebra, basis, tuple(reduced))
-        if verify_closure:
-            for p in basis:
-                for q in basis:
-                    br = pair_bracket(algebra, p, q)
-                    if not out.contains(br):
-                        raise EnvelopeError(
-                            "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
-        return out
+        brackets = []
+        for p in basis:
+            row = []
+            for q in basis:
+                coords = _span_coordinates(reduced, pair_bracket(algebra, p, q).flatten())
+                if coords is None:
+                    raise EnvelopeError(
+                        "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
+                row.append(coords)
+            brackets.append(tuple(row))
+        return cls(algebra, basis, reduced, tuple(brackets))
 
     @property
     def dim(self):
@@ -270,7 +277,7 @@ class PairSpace:
         return (d0, len(self.basis) - d0)
 
     def contains(self, pair):
-        return _in_row_span(self.rows, pair.flatten())
+        return self.coordinates_of(pair) is not None
 
     def coordinates_of(self, pair):
         return _span_coordinates(self.rows, pair.flatten())
@@ -308,8 +315,8 @@ def ps_space(B):
 
     Unknowns are the operator entries the degree's block structure allows
     plus the companion coordinates of that parity; both rules are linear
-    in them, so the space is an exact nullspace.  Contains ips_space(B);
-    the containment is verified.
+    in them, so the space is an exact nullspace.  Every inner pair, and
+    so ips_space(B), is verified to lie in it.
     """
     n = B.space.dim
     par = B.space.parities
@@ -323,7 +330,8 @@ def ps_space(B):
         for vec in nullspace(rows, len(cells)):
             all_pairs.append(PseudoDerivationPair.from_flat(B.space, _flatten(vec, cells, n)))
     out = PairSpace.from_pairs(B, all_pairs)
-    if not out.contains_space(ips_space(B)):
+    basis = B.space.basis()
+    if not all(out.contains(inner_pair(B, x, y)) for x in basis for y in basis):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
     return out
 
@@ -365,18 +373,14 @@ def enveloping(B, H=None):
     """Lie superalgebra B + H for a pair space H containing the inner pairs.
 
     H defaults to ips_space(B) (the standard enveloping algebra); pass
-    ps_space(B) for the maximal one.  The result is re-checked against
-    the Lie axioms.
+    ps_space(B) for the maximal one; an inner pair outside H raises.  The
+    result is re-checked against the Lie axioms.
     """
     require_axioms(B, "bol")
-    ips = ips_space(B)
     if H is None:
-        H = ips
-    else:
-        if H.algebra != B:
-            raise GradingError("H was built over a different algebra")
-        if not H.contains_space(ips):
-            raise EnvelopeError("H does not contain the inner pairs")
+        H = ips_space(B)
+    elif H.algebra != B:
+        raise GradingError("H was built over a different algebra")
     nb = B.space.dim
     nh = H.dim
     parities = B.space.parities + tuple(p.degree for p in H.basis)
@@ -385,18 +389,15 @@ def enveloping(B, H=None):
     dim = nb + nh
     zero = (0,) * dim
 
-    def in_h(pair, what):
-        coords = H.coordinates_of(pair)
-        if coords is None:
-            raise EnvelopeError("%s does not lie in H" % what)
-        return (0,) * nb + coords
-
     table = [[zero] * dim for _ in range(dim)]
     bbasis = B.space.basis()
     for i in range(nb):
         for j in range(nb):
-            table[i][j] = in_h(inner_pair(B, bbasis[i], bbasis[j]),
-                               "inner pair (%s, %s)" % (space.labels[i], space.labels[j]))
+            coords = H.coordinates_of(inner_pair(B, bbasis[i], bbasis[j]))
+            if coords is None:
+                raise EnvelopeError("inner pair (%s, %s) does not lie in H"
+                                    % (space.labels[i], space.labels[j]))
+            table[i][j] = (0,) * nb + coords
     for m, p in enumerate(H.basis):
         M = p.operator.matrix
         for j in range(nb):
@@ -404,10 +405,7 @@ def enveloping(B, H=None):
             table[nb + m][j] = col + (0,) * nh
             s = -sign(p.degree * B.space.parities[j])
             table[j][nb + m] = tuple(s * c for c in col) + (0,) * nh
-    for m, p in enumerate(H.basis):
-        for l, q in enumerate(H.basis):
-            table[nb + m][nb + l] = in_h(pair_bracket(B, p, q),
-                                         "bracket of pair basis (%d, %d)" % (m, l))
+        table[nb + m][nb:] = ((0,) * nb + coords for coords in H.brackets[m])
 
     lie = AlgebraDef("env(%s)" % B.name, space,
                      binary=BinaryStructure(space, tuple(tuple(row) for row in table)))

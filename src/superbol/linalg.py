@@ -89,24 +89,12 @@ class AffineSubspace:
         if len(coords) != len(self.point):
             raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(coords, self.point)]
-        return _in_row_span(self.directions, diff)
-
-
-def _in_row_span(reduced_rows, vec):
-    # reduced_rows must be in reduced row echelon form
-    residue = [rat(x) for x in vec]
-    for row in reduced_rows:
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        f = residue[lead]
-        if f:
-            residue = [x - f * y for x, y in zip(residue, row)]
-    return not any(residue)
+        return _span_coordinates(self.directions, diff) is not None
 
 
 def _span_coordinates(reduced_rows, vec):
-    """Coefficients expressing vec over reduced_rows, or None."""
+    """Coefficients expressing vec over reduced_rows, or None when vec is
+    outside their span; the rows must be reduced and nonzero."""
     residue = [rat(x) for x in vec]
     coeffs = []
     for row in reduced_rows:
@@ -156,9 +144,7 @@ class Subspace:
         return tuple(v.coords for v in self.basis)
 
     def contains(self, v):
-        if v.space != self.space:
-            raise GradingError("vector lives in a different space")
-        return _in_row_span(self.rows, v.coords)
+        return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v):
         """Coefficients of v over this basis, or None if outside."""

@@ -246,6 +246,11 @@ class AlgebraDef:
             if s is not None and s.space != self.space:
                 raise StructureError("structure lives on a different space")
 
+    @cached_property
+    def _reports(self):
+        # check_axioms' report per kind, stored on this object only
+        return {}
+
     def renamed(self, name):
         return dataclasses.replace(self, name=name)
 
@@ -452,11 +457,14 @@ def check_axioms(A, kind):
     """Verify the axiom system `kind` on all basis tuples of A.
 
     kind is one of lie, malcev, supertriple, lie_supertriple (alias lts),
-    bol.  Returns a CheckReport listing every failing tuple.
+    bol.  Returns a CheckReport listing every failing tuple, swept once
+    per algebra object and kind and stored on A for repeated calls.
     """
     kind = KIND_ALIASES.get(kind, kind)
     if kind not in KINDS:
         raise ValueError("unknown axiom system %r" % (kind,))
+    if kind in A._reports:
+        return A._reports[kind]
     space = A.space
     witnesses = []
     if kind == "lie":
@@ -483,7 +491,8 @@ def check_axioms(A, kind):
         witnesses += _sweep_ternary_jacobi(space, A.ternary)
         witnesses += _sweep_nambu(space, A.ternary)
         witnesses += _sweep_product_rule(space, A.binary, A.ternary)
-    return CheckReport(A.name, kind, not witnesses, tuple(witnesses))
+    report = A._reports[kind] = CheckReport(A.name, kind, not witnesses, tuple(witnesses))
+    return report
 
 
 def require_axioms(A, kind):

@@ -14,11 +14,16 @@ the triple rule and the product rule out once each, each copy with its
 own signs, before the package derived all three from one description of
 the rules.  They keep their own copies of the sparse contraction helpers
 and share no rule code with `superbol.envelope`.
+
+killing_ricci_direct is the direct Killing-Ricci route as it was before
+the closed-form sum: one GradedMap per right multiplication R_{e_i,e_j},
+read through its supertrace.
 """
 
 from superbol.envelope import (EnvelopeError, PairSpace, PseudoDerivationPair,
                                ips_space)
-from superbol.graded import GradingError, SuperVector, rat, sign
+from superbol.forms import BilinearForm
+from superbol.graded import GradedMap, GradingError, SuperVector, rat, sign
 from superbol.linalg import AffineSubspace, nullspace, solve_affine
 from superbol.structures import (KIND_ALIASES, KINDS, CheckReport,
                                  StructureError, Witness)
@@ -584,3 +589,36 @@ def ps_space(B):
     if not out.contains_space(ips_space(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the direct Killing-Ricci route through right multiplication maps
+
+
+def right_map(B, x, y):
+    """R_{x,y}: z -> (-1)^{parity(z) (parity(x)+parity(y))} [z, x, y]."""
+    deg = (x.parity_or(0) + y.parity_or(0)) % 2
+    par = B.space.parities
+
+    def act(z):
+        k = next(i for i, c in enumerate(z.coords) if c)  # z is a basis vector
+        s = sign(par[k] * deg)
+        out = _eval_ternary(B, z, x, y)
+        return out if s == 1 else -out
+
+    return GradedMap.from_action(B.space, deg, act)
+
+
+def killing_ricci_direct(B):
+    basis = B.space.basis()
+    par = B.space.parities
+    n = B.space.dim
+    gram = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            m = right_map(B, basis[i], basis[j]) \
+                + sign(par[i] * par[j]) * right_map(B, basis[j], basis[i])
+            row.append(m.supertrace)
+        gram.append(tuple(row))
+    return BilinearForm(B.space, tuple(gram))

@@ -109,7 +109,6 @@ def test_pair_space_closure_check():
     lone = sb.inner_pair(B, e[2], e[3])  # its self-bracket is (0, -e1)
     with pytest.raises(sb.EnvelopeError):
         sb.PairSpace.from_pairs(B, [lone])
-    sb.PairSpace.from_pairs(B, [lone], verify_closure=False)  # explicit opt-out
 
 
 def test_ps_space_contains_ips_and_passes_pseudo():
