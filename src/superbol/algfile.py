@@ -12,7 +12,7 @@ Unlisted products are zero after skew-completion.  Coefficients are
 exact rationals p/q with optional sign; the '*' is optional.  A file
 with no product lines at all defines both a zero binary and a zero
 ternary operation; a file listing products of only one arity leaves
-the other operation undefined.
+the other operation undefined.  At most 64 labels, as for abelian_m_n.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .catalog import ABELIAN_MAX_DIM
 from .graded import SuperSpace, SuperVector, rat, sign
 from .structures import AlgebraDef, BinaryStructure, TernaryStructure
 
@@ -105,6 +106,9 @@ def parse_algebra(text):
             if tok in seen:
                 raise ParseError("label %r already declared on line %d" % (tok, seen[tok]),
                                  line_no, base + m.start() + 1)
+            if len(seen) == ABELIAN_MAX_DIM:
+                raise ParseError("label %r is one too many: at most %d labels"
+                                 % (tok, ABELIAN_MAX_DIM), line_no, base + m.start() + 1)
             seen[tok] = line_no
             into.append(tok)
 

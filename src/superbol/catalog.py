@@ -4,7 +4,8 @@ Besides the fixed entries, every key abelian_m_n names the Bol algebra
 with m even and n odd generators and all products zero, for
 1 <= m + n <= ABELIAN_MAX_DIM (64); a larger key is a ValueError raised
 before anything is built, since building and verifying it costs time
-and memory that grow as (m + n)^4.
+and memory that grow as (m + n)^4.  The same cap bounds the labels of
+an .alg file: `algfile.parse_algebra` refuses the 65th with a ParseError.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import rat, sign
-from .structures import AlgebraDef, TernaryStructure, _into, require_axioms
+from .graded import _into, rat, sign
+from .structures import AlgebraDef, TernaryStructure, require_axioms
 
 
 def lie_to_supertriple(L):

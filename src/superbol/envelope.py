@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector,
-                     graded_commutator, sign)
+                     _into, _sparse, _vector, graded_commutator, sign)
 from .linalg import (AffineSubspace, _span_coordinates, nullspace, rref,
                      solve_affine, span_reduce)
 from .structures import (AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, _columns, _into, _sparse,
-                         _vector, require_axioms)
+                         StructureError, Witness, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -88,13 +87,8 @@ class PseudoDerivationPair:
         return "(%s, %s)" % (self._op_str(), self.companion)
 
     def _op_str(self):
-        n = self.space.dim
-        parts = []
-        for j in range(n):
-            col = [self.operator.matrix[i][j] for i in range(n)]
-            if any(col):
-                parts.append("%s->%s" % (self.space.labels[j],
-                                         SuperVector(self.space, tuple(col))))
+        parts = ["%s->%s" % (label, SuperVector(self.space, col))
+                 for label, col in zip(self.space.labels, zip(*self.operator.matrix)) if any(col)]
         return "{" + ", ".join(parts) + "}" if parts else "0"
 
 
@@ -201,7 +195,7 @@ def check_pseudo(B, pair):
         raise GradingError("pair lives outside the algebra")
     n = B.space.dim
     lab = B.space.labels
-    x = _columns(pair.operator) + (_sparse(pair.companion.coords),)
+    x = pair.operator.columns + (_sparse(pair.companion.coords),)
     witnesses = []
     for axiom, at, terms, w in _rules(B, pair.degree):
         acc = _into([0] * n, w, x, -1)
@@ -226,12 +220,14 @@ def companion_space(B, P):
     # the unknowns: the companion coordinates of P's degree
     cells = [(n, m) for m in range(n) if B.space.parities[m] == P.degree]
     # with no equation at all, every companion of the right parity solves
-    aug = list(_equations(B, P.degree, _columns(P) + ((),), cells)) or [(0,) * (len(cells) + 1)]
+    aug = list(_equations(B, P.degree, P.columns + ((),), cells)) or [(0,) * (len(cells) + 1)]
     solution = solve_affine([row[:-1] for row in aug], [row[-1] for row in aug])
     if solution.is_empty:
         return solution
+    # the cells are in coordinate order, so the directions stay reduced
     return AffineSubspace(_flatten(solution.point, cells, n)[n * n:],
-                          tuple(_flatten(d, cells, n)[n * n:] for d in solution.directions))
+                          tuple(_flatten(d, cells, n)[n * n:] for d in solution.directions),
+                          tuple(cells[p][1] for p in solution.pivots))
 
 
 @dataclass(frozen=True)
@@ -239,14 +235,16 @@ class PairSpace:
     """Span of pseudo superderivation pairs, closed under pair_bracket.
 
     `basis` holds homogeneous pairs recovered from the reduced flattened
-    rows, so equality of PairSpaces is equality of spans.  brackets[m][l]
-    holds the coordinates of pair_bracket(basis[m], basis[l]) over the
-    basis, computed once to verify closure.
+    rows (leading columns in pivots), so equality of PairSpaces is equality
+    of spans.  brackets[m][l] holds the coordinates of
+    pair_bracket(basis[m], basis[l]) over the basis, computed once to
+    verify closure.
     """
 
     algebra: AlgebraDef
     basis: tuple
     rows: tuple
+    pivots: tuple = field(compare=False, repr=False)
     brackets: tuple = field(compare=False, repr=False)
 
     @classmethod
@@ -254,19 +252,19 @@ class PairSpace:
         for p in pairs:
             if p.space != algebra.space:
                 raise GradingError("pair lives outside the algebra")
-        reduced, _ = rref([p.flatten() for p in pairs])
+        reduced, pivots = rref([p.flatten() for p in pairs])
         basis = tuple(PseudoDerivationPair.from_flat(algebra.space, row) for row in reduced)
         brackets = []
         for p in basis:
             row = []
             for q in basis:
-                coords = _span_coordinates(reduced, pair_bracket(algebra, p, q).flatten())
+                coords = _span_coordinates(reduced, pivots, pair_bracket(algebra, p, q).flatten())
                 if coords is None:
                     raise EnvelopeError(
                         "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
                 row.append(coords)
             brackets.append(tuple(row))
-        return cls(algebra, basis, reduced, tuple(brackets))
+        return cls(algebra, basis, reduced, tuple(pivots), tuple(brackets))
 
     @property
     def dim(self):
@@ -280,7 +278,7 @@ class PairSpace:
         return self.coordinates_of(pair) is not None
 
     def coordinates_of(self, pair):
-        return _span_coordinates(self.rows, pair.flatten())
+        return _span_coordinates(self.rows, self.pivots, pair.flatten())
 
     def contains_space(self, other):
         return all(self.contains(p) for p in other.basis)
@@ -399,9 +397,7 @@ def enveloping(B, H=None):
                                     % (space.labels[i], space.labels[j]))
             table[i][j] = (0,) * nb + coords
     for m, p in enumerate(H.basis):
-        M = p.operator.matrix
-        for j in range(nb):
-            col = tuple(M[t][j] for t in range(nb))
+        for j, col in enumerate(zip(*p.operator.matrix)):
             table[nb + m][j] = col + (0,) * nh
             s = -sign(p.degree * B.space.parities[j])
             table[j][nb + m] = tuple(s * c for c in col) + (0,) * nh

@@ -16,9 +16,10 @@ Their agreement on every catalog algebra is part of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .envelope import enveloping
-from .graded import GradedMap, GradingError, SuperVector, rat, sign
+from .graded import GradedMap, GradingError, SuperVector, _into, _sparse, rat, sign
 from .linalg import nullspace, span_reduce, whole_space
 from .structures import (CheckReport, Witness, center, classify_subspace,
                          require_axioms)
@@ -26,7 +27,8 @@ from .structures import (CheckReport, Witness, center, classify_subspace,
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Gram matrix of an even bilinear form on a superspace."""
+    """Gram matrix of an even bilinear form on a superspace; the sparse
+    views rows[i] = b(e_i, .) and columns[j] = b(., e_j) are built once."""
 
     space: object
     gram: tuple
@@ -45,24 +47,32 @@ class BilinearForm:
     def from_rows(cls, space, rows):
         return cls(space, tuple(tuple(rat(x) for x in row) for row in rows))
 
+    @cached_property
+    def rows(self):
+        return tuple(_sparse(row) for row in self.gram)
+
+    @cached_property
+    def columns(self):
+        return tuple(_sparse(col) for col in zip(*self.gram))
+
     def evaluate(self, x, y):
         if x.space != self.space or y.space != self.space:
             raise GradingError("vector lives in a different space")
-        total = 0
-        for i, a in enumerate(x.coords):
-            if not a:
-                continue
-            row = self.gram[i]
-            for j, b in enumerate(y.coords):
-                if b and row[j]:
-                    total += a * row[j] * b
-        return rat(total)
+        # b(e_i, y) for every i, then summed against x
+        by = _into([0] * self.space.dim, _sparse(y.coords), self.columns)
+        return rat(sum(a * by[i] for i, a in _sparse(x.coords)))
+
+    def _asymmetry(self):
+        # (i, j, (-1)^{p_i p_j} gram[j][i] - gram[i][j]) where nonzero, in order
+        n, par, g = self.space.dim, self.space.parities, self.gram
+        for i in range(n):
+            for j in range(n):
+                defect = sign(par[i] * par[j]) * g[j][i] - g[i][j]
+                if defect:
+                    yield i, j, rat(defect)
 
     def is_supersymmetric(self):
-        n = self.space.dim
-        par = self.space.parities
-        return all(self.gram[j][i] == sign(par[i] * par[j]) * self.gram[i][j]
-                   for i in range(n) for j in range(n))
+        return next(self._asymmetry(), None) is None
 
     def radical(self):
         return orthogonal(self, whole_space(self.space))
@@ -74,39 +84,29 @@ class BilinearForm:
 def right_map(B, x, y):
     """R_{x,y}: z -> (-1)^{parity(z) (parity(x)+parity(y))} [z, x, y]."""
     deg = (x.parity_or(0) + y.parity_or(0)) % 2
-    par = B.space.parities
-
-    def act(z):
-        k = next(i for i, c in enumerate(z.coords) if c)  # z is a basis vector
-        s = sign(par[k] * deg)
-        out = B.triple(z, x, y)
-        return out if s == 1 else -out
-
-    return GradedMap.from_action(B.space, deg, act)
+    return GradedMap.from_columns(B.space, deg, [
+        B.triple(z, x, y).scale(sign(p * deg)).coords
+        for z, p in zip(B.space.basis(), B.space.parities)])
 
 
 def killing_form(L):
-    """gram[i][j] = str(ad_{e_i} ad_{e_j}) for a Lie superalgebra."""
+    """gram[i][j] = str(ad_{e_i} ad_{e_j}) for a Lie superalgebra: the sum
+    over the nonzero [e_i, e_m]_t of (-1)^{p_i + p_m} [e_i, e_m]_t [e_j, e_t]_m,
+    with x_t the e_t coordinate of x."""
     require_axioms(L, "lie")
-    n = L.space.dim
-    par = L.space.parities
-    bt = L.binary.table
-    # ad_i[t][m] = coefficient of e_t in [e_i, e_m]
+    n, par, E = L.space.dim, L.space.parities, L.binary.entries
+    # back[m][t]: the nonzero (j, [e_j, e_t]_m)
+    back = [[[] for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for t in range(n):
+            for m, c in E[j][t]:
+                back[m][t].append((j, c))
     gram = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            total = 0
-            for t in range(n):
-                st = sign(par[t])
-                for m in range(n):
-                    a = bt[i][m][t]
-                    if a:
-                        b = bt[j][t][m]
-                        if b:
-                            total += st * a * b
-            row.append(rat(total))
-        gram.append(tuple(row))
+        acc = [0] * n
+        for m in range(n):
+            _into(acc, E[i][m], back[m], sign(par[i] + par[m]))
+        gram.append(tuple(rat(c) for c in acc))
     return BilinearForm(L.space, tuple(gram))
 
 
@@ -168,42 +168,45 @@ class InvariantReport:
                 + self.triple_invariance.witnesses)
 
 
+def _contracted(view, table, depth):
+    """`table`, sparse products nested `depth` deep, with each product w
+    replaced by _into([0] * n, w, view): b(w, e_l) at l through a form's
+    rows, b(e_l, w) through its columns.  Zero products share one tuple."""
+    n = len(view)
+    zero = (0,) * n
+
+    def walk(sub, d):
+        if d:
+            return [walk(x, d - 1) for x in sub]
+        return _into([0] * n, sub, view) if sub else zero
+
+    return walk(table, depth)
+
+
 def check_invariant(B, b):
     """Check invariance of b: supersymmetry, b(xy,z) = -(-1)^{xy} b(y,xz),
     b([x,y,z],u) = -(-1)^{y(z+u)} b(x,[z,u,y]); plus the three equivalent
-    ternary invariance statements as booleans."""
+    ternary invariance statements as booleans, all read from each product
+    contracted with b once on each side."""
     if b.space != B.space:
         raise GradingError("form lives on a different space")
     n = B.space.dim
     par = B.space.parities
     lab = B.space.labels
-    g = b.gram
-    bt = B.binary.table if B.binary is not None else None
-    tt = B.ternary.table if B.ternary is not None else None
 
-    def pair_vb(vec, j):
-        # b(vec, e_j)
-        return rat(sum(c * g[m][j] for m, c in enumerate(vec) if c and g[m][j]))
-
-    def pair_bv(i, vec):
-        # b(e_i, vec)
-        return rat(sum(c * g[i][m] for m, c in enumerate(vec) if c and g[i][m]))
-
-    sym = []
-    for i in range(n):
-        for j in range(n):
-            defect = rat(sign(par[i] * par[j]) * g[j][i] - g[i][j])
-            if defect:
-                sym.append(Witness("supersymmetry", (lab[i], lab[j]), defect))
+    sym = [Witness("supersymmetry", (lab[i], lab[j]), defect)
+           for i, j, defect in b._asymmetry()]
     sym_report = CheckReport(B.name, "supersymmetry", not sym, tuple(sym))
 
     prod = []
-    if bt is not None:
+    if B.binary is not None:
+        # left[i][j][k] = b(e_i e_j, e_k), right[i][k][j] = b(e_j, e_i e_k)
+        left, right = (_contracted(view, B.binary.entries, 2) for view in (b.rows, b.columns))
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = pair_vb(bt[i][j], k)
-                    rhs = -sign(par[i] * par[j]) * pair_bv(j, bt[i][k])
+                    lhs = left[i][j][k]
+                    rhs = -sign(par[i] * par[j]) * right[i][k][j]
                     if rhs != lhs:
                         prod.append(Witness("product-invariance", (lab[i], lab[j], lab[k]),
                                             rat(rhs - lhs)))
@@ -211,21 +214,24 @@ def check_invariant(B, b):
 
     trip = []
     inva1 = inva3 = True
-    if tt is not None:
+    if B.ternary is not None:
+        # left[i][j][k][l] = b([e_i, e_j, e_k], e_l), right[i][j][k][l] = b(e_l, [e_i, e_j, e_k])
+        left, right = (_contracted(view, B.ternary.entries, 3) for view in (b.rows, b.columns))
         for i in range(n):
             for j in range(n):
                 for k in range(n):
+                    lhs_ijk = left[i][j][k]
                     for l in range(n):
-                        lhs = pair_vb(tt[i][j][k], l)
-                        rhs = -sign(par[j] * (par[k] + par[l])) * pair_bv(i, tt[k][l][j])
+                        lhs = lhs_ijk[l]
+                        rhs = -sign(par[j] * (par[k] + par[l])) * right[k][l][j][i]
                         if rhs != lhs:
                             trip.append(Witness("triple-invariance",
                                                 (lab[i], lab[j], lab[k], lab[l]),
                                                 rat(rhs - lhs)))
-                        if lhs != -sign(par[k] * (par[i] + par[j])) * pair_bv(k, tt[i][j][l]):
+                        if lhs != -sign(par[k] * (par[i] + par[j])) * right[i][j][l][k]:
                             inva1 = False
-                        if pair_bv(i, tt[j][k][l]) != \
-                                sign(par[i] * par[j] + par[k] * par[l]) * pair_bv(j, tt[i][l][k]):
+                        if right[j][k][l][i] != \
+                                sign(par[i] * par[j] + par[k] * par[l]) * right[i][l][k][j]:
                             inva3 = False
     trip_report = CheckReport(B.name, "triple-invariance", not trip, tuple(trip))
 
@@ -237,10 +243,8 @@ def orthogonal(b, V):
     if V.space != b.space:
         raise GradingError("subspace lives on a different space")
     n = b.space.dim
-    rows = []
-    for v in V.basis:
-        rows.append([rat(sum(b.gram[m][j] * c for j, c in enumerate(v.coords) if c))
-                     for m in range(n)])
+    # one equation per basis vector v: its row holds b(e_m, v) at m
+    rows = [_into([0] * n, _sparse(v.coords), b.columns) for v in V.basis]
     if not rows:
         return whole_space(b.space)
     basis = nullspace(rows, n)
@@ -274,6 +278,20 @@ class SemisimplicityReport:
     ideal_orthogonals: tuple
 
 
+def _pairing_identity(B, env, alpha, beta):
+    """Whether alpha([e_i, e_j], [e_u, e_v]) = (-1)^{p_i(p_u+p_v+p_j)}
+    beta(e_j, [e_u, e_v, e_i]) on every basis 4-tuple of B, the binary
+    brackets taken in the envelope env."""
+    nb, par = B.space.dim, B.space.parities
+    E = env.lie.binary.entries
+    # left[i][j][t] = alpha([e_i, e_j], e_t), right[u][v][i][j] = beta(e_j, [e_u, e_v, e_i])
+    left = _contracted(alpha.rows, [row[:nb] for row in E[:nb]], 2)
+    right = _contracted(beta.columns, B.ternary.entries, 3)
+    return all(sum(c * left[i][j][t] for t, c in E[u][v])
+               == sign(par[i] * (par[u] + par[v] + par[j])) * right[u][v][i][j]
+               for i in range(nb) for j in range(nb) for u in range(nb) for v in range(nb))
+
+
 def semisimplicity_report(B, ideals=()):
     env = enveloping(B)
     alpha = killing_form(env.lie)
@@ -284,24 +302,7 @@ def semisimplicity_report(B, ideals=()):
     cross = all(alpha.gram[m][j] == 0 and alpha.gram[j][m] == 0
                 for m in range(nb, dim) for j in range(nb))
 
-    pairing = None
-    if cross:
-        pairing = True
-        par = B.space.parities
-        tt = B.ternary.table
-        ebt = env.lie.binary.table
-        for i in range(nb):
-            for j in range(nb):
-                hij = SuperVector(env.lie.space, ebt[i][j])
-                for u in range(nb):
-                    for v in range(nb):
-                        huv = SuperVector(env.lie.space, ebt[u][v])
-                        lhs = alpha.evaluate(hij, huv)
-                        s = sign(par[i] * (par[u] + par[v] + par[j]))
-                        rhs = s * sum(tt[u][v][i][m] * beta.gram[j][m]
-                                      for m in range(nb) if tt[u][v][i][m])
-                        if lhs != rhs:
-                            pairing = False
+    pairing = _pairing_identity(B, env, alpha, beta) if cross else None
 
     beta_nondeg = beta.is_nondegenerate()
     alpha_nondeg = alpha.is_nondegenerate()

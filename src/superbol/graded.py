@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 EVEN = 0
 ODD = 1
@@ -39,6 +40,34 @@ def rat(x):
 def sign(exponent):
     # (-1)**exponent for a mod-2 exponent
     return -1 if exponent % 2 else 1
+
+
+def _sparse(coords):
+    """The nonzero (index, coefficient) pairs of a coordinate sequence."""
+    return tuple((t, c) for t, c in enumerate(coords) if c)
+
+
+def _into(acc, vec, rows, s=1):
+    """acc += s * sum of c * rows[m] over the pairs (m, c) of vec.
+
+    vec and every rows[m] are sparse (index, coefficient) tuples and acc
+    is a dense coordinate list, which is returned.  The package contracts
+    vectors through this one routine, rows being a sparse view:
+    `entries[i]` is [e_i, .] and `col[k]` [., e_k] for a binary product,
+    `columns[m]` is f(e_m) for a map f, `rows[m]` and `columns[m]` are
+    b(e_m, .) and b(., e_m) for a bilinear form b.
+    """
+    for m, c in vec:
+        row = rows[m]
+        if row:
+            c = c if s == 1 else s * c
+            for t, d in row:
+                acc[t] += c * d
+    return acc
+
+
+def _vector(space, acc):
+    return SuperVector(space, tuple(rat(c) for c in acc))
 
 
 @dataclass(frozen=True)
@@ -187,7 +216,8 @@ def _identity_rows(n):
 
 @dataclass(frozen=True)
 class GradedMap:
-    """Homogeneous linear map; matrix[i][j] is the e_i coefficient of f(e_j)."""
+    """Homogeneous linear map; matrix[i][j] is the e_i coefficient of f(e_j),
+    and the sparse view columns[m], built once, is f(e_m)."""
 
     space: SuperSpace
     degree: int
@@ -231,31 +261,22 @@ class GradedMap:
     def identity(cls, space):
         return cls.from_rows(space, 0, _identity_rows(space.dim))
 
+    @cached_property
+    def columns(self):
+        return tuple(_sparse(c) for c in zip(*self.matrix))
+
     def __call__(self, v):
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        out = [0] * self.space.dim
-        for j, c in enumerate(v.coords):
-            if not c:
-                continue
-            for i in range(self.space.dim):
-                m = self.matrix[i][j]
-                if m:
-                    out[i] += c * m
-        return SuperVector(self.space, tuple(rat(x) for x in out))
+        return _vector(self.space, _into([0] * self.space.dim, _sparse(v.coords), self.columns))
 
     def compose(self, other):
         """self after other."""
         if other.space != self.space:
             raise GradingError("maps live on different spaces")
         n = self.space.dim
-        a, b = self.matrix, other.matrix
-        rows = []
-        for i in range(n):
-            ai = a[i]
-            rows.append(tuple(rat(sum(ai[k] * b[k][j] for k in range(n) if ai[k] and b[k][j]))
-                              for j in range(n)))
-        return GradedMap(self.space, (self.degree + other.degree) % 2, tuple(rows))
+        return GradedMap.from_columns(self.space, (self.degree + other.degree) % 2,
+                                      [_into([0] * n, c, self.columns) for c in other.columns])
 
     def __add__(self, other):
         if other.space != self.space or other.degree != self.degree:
@@ -300,7 +321,13 @@ def supertrace(f):
 
 
 def graded_commutator(f, g):
-    """[f, g] = f g - (-1)^{deg f deg g} g f."""
-    fg = f.compose(g)
-    gf = g.compose(f)
-    return fg - gf if sign(f.degree * g.degree) == 1 else fg + gf
+    """[f, g] = f g - (-1)^{deg f deg g} g f, one column f(g e_j) -+ g(f e_j) at a time."""
+    if g.space != f.space:
+        raise GradingError("maps live on different spaces")
+    n = f.space.dim
+    fc, gc = f.columns, g.columns
+    s = -sign(f.degree * g.degree)
+    return GradedMap.from_columns(f.space, (f.degree + g.degree) % 2,
+                                  [_into(_into([0] * n, gc[j], fc), fc[j], gc, s)
+                                   for j in range(n)])
+

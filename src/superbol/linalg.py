@@ -8,8 +8,9 @@ bases are identical tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .graded import GradingError, SuperVector, rat
 
@@ -46,6 +47,10 @@ def rref(rows):
 
 def nullspace(rows, ncols):
     """Canonical basis of {x : rows . x = 0}, as a list of tuples."""
+    return list(_nullspace(rows, ncols)[0])
+
+
+def _nullspace(rows, ncols):  # the basis and its pivots
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -55,8 +60,7 @@ def nullspace(rows, ncols):
         for r, p in zip(red, pivots):
             vec[p] = rat(-r[f])
         basis.append(vec)
-    reduced, _ = rref(basis)
-    return list(reduced)
+    return rref(basis)
 
 
 @dataclass(frozen=True)
@@ -64,15 +68,17 @@ class AffineSubspace:
     """Solution set of a linear system: a point plus a direction span.
 
     `point` is None for the empty set.  Directions are stored as a
-    canonical reduced basis of raw coordinate tuples.
+    canonical reduced basis of raw coordinate tuples (leading columns in
+    `pivots`).
     """
 
     point: tuple | None
     directions: tuple
+    pivots: tuple = field(compare=False, repr=False)
 
     @classmethod
     def empty(cls):
-        return cls(None, ())
+        return cls(None, (), ())
 
     @property
     def is_empty(self):
@@ -89,16 +95,16 @@ class AffineSubspace:
         if len(coords) != len(self.point):
             raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(coords, self.point)]
-        return _span_coordinates(self.directions, diff) is not None
+        return _span_coordinates(self.directions, self.pivots, diff) is not None
 
 
-def _span_coordinates(reduced_rows, vec):
+def _span_coordinates(reduced_rows, pivots, vec):
     """Coefficients expressing vec over reduced_rows, or None when vec is
-    outside their span; the rows must be reduced and nonzero."""
+    outside their span; the rows must be reduced and nonzero, and
+    pivots[r] is the leading column of row r."""
     residue = [rat(x) for x in vec]
     coeffs = []
-    for row in reduced_rows:
-        lead = next(c for c, x in enumerate(row) if x)
+    for row, lead in zip(reduced_rows, pivots):
         f = residue[lead]
         coeffs.append(rat(f))
         if f:
@@ -124,22 +130,24 @@ def solve_affine(rows, rhs):
     point = [0] * ncols
     for r, p in zip(red, pivots):
         point[p] = rat(r[ncols])
-    dirs = nullspace([r[:ncols] for r in red], ncols)
-    return AffineSubspace(tuple(point), tuple(tuple(d) for d in dirs))
+    dirs, leads = _nullspace([r[:ncols] for r in red], ncols)
+    return AffineSubspace(tuple(point), dirs, tuple(leads))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of a SuperSpace with a canonical reduced basis."""
+    """Subspace of a SuperSpace with a canonical reduced basis (leading
+    columns in `pivots`)."""
 
     space: object
     basis: tuple
+    pivots: tuple = field(compare=False, repr=False)
 
     @property
     def dim(self):
         return len(self.basis)
 
-    @property
+    @cached_property
     def rows(self):
         return tuple(v.coords for v in self.basis)
 
@@ -150,7 +158,7 @@ class Subspace:
         """Coefficients of v over this basis, or None if outside."""
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        return _span_coordinates(self.rows, v.coords)
+        return _span_coordinates(self.rows, self.pivots, v.coords)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)
@@ -176,8 +184,8 @@ def span_reduce(space, vectors):
         if v.space != space:
             raise GradingError("vector lives in a different space")
     rows = [v.coords for v in vectors]
-    reduced, _ = rref(rows)
-    return Subspace(space, tuple(SuperVector(space, row) for row in reduced))
+    reduced, pivots = rref(rows)
+    return Subspace(space, tuple(SuperVector(space, row) for row in reduced), tuple(pivots))
 
 
 def whole_space(space):

@@ -20,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graded import GradingError, SuperVector, rat, sign
+from .graded import GradingError, SuperVector, _into, _sparse, _vector, rat, sign
 from .linalg import Subspace, nullspace, span_reduce
 
 KINDS = ("lie", "malcev", "supertriple", "lie_supertriple", "bol")
@@ -39,38 +39,6 @@ class AxiomError(ValueError):
     def __init__(self, message, report):
         super().__init__(message)
         self.report = report
-
-
-def _sparse(coords):
-    """The nonzero (index, coefficient) pairs of a coordinate sequence."""
-    return tuple((t, c) for t, c in enumerate(coords) if c)
-
-
-def _into(acc, vec, rows, s=1):
-    """acc += s * sum of c * rows[m] over the pairs (m, c) of vec.
-
-    vec and every rows[m] are sparse (index, coefficient) tuples and acc
-    is a dense coordinate list, which is returned.  Every contraction of
-    a structure table with a vector is one call, with rows a row view of
-    the table's sparse form: `entries[i]` is [e_i, .] for a binary
-    product, `col[k]` is [., e_k], and so on.
-    """
-    for m, c in vec:
-        row = rows[m]
-        if row:
-            c = c if s == 1 else s * c
-            for t, d in row:
-                acc[t] += c * d
-    return acc
-
-
-def _vector(space, acc):
-    return SuperVector(space, tuple(rat(c) for c in acc))
-
-
-def _columns(f):
-    """f(e_m) for every m: the row view that applies the map f."""
-    return tuple(_sparse(c) for c in zip(*f.matrix))
 
 
 def _sparse_entry(space, coords, parity, at):
@@ -593,7 +561,7 @@ def check_morphism(f, A, B):
 
     n = A.space.dim
     lab = A.space.labels
-    fcol = _columns(f)
+    fcol = f.columns
     witnesses = []
     if A.binary is not None:
         EA = A.binary.entries

@@ -18,15 +18,23 @@ and share no rule code with `superbol.envelope`.
 killing_ricci_direct is the direct Killing-Ricci route as it was before
 the closed-form sum: one GradedMap per right multiplication R_{e_i,e_j},
 read through its supertrace.
+
+The maps and forms section keeps GradedMap application and composition,
+graded_commutator, BilinearForm.evaluate, killing_form, check_invariant,
+orthogonal and the pairing identity of semisimplicity_report as dense
+loops over every coordinate, from before they read the sparse views of
+maps, forms and structures through the one contraction routine;
+`tests/test_forms_reference.py` holds the package to them.
 """
 
 from superbol.envelope import (EnvelopeError, PairSpace, PseudoDerivationPair,
                                ips_space)
-from superbol.forms import BilinearForm
+from superbol.forms import BilinearForm, InvariantReport
 from superbol.graded import GradedMap, GradingError, SuperVector, rat, sign
-from superbol.linalg import AffineSubspace, nullspace, solve_affine
+from superbol.linalg import (AffineSubspace, nullspace, solve_affine, span_reduce,
+                             whole_space)
 from superbol.structures import (KIND_ALIASES, KINDS, CheckReport,
-                                 StructureError, Witness)
+                                 StructureError, Witness, require_axioms)
 
 
 def _eval_binary(A, x, y):
@@ -622,3 +630,210 @@ def killing_ricci_direct(B):
             row.append(m.supertrace)
         gram.append(tuple(row))
     return BilinearForm(B.space, tuple(gram))
+
+
+# ---------------------------------------------------------------------------
+# maps and forms as they were before they contracted through the sparse
+# kernel: GradedMap.__call__ and compose, graded_commutator,
+# BilinearForm.evaluate, killing_form, check_invariant, orthogonal and the
+# pairing-identity loop of semisimplicity_report, each with its own dense
+# loops; methods are written as functions of the object
+
+
+def apply(f, v):
+    """GradedMap.__call__."""
+    if v.space != f.space:
+        raise GradingError("vector lives in a different space")
+    out = [0] * f.space.dim
+    for j, c in enumerate(v.coords):
+        if not c:
+            continue
+        for i in range(f.space.dim):
+            m = f.matrix[i][j]
+            if m:
+                out[i] += c * m
+    return SuperVector(f.space, tuple(rat(x) for x in out))
+
+
+def compose(f, other):
+    """f after other."""
+    if other.space != f.space:
+        raise GradingError("maps live on different spaces")
+    n = f.space.dim
+    a, b = f.matrix, other.matrix
+    rows = []
+    for i in range(n):
+        ai = a[i]
+        rows.append(tuple(rat(sum(ai[k] * b[k][j] for k in range(n) if ai[k] and b[k][j]))
+                          for j in range(n)))
+    return GradedMap(f.space, (f.degree + other.degree) % 2, tuple(rows))
+
+
+def _add(f, g):
+    # GradedMap.__add__
+    if g.space != f.space or g.degree != f.degree:
+        raise GradingError("maps must share space and degree to add")
+    return GradedMap(f.space, f.degree, tuple(
+        tuple(rat(a + b) for a, b in zip(ra, rb)) for ra, rb in zip(f.matrix, g.matrix)))
+
+
+def _scale(c, f):
+    # GradedMap.__rmul__
+    c = rat(c)
+    return GradedMap(f.space, f.degree, tuple(
+        tuple(rat(c * a) for a in row) for row in f.matrix))
+
+
+def graded_commutator(f, g):
+    """[f, g] = f g - (-1)^{deg f deg g} g f."""
+    fg = compose(f, g)
+    gf = compose(g, f)
+    return _add(fg, _scale(-1, gf)) if sign(f.degree * g.degree) == 1 else _add(fg, gf)
+
+
+def evaluate(b, x, y):
+    """BilinearForm.evaluate."""
+    if x.space != b.space or y.space != b.space:
+        raise GradingError("vector lives in a different space")
+    total = 0
+    for i, a in enumerate(x.coords):
+        if not a:
+            continue
+        row = b.gram[i]
+        for j, c in enumerate(y.coords):
+            if c and row[j]:
+                total += a * row[j] * c
+    return rat(total)
+
+
+def is_supersymmetric(b):
+    n = b.space.dim
+    par = b.space.parities
+    return all(b.gram[j][i] == sign(par[i] * par[j]) * b.gram[i][j]
+               for i in range(n) for j in range(n))
+
+
+def killing_form(L):
+    """gram[i][j] = str(ad_{e_i} ad_{e_j}) for a Lie superalgebra."""
+    require_axioms(L, "lie")
+    n = L.space.dim
+    par = L.space.parities
+    bt = L.binary.table
+    # ad_i[t][m] = coefficient of e_t in [e_i, e_m]
+    gram = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = 0
+            for t in range(n):
+                st = sign(par[t])
+                for m in range(n):
+                    a = bt[i][m][t]
+                    if a:
+                        b = bt[j][t][m]
+                        if b:
+                            total += st * a * b
+            row.append(rat(total))
+        gram.append(tuple(row))
+    return BilinearForm(L.space, tuple(gram))
+
+
+def check_invariant(B, b):
+    """Check invariance of b: supersymmetry, b(xy,z) = -(-1)^{xy} b(y,xz),
+    b([x,y,z],u) = -(-1)^{y(z+u)} b(x,[z,u,y]); plus the three equivalent
+    ternary invariance statements as booleans."""
+    if b.space != B.space:
+        raise GradingError("form lives on a different space")
+    n = B.space.dim
+    par = B.space.parities
+    lab = B.space.labels
+    g = b.gram
+    bt = B.binary.table if B.binary is not None else None
+    tt = B.ternary.table if B.ternary is not None else None
+
+    def pair_vb(vec, j):
+        # b(vec, e_j)
+        return rat(sum(c * g[m][j] for m, c in enumerate(vec) if c and g[m][j]))
+
+    def pair_bv(i, vec):
+        # b(e_i, vec)
+        return rat(sum(c * g[i][m] for m, c in enumerate(vec) if c and g[i][m]))
+
+    sym = []
+    for i in range(n):
+        for j in range(n):
+            defect = rat(sign(par[i] * par[j]) * g[j][i] - g[i][j])
+            if defect:
+                sym.append(Witness("supersymmetry", (lab[i], lab[j]), defect))
+    sym_report = CheckReport(B.name, "supersymmetry", not sym, tuple(sym))
+
+    prod = []
+    if bt is not None:
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    lhs = pair_vb(bt[i][j], k)
+                    rhs = -sign(par[i] * par[j]) * pair_bv(j, bt[i][k])
+                    if rhs != lhs:
+                        prod.append(Witness("product-invariance", (lab[i], lab[j], lab[k]),
+                                            rat(rhs - lhs)))
+    prod_report = CheckReport(B.name, "product-invariance", not prod, tuple(prod))
+
+    trip = []
+    inva1 = inva3 = True
+    if tt is not None:
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        lhs = pair_vb(tt[i][j][k], l)
+                        rhs = -sign(par[j] * (par[k] + par[l])) * pair_bv(i, tt[k][l][j])
+                        if rhs != lhs:
+                            trip.append(Witness("triple-invariance",
+                                                (lab[i], lab[j], lab[k], lab[l]),
+                                                rat(rhs - lhs)))
+                        if lhs != -sign(par[k] * (par[i] + par[j])) * pair_bv(k, tt[i][j][l]):
+                            inva1 = False
+                        if pair_bv(i, tt[j][k][l]) != \
+                                sign(par[i] * par[j] + par[k] * par[l]) * pair_bv(j, tt[i][l][k]):
+                            inva3 = False
+    trip_report = CheckReport(B.name, "triple-invariance", not trip, tuple(trip))
+
+    return InvariantReport(sym_report, prod_report, trip_report, inva1, inva3)
+
+
+def orthogonal(b, V):
+    """{x : b(x, v) = 0 for all v in V}."""
+    if V.space != b.space:
+        raise GradingError("subspace lives on a different space")
+    n = b.space.dim
+    rows = []
+    for v in V.basis:
+        rows.append([rat(sum(b.gram[m][j] * c for j, c in enumerate(v.coords) if c))
+                     for m in range(n)])
+    if not rows:
+        return whole_space(b.space)
+    basis = nullspace(rows, n)
+    return span_reduce(b.space, [SuperVector(b.space, tuple(r)) for r in basis])
+
+
+def pairing_identity(B, env, alpha, beta):
+    """semisimplicity_report's pairing identity, for a vanishing cross block."""
+    nb = B.space.dim
+    pairing = True
+    par = B.space.parities
+    tt = B.ternary.table
+    ebt = env.lie.binary.table
+    for i in range(nb):
+        for j in range(nb):
+            hij = SuperVector(env.lie.space, ebt[i][j])
+            for u in range(nb):
+                for v in range(nb):
+                    huv = SuperVector(env.lie.space, ebt[u][v])
+                    lhs = evaluate(alpha, hij, huv)
+                    s = sign(par[i] * (par[u] + par[v] + par[j]))
+                    rhs = s * sum(tt[u][v][i][m] * beta.gram[j][m]
+                                  for m in range(nb) if tt[u][v][i][m])
+                    if lhs != rhs:
+                        pairing = False
+    return pairing

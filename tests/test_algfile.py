@@ -137,6 +137,20 @@ def test_zero_denominator():
     assert e.col == text.split("\n")[1].index("1/0") + 1
 
 
+def test_labels_are_capped_like_abelian_keys():
+    assert sb.catalog.ABELIAN_MAX_DIM == 64
+    even = " ".join("e%d" % i for i in range(40))
+    odd = " ".join("f%d" % i for i in range(25))
+    text = "name big\neven %s\nodd %s\n" % (even, odd)
+    e = _err(text)
+    assert e.message == "label 'f24' is one too many: at most 64 labels"
+    assert (e.line, e.col) == (3, text.split("\n")[2].index("f24") + 1)
+    # 64 labels parse, and labels count the same on one line
+    assert sb.parse_algebra(text.replace(" f24", "")).space.dim == 64
+    line = "even %s %s" % (even, odd)
+    assert _err(line + "\n").col == line.index("f24") + 1
+
+
 def test_no_labels():
     assert "no basis labels declared" in _err("name lonely\n").message
 

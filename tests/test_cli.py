@@ -206,6 +206,14 @@ def test_abelian_keys_above_the_cap_exit_2(capsys):
     assert code == 0 and out.startswith("center of abelian_24_0: dim 24\n")
 
 
+def test_alg_files_above_the_cap_exit_2(tmp_path, capsys):
+    big = tmp_path / "big.alg"
+    big.write_text("name big\neven %s\n" % " ".join("e%d" % i for i in range(65)))
+    code, out, err = run(capsys, "center", str(big))
+    assert code == 2 and out == ""
+    assert err == "error: line 2, col 252: label 'e64' is one too many: at most 64 labels\n"
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "catalog", "show", "no_such_key")
     assert code == 2 and err.startswith("error:")
