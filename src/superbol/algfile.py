@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .catalog import ABELIAN_MAX_DIM
-from .graded import SuperSpace, SuperVector, rat, sign
+from .graded import SuperSpace, SuperVector, _dense, rat, sign
 from .structures import AlgebraDef, BinaryStructure, TernaryStructure
 
 _LABEL = re.compile(r"[A-Za-z_]\w*$")
@@ -227,25 +227,10 @@ def serialize_algebra(A):
     if odds:
         out.append("odd %s" % " ".join(odds))
 
-    def expr(coords):
-        return str(SuperVector(space, coords))
-
-    if A.binary is not None:
-        for i in range(n):
-            for j in range(i, n):
-                if i == j and par[i] == 0:
-                    continue
-                row = A.binary.table[i][j]
-                if any(row):
-                    out.append("binary [%s,%s] = %s" % (lab[i], lab[j], expr(row)))
-    if A.ternary is not None:
-        for i in range(n):
-            for j in range(i, n):
-                if i == j and par[i] == 0:
-                    continue
-                for k in range(n):
-                    row = A.ternary.table[i][j][k]
-                    if any(row):
-                        out.append("ternary [%s,%s,%s] = %s"
-                                   % (lab[i], lab[j], lab[k], expr(row)))
+    for st in (A.binary, A.ternary):
+        for at, entry in (st.cells() if st is not None else {}).items():
+            i, j = at[:2]
+            if i < j or (i == j and par[i] == 1):
+                out.append("%s [%s] = %s" % (st.NAME, ",".join(lab[t] for t in at),
+                                             SuperVector(space, _dense(entry, n))))
     return "\n".join(out) + "\n"

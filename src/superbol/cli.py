@@ -152,7 +152,7 @@ def cmd_killing_ricci(args, fmt):
     if args.method == "both":
         restr = killing_ricci(B, "restriction")
         direct = killing_ricci(B, "direct")
-        agree = restr.gram == direct.gram
+        agree = restr == direct
         facts["method"] = "both"
         facts["routes_agree"] = _flag(agree)
         _matrix_facts("restriction", restr.gram, facts)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import _into, rat, sign
+from .graded import _exact, _into, rat, sign
 from .structures import AlgebraDef, TernaryStructure, require_axioms
 
 
@@ -18,10 +18,10 @@ def lie_to_supertriple(L):
     require_axioms(L, "lie")
     n = L.space.dim
     E, col = L.binary.entries, L.binary.col
-    table = tuple(tuple(tuple(tuple(rat(c) for c in _into([0] * n, E[i][j], col[k]))
-                              for k in range(n)) for j in range(n)) for i in range(n))
-    out = AlgebraDef("lts(%s)" % L.name, L.space, binary=None,
-                     ternary=TernaryStructure(L.space, table))
+    ternary = TernaryStructure._of(L.space, {
+        (i, j, k): _exact(_into([0] * n, E[i][j], col[k]))
+        for i in range(n) for j in range(n) if E[i][j] for k in range(n)})
+    out = AlgebraDef("lts(%s)" % L.name, L.space, binary=None, ternary=ternary)
     require_axioms(out, "lie_supertriple")
     return out
 
@@ -43,19 +43,18 @@ def malcev_to_bol(M):
     par = M.space.parities
     E, col = M.binary.entries, M.binary.col
     third = Fraction(1, 3)
-    table = []
+    cells = {}
     for i in range(n):
-        plane = []
         for j in range(n):
-            row = []
             for k in range(n):
-                acc = _into([0] * n, E[i][j], col[k], 2)
-                _into(acc, E[j][k], col[i], -sign(par[i] * (par[j] + par[k])))
-                _into(acc, E[k][i], col[j], -sign(par[k] * (par[i] + par[j])))
-                row.append(tuple(rat(third * c) for c in acc))
-            plane.append(tuple(row))
-        table.append(tuple(plane))
+                if E[i][j] or E[j][k] or E[k][i]:
+                    acc = _into([0] * n, E[i][j], col[k], 2)
+                    _into(acc, E[j][k], col[i], -sign(par[i] * (par[j] + par[k])))
+                    _into(acc, E[k][i], col[j], -sign(par[k] * (par[i] + par[j])))
+                    entry = tuple((t, rat(third * c)) for t, c in enumerate(acc) if c)
+                    if entry:
+                        cells[i, j, k] = entry
     out = AlgebraDef("bol(%s)" % M.name, M.space, binary=M.binary,
-                     ternary=TernaryStructure(M.space, tuple(table)))
+                     ternary=TernaryStructure._of(M.space, cells))
     require_axioms(out, "bol")
     return out

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graded import (GradedMap, GradingError, SuperSpace, SuperVector,
-                     _into, _sparse, _vector, graded_commutator, sign)
+from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact,
+                     _into, _sparse, _transposed, _vector, graded_commutator, rat,
+                     sign)
 from .linalg import (AffineSubspace, _span_coordinates, nullspace, rref,
                      solve_affine, span_reduce)
 from .structures import (AlgebraDef, BinaryStructure, CheckReport,
@@ -60,8 +61,9 @@ class PseudoDerivationPair:
         return self.operator.degree
 
     def flatten(self):
-        flat = [x for row in self.operator.matrix for x in row]
-        return tuple(flat) + self.companion.coords
+        n = self.space.dim
+        return tuple(c for row in _transposed(self.operator.columns, n)
+                     for c in _dense(row, n)) + self.companion.coords
 
     @classmethod
     def from_flat(cls, space, coords):
@@ -69,26 +71,22 @@ class PseudoDerivationPair:
         if len(coords) != n * n + n:
             raise GradingError("flattened pair must have length %d" % (n * n + n))
         par = space.parities
-        degrees = set()
-        for pos in range(n * n):
-            if coords[pos]:
-                degrees.add((par[pos // n] + par[pos % n]) % 2)
-        for m in range(n):
-            if coords[n * n + m]:
-                degrees.add(par[m])
+        rows = [_exact(coords[i * n:(i + 1) * n]) for i in range(n)]
+        degrees = {(par[i] + par[j]) % 2 for i, row in enumerate(rows) for j, _ in row}
+        degrees |= {par[m] for m, _ in _sparse(coords[n * n:])}
         if len(degrees) > 1:
             raise GradingError("flattened pair mixes degrees")
         degree = degrees.pop() if degrees else 0
-        rows = [coords[i * n:(i + 1) * n] for i in range(n)]
-        return cls(GradedMap.from_rows(space, degree, rows),
+        return cls(GradedMap._of(space, degree, _transposed(rows, n)),
                    space.vector(coords[n * n:]))
 
     def __str__(self):
         return "(%s, %s)" % (self._op_str(), self.companion)
 
     def _op_str(self):
-        parts = ["%s->%s" % (label, SuperVector(self.space, col))
-                 for label, col in zip(self.space.labels, zip(*self.operator.matrix)) if any(col)]
+        n = self.space.dim
+        parts = ["%s->%s" % (label, SuperVector(self.space, _dense(col, n)))
+                 for label, col in zip(self.space.labels, self.operator.columns) if col]
         return "{" + ", ".join(parts) + "}" if parts else "0"
 
 
@@ -384,10 +382,12 @@ def enveloping(B, H=None):
     parities = B.space.parities + tuple(p.degree for p in H.basis)
     labels = B.space.labels + _fresh_labels(B.space.labels, nh)
     space = SuperSpace(parities, labels)
-    dim = nb + nh
-    zero = (0,) * dim
 
-    table = [[zero] * dim for _ in range(dim)]
+    # base coordinates keep their indices, H coordinates shift by nb
+    def shifted(coords):
+        return tuple((nb + m, rat(c)) for m, c in enumerate(coords) if c)
+
+    cells = {}
     bbasis = B.space.basis()
     for i in range(nb):
         for j in range(nb):
@@ -395,16 +395,16 @@ def enveloping(B, H=None):
             if coords is None:
                 raise EnvelopeError("inner pair (%s, %s) does not lie in H"
                                     % (space.labels[i], space.labels[j]))
-            table[i][j] = (0,) * nb + coords
+            cells[i, j] = shifted(coords)
     for m, p in enumerate(H.basis):
-        for j, col in enumerate(zip(*p.operator.matrix)):
-            table[nb + m][j] = col + (0,) * nh
+        for j, col in enumerate(p.operator.columns):
             s = -sign(p.degree * B.space.parities[j])
-            table[j][nb + m] = tuple(s * c for c in col) + (0,) * nh
-        table[nb + m][nb:] = ((0,) * nb + coords for coords in H.brackets[m])
+            cells[nb + m, j] = col
+            cells[j, nb + m] = tuple((t, s * c) for t, c in col)
+        for l, coords in enumerate(H.brackets[m]):
+            cells[nb + m, nb + l] = shifted(coords)
 
-    lie = AlgebraDef("env(%s)" % B.name, space,
-                     binary=BinaryStructure(space, tuple(tuple(row) for row in table)))
+    lie = AlgebraDef("env(%s)" % B.name, space, binary=BinaryStructure._of(space, cells))
     require_axioms(lie, "lie")
     return EnvelopingLieSuperalgebra(B, H, lie)
 

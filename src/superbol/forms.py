@@ -19,41 +19,49 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .envelope import enveloping
-from .graded import GradedMap, GradingError, SuperVector, _into, _sparse, rat, sign
+from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into,
+                     _sparse, _SparseValue, _transposed, _unit, rat, sign)
 from .linalg import nullspace, span_reduce, whole_space
 from .structures import (CheckReport, Witness, center, classify_subspace,
                          require_axioms)
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """Gram matrix of an even bilinear form on a superspace; the sparse
-    views rows[i] = b(e_i, .) and columns[j] = b(., e_j) are built once."""
+@dataclass(frozen=True, init=False)
+class BilinearForm(_SparseValue):
+    """Even bilinear form on a superspace, held as its sparse rows: rows[i]
+    is the tuple of nonzero (j, b(e_i, e_j)).  The view columns[j] =
+    b(., e_j) and the dense Gram matrix `gram` are derived on demand."""
 
     space: object
-    gram: tuple
+    rows: tuple
 
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
+    def __init__(self, space, gram):
+        n = space.dim
+        if len(gram) != n or any(len(r) != n for r in gram):
             raise GradingError("gram matrix must be %d x %d" % (n, n))
-        par = self.space.parities
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] and par[i] != par[j]:
+        self._init(space, tuple(_exact(row) for row in gram))
+
+    def _init(self, space, rows):
+        # an even form pairs only equal parities
+        par = space.parities
+        for i, row in enumerate(rows):
+            for j, _ in row:
+                if par[i] != par[j]:
                     raise GradingError("form pairs opposite parities at (%d, %d)" % (i, j))
+        vars(self).update(space=space, rows=rows)
 
     @classmethod
     def from_rows(cls, space, rows):
-        return cls(space, tuple(tuple(rat(x) for x in row) for row in rows))
-
-    @cached_property
-    def rows(self):
-        return tuple(_sparse(row) for row in self.gram)
+        return cls(space, tuple(map(tuple, rows)))
 
     @cached_property
     def columns(self):
-        return tuple(_sparse(col) for col in zip(*self.gram))
+        return _transposed(self.rows, self.space.dim)
+
+    @cached_property
+    def gram(self):
+        n = self.space.dim
+        return tuple(_dense(row, n) for row in self.rows)
 
     def evaluate(self, x, y):
         if x.space != self.space or y.space != self.space:
@@ -63,13 +71,14 @@ class BilinearForm:
         return rat(sum(a * by[i] for i, a in _sparse(x.coords)))
 
     def _asymmetry(self):
-        # (i, j, (-1)^{p_i p_j} gram[j][i] - gram[i][j]) where nonzero, in order
-        n, par, g = self.space.dim, self.space.parities, self.gram
-        for i in range(n):
-            for j in range(n):
-                defect = sign(par[i] * par[j]) * g[j][i] - g[i][j]
-                if defect:
-                    yield i, j, rat(defect)
+        # (i, j, (-1)^{p_i p_j} b(e_j, e_i) - b(e_i, e_j)) where nonzero, in order
+        n, par, unit = self.space.dim, self.space.parities, _unit(self.space.dim)
+        for i, (row, col) in enumerate(zip(self.rows, self.columns)):
+            if row or col:
+                acc = _into(_into([0] * n, col, unit, sign(par[i])), row, unit, -1)
+                for j, defect in enumerate(acc):
+                    if defect:
+                        yield i, j, rat(defect)
 
     def is_supersymmetric(self):
         return next(self._asymmetry(), None) is None
@@ -96,24 +105,21 @@ def killing_form(L):
     require_axioms(L, "lie")
     n, par, E = L.space.dim, L.space.parities, L.binary.entries
     # back[m][t]: the nonzero (j, [e_j, e_t]_m)
-    back = [[[] for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for t in range(n):
-            for m, c in E[j][t]:
-                back[m][t].append((j, c))
-    gram = []
+    back = tuple(zip(*(_transposed(col, n) for col in L.binary.col)))
+    rows = []
     for i in range(n):
         acc = [0] * n
         for m in range(n):
             _into(acc, E[i][m], back[m], sign(par[i] + par[m]))
-        gram.append(tuple(rat(c) for c in acc))
-    return BilinearForm(L.space, tuple(gram))
+        rows.append(_exact(acc))
+    return BilinearForm._of(L.space, tuple(rows))
 
 
 def _base_block(alpha, space):
     """The restriction of a form on an envelope to its base block `space`."""
     n = space.dim
-    return BilinearForm(space, tuple(tuple(alpha.gram[i][j] for j in range(n)) for i in range(n)))
+    return BilinearForm._of(space, tuple(tuple((j, c) for j, c in row if j < n)
+                                         for row in alpha.rows[:n]))
 
 
 def killing_ricci(B, method="restriction"):
@@ -122,12 +128,14 @@ def killing_ricci(B, method="restriction"):
     if method == "restriction":
         return _base_block(killing_form(enveloping(B).lie), B.space)
     if method == "direct":
-        n, par, tt = B.space.dim, B.space.parities, B.ternary.table
-        return BilinearForm(B.space, tuple(tuple(
-            rat(sum(sign(par[k] * (1 + par[i] + par[j]))
-                    * (tt[k][i][j][k] + sign(par[i] * par[j]) * tt[k][j][i][k])
-                    for k in range(n)))
-            for j in range(n)) for i in range(n)))
+        n, par = B.space.dim, B.space.parities
+        # trace[i][j]: the sum over k of (-1)^{p_k(1+p_i+p_j)} T[k][i][j][k]
+        trace = [[0] * n for _ in range(n)]
+        for (k, i, j), entry in B.ternary.cells().items():
+            trace[i][j] += sign(par[k] * (1 + par[i] + par[j])) * dict(entry).get(k, 0)
+        return BilinearForm._of(B.space, tuple(
+            _exact([trace[i][j] + sign(par[i] * par[j]) * trace[j][i] for j in range(n)])
+            for i in range(n)))
     raise ValueError("method must be 'restriction' or 'direct'")
 
 
@@ -299,8 +307,8 @@ def semisimplicity_report(B, ideals=()):
     dim = env.dim
     beta = _base_block(alpha, B.space)
 
-    cross = all(alpha.gram[m][j] == 0 and alpha.gram[j][m] == 0
-                for m in range(nb, dim) for j in range(nb))
+    cross = not any(j < nb for view in (alpha.rows, alpha.columns)
+                    for row in view[nb:] for j, _ in row)
 
     pairing = _pairing_identity(B, env, alpha, beta) if cross else None
 
@@ -311,11 +319,9 @@ def semisimplicity_report(B, ideals=()):
     if beta_nondeg:
         # span of all binary and ternary products; its orthogonal must be
         # exactly the center when beta is nondegenerate
-        products = [SuperVector(B.space, B.binary.table[i][j])
-                    for i in range(nb) for j in range(nb)]
-        products += [SuperVector(B.space, B.ternary.table[i][j][k])
-                     for i in range(nb) for j in range(nb) for k in range(nb)]
-        closure = span_reduce(B.space, products)
+        closure = span_reduce(B.space, [SuperVector(B.space, _dense(entry, nb))
+                                        for st in (B.binary, B.ternary)
+                                        for entry in st.cells().values()])
         center_match = orthogonal(beta, closure) == center(B)
 
     ideal_results = []

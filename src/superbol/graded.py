@@ -47,6 +47,33 @@ def _sparse(coords):
     return tuple((t, c) for t, c in enumerate(coords) if c)
 
 
+def _exact(coords):
+    """_sparse with `rat` coefficients: how structures, maps and forms hold constants."""
+    return tuple((t, rat(c)) for t, c in enumerate(coords) if c)
+
+
+def _dense(entry, n):
+    """The length-n coordinate tuple of a sparse (index, coefficient) tuple."""
+    out = [0] * n
+    for t, c in entry:
+        out[t] = c
+    return tuple(out)
+
+
+def _transposed(rows, n):
+    """Sparse rows read by column: column j holds (i, c) for each (j, c) of rows[i]."""
+    cols = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            cols[j].append((i, c))
+    return tuple(map(tuple, cols))
+
+
+def _unit(n):
+    """The identity view: _into(acc, vec, _unit(n), s) adds s * vec to acc."""
+    return tuple(((m, 1),) for m in range(n))
+
+
 def _into(acc, vec, rows, s=1):
     """acc += s * sum of c * rows[m] over the pairs (m, c) of vec.
 
@@ -64,6 +91,18 @@ def _into(acc, vec, rows, s=1):
             for t, d in row:
                 acc[t] += c * d
     return acc
+
+
+class _SparseValue:
+    """Base of the frozen dataclasses whose value is a sparse form: the public
+    constructor converts a dense form, `_of` takes the sparse form, and both
+    end in the class's one validator `_init`, which stores the fields."""
+
+    @classmethod
+    def _of(cls, *fields):
+        obj = object.__new__(cls)
+        obj._init(*fields)
+        return obj
 
 
 def _vector(space, acc):
@@ -210,41 +249,44 @@ class SuperVector:
         return out
 
 
-def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class GradedMap:
-    """Homogeneous linear map; matrix[i][j] is the e_i coefficient of f(e_j),
-    and the sparse view columns[m], built once, is f(e_m)."""
+@dataclass(frozen=True, init=False)
+class GradedMap(_SparseValue):
+    """Homogeneous linear map, held as its sparse columns: columns[m] is
+    the tuple of nonzero (i, c) of f(e_m).  The dense view matrix[i][j],
+    the e_i coefficient of f(e_j), is derived on demand."""
 
     space: SuperSpace
     degree: int
-    matrix: tuple
+    columns: tuple
 
-    def __post_init__(self):
-        n = self.space.dim
-        if self.degree not in (0, 1):
-            raise GradingError("degree must be 0 or 1")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+    def __init__(self, space, degree, matrix):
+        n = space.dim
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise GradingError("matrix must be %d x %d" % (n, n))
-        par = self.space.parities
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] and par[i] != (par[j] + self.degree) % 2:
-                    raise GradingError(
-                        "entry (%d, %d) breaks the degree-%d block structure"
-                        % (i, j, self.degree))
+        self._init(space, degree, tuple(_exact(col) for col in zip(*matrix)))
+
+    def _init(self, space, degree, columns):
+        # the degree, and the block structure of the nonzero entries
+        if degree not in (0, 1):
+            raise GradingError("degree must be 0 or 1")
+        par = space.parities
+        bad = [(i, j) for j, col in enumerate(columns) for i, _ in col
+               if par[i] != (par[j] + degree) % 2]
+        if bad:
+            raise GradingError("entry (%d, %d) breaks the degree-%d block structure"
+                               % (min(bad) + (degree,)))
+        vars(self).update(space=space, degree=degree, columns=columns)
 
     @classmethod
     def from_rows(cls, space, degree, rows):
-        return cls(space, degree, tuple(tuple(rat(x) for x in row) for row in rows))
+        return cls(space, degree, tuple(map(tuple, rows)))
 
     @classmethod
     def from_columns(cls, space, degree, cols):
         n = space.dim
-        return cls.from_rows(space, degree, [[cols[j][i] for j in range(n)] for i in range(n)])
+        if len(cols) != n or any(len(col) != n for col in cols):
+            raise GradingError("matrix must be %d x %d" % (n, n))
+        return cls._of(space, degree, tuple(_exact(col) for col in cols))
 
     @classmethod
     def from_action(cls, space, degree, fn):
@@ -254,16 +296,16 @@ class GradedMap:
 
     @classmethod
     def zero(cls, space, degree=0):
-        n = space.dim
-        return cls(space, degree, ((0,) * n,) * n)
+        return cls._of(space, degree, ((),) * space.dim)
 
     @classmethod
     def identity(cls, space):
-        return cls.from_rows(space, 0, _identity_rows(space.dim))
+        return cls._of(space, 0, _unit(space.dim))
 
     @cached_property
-    def columns(self):
-        return tuple(_sparse(c) for c in zip(*self.matrix))
+    def matrix(self):
+        n = self.space.dim
+        return tuple(zip(*(_dense(col, n) for col in self.columns)))
 
     def __call__(self, v):
         if v.space != self.space:
@@ -281,35 +323,37 @@ class GradedMap:
     def __add__(self, other):
         if other.space != self.space or other.degree != self.degree:
             raise GradingError("maps must share space and degree to add")
-        return GradedMap(self.space, self.degree, tuple(
-            tuple(rat(a + b) for a, b in zip(ra, rb)) for ra, rb in zip(self.matrix, other.matrix)))
+        n, unit = self.space.dim, _unit(self.space.dim)
+        return GradedMap.from_columns(self.space, self.degree, [
+            _into(_into([0] * n, a, unit), b, unit) for a, b in zip(self.columns, other.columns)])
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, c):
         c = rat(c)
-        return GradedMap(self.space, self.degree, tuple(
-            tuple(rat(c * a) for a in row) for row in self.matrix))
+        return GradedMap._of(self.space, self.degree, tuple(
+            tuple((t, rat(c * a)) for t, a in col) if c else () for col in self.columns))
 
     def __neg__(self):
         return (-1) * self
 
     def is_zero(self):
-        return not any(any(row) for row in self.matrix)
+        return not any(self.columns)
 
     @property
     def supertrace(self):
         # parity-signed diagonal sum; zero by block structure for odd degree
-        return rat(sum(sign(p) * self.matrix[i][i]
-                       for i, p in enumerate(self.space.parities)))
+        par = self.space.parities
+        return rat(sum(sign(par[j]) * c for j, col in enumerate(self.columns)
+                       for i, c in col if i == j))
 
     def inverse(self):
         from .linalg import rref  # linalg imports this module
         n = self.space.dim
         # [M | I] reduces to [I | M^-1] exactly when M is invertible
-        reduced, pivots = rref([list(row) + ident
-                                for row, ident in zip(self.matrix, _identity_rows(n))])
+        reduced, pivots = rref([list(row) + [1 if i == j else 0 for j in range(n)]
+                                for i, row in enumerate(self.matrix)])
         if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("map is singular")
         return GradedMap.from_rows(self.space, self.degree, [row[n:] for row in reduced])

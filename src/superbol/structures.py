@@ -17,10 +17,12 @@ Defect conventions:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graded import GradingError, SuperVector, _into, _sparse, _vector, rat, sign
+from .graded import (GradingError, SuperVector, _dense, _exact, _into, _sparse,
+                     _SparseValue, _vector, sign)
 from .linalg import Subspace, nullspace, span_reduce
 
 KINDS = ("lie", "malcev", "supertriple", "lie_supertriple", "bol")
@@ -41,113 +43,141 @@ class AxiomError(ValueError):
         self.report = report
 
 
-def _sparse_entry(space, coords, parity, at):
-    # one table cell, validated: its sparse form with exact coefficients
+def _bracket(space, at):
+    return "[%s]" % ",".join(space.labels[i] for i in at)
+
+
+def _cell(space, coords, at):
+    # one table cell, length checked: its sparse form with exact coefficients
     if len(coords) != space.dim:
-        raise StructureError("%s: expected %d coordinates"
-                             % (_product_name(space, at), space.dim))
-    entry = tuple((t, rat(c)) for t, c in enumerate(coords) if c)
-    for t, _ in entry:
-        if space.parities[t] != parity:
-            raise GradingError("%s: output has a component on %s of wrong parity"
-                               % (_product_name(space, at), space.labels[t]))
-    return entry
+        raise StructureError("product %s: expected %d coordinates"
+                             % (_bracket(space, at), space.dim))
+    return _exact(coords)
 
 
-def _product_name(space, at):
-    return "product [%s]" % ",".join(space.labels[i] for i in at)
+def _nested(cells, n, depth):
+    """The sparse form from its cells {index tuple: entry}, unlisted cells
+    zero: tuples nested `depth` deep, each unlisted block one shared object."""
+    if not depth:
+        return cells.get((), ())
+    groups = {}
+    for at, entry in cells.items():
+        groups.setdefault(at[0], {})[at[1:]] = entry
+    zero = _nested({}, n, depth - 1)
+    return tuple(_nested(groups[i], n, depth - 1) if i in groups else zero for i in range(n))
 
 
-@dataclass(frozen=True)
-class BinaryStructure:
-    """table[i][j] holds the coordinates of e_i * e_j.
+def _densified(block, n, depth):
+    if not depth:
+        return _dense(block, n)
+    return tuple(_densified(sub, n, depth - 1) for sub in block)
 
-    The sparse form, built once per object, holds the same constants:
-    entries[i][j] is the tuple of nonzero (t, c) of e_i * e_j, and
-    col[k][m] = entries[m][k] is the row view of right multiplication.
+
+@dataclass(frozen=True, init=False)
+class _Structure(_SparseValue):
+    """Structure constants of one arity, held as their sparse form.
+
+    entries[i][j]... (ARITY indices) is the tuple of nonzero (t, c) of
+    the product of e_i, e_j, ...; the dense view `table` holds the
+    coordinate tuple of that product instead and is derived on demand.
     """
 
     space: object
-    table: tuple
+    entries: tuple
 
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise StructureError("binary table must be %d x %d" % (n, n))
-        par = self.space.parities
-        # validating every cell and building the sparse form is one pass
-        object.__setattr__(self, "entries", tuple(
-            tuple(_sparse_entry(self.space, self.table[i][j], (par[i] + par[j]) % 2, (i, j))
-                  for j in range(n)) for i in range(n)))
+    def __init__(self, space, table):
+        n, arity = space.dim, self.ARITY
+        cells = [table]
+        for _ in range(arity):
+            if any(len(block) != n for block in cells):
+                raise StructureError("%s table must be %s"
+                                     % (self.NAME, " x ".join([str(n)] * arity)))
+            cells = [sub for block in cells for sub in block]
+        self._init(space, {at: _cell(space, coords, at) for at, coords in
+                           zip(itertools.product(range(n), repeat=arity), cells)})
+
+    def _init(self, space, cells):
+        # every nonzero cell's output has the parity of its inputs
+        par = space.parities
+        bad = [(at, t) for at, entry in cells.items() for t, _ in entry
+               if par[t] != sum(par[i] for i in at) % 2]
+        if bad:
+            at, t = min(bad)
+            raise GradingError("product %s: output has a component on %s of wrong parity"
+                               % (_bracket(space, at), space.labels[t]))
+        vars(self).update(space=space, entries=_nested(cells, space.dim, self.ARITY))
+
+    @cached_property
+    def table(self):
+        return _densified(self.entries, self.space.dim, self.ARITY)
+
+    def cells(self):
+        """{index tuple: entry} of the nonzero products, in lexicographic order."""
+        leaves = self.entries
+        for _ in range(self.ARITY - 1):
+            leaves = [entry for block in leaves for entry in block]
+        return {at: entry for at, entry in zip(
+            itertools.product(range(self.space.dim), repeat=self.ARITY), leaves) if entry}
+
+    @classmethod
+    def from_products(cls, space, products):
+        """Build from `products`, index tuples to coordinate sequences, filling
+        in the mirror of each listing by super skew-symmetry in the first two
+        slots.  A key that is not ARITY basis indices and an explicit
+        contradiction (a nonzero even square too) raise.  Ternary Jacobi
+        consequences are NOT filled in; they are the checker's business."""
+        n, par, arity = space.dim, space.parities, cls.ARITY
+        cells = {}
+        for at, coords in products.items():
+            if not (isinstance(at, tuple) and len(at) == arity
+                    and all(isinstance(i, int) and 0 <= i < n for i in at)):
+                raise StructureError("%s product key %r is not %d basis indices"
+                                     % (cls.NAME, at, arity))
+            cells[at] = _cell(space, coords, at)
+        for at in sorted(products):
+            i, j = at[:2]
+            s = sign(par[i] * par[j])
+            implied = tuple((t, -s * c) for t, c in cells[at])
+            mirror = (j, i) + at[2:]
+            if i == j and s == 1 and implied:
+                raise StructureError("%s must vanish by skew-symmetry" % _bracket(space, at))
+            if mirror not in cells:
+                cells[mirror] = implied
+            elif mirror in products and mirror != at and cells[mirror] != implied:
+                raise StructureError("%s contradicts %s under skew-symmetry"
+                                     % (_bracket(space, mirror), _bracket(space, at)))
+        return cls._of(space, cells)
+
+    def eval(self, *args):
+        if len(args) != self.ARITY:
+            raise TypeError("%s product takes %d arguments" % (self.NAME, self.ARITY))
+        acc = [0] * self.space.dim
+        *head, last = (_sparse(v.coords) for v in args)
+        for picks in itertools.product(*head):
+            rows, c = self.entries, 1
+            for i, a in picks:
+                rows, c = rows[i], c * a
+            _into(acc, last, rows, c)
+        return _vector(self.space, acc)
+
+
+class BinaryStructure(_Structure):
+    """entries[i][j] is the sparse e_i * e_j, and col[k][m] = entries[m][k]
+    the row view of right multiplication."""
+
+    ARITY, NAME = 2, "binary"
 
     @cached_property
     def col(self):
         return tuple(zip(*self.entries))
 
-    @classmethod
-    def from_products(cls, space, products):
-        """Build from listed products, completing by super skew-symmetry.
 
-        `products` maps index pairs (i, j) to coordinate sequences.  The
-        skew-implied counterpart of every listing is filled in; explicit
-        contradictions (including a nonzero even square) raise.
-        """
-        n = space.dim
-        par = space.parities
-        table = [[None] * n for _ in range(n)]
-        for (i, j), coords in products.items():
-            table[i][j] = tuple(rat(c) for c in coords)
-        for (i, j), coords in sorted(products.items()):
-            s = sign(par[i] * par[j])
-            implied = tuple(-s * c for c in coords)
-            if i == j and any(c != im for c, im in zip(coords, implied)):
-                raise StructureError(
-                    "[%s,%s] must vanish by skew-symmetry" % (space.labels[i], space.labels[j]))
-            if table[j][i] is None:
-                table[j][i] = implied
-            elif (j, i) in products and tuple(table[j][i]) != implied and (i, j) != (j, i):
-                raise StructureError(
-                    "[%s,%s] contradicts [%s,%s] under skew-symmetry"
-                    % (space.labels[j], space.labels[i], space.labels[i], space.labels[j]))
-        zero = (0,) * n
-        return cls(space, tuple(tuple(row[j] if row[j] is not None else zero
-                                      for j in range(n)) for row in table))
-
-    def product(self, i, j):
-        return SuperVector(self.space, self.table[i][j])
-
-    def eval(self, x, y):
-        acc = [0] * self.space.dim
-        ys = _sparse(y.coords)
-        for i, a in _sparse(x.coords):
-            _into(acc, ys, self.entries[i], a)
-        return _vector(self.space, acc)
-
-
-@dataclass(frozen=True)
-class TernaryStructure:
-    """table[i][j][k] holds the coordinates of [e_i, e_j, e_k].
-
-    The sparse form, built once per object: entries[i][j][k] is the
-    tuple of nonzero (t, c) of [e_i, e_j, e_k], with the row views
+class TernaryStructure(_Structure):
+    """entries[i][j][k] is the sparse [e_i, e_j, e_k], with the row views
     first[j][k][m] = entries[m][j][k] and mid[i][k][m] = entries[i][m][k]
-    for a vector in the first and the middle slot.
-    """
+    for a vector in the first and the middle slot."""
 
-    space: object
-    table: tuple
-
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.table) != n or any(len(p) != n for p in self.table)\
-                or any(len(r) != n for p in self.table for r in p):
-            raise StructureError("ternary table must be %d x %d x %d" % (n, n, n))
-        par = self.space.parities
-        # validating every cell and building the sparse form is one pass
-        object.__setattr__(self, "entries", tuple(
-            tuple(tuple(_sparse_entry(self.space, self.table[i][j][k],
-                                      (par[i] + par[j] + par[k]) % 2, (i, j, k))
-                        for k in range(n)) for j in range(n)) for i in range(n)))
+    ARITY, NAME = 3, "ternary"
 
     @cached_property
     def first(self):
@@ -156,46 +186,6 @@ class TernaryStructure:
     @cached_property
     def mid(self):
         return tuple(tuple(zip(*plane)) for plane in self.entries)
-
-    @classmethod
-    def from_products(cls, space, products):
-        """Complete listed triple products by skew-symmetry in the first
-        two slots.  Ternary Jacobi consequences are NOT filled in; they
-        are the checker's business."""
-        n = space.dim
-        par = space.parities
-        table = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), coords in products.items():
-            table[i][j][k] = tuple(rat(c) for c in coords)
-        for (i, j, k), coords in sorted(products.items()):
-            s = sign(par[i] * par[j])
-            implied = tuple(-s * c for c in coords)
-            if i == j and any(c != im for c, im in zip(coords, implied)):
-                raise StructureError(
-                    "[%s,%s,%s] must vanish by skew-symmetry"
-                    % (space.labels[i], space.labels[j], space.labels[k]))
-            if table[j][i][k] is None:
-                table[j][i][k] = implied
-            elif (j, i, k) in products and tuple(table[j][i][k]) != implied:
-                raise StructureError(
-                    "[%s,%s,%s] contradicts [%s,%s,%s] under skew-symmetry"
-                    % (space.labels[j], space.labels[i], space.labels[k],
-                       space.labels[i], space.labels[j], space.labels[k]))
-        zero = (0,) * n
-        return cls(space, tuple(tuple(tuple(table[i][j][k] if table[i][j][k] is not None else zero
-                                            for k in range(n))
-                                      for j in range(n)) for i in range(n)))
-
-    def product(self, i, j, k):
-        return SuperVector(self.space, self.table[i][j][k])
-
-    def eval(self, x, y, z):
-        acc = [0] * self.space.dim
-        ys, zs = _sparse(y.coords), _sparse(z.coords)
-        for i, a in _sparse(x.coords):
-            for j, b in ys:
-                _into(acc, zs, self.entries[i][j], a * b)
-        return _vector(self.space, acc)
 
 
 @dataclass(frozen=True)
@@ -264,16 +254,25 @@ class CheckReport:
 # visits only the tuples where some term of its identity can be nonzero
 
 
-def _sweep_binary_skew(space, bs):
+def _skew(space, st, axiom):
+    # swapping the first two slots, wherever either product is nonzero
     n, par, lab = space.dim, space.parities, space.labels
-    E, table = bs.entries, bs.table
-    for i in range(n):
-        for j in range(n):
-            if E[i][j] or E[j][i]:
-                s = sign(par[i] * par[j])
-                defect = tuple(rat(a + s * b) for a, b in zip(table[i][j], table[j][i]))
-                if any(defect):
-                    yield Witness("skew", (lab[i], lab[j]), SuperVector(space, defect))
+    cells = st.cells()
+    for at in sorted(set(cells) | {(j, i, *rest) for i, j, *rest in cells}):
+        i, j = at[:2]
+        acc = list(_dense(cells.get(at, ()), n))
+        for t, c in cells.get((j, i) + at[2:], ()):
+            acc[t] += sign(par[i] * par[j]) * c
+        if any(acc):
+            yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
+
+
+def _sweep_binary_skew(space, bs):
+    return _skew(space, bs, "skew")
+
+
+def _sweep_ternary_skew(space, ts):
+    return _skew(space, ts, "triple-skew")
 
 
 def _sweep_super_jacobi(space, bs):
@@ -325,38 +324,18 @@ def _sweep_malcev(space, bs):
                                       _vector(space, acc))
 
 
-def _sweep_ternary_skew(space, ts):
-    n, par, lab = space.dim, space.parities, space.labels
-    E, table = ts.entries, ts.table
-    for i in range(n):
-        for j in range(n):
-            s = sign(par[i] * par[j])
-            for k in range(n):
-                if E[i][j][k] or E[j][i][k]:
-                    defect = tuple(rat(a + s * b)
-                                   for a, b in zip(table[i][j][k], table[j][i][k]))
-                    if any(defect):
-                        yield Witness("triple-skew", (lab[i], lab[j], lab[k]),
-                                      SuperVector(space, defect))
-
-
 def _sweep_ternary_jacobi(space, ts):
+    # the cyclic sum, wherever one of its three products is nonzero
     n, par, lab = space.dim, space.parities, space.labels
-    E, table = ts.entries, ts.table
-    for i in range(n):
-        pi = par[i]
-        for j in range(n):
-            pj = par[j]
-            for k in range(n):
-                pk = par[k]
-                if E[i][j][k] or E[j][k][i] or E[k][i][j]:
-                    s1 = sign(pi * (pj + pk))
-                    s2 = sign(pk * (pi + pj))
-                    defect = tuple(rat(a + s1 * b + s2 * c) for a, b, c in
-                                   zip(table[i][j][k], table[j][k][i], table[k][i][j]))
-                    if any(defect):
-                        yield Witness("triple-jacobi", (lab[i], lab[j], lab[k]),
-                                      SuperVector(space, defect))
+    cells = ts.cells()
+    for i, j, k in sorted({rot for x, y, z in cells for rot in ((x, y, z), (y, z, x), (z, x, y))}):
+        acc = list(_dense(cells.get((i, j, k), ()), n))
+        for at, s in (((j, k, i), sign(par[i] * (par[j] + par[k]))),
+                      ((k, i, j), sign(par[k] * (par[i] + par[j])))):
+            for t, c in cells.get(at, ()):
+                acc[t] += s * c
+        if any(acc):
+            yield Witness("triple-jacobi", (lab[i], lab[j], lab[k]), _vector(space, acc))
 
 
 def _sweep_nambu(space, ts):

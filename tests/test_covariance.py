@@ -7,7 +7,9 @@ maps C onto A.  Then:
 * check_invariant gives C and the pulled-back form g^T b g the same
   verdicts and the same inva1/inva2/inva3 flags as A and b, for
   Killing-Ricci forms and for random forms that fail invariance;
-* g maps the center of C onto the center of A.
+* g maps the center of C onto the center of A;
+* malcev_to_bol commutes with transport: the Bol algebra of C is the
+  transport of the Bol algebra of A.
 """
 
 import random
@@ -88,3 +90,16 @@ def test_g_maps_the_center_onto_the_center(index, seed):
     g = even_map(A.space, random.Random(seed))
     Z = sb.center(transport(A, g))
     assert sb.span_reduce(A.space, [g(z) for z in Z.basis]) == sb.center(A)
+
+
+MALCEVS = [A for A in POOL if A.ternary is None and sb.check_axioms(A, "malcev").passed]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, len(MALCEVS) - 1), st.integers(0, 2 ** 32))
+def test_malcev_to_bol_commutes_with_even_changes_of_basis(index, seed):
+    M = MALCEVS[index]
+    g = even_map(M.space, random.Random(seed))
+    left = sb.malcev_to_bol(transport(M, g))
+    right = transport(sb.malcev_to_bol(M), g)
+    assert left == right.renamed(left.name)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import superbol as sb
@@ -173,3 +175,15 @@ def test_witness_str_mentions_location():
     w = sb.check_axioms(M, "lie").first_failure
     text = str(w)
     assert "e1" in text and "jacobi" in text
+
+
+@pytest.mark.parametrize("cls, arity", [(BinaryStructure, 2), (TernaryStructure, 3)])
+@pytest.mark.parametrize("bad", ["negative", "too large", "wrong arity"])
+def test_from_products_rejects_bad_keys(cls, arity, bad):
+    sp = sb.SuperSpace.even_first(2, 1)
+    n = sp.dim
+    key = {"negative": (-1,) + (0,) * (arity - 1),
+           "too large": (n,) + (0,) * (arity - 1),
+           "wrong arity": (0,) * (5 - arity)}[bad]
+    with pytest.raises(sb.StructureError, match=re.escape(repr(key))):
+        cls.from_products(sp, {key: (0, 0, 1)})
