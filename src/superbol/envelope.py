@@ -25,6 +25,7 @@ algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact,
                      _into, _sparse, _transposed, _vector, graded_commutator, rat,
@@ -95,8 +96,17 @@ def inner_pair(B, x, y):
     if x.space != B.space or y.space != B.space:
         raise GradingError("arguments live outside the algebra")
     deg = (x.parity_or(0) + y.parity_or(0)) % 2
-    op = GradedMap.from_action(B.space, deg, lambda z: B.triple(x, y, z))
-    return PseudoDerivationPair(op, B.product(x, y))
+    if B.ternary is None:
+        raise StructureError("%s has no ternary product" % B.name)
+    # column m is D_{x,y}(e_m): y through the middle-slot view of each x_a e_a
+    n, mid, xs, ys = B.space.dim, B.ternary.mid, _sparse(x.coords), _sparse(y.coords)
+    cols = []
+    for m in range(n):
+        acc = [0] * n
+        for a, c in xs:
+            _into(acc, ys, mid[a][m], c)
+        cols.append(_exact(acc))
+    return PseudoDerivationPair(GradedMap._of(B.space, deg, tuple(cols)), B.product(x, y))
 
 
 def pair_bracket(B, p, q):
@@ -252,11 +262,13 @@ class PairSpace:
                 raise GradingError("pair lives outside the algebra")
         reduced, pivots = rref([p.flatten() for p in pairs])
         basis = tuple(PseudoDerivationPair.from_flat(algebra.space, row) for row in reduced)
+        sparse_rows = tuple(map(_sparse, reduced))
         brackets = []
         for p in basis:
             row = []
             for q in basis:
-                coords = _span_coordinates(reduced, pivots, pair_bracket(algebra, p, q).flatten())
+                coords = _span_coordinates(sparse_rows, pivots,
+                                           pair_bracket(algebra, p, q).flatten())
                 if coords is None:
                     raise EnvelopeError(
                         "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
@@ -276,7 +288,11 @@ class PairSpace:
         return self.coordinates_of(pair) is not None
 
     def coordinates_of(self, pair):
-        return _span_coordinates(self.rows, self.pivots, pair.flatten())
+        return _span_coordinates(self._sparse_rows, self.pivots, pair.flatten())
+
+    @cached_property
+    def _sparse_rows(self):
+        return tuple(map(_sparse, self.rows))
 
     def contains_space(self, other):
         return all(self.contains(p) for p in other.basis)

@@ -289,12 +289,6 @@ class GradedMap(_SparseValue):
         return cls._of(space, degree, tuple(_exact(col) for col in cols))
 
     @classmethod
-    def from_action(cls, space, degree, fn):
-        """Map defined by its values fn(e_j) on basis vectors."""
-        cols = [fn(space.basis_vector(j)).coords for j in range(space.dim)]
-        return cls.from_columns(space, degree, cols)
-
-    @classmethod
     def zero(cls, space, degree=0):
         return cls._of(space, degree, ((),) * space.dim)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .graded import GradingError, SuperVector, rat
+from .graded import GradingError, SuperVector, _sparse, rat
 
 
 def rref(rows):
@@ -95,20 +95,26 @@ class AffineSubspace:
         if len(coords) != len(self.point):
             raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(coords, self.point)]
-        return _span_coordinates(self.directions, self.pivots, diff) is not None
+        return _span_coordinates(self._sparse_rows, self.pivots, diff) is not None
+
+    @cached_property
+    def _sparse_rows(self):
+        return tuple(map(_sparse, self.directions))
 
 
-def _span_coordinates(reduced_rows, pivots, vec):
-    """Coefficients expressing vec over reduced_rows, or None when vec is
-    outside their span; the rows must be reduced and nonzero, and
-    pivots[r] is the leading column of row r."""
-    residue = [rat(x) for x in vec]
+def _span_coordinates(sparse_rows, pivots, vec):
+    """Coefficients expressing vec over reduced rows, or None when vec is
+    outside their span; sparse_rows holds the nonzero (column, value)
+    pairs of reduced nonzero rows, and pivots[r] is the leading column of
+    row r."""
+    residue = list(vec)
     coeffs = []
-    for row, lead in zip(reduced_rows, pivots):
+    for row, lead in zip(sparse_rows, pivots):
         f = residue[lead]
         coeffs.append(rat(f))
         if f:
-            residue = [x - f * y for x, y in zip(residue, row)]
+            for t, y in row:
+                residue[t] -= f * y
     if any(residue):
         return None
     return tuple(coeffs)
@@ -151,6 +157,10 @@ class Subspace:
     def rows(self):
         return tuple(v.coords for v in self.basis)
 
+    @cached_property
+    def _sparse_rows(self):
+        return tuple(map(_sparse, self.rows))
+
     def contains(self, v):
         return self.coordinates_of(v) is not None
 
@@ -158,7 +168,7 @@ class Subspace:
         """Coefficients of v over this basis, or None if outside."""
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        return _span_coordinates(self.rows, self.pivots, v.coords)
+        return _span_coordinates(self._sparse_rows, self.pivots, v.coords)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)

@@ -12,13 +12,26 @@ Defect conventions:
 * cyclic-sum axioms (super Jacobi, ternary Jacobi) report the sum,
 * equational axioms (Malcev, Nambu, product rule, morphism) report
   RHS - LHS.
+
+The sweeps run on integer tables.  With L the lcm of every denominator
+in the binary table B and the ternary table T, check_axioms sweeps L*B
+and L^2*T.  Every identity is homogeneous when a binary constant has
+weight 1 and a ternary one weight 2, so each defect comes out L^weight
+times the true one and is divided back exactly.  The weights, kept in
+`_SWEEPS` next to the sweeps: skew 1; jacobi, triple-skew and
+triple-jacobi 2; malcev and product-rule 3; nambu 4.  Scaling B and T by
+the same factor would not do: the product rule mixes B.B.B and T.B
+terms.  The lift is made once per algebra object; when L = 1 the tables
+are swept as they stand.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _sparse,
@@ -209,6 +222,11 @@ class AlgebraDef:
         # check_axioms' report per kind, stored on this object only
         return {}
 
+    @cached_property
+    def _lifted(self):
+        # the integer tables check_axioms sweeps, built once for every kind
+        return _lift(self)
+
     def renamed(self, name):
         return dataclasses.replace(self, name=name)
 
@@ -295,19 +313,31 @@ def _sweep_super_jacobi(space, bs):
 def _sweep_malcev(space, bs):
     n, par, lab = space.dim, space.parities, space.labels
     E, col = bs.entries, bs.col
-    # [[e_a, e_b], e_c] and [e_a, [e_b, e_c]] for every triple
-    right = [[[_sparse(_into([0] * n, E[a][b], col[c])) for c in range(n)]
-              for b in range(n)] for a in range(n)]
-    left = [[[_sparse(_into([0] * n, E[b][c], E[a])) for c in range(n)]
-             for b in range(n)] for a in range(n)]
-    for i in range(n):
-        for j in range(n):
-            pj = par[j]
-            for k in range(n):
-                pk, ik, ijk = par[k], E[i][k], right[i][j][k]
-                for l in range(n):
+    every, none = range(n), ((),) * n
+    # right[a][b][c] = [[e_a, e_b], e_c] and left[b][c][a] = [e_a, [e_b, e_c]],
+    # built only where the inner product is nonzero
+    right = [[[_sparse(_into([0] * n, E[a][b], col[c])) for c in every] if E[a][b] else none
+              for b in every] for a in every]
+    left = [[[_sparse(_into([0] * n, E[b][c], E[a])) for a in every] if E[b][c] else none
+             for c in every] for b in every]
+    # a term at (i, j, k, l) needs e_i e_j, e_j e_k, e_k e_l, e_i e_l or
+    # both e_i e_k and e_j e_l nonzero.  So when e_i e_j and the row of e_i
+    # vanish, k lies in the support of e_j's row or has a nonzero row; when
+    # e_i e_j, e_j e_k and e_i e_k vanish, l lies in the support of row k or i
+    supp = [{b for b in every if E[a][b]} for a in every]
+    busy = {k for k in every if supp[k]}
+    ks_after = [sorted(supp[j] | busy) for j in every]
+    ls_after = [[sorted(supp[k] | supp[i]) for i in every] for k in every]
+    for i in every:
+        for j in every:
+            pj, right_ij, right_i = par[j], right[i][j], right[i]
+            wide = bool(E[i][j])
+            for k in every if wide or supp[i] else ks_after[j]:
+                pk, ik, ijk = par[k], E[i][k], right_ij[k]
+                right_jk, left_k = right[j][k], left[k]
+                for l in every if wide or ik or E[j][k] else ls_after[k][i]:
                     pl = par[l]
-                    jkl, ikl, ilj = right[j][k][l], left[i][k][l], right[i][l][j]
+                    jkl, ikl, ilj = right_jk[l], left_k[l][i], right_i[l][j]
                     if not (ijk or jkl or ikl or ilj or (ik and E[j][l])):
                         continue
                     # RHS - LHS of the Malcev identity
@@ -393,11 +423,41 @@ def _sweep_product_rule(space, bs, ts):
                                       _vector(space, acc))
 
 
-def _require(A, binary=False, ternary=False):
-    if binary and A.binary is None:
-        raise StructureError("%s has no binary structure" % A.name)
-    if ternary and A.ternary is None:
-        raise StructureError("%s has no ternary structure" % A.name)
+# every sweep with the structures it reads and the weight of its identity,
+# a binary constant counting 1 and a ternary one 2 in each term; the kinds'
+# sweeps in witness order
+_SWEEPS = {
+    "skew": (_sweep_binary_skew, ("binary",), 1),
+    "jacobi": (_sweep_super_jacobi, ("binary",), 2),
+    "malcev": (_sweep_malcev, ("binary",), 3),
+    "triple-skew": (_sweep_ternary_skew, ("ternary",), 2),
+    "triple-jacobi": (_sweep_ternary_jacobi, ("ternary",), 2),
+    "nambu": (_sweep_nambu, ("ternary",), 4),
+    "product-rule": (_sweep_product_rule, ("binary", "ternary"), 3),
+}
+_SYSTEMS = {
+    "lie": ("skew", "jacobi"),
+    "malcev": ("skew", "malcev"),
+    "supertriple": ("triple-skew", "triple-jacobi"),
+    "lie_supertriple": ("triple-skew", "triple-jacobi", "nambu"),
+    "bol": ("skew", "triple-skew", "triple-jacobi", "nambu", "product-rule"),
+}
+
+
+def _lift(A):
+    """(L, {"binary": L*binary, "ternary": L^2*ternary}) with L the lcm of
+    every denominator of both tables, so the lifted constants are ints;
+    L = 1 keeps the structures themselves."""
+    structures = {"binary": A.binary, "ternary": A.ternary}
+    cells = {what: {} if st is None else st.cells() for what, st in structures.items()}
+    L = math.lcm(*(c.denominator for part in cells.values() for entry in part.values()
+                   for _, c in entry))
+    if L == 1:
+        return 1, structures
+    return L, {what: None if st is None else type(st)._of(A.space, {
+        at: tuple((t, c.numerator * (f // c.denominator)) for t, c in entry)
+        for at, entry in cells[what].items()})
+        for (what, st), f in zip(structures.items(), (L, L * L))}
 
 
 def check_axioms(A, kind):
@@ -412,32 +472,20 @@ def check_axioms(A, kind):
         raise ValueError("unknown axiom system %r" % (kind,))
     if kind in A._reports:
         return A._reports[kind]
-    space = A.space
+    for what in ("binary", "ternary"):
+        if getattr(A, what) is None and any(what in _SWEEPS[axiom][1] for axiom in _SYSTEMS[kind]):
+            raise StructureError("%s has no %s structure" % (A.name, what))
+    L, lifted = A._lifted
     witnesses = []
-    if kind == "lie":
-        _require(A, binary=True)
-        witnesses += _sweep_binary_skew(space, A.binary)
-        witnesses += _sweep_super_jacobi(space, A.binary)
-    elif kind == "malcev":
-        _require(A, binary=True)
-        witnesses += _sweep_binary_skew(space, A.binary)
-        witnesses += _sweep_malcev(space, A.binary)
-    elif kind == "supertriple":
-        _require(A, ternary=True)
-        witnesses += _sweep_ternary_skew(space, A.ternary)
-        witnesses += _sweep_ternary_jacobi(space, A.ternary)
-    elif kind == "lie_supertriple":
-        _require(A, ternary=True)
-        witnesses += _sweep_ternary_skew(space, A.ternary)
-        witnesses += _sweep_ternary_jacobi(space, A.ternary)
-        witnesses += _sweep_nambu(space, A.ternary)
-    else:
-        _require(A, binary=True, ternary=True)
-        witnesses += _sweep_binary_skew(space, A.binary)
-        witnesses += _sweep_ternary_skew(space, A.ternary)
-        witnesses += _sweep_ternary_jacobi(space, A.ternary)
-        witnesses += _sweep_nambu(space, A.ternary)
-        witnesses += _sweep_product_rule(space, A.binary, A.ternary)
+    for axiom in _SYSTEMS[kind]:
+        sweep, reads, weight = _SWEEPS[axiom]
+        found = sweep(A.space, *(lifted[what] for what in reads))
+        if L == 1:
+            witnesses += found
+        else:
+            scale = L ** weight
+            witnesses += (Witness(w.axiom, w.at, _vector(A.space, (
+                Fraction(c, scale) for c in w.defect.coords))) for w in found)
     report = A._reports[kind] = CheckReport(A.name, kind, not witnesses, tuple(witnesses))
     return report
 

@@ -17,7 +17,9 @@ and share no rule code with `superbol.envelope`.
 
 killing_ricci_direct is the direct Killing-Ricci route as it was before
 the closed-form sum: one GradedMap per right multiplication R_{e_i,e_j},
-read through its supertrace.
+read through its supertrace.  Those maps, and inner_pair's D_{x,y}, are
+built by from_action, the map of n dense evaluations on basis vectors
+that the package used before it read the sparse ternary form.
 
 The maps and forms section keeps GradedMap application and composition,
 graded_commutator, BilinearForm.evaluate, killing_form, check_invariant,
@@ -614,7 +616,20 @@ def right_map(B, x, y):
         out = _eval_ternary(B, z, x, y)
         return out if s == 1 else -out
 
-    return GradedMap.from_action(B.space, deg, act)
+    return from_action(B.space, deg, act)
+
+
+def from_action(space, degree, fn):
+    """The map defined by its values fn(e_j) on basis vectors."""
+    cols = [fn(space.basis_vector(j)).coords for j in range(space.dim)]
+    return GradedMap.from_columns(space, degree, cols)
+
+
+def inner_pair(B, x, y):
+    """(D_{x,y}, x.y) with D_{x,y} read off n dense triple evaluations."""
+    deg = (x.parity_or(0) + y.parity_or(0)) % 2
+    return PseudoDerivationPair(from_action(B.space, deg, lambda z: _eval_ternary(B, x, y, z)),
+                                _eval_binary(B, x, y))
 
 
 def killing_ricci_direct(B):

@@ -70,6 +70,19 @@ def test_span_reduce_and_membership():
     assert V.coordinates_of(e3) is None
 
 
+def test_span_coordinates_are_normalized():
+    # coefficients are ints when integral and Fractions otherwise, also
+    # for a vector built directly from integral Fractions
+    space = sb.SuperSpace.even_first(3, 0)
+    V = sb.span_reduce(space, [space.vector((1, Fraction(1, 2), 0)), space.vector((0, 1, 1))])
+    v = sb.SuperVector(space, (Fraction(2), Fraction(3, 2), Fraction(1, 2)))
+    coords = V.coordinates_of(v)
+    assert coords == (2, Fraction(3, 2)) and [type(c) for c in coords] == [int, Fraction]
+    assert V.coordinates_of(sb.SuperVector(space, (Fraction(2), 0, 0))) is None
+    A = sb.solve_affine([[1, 1, 0]], [Fraction(1, 2)])
+    assert A.contains((Fraction(1, 2), 0, 7)) and not A.contains((1, 0, 0))
+
+
 def test_subspace_sum_and_containment():
     sp = sb.SuperSpace.even_first(2, 1)
     e1, e2, e3 = sp.basis()

@@ -15,6 +15,7 @@ basis and brackets, and random pairs that respect the grading;
 companion_space and ps_space must return equal spaces.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -251,3 +252,171 @@ def test_random_pairs_match_the_reference(index, seed, mutated):
     if mutated:
         B = mutate(B, rng)
     assert_same_pseudo(B, random_pair(B, rng))
+
+
+# ---------------------------------------------------------------------------
+# lifted tables: check_axioms sweeps L*B and L^2*T, L the lcm of every
+# denominator of both tables, and divides each defect by L^weight
+
+
+def from_cells(cls, space, cells):
+    """The structure whose products are the sparse cells {index tuple:
+    ((t, c), ...)}, zero elsewhere, built through its dense table."""
+    n = space.dim
+
+    def table(at):
+        if len(at) < cls.ARITY:
+            return tuple(table(at + (i,)) for i in range(n))
+        coords = [0] * n
+        for t, c in cells.get(at, ()):
+            coords[t] = c
+        return tuple(coords)
+
+    return cls(space, table(()))
+
+
+def cells_of(st):
+    return {} if st is None else st.cells()
+
+
+def rescaled(A, b, t, name):
+    """A with its binary constants times b and its ternary ones times t; a
+    missing binary product becomes the zero one.  With t = b^2 every
+    identity keeps holding, since each is homogeneous of a fixed weight."""
+    return AlgebraDef(name, A.space, *(
+        from_cells(cls, A.space, {at: tuple((m, f * c) for m, c in entry)
+                                  for at, entry in cells_of(st).items()})
+        for cls, st, f in ((BinaryStructure, A.binary, b), (TernaryStructure, A.ternary, t))))
+
+
+def direct_sum(A, C, name):
+    """A + C on the concatenated basis, C's labels primed."""
+    n = A.space.dim
+    space = sb.SuperSpace(A.space.parities + C.space.parities,
+                          A.space.labels + tuple(lab + "'" for lab in C.space.labels))
+    return AlgebraDef(name, space, *(
+        from_cells(cls, space, {**cells_of(a), **{
+            tuple(i + n for i in at): tuple((m + n, c) for m, c in entry)
+            for at, entry in cells_of(c).items()}})
+        for cls, a, c in ((BinaryStructure, A.binary, C.binary),
+                          (TernaryStructure, A.ternary, C.ternary))))
+
+
+HALF, THIRD, FIFTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+# Bol algebras whose binary and ternary denominators differ: 2 in B and 4
+# in T; 2 in B and 4 and 5 in T (a rescaled Bol algebra next to a Lie
+# triple system with zero B); none in B and 3 in T; 2 in B and 4 in T
+# with numerators 3 and 9
+LIFTED = [
+    rescaled(sb.catalog.load("L2_3_1_bol"), HALF, HALF ** 2, "L2_3_1_bol/2"),
+    direct_sum(rescaled(sb.catalog.load("L2_2_2_bol"), HALF, HALF ** 2, "-"),
+               rescaled(sb.lie_to_supertriple(sb.catalog.load("aff2_lie")), 0, FIFTH, "-"),
+               "L2_2_2_bol/2 + lts(aff2)/5"),
+    rescaled(sb.lie_to_supertriple(_osp12()), 0, THIRD, "lts(osp12)/3"),
+    rescaled(sb.malcev_to_bol(sb.catalog.load("L2_2_2_malcev")), 3 * HALF, 9 * HALF ** 2,
+             "bol(L2_2_2_malcev)*3/2"),
+]
+
+# a file with the distinct prime denominators 2, 3, 5 and 7
+PRIMES_ALG = """name primes
+even h e f
+odd x
+binary [h,e] = 2/3 e
+binary [h,f] = -5/2 f
+binary [e,f] = 1/7 h
+binary [h,x] = 1/5 x
+binary [x,x] = 3/2 e - 1/3 f
+ternary [h,e,f] = 1/2 h + 2/5 e
+ternary [e,f,x] = 3/7 x
+ternary [x,x,h] = 5/3 e
+ternary [h,x,x] = -1/7 f
+"""
+
+
+def test_lifted_inputs_pass_with_the_stated_denominators():
+    def lcm(st):
+        return math.lcm(*(c.denominator for e in cells_of(st).values() for _, c in e))
+
+    for A in LIFTED:
+        assert sb.check_axioms(A, "bol").passed, A.name
+    assert [lcm(A.binary) for A in LIFTED] == [2, 2, 1, 2]
+    assert [lcm(A.ternary) for A in LIFTED] == [4, 20, 3, 4]
+    assert [A._lifted[0] for A in LIFTED] == [4, 20, 3, 4]
+
+
+def test_lifted_reports_match_the_reference():
+    for A in LIFTED:
+        assert_same_checks(A)
+    rng = random.Random(7)
+    for A in LIFTED[:3]:
+        assert_same_checks(transport(A, even_map(A.space, rng)))
+    A = sb.algfile.parse_algebra(PRIMES_ALG)
+    assert A._lifted[0] == 2 * 3 * 5 * 7
+    assert not sb.check_axioms(A, "bol").passed
+    assert_same_checks(A)
+
+
+def test_mutants_of_lifted_inputs_match_the_reference_for_every_axiom():
+    """Mutants of the lifted inputs, until every axiom has failed on one
+    whose tables have a denominator: a weight off by one in the lift
+    changes every defect of its axiom."""
+    witnessed = set()
+    seed = 0
+    while len(witnessed) < 7:
+        assert seed < 400, witnessed
+        rng = random.Random(seed)
+        A = mutate(LIFTED[seed % len(LIFTED)], rng)
+        assert_same_checks(A)
+        if A._lifted[0] > 1:
+            witnessed |= {w.axiom for kind in sb.KINDS if kind in A._reports
+                          for w in A._reports[kind].witnesses}
+        seed += 1
+    assert witnessed == {"skew", "jacobi", "malcev", "triple-skew", "triple-jacobi",
+                         "nambu", "product-rule"}
+
+
+def test_sweeps_read_integer_tables_lifted_once(monkeypatch):
+    """With a denominator in either table the sweeps see only ints, and the
+    lift is made once per algebra object whichever kinds are checked."""
+    from superbol import structures
+    seen, lifts = [], []
+
+    def recorded(sweep):
+        def run(space, *tables):
+            seen.extend(type(c) for st in tables for entry in st.cells().values()
+                        for _, c in entry)
+            return sweep(space, *tables)
+        return run
+
+    for axiom, (sweep, reads, weight) in list(structures._SWEEPS.items()):
+        monkeypatch.setitem(structures._SWEEPS, axiom, (recorded(sweep), reads, weight))
+    lift = structures._lift
+    monkeypatch.setattr(structures, "_lift", lambda A: lifts.append(A) or lift(A))
+    for A in LIFTED + [sb.algfile.parse_algebra(PRIMES_ALG)]:
+        A = A.renamed("fresh " + A.name)
+        for kind in sb.KINDS:
+            sb.check_axioms(A, kind)
+        assert lifts == [A]
+        lifts.clear()
+    assert seen and set(seen) == {int}
+
+
+def test_inner_pairs_match_the_reference():
+    """inner_pair reads the sparse ternary form; the reference builds
+    D_{x,y} from n dense triple evaluations.  The maps must be identical,
+    coefficient types included, on basis vectors and on random
+    homogeneous vectors."""
+    rng = random.Random(3)
+    osp_bol = sb.malcev_to_bol(_osp12())
+    for B in BOLS + LIFTED + [transport(osp_bol, even_map(osp_bol.space, rng))]:
+        n, par = B.space.dim, B.space.parities
+        vectors = list(B.space.basis())
+        for p in (0, 1):
+            vectors.append(B.space.vector([rng.choice(VALUES) if par[m] == p else 0
+                                           for m in range(n)]))
+        for x in vectors:
+            for y in vectors:
+                fast, slow = sb.inner_pair(B, x, y), slow_reference.inner_pair(B, x, y)
+                assert fast == slow, (B.name, str(x), str(y))
+                assert [[(type(c), c) for _, c in col] for col in fast.operator.columns] == \
+                    [[(type(c), c) for _, c in col] for col in slow.operator.columns]

@@ -43,9 +43,8 @@ def sweeps(monkeypatch):
             return sweep(*args)
         return run
 
-    for name, sweep in list(vars(structures).items()):
-        if name.startswith("_sweep_"):
-            monkeypatch.setattr(structures, name, counted(name, sweep))
+    for axiom, (sweep, reads, weight) in list(structures._SWEEPS.items()):
+        monkeypatch.setitem(structures._SWEEPS, axiom, (counted(axiom, sweep), reads, weight))
     return seen
 
 
