@@ -63,8 +63,14 @@ class PseudoDerivationPair:
 
     def flatten(self):
         n = self.space.dim
-        return tuple(c for row in _transposed(self.operator.columns, n)
-                     for c in _dense(row, n)) + self.companion.coords
+        return _dense(self._entries(), n * n + n)
+
+    def _entries(self):
+        """The nonzero (index, coefficient) pairs of flatten()."""
+        n = self.space.dim
+        out = [(t * n + m, c) for m, col in enumerate(self.operator.columns) for t, c in col]
+        out += ((n * n + m, c) for m, c in _sparse(self.companion.coords))
+        return out
 
     @classmethod
     def from_flat(cls, space, coords):
@@ -268,7 +274,7 @@ class PairSpace:
             row = []
             for q in basis:
                 coords = _span_coordinates(sparse_rows, pivots,
-                                           pair_bracket(algebra, p, q).flatten())
+                                           pair_bracket(algebra, p, q)._entries())
                 if coords is None:
                     raise EnvelopeError(
                         "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
@@ -288,7 +294,7 @@ class PairSpace:
         return self.coordinates_of(pair) is not None
 
     def coordinates_of(self, pair):
-        return _span_coordinates(self._sparse_rows, self.pivots, pair.flatten())
+        return _span_coordinates(self._sparse_rows, self.pivots, pair._entries())
 
     @cached_property
     def _sparse_rows(self):

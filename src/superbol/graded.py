@@ -37,6 +37,12 @@ def rat(x):
     return int(f) if f.denominator == 1 else f
 
 
+def _quotient(x, d):
+    """The exact quotient of the ints x and d, normalized like `rat`."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
+
+
 def sign(exponent):
     # (-1)**exponent for a mod-2 exponent
     return -1 if exponent % 2 else 1

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Everything here reduces to Gaussian elimination on lists of scalars
-(ints and Fractions mixed).  Reduced row echelon form is the canonical
-representative of a span, so two subspaces are equal iff their reduced
-bases are identical tuples.
+Everything here reduces to one elimination, `rref`, which works on
+sparse integer rows: each input row is cleared of denominators and
+eliminated fraction-free, and only the final reduced rows are divided
+back into `int`s and `Fraction`s.  Reduced row echelon form is the
+canonical representative of a span, so two subspaces are equal iff their
+reduced bases are identical tuples.
 """
 
 from __future__ import annotations
@@ -11,38 +13,94 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
-from .graded import GradingError, SuperVector, _sparse, rat
+from .graded import GradingError, SuperVector, _quotient, _sparse, rat
+
+
+def _integral(row):
+    """The sparse integer row {column: value} spanning the same line as the
+    dense row: scaled by the lcm of its denominators, divided by its content."""
+    cells = {}
+    den = 1
+    for c, x in enumerate(row):
+        if x:
+            if type(x) is not int:
+                x = x if type(x) is Fraction else rat(x)
+                if x.denominator != 1:
+                    den = lcm(den, x.denominator)
+                elif x:
+                    x = x.numerator
+                else:
+                    continue
+            cells[c] = x
+    if den > 1:
+        cells = {c: x * den if type(x) is int else x.numerator * (den // x.denominator)
+                 for c, x in cells.items()}
+    return _primitive(cells)
+
+
+def _primitive(cells):
+    """The integer row divided by its content, the gcd of its values."""
+    g = gcd(*cells.values())
+    return {c: x // g for c, x in cells.items()} if g > 1 else cells
+
+
+def _eliminate(row, pivot, col):
+    """(b/g) row - (a/g) pivot, divided by its content, where a and b are the
+    entries of row and pivot at col and g = gcd(a, b): col drops out."""
+    a, b = row[col], pivot[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: b * x for c, x in row.items()} if b != 1 else dict(row)
+    for c, y in pivot.items():
+        x = out.get(c, 0) - a * y
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    return _primitive(out)
 
 
 def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced nonzero rows, pivot column indices).  Rows come out
-    sorted by pivot column with unit pivots and zeros above and below.
+    sorted by pivot column with unit pivots and zeros above and below;
+    every entry is an `int` when integral and a `Fraction` otherwise.
+
+    Each row enters an echelon of primitive integer rows keyed by leading
+    column and is reduced fraction-free against the pivot rows it meets
+    (Bareiss 1968, with content division in place of his exact divisor).
+    Back-substitution runs bottom-up over the integers, and each reduced
+    row is divided by its leading entry only at the end.
     """
-    a = [[rat(x) for x in row] for row in rows]
-    if not a:
-        return (), []
-    ncols = len(a[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1, 1) / a[row][col]
-        a[row] = [rat(inv * x) for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [rat(x - f * y) for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(a):
-            break
-    return tuple(tuple(r) for r in a[:row]), pivots
+    echelon = {}
+    ncols = 0
+    for row in rows:
+        ncols = ncols or len(row)
+        cells = _integral(row)
+        while cells:
+            lead = min(cells)
+            pivot = echelon.get(lead)
+            if pivot is None:
+                echelon[lead] = cells
+                break
+            cells = _eliminate(cells, pivot, lead)
+    pivots = sorted(echelon)
+    for p in reversed(pivots):
+        cells = echelon[p]
+        for c in [c for c in cells if c != p and c in echelon]:
+            cells = _eliminate(cells, echelon[c], c)
+        echelon[p] = cells
+    reduced = []
+    for p in pivots:
+        cells, lead = echelon[p], echelon[p][p]
+        out = [0] * ncols
+        for c, x in cells.items():
+            out[c] = _quotient(x, lead)
+        reduced.append(tuple(out))
+    return tuple(reduced), pivots
 
 
 def nullspace(rows, ncols):
@@ -58,7 +116,7 @@ def _nullspace(rows, ncols):  # the basis and its pivots
         vec = [0] * ncols
         vec[f] = 1
         for r, p in zip(red, pivots):
-            vec[p] = rat(-r[f])
+            vec[p] = -r[f]
         basis.append(vec)
     return rref(basis)
 
@@ -95,7 +153,7 @@ class AffineSubspace:
         if len(coords) != len(self.point):
             raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(coords, self.point)]
-        return _span_coordinates(self._sparse_rows, self.pivots, diff) is not None
+        return _span_coordinates(self._sparse_rows, self.pivots, _sparse(diff)) is not None
 
     @cached_property
     def _sparse_rows(self):
@@ -104,18 +162,20 @@ class AffineSubspace:
 
 def _span_coordinates(sparse_rows, pivots, vec):
     """Coefficients expressing vec over reduced rows, or None when vec is
-    outside their span; sparse_rows holds the nonzero (column, value)
-    pairs of reduced nonzero rows, and pivots[r] is the leading column of
-    row r."""
-    residue = list(vec)
+    outside their span; vec and each of sparse_rows hold the nonzero
+    (column, value) pairs of a vector and of a reduced nonzero row, and
+    pivots[r] is the leading column of row r."""
+    residue = dict(vec)
     coeffs = []
     for row, lead in zip(sparse_rows, pivots):
-        f = residue[lead]
+        f = residue.get(lead)
+        if not f:
+            coeffs.append(0)
+            continue
         coeffs.append(rat(f))
-        if f:
-            for t, y in row:
-                residue[t] -= f * y
-    if any(residue):
+        for t, y in row:
+            residue[t] = residue.get(t, 0) - f * y
+    if any(residue.values()):
         return None
     return tuple(coeffs)
 
@@ -135,7 +195,7 @@ def solve_affine(rows, rhs):
         return AffineSubspace.empty()
     point = [0] * ncols
     for r, p in zip(red, pivots):
-        point[p] = rat(r[ncols])
+        point[p] = r[ncols]
     dirs, leads = _nullspace([r[:ncols] for r in red], ncols)
     return AffineSubspace(tuple(point), dirs, tuple(leads))
 
@@ -168,7 +228,7 @@ class Subspace:
         """Coefficients of v over this basis, or None if outside."""
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        return _span_coordinates(self._sparse_rows, self.pivots, v.coords)
+        return _span_coordinates(self._sparse_rows, self.pivots, _sparse(v.coords))
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)

@@ -31,11 +31,10 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .graded import (GradingError, SuperVector, _dense, _exact, _into, _sparse,
-                     _SparseValue, _vector, sign)
+from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
+                     _sparse, _SparseValue, _vector, sign)
 from .linalg import Subspace, nullspace, span_reduce
 
 KINDS = ("lie", "malcev", "supertriple", "lie_supertriple", "bol")
@@ -484,8 +483,8 @@ def check_axioms(A, kind):
             witnesses += found
         else:
             scale = L ** weight
-            witnesses += (Witness(w.axiom, w.at, _vector(A.space, (
-                Fraction(c, scale) for c in w.defect.coords))) for w in found)
+            witnesses += (Witness(w.axiom, w.at, SuperVector(A.space, tuple(
+                _quotient(c, scale) for c in w.defect.coords))) for w in found)
     report = A._reports[kind] = CheckReport(A.name, kind, not witnesses, tuple(witnesses))
     return report
 

@@ -27,7 +27,14 @@ orthogonal and the pairing identity of semisimplicity_report as dense
 loops over every coordinate, from before they read the sparse views of
 maps, forms and structures through the one contraction routine;
 `tests/test_forms_reference.py` holds the package to them.
+
+rref is the dense Gauss-Jordan elimination the package used before its
+fraction-free one: every cell of every row is normalized through `rat`
+at every step.  `tests/test_rref_reference.py` holds the package's rref,
+and the solvers built on it, to the same rows, pivots and scalar types.
 """
+
+from fractions import Fraction
 
 from superbol.envelope import (EnvelopeError, PairSpace, PseudoDerivationPair,
                                ips_space)
@@ -852,3 +859,37 @@ def pairing_identity(B, env, alpha, beta):
                     if lhs != rhs:
                         pairing = False
     return pairing
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+
+
+def rref(rows):
+    """Reduced row echelon form.
+
+    Returns (reduced nonzero rows, pivot column indices).  Rows come out
+    sorted by pivot column with unit pivots and zeros above and below.
+    """
+    a = [[rat(x) for x in row] for row in rows]
+    if not a:
+        return (), []
+    ncols = len(a[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = Fraction(1, 1) / a[row][col]
+        a[row] = [rat(inv * x) for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [rat(x - f * y) for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(a):
+            break
+    return tuple(tuple(r) for r in a[:row]), pivots

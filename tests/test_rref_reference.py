@@ -1,0 +1,161 @@
+"""rref and the solvers built on it against the Gauss-Jordan reference.
+
+`slow_reference.rref` is the dense elimination the package used before
+its fraction-free one.  RREF is unique, so both must return the same
+reduced rows and the same pivots, and every cell must have the same
+scalar type: `int` where the value is integral, `Fraction` otherwise.
+`tests/test_linalg_oracle.py` compares with `==`, which cannot see a
+type change, so every comparison here is over (type, value) pairs.
+
+Inputs are random matrices (tall and wide, integral `Fraction`s among
+the scalars, zero and duplicate rows), Hilbert-type matrices whose
+elimination grows large coefficients, and the systems that ps_space,
+ips_space and companion_space actually solve on the catalog Bol
+algebras, bol(osp(1|2)) and a dense copy of it.  nullspace,
+solve_affine and GradedMap.inverse are run twice, once on each rref,
+and must return identical results.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import slow_reference
+import superbol as sb
+from superbol import envelope, linalg
+from test_reference import _osp12, even_map, transport
+
+SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6, Fraction(4, 2), Fraction(-3, 3),
+                           Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(7, 12)])
+
+
+def typed(value):
+    """value with every scalar paired with its type, containers kept by type."""
+    if isinstance(value, (tuple, list)):
+        return (type(value), tuple(typed(x) for x in value))
+    return (type(value), value)
+
+
+def assert_same_rref(rows):
+    assert typed(sb.rref(rows)) == typed(slow_reference.rref(rows))
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 16))
+    nrows = draw(st.integers(0, 12))
+    rows = [[draw(SCALARS) for _ in range(ncols)] for _ in range(nrows)]
+    # duplicates and multiples of earlier rows, and all-zero rows
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            rows.append([draw(st.sampled_from([1, -2, Fraction(1, 3)])) * x
+                         for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append([0] * ncols)
+    return draw(st.permutations(rows))
+
+
+def test_degenerate_inputs():
+    for rows in ([], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]], [[1, 2], [1, 2], [2, 4]],
+                 [[Fraction(0), Fraction(2, 2)], [0, 1]], [[Fraction(3, 1), 6]], [[5]]):
+        assert_same_rref(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_random_matrices_match_the_reference(rows):
+    assert_same_rref(rows)
+
+
+@pytest.mark.parametrize("n, extra", [(3, 0), (6, 0), (8, 0), (5, 4), (7, 2)])
+def test_hilbert_type_matrices_match_the_reference(n, extra):
+    # 1/(i + j + 1) is invertible with huge entries in its inverse; the
+    # extra columns make the system wide and shift the pivots
+    hilbert = [[Fraction(1, i + j + 1) for j in range(n + extra)] for i in range(n)]
+    assert_same_rref(hilbert)
+    assert_same_rref(hilbert[::-1] + [[x * 3 for x in hilbert[0]]])
+    assert_same_rref([list(col) for col in zip(*hilbert)])
+
+
+def _bols():
+    osp_bol = sb.malcev_to_bol(_osp12())
+    dense = transport(osp_bol, even_map(osp_bol.space, random.Random(5)))
+    return [ent.algebra for ent in sb.catalog.entries() if ent.kind == "bol"] + [osp_bol, dense]
+
+
+BOLS = _bols()
+
+
+def solved_systems(B):
+    """Every matrix rref receives while ps_space, ips_space and the
+    companion spaces of a few pair operators are computed for B."""
+    seen = []
+
+    def recording(rows):
+        rows = [list(row) for row in rows]
+        seen.append(rows)
+        return slow_reference.rref(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", recording)
+        mp.setattr(envelope, "rref", recording)
+        ps = sb.ps_space(B)
+        sb.ips_space(B)
+        for pair in ps.basis[:4]:
+            sb.companion_space(B, pair.operator)
+    return seen
+
+
+@pytest.mark.parametrize("B", BOLS, ids=lambda B: B.name)
+def test_pair_space_systems_match_the_reference(B):
+    systems = solved_systems(B)
+    assert systems
+    for rows in systems:
+        assert_same_rref(rows)
+
+
+def with_reference_rref(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", slow_reference.rref)
+        return fn(*args)
+
+
+def assert_same_solvers(rows, rhs):
+    ncols = len(rows[0])
+    for fn, args in ((sb.nullspace, (rows, ncols)), (sb.solve_affine, (rows, rhs))):
+        fast, slow = fn(*args), with_reference_rref(fn, *args)
+        if fn is sb.solve_affine:
+            fast = (fast.point, fast.directions, fast.pivots)
+            slow = (slow.point, slow.directions, slow.pivots)
+        assert typed(fast) == typed(slow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_nullspace_and_solve_affine_match_the_reference(rows, data):
+    if not rows:
+        rows = [[0]]
+    rhs = [data.draw(SCALARS) for _ in rows]
+    assert_same_solvers(rows, rhs)
+
+
+def test_hilbert_type_solvers_match_the_reference():
+    for n in (4, 7):
+        rows = [[Fraction(1, i + j + 1) for j in range(n + 1)] for i in range(n)]
+        assert_same_solvers(rows, [Fraction(1, i + 2) for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(BOLS) - 1), st.integers(0, 2 ** 32))
+def test_inverse_matches_the_reference(index, seed):
+    space = BOLS[index].space
+    g = even_map(space, random.Random(seed))
+    g = g.compose(sb.GradedMap.from_rows(space, 0, [
+        [Fraction(1, 2) if i == j and i % 2 else int(i == j) for j in range(space.dim)]
+        for i in range(space.dim)]))
+    fast, slow = g.inverse(), with_reference_rref(g.inverse)
+    assert typed(fast.matrix) == typed(slow.matrix)
+    assert fast == slow
