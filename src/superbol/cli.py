@@ -21,9 +21,7 @@ from .algfile import ParseError, parse_algebra, serialize_algebra
 from .constructions import lie_to_supertriple, malcev_to_bol
 from .envelope import EnvelopeError, enveloping, ips_space, ps_space
 from .forms import check_invariant, killing_form, killing_ricci, semisimplicity_report
-from .graded import GradingError
-from .structures import (AxiomError, StructureError, center, check_axioms,
-                         require_axioms)
+from .structures import AxiomError, center, check_axioms, require_axioms
 
 _WITNESS_LIMIT = 8
 
@@ -78,7 +76,7 @@ def _matrix_facts(name, gram, facts):
             facts["%s[%02d][%02d]" % (name, i, j)] = str(x)
 
 
-def cmd_check(args, fmt):
+def cmd_check(args):
     A = _load_algebra(args.algebra)
     report = check_axioms(A, args.kind)
     facts, lines = {}, []
@@ -101,15 +99,15 @@ def _derived(args, construct):
     return 0, None, [text.rstrip("\n")]
 
 
-def cmd_derive_bol(args, fmt):
+def cmd_derive_bol(args):
     return _derived(args, malcev_to_bol)
 
 
-def cmd_lie_to_lts(args, fmt):
+def cmd_lie_to_lts(args):
     return _derived(args, lie_to_supertriple)
 
 
-def cmd_envelope(args, fmt):
+def cmd_envelope(args):
     B = _load_algebra(args.algebra)
     require_axioms(B, "bol")
     H = ps_space(B) if args.maximal else ips_space(B)
@@ -131,7 +129,7 @@ def cmd_envelope(args, fmt):
     return 0, facts, lines
 
 
-def cmd_killing(args, fmt):
+def cmd_killing(args):
     A = _load_algebra(args.algebra)
     form = killing_form(A)
     facts, lines = {}, []
@@ -146,7 +144,7 @@ def cmd_killing(args, fmt):
     return 0, facts, lines
 
 
-def cmd_killing_ricci(args, fmt):
+def cmd_killing_ricci(args):
     B = _load_algebra(args.algebra)
     facts, lines = {}, []
     if args.method == "both":
@@ -171,7 +169,7 @@ def cmd_killing_ricci(args, fmt):
     return 0, facts, lines
 
 
-def cmd_center(args, fmt):
+def cmd_center(args):
     A = _load_algebra(args.algebra)
     Z = center(A)
     facts, lines = {}, []
@@ -184,7 +182,7 @@ def cmd_center(args, fmt):
     return 0, facts, lines
 
 
-def cmd_pseudo(args, fmt):
+def cmd_pseudo(args):
     B = _load_algebra(args.algebra)
     require_axioms(B, "bol")
     facts, lines = {}, []
@@ -213,7 +211,7 @@ def cmd_pseudo(args, fmt):
     return 0, facts, lines
 
 
-def cmd_report(args, fmt):
+def cmd_report(args):
     B = _load_algebra(args.algebra)
     bol = check_axioms(B, "bol")
     facts, lines = {}, []
@@ -265,7 +263,7 @@ def cmd_report(args, fmt):
     return (0 if ok else 1), facts, lines
 
 
-def cmd_catalog(args, fmt):
+def cmd_catalog(args):
     if args.what == "list":
         facts, lines = {}, []
         for idx, ent in enumerate(catalog.entries()):
@@ -385,20 +383,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "human")
     try:
-        code, facts, lines = args.func(args, fmt)
-    except ParseError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
+        code, facts, lines = args.func(args)
     except AxiomError as err:
         code, facts, lines = 1, {}, []
         if fmt == "machine":
             _witness_facts(err.report, facts)
         else:
             _report_lines(err.report, lines)
-    except (StructureError, EnvelopeError, GradingError, ValueError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValueError, EnvelopeError, OSError) as err:
+        # ParseError, StructureError and GradingError are ValueErrors
         print("error: %s" % err, file=sys.stderr)
         return 2
     # raw text output (.alg) comes with facts None, the same in both formats

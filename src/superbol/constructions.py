@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import _exact, _into, rat, sign
-from .structures import AlgebraDef, TernaryStructure, require_axioms
+from .graded import _exact, _into, rat
+from .structures import AlgebraDef, TernaryStructure, _jacobi_sums, require_axioms
 
 
 def lie_to_supertriple(L):
@@ -39,21 +39,12 @@ def malcev_to_bol(M):
     identity and {x,y,z} reduces to [[x,y],z].
     """
     require_axioms(M, "malcev")
-    n = M.space.dim
-    par = M.space.parities
-    E, col = M.binary.entries, M.binary.col
     third = Fraction(1, 3)
     cells = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if E[i][j] or E[j][k] or E[k][i]:
-                    acc = _into([0] * n, E[i][j], col[k], 2)
-                    _into(acc, E[j][k], col[i], -sign(par[i] * (par[j] + par[k])))
-                    _into(acc, E[k][i], col[j], -sign(par[k] * (par[i] + par[j])))
-                    entry = tuple((t, rat(third * c)) for t, c in enumerate(acc) if c)
-                    if entry:
-                        cells[i, j, k] = entry
+    for at, acc in _jacobi_sums(M.space, M.binary, 2, -1, -1):
+        entry = tuple((t, rat(third * c)) for t, c in enumerate(acc) if c)
+        if entry:
+            cells[at] = entry
     out = AlgebraDef("bol(%s)" % M.name, M.space, binary=M.binary,
                      ternary=TernaryStructure._of(M.space, cells))
     require_axioms(out, "bol")

@@ -5,8 +5,8 @@ of the same degree.  Pairs flatten to coordinate vectors of length
 dim^2 + dim (operator entries row-major, then companion coordinates),
 which is the representation used for spans and membership tests.  The
 triple rule and the product rule that define the pseudo superderivation
-pairs are written once, term by term, in `_rules`: check_pseudo evaluates
-them, companion_space and ps_space solve them as linear systems.
+pairs are written once, in `structures`: check_pseudo runs them through
+the Bol checker's evaluator, companion_space and ps_space solve them.
 
 The enveloping algebra of a Bol algebra B over a pair space H >= IPS(B)
 is B + H with
@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact,
-                     _into, _sparse, _transposed, _vector, graded_commutator, rat,
-                     sign)
+                     _into, _sparse, _transposed, _unit, _vector, graded_commutator,
+                     rat, sign)
 from .linalg import (AffineSubspace, _span_coordinates, nullspace, rref,
                      solve_affine, span_reduce)
-from .structures import (AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, require_axioms)
+from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
+                         StructureError, Witness, _rule_defects, _structures, _w_terms,
+                         _w_view, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -123,71 +124,44 @@ def pair_bracket(B, p, q):
     return PseudoDerivationPair(graded_commutator(p.operator, q.operator), comp)
 
 
-def _rules(B, r):
-    """The triple rule and the product rule for degree-r pairs, in witness order.
-
-    Yields (axiom, at, terms, w) per basis tuple `at`.  A pair (P, a)
-    obeys the rule at `at` when RHS - LHS, the sum of s * (x[slot]
-    contracted through view) over the (slot, view, s) in terms minus P(w),
-    is zero; x[slot] is P e_slot, or a for slot n, and every view is a
-    row view of B's sparse form.
-    """
-    n, par = B.space.dim, B.space.parities
-    Eb, col = B.binary.entries, B.binary.col
-    Et, first, mid = B.ternary.entries, B.ternary.first, B.ternary.mid
-    for i in range(n):
-        s1 = sign(r * par[i])
-        for j in range(n):
-            s2 = sign(r * (par[i] + par[j]))
-            for k in range(n):
-                # [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k]
-                yield ("derives-triple", (i, j, k),
-                       ((i, first[j][k], 1), (j, mid[i][k], s1), (k, Et[i][j], s2)),
-                       Et[i][j][k])
-    for i in range(n):
-        s1 = sign(r * par[i])
-        for j in range(n):
-            w = Eb[i][j]
-            # [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j),
-            # where a.(e_i e_j) is the sum of c [a, e_q] over the (q, c) of e_i e_j
-            yield ("derives-product", (i, j),
-                   ((i, col[j], 1), (j, Eb[i], s1), (n, Et[i][j], sign(r * (par[i] + par[j]))))
-                   + tuple((n, col[q], c) for q, c in w),
-                   w)
-
-
 def _equations(B, r, x, cells):
     """The rules for degree r as the rows (*coefficients, b) of a linear system.
 
     Unknown u is the e_m coordinate of x[slot] for (slot, m) = cells[u];
-    x[slot] holds the known coordinates, sparse, with x as in _rules.  One
-    equation per rule tuple and coordinate, without 0 = 0 or repeats; the
-    rows stop after an equation 0 = b with b nonzero, which has no solution.
+    x[slot] holds the known coordinates, sparse, with x as in the rules of
+    `structures`; an entry (q, c) of w brings c times the w terms at e_q.
+    One equation per rule tuple and coordinate, without 0 = 0 or repeats;
+    the rows stop after an equation 0 = b, b nonzero, with no solution.
     """
-    n = B.space.dim
+    n, par, unit, width = B.space.dim, B.space.parities, _unit(B.space.dim), len(cells)
     var = [[(m, u) for u, (s, m) in enumerate(cells) if s == slot] for slot in range(n + 1)]
     seen = set()
-    for _, _, terms, w in _rules(B, r):
-        # b: P(w) minus the known part of the terms
-        b = _into([0] * n, w, x)
-        by_t = {}
-        for slot, view, s in terms:
-            _into(b, x[slot], view, -s)
-            for m, u in var[slot]:
-                for t, c in view[m]:
-                    by_t.setdefault(t, [0] * len(cells))[u] += s * c
-        for q, c in w:
-            for t, u in var[q]:
-                by_t.setdefault(t, [0] * len(cells))[u] -= c
-        if not by_t and not any(b):
-            continue
-        for t in range(n):
-            row = (*by_t.get(t, [0] * len(cells)), b[t])
-            if any(row) and row not in seen:
-                seen.add(row)
-                yield row
-                if not any(row[:-1]):
-                    return
+    # both rules' structures first: a missing one raises before any row
+    for rule, structures in [(rule, _structures(B, reads)) for _, rule, reads in _RULES]:
+        # the w view's known part, and per e_q the (t, u, coefficient) of its unknowns
+        view = _w_view(x, structures)
+        w_var = [[(t, u, s * d) for slot, rows, s in _w_terms(q, unit, structures)
+                  for m, u in var[slot] for t, d in rows[m]] for q in range(n)]
+        for _, terms, w in rule(par, r, *structures):
+            # b: minus the known part of the rule
+            b, by_t = _into([0] * n, w, view, -1), {}
+            for slot, rows, s in terms:
+                _into(b, x[slot], rows, -s)
+                for m, u in var[slot]:
+                    for t, d in rows[m]:
+                        by_t.setdefault(t, [0] * width)[u] += s * d
+            for q, c in w:
+                for t, u, d in w_var[q]:
+                    by_t.setdefault(t, [0] * width)[u] += c * d
+            if not by_t and not any(b):
+                continue
+            for t in range(n):
+                row = (*by_t.get(t, [0] * width), b[t])
+                if any(row) and row not in seen:
+                    seen.add(row)
+                    yield row
+                    if not any(row[:-1]):
+                        return
 
 
 def _flatten(values, cells, n):
@@ -207,16 +181,11 @@ def check_pseudo(B, pair):
     """
     if pair.space != B.space:
         raise GradingError("pair lives outside the algebra")
-    n = B.space.dim
     lab = B.space.labels
     x = pair.operator.columns + (_sparse(pair.companion.coords),)
-    witnesses = []
-    for axiom, at, terms, w in _rules(B, pair.degree):
-        acc = _into([0] * n, w, x, -1)
-        for slot, view, s in terms:
-            _into(acc, x[slot], view, s)
-        if any(acc):
-            witnesses.append(Witness(axiom, tuple(lab[i] for i in at), _vector(B.space, acc)))
+    witnesses = [Witness(axiom, tuple(lab[i] for i in at), _vector(B.space, acc))
+                 for axiom, rule, reads in _RULES for at, acc in _rule_defects(
+                     B.space, rule, _structures(B, reads), [((), pair.degree, x)])]
     subject = "pair of degree %d on %s" % (pair.degree, B.name)
     return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
 

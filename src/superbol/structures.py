@@ -13,6 +13,11 @@ Defect conventions:
 * equational axioms (Malcev, Nambu, product rule, morphism) report
   RHS - LHS.
 
+Nambu and the product rule are the pseudo-derivation rules evaluated on
+the inner pairs: D_{x,y} = [x, y, .] derives the triple product, and
+(D_{x,y}, x.y) the binary one.  The rules are written once, below, for
+this checker, envelope.check_pseudo and the pair-space solvers.
+
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
 and L^2*T.  Every identity is homogeneous when a binary constant has
@@ -31,10 +36,10 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
-                     _sparse, _SparseValue, _vector, sign)
+                     _sparse, _SparseValue, _unit, _vector, sign)
 from .linalg import Subspace, nullspace, span_reduce
 
 KINDS = ("lie", "malcev", "supertriple", "lie_supertriple", "bol")
@@ -199,6 +204,15 @@ class TernaryStructure(_Structure):
     def mid(self):
         return tuple(tuple(zip(*plane)) for plane in self.entries)
 
+    @cached_property
+    def reach(self):
+        """The (i, j, k), in order, sharing two slots with a nonzero product: where
+        the terms of the triple rule below can be nonzero for some pair."""
+        every, cells = range(self.space.dim), self.cells()
+        return tuple(sorted({(i, j, m) for i, j in {at[:2] for at in cells} for m in every}
+                            | {(i, m, k) for i, k in {at[::2] for at in cells} for m in every}
+                            | {(m, j, k) for j, k in {at[1:] for at in cells} for m in every}))
+
 
 @dataclass(frozen=True)
 class AlgebraDef:
@@ -292,21 +306,25 @@ def _sweep_ternary_skew(space, ts):
     return _skew(space, ts, "triple-skew")
 
 
-def _sweep_super_jacobi(space, bs):
-    n, par, lab = space.dim, space.parities, space.labels
+def _jacobi_sums(space, bs, w1, w2, w3):
+    """((i, j, k), acc) wherever a term of the super Jacobi cyclic sum can be
+    nonzero, acc the dense w1 [[e_i,e_j],e_k] + w2 (-1)^{i(j+k)} [[e_j,e_k],e_i]
+    + w3 (-1)^{k(i+j)} [[e_k,e_i],e_j]."""
+    n, par = space.dim, space.parities
     E, col = bs.entries, bs.col
-    for i in range(n):
-        pi = par[i]
-        for j in range(n):
-            pj = par[j]
-            for k in range(n):
-                pk = par[k]
-                if E[i][j] or E[j][k] or E[k][i]:
-                    acc = _into([0] * n, E[i][j], col[k])
-                    _into(acc, E[j][k], col[i], sign(pi * (pj + pk)))
-                    _into(acc, E[k][i], col[j], sign(pk * (pi + pj)))
-                    if any(acc):
-                        yield Witness("jacobi", (lab[i], lab[j], lab[k]), _vector(space, acc))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if E[i][j] or E[j][k] or E[k][i]:
+            acc = _into([0] * n, E[i][j], col[k], w1)
+            _into(acc, E[j][k], col[i], w2 * sign(par[i] * (par[j] + par[k])))
+            _into(acc, E[k][i], col[j], w3 * sign(par[k] * (par[i] + par[j])))
+            yield (i, j, k), acc
+
+
+def _sweep_super_jacobi(space, bs):
+    lab = space.labels
+    for at, acc in _jacobi_sums(space, bs, 1, 1, 1):
+        if any(acc):
+            yield Witness("jacobi", tuple(lab[t] for t in at), _vector(space, acc))
 
 
 def _sweep_malcev(space, bs):
@@ -367,59 +385,98 @@ def _sweep_ternary_jacobi(space, ts):
             yield Witness("triple-jacobi", (lab[i], lab[j], lab[k]), _vector(space, acc))
 
 
-def _sweep_nambu(space, ts):
-    # D = D_{i,j} = [e_i, e_j, .] must be a superderivation of the triple
-    n, par, lab = space.dim, space.parities, space.labels
-    E, first, mid = ts.entries, ts.first, ts.mid
-    for i in range(n):
-        for j in range(n):
-            D = E[i][j]
-            if not any(D):
-                continue
-            pij = par[i] + par[j]
-            for u in range(n):
-                pu = par[u]
-                Du, Eu, mid_u = D[u], E[u], mid[u]
-                s1 = sign(pu * pij)
-                for v in range(n):
-                    Dv, Euv, first_v = D[v], Eu[v], first[v]
-                    s2 = sign(pij * (pu + par[v]))
-                    for w in range(n):
-                        acc = _into([0] * n, Du, first_v[w])
-                        _into(acc, Dv, mid_u[w], s1)
-                        _into(acc, D[w], Euv, s2)
-                        _into(acc, Euv[w], D, -1)
-                        if any(acc):
-                            yield Witness("nambu", (lab[i], lab[j], lab[u], lab[v], lab[w]),
-                                          _vector(space, acc))
+# the pseudo-derivation rules.  A degree-r pair (P, a) derives the ternary
+# product (the triple rule) and, with its companion, the binary one (the
+# product rule).  Each rule yields (at, terms, w) for the basis tuples `at`
+# some term can reach; the defect RHS - LHS there is the sum of
+# s * x[slot] through view over the three (slot, view, s) in terms, plus w
+# through the pair's w view, where x[m] is P e_m for m < n and x[n] is a,
+# all sparse.
 
 
-def _sweep_product_rule(space, bs, ts):
-    # the ternary bracket D = [x,y,.] acts on a binary product u.v the way
-    # a pseudo superderivation with companion x.y does
-    n, par, lab = space.dim, space.parities, space.labels
-    Eb, col, Et = bs.entries, bs.col, ts.entries
+def _triple_rule(par, r, ts):
+    # [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k]
+    E, first, mid, sg = ts.entries, ts.first, ts.mid, (1, sign(r))
+    for at in ts.reach:
+        i, j, k = at
+        yield at, ((i, first[j][k], 1), (j, mid[i][k], sg[par[i]]),
+                   (k, E[i][j], sg[par[i] ^ par[j]])), E[i][j][k]
+
+
+def _product_rule(par, r, bs, ts):
+    # [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j)
+    n, Eb, col, Et, sg = len(par), bs.entries, bs.col, ts.entries, (1, sign(r))
     for i in range(n):
         for j in range(n):
-            D, xy = Et[i][j], Eb[i][j]
-            if not xy and not any(D):
-                continue
-            pij = par[i] + par[j]
-            # the two terms acting on u.v, as one row view:
-            # [x.y, e_m] - D(e_m) for every m
-            act = [_sparse(_into(_into([0] * n, xy, col[m]), ((m, 1),), D, -1))
-                   for m in range(n)]
-            for u in range(n):
-                pu = par[u]
-                s1 = sign(pu * pij)
-                for v in range(n):
-                    acc = _into([0] * n, D[v], Eb[u], s1)
-                    _into(acc, D[u], col[v])
-                    _into(acc, xy, Et[u][v], sign(pij * (pu + par[v])))
-                    _into(acc, Eb[u][v], act)
-                    if any(acc):
-                        yield Witness("product-rule", (lab[i], lab[j], lab[u], lab[v]),
-                                      _vector(space, acc))
+            yield (i, j), ((i, col[j], 1), (j, Eb[i], sg[par[i]]),
+                           (n, Et[i][j], sg[par[i] ^ par[j]])), Eb[i][j]
+
+
+# each rule with check_pseudo's name for it and the structures it takes after r
+_RULES = (("derives-triple", _triple_rule, ("ternary",)),
+          ("derives-product", _product_rule, ("binary", "ternary")))
+
+
+def _w_terms(m, unit, structures):
+    """The w view at e_m as (slot, view, s) terms: -P e_m, plus [a, e_m] for
+    the rule that reads the binary product, through which a acts."""
+    if len(structures) == 1:
+        return ((m, unit, -1),)
+    return ((m, unit, -1), (len(unit), structures[0].col[m], 1))
+
+
+def _w_view(x, structures):
+    """The w view of the pair x, folded: view[m] sums the w terms at e_m."""
+    n = len(x) - 1
+    unit, view = _unit(n), [[0] * n for _ in range(n)]
+    for m, acc in enumerate(view):
+        for slot, rows, s in _w_terms(m, unit, structures):
+            _into(acc, x[slot], rows, s)
+    return [_sparse(acc) for acc in view]
+
+
+def _rule_defects(space, rule, structures, pairs):
+    """The nonzero defects of one rule on each (key, r, x) of pairs, a
+    degree-r pair with x as above: (key + at, acc) in order, acc dense.
+    The tuples are listed once per degree, the w view folded once per pair."""
+    n, listed = space.dim, {}
+    for key, r, x in pairs:
+        if not any(x):
+            continue    # a zero pair derives everything
+        if r not in listed:
+            listed[r] = list(rule(space.parities, r, *structures))
+        view = _w_view(x, structures)
+        for at, ((i, vi, si), (j, vj, sj), (k, vk, sk)), w in listed[r]:
+            xi, xj, xk = x[i], x[j], x[k]
+            if not (w or xi or xj or xk):
+                continue    # no term reaches the pair
+            acc = _into([0] * n, w, view)
+            if xi:
+                _into(acc, xi, vi, si)
+            if xj:
+                _into(acc, xj, vj, sj)
+            if xk:
+                _into(acc, xk, vk, sk)
+            if any(acc):
+                yield key + at, acc
+
+
+def _structures(A, reads):
+    """A's structures named in reads, in order; a missing one raises."""
+    for what in reads:
+        if getattr(A, what) is None:
+            raise StructureError("%s has no %s structure" % (A.name, what))
+    return tuple(getattr(A, what) for what in reads)
+
+
+def _inner_witnesses(axiom, rule, space, *structures):
+    # the rule on every inner pair (D_{i,j}, e_i.e_j), i and j first
+    n, par, lab = space.dim, space.parities, space.labels
+    Et, Eb = structures[-1].entries, structures[0].entries if len(structures) == 2 else None
+    pairs = (((i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),))
+             for i, j in itertools.product(range(n), repeat=2))
+    for at, acc in _rule_defects(space, rule, structures, pairs):
+        yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
 
 
 # every sweep with the structures it reads and the weight of its identity,
@@ -431,8 +488,9 @@ _SWEEPS = {
     "malcev": (_sweep_malcev, ("binary",), 3),
     "triple-skew": (_sweep_ternary_skew, ("ternary",), 2),
     "triple-jacobi": (_sweep_ternary_jacobi, ("ternary",), 2),
-    "nambu": (_sweep_nambu, ("ternary",), 4),
-    "product-rule": (_sweep_product_rule, ("binary", "ternary"), 3),
+    "nambu": (partial(_inner_witnesses, "nambu", _triple_rule), ("ternary",), 4),
+    "product-rule": (partial(_inner_witnesses, "product-rule", _product_rule),
+                     ("binary", "ternary"), 3),
 }
 _SYSTEMS = {
     "lie": ("skew", "jacobi"),
@@ -471,9 +529,8 @@ def check_axioms(A, kind):
         raise ValueError("unknown axiom system %r" % (kind,))
     if kind in A._reports:
         return A._reports[kind]
-    for what in ("binary", "ternary"):
-        if getattr(A, what) is None and any(what in _SWEEPS[axiom][1] for axiom in _SYSTEMS[kind]):
-            raise StructureError("%s has no %s structure" % (A.name, what))
+    _structures(A, [what for what in ("binary", "ternary")
+                    if any(what in _SWEEPS[axiom][1] for axiom in _SYSTEMS[kind])])
     L, lifted = A._lifted
     witnesses = []
     for axiom in _SYSTEMS[kind]:

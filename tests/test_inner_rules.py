@@ -1,0 +1,117 @@
+"""Nambu and the product rule are the pseudo-derivation rules on the inner pairs.
+
+A Bol algebra's Nambu identity says that D_{x,y} derives the triple
+product, and its product rule that (D_{x,y}, x.y) derives the binary
+product.  So the `nambu` and `product-rule` witnesses of check_axioms at
+(e_i, e_j, ...) must be exactly the `derives-triple` and
+`derives-product` witnesses of check_pseudo on inner_pair(B, e_i, e_j)
+at the remaining indices: same tuples, same order, same defects.  This
+holds whether the identities pass or fail, on tables swept as they are
+and on lifted ones (a denominator in either table).
+
+It also holds the clean error of the pair functions on an algebra that
+lacks one of the two structures, and the Bol check of a 64-label file
+with one binary and one ternary product.
+"""
+
+import random
+
+import pytest
+
+import superbol as sb
+from test_reference import LIFTED, POOL, mutate
+
+BOLS = [A for A in POOL if A.binary is not None and A.ternary is not None
+        and sb.check_axioms(A, "bol").passed]
+RULES = (("nambu", "derives-triple"), ("product-rule", "derives-product"))
+
+
+def inner_rule_witnesses(B):
+    """The witnesses check_pseudo reports on every inner pair of basis
+    vectors, named and placed as check_axioms names and places them."""
+    basis, lab = B.space.basis(), B.space.labels
+    out = {axiom: [] for axiom, _ in RULES}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            report = sb.check_pseudo(B, sb.inner_pair(B, x, y))
+            for axiom, rule in RULES:
+                out[axiom] += [(axiom, (lab[i], lab[j]) + w.at, w.defect)
+                               for w in report.witnesses if w.axiom == rule]
+    return out
+
+
+def assert_rules_on_inner_pairs(B):
+    report = sb.check_axioms(B, "bol")
+    expected = inner_rule_witnesses(B)
+    for axiom, _ in RULES:
+        assert [(w.axiom, w.at, w.defect) for w in report.witnesses
+                if w.axiom == axiom] == expected[axiom], (B.name, axiom)
+    return {axiom for axiom, found in expected.items() if found}
+
+
+def failing_mutants(pool, lifted):
+    """Mutants of the pool on which both identities fail, one per pool
+    algebra where the first 200 seeds find one."""
+    out = []
+    for index, A in enumerate(pool):
+        for seed in range(200):
+            M = mutate(A, random.Random(1000 * index + seed))
+            axioms = {w.axiom for w in sb.check_axioms(M, "bol").witnesses}
+            if {"nambu", "product-rule"} <= axioms and (M._lifted[0] > 1) == lifted:
+                out.append(M)
+                break
+    return out
+
+
+def test_catalog_and_derived_bol_algebras():
+    assert {B.name for B in BOLS} >= {"L2_2_2_bol", "L2_3_1_bol", "bol(osp12)"}
+    for B in BOLS:
+        assert assert_rules_on_inner_pairs(B) == set(), B.name
+
+
+def test_lifted_bol_algebras():
+    for B in LIFTED:
+        assert B._lifted[0] > 1
+        assert assert_rules_on_inner_pairs(B) == set(), B.name
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_mutants_failing_both_identities(lifted):
+    mutants = failing_mutants(LIFTED if lifted else BOLS, lifted)
+    assert len(mutants) >= 3
+    for M in mutants:
+        assert assert_rules_on_inner_pairs(M) == {"nambu", "product-rule"}, M.name
+
+
+MISSING = [("L2_2_2_malcev", "ternary"), ("lts(aff2_lie)", "binary")]
+
+
+@pytest.mark.parametrize("name, missing", MISSING)
+def test_pair_functions_need_both_structures(name, missing):
+    A = (sb.catalog.load(name) if name in sb.catalog.keys()
+         else sb.lie_to_supertriple(sb.catalog.load("aff2_lie")))
+    assert A.name == name
+    identity = sb.GradedMap.identity(A.space)
+    message = "%s has no %s structure" % (name, missing)
+    for call in (lambda: sb.check_pseudo(A, sb.PseudoDerivationPair(identity, A.space.zero())),
+                 lambda: sb.companion_space(A, identity),
+                 lambda: sb.ps_space(A)):
+        with pytest.raises(sb.StructureError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_bol_check_of_a_64_label_file_with_one_product_each():
+    even = " ".join("a%d" % i for i in range(40))
+    odd = " ".join("b%d" % i for i in range(24))
+    A = sb.parse_algebra("name one64\neven %s\nodd %s\nbinary [a0,a1] = a2\n"
+                         "ternary [a0,a1,a2] = a3\n" % (even, odd))
+    report = sb.check_axioms(A, "bol")
+    assert [(w.axiom, w.at, str(w.defect)) for w in report.witnesses] == [
+        ("triple-jacobi", ("a0", "a1", "a2"), "a3"),
+        ("triple-jacobi", ("a0", "a2", "a1"), "-a3"),
+        ("triple-jacobi", ("a1", "a0", "a2"), "-a3"),
+        ("triple-jacobi", ("a1", "a2", "a0"), "a3"),
+        ("triple-jacobi", ("a2", "a0", "a1"), "a3"),
+        ("triple-jacobi", ("a2", "a1", "a0"), "-a3"),
+    ]
