@@ -7,6 +7,8 @@ which is the representation used for spans and membership tests.  The
 triple rule and the product rule that define the pseudo superderivation
 pairs are written once, in `structures`: check_pseudo runs them through
 the Bol checker's evaluator, companion_space and ps_space solve them.
+The inner pairs of the basis are read off the tables, as the Bol checker
+reads them (`structures._inner_pairs`); inner_pair is for any two vectors.
 
 The enveloping algebra of a Bol algebra B over a pair space H >= IPS(B)
 is B + H with
@@ -33,8 +35,8 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _
 from .linalg import (AffineSubspace, _span_coordinates, nullspace, rref,
                      solve_affine, span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, _rule_defects, _structures, _w_terms,
-                         _w_view, require_axioms)
+                         StructureError, Witness, _inner_pairs, _rule_defects, _structures,
+                         _w_terms, _w_view, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -103,17 +105,23 @@ def inner_pair(B, x, y):
     if x.space != B.space or y.space != B.space:
         raise GradingError("arguments live outside the algebra")
     deg = (x.parity_or(0) + y.parity_or(0)) % 2
-    if B.ternary is None:
-        raise StructureError("%s has no ternary product" % B.name)
+    bs, ts = _structures(B, ("binary", "ternary"))
     # column m is D_{x,y}(e_m): y through the middle-slot view of each x_a e_a
-    n, mid, xs, ys = B.space.dim, B.ternary.mid, _sparse(x.coords), _sparse(y.coords)
+    n, mid, xs, ys = B.space.dim, ts.mid, _sparse(x.coords), _sparse(y.coords)
     cols = []
     for m in range(n):
         acc = [0] * n
         for a, c in xs:
             _into(acc, ys, mid[a][m], c)
         cols.append(_exact(acc))
-    return PseudoDerivationPair(GradedMap._of(B.space, deg, tuple(cols)), B.product(x, y))
+    return PseudoDerivationPair(GradedMap._of(B.space, deg, tuple(cols)), bs.eval(x, y))
+
+
+def _basis_inner_pairs(B):
+    """((i, j), inner_pair(B, e_i, e_j)) for every (i, j) in order, read off the tables."""
+    for at, degree, x in _inner_pairs(B.space, *_structures(B, ("binary", "ternary"))):
+        yield at, PseudoDerivationPair(GradedMap._of(B.space, degree, x[:-1]),
+                                       SuperVector(B.space, _dense(x[-1], B.space.dim)))
 
 
 def pair_bracket(B, p, q):
@@ -235,7 +243,8 @@ class PairSpace:
         for p in pairs:
             if p.space != algebra.space:
                 raise GradingError("pair lives outside the algebra")
-        reduced, pivots = rref([p.flatten() for p in pairs])
+        # a zero pair spans nothing
+        reduced, pivots = rref([p.flatten() for p in pairs if p._entries()])
         basis = tuple(PseudoDerivationPair.from_flat(algebra.space, row) for row in reduced)
         sparse_rows = tuple(map(_sparse, reduced))
         brackets = []
@@ -279,22 +288,14 @@ def ips_space(B, K=None):
     With K given (a graded subspace), one leg runs over K's basis in
     both orders; the span is the same either way by skew-symmetry.
     """
-    basis = B.space.basis()
-    pairs = []
     if K is None:
-        for x in basis:
-            for y in basis:
-                pairs.append(inner_pair(B, x, y))
-    else:
-        if K.space != B.space:
-            raise GradingError("K is not a subspace of B")
-        if not K.is_graded():
-            raise GradingError("K is not graded")
-        for x in basis:
-            for k in K.basis:
-                pairs.append(inner_pair(B, x, k))
-                pairs.append(inner_pair(B, k, x))
-    return PairSpace.from_pairs(B, pairs)
+        return PairSpace.from_pairs(B, [p for _, p in _basis_inner_pairs(B)])
+    if K.space != B.space:
+        raise GradingError("K is not a subspace of B")
+    if not K.is_graded():
+        raise GradingError("K is not graded")
+    return PairSpace.from_pairs(B, [p for x in B.space.basis() for k in K.basis
+                                    for p in (inner_pair(B, x, k), inner_pair(B, k, x))])
 
 
 def ps_space(B):
@@ -317,8 +318,7 @@ def ps_space(B):
         for vec in nullspace(rows, len(cells)):
             all_pairs.append(PseudoDerivationPair.from_flat(B.space, _flatten(vec, cells, n)))
     out = PairSpace.from_pairs(B, all_pairs)
-    basis = B.space.basis()
-    if not all(out.contains(inner_pair(B, x, y)) for x in basis for y in basis):
+    if not all(out.contains(p) for _, p in _basis_inner_pairs(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
     return out
 
@@ -343,16 +343,14 @@ class EnvelopingLieSuperalgebra:
         return SuperVector(self.lie.space, v.coords + (0,) * self.pairs.dim)
 
 
-def _fresh_labels(taken, count, stem="h"):
+def _fresh_labels(taken, count):
+    # h1, h2, ..., primed past a taken label; stripped of primes they differ
     labels = []
-    i = 1
-    while len(labels) < count:
-        cand = "%s%d" % (stem, i)
+    for i in range(1, count + 1):
+        cand = "h%d" % i
         while cand in taken:
             cand += "'"
         labels.append(cand)
-        taken = taken + (cand,)
-        i += 1
     return tuple(labels)
 
 
@@ -369,9 +367,8 @@ def enveloping(B, H=None):
     elif H.algebra != B:
         raise GradingError("H was built over a different algebra")
     nb = B.space.dim
-    nh = H.dim
     parities = B.space.parities + tuple(p.degree for p in H.basis)
-    labels = B.space.labels + _fresh_labels(B.space.labels, nh)
+    labels = B.space.labels + _fresh_labels(B.space.labels, H.dim)
     space = SuperSpace(parities, labels)
 
     # base coordinates keep their indices, H coordinates shift by nb
@@ -379,14 +376,12 @@ def enveloping(B, H=None):
         return tuple((nb + m, rat(c)) for m, c in enumerate(coords) if c)
 
     cells = {}
-    bbasis = B.space.basis()
-    for i in range(nb):
-        for j in range(nb):
-            coords = H.coordinates_of(inner_pair(B, bbasis[i], bbasis[j]))
-            if coords is None:
-                raise EnvelopeError("inner pair (%s, %s) does not lie in H"
-                                    % (space.labels[i], space.labels[j]))
-            cells[i, j] = shifted(coords)
+    for (i, j), pair in _basis_inner_pairs(B):
+        coords = H.coordinates_of(pair)
+        if coords is None:
+            raise EnvelopeError("inner pair (%s, %s) does not lie in H"
+                                % (space.labels[i], space.labels[j]))
+        cells[i, j] = shifted(coords)
     for m, p in enumerate(H.basis):
         for j, col in enumerate(p.operator.columns):
             s = -sign(p.degree * B.space.parities[j])
@@ -411,7 +406,6 @@ def ideal_envelope(B, K, env=None):
         raise StructureError("K is not an ideal of %s" % B.name)
     if env is None:
         env = enveloping(B)
-    nh = env.pairs.dim
     vectors = [env.embed_base(v) for v in K.basis]
     for pair in ips_space(B, K).basis:
         coords = env.pairs.coordinates_of(pair)

@@ -29,10 +29,8 @@ def _integral(row):
                 x = x if type(x) is Fraction else rat(x)
                 if x.denominator != 1:
                     den = lcm(den, x.denominator)
-                elif x:
-                    x = x.numerator
                 else:
-                    continue
+                    x = x.numerator
             cells[c] = x
     if den > 1:
         cells = {c: x * den if type(x) is int else x.numerator * (den // x.denominator)

@@ -16,7 +16,9 @@ Defect conventions:
 Nambu and the product rule are the pseudo-derivation rules evaluated on
 the inner pairs: D_{x,y} = [x, y, .] derives the triple product, and
 (D_{x,y}, x.y) the binary one.  The rules are written once, below, for
-this checker, envelope.check_pseudo and the pair-space solvers.
+this checker, envelope.check_pseudo and the pair-space solvers.  The
+inner pairs of the basis are read off the tables by one generator,
+`_inner_pairs`, for this checker, ips_space, ps_space and enveloping.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
@@ -129,7 +131,12 @@ class _Structure(_SparseValue):
         return _densified(self.entries, self.space.dim, self.ARITY)
 
     def cells(self):
-        """{index tuple: entry} of the nonzero products, in lexicographic order."""
+        """{index tuple: entry} of the nonzero products, in lexicographic order,
+        built once per structure object: callers only read it."""
+        return self._cells
+
+    @cached_property
+    def _cells(self):
         leaves = self.entries
         for _ in range(self.ARITY - 1):
             leaves = [entry for block in leaves for entry in block]
@@ -244,14 +251,10 @@ class AlgebraDef:
         return dataclasses.replace(self, name=name)
 
     def product(self, x, y):
-        if self.binary is None:
-            raise StructureError("%s has no binary product" % self.name)
-        return self.binary.eval(x, y)
+        return _structures(self, ("binary",))[0].eval(x, y)
 
     def triple(self, x, y, z):
-        if self.ternary is None:
-            raise StructureError("%s has no ternary product" % self.name)
-        return self.ternary.eval(x, y, z)
+        return _structures(self, ("ternary",))[0].eval(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -469,13 +472,20 @@ def _structures(A, reads):
     return tuple(getattr(A, what) for what in reads)
 
 
-def _inner_witnesses(axiom, rule, space, *structures):
-    # the rule on every inner pair (D_{i,j}, e_i.e_j), i and j first
-    n, par, lab = space.dim, space.parities, space.labels
+def _inner_pairs(space, *structures):
+    """((i, j), degree, x) for every inner pair (D_{i,j}, e_i.e_j) of basis
+    vectors, in (i, j) order: x as in the rules, x[m] = [e_i, e_j, e_m] and
+    x[n] = e_i.e_j, or () when the structures are the ternary one alone."""
+    n, par = space.dim, space.parities
     Et, Eb = structures[-1].entries, structures[0].entries if len(structures) == 2 else None
-    pairs = (((i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),))
-             for i, j in itertools.product(range(n), repeat=2))
-    for at, acc in _rule_defects(space, rule, structures, pairs):
+    for i, j in itertools.product(range(n), repeat=2):
+        yield (i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),)
+
+
+def _inner_witnesses(axiom, rule, space, *structures):
+    # the rule on every inner pair, i and j first
+    lab = space.labels
+    for at, acc in _rule_defects(space, rule, structures, _inner_pairs(space, *structures)):
         yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
 
 

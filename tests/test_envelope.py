@@ -176,6 +176,23 @@ def test_ideal_envelope_of_span_e1():
             assert ideal.contains(env.lie.product(x, kappa))
 
 
+def test_ideal_envelope_builds_the_standard_envelope_when_none_is_given():
+    B = sb.catalog.load("L2_3_1_bol")
+    K = sb.span_reduce(B.space, [B.space.basis()[0]])
+    assert sb.ideal_envelope(B, K) == sb.ideal_envelope(B, K, sb.enveloping(B))
+
+
+def test_pair_labels_step_around_base_labels():
+    """A base label h1 pushes the first pair label to h1'; the brackets
+    are those of the envelope with the usual labels."""
+    B = sb.catalog.load("L2_3_1_bol")
+    renamed = sb.parse_algebra(sb.serialize_algebra(B).replace("e1", "h1"))
+    assert renamed.space.labels == ("h1", "e2", "e3", "e4")
+    env, usual = sb.enveloping(renamed), sb.enveloping(B)
+    assert env.lie.space.labels == ("h1", "e2", "e3", "e4", "h1'", "h2", "h3", "h4")
+    assert env.lie.binary.entries == usual.lie.binary.entries
+
+
 def test_ideal_envelope_rejects_non_ideal():
     B = sb.catalog.load("L2_3_1_bol")
     K = sb.span_reduce(B.space, [B.space.basis()[3]])  # span(e4), not closed

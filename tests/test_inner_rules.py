@@ -9,6 +9,11 @@ at the remaining indices: same tuples, same order, same defects.  This
 holds whether the identities pass or fail, on tables swept as they are
 and on lifted ones (a denominator in either table).
 
+The inner pairs of the basis are read off the tables once, for the
+checker and for ips_space, ps_space and enveloping; they must equal
+inner_pair(B, e_i, e_j), coefficient types included, and those three
+must not build them again through inner_pair.
+
 It also holds the clean error of the pair functions on an algebra that
 lacks one of the two structures, and the Bol check of a 64-label file
 with one binary and one ternary product.
@@ -19,7 +24,8 @@ import random
 import pytest
 
 import superbol as sb
-from test_reference import LIFTED, POOL, mutate
+from superbol import envelope
+from test_reference import LIFTED, POOL, even_map, mutate, transport
 
 BOLS = [A for A in POOL if A.binary is not None and A.ternary is not None
         and sb.check_axioms(A, "bol").passed]
@@ -92,10 +98,14 @@ def test_pair_functions_need_both_structures(name, missing):
          else sb.lie_to_supertriple(sb.catalog.load("aff2_lie")))
     assert A.name == name
     identity = sb.GradedMap.identity(A.space)
+    x = A.space.basis()[0]
     message = "%s has no %s structure" % (name, missing)
     for call in (lambda: sb.check_pseudo(A, sb.PseudoDerivationPair(identity, A.space.zero())),
                  lambda: sb.companion_space(A, identity),
-                 lambda: sb.ps_space(A)):
+                 lambda: sb.ps_space(A),
+                 lambda: sb.ips_space(A),
+                 lambda: sb.inner_pair(A, x, x),
+                 lambda: A.product(x, x) if missing == "binary" else A.triple(x, x, x)):
         with pytest.raises(sb.StructureError) as err:
             call()
         assert str(err.value) == message
@@ -115,3 +125,53 @@ def test_bol_check_of_a_64_label_file_with_one_product_each():
         ("triple-jacobi", ("a2", "a0", "a1"), "a3"),
         ("triple-jacobi", ("a2", "a1", "a0"), "-a3"),
     ]
+
+
+def typed_pair(p):
+    return (p.degree, [[(t, type(c), c) for t, c in col] for col in p.operator.columns],
+            [(type(c), c) for c in p.companion.coords])
+
+
+def test_inner_pairs_read_off_the_tables_equal_inner_pair():
+    """On the catalog and derived Bol algebras (bol(osp(1|2)) among them),
+    a dense re-basing and the inputs with Fraction constants."""
+    osp_bol = next(B for B in BOLS if B.name == "bol(osp12)")
+    dense = transport(osp_bol, even_map(osp_bol.space, random.Random(5)))
+    assert any(type(c) is not int for B in LIFTED for e in B.ternary.cells().values()
+               for _, c in e)
+    for B in BOLS + LIFTED + [dense]:
+        n, basis = B.space.dim, B.space.basis()
+        read = list(envelope._basis_inner_pairs(B))
+        assert [at for at, _ in read] == [(i, j) for i in range(n) for j in range(n)]
+        for (i, j), pair in read:
+            built = sb.inner_pair(B, basis[i], basis[j])
+            assert pair == built, (B.name, i, j)
+            assert typed_pair(pair) == typed_pair(built), (B.name, i, j)
+
+
+def test_pair_spaces_and_the_envelope_call_no_inner_pair(monkeypatch):
+    calls = []
+    inner_pair = envelope.inner_pair
+    monkeypatch.setattr(envelope, "inner_pair", lambda *a: calls.append(a) or inner_pair(*a))
+    for key in ("L2_2_2_bol", "L2_3_1_bol"):
+        B = sb.catalog.load(key)
+        sb.ips_space(B)
+        sb.enveloping(B, sb.ps_space(B))
+        sb.enveloping(B)
+    assert calls == []
+    # the wrapper sees the calls ips_space makes over a subspace K
+    B = sb.catalog.load("L2_3_1_bol")
+    sb.ips_space(B, sb.span_reduce(B.space, B.space.basis()[:1]))
+    assert calls
+
+
+def test_ips_space_of_a_zero_algebra_flattens_no_pair(monkeypatch):
+    flattened = []
+    flatten = sb.PseudoDerivationPair.flatten
+    monkeypatch.setattr(sb.PseudoDerivationPair, "flatten",
+                        lambda p: flattened.append(p) or flatten(p))
+    B = sb.catalog.load("abelian_64_0")
+    H = sb.ips_space(B)
+    assert (H.dim, H.rows, H.brackets, flattened) == (0, (), (), [])
+    sb.ips_space(sb.catalog.load("L2_3_1_bol"))
+    assert flattened

@@ -1,0 +1,136 @@
+"""Every input check of the library raises its own exception and message.
+
+One row per check, each of them one that the rest of the suite never
+reaches: a malformed space, vector, map, form, table, pair, file or key,
+or two objects that live on different spaces.  The consistency checks
+that guard the constructions themselves (an inner pair escaping a pair
+space, an ideal envelope that is no ideal) are not input checks and have
+no row; the Lie re-check of every envelope and the closure check of every
+pair space run on each construction elsewhere.
+"""
+
+import pytest
+
+import superbol as sb
+from superbol.structures import AlgebraDef, BinaryStructure
+
+B = sb.catalog.load("L2_3_1_bol")    # even e1 e2 e3, odd e4
+SPACE = B.space
+OTHER = sb.SuperSpace.even_first(("a", "b"), ("c", "d"))
+E1, E4 = SPACE.basis()[0], SPACE.basis()[3]
+X = OTHER.basis()[0]
+ID, ID_OTHER = sb.GradedMap.identity(SPACE), sb.GradedMap.identity(OTHER)
+ZERO = ((0,) * 4,) * 4
+
+
+CASES = [
+    # graded
+    ("space lengths", lambda: sb.SuperSpace((0, 1), ("a",)), sb.GradingError,
+     "parities and labels must have equal length"),
+    ("space parity", lambda: sb.SuperSpace((0, 2), ("a", "b")), sb.GradingError,
+     "parities must be 0 or 1"),
+    ("space labels", lambda: sb.SuperSpace((0, 0), ("a", "a")), sb.GradingError,
+     "basis labels must be distinct"),
+    ("unknown label", lambda: SPACE.index_of("zz"), KeyError, "unknown basis label 'zz'"),
+    ("vector length", lambda: SPACE.vector((1, 2)), sb.GradingError,
+     "expected 4 coordinates, got 2"),
+    ("vector spaces", lambda: E1 + X, sb.GradingError, "vectors live in different spaces"),
+    ("map shape", lambda: sb.GradedMap(SPACE, 0, ((1,),)), sb.GradingError,
+     "matrix must be 4 x 4"),
+    ("map degree", lambda: sb.GradedMap(SPACE, 2, ZERO), sb.GradingError,
+     "degree must be 0 or 1"),
+    ("map columns", lambda: sb.GradedMap.from_columns(SPACE, 0, [[0]]), sb.GradingError,
+     "matrix must be 4 x 4"),
+    ("map argument", lambda: ID(X), sb.GradingError, "vector lives in a different space"),
+    ("compose spaces", lambda: ID.compose(ID_OTHER), sb.GradingError,
+     "maps live on different spaces"),
+    ("add degrees", lambda: ID + sb.GradedMap.zero(SPACE, 1), sb.GradingError,
+     "maps must share space and degree to add"),
+    ("commutator spaces", lambda: sb.graded_commutator(ID, ID_OTHER), sb.GradingError,
+     "maps live on different spaces"),
+    # linalg
+    ("no equations", lambda: sb.solve_affine([], []), ValueError,
+     "no equations: unknown count is undetermined"),
+    ("affine length", lambda: sb.solve_affine([[1, 0]], [1]).contains((1,)), ValueError,
+     "coordinate length mismatch"),
+    ("subspace vector", lambda: sb.whole_space(SPACE).coordinates_of(X), sb.GradingError,
+     "vector lives in a different space"),
+    ("subspace sum", lambda: sb.whole_space(SPACE).sum_with(sb.whole_space(OTHER)),
+     sb.GradingError, "subspaces of different spaces"),
+    ("span vectors", lambda: sb.span_reduce(SPACE, [E1, X]), sb.GradingError,
+     "vector lives in a different space"),
+    # forms
+    ("gram shape", lambda: sb.BilinearForm(SPACE, ((0,),)), sb.GradingError,
+     "gram matrix must be 4 x 4"),
+    ("form argument", lambda: sb.BilinearForm(SPACE, ZERO).evaluate(E1, X), sb.GradingError,
+     "vector lives in a different space"),
+    ("invariance form", lambda: sb.check_invariant(B, sb.BilinearForm(OTHER, ZERO)),
+     sb.GradingError, "form lives on a different space"),
+    ("orthogonal subspace", lambda: sb.orthogonal(sb.BilinearForm(SPACE, ZERO),
+                                                  sb.whole_space(OTHER)),
+     sb.GradingError, "subspace lives on a different space"),
+    # algfile and catalog
+    ("file without labels", lambda: sb.parse_algebra("name x\neven\n"), sb.ParseError,
+     "line 2, col 5: expected at least one label"),
+    ("label outside the grammar", lambda: sb.serialize_algebra(
+        AlgebraDef("x", sb.SuperSpace((0,), ("a-b",)),
+                   binary=BinaryStructure.from_products(sb.SuperSpace((0,), ("a-b",)), {}))),
+     ValueError, "label 'a-b' does not fit the file grammar"),
+    ("empty abelian key", lambda: sb.catalog.load("abelian_0_0"), ValueError,
+     "abelian algebra needs at least one basis element"),
+    # structures
+    ("product length", lambda: BinaryStructure.from_products(SPACE, {(0, 1): (1,)}),
+     sb.StructureError, "product [e1,e2]: expected 4 coordinates"),
+    ("table shape", lambda: BinaryStructure(SPACE, ((),)), sb.StructureError,
+     "binary table must be 4 x 4"),
+    ("eval arity", lambda: B.binary.eval(E1), TypeError, "binary product takes 2 arguments"),
+    ("no structure", lambda: AlgebraDef("x", SPACE), sb.StructureError,
+     "an algebra needs at least one structure"),
+    ("structure space", lambda: AlgebraDef("x", OTHER, binary=B.binary), sb.StructureError,
+     "structure lives on a different space"),
+    ("classify space", lambda: sb.classify_subspace(B, sb.whole_space(OTHER)),
+     sb.GradingError, "V must be a subspace of A's space"),
+    ("classify grading", lambda: sb.classify_subspace(B, sb.span_reduce(SPACE, [E1 + E4])),
+     sb.GradingError, "subspace is not graded"),
+    ("odd morphism", lambda: sb.check_morphism(sb.GradedMap.zero(SPACE, 1), B, B),
+     sb.GradingError, "a morphism must be even"),
+    ("morphism domain", lambda: sb.check_morphism(ID_OTHER, B, B), sb.GradingError,
+     "f is not defined on A's space"),
+    ("morphism parities", lambda: sb.check_morphism(ID, B, sb.catalog.load("L2_2_2_bol")),
+     sb.GradingError, "A and B have different parity signatures"),
+    ("morphism kinds", lambda: sb.check_morphism(ID, B, AlgebraDef("b", SPACE, B.binary)),
+     sb.StructureError, "A and B carry different structure kinds"),
+    # envelope
+    ("companion space", lambda: sb.PseudoDerivationPair(ID, X), sb.GradingError,
+     "companion lives in a different space"),
+    ("flat length", lambda: sb.PseudoDerivationPair.from_flat(SPACE, (0,) * 3),
+     sb.GradingError, "flattened pair must have length 20"),
+    ("flat degrees", lambda: sb.PseudoDerivationPair.from_flat(
+        SPACE, (1,) + (0,) * 2 + (1,) + (0,) * 16), sb.GradingError,
+     "flattened pair mixes degrees"),
+    ("inner pair vectors", lambda: sb.inner_pair(B, X, E1), sb.GradingError,
+     "arguments live outside the algebra"),
+    ("checked pair", lambda: sb.check_pseudo(B, sb.PseudoDerivationPair(ID_OTHER, X)),
+     sb.GradingError, "pair lives outside the algebra"),
+    ("spanned pair", lambda: sb.PairSpace.from_pairs(B, [sb.PseudoDerivationPair(ID_OTHER, X)]),
+     sb.GradingError, "pair lives outside the algebra"),
+    ("companion operator", lambda: sb.companion_space(B, ID_OTHER), sb.GradingError,
+     "operator lives outside the algebra"),
+    ("K space", lambda: sb.ips_space(B, sb.whole_space(OTHER)), sb.GradingError,
+     "K is not a subspace of B"),
+    ("K grading", lambda: sb.ips_space(B, sb.span_reduce(SPACE, [E1 + E4])), sb.GradingError,
+     "K is not graded"),
+    ("H algebra", lambda: sb.enveloping(B, sb.ips_space(sb.catalog.load("L2_2_2_bol"))),
+     sb.GradingError, "H was built over a different algebra"),
+    ("embedded vector", lambda: sb.enveloping(B).embed_base(X), sb.GradingError,
+     "vector lives outside the base algebra"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_input_check(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert err.value.args[0] == message

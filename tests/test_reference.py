@@ -401,6 +401,32 @@ def test_sweeps_read_integer_tables_lifted_once(monkeypatch):
     assert seen and set(seen) == {int}
 
 
+def test_cells_are_walked_once_per_structure_in_a_bol_check(monkeypatch):
+    """The lift, both skew sweeps, the ternary Jacobi sweep and the triple
+    rule's reach all read cells(); its leaves are walked once per
+    structure object, the lifted copies included."""
+    from functools import cached_property
+
+    from superbol import structures
+    walks = []
+    walk = structures._Structure._cells.func
+    counted = cached_property(lambda st: walks.append(st) or walk(st))
+    counted.__set_name__(structures._Structure, "_cells")
+    monkeypatch.setattr(structures._Structure, "_cells", counted)
+    even = " ".join("a%d" % i for i in range(40))
+    odd = " ".join("b%d" % i for i in range(24))
+    texts = [PRIMES_ALG, "name one64\neven %s\nodd %s\nbinary [a0,a1] = a2\n"
+             "ternary [a0,a1,a2] = a3\n" % (even, odd)]
+    for A in [sb.algfile.parse_algebra(text) for text in texts] + [
+            rescaled(A, 1, 1, "fresh " + A.name) for A in LIFTED]:
+        walks.clear()
+        sb.check_axioms(A, "bol")
+        L, lifted = A._lifted
+        objects = {id(st) for st in (A.binary, A.ternary, *lifted.values())}
+        assert len(objects) == (4 if L > 1 else 2), A.name
+        assert sorted(map(id, walks)) == sorted(objects), A.name
+
+
 def test_inner_pairs_match_the_reference():
     """inner_pair reads the sparse ternary form; the reference builds
     D_{x,y} from n dense triple evaluations.  The maps must be identical,
