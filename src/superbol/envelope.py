@@ -19,24 +19,27 @@ is B + H with
     [(P,a),(Q,b)] = ([P,Q], P(b) - (-1)^{deg P deg Q} Q(a) - a.b).
 
 The last block is the bracket coordinates a PairSpace keeps from its
-closure check.  Every constructed enveloping algebra is re-checked
-against the Lie axioms; violations raise instead of producing a bad
-algebra.
+closure check, which brackets the basis pairs on one sparse kernel.  A
+super skew binary product (b.a = -(-1)^{pq} a.b) makes the bracket super
+skew, [q, p] = -(-1)^{pq} [p, q]: when the product's skew sweep finds
+nothing, only p <= q is bracketed and the rest are those exact multiples.
+Every constructed enveloping algebra is re-checked against the Lie
+axioms; violations raise instead of producing a bad algebra.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact,
-                     _into, _sparse, _transposed, _unit, _vector, graded_commutator,
-                     rat, sign)
+                     _into, _sparse, _transposed, _unit, _vector, rat, sign)
 from .linalg import (AffineSubspace, _span_coordinates, nullspace, rref,
                      solve_affine, span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, _inner_pairs, _rule_defects, _structures,
-                         _w_terms, _w_view, require_axioms)
+                         StructureError, Witness, _inner_pairs, _rule_defects, _skew,
+                         _structures, _w_terms, _w_view, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -124,12 +127,31 @@ def _basis_inner_pairs(B):
                                        SuperVector(B.space, _dense(x[-1], B.space.dim)))
 
 
+def _bracket_entries(n, E, p, q):
+    """The _entries() of pair_bracket(p, q) over the binary entries E, read off
+    the sparse columns and companions: column m of [P, Q] is
+    P(Q e_m) - (-1)^{pq} Q(P e_m), the companion P(b) - (-1)^{pq} Q(a) - a.b."""
+    (P, a), (Q, b) = [(x.operator.columns, _sparse(x.companion.coords)) for x in (p, q)]
+    s, out = sign(p.degree * q.degree), []
+    for m in range(n):
+        if P[m] or Q[m]:
+            col = _into(_into([0] * n, Q[m], P), P[m], Q, -s)
+            out += ((k * n + m, c) for k, c in enumerate(col) if c)
+    comp = _into(_into([0] * n, b, P), a, Q, -s)
+    for m, c in a:
+        _into(comp, b, E[m], -c)
+    return out + [(n * n + k, c) for k, c in enumerate(comp) if c]
+
+
 def pair_bracket(B, p, q):
     """([P,Q], P(b) - (-1)^{pq} Q(a) - a.b) for pairs p=(P,a), q=(Q,b)."""
-    s = sign(p.degree * q.degree)
-    comp = p.operator(q.companion) - s * q.operator(p.companion) \
-        - B.product(p.companion, q.companion)
-    return PseudoDerivationPair(graded_commutator(p.operator, q.operator), comp)
+    if p.space != B.space or q.space != B.space:
+        raise GradingError("pair lives outside the algebra")
+    n, (bs,) = B.space.dim, _structures(B, ("binary",))
+    flat = _dense(_bracket_entries(n, bs.entries, p, q), n * n + n)
+    rows = [_exact(flat[t * n:(t + 1) * n]) for t in range(n)]
+    return PseudoDerivationPair(GradedMap._of(B.space, (p.degree + q.degree) % 2,
+                                              _transposed(rows, n)), B.space.vector(flat[n * n:]))
 
 
 def _equations(B, r, x, cells):
@@ -246,19 +268,21 @@ class PairSpace:
         # a zero pair spans nothing
         reduced, pivots = rref([p.flatten() for p in pairs if p._entries()])
         basis = tuple(PseudoDerivationPair.from_flat(algebra.space, row) for row in reduced)
-        sparse_rows = tuple(map(_sparse, reduced))
-        brackets = []
-        for p in basis:
-            row = []
-            for q in basis:
-                coords = _span_coordinates(sparse_rows, pivots,
-                                           pair_bracket(algebra, p, q)._entries())
-                if coords is None:
-                    raise EnvelopeError(
-                        "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
-                row.append(coords)
-            brackets.append(tuple(row))
-        return cls(algebra, basis, reduced, tuple(pivots), tuple(brackets))
+        sparse_rows, n, d = tuple(map(_sparse, reduced)), algebra.space.dim, len(basis)
+        E = _structures(algebra, ("binary",))[0].entries if basis else None
+        # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q]
+        mirror = basis and not any(_skew(None, algebra.space, algebra.binary))
+        brackets = [[None] * d for _ in range(d)]
+        for m, l in itertools.product(range(d), repeat=2):
+            p, q = basis[m], basis[l]
+            if mirror and l < m:
+                brackets[m][l] = tuple(-sign(p.degree * q.degree) * c for c in brackets[l][m])
+                continue
+            brackets[m][l] = _span_coordinates(sparse_rows, pivots, _bracket_entries(n, E, p, q))
+            if brackets[m][l] is None:
+                raise EnvelopeError(
+                    "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
+        return cls(algebra, basis, reduced, tuple(pivots), tuple(map(tuple, brackets)))
 
     @property
     def dim(self):

@@ -19,6 +19,10 @@ the inner pairs: D_{x,y} = [x, y, .] derives the triple product, and
 this checker, envelope.check_pseudo and the pair-space solvers.  The
 inner pairs of the basis are read off the tables by one generator,
 `_inner_pairs`, for this checker, ips_space, ps_space and enveloping.
+When the skew sweeps on the tables a rule reads find nothing, its defect
+at (i, j, u, v, ...) is super skew in (i, j) and in (u, v), as the inner
+pairs are: only i <= j and u <= v are evaluated, and the rest are exact
+multiples, emitted in the same order.  Otherwise every tuple is evaluated.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
@@ -288,7 +292,7 @@ class CheckReport:
 # visits only the tuples where some term of its identity can be nonzero
 
 
-def _skew(space, st, axiom):
+def _skew(axiom, space, st):
     # swapping the first two slots, wherever either product is nonzero
     n, par, lab = space.dim, space.parities, space.labels
     cells = st.cells()
@@ -299,14 +303,6 @@ def _skew(space, st, axiom):
             acc[t] += sign(par[i] * par[j]) * c
         if any(acc):
             yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
-
-
-def _sweep_binary_skew(space, bs):
-    return _skew(space, bs, "skew")
-
-
-def _sweep_ternary_skew(space, ts):
-    return _skew(space, ts, "triple-skew")
 
 
 def _jacobi_sums(space, bs, w1, w2, w3):
@@ -483,9 +479,26 @@ def _inner_pairs(space, *structures):
 
 
 def _inner_witnesses(axiom, rule, space, *structures):
-    # the rule on every inner pair, i and j first
-    lab = space.labels
-    for at, acc in _rule_defects(space, rule, structures, _inner_pairs(space, *structures)):
+    # the rule on every inner pair, in lexicographic order of (i, j, u, v, ...).
+    # Once the structures it reads are super skew, so is each defect in (i, j)
+    # and in (u, v): only i <= j and u <= v are evaluated, the rest mirrored
+    lab, par = space.labels, space.parities
+    slots = () if any(any(_skew(None, space, st)) for st in structures) else (0, 2)
+
+    def kept(items):  # when mirroring, the items whose first two indices are in order
+        return (x for x in items if not slots or x[0][0] <= x[0][1])
+
+    found = []
+    for at, acc in _rule_defects(space, lambda *args: kept(rule(*args)), structures,
+                                 kept(_inner_pairs(space, *structures))):
+        images = [(at, acc)]
+        for u in slots:
+            i, j = at[u:u + 2]
+            if i < j:
+                images += [(b[:u] + (j, i) + b[u + 2:], [-sign(par[i] * par[j]) * c for c in a])
+                           for b, a in images]
+        found += images
+    for at, acc in sorted(found):
         yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
 
 
@@ -493,10 +506,10 @@ def _inner_witnesses(axiom, rule, space, *structures):
 # a binary constant counting 1 and a ternary one 2 in each term; the kinds'
 # sweeps in witness order
 _SWEEPS = {
-    "skew": (_sweep_binary_skew, ("binary",), 1),
+    "skew": (partial(_skew, "skew"), ("binary",), 1),
     "jacobi": (_sweep_super_jacobi, ("binary",), 2),
     "malcev": (_sweep_malcev, ("binary",), 3),
-    "triple-skew": (_sweep_ternary_skew, ("ternary",), 2),
+    "triple-skew": (partial(_skew, "triple-skew"), ("ternary",), 2),
     "triple-jacobi": (_sweep_ternary_jacobi, ("ternary",), 2),
     "nambu": (partial(_inner_witnesses, "nambu", _triple_rule), ("ternary",), 4),
     "product-rule": (partial(_inner_witnesses, "product-rule", _product_rule),

@@ -20,6 +20,7 @@ OTHER = sb.SuperSpace.even_first(("a", "b"), ("c", "d"))
 E1, E4 = SPACE.basis()[0], SPACE.basis()[3]
 X = OTHER.basis()[0]
 ID, ID_OTHER = sb.GradedMap.identity(SPACE), sb.GradedMap.identity(OTHER)
+LTS = sb.lie_to_supertriple(sb.catalog.load("aff2_lie"))    # no binary structure
 ZERO = ((0,) * 4,) * 4
 
 
@@ -114,6 +115,11 @@ CASES = [
      sb.GradingError, "pair lives outside the algebra"),
     ("spanned pair", lambda: sb.PairSpace.from_pairs(B, [sb.PseudoDerivationPair(ID_OTHER, X)]),
      sb.GradingError, "pair lives outside the algebra"),
+    ("pairs without a product", lambda: sb.PairSpace.from_pairs(LTS, [sb.PseudoDerivationPair(
+        sb.GradedMap.identity(LTS.space), LTS.space.zero())]), sb.StructureError,
+     "lts(aff2_lie) has no binary structure"),
+    ("bracketed pair", lambda: sb.pair_bracket(B, *[sb.PseudoDerivationPair(ID_OTHER, X)] * 2),
+     sb.GradingError, "pair lives outside the algebra"),
     ("companion operator", lambda: sb.companion_space(B, ID_OTHER), sb.GradingError,
      "operator lives outside the algebra"),
     ("K space", lambda: sb.ips_space(B, sb.whole_space(OTHER)), sb.GradingError,
@@ -134,3 +140,12 @@ def test_input_check(call, error, message):
         call()
     assert type(err.value) is error
     assert err.value.args[0] == message
+
+
+def test_no_pairs_need_no_product():
+    """The product is looked up only to bracket a basis pair: no pairs, or
+    only zero ones, give the zero-dimensional space on any algebra."""
+    zero = sb.PseudoDerivationPair(sb.GradedMap.zero(LTS.space), LTS.space.zero())
+    for pairs in ([], [zero]):
+        H = sb.PairSpace.from_pairs(LTS, pairs)
+        assert (H.dim, H.basis, H.brackets) == (0, (), ())

@@ -1,0 +1,249 @@
+"""Super skew-symmetry is used once its sweep has passed, never inferred.
+
+Two places use it.  The nambu and product-rule sweeps evaluate their rule
+on the inner pairs (D_{i,j}, e_i.e_j) with i <= j, on the rule tuples with
+u <= v, and mirror the rest: the defect at (j, i, ...) is -(-1)^{p_i p_j}
+times the one at (i, j, ...), and likewise in (u, v).  PairSpace.from_pairs
+brackets the basis pairs p <= q only and mirrors [q, p] = -(-1)^{pq} [p, q].
+Each needs the skew sweeps of the tables it reads to find nothing; when
+one finds a witness, every tuple and every ordered pair is evaluated.
+
+Both paths must agree with `slow_reference`, which evaluates every tuple on
+dense tables: the same witnesses (axiom, tuple, defect with its scalar
+types, order), and for every ordered (m, l) the coordinates of the slow
+bracket of the m-th and l-th basis pairs.  The inputs: catalog, derived,
+lifted and dense algebras; skew-completed mutants, with one constant
+changed and its super-skew mirror filled in, so the skew sweeps pass while
+Nambu or the product rule fail and mirrored witnesses are emitted; and the
+unmirrored mutants of `test_reference` and a hand-built product whose skew
+fails, where the full evaluation runs.
+"""
+
+import random
+
+import pytest
+
+import slow_reference
+import superbol as sb
+from superbol import envelope, structures
+from superbol.graded import sign
+from superbol.structures import AlgebraDef, BinaryStructure
+from test_reference import (LIFTED, POOL, VALUES, assert_same_checks, even_map, from_cells,
+                            mutate, transport)
+
+BOLS = [A for A in POOL + LIFTED if A.binary is not None and A.ternary is not None]
+RULES = ("nambu", "product-rule")
+
+
+def typed(coords):
+    return [(type(c), c) for c in coords]
+
+
+def slow_pair_bracket(B, p, q):
+    """([P,Q], P(b) - (-1)^{pq} Q(a) - a.b) through the slow reference's dense
+    maps, commutator and product."""
+    s = sign(p.degree * q.degree)
+    terms = (slow_reference.apply(p.operator, q.companion),
+             slow_reference.apply(q.operator, p.companion),
+             slow_reference._eval_binary(B, p.companion, q.companion))
+    companion = [x - s * y - z for x, y, z in zip(*(v.coords for v in terms))]
+    return sb.PseudoDerivationPair(slow_reference.graded_commutator(p.operator, q.operator),
+                                   B.space.vector(companion))
+
+
+def assert_same_brackets(H):
+    """Every ordered (m, l), the mirrored ones included, against the slow bracket."""
+    for m, p in enumerate(H.basis):
+        for l, q in enumerate(H.basis):
+            expected = H.coordinates_of(slow_pair_bracket(H.algebra, p, q))
+            assert expected is not None, (H.algebra.name, m, l)
+            assert typed(H.brackets[m][l]) == typed(expected), (H.algebra.name, m, l)
+
+
+def pair_spaces(B):
+    """ips_space and ps_space of B, leaving out either that raises EnvelopeError
+    (a mutant's inner pairs need not close, nor lie in its PS)."""
+    out = []
+    for build in (sb.ips_space, sb.ps_space):
+        try:
+            out.append(build(B))
+        except sb.EnvelopeError:
+            pass
+    return out
+
+
+def skew_mutant(A, rng):
+    """A with one structure constant changed and its super-skew mirror (first
+    two slots swapped) filled in, so both skew sweeps still pass."""
+    n, par = A.space.dim, A.space.parities
+    st = rng.choice([s for s in (A.binary, A.ternary) if s is not None])
+    while True:
+        cell = tuple(rng.randrange(n) for _ in range(st.ARITY))
+        i, j = cell[:2]
+        targets = [t for t in range(n) if par[t] == sum(par[c] for c in cell) % 2]
+        if targets and (i != j or par[i]):
+            break
+    t, value = rng.choice(targets), rng.choice(VALUES)
+    cells = dict(st.cells())
+    for at, v in ((cell, value), ((j, i) + cell[2:], -sign(par[i] * par[j]) * value)):
+        entry = dict(cells.get(at, ()))
+        entry[t] = v
+        cells[at] = tuple(sorted(entry.items()))
+    changed = from_cells(type(st), A.space, cells)
+    return AlgebraDef(A.name + "~", A.space,
+                      changed if st is A.binary else A.binary,
+                      changed if st is A.ternary else A.ternary)
+
+
+def mirrored(B, report):
+    """(axiom, slots, odd, lifted) of each witness of the two rules that the
+    sweep mirrors: slots is "pair" for i > j, "rule" for u > v."""
+    index, par, lifted = B.space.index_of, B.space.parities, B._lifted[0] > 1
+    out = set()
+    for w in report.witnesses:
+        if w.axiom in RULES:
+            at = [index(label) for label in w.at]
+            for slots, (i, j) in (("pair", at[:2]), ("rule", at[2:4])):
+                if i > j:
+                    out.add((w.axiom, slots, bool(par[i] & par[j]), lifted))
+    return out
+
+
+def test_passing_inputs_match_the_reference():
+    rng = random.Random(11)
+    dense = [transport(B, even_map(B.space, rng)) for B in BOLS if B.space.dim <= 5]
+    for B in BOLS + dense:
+        assert_same_checks(B)
+        for H in pair_spaces(B):
+            assert_same_brackets(H)
+
+
+def test_skew_completed_mutants_match_the_reference_with_mirrored_witnesses():
+    """Mutants that keep both skew sweeps passing, until each rule has emitted
+    mirrored witnesses in both slot pairs, on odd-odd and other tuples, from
+    tables with and without a denominator; every check and every bracket
+    matches the reference."""
+    wanted = {(axiom, slots, odd, lifted) for axiom in RULES for slots in ("pair", "rule")
+              for odd in (False, True) for lifted in (False, True)}
+    seen, spaces, seed = set(), 0, 0
+    while not (seen >= wanted and spaces >= 20):
+        assert seed < 600, wanted - seen
+        rng = random.Random(seed)
+        M = skew_mutant(BOLS[seed % len(BOLS)], rng)
+        seed += 1
+        report = sb.check_axioms(M, "bol")
+        assert not {w.axiom for w in report.witnesses} & {"skew", "triple-skew"}, M.name
+        assert_same_checks(M)
+        seen |= mirrored(M, report)
+        for H in pair_spaces(M):
+            assert_same_brackets(H)
+            spaces += 1
+
+
+def test_inputs_whose_skew_fails_match_the_reference():
+    """The unmirrored mutants of test_reference, most of which fail a skew
+    sweep, run the full evaluation; so does a pair space over a product with
+    e1.e2 = e1 and e2.e1 = 0, where the mirrored bracket would be wrong."""
+    unmirrored = 0
+    for seed in range(60):
+        M = mutate(BOLS[seed % len(BOLS)], random.Random(seed))
+        assert_same_checks(M)
+        axioms = {w.axiom for w in sb.check_axioms(M, "bol").witnesses}
+        unmirrored += bool(axioms & {"skew", "triple-skew"})
+        for H in pair_spaces(M):
+            assert_same_brackets(H)
+    assert unmirrored >= 30
+    H = sb.PairSpace.from_pairs(*one_sided())
+    assert H.dim == 2
+    assert_same_brackets(H)
+    assert H.brackets[0][1] == (-1, 0) and H.brackets[1][0] == (0, 0)
+
+
+def one_sided():
+    """An algebra whose product e1.e2 = e1 is not skew, and the pairs (0, e1),
+    (0, e2), whose span is closed: [p, q] = (0, -e1) but [q, p] = 0."""
+    space = sb.SuperSpace.even_first(("e1", "e2"), ("e3",))
+    A = AlgebraDef("one-sided", space, from_cells(BinaryStructure, space, {(0, 1): ((0, 1),)}))
+    zero = sb.GradedMap.zero(space)
+    return A, [sb.PseudoDerivationPair(zero, e) for e in space.basis()[:2]]
+
+
+# ---------------------------------------------------------------------------
+# what is evaluated: d(d+1)/2 brackets and the inner pairs i <= j when skew
+# passes, d^2 brackets and every inner pair when it fails
+
+
+@pytest.fixture
+def brackets(monkeypatch):
+    calls = []
+    kernel = envelope._bracket_entries
+    monkeypatch.setattr(envelope, "_bracket_entries", lambda *a: calls.append(a) or kernel(*a))
+    return calls
+
+
+def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brackets):
+    osp = next(B for B in BOLS if B.name == "bol(osp12)")
+    dense = transport(osp, even_map(osp.space, random.Random(2)))
+    for B in (osp, sb.catalog.load("L2_3_1_bol"), dense):
+        for build in (sb.ips_space, sb.ps_space):
+            brackets.clear()
+            d = build(B).dim
+            assert d > 1 and len(brackets) == d * (d + 1) // 2, (B.name, build)
+    brackets.clear()
+    H = sb.PairSpace.from_pairs(*one_sided())
+    assert len(brackets) == H.dim ** 2 == 4
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Per call of the rule evaluator from a sweep: the inner pairs it is
+    given and the rule tuples it lists for each degree."""
+    calls = []
+    rule_defects = structures._rule_defects
+
+    def recording(space, rule, tables, pairs):
+        pairs = list(pairs)
+        listed = {r: [at for at, _, _ in rule(space.parities, r, *tables)] for r in (0, 1)}
+        calls.append(([key for key, _, _ in pairs], listed))
+        return rule_defects(space, rule, tables, pairs)
+
+    monkeypatch.setattr(structures, "_rule_defects", recording)
+    return calls
+
+
+RULE_READS = ((structures._triple_rule, ("ternary",)),
+              (structures._product_rule, ("binary", "ternary")))
+
+
+def every_tuple(B, rule, reads):
+    tables = [getattr(B, what) for what in reads]
+    return {r: [at for at, _, _ in rule(B.space.parities, r, *tables)] for r in (0, 1)}
+
+
+@pytest.mark.parametrize("broken", [None, "binary", "ternary"])
+def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated, broken):
+    """Nambu reads the ternary skew verdict, the product rule both; a broken
+    binary skew leaves Nambu mirrored."""
+    B = sb.catalog.load("L2_3_1_bol")
+    if broken:
+        st = getattr(B, broken)
+        cells = dict(st.cells())
+        at = next(at for at in sorted(cells) if at[0] != at[1])
+        cells[at] = tuple((t, 2 * c) for t, c in cells[at])
+        B = AlgebraDef("broken " + broken, B.space, **{
+            "binary": B.binary, "ternary": B.ternary, broken: from_cells(type(st), B.space, cells)})
+    B = B.renamed("fresh " + B.name)
+    evaluated.clear()
+    report = sb.check_axioms(B, "bol")
+    assert ({w.axiom for w in report.witnesses} & {"skew", "triple-skew"}) == \
+        ({"binary": {"skew"}, "ternary": {"triple-skew"}}.get(broken, set()))
+    n = B.space.dim
+    assert len(evaluated) == 2
+    for (keys, listed), (rule, reads) in zip(evaluated, RULE_READS):
+        full = every_tuple(B, rule, reads)
+        if broken in reads:
+            assert keys == [(i, j) for i in range(n) for j in range(n)]
+            assert listed == full
+        else:
+            assert keys == [(i, j) for i in range(n) for j in range(i, n)]
+            assert listed == {r: [at for at in ats if at[0] <= at[1]] for r, ats in full.items()}
