@@ -1,12 +1,11 @@
 """Pseudo superderivation pairs and enveloping Lie superalgebras.
 
 A pair (P, a) consists of a homogeneous operator and a companion vector
-of the same degree.  Pairs flatten to coordinate vectors of length
-dim^2 + dim (operator entries row-major, then companion coordinates),
-which is the representation used for spans and membership tests.  The
-triple rule and the product rule that define the pseudo superderivation
-pairs are written once, in `structures`: check_pseudo runs them through
-the Bol checker's evaluator, companion_space and ps_space solve them.
+of the same degree.  Spans and membership tests read its flat entries,
+sparse: operator entries row-major at t n + m, then the companion at
+n^2 + t.  The two rules that define the pairs are written once, in
+`structures`: check_pseudo runs them through the Bol checker's
+evaluator, companion_space and ps_space solve them as sparse systems.
 The inner pairs of the basis are read off the tables, as the Bol checker
 reads them (`structures._inner_pairs`); inner_pair is for any two vectors.
 
@@ -19,10 +18,11 @@ is B + H with
     [(P,a),(Q,b)] = ([P,Q], P(b) - (-1)^{deg P deg Q} Q(a) - a.b).
 
 The last block is the bracket coordinates a PairSpace keeps from its
-closure check, which brackets the basis pairs on one sparse kernel.  A
-super skew binary product (b.a = -(-1)^{pq} a.b) makes the bracket super
-skew, [q, p] = -(-1)^{pq} [p, q]: when the product's skew sweep finds
-nothing, only p <= q is bracketed and the rest are those exact multiples.
+closure check, which brackets its basis pairs times a common denominator
+M, integral, on one sparse kernel.  A super skew binary product makes
+the bracket super skew, [q, p] = -(-1)^{pq} [p, q]: when the product's
+skew sweep finds nothing, only p <= q is bracketed and the rest are
+those exact multiples, as the inner pairs (e_j, e_i) with i < j are.
 Every constructed enveloping algebra is re-checked against the Lie
 axioms; violations raise instead of producing a bad algebra.
 """
@@ -33,13 +33,13 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact,
-                     _into, _sparse, _transposed, _unit, _vector, rat, sign)
-from .linalg import (AffineSubspace, _span_coordinates, nullspace, rref,
-                     solve_affine, span_reduce)
+from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
+                     _sparse, _unit, _vector, rat, sign)
+from .linalg import (_affine, _common_denominator, _divided, _kernel, _rref, _span_coordinates,
+                     span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, _inner_pairs, _rule_defects, _skew,
-                         _structures, _w_terms, _w_view, require_axioms)
+                         StructureError, Witness, _all_skew, _inner_pairs, _kept,
+                         _rule_defects, _structures, _w_terms, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -68,30 +68,22 @@ class PseudoDerivationPair:
         return self.operator.degree
 
     def flatten(self):
-        n = self.space.dim
-        return _dense(self._entries(), n * n + n)
+        return _dense(self._entries(), self.space.dim * (self.space.dim + 1))
 
     def _entries(self):
         """The nonzero (index, coefficient) pairs of flatten()."""
-        n = self.space.dim
-        out = [(t * n + m, c) for m, col in enumerate(self.operator.columns) for t, c in col]
-        out += ((n * n + m, c) for m, c in _sparse(self.companion.coords))
-        return out
+        return _flat(self.operator.columns + (_sparse(self.companion.coords),))
 
     @classmethod
     def from_flat(cls, space, coords):
         n = space.dim
         if len(coords) != n * n + n:
             raise GradingError("flattened pair must have length %d" % (n * n + n))
-        par = space.parities
-        rows = [_exact(coords[i * n:(i + 1) * n]) for i in range(n)]
-        degrees = {(par[i] + par[j]) % 2 for i, row in enumerate(rows) for j, _ in row}
-        degrees |= {par[m] for m, _ in _sparse(coords[n * n:])}
+        entries = [(k, rat(c)) for k, c in enumerate(coords) if c]
+        degrees = {_degree_at(space.parities, k) for k, _ in entries}
         if len(degrees) > 1:
             raise GradingError("flattened pair mixes degrees")
-        degree = degrees.pop() if degrees else 0
-        return cls(GradedMap._of(space, degree, _transposed(rows, n)),
-                   space.vector(coords[n * n:]))
+        return _pair(space, degrees.pop() if degrees else 0, entries)
 
     def __str__(self):
         return "(%s, %s)" % (self._op_str(), self.companion)
@@ -101,6 +93,33 @@ class PseudoDerivationPair:
         parts = ["%s->%s" % (label, SuperVector(self.space, _dense(col, n)))
                  for label, col in zip(self.space.labels, self.operator.columns) if col]
         return "{" + ", ".join(parts) + "}" if parts else "0"
+
+
+def _flat(x):
+    """The nonzero (index, coefficient) pairs of the flattened pair x = (P e_0,
+    ..., a): the e_t coefficient of P e_m at t n + m, of a at n^2 + t."""
+    n = len(x) - 1
+    return [(t * n + m, c) for m, col in enumerate(x[:n]) for t, c in col] + [
+        (n * n + t, c) for t, c in x[n]]
+
+
+def _degree_at(par, k):
+    """The degree of a homogeneous pair whose flat index k is nonzero."""
+    n = len(par)
+    return par[k // n] ^ par[k % n] if k < n * n else par[k - n * n]
+
+
+def _pair(space, degree, entries):
+    """The pair with these flat entries, each column's in order: _flat inverted."""
+    n = space.dim
+    cols, companion = [[] for _ in range(n)], [0] * n
+    for k, c in entries:
+        if k < n * n:
+            cols[k % n].append((k // n, c))
+        else:
+            companion[k - n * n] = c
+    return PseudoDerivationPair(GradedMap._of(space, degree, tuple(map(tuple, cols))),
+                                SuperVector(space, tuple(companion)))
 
 
 def inner_pair(B, x, y):
@@ -123,8 +142,7 @@ def inner_pair(B, x, y):
 def _basis_inner_pairs(B):
     """((i, j), inner_pair(B, e_i, e_j)) for every (i, j) in order, read off the tables."""
     for at, degree, x in _inner_pairs(B.space, *_structures(B, ("binary", "ternary"))):
-        yield at, PseudoDerivationPair(GradedMap._of(B.space, degree, x[:-1]),
-                                       SuperVector(B.space, _dense(x[-1], B.space.dim)))
+        yield at, _pair(B.space, degree, _flat(x))
 
 
 def _bracket_entries(n, E, p, q):
@@ -148,58 +166,42 @@ def pair_bracket(B, p, q):
     if p.space != B.space or q.space != B.space:
         raise GradingError("pair lives outside the algebra")
     n, (bs,) = B.space.dim, _structures(B, ("binary",))
-    flat = _dense(_bracket_entries(n, bs.entries, p, q), n * n + n)
-    rows = [_exact(flat[t * n:(t + 1) * n]) for t in range(n)]
-    return PseudoDerivationPair(GradedMap._of(B.space, (p.degree + q.degree) % 2,
-                                              _transposed(rows, n)), B.space.vector(flat[n * n:]))
+    return _pair(B.space, (p.degree + q.degree) % 2,
+                 [(k, rat(c)) for k, c in _bracket_entries(n, bs.entries, p, q)])
 
 
-def _equations(B, r, x, cells):
-    """The rules for degree r as the rows (*coefficients, b) of a linear system.
-
-    Unknown u is the e_m coordinate of x[slot] for (slot, m) = cells[u];
-    x[slot] holds the known coordinates, sparse, with x as in the rules of
-    `structures`; an entry (q, c) of w brings c times the w terms at e_q.
-    One equation per rule tuple and coordinate, without 0 = 0 or repeats;
-    the rows stop after an equation 0 = b, b nonzero, with no solution.
+def _equations(B, r, x, columns):
+    """The rules for degree r as sparse rows (((u, c), ...), b), sorted by u:
+    unknown u = columns[slot, m] is the e_m coordinate of x[slot], x as in
+    `structures` holding the known ones.  One row per rule tuple and output
+    coordinate, without 0 = 0 or repeats, and only for u <= v once the
+    tables a rule reads are super skew: (v, u, ...) gives -(-1)^{uv} times
+    the row.  The rows stop after a row 0 = b, b nonzero, with no solution.
     """
-    n, par, unit, width = B.space.dim, B.space.parities, _unit(B.space.dim), len(cells)
-    var = [[(m, u) for u, (s, m) in enumerate(cells) if s == slot] for slot in range(n + 1)]
+    n, par, unit = B.space.dim, B.space.parities, _unit(B.space.dim)
+    var = [[(m, u) for (s, m), u in columns.items() if s == slot] for slot in range(n + 1)]
     seen = set()
     # both rules' structures first: a missing one raises before any row
     for rule, structures in [(rule, _structures(B, reads)) for _, rule, reads in _RULES]:
-        # the w view's known part, and per e_q the (t, u, coefficient) of its unknowns
-        view = _w_view(x, structures)
-        w_var = [[(t, u, s * d) for slot, rows, s in _w_terms(q, unit, structures)
-                  for m, u in var[slot] for t, d in rows[m]] for q in range(n)]
-        for _, terms, w in rule(par, r, *structures):
-            # b: minus the known part of the rule
-            b, by_t = _into([0] * n, w, view, -1), {}
-            for slot, rows, s in terms:
+        for _, terms, w in _kept(rule(par, r, *structures), _all_skew(structures)):
+            # RHS - LHS = sum of s x[slot] through rows: b holds minus its known part
+            b, by_t = [0] * n, {}
+            for slot, rows, s in terms + tuple((slot, rows, s * c) for q, c in w
+                                               for slot, rows, s in _w_terms(q, unit, structures)):
                 _into(b, x[slot], rows, -s)
                 for m, u in var[slot]:
                     for t, d in rows[m]:
-                        by_t.setdefault(t, [0] * width)[u] += s * d
-            for q, c in w:
-                for t, u, d in w_var[q]:
-                    by_t.setdefault(t, [0] * width)[u] += c * d
+                        row = by_t.setdefault(t, {})
+                        row[u] = row.get(u, 0) + s * d
             if not by_t and not any(b):
                 continue
             for t in range(n):
-                row = (*by_t.get(t, [0] * width), b[t])
-                if any(row) and row not in seen:
-                    seen.add(row)
-                    yield row
-                    if not any(row[:-1]):
+                coeffs = tuple(sorted((u, c) for u, c in by_t[t].items() if c)) if t in by_t else ()
+                if (coeffs or b[t]) and (coeffs, b[t]) not in seen:
+                    seen.add((coeffs, b[t]))
+                    yield coeffs, b[t]
+                    if not coeffs:
                         return
-
-
-def _flatten(values, cells, n):
-    """The flattened pair holding values at the cells (as in _equations), 0 elsewhere."""
-    out = [0] * (n * n + n)
-    for (slot, m), v in zip(cells, values):
-        out[m * n + slot if slot < n else n * n + m] = v
-    return tuple(out)
 
 
 def check_pseudo(B, pair):
@@ -229,36 +231,31 @@ def companion_space(B, P):
     """
     if P.space != B.space:
         raise GradingError("operator lives outside the algebra")
-    n = B.space.dim
-    # the unknowns: the companion coordinates of P's degree
-    cells = [(n, m) for m in range(n) if B.space.parities[m] == P.degree]
-    # with no equation at all, every companion of the right parity solves
-    aug = list(_equations(B, P.degree, P.columns + ((),), cells)) or [(0,) * (len(cells) + 1)]
-    solution = solve_affine([row[:-1] for row in aug], [row[-1] for row in aug])
-    if solution.is_empty:
-        return solution
-    # the cells are in coordinate order, so the directions stay reduced
-    return AffineSubspace(_flatten(solution.point, cells, n)[n * n:],
-                          tuple(_flatten(d, cells, n)[n * n:] for d in solution.directions),
-                          tuple(cells[p][1] for p in solution.pivots))
+    n, par, r = B.space.dim, B.space.parities, P.degree
+    # the unknowns a_m of P's degree at column m, the others zero; b at column n
+    rows = [coeffs + ((n, b),) for coeffs, b in _equations(
+        B, r, P.columns + ((),), {(n, m): m for m in range(n) if par[m] == r})]
+    rows += [((m, 1),) for m in range(n) if par[m] != r]
+    return _affine(*_rref(rows), n)
 
 
 @dataclass(frozen=True)
 class PairSpace:
     """Span of pseudo superderivation pairs, closed under pair_bracket.
 
-    `basis` holds homogeneous pairs recovered from the reduced flattened
-    rows (leading columns in pivots), so equality of PairSpaces is equality
-    of spans.  brackets[m][l] holds the coordinates of
+    `basis` holds homogeneous pairs read off the reduced rows of their flat
+    entries (leading columns in pivots), so equality of PairSpaces is
+    equality of spans.  brackets[m][l] holds the coordinates of
     pair_bracket(basis[m], basis[l]) over the basis, computed once to
     verify closure.
     """
 
     algebra: AlgebraDef
     basis: tuple
-    rows: tuple
     pivots: tuple = field(compare=False, repr=False)
     brackets: tuple = field(compare=False, repr=False)
+    # (M, the sparse reduced rows times M) from linalg._common_denominator
+    _common: tuple = field(compare=False, repr=False)
 
     @classmethod
     def from_pairs(cls, algebra, pairs):
@@ -266,23 +263,29 @@ class PairSpace:
             if p.space != algebra.space:
                 raise GradingError("pair lives outside the algebra")
         # a zero pair spans nothing
-        reduced, pivots = rref([p.flatten() for p in pairs if p._entries()])
-        basis = tuple(PseudoDerivationPair.from_flat(algebra.space, row) for row in reduced)
-        sparse_rows, n, d = tuple(map(_sparse, reduced)), algebra.space.dim, len(basis)
+        reduced, pivots = _rref(p._entries() for p in pairs
+                                if not (p.operator.is_zero() and p.companion.is_zero()))
+        reduced = tuple(map(_divided, reduced))
+        space, n, d = algebra.space, algebra.space.dim, len(reduced)
+        basis = tuple(_pair(space, _degree_at(space.parities, row[0][0]), row) for row in reduced)
+        # the closure check brackets the basis pairs times M, integral: M^2 [p, q]
+        common = _common_denominator(reduced)
+        M, scaled = common[0], [_pair(space, p.degree, row) for p, row in zip(basis, common[1])]
         E = _structures(algebra, ("binary",))[0].entries if basis else None
         # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q]
-        mirror = basis and not any(_skew(None, algebra.space, algebra.binary))
+        mirror = basis and _all_skew((algebra.binary,))
         brackets = [[None] * d for _ in range(d)]
         for m, l in itertools.product(range(d), repeat=2):
             p, q = basis[m], basis[l]
             if mirror and l < m:
                 brackets[m][l] = tuple(-sign(p.degree * q.degree) * c for c in brackets[l][m])
                 continue
-            brackets[m][l] = _span_coordinates(sparse_rows, pivots, _bracket_entries(n, E, p, q))
+            brackets[m][l] = _span_coordinates(
+                common, pivots, _bracket_entries(n, E, scaled[m], scaled[l]), M * M)
             if brackets[m][l] is None:
                 raise EnvelopeError(
                     "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
-        return cls(algebra, basis, reduced, tuple(pivots), tuple(map(tuple, brackets)))
+        return cls(algebra, basis, tuple(pivots), tuple(map(tuple, brackets)), common)
 
     @property
     def dim(self):
@@ -296,11 +299,11 @@ class PairSpace:
         return self.coordinates_of(pair) is not None
 
     def coordinates_of(self, pair):
-        return _span_coordinates(self._sparse_rows, self.pivots, pair._entries())
+        return _span_coordinates(self._common, self.pivots, pair._entries())
 
     @cached_property
-    def _sparse_rows(self):
-        return tuple(map(_sparse, self.rows))
+    def rows(self):  # the reduced rows, dense
+        return tuple(p.flatten() for p in self.basis)
 
     def contains_space(self, other):
         return all(self.contains(p) for p in other.basis)
@@ -330,19 +333,19 @@ def ps_space(B):
     in them, so the space is an exact nullspace.  Every inner pair, and
     so ips_space(B), is verified to lie in it.
     """
-    n = B.space.dim
-    par = B.space.parities
-    all_pairs = []
+    n, par = B.space.dim, B.space.parities
+    pairs = []
     for r in (0, 1):
-        # the unknowns: the coordinates a degree-r pair may have nonzero
-        cells = [(slot, m) for m in range(n) for slot in range(n)
-                 if par[m] == (par[slot] + r) % 2]
-        cells += [(n, m) for m in range(n) if par[m] == r]
-        rows = [row[:-1] for row in _equations(B, r, ((),) * (n + 1), cells)]
-        for vec in nullspace(rows, len(cells)):
-            all_pairs.append(PseudoDerivationPair.from_flat(B.space, _flatten(vec, cells, n)))
-    out = PairSpace.from_pairs(B, all_pairs)
-    if not all(out.contains(p) for _, p in _basis_inner_pairs(B)):
+        # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k
+        columns = {(k % n, k // n) if k < n * n else (n, k - n * n): k
+                   for k in range(n * n + n) if _degree_at(par, k) == r}
+        equations = _equations(B, r, ((),) * (n + 1), columns)
+        pairs += (_pair(B.space, r, row)
+                  for row in _kernel(*_rref(coeffs for coeffs, _ in equations), columns.values())[0])
+    out = PairSpace.from_pairs(B, pairs)
+    structures = _structures(B, ("binary", "ternary"))
+    if not all(_span_coordinates(out._common, out.pivots, _flat(x)) is not None
+               for _, _, x in _kept(_inner_pairs(B.space, *structures), _all_skew(structures))):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
     return out
 
@@ -399,13 +402,17 @@ def enveloping(B, H=None):
     def shifted(coords):
         return tuple((nb + m, rat(c)) for m, c in enumerate(coords) if c)
 
-    cells = {}
-    for (i, j), pair in _basis_inner_pairs(B):
-        coords = H.coordinates_of(pair)
+    # the inner pairs (e_i, e_j) with i <= j once B is skew, the rest mirrored
+    cells, structures, par = {}, _structures(B, ("binary", "ternary")), B.space.parities
+    mirror = _all_skew(structures)
+    for (i, j), _, x in _kept(_inner_pairs(B.space, *structures), mirror):
+        coords = _span_coordinates(H._common, H.pivots, _flat(x))
         if coords is None:
             raise EnvelopeError("inner pair (%s, %s) does not lie in H"
                                 % (space.labels[i], space.labels[j]))
         cells[i, j] = shifted(coords)
+        if mirror and i < j:
+            cells[j, i] = tuple((t, -sign(par[i] * par[j]) * c) for t, c in cells[i, j])
     for m, p in enumerate(H.basis):
         for j, col in enumerate(p.operator.columns):
             s = -sign(p.degree * B.space.parities[j])

@@ -21,7 +21,7 @@ from functools import cached_property
 from .envelope import enveloping
 from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into,
                      _sparse, _SparseValue, _transposed, _unit, rat, sign)
-from .linalg import nullspace, span_reduce, whole_space
+from .linalg import _null_space, span_reduce, whole_space
 from .structures import (CheckReport, Witness, center, classify_subspace,
                          require_axioms)
 
@@ -250,13 +250,9 @@ def orthogonal(b, V):
     """{x : b(x, v) = 0 for all v in V}."""
     if V.space != b.space:
         raise GradingError("subspace lives on a different space")
-    n = b.space.dim
     # one equation per basis vector v: its row holds b(e_m, v) at m
-    rows = [_into([0] * n, _sparse(v.coords), b.columns) for v in V.basis]
-    if not rows:
-        return whole_space(b.space)
-    basis = nullspace(rows, n)
-    return span_reduce(b.space, [SuperVector(b.space, tuple(r)) for r in basis])
+    return _null_space(b.space, [enumerate(_into([0] * b.space.dim, _sparse(v.coords),
+                                                 b.columns)) for v in V.basis])
 
 
 @dataclass(frozen=True)

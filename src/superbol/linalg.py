@@ -1,11 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything here reduces to one elimination, `rref`, which works on
-sparse integer rows: each input row is cleared of denominators and
-eliminated fraction-free, and only the final reduced rows are divided
-back into `int`s and `Fraction`s.  Reduced row echelon form is the
-canonical representative of a span, so two subspaces are equal iff their
-reduced bases are identical tuples.
+Everything here reduces to one sparse elimination, `_rref`, on rows of
+(column, value) pairs, fraction-free over the integers; `rref`,
+`nullspace` and `solve_affine` are its dense views.  Reduced row echelon
+form is the canonical representative of a span, so two subspaces are
+equal iff their reduced bases are identical tuples.
 """
 
 from __future__ import annotations
@@ -15,15 +14,14 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .graded import GradingError, SuperVector, _quotient, _sparse, rat
+from .graded import GradingError, SuperVector, _dense, _quotient, _sparse, rat
 
 
-def _integral(row):
-    """The sparse integer row {column: value} spanning the same line as the
-    dense row: scaled by the lcm of its denominators, divided by its content."""
-    cells = {}
-    den = 1
-    for c, x in enumerate(row):
+def _cleared(row):
+    """(d, {column: d * value}) over the (column, value) pairs of row with a
+    nonzero value, d the lcm of their denominators, so every value is an int."""
+    cells, den = {}, 1
+    for c, x in row:
         if x:
             if type(x) is not int:
                 x = x if type(x) is Fraction else rat(x)
@@ -35,7 +33,7 @@ def _integral(row):
     if den > 1:
         cells = {c: x * den if type(x) is int else x.numerator * (den // x.denominator)
                  for c, x in cells.items()}
-    return _primitive(cells)
+    return den, cells
 
 
 def _primitive(cells):
@@ -60,63 +58,70 @@ def _eliminate(row, pivot, col):
     return _primitive(out)
 
 
+def _rref(rows):
+    """(integer rows, pivot columns) of the reduced echelon form of sparse
+    rows of (column, value) pairs: each integer row is the sorted pairs of a
+    reduced row times its leading entry, primitive.  Gauss-Jordan on
+    integers: each row, cleared of denominators, is eliminated fraction-free
+    (Bareiss 1968, with content division in place of his exact divisor) at
+    each pivot column in its support; its leftmost remaining column becomes
+    a pivot and is eliminated from the pivot rows, which so stay zero at
+    every other pivot column and need no back-substitution."""
+    echelon = {}
+    for row in rows:
+        cells = _primitive(_cleared(row)[1])
+        for c in [c for c in cells if c in echelon]:
+            cells = _eliminate(cells, echelon[c], c)
+        if cells:
+            lead = min(cells)
+            for p, pivot in echelon.items():
+                if lead in pivot:
+                    echelon[p] = _eliminate(pivot, cells, lead)
+            echelon[lead] = cells
+    pivots = sorted(echelon)
+    return [tuple(sorted(echelon[p].items())) for p in pivots], pivots
+
+
+def _divided(row):
+    """An integer row of _rref divided by its leading entry: the reduced row."""
+    lead = row[0][1]
+    return tuple((c, _quotient(x, lead)) for c, x in row)
+
+
 def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced nonzero rows, pivot column indices).  Rows come out
     sorted by pivot column with unit pivots and zeros above and below;
     every entry is an `int` when integral and a `Fraction` otherwise.
-
-    Each row enters an echelon of primitive integer rows keyed by leading
-    column and is reduced fraction-free against the pivot rows it meets
-    (Bareiss 1968, with content division in place of his exact divisor).
-    Back-substitution runs bottom-up over the integers, and each reduced
-    row is divided by its leading entry only at the end.
     """
-    echelon = {}
-    ncols = 0
-    for row in rows:
-        ncols = ncols or len(row)
-        cells = _integral(row)
-        while cells:
-            lead = min(cells)
-            pivot = echelon.get(lead)
-            if pivot is None:
-                echelon[lead] = cells
-                break
-            cells = _eliminate(cells, pivot, lead)
-    pivots = sorted(echelon)
-    for p in reversed(pivots):
-        cells = echelon[p]
-        for c in [c for c in cells if c != p and c in echelon]:
-            cells = _eliminate(cells, echelon[c], c)
-        echelon[p] = cells
-    reduced = []
-    for p in pivots:
-        cells, lead = echelon[p], echelon[p][p]
-        out = [0] * ncols
-        for c, x in cells.items():
-            out[c] = _quotient(x, lead)
-        reduced.append(tuple(out))
-    return tuple(reduced), pivots
+    rows = list(rows)
+    reduced, pivots = _rref(map(enumerate, rows))
+    return tuple(_dense(_divided(row), len(rows[0])) for row in reduced), pivots
+
+
+def _kernel(reduced, pivots, columns):
+    """_rref of {x : rows . x = 0, x zero off columns}, given _rref of rows in
+    those columns: per free column f, e_f - r[f] e_p per reduced row r, lead p."""
+    free = {f: [(f, 1)] for f in columns}
+    for row, p in zip(map(_divided, reduced), pivots):
+        del free[p]
+        for c, x in row[1:]:
+            free[c].append((p, -x))
+    return _rref(free.values())
 
 
 def nullspace(rows, ncols):
     """Canonical basis of {x : rows . x = 0}, as a list of tuples."""
-    return list(_nullspace(rows, ncols)[0])
+    basis = _kernel(*_rref(map(enumerate, rows)), range(ncols))[0]
+    return [_dense(_divided(row), ncols) for row in basis]
 
 
-def _nullspace(rows, ncols):  # the basis and its pivots
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, p in zip(red, pivots):
-            vec[p] = -r[f]
-        basis.append(vec)
-    return rref(basis)
+def _null_space(space, rows):
+    """The Subspace of space on which the sparse rows vanish."""
+    basis, pivots = _kernel(*_rref(rows), range(space.dim))
+    return Subspace(space, tuple(SuperVector(space, _dense(_divided(b), space.dim))
+                                 for b in basis), tuple(pivots))
 
 
 @dataclass(frozen=True)
@@ -151,31 +156,36 @@ class AffineSubspace:
         if len(coords) != len(self.point):
             raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(coords, self.point)]
-        return _span_coordinates(self._sparse_rows, self.pivots, _sparse(diff)) is not None
+        return _span_coordinates(self._common, self.pivots, _sparse(diff)) is not None
 
     @cached_property
-    def _sparse_rows(self):
-        return tuple(map(_sparse, self.directions))
+    def _common(self):
+        return _common_denominator(map(_sparse, self.directions))
 
 
-def _span_coordinates(sparse_rows, pivots, vec):
-    """Coefficients expressing vec over reduced rows, or None when vec is
-    outside their span; vec and each of sparse_rows hold the nonzero
-    (column, value) pairs of a vector and of a reduced nonzero row, and
-    pivots[r] is the leading column of row r."""
-    residue = dict(vec)
+def _common_denominator(rows):
+    """Reduced sparse rows over one denominator: (M, the rows times M), M the
+    lcm of every denominator, so the scaled rows are integral."""
+    cleared = [_cleared(row) for row in rows]
+    M = lcm(*(d for d, _ in cleared))
+    return M, tuple(tuple((c, x * (M // d)) for c, x in cells.items()) for d, cells in cleared)
+
+
+def _span_coordinates(common, pivots, vec, scale=1):
+    """Coefficients of vec / scale over reduced rows leading at pivots, given
+    as (M, M rows) by _common_denominator, or None outside their span; vec
+    is sparse.  Row r's coefficient is vec[pivots[r]], and vec is in the
+    span iff the integer M d vec - sum of (d vec)[pivots[r]] M row r is 0."""
+    M, rows = common
+    d, vec = _cleared(vec)
+    residue = {c: M * x for c, x in vec.items()}
     coeffs = []
-    for row, lead in zip(sparse_rows, pivots):
-        f = residue.get(lead)
-        if not f:
-            coeffs.append(0)
-            continue
-        coeffs.append(rat(f))
-        for t, y in row:
+    for row, lead in zip(rows, pivots):
+        f = vec.get(lead, 0)
+        coeffs.append(_quotient(f, d * scale))
+        for t, y in row if f else ():
             residue[t] = residue.get(t, 0) - f * y
-    if any(residue.values()):
-        return None
-    return tuple(coeffs)
+    return None if any(residue.values()) else tuple(coeffs)
 
 
 def solve_affine(rows, rhs):
@@ -187,15 +197,18 @@ def solve_affine(rows, rhs):
     if not rows:
         raise ValueError("no equations: unknown count is undetermined")
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    return _affine(*_rref(list(enumerate(r)) + [(ncols, b)] for r, b in zip(rows, rhs)), ncols)
+
+
+def _affine(reduced, pivots, ncols):
+    """The solution set of ncols unknowns from _rref of rows . x = b, b at column ncols."""
     if ncols in pivots:
         return AffineSubspace.empty()
-    point = [0] * ncols
-    for r, p in zip(red, pivots):
-        point[p] = r[ncols]
-    dirs, leads = _nullspace([r[:ncols] for r in red], ncols)
-    return AffineSubspace(tuple(point), dirs, tuple(leads))
+    point = _dense([(p, row[-1][1]) for row, p in zip(map(_divided, reduced), pivots)
+                    if row[-1][0] == ncols], ncols)
+    reduced = [row[:-1] if row[-1][0] == ncols else row for row in reduced]
+    dirs, leads = _kernel(reduced, pivots, range(ncols))
+    return AffineSubspace(point, tuple(_dense(_divided(d), ncols) for d in dirs), tuple(leads))
 
 
 @dataclass(frozen=True)
@@ -212,12 +225,8 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def rows(self):
-        return tuple(v.coords for v in self.basis)
-
-    @cached_property
-    def _sparse_rows(self):
-        return tuple(map(_sparse, self.rows))
+    def _common(self):
+        return _common_denominator(_sparse(v.coords) for v in self.basis)
 
     def contains(self, v):
         return self.coordinates_of(v) is not None
@@ -226,7 +235,7 @@ class Subspace:
         """Coefficients of v over this basis, or None if outside."""
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        return _span_coordinates(self._sparse_rows, self.pivots, _sparse(v.coords))
+        return _span_coordinates(self._common, self.pivots, _sparse(v.coords))
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)
@@ -251,8 +260,7 @@ def span_reduce(space, vectors):
     for v in vectors:
         if v.space != space:
             raise GradingError("vector lives in a different space")
-    rows = [v.coords for v in vectors]
-    reduced, pivots = rref(rows)
+    reduced, pivots = rref([v.coords for v in vectors])
     return Subspace(space, tuple(SuperVector(space, row) for row in reduced), tuple(pivots))
 
 

@@ -19,10 +19,11 @@ the inner pairs: D_{x,y} = [x, y, .] derives the triple product, and
 this checker, envelope.check_pseudo and the pair-space solvers.  The
 inner pairs of the basis are read off the tables by one generator,
 `_inner_pairs`, for this checker, ips_space, ps_space and enveloping.
-When the skew sweeps on the tables a rule reads find nothing, its defect
-at (i, j, u, v, ...) is super skew in (i, j) and in (u, v), as the inner
-pairs are: only i <= j and u <= v are evaluated, and the rest are exact
-multiples, emitted in the same order.  Otherwise every tuple is evaluated.
+When the skew sweeps on the tables a rule reads find nothing (each runs
+once per structure object), its defect at (i, j, u, v, ...) is super skew
+in (i, j) and in (u, v), as the inner pairs are: only i <= j and u <= v
+are evaluated, here and in the pair-space solvers, and the rest are
+exact multiples.  Otherwise every tuple is evaluated.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
-                     _sparse, _SparseValue, _unit, _vector, sign)
-from .linalg import Subspace, nullspace, span_reduce
+                     _sparse, _SparseValue, _transposed, _unit, _vector, sign)
+from .linalg import Subspace, _null_space
 
 KINDS = ("lie", "malcev", "supertriple", "lie_supertriple", "bol")
 
@@ -146,6 +147,10 @@ class _Structure(_SparseValue):
             leaves = [entry for block in leaves for entry in block]
         return {at: entry for at, entry in zip(
             itertools.product(range(self.space.dim), repeat=self.ARITY), leaves) if entry}
+
+    @cached_property
+    def _skew_witnesses(self):  # the skew sweep, run once per structure object
+        return tuple(_skew(self.space, self))
 
     @classmethod
     def from_products(cls, space, products):
@@ -292,9 +297,10 @@ class CheckReport:
 # visits only the tuples where some term of its identity can be nonzero
 
 
-def _skew(axiom, space, st):
+def _skew(space, st):
     # swapping the first two slots, wherever either product is nonzero
     n, par, lab = space.dim, space.parities, space.labels
+    axiom = "skew" if st.ARITY == 2 else "triple-skew"
     cells = st.cells()
     for at in sorted(set(cells) | {(j, i, *rest) for i, j, *rest in cells}):
         i, j = at[:2]
@@ -478,21 +484,27 @@ def _inner_pairs(space, *structures):
         yield (i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),)
 
 
+def _all_skew(structures):
+    """Whether the skew sweep finds nothing on each of the structures."""
+    return not any(st._skew_witnesses for st in structures)
+
+
+def _kept(items, mirror):
+    """The items (basis tuple first) with its first two indices in order, if mirror."""
+    return (x for x in items if x[0][0] <= x[0][1]) if mirror else items
+
+
 def _inner_witnesses(axiom, rule, space, *structures):
     # the rule on every inner pair, in lexicographic order of (i, j, u, v, ...).
     # Once the structures it reads are super skew, so is each defect in (i, j)
     # and in (u, v): only i <= j and u <= v are evaluated, the rest mirrored
     lab, par = space.labels, space.parities
-    slots = () if any(any(_skew(None, space, st)) for st in structures) else (0, 2)
-
-    def kept(items):  # when mirroring, the items whose first two indices are in order
-        return (x for x in items if not slots or x[0][0] <= x[0][1])
-
+    mirror = _all_skew(structures)
     found = []
-    for at, acc in _rule_defects(space, lambda *args: kept(rule(*args)), structures,
-                                 kept(_inner_pairs(space, *structures))):
+    for at, acc in _rule_defects(space, lambda *args: _kept(rule(*args), mirror), structures,
+                                 _kept(_inner_pairs(space, *structures), mirror)):
         images = [(at, acc)]
-        for u in slots:
+        for u in (0, 2) if mirror else ():
             i, j = at[u:u + 2]
             if i < j:
                 images += [(b[:u] + (j, i) + b[u + 2:], [-sign(par[i] * par[j]) * c for c in a])
@@ -506,10 +518,10 @@ def _inner_witnesses(axiom, rule, space, *structures):
 # a binary constant counting 1 and a ternary one 2 in each term; the kinds'
 # sweeps in witness order
 _SWEEPS = {
-    "skew": (partial(_skew, "skew"), ("binary",), 1),
+    "skew": (lambda space, st: st._skew_witnesses, ("binary",), 1),
     "jacobi": (_sweep_super_jacobi, ("binary",), 2),
     "malcev": (_sweep_malcev, ("binary",), 3),
-    "triple-skew": (partial(_skew, "triple-skew"), ("ternary",), 2),
+    "triple-skew": (lambda space, st: st._skew_witnesses, ("ternary",), 2),
     "triple-jacobi": (_sweep_ternary_jacobi, ("ternary",), 2),
     "nambu": (partial(_inner_witnesses, "nambu", _triple_rule), ("ternary",), 4),
     "product-rule": (partial(_inner_witnesses, "product-rule", _product_rule),
@@ -593,20 +605,11 @@ def center(A):
             views += (A.binary.col[j], A.binary.entries[j])
     if A.ternary is not None:
         ts = A.ternary
-        for j in range(n):
-            for k in range(n):
-                views += (ts.first[j][k], ts.mid[j][k], ts.entries[j][k])
-    rows = []
-    for view in views:
-        # one equation per output coordinate some e_m reaches; the
-        # coordinates no e_m reaches give all-zero rows, left out
-        by_t = {}
-        for m, entry in enumerate(view):
-            for t, c in entry:
-                by_t.setdefault(t, [0] * n)[m] = c
-        rows += (by_t[t] for t in sorted(by_t))
-    basis = nullspace(rows, n)
-    return span_reduce(A.space, [SuperVector(A.space, tuple(b)) for b in basis])
+        for j, k in itertools.product(range(n), repeat=2):
+            views += (ts.first[j][k], ts.mid[j][k], ts.entries[j][k])
+    # one equation per output coordinate t: the e_t coordinates of the view
+    return _null_space(A.space, [row for view in views if any(view)
+                                 for row in _transposed(view, n)])
 
 
 NOT_CLOSED = "not_closed"

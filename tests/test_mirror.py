@@ -1,12 +1,16 @@
 """Super skew-symmetry is used once its sweep has passed, never inferred.
 
-Two places use it.  The nambu and product-rule sweeps evaluate their rule
-on the inner pairs (D_{i,j}, e_i.e_j) with i <= j, on the rule tuples with
-u <= v, and mirror the rest: the defect at (j, i, ...) is -(-1)^{p_i p_j}
-times the one at (i, j, ...), and likewise in (u, v).  PairSpace.from_pairs
-brackets the basis pairs p <= q only and mirrors [q, p] = -(-1)^{pq} [p, q].
-Each needs the skew sweeps of the tables it reads to find nothing; when
-one finds a witness, every tuple and every ordered pair is evaluated.
+Three places use it.  The nambu and product-rule sweeps evaluate their
+rule on the inner pairs (D_{i,j}, e_i.e_j) with i <= j, on the rule tuples
+with u <= v, and mirror the rest: the defect at (j, i, ...) is
+-(-1)^{p_i p_j} times the one at (i, j, ...), and likewise in (u, v).
+PairSpace.from_pairs brackets the basis pairs p <= q only and mirrors
+[q, p] = -(-1)^{pq} [p, q].  ps_space and companion_space list the rule
+tuples with u <= v only, since the equations of (v, u, ...) are those of
+(u, v, ...) times -(-1)^{p_u p_v}, and ps_space checks the inner pairs
+i <= j only.  Each needs the skew sweeps of the tables it reads to find
+nothing; when one finds a witness, every tuple and every ordered pair is
+evaluated.
 
 Both paths must agree with `slow_reference`, which evaluates every tuple on
 dense tables: the same witnesses (axiom, tuple, defect with its scalar
@@ -16,7 +20,10 @@ lifted and dense algebras; skew-completed mutants, with one constant
 changed and its super-skew mirror filled in, so the skew sweeps pass while
 Nambu or the product rule fail and mirrored witnesses are emitted; and the
 unmirrored mutants of `test_reference` and a hand-built product whose skew
-fails, where the full evaluation runs.
+fails, where the full evaluation runs.  On all of them ps_space and
+companion_space must return what `slow_reference` returns from its dense
+systems over every rule tuple: the same rows, pivots, brackets and basis
+pairs, and the same point, directions and pivots, with scalar types.
 """
 
 import random
@@ -27,9 +34,9 @@ import slow_reference
 import superbol as sb
 from superbol import envelope, structures
 from superbol.graded import sign
-from superbol.structures import AlgebraDef, BinaryStructure
+from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 from test_reference import (LIFTED, POOL, VALUES, assert_same_checks, even_map, from_cells,
-                            mutate, transport)
+                            mutate, random_pair, transport)
 
 BOLS = [A for A in POOL + LIFTED if A.binary is not None and A.ternary is not None]
 RULES = ("nambu", "product-rule")
@@ -247,3 +254,73 @@ def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated
         else:
             assert keys == [(i, j) for i in range(n) for j in range(i, n)]
             assert listed == {r: [at for at in ats if at[0] <= at[1]] for r, ats in full.items()}
+
+
+# ---------------------------------------------------------------------------
+# the pair-space solvers: only the rule tuples u <= v once the tables a rule
+# reads are super skew, every tuple otherwise
+
+
+def typed_space(H):
+    return (typed(c for row in H.rows for c in row), H.pivots,
+            [[typed(coords) for coords in row] for row in H.brackets],
+            [(p.degree, [[(t, type(c), c) for t, c in col] for col in p.operator.columns],
+              typed(p.companion.coords)) for p in H.basis])
+
+
+def typed_affine(S):
+    return (S.is_empty, S.point and typed(S.point), [typed(d) for d in S.directions], S.pivots)
+
+
+def solved(build, B):
+    """build(B), or the message of the EnvelopeError it raises."""
+    try:
+        return build(B)
+    except sb.EnvelopeError as err:
+        return str(err)
+
+
+def assert_same_solvers(B, rng):
+    basis = B.space.basis()
+    # the spaces first, both without their inner-pair checks: the reference's
+    # builds ips_space(B), and the span of a mutant's inner pairs need not close
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slow_reference, "ips_space", lambda B: sb.PairSpace.from_pairs(B, []))
+        mp.setattr(envelope, "_inner_pairs", lambda *args: iter(()))
+        H, expected = solved(sb.ps_space, B), solved(slow_reference.ps_space, B)
+    if isinstance(H, str) or isinstance(expected, str):
+        assert H == expected, B.name
+    else:
+        assert typed_space(H) == typed_space(expected), B.name
+        # then the inner-pair check, against inner_pair on every two basis vectors
+        if all(expected.contains(sb.inner_pair(B, x, y)) for x in basis for y in basis):
+            assert typed_space(sb.ps_space(B)) == typed_space(expected), B.name
+        else:
+            assert solved(sb.ps_space, B) == "inner pairs escaped the pseudo derivation space"
+    operators = [sb.GradedMap.identity(B.space), sb.GradedMap.zero(B.space, 1)]
+    operators += [sb.inner_pair(B, x, y).operator for x in basis for y in basis[:2]]
+    operators += [random_pair(B, rng).operator for _ in range(4)]
+    operators += [p.operator for p in H.basis[:4]] if not isinstance(H, str) else []
+    for P in operators:
+        assert typed_affine(sb.companion_space(B, P)) == \
+            typed_affine(slow_reference.companion_space(B, P)), (B.name, str(P.columns))
+
+
+def one_sided_bol():
+    """one_sided's product e1.e2 = e1, e2.e1 = 0 with the zero ternary
+    product, which is super skew: the product rule must not mirror.  Its
+    tuple (e3, e2) alone asks P e3 to have no e1 part, as e1.e2 = e1."""
+    A, _ = one_sided()
+    return AlgebraDef("one-sided bol", A.space, A.binary, from_cells(TernaryStructure, A.space, {}))
+
+
+def test_pair_solvers_match_the_reference_with_and_without_mirroring():
+    rng = random.Random(12)
+    dense = [transport(B, even_map(B.space, rng)) for B in BOLS if B.space.dim <= 4]
+    mutants = [mutate(BOLS[seed % len(BOLS)], random.Random(seed)) for seed in range(60)]
+    B = one_sided_bol()
+    assert B.ternary._skew_witnesses == () and B.binary._skew_witnesses
+    assert any(type(c) is not int for A in LIFTED for e in A.binary.cells().values()
+               for _, c in e)
+    for A in BOLS + dense + mutants + [B]:
+        assert_same_solvers(A, rng)

@@ -76,6 +76,26 @@ def test_check_axioms_stores_one_report_per_kind():
     assert sb.check_axioms(B.renamed("other"), "bol").subject == "other"
 
 
+def test_each_table_is_swept_for_skew_once(monkeypatch):
+    """The skew verdict is kept on each structure object: the Bol check,
+    ps_space, ips_space and companion_space on one bol(osp(1|2)) read it
+    from one sweep of each table."""
+    built = sb.malcev_to_bol(_osp12())
+    # fresh structure objects, which no earlier call has swept
+    B = sb.AlgebraDef("bol(osp12)", built.space, *(
+        type(st)._of(built.space, dict(st.cells())) for st in (built.binary, built.ternary)))
+    assert B._lifted[0] == 1    # the check sweeps these objects, not lifted copies
+    swept = []
+    skew = structures._skew
+    monkeypatch.setattr(structures, "_skew", lambda space, st: swept.append(st) or skew(space, st))
+    assert sb.check_axioms(B, "bol").passed
+    H = sb.ps_space(B)
+    sb.ips_space(B)
+    for pair in H.basis[:3]:
+        sb.companion_space(B, pair.operator)
+    assert sorted(map(id, swept)) == sorted(map(id, (B.binary, B.ternary)))
+
+
 def _bol_inputs():
     osp = sb.malcev_to_bol(_osp12())
     return [sb.catalog.load(key) for key in BOL_KEYS] + [

@@ -11,13 +11,17 @@ Inputs are random matrices (tall and wide, integral `Fraction`s among
 the scalars, zero and duplicate rows), Hilbert-type matrices whose
 elimination grows large coefficients, and the systems that ps_space,
 ips_space and companion_space actually solve on the catalog Bol
-algebras, bol(osp(1|2)) and a dense copy of it.  nullspace,
-solve_affine and GradedMap.inverse are run twice, once on each rref,
-and must return identical results.
+algebras, bol(osp(1|2)) and a dense copy of it.  Those solvers
+eliminate sparse rows through `linalg._rref`, of which `rref` is the
+dense view, so both names are recorded and both are replaced by the
+reference.  nullspace, solve_affine and GradedMap.inverse are run twice,
+once on each elimination, and must return identical results.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -89,21 +93,53 @@ def _bols():
 BOLS = _bols()
 
 
+def dense(rows):
+    """Sparse rows of (column, value) pairs as dense lists, as wide as the
+    last column any of them reaches."""
+    rows = [dict(row) for row in rows]
+    width = 1 + max((c for row in rows for c in row), default=0)
+    return [[row.get(c, 0) for c in range(width)] for row in rows]
+
+
+def sparse_reduced(reduced, pivots):
+    """slow_reference.rref's result in linalg._rref's form: each reduced
+    row times the lcm of its denominators, as (column, int) pairs."""
+    rows = []
+    for row in reduced:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        rows.append(tuple((c, int(x * den)) for c, x in enumerate(row) if x))
+    return rows, list(pivots)
+
+
+def reference_sparse_rref(rows):
+    return sparse_reduced(*slow_reference.rref(dense(rows)))
+
+
 def solved_systems(B):
-    """Every matrix rref receives while ps_space, ips_space and the
-    companion spaces of a few pair operators are computed for B."""
-    seen = []
+    """Every matrix rref or linalg._rref receives, dense, while ps_space,
+    ips_space and the companion spaces of a few pair operators are
+    computed for B, keyed by the function that solved it."""
+    seen, solving = {}, None
 
     def recording(rows):
         rows = [list(row) for row in rows]
-        seen.append(rows)
+        seen.setdefault(solving, []).append(rows)
         return slow_reference.rref(rows)
 
+    def recording_sparse(rows):
+        rows = dense(rows)
+        seen.setdefault(solving, []).append(rows)
+        return sparse_reduced(*slow_reference.rref(rows))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "rref", recording)
-        mp.setattr(envelope, "rref", recording)
+        for module in (linalg, envelope):
+            mp.setattr(module, "rref", recording, raising=False)
+            mp.setattr(module, "_rref", recording_sparse)
+        solving = "ps_space"
         ps = sb.ps_space(B)
+        solving = "ips_space"
         sb.ips_space(B)
+        solving = "companion_space"
         for pair in ps.basis[:4]:
             sb.companion_space(B, pair.operator)
     return seen
@@ -112,14 +148,17 @@ def solved_systems(B):
 @pytest.mark.parametrize("B", BOLS, ids=lambda B: B.name)
 def test_pair_space_systems_match_the_reference(B):
     systems = solved_systems(B)
-    assert systems
-    for rows in systems:
+    assert set(systems) == {"ps_space", "ips_space", "companion_space"}
+    assert any(systems["ps_space"])
+    for rows in itertools.chain(*systems.values()):
         assert_same_rref(rows)
 
 
 def with_reference_rref(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "rref", slow_reference.rref)
+        for module in (linalg, envelope):
+            mp.setattr(module, "_rref", reference_sparse_rref)
         return fn(*args)
 
 

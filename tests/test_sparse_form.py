@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import superbol as sb
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import POOL
+from test_reference import POOL, _osp12
 
 SPACE = sb.SuperSpace.even_first(2, 1)
 PAR = SPACE.parities
@@ -224,3 +224,49 @@ def test_no_dense_view_is_built():
             if part is not None:
                 assert not {"table", "matrix", "gram"} & set(vars(part)), obj
 
+
+
+def test_pair_solvers_build_no_dense_pair_row(monkeypatch):
+    """ps_space, ips_space, companion_space and enveloping go from the rule
+    tuples to the basis pairs in sparse rows: on the catalog Bol algebras
+    and bol(osp(1|2)), the pair layer and the elimination flatten no pair,
+    read none from a flat row, and build no dense row as long as a
+    flattened pair (n^2 + n) or as the unknowns of a degree.  The rows the
+    rules give for ps_space(bol(osp(1|2))) are pinned per degree: the rule
+    tuples (u, v, ...) with u <= v only, without repeats."""
+    from superbol import envelope, linalg
+    flattened, widths, rows = [], [], {}
+    flatten, from_flat = sb.PseudoDerivationPair.flatten, sb.PseudoDerivationPair.from_flat
+    monkeypatch.setattr(sb.PseudoDerivationPair, "flatten",
+                        lambda p: flattened.append(p) or flatten(p))
+    monkeypatch.setattr(sb.PseudoDerivationPair, "from_flat", classmethod(
+        lambda cls, space, coords: flattened.append(coords) or from_flat(space, coords)))
+    dense, rref = envelope._dense, linalg.rref
+    for module in (envelope, linalg):
+        monkeypatch.setattr(module, "_dense", lambda e, n: widths.append(n) or dense(e, n))
+        monkeypatch.setattr(module, "rref", lambda rs: widths.extend(map(len, rs)) or rref(rs),
+                            raising=False)
+    equations = envelope._equations
+
+    def counted(B, r, x, columns):
+        for row in equations(B, r, x, columns):
+            rows[B.name, r] = rows.get((B.name, r), 0) + 1
+            yield row
+
+    monkeypatch.setattr(envelope, "_equations", counted)
+    osp = sb.malcev_to_bol(_osp12())
+    bols = [e.algebra for e in sb.catalog.entries() if e.kind == "bol"] + [osp]
+    for B in bols:
+        n, par = B.space.dim, B.space.parities
+        unknowns = {sum(par[m] == (par[s] + r) % 2 for m in range(n) for s in range(n))
+                    + par.count(r) for r in (0, 1)}
+        widths.clear()
+        H = sb.ps_space(B)
+        sb.ips_space(B)
+        for pair in H.basis[:4]:
+            sb.companion_space(B, pair.operator)
+        sb.enveloping(B)
+        sb.enveloping(B, H)
+        assert widths and not set(widths) & ({n * n + n} | unknowns), B.name
+    assert flattened == []
+    assert (rows[osp.name, 0], rows[osp.name, 1]) == (70, 87)
