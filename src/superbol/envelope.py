@@ -17,12 +17,13 @@ is B + H with
     [x, (P,a)]    = -(-1)^{deg(P) par(x)} P(x),
     [(P,a),(Q,b)] = ([P,Q], P(b) - (-1)^{deg P deg Q} Q(a) - a.b).
 
-The last block is the bracket coordinates a PairSpace keeps from its
-closure check, which brackets its basis pairs times a common denominator
-M, integral, on one sparse kernel.  A super skew binary product makes
-the bracket super skew, [q, p] = -(-1)^{pq} [p, q]: when the product's
-skew sweep finds nothing, only p <= q is bracketed and the rest are
-those exact multiples, as the inner pairs (e_j, e_i) with i < j are.
+The last block is H's structure constants, which a PairSpace keeps
+sparse (`brackets` is their dense view) from its closure check: that
+brackets the basis pairs times a common denominator M, integral, on one
+sparse kernel.  A super skew binary product makes the bracket super
+skew, [q, p] = -(-1)^{pq} [p, q]: when the product's skew sweep finds
+nothing, only p <= q is bracketed and the rest are those exact
+multiples, as the inner pairs (e_j, e_i) with i < j are.
 Every constructed enveloping algebra is re-checked against the Lie
 axioms; violations raise instead of producing a bad algebra.
 """
@@ -245,15 +246,15 @@ class PairSpace:
 
     `basis` holds homogeneous pairs read off the reduced rows of their flat
     entries (leading columns in pivots), so equality of PairSpaces is
-    equality of spans.  brackets[m][l] holds the coordinates of
-    pair_bracket(basis[m], basis[l]) over the basis, computed once to
-    verify closure.
+    equality of spans.  _brackets[m][l] holds the sparse coordinates of
+    pair_bracket(basis[m], basis[l]) over the basis, like a structure's
+    entries, computed once to verify closure; `brackets` is their dense view.
     """
 
     algebra: AlgebraDef
     basis: tuple
     pivots: tuple = field(compare=False, repr=False)
-    brackets: tuple = field(compare=False, repr=False)
+    _brackets: tuple = field(compare=False, repr=False)
     # (M, the sparse reduced rows times M) from linalg._common_denominator
     _common: tuple = field(compare=False, repr=False)
 
@@ -265,9 +266,9 @@ class PairSpace:
         # a zero pair spans nothing
         reduced, pivots = _rref(p._entries() for p in pairs
                                 if not (p.operator.is_zero() and p.companion.is_zero()))
-        reduced = tuple(map(_divided, reduced))
         space, n, d = algebra.space, algebra.space.dim, len(reduced)
-        basis = tuple(_pair(space, _degree_at(space.parities, row[0][0]), row) for row in reduced)
+        basis = tuple(_pair(space, _degree_at(space.parities, row[0][0]), _divided(row))
+                      for row in reduced)
         # the closure check brackets the basis pairs times M, integral: M^2 [p, q]
         common = _common_denominator(reduced)
         M, scaled = common[0], [_pair(space, p.degree, row) for p, row in zip(basis, common[1])]
@@ -278,7 +279,8 @@ class PairSpace:
         for m, l in itertools.product(range(d), repeat=2):
             p, q = basis[m], basis[l]
             if mirror and l < m:
-                brackets[m][l] = tuple(-sign(p.degree * q.degree) * c for c in brackets[l][m])
+                s = -sign(p.degree * q.degree)
+                brackets[m][l] = tuple((k, s * c) for k, c in brackets[l][m])
                 continue
             brackets[m][l] = _span_coordinates(
                 common, pivots, _bracket_entries(n, E, scaled[m], scaled[l]), M * M)
@@ -299,11 +301,18 @@ class PairSpace:
         return self.coordinates_of(pair) is not None
 
     def coordinates_of(self, pair):
-        return _span_coordinates(self._common, self.pivots, pair._entries())
+        if pair.space != self.algebra.space:
+            raise GradingError("pair lives outside the algebra")
+        coords = _span_coordinates(self._common, self.pivots, pair._entries())
+        return None if coords is None else _dense(coords, self.dim)
 
     @cached_property
     def rows(self):  # the reduced rows, dense
         return tuple(p.flatten() for p in self.basis)
+
+    @cached_property
+    def brackets(self):  # _brackets, dense
+        return tuple(tuple(_dense(coords, self.dim) for coords in row) for row in self._brackets)
 
     def contains_space(self, other):
         return all(self.contains(p) for p in other.basis)
@@ -400,7 +409,7 @@ def enveloping(B, H=None):
 
     # base coordinates keep their indices, H coordinates shift by nb
     def shifted(coords):
-        return tuple((nb + m, rat(c)) for m, c in enumerate(coords) if c)
+        return tuple((nb + m, c) for m, c in coords)
 
     # the inner pairs (e_i, e_j) with i <= j once B is skew, the rest mirrored
     cells, structures, par = {}, _structures(B, ("binary", "ternary")), B.space.parities
@@ -418,7 +427,7 @@ def enveloping(B, H=None):
             s = -sign(p.degree * B.space.parities[j])
             cells[nb + m, j] = col
             cells[j, nb + m] = tuple((t, s * c) for t, c in col)
-        for l, coords in enumerate(H.brackets[m]):
+        for l, coords in enumerate(H._brackets[m]):
             cells[nb + m, nb + l] = shifted(coords)
 
     lie = AlgebraDef("env(%s)" % B.name, space, binary=BinaryStructure._of(space, cells))
@@ -437,6 +446,8 @@ def ideal_envelope(B, K, env=None):
         raise StructureError("K is not an ideal of %s" % B.name)
     if env is None:
         env = enveloping(B)
+    elif env.base != B:
+        raise GradingError("env was built over a different algebra")
     vectors = [env.embed_base(v) for v in K.basis]
     for pair in ips_space(B, K).basis:
         coords = env.pairs.coordinates_of(pair)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .graded import GradingError, SuperVector, _dense, _quotient, _sparse, rat
@@ -119,9 +118,7 @@ def nullspace(rows, ncols):
 
 def _null_space(space, rows):
     """The Subspace of space on which the sparse rows vanish."""
-    basis, pivots = _kernel(*_rref(rows), range(space.dim))
-    return Subspace(space, tuple(SuperVector(space, _dense(_divided(b), space.dim))
-                                 for b in basis), tuple(pivots))
+    return _subspace(space, *_kernel(*_rref(rows), range(space.dim)))
 
 
 @dataclass(frozen=True)
@@ -130,16 +127,17 @@ class AffineSubspace:
 
     `point` is None for the empty set.  Directions are stored as a
     canonical reduced basis of raw coordinate tuples (leading columns in
-    `pivots`).
+    `pivots`; sparse and times M, integral, in `_common`).
     """
 
     point: tuple | None
     directions: tuple
     pivots: tuple = field(compare=False, repr=False)
+    _common: tuple = field(compare=False, repr=False)
 
     @classmethod
     def empty(cls):
-        return cls(None, (), ())
+        return cls(None, (), (), (1, ()))
 
     @property
     def is_empty(self):
@@ -158,33 +156,31 @@ class AffineSubspace:
         diff = [a - b for a, b in zip(coords, self.point)]
         return _span_coordinates(self._common, self.pivots, _sparse(diff)) is not None
 
-    @cached_property
-    def _common(self):
-        return _common_denominator(map(_sparse, self.directions))
-
 
 def _common_denominator(rows):
-    """Reduced sparse rows over one denominator: (M, the rows times M), M the
-    lcm of every denominator, so the scaled rows are integral."""
-    cleared = [_cleared(row) for row in rows]
-    M = lcm(*(d for d, _ in cleared))
-    return M, tuple(tuple((c, x * (M // d)) for c, x in cells.items()) for d, cells in cleared)
+    """The reduced rows of _rref's integer rows over one denominator: (M, the
+    reduced rows times M), M the lcm of the leading entries.  A primitive
+    row divided by its lead has exactly the lead as denominator, so the
+    scaled rows are integral."""
+    M = lcm(*(row[0][1] for row in rows))
+    return M, tuple(tuple((c, x * (M // row[0][1])) for c, x in row) for row in rows)
 
 
 def _span_coordinates(common, pivots, vec, scale=1):
-    """Coefficients of vec / scale over reduced rows leading at pivots, given
-    as (M, M rows) by _common_denominator, or None outside their span; vec
-    is sparse.  Row r's coefficient is vec[pivots[r]], and vec is in the
-    span iff the integer M d vec - sum of (d vec)[pivots[r]] M row r is 0."""
+    """The nonzero coefficients (r, c) of vec / scale over reduced rows at
+    pivots, given as (M, M rows) by _common_denominator, or None outside
+    their span; vec is sparse.  Row r's is vec[pivots[r]], and vec is in
+    the span iff the integer M d vec - sum of (d vec)[pivots[r]] M row r is 0."""
     M, rows = common
     d, vec = _cleared(vec)
     residue = {c: M * x for c, x in vec.items()}
     coeffs = []
-    for row, lead in zip(rows, pivots):
+    for r, (row, lead) in enumerate(zip(rows, pivots)):
         f = vec.get(lead, 0)
-        coeffs.append(_quotient(f, d * scale))
-        for t, y in row if f else ():
-            residue[t] = residue.get(t, 0) - f * y
+        if f:
+            coeffs.append((r, _quotient(f, d * scale)))
+            for t, y in row:
+                residue[t] = residue.get(t, 0) - f * y
     return None if any(residue.values()) else tuple(coeffs)
 
 
@@ -208,25 +204,23 @@ def _affine(reduced, pivots, ncols):
                     if row[-1][0] == ncols], ncols)
     reduced = [row[:-1] if row[-1][0] == ncols else row for row in reduced]
     dirs, leads = _kernel(reduced, pivots, range(ncols))
-    return AffineSubspace(point, tuple(_dense(_divided(d), ncols) for d in dirs), tuple(leads))
+    return AffineSubspace(point, tuple(_dense(_divided(d), ncols) for d in dirs), tuple(leads),
+                          _common_denominator(dirs))
 
 
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of a SuperSpace with a canonical reduced basis (leading
-    columns in `pivots`)."""
+    columns in `pivots`; sparse and times M, integral, in `_common`)."""
 
     space: object
     basis: tuple
     pivots: tuple = field(compare=False, repr=False)
+    _common: tuple = field(compare=False, repr=False)
 
     @property
     def dim(self):
         return len(self.basis)
-
-    @cached_property
-    def _common(self):
-        return _common_denominator(_sparse(v.coords) for v in self.basis)
 
     def contains(self, v):
         return self.coordinates_of(v) is not None
@@ -235,7 +229,8 @@ class Subspace:
         """Coefficients of v over this basis, or None if outside."""
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        return _span_coordinates(self._common, self.pivots, _sparse(v.coords))
+        coords = _span_coordinates(self._common, self.pivots, _sparse(v.coords))
+        return None if coords is None else _dense(coords, self.dim)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)
@@ -260,8 +255,13 @@ def span_reduce(space, vectors):
     for v in vectors:
         if v.space != space:
             raise GradingError("vector lives in a different space")
-    reduced, pivots = rref([v.coords for v in vectors])
-    return Subspace(space, tuple(SuperVector(space, row) for row in reduced), tuple(pivots))
+    return _subspace(space, *_rref(enumerate(v.coords) for v in vectors))
+
+
+def _subspace(space, reduced, pivots):
+    """The Subspace of space spanned by _rref's integer rows leading at pivots."""
+    return Subspace(space, tuple(SuperVector(space, _dense(_divided(row), space.dim))
+                                 for row in reduced), tuple(pivots), _common_denominator(reduced))
 
 
 def whole_space(space):

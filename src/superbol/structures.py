@@ -628,29 +628,16 @@ def classify_subspace(A, V):
         raise GradingError("V must be a subspace of A's space")
     if not V.is_graded():
         raise GradingError("subspace is not graded")
-    vs = V.basis
-    basis = A.space.basis()
+    vs, basis = V.basis, A.space.basis()
 
-    closed = True
-    if A.binary is not None:
-        closed = all(V.contains(A.binary.eval(v, w)) for v in vs for w in vs)
-    if closed and A.ternary is not None:
-        closed = all(V.contains(A.ternary.eval(u, v, w))
-                     for u in vs for v in vs for w in vs)
-    if not closed:
+    def inside(st, *legs):  # every product of st over the legs lies in V
+        return st is None or all(V.contains(st.eval(*at)) for at in itertools.product(*legs))
+
+    if not (inside(A.binary, vs, vs) and inside(A.ternary, vs, vs, vs)):
         return NOT_CLOSED
-
-    invariant = True
-    if A.ternary is not None:
-        invariant = all(V.contains(A.ternary.eval(x, y, v))
-                        for x in basis for y in basis for v in vs)
-    if not invariant:
+    if not inside(A.ternary, basis, basis, vs):
         return SUBSUPERALGEBRA
-
-    ideal = True
-    if A.binary is not None:
-        ideal = all(V.contains(A.binary.eval(x, v)) for x in basis for v in vs)
-    return IDEAL if ideal else INVARIANT
+    return IDEAL if inside(A.binary, basis, vs) else INVARIANT
 
 
 def check_morphism(f, A, B):

@@ -32,6 +32,10 @@ rref is the dense Gauss-Jordan elimination the package used before its
 fraction-free one: every cell of every row is normalized through `rat`
 at every step.  `tests/test_rref_reference.py` holds the package's rref,
 and the solvers built on it, to the same rows, pivots and scalar types.
+
+classify_subspace is the version that wrote each of its four containment
+sweeps out as its own loop, before one local test served all four;
+`tests/test_structures.py` holds the package's to it.
 """
 
 from fractions import Fraction
@@ -40,10 +44,11 @@ from superbol.envelope import (EnvelopeError, PairSpace, PseudoDerivationPair,
                                ips_space)
 from superbol.forms import BilinearForm, InvariantReport
 from superbol.graded import GradedMap, GradingError, SuperVector, rat, sign
-from superbol.linalg import (AffineSubspace, nullspace, solve_affine, span_reduce,
+from superbol.linalg import (AffineSubspace, Subspace, nullspace, solve_affine, span_reduce,
                              whole_space)
-from superbol.structures import (KIND_ALIASES, KINDS, CheckReport,
-                                 StructureError, Witness, require_axioms)
+from superbol.structures import (IDEAL, INVARIANT, KIND_ALIASES, KINDS, NOT_CLOSED,
+                                 SUBSUPERALGEBRA, CheckReport, StructureError, Witness,
+                                 require_axioms)
 
 
 def _eval_binary(A, x, y):
@@ -893,3 +898,38 @@ def rref(rows):
         if row == len(a):
             break
     return tuple(tuple(r) for r in a[:row]), pivots
+
+
+def classify_subspace(A, V):
+    """Strongest of: not_closed < subsuperalgebra < invariant < ideal.
+
+    V must be graded.  invariant means [B, B, V] <= V on top of closure;
+    ideal additionally needs B*V <= V.
+    """
+    if not isinstance(V, Subspace) or V.space != A.space:
+        raise GradingError("V must be a subspace of A's space")
+    if not V.is_graded():
+        raise GradingError("subspace is not graded")
+    vs = V.basis
+    basis = A.space.basis()
+
+    closed = True
+    if A.binary is not None:
+        closed = all(V.contains(A.binary.eval(v, w)) for v in vs for w in vs)
+    if closed and A.ternary is not None:
+        closed = all(V.contains(A.ternary.eval(u, v, w))
+                     for u in vs for v in vs for w in vs)
+    if not closed:
+        return NOT_CLOSED
+
+    invariant = True
+    if A.ternary is not None:
+        invariant = all(V.contains(A.ternary.eval(x, y, v))
+                        for x in basis for y in basis for v in vs)
+    if not invariant:
+        return SUBSUPERALGEBRA
+
+    ideal = True
+    if A.binary is not None:
+        ideal = all(V.contains(A.binary.eval(x, v)) for x in basis for v in vs)
+    return IDEAL if ideal else INVARIANT

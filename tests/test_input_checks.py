@@ -128,6 +128,11 @@ CASES = [
      "K is not graded"),
     ("H algebra", lambda: sb.enveloping(B, sb.ips_space(sb.catalog.load("L2_2_2_bol"))),
      sb.GradingError, "H was built over a different algebra"),
+    ("pair space member", lambda: sb.ips_space(B).contains(sb.PseudoDerivationPair(ID_OTHER, X)),
+     sb.GradingError, "pair lives outside the algebra"),
+    ("ideal envelope", lambda: sb.ideal_envelope(B, sb.whole_space(SPACE),
+                                                 sb.enveloping(sb.catalog.load("L2_2_2_bol"))),
+     sb.GradingError, "env was built over a different algebra"),
     ("embedded vector", lambda: sb.enveloping(B).embed_base(X), sb.GradingError,
      "vector lives outside the base algebra"),
 ]

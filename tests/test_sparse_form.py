@@ -270,3 +270,32 @@ def test_pair_solvers_build_no_dense_pair_row(monkeypatch):
         assert widths and not set(widths) & ({n * n + n} | unknowns), B.name
     assert flattened == []
     assert (rows[osp.name, 0], rows[osp.name, 1]) == (70, 87)
+
+
+def test_pair_spaces_keep_their_brackets_sparse(monkeypatch):
+    """A PairSpace holds the structure constants of H sparse, like every
+    structure: after ps_space, ips_space, both envelopes and
+    semisimplicity_report on the catalog Bol algebras and bol(osp(1|2)), no
+    pair space they built holds the dense `brackets` view, and the view
+    gives back exactly the stored nonzero coordinates.  On the zero algebra
+    with six even labels, whose PS has d = 42, far fewer than d^3
+    coefficients are stored."""
+    from superbol.graded import _sparse
+    built = []
+    from_pairs = sb.PairSpace.from_pairs.__func__
+    monkeypatch.setattr(sb.PairSpace, "from_pairs", classmethod(
+        lambda cls, A, pairs: built.append(from_pairs(cls, A, pairs)) or built[-1]))
+    bols = [e.algebra for e in sb.catalog.entries() if e.kind == "bol"]
+    for B in bols + [sb.malcev_to_bol(_osp12())]:
+        H = sb.ps_space(B)
+        sb.ips_space(B)
+        sb.enveloping(B)
+        sb.enveloping(B, H)
+        sb.semisimplicity_report(B)
+    assert len(built) >= 5 * len(bols) and any(H.dim > 1 for H in built)
+    assert not any("brackets" in vars(H) for H in built)
+    for H in built:
+        assert H._brackets == tuple(tuple(map(_sparse, row)) for row in H.brackets)
+    H = sb.ps_space(sb.catalog.load("abelian_6_0"))
+    d = H.dim
+    assert d == 42 and sum(len(c) for row in H._brackets for c in row) < d ** 2

@@ -1,7 +1,9 @@
+import itertools
 import re
 
 import pytest
 
+import slow_reference
 import superbol as sb
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 
@@ -187,3 +189,32 @@ def test_from_products_rejects_bad_keys(cls, arity, bad):
            "wrong arity": (0,) * (5 - arity)}[bad]
     with pytest.raises(sb.StructureError, match=re.escape(repr(key))):
         cls.from_products(sp, {key: (0, 0, 1)})
+
+
+def test_classify_matches_the_reference_on_every_basis_span(monkeypatch):
+    """classify_subspace against slow_reference's, on the span of every subset
+    of the basis of each catalog algebra and of lts(aff2_lie): the same
+    outcome after the same containment tests, in the same order.  The spans
+    reach all four outcomes, and algebras with a binary product only, a
+    ternary one only, and both."""
+    asked = []
+    contains = sb.Subspace.contains
+    monkeypatch.setattr(sb.Subspace, "contains", lambda V, v: asked.append(v) or contains(V, v))
+    algebras = [e.algebra for e in sb.catalog.entries()]
+    algebras.append(sb.lie_to_supertriple(sb.catalog.load("aff2_lie")))
+    outcomes, kinds = set(), set()
+    for A in algebras:
+        basis = A.space.basis()
+        for k in range(len(basis) + 1):
+            for subset in itertools.combinations(basis, k):
+                V = sb.span_reduce(A.space, list(subset))
+                got = sb.classify_subspace(A, V)
+                fast = asked[:]
+                asked.clear()
+                assert got == slow_reference.classify_subspace(A, V), (A.name, subset)
+                assert asked == fast, (A.name, subset)
+                asked.clear()
+                outcomes.add(got)
+        kinds.add((A.binary is not None, A.ternary is not None))
+    assert outcomes == {sb.NOT_CLOSED, sb.SUBSUPERALGEBRA, sb.INVARIANT, sb.IDEAL}
+    assert kinds == {(True, False), (False, True), (True, True)}
