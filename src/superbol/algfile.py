@@ -24,7 +24,7 @@ from .catalog import ABELIAN_MAX_DIM
 from .graded import SuperSpace, SuperVector, _dense, rat, sign
 from .structures import AlgebraDef, BinaryStructure, TernaryStructure
 
-_LABEL = re.compile(r"[A-Za-z_]\w*$")
+_LABEL = re.compile(r"[A-Za-z_]\w*")
 _DIRECTIVE = re.compile(r"\s*([\w-]+)")
 _HEAD2 = re.compile(r"^\s*\[\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\]\s*=")
 _HEAD3 = re.compile(
@@ -101,7 +101,7 @@ def parse_algebra(text):
             raise ParseError("expected at least one label", line_no, base + 1)
         for m in found:
             tok = m.group()
-            if not _LABEL.match(tok):
+            if not _LABEL.fullmatch(tok):
                 raise ParseError("invalid label %r" % tok, line_no, base + m.start() + 1)
             if tok in seen:
                 raise ParseError("label %r already declared on line %d" % (tok, seen[tok]),
@@ -211,10 +211,16 @@ def serialize_algebra(A):
     if not space.is_even_first():
         raise ValueError("serialization needs even labels before odd ones")
     for lab in space.labels:
-        if not _LABEL.match(lab):
+        if not _LABEL.fullmatch(lab):
             raise ValueError("label %r does not fit the file grammar" % lab)
-    if "#" in A.name or "\n" in A.name:
+    # the parser strips the name and cuts its line at '#' and newlines
+    if not A.name or A.name != A.name.strip() or "#" in A.name or "\n" in A.name:
         raise ValueError("name %r does not fit the file grammar" % A.name)
+    for st in (A.binary, A.ternary):
+        # only one product of each mirrored pair is written; the parser completes the other
+        if st is not None and st._skew_witnesses:
+            raise ValueError("%s table is not super skew at [%s], which the file grammar "
+                             "implies" % (st.NAME, ",".join(st._skew_witnesses[0].at)))
 
     n = space.dim
     par = space.parities

@@ -11,16 +11,21 @@ routes that must agree exactly:
   T[k][i][j][k] being the e_k coordinate of [e_k, e_i, e_j].
 
 Their agreement on every catalog algebra is part of the test suite.
+
+Each form identity below is one comparison of two sparse tables, {index
+tuple: value}, over the union of their supports only: the work follows
+the nonzero products and form entries, not the n^4 basis tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .envelope import enveloping
 from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into,
-                     _sparse, _SparseValue, _transposed, _unit, rat, sign)
+                     _sparse, _SparseValue, _transposed, rat, sign)
 from .linalg import _null_space, span_reduce, whole_space
 from .structures import (CheckReport, Witness, center, classify_subspace,
                          require_axioms)
@@ -71,17 +76,13 @@ class BilinearForm(_SparseValue):
         return rat(sum(a * by[i] for i, a in _sparse(x.coords)))
 
     def _asymmetry(self):
-        # (i, j, (-1)^{p_i p_j} b(e_j, e_i) - b(e_i, e_j)) where nonzero, in order
-        n, par, unit = self.space.dim, self.space.parities, _unit(self.space.dim)
-        for i, (row, col) in enumerate(zip(self.rows, self.columns)):
-            if row or col:
-                acc = _into(_into([0] * n, col, unit, sign(par[i])), row, unit, -1)
-                for j, defect in enumerate(acc):
-                    if defect:
-                        yield i, j, rat(defect)
+        # ((i, j), (-1)^{p_i p_j} b(e_j, e_i) - b(e_i, e_j)) where nonzero, in order
+        par = self.space.parities
+        gram = {(i, j): c for i, row in enumerate(self.rows) for j, c in row}
+        return _mismatches(gram, (0, 1), gram, (1, 0), lambda at: sign(par[at[0]] * par[at[1]]))
 
     def is_supersymmetric(self):
-        return next(self._asymmetry(), None) is None
+        return not any(self._asymmetry())
 
     def radical(self):
         return orthogonal(self, whole_space(self.space))
@@ -176,74 +177,61 @@ class InvariantReport:
                 + self.triple_invariance.witnesses)
 
 
-def _contracted(view, table, depth):
-    """`table`, sparse products nested `depth` deep, with each product w
-    replaced by _into([0] * n, w, view): b(w, e_l) at l through a form's
-    rows, b(e_l, w) through its columns.  Zero products share one tuple."""
+def _contracted(view, st):
+    """{at + (l,): value} over the nonzero products w = st[at], each w
+    contracted with a form through _into: b(w, e_l) at l through the form's
+    rows, b(e_l, w) through its columns.  Zero values are left out."""
     n = len(view)
-    zero = (0,) * n
+    return {at + (l,): value for at, entry in st.cells().items()
+            for l, value in enumerate(_into([0] * n, entry, view)) if value}
 
-    def walk(sub, d):
-        if d:
-            return [walk(x, d - 1) for x in sub]
-        return _into([0] * n, sub, view) if sub else zero
 
-    return walk(table, depth)
+def _mismatches(lhs, lorder, rhs, rorder, factor):
+    """(at, rat(factor(at) * rhs[at read in rorder] - lhs[at read in lorder])),
+    in lexicographic order of at, wherever the two sides differ; `at read in
+    order` is the tuple of at[o] for o in order.  An unlisted key reads 0, and
+    only the tuples that either side lists are visited."""
+    def by_at(side, order):  # the (at, value) of side, each key read back to its at
+        back = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        return zip(map(back, side), side.values())
+
+    defects = {at: -value for at, value in by_at(lhs, lorder)}
+    for at, value in by_at(rhs, rorder):
+        defects[at] = defects.get(at, 0) + factor(at) * value
+    return sorted((at, rat(defect)) for at, defect in defects.items() if defect)
 
 
 def check_invariant(B, b):
     """Check invariance of b: supersymmetry, b(xy,z) = -(-1)^{xy} b(y,xz),
     b([x,y,z],u) = -(-1)^{y(z+u)} b(x,[z,u,y]); plus the three equivalent
     ternary invariance statements as booleans, all read from each product
-    contracted with b once on each side."""
+    contracted with b once on each side and compared over their support."""
     if b.space != B.space:
         raise GradingError("form lives on a different space")
-    n = B.space.dim
-    par = B.space.parities
-    lab = B.space.labels
+    par, lab = B.space.parities, B.space.labels
 
-    sym = [Witness("supersymmetry", (lab[i], lab[j]), defect)
-           for i, j, defect in b._asymmetry()]
-    sym_report = CheckReport(B.name, "supersymmetry", not sym, tuple(sym))
+    def report(axiom, found):
+        found = tuple(Witness(axiom, tuple(lab[t] for t in at), defect) for at, defect in found)
+        return CheckReport(B.name, axiom, not found, found)
 
-    prod = []
+    prod, trip, inva1, inva3 = (), (), True, True
     if B.binary is not None:
-        # left[i][j][k] = b(e_i e_j, e_k), right[i][k][j] = b(e_j, e_i e_k)
-        left, right = (_contracted(view, B.binary.entries, 2) for view in (b.rows, b.columns))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = left[i][j][k]
-                    rhs = -sign(par[i] * par[j]) * right[i][k][j]
-                    if rhs != lhs:
-                        prod.append(Witness("product-invariance", (lab[i], lab[j], lab[k]),
-                                            rat(rhs - lhs)))
-    prod_report = CheckReport(B.name, "product-invariance", not prod, tuple(prod))
-
-    trip = []
-    inva1 = inva3 = True
+        # left[i, j, k] = b(e_i e_j, e_k), right[i, k, j] = b(e_j, e_i e_k)
+        left, right = (_contracted(view, B.binary) for view in (b.rows, b.columns))
+        prod = _mismatches(left, (0, 1, 2), right, (0, 2, 1),
+                           lambda at: -sign(par[at[0]] * par[at[1]]))
     if B.ternary is not None:
-        # left[i][j][k][l] = b([e_i, e_j, e_k], e_l), right[i][j][k][l] = b(e_l, [e_i, e_j, e_k])
-        left, right = (_contracted(view, B.ternary.entries, 3) for view in (b.rows, b.columns))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs_ijk = left[i][j][k]
-                    for l in range(n):
-                        lhs = lhs_ijk[l]
-                        rhs = -sign(par[j] * (par[k] + par[l])) * right[k][l][j][i]
-                        if rhs != lhs:
-                            trip.append(Witness("triple-invariance",
-                                                (lab[i], lab[j], lab[k], lab[l]),
-                                                rat(rhs - lhs)))
-                        if lhs != -sign(par[k] * (par[i] + par[j])) * right[i][j][l][k]:
-                            inva1 = False
-                        if right[j][k][l][i] != \
-                                sign(par[i] * par[j] + par[k] * par[l]) * right[i][l][k][j]:
-                            inva3 = False
-    trip_report = CheckReport(B.name, "triple-invariance", not trip, tuple(trip))
-
-    return InvariantReport(sym_report, prod_report, trip_report, inva1, inva3)
+        # left[i, j, k, l] = b([e_i, e_j, e_k], e_l), right[i, j, k, l] = b(e_l, [e_i, e_j, e_k])
+        left, right = (_contracted(view, B.ternary) for view in (b.rows, b.columns))
+        trip = _mismatches(left, (0, 1, 2, 3), right, (2, 3, 1, 0),
+                           lambda at: -sign(par[at[1]] * (par[at[2]] + par[at[3]])))
+        inva1 = not any(_mismatches(left, (0, 1, 2, 3), right, (0, 1, 3, 2),
+                                    lambda at: -sign(par[at[2]] * (par[at[0]] + par[at[1]]))))
+        inva3 = not any(_mismatches(right, (1, 2, 3, 0), right, (0, 3, 2, 1), lambda at:
+                                    sign(par[at[0]] * par[at[1]] + par[at[2]] * par[at[3]])))
+    return InvariantReport(report("supersymmetry", b._asymmetry()),
+                           report("product-invariance", prod),
+                           report("triple-invariance", trip), inva1, inva3)
 
 
 def orthogonal(b, V):
@@ -287,13 +275,19 @@ def _pairing_identity(B, env, alpha, beta):
     beta(e_j, [e_u, e_v, e_i]) on every basis 4-tuple of B, the binary
     brackets taken in the envelope env."""
     nb, par = B.space.dim, B.space.parities
-    E = env.lie.binary.entries
-    # left[i][j][t] = alpha([e_i, e_j], e_t), right[u][v][i][j] = beta(e_j, [e_u, e_v, e_i])
-    left = _contracted(alpha.rows, [row[:nb] for row in E[:nb]], 2)
-    right = _contracted(beta.columns, B.ternary.entries, 3)
-    return all(sum(c * left[i][j][t] for t, c in E[u][v])
-               == sign(par[i] * (par[u] + par[v] + par[j])) * right[u][v][i][j]
-               for i in range(nb) for j in range(nb) for u in range(nb) for v in range(nb))
+    # lhs[i, j, u, v] = alpha([e_i, e_j], [e_u, e_v]): the base-block cells of env paired
+    cells = [(at, entry) for at, entry in env.lie.binary.cells().items() if max(at) < nb]
+    lhs = {}
+    for at, entry in cells:
+        row = _into([0] * env.dim, entry, alpha.rows)    # alpha([e_i, e_j], e_t) at t
+        for uv, other in cells:
+            value = sum(c * row[t] for t, c in other)
+            if value:
+                lhs[at + uv] = value
+    # rhs[u, v, i, j] = beta(e_j, [e_u, e_v, e_i])
+    rhs = _contracted(beta.columns, B.ternary)
+    return not any(_mismatches(lhs, (0, 1, 2, 3), rhs, (2, 3, 0, 1), lambda at:
+                               sign(par[at[0]] * (par[at[1]] + par[at[2]] + par[at[3]]))))
 
 
 def semisimplicity_report(B, ideals=()):

@@ -184,6 +184,8 @@ class _Structure(_SparseValue):
     def eval(self, *args):
         if len(args) != self.ARITY:
             raise TypeError("%s product takes %d arguments" % (self.NAME, self.ARITY))
+        if any(v.space != self.space for v in args):
+            raise GradingError("vector lives in a different space")
         acc = [0] * self.space.dim
         *head, last = (_sparse(v.coords) for v in args)
         for picks in itertools.product(*head):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import superbol as sb
 from superbol.algfile import ParseError
-from superbol.structures import AlgebraDef, BinaryStructure
+from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 
 L2_3_1_TEXT = """\
 # four-dimensional specimen, one odd generator
@@ -188,3 +190,40 @@ def test_serialize_rejects_awkward_input():
     good = sb.catalog.load("abelian_1_1")
     with pytest.raises(ValueError):
         sb.serialize_algebra(good.renamed("has # comment"))
+
+
+# names and labels made of the characters the grammar treats specially
+AWKWARD = st.text(st.sampled_from("ab1_ #\n\t"), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(AWKWARD, st.lists(AWKWARD, min_size=1, max_size=3, unique=True))
+def test_what_serializes_reads_back(name, labels):
+    """serialize_algebra either refuses a name or label or writes a file
+    that parses back to the same algebra."""
+    sp = sb.SuperSpace((0,) * len(labels), tuple(labels))
+    A = AlgebraDef(name, sp, binary=BinaryStructure.from_products(sp, {}),
+                   ternary=TernaryStructure.from_products(sp, {}))
+    try:
+        text = sb.serialize_algebra(A)
+    except ValueError:
+        return
+    assert sb.parse_algebra(text) == A
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-1, 1), min_size=8, max_size=8))
+def test_what_serializes_reads_back_table(values):
+    """A table that is not super skew is refused; any other reads back.  (A
+    file with no products defines both structures, so the zero table is left
+    out.)"""
+    assume(any(values))
+    sp = sb.SuperSpace.even_first(("a", "b"), ())
+    table = [[values[4 * i + 2 * j: 4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
+    A = AlgebraDef("t", sp, binary=BinaryStructure(sp, table))
+    try:
+        text = sb.serialize_algebra(A)
+    except ValueError:
+        assert A.binary._skew_witnesses
+        return
+    assert sb.parse_algebra(text) == A

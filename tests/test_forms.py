@@ -151,3 +151,15 @@ def test_semisimplicity_report_nondegenerate_case():
     assert semi.orthogonal_center_match is True
     rep = sb.check_invariant(B, semi.beta)
     assert rep.passed and rep.equivalence_consistent
+
+
+def test_invariance_visits_only_the_support(monkeypatch):
+    """The zero form on an algebra with no products has no tuple where a
+    term of any form identity can be nonzero, so no sign is taken."""
+    Z = sb.catalog.load("abelian_16_0")
+    zero = sb.BilinearForm.from_rows(Z.space, [[0] * 16] * 16)
+    calls = []
+    monkeypatch.setattr(sb.forms, "sign", lambda e: calls.append(e) or sb.sign(e))
+    report = sb.check_invariant(Z, zero)
+    assert report.passed and report.equivalence_consistent
+    assert calls == []

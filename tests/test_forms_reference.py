@@ -200,3 +200,29 @@ def test_pairing_identity_matches_the_reference():
             assert _pairing_identity(B, env, a, b) == \
                 slow_reference.pairing_identity(B, env, a, b), B.name
         assert sb.semisimplicity_report(B).pairing_identity is True
+
+
+ZEROS = [sb.catalog.load(key) for key in ("abelian_2_2", "abelian_3_1")]
+
+
+def off_the_products(B, form):
+    """form with every row and column cleared whose basis vector some product
+    reaches: each product then pairs to zero on both sides, and the form's
+    support lies where the contracted tables have none."""
+    reached = {t for st in (B.binary, B.ternary) for entry in st.cells().values()
+               for t, _ in entry}
+    return sb.BilinearForm.from_rows(B.space, [
+        [0 if i in reached or j in reached else c for j, c in enumerate(row)]
+        for i, row in enumerate(form.gram)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(ZEROS + BOLS) - 1), st.integers(0, 2 ** 32), st.booleans())
+def test_forms_off_the_products_match_the_reference(index, seed, symmetric):
+    rng = random.Random(seed)
+    B = (ZEROS + BOLS)[index]
+    b = off_the_products(B, random_form(B.space, rng, symmetric))
+    assert_same_invariance(B, b)
+    env = sb.enveloping(B)
+    alpha = random_form(env.lie.space, rng, True)
+    assert _pairing_identity(B, env, alpha, b) == slow_reference.pairing_identity(B, env, alpha, b)

@@ -19,9 +19,13 @@ SPACE = B.space
 OTHER = sb.SuperSpace.even_first(("a", "b"), ("c", "d"))
 E1, E4 = SPACE.basis()[0], SPACE.basis()[3]
 X = OTHER.basis()[0]
+WIDE = sb.SuperSpace.even_first(("a", "b", "c"), ("d", "e"))
 ID, ID_OTHER = sb.GradedMap.identity(SPACE), sb.GradedMap.identity(OTHER)
 LTS = sb.lie_to_supertriple(sb.catalog.load("aff2_lie"))    # no binary structure
 ZERO = ((0,) * 4,) * 4
+PAIR = sb.SuperSpace.even_first(("a", "b"), ())
+ONE_SIDED = AlgebraDef("x", PAIR, binary=BinaryStructure(PAIR, (((0, 0), (1, 0)),
+                                                                 ((0, 0), (0, 0)))))
 
 
 CASES = [
@@ -77,6 +81,16 @@ CASES = [
         AlgebraDef("x", sb.SuperSpace((0,), ("a-b",)),
                    binary=BinaryStructure.from_products(sb.SuperSpace((0,), ("a-b",)), {}))),
      ValueError, "label 'a-b' does not fit the file grammar"),
+    ("label with a newline", lambda: sb.serialize_algebra(
+        AlgebraDef("x", sb.SuperSpace((0,), ("a\n",)),
+                   binary=BinaryStructure.from_products(sb.SuperSpace((0,), ("a\n",)), {}))),
+     ValueError, "label 'a\\n' does not fit the file grammar"),
+    ("empty name", lambda: sb.serialize_algebra(B.renamed("")), ValueError,
+     "name '' does not fit the file grammar"),
+    ("padded name", lambda: sb.serialize_algebra(B.renamed(" x")), ValueError,
+     "name ' x' does not fit the file grammar"),
+    ("table not skew", lambda: sb.serialize_algebra(ONE_SIDED), ValueError,
+     "binary table is not super skew at [a,b], which the file grammar implies"),
     ("empty abelian key", lambda: sb.catalog.load("abelian_0_0"), ValueError,
      "abelian algebra needs at least one basis element"),
     # structures
@@ -85,6 +99,10 @@ CASES = [
     ("table shape", lambda: BinaryStructure(SPACE, ((),)), sb.StructureError,
      "binary table must be 4 x 4"),
     ("eval arity", lambda: B.binary.eval(E1), TypeError, "binary product takes 2 arguments"),
+    ("product space", lambda: B.product(E1, X), sb.GradingError,
+     "vector lives in a different space"),
+    ("triple space", lambda: B.triple(E1, E1, WIDE.basis()[4]), sb.GradingError,
+     "vector lives in a different space"),
     ("no structure", lambda: AlgebraDef("x", SPACE), sb.StructureError,
      "an algebra needs at least one structure"),
     ("structure space", lambda: AlgebraDef("x", OTHER, binary=B.binary), sb.StructureError,
