@@ -7,6 +7,7 @@ bad table.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .graded import _exact, _into, rat
@@ -41,7 +42,8 @@ def malcev_to_bol(M):
     require_axioms(M, "malcev")
     third = Fraction(1, 3)
     cells = {}
-    for at, acc in _jacobi_sums(M.space, M.binary, 2, -1, -1):
+    every = itertools.product(range(M.space.dim), repeat=3)
+    for at, acc in _jacobi_sums(M.space, M.binary, 2, -1, -1, every):
         entry = tuple((t, rat(third * c)) for t, c in enumerate(acc) if c)
         if entry:
             cells[at] = entry

@@ -141,9 +141,9 @@ def inner_pair(B, x, y):
 
 
 def _basis_inner_pairs(B):
-    """((i, j), inner_pair(B, e_i, e_j)) for every (i, j) in order, read off the tables."""
-    for at, degree, x in _inner_pairs(B.space, *_structures(B, ("binary", "ternary"))):
-        yield at, _pair(B.space, degree, _flat(x))
+    """_inner_pairs of B, only i <= j once its tables are super skew (the rest are multiples)."""
+    structures = _structures(B, ("binary", "ternary"))
+    return _kept(_inner_pairs(B.space, *structures), _all_skew(structures))
 
 
 def _bracket_entries(n, E, p, q):
@@ -325,7 +325,8 @@ def ips_space(B, K=None):
     both orders; the span is the same either way by skew-symmetry.
     """
     if K is None:
-        return PairSpace.from_pairs(B, [p for _, p in _basis_inner_pairs(B)])
+        return PairSpace.from_pairs(B, [_pair(B.space, r, _flat(x))
+                                        for _, r, x in _basis_inner_pairs(B) if any(x)])
     if K.space != B.space:
         raise GradingError("K is not a subspace of B")
     if not K.is_graded():
@@ -352,9 +353,8 @@ def ps_space(B):
         pairs += (_pair(B.space, r, row)
                   for row in _kernel(*_rref(coeffs for coeffs, _ in equations), columns.values())[0])
     out = PairSpace.from_pairs(B, pairs)
-    structures = _structures(B, ("binary", "ternary"))
     if not all(_span_coordinates(out._common, out.pivots, _flat(x)) is not None
-               for _, _, x in _kept(_inner_pairs(B.space, *structures), _all_skew(structures))):
+               for _, _, x in _basis_inner_pairs(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
     return out
 
@@ -411,16 +411,15 @@ def enveloping(B, H=None):
     def shifted(coords):
         return tuple((nb + m, c) for m, c in coords)
 
-    # the inner pairs (e_i, e_j) with i <= j once B is skew, the rest mirrored
-    cells, structures, par = {}, _structures(B, ("binary", "ternary")), B.space.parities
-    mirror = _all_skew(structures)
-    for (i, j), _, x in _kept(_inner_pairs(B.space, *structures), mirror):
+    # the inner pairs (e_i, e_j) with i <= j, the Bol algebra B being super skew; the rest mirrored
+    cells, par = {}, B.space.parities
+    for (i, j), _, x in _basis_inner_pairs(B):
         coords = _span_coordinates(H._common, H.pivots, _flat(x))
         if coords is None:
             raise EnvelopeError("inner pair (%s, %s) does not lie in H"
                                 % (space.labels[i], space.labels[j]))
         cells[i, j] = shifted(coords)
-        if mirror and i < j:
+        if i < j:
             cells[j, i] = tuple((t, -sign(par[i] * par[j]) * c) for t, c in cells[i, j])
     for m, p in enumerate(H.basis):
         for j, col in enumerate(p.operator.columns):

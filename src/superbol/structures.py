@@ -19,11 +19,14 @@ the inner pairs: D_{x,y} = [x, y, .] derives the triple product, and
 this checker, envelope.check_pseudo and the pair-space solvers.  The
 inner pairs of the basis are read off the tables by one generator,
 `_inner_pairs`, for this checker, ips_space, ps_space and enveloping.
-When the skew sweeps on the tables a rule reads find nothing (each runs
-once per structure object), its defect at (i, j, u, v, ...) is super skew
-in (i, j) and in (u, v), as the inner pairs are: only i <= j and u <= v
-are evaluated, here and in the pair-space solvers, and the rest are
-exact multiples.  Otherwise every tuple is evaluated.
+Each sweep evaluates the least tuple of each symmetry orbit and reports
+the rest as signed copies of its defect D.  The cyclic sums (super and
+ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)} D(i,j,k).  Once the
+skew sweeps of the tables read find nothing (each runs once per structure
+object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k;
+Malcev D(j,k,l,i) = (-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k; the
+pseudo-derivation rules by that skew sign in (i, j), as the inner pairs
+are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
@@ -296,7 +299,7 @@ class CheckReport:
 
 # ---------------------------------------------------------------------------
 # axiom sweeps; each yields Witness objects in lexicographic tuple order and
-# visits only the tuples where some term of its identity can be nonzero
+# visits only the tuples (or orbits) where some term of its identity can be nonzero
 
 
 def _skew(space, st):
@@ -313,13 +316,47 @@ def _skew(space, st):
             yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
 
 
-def _jacobi_sums(space, bs, w1, w2, w3):
-    """((i, j, k), acc) wherever a term of the super Jacobi cyclic sum can be
-    nonzero, acc the dense w1 [[e_i,e_j],e_k] + w2 (-1)^{i(j+k)} [[e_j,e_k],e_i]
-    + w3 (-1)^{k(i+j)} [[e_k,e_i],e_j]."""
+def _rotated(par, at):
+    # the cyclic identities: the first index moved last, times (-1)^{p_first (p_rest)}
+    return at[1:] + at[:1], sign(par[at[0]] * sum(par[t] for t in at[1:]))
+
+
+def _swapped(u, par, at):
+    # super skew in slots u, u + 1: times -(-1)^{p_i p_j}
+    i, j = at[u:u + 2]
+    return at[:u] + (j, i) + at[u + 2:], -sign(par[i] * par[j])
+
+
+def _least(at):
+    """Whether at is least among its rotations: its orbit's representative."""
+    return all(at <= at[m:] + at[:m] for m in range(1, len(at)))
+
+
+def _orbit_witnesses(axiom, space, defects, moves):
+    """Witnesses of the defects (at, acc) at orbit representatives, in order: each
+    nonzero acc closed under the moves, at -> (image, s) scaling the defect by s."""
+    lab, found = space.labels, []
+    for at, acc in defects:
+        if any(acc):
+            orbit, seen = [(at, acc)], {at}
+            for b, a in orbit:     # the list grows while it is read: a breadth-first closure
+                for move in moves:
+                    image, s = move(b)
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append((image, a if s == 1 else [-c for c in a]))
+            found += orbit
+    for at, acc in sorted(found):
+        yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
+
+
+def _jacobi_sums(space, bs, w1, w2, w3, tuples):
+    """((i, j, k), acc) for the tuples where a term of the super Jacobi cyclic
+    sum can be nonzero, acc the dense w1 [[e_i,e_j],e_k] + w2 (-1)^{i(j+k)}
+    [[e_j,e_k],e_i] + w3 (-1)^{k(i+j)} [[e_k,e_i],e_j]."""
     n, par = space.dim, space.parities
     E, col = bs.entries, bs.col
-    for i, j, k in itertools.product(range(n), repeat=3):
+    for i, j, k in tuples:
         if E[i][j] or E[j][k] or E[k][i]:
             acc = _into([0] * n, E[i][j], col[k], w1)
             _into(acc, E[j][k], col[i], w2 * sign(par[i] * (par[j] + par[k])))
@@ -328,14 +365,18 @@ def _jacobi_sums(space, bs, w1, w2, w3):
 
 
 def _sweep_super_jacobi(space, bs):
-    lab = space.labels
-    for at, acc in _jacobi_sums(space, bs, 1, 1, 1):
-        if any(acc):
-            yield Witness("jacobi", tuple(lab[t] for t in at), _vector(space, acc))
+    # cyclic always, and once the product is super skew in (i, j) too: i <= j <= k
+    n, par, skew = space.dim, space.parities, _all_skew((bs,))
+    reps = (itertools.combinations_with_replacement(range(n), 3) if skew
+            else filter(_least, itertools.product(range(n), repeat=3)))
+    moves = (partial(_rotated, par),) + ((partial(_swapped, 0, par),) if skew else ())
+    return _orbit_witnesses("jacobi", space, _jacobi_sums(space, bs, 1, 1, 1, reps), moves)
 
 
 def _sweep_malcev(space, bs):
-    n, par, lab = space.dim, space.parities, space.labels
+    # RHS - LHS wherever a term can be nonzero; once the product is super skew it
+    # is cyclic in the four arguments: only tuples least among their rotations
+    n, par, mirror = space.dim, space.parities, _all_skew((bs,))
     E, col = bs.entries, bs.col
     every, none = range(n), ((),) * n
     # right[a][b][c] = [[e_a, e_b], e_c] and left[b][c][a] = [e_a, [e_b, e_c]],
@@ -352,44 +393,49 @@ def _sweep_malcev(space, bs):
     busy = {k for k in every if supp[k]}
     ks_after = [sorted(supp[j] | busy) for j in every]
     ls_after = [[sorted(supp[k] | supp[i]) for i in every] for k in every]
-    for i in every:
-        for j in every:
-            pj, right_ij, right_i = par[j], right[i][j], right[i]
-            wide = bool(E[i][j])
-            for k in every if wide or supp[i] else ks_after[j]:
-                pk, ik, ijk = par[k], E[i][k], right_ij[k]
-                right_jk, left_k = right[j][k], left[k]
-                for l in every if wide or ik or E[j][k] else ls_after[k][i]:
-                    pl = par[l]
-                    jkl, ikl, ilj = right_jk[l], left_k[l][i], right_i[l][j]
-                    if not (ijk or jkl or ikl or ilj or (ik and E[j][l])):
-                        continue
-                    # RHS - LHS of the Malcev identity
-                    acc = [0] * n
-                    s = sign(pj * pk)
-                    for a, c in ik:
-                        _into(acc, E[j][l], E[a], s * c)
-                    _into(acc, ijk, col[l], -1)
-                    _into(acc, jkl, E[i])
-                    _into(acc, ikl, col[j], sign(pj * (pk + pl)))
-                    _into(acc, ilj, col[k], sign(pl * (pj + pk)))
-                    if any(acc):
-                        yield Witness("malcev", (lab[i], lab[j], lab[k], lab[l]),
-                                      _vector(space, acc))
+
+    def defects():
+        for i in every:
+            lo = i if mirror else 0     # a representative starts at its least index
+            for j in range(lo, n):
+                pj, right_ij, right_i = par[j], right[i][j], right[i]
+                wide = bool(E[i][j])
+                for k in range(lo, n) if wide or supp[i] else [k for k in ks_after[j] if k >= lo]:
+                    pk, ik, ijk = par[k], E[i][k], right_ij[k]
+                    right_jk, left_k = right[j][k], left[k]
+                    for l in range(lo, n) if wide or ik or E[j][k] else ls_after[k][i]:
+                        pl = par[l]
+                        jkl, ikl, ilj = right_jk[l], left_k[l][i], right_i[l][j]
+                        if l < lo or not (ijk or jkl or ikl or ilj or (ik and E[j][l])):
+                            continue
+                        if mirror and i in (j, k, l) and not _least((i, j, k, l)):
+                            continue
+                        acc = [0] * n
+                        s = sign(pj * pk)
+                        for a, c in ik:
+                            _into(acc, E[j][l], E[a], s * c)
+                        _into(acc, ijk, col[l], -1)
+                        _into(acc, jkl, E[i])
+                        _into(acc, ikl, col[j], sign(pj * (pk + pl)))
+                        _into(acc, ilj, col[k], sign(pl * (pj + pk)))
+                        yield (i, j, k, l), acc
+    return _orbit_witnesses("malcev", space, defects(),
+                            (partial(_rotated, par),) if mirror else ())
 
 
 def _sweep_ternary_jacobi(space, ts):
-    # the cyclic sum, wherever one of its three products is nonzero
-    n, par, lab = space.dim, space.parities, space.labels
-    cells = ts.cells()
-    for i, j, k in sorted({rot for x, y, z in cells for rot in ((x, y, z), (y, z, x), (z, x, y))}):
-        acc = list(_dense(cells.get((i, j, k), ()), n))
-        for at, s in (((j, k, i), sign(par[i] * (par[j] + par[k]))),
-                      ((k, i, j), sign(par[k] * (par[i] + par[j])))):
-            for t, c in cells.get(at, ()):
-                acc[t] += s * c
-        if any(acc):
-            yield Witness("triple-jacobi", (lab[i], lab[j], lab[k]), _vector(space, acc))
+    # the cyclic sum, at the least rotation of each nonzero product's tuple
+    n, par, cells = space.dim, space.parities, ts.cells()
+
+    def sums():
+        for i, j, k in {min(at, at[1:] + at[:1], at[2:] + at[:2]) for at in cells}:
+            acc = list(_dense(cells.get((i, j, k), ()), n))
+            for at, s in (((j, k, i), sign(par[i] * (par[j] + par[k]))),
+                          ((k, i, j), sign(par[k] * (par[i] + par[j])))):
+                for t, c in cells.get(at, ()):
+                    acc[t] += s * c
+            yield (i, j, k), acc
+    return _orbit_witnesses("triple-jacobi", space, sums(), (partial(_rotated, par),))
 
 
 # the pseudo-derivation rules.  A degree-r pair (P, a) derives the ternary
@@ -497,23 +543,13 @@ def _kept(items, mirror):
 
 
 def _inner_witnesses(axiom, rule, space, *structures):
-    # the rule on every inner pair, in lexicographic order of (i, j, u, v, ...).
-    # Once the structures it reads are super skew, so is each defect in (i, j)
-    # and in (u, v): only i <= j and u <= v are evaluated, the rest mirrored
-    lab, par = space.labels, space.parities
-    mirror = _all_skew(structures)
-    found = []
-    for at, acc in _rule_defects(space, lambda *args: _kept(rule(*args), mirror), structures,
-                                 _kept(_inner_pairs(space, *structures), mirror)):
-        images = [(at, acc)]
-        for u in (0, 2) if mirror else ():
-            i, j = at[u:u + 2]
-            if i < j:
-                images += [(b[:u] + (j, i) + b[u + 2:], [-sign(par[i] * par[j]) * c for c in a])
-                           for b, a in images]
-        found += images
-    for at, acc in sorted(found):
-        yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
+    # the rule on every inner pair, mirrored in (i, j) and (u, v) once the
+    # structures it reads are super skew
+    par, mirror = space.parities, _all_skew(structures)
+    return _orbit_witnesses(axiom, space, _rule_defects(
+        space, lambda *args: _kept(rule(*args), mirror), structures,
+        _kept(_inner_pairs(space, *structures), mirror)),
+        (partial(_swapped, 0, par), partial(_swapped, 2, par)) if mirror else ())
 
 
 # every sweep with the structures it reads and the weight of its identity,

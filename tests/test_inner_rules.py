@@ -24,7 +24,7 @@ import random
 import pytest
 
 import superbol as sb
-from superbol import envelope
+from superbol import envelope, structures
 from test_reference import LIFTED, POOL, even_map, mutate, transport
 
 BOLS = [A for A in POOL if A.binary is not None and A.ternary is not None
@@ -141,7 +141,8 @@ def test_inner_pairs_read_off_the_tables_equal_inner_pair():
                for _, c in e)
     for B in BOLS + LIFTED + [dense]:
         n, basis = B.space.dim, B.space.basis()
-        read = list(envelope._basis_inner_pairs(B))
+        read = [(at, envelope._pair(B.space, r, envelope._flat(x)))
+                for at, r, x in structures._inner_pairs(B.space, B.binary, B.ternary)]
         assert [at for at, _ in read] == [(i, j) for i in range(n) for j in range(n)]
         for (i, j), pair in read:
             built = sb.inner_pair(B, basis[i], basis[j])

@@ -1,6 +1,15 @@
 """Super skew-symmetry is used once its sweep has passed, never inferred.
 
-Three places use it.  The nambu and product-rule sweeps evaluate their
+The orbit sweeps use it first.  The cyclic sums (super and ternary Jacobi)
+always evaluate one tuple per cycle, D(j, k, i) = (-1)^{p_i(p_j+p_k)}
+D(i, j, k).  Once the binary product is super skew, super Jacobi also
+swaps its first two slots, D(j, i, k) = -(-1)^{p_i p_j} D(i, j, k), so
+only i <= j <= k is evaluated, and Malcev is evaluated once per 4-cycle,
+D(j, k, l, i) = (-1)^{p_i(p_j+p_k+p_l)} D(i, j, k, l), never under the
+reflection i <-> k.  `tests/test_orbits.py` holds those sweeps to the
+slow reference and counts the tuples they evaluate.
+
+Three more places use it.  The nambu and product-rule sweeps evaluate their
 rule on the inner pairs (D_{i,j}, e_i.e_j) with i <= j, on the rule tuples
 with u <= v, and mirror the rest: the defect at (j, i, ...) is
 -(-1)^{p_i p_j} times the one at (i, j, ...), and likewise in (u, v).
