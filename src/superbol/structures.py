@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -400,13 +401,14 @@ def _sweep_malcev(space, bs):
             for j in range(lo, n):
                 pj, right_ij, right_i = par[j], right[i][j], right[i]
                 wide = bool(E[i][j])
-                for k in range(lo, n) if wide or supp[i] else [k for k in ks_after[j] if k >= lo]:
+                ks = ks_after[j]
+                for k in range(lo, n) if wide or supp[i] else ks[bisect_left(ks, lo):]:
                     pk, ik, ijk = par[k], E[i][k], right_ij[k]
-                    right_jk, left_k = right[j][k], left[k]
-                    for l in range(lo, n) if wide or ik or E[j][k] else ls_after[k][i]:
+                    right_jk, left_k, ls = right[j][k], left[k], ls_after[k][i]
+                    for l in range(lo, n) if wide or ik or E[j][k] else ls[bisect_left(ls, lo):]:
                         pl = par[l]
                         jkl, ikl, ilj = right_jk[l], left_k[l][i], right_i[l][j]
-                        if l < lo or not (ijk or jkl or ikl or ilj or (ik and E[j][l])):
+                        if not (ijk or jkl or ikl or ilj or (ik and E[j][l])):
                             continue
                         if mirror and i in (j, k, l) and not _least((i, j, k, l)):
                             continue

@@ -1,23 +1,26 @@
 """Paired benchmark runs of two checkouts, summarized into a BENCH_*.json.
 
     python3 tools/paired_bench.py PARENT CHANGE --pairs 10 --out BENCH_15.json \
-        [--workload check-sparse ...] [--seed 1] [--seconds 10] \
-        [--claim check-sparse:wall_s] [--what TEXT]
+        [--workload check-sparse ...] [--seed 1] \
+        [--claim check-sparse:wall_s [--claim-seed 7]]
 
 PARENT and CHANGE are two checkouts of the repository.  Each is byte-compiled
 first (`python -m compileall -q src perfbench`), so neither side pays for
 compiling its modules in every process.  Then, for pair k = 1..N and each
-workload, both sides run `perfbench/run.py --workload W --seed S --seconds T
---trace 0` from their own root, the parent first in odd-numbered pairs and
-the change first in even-numbered ones.  The end-to-end metrics, their
-direction and bound are read from the parent's BENCHMARK.json.
+workload, both sides run `perfbench/run.py --workload W --seed S --trace 0`
+from their own root, the parent first in odd-numbered pairs and the change
+first in even-numbered ones; run.py fixes the run length.  The end-to-end
+metrics, their direction and bound are read from the parent's BENCHMARK.json.
 
 The output holds every run's end-to-end metrics, each side's median and
 quartiles per workload and metric, how many pairs the change won, and the
 change's median over the parent's.  A claimed metric is met when the change
 wins at least nine tenths of the pairs, ties counting for neither, and its
 median is better than the parent's by more than the parent's interquartile
-range.  Only the standard library is used.
+range.  With --claim-seed the claimed workload is also run for N pairs at
+that seed (one not used while writing the change), written as
+`end_to_end_seedN` and `runs_seedN`, and the claim must be met at both
+seeds.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -86,12 +89,26 @@ def summarize(runs, metrics):
     return out
 
 
-def run(root, workload, seed, seconds):
+def run(root, workload, seed):
     """The result object run.py prints last, run from the checkout root."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--trace", "0"],
                           cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def paired(roots, workloads, seed, pairs):
+    """{side: [{workload: result}, ...]}, one entry per pair, alternating which
+    side runs first."""
+    runs = {"parent": [], "change": []}
+    for k in range(1, pairs + 1):
+        for side in runs:
+            runs[side].append({})
+        for workload in workloads:
+            for side in ("parent", "change") if k % 2 else ("change", "parent"):
+                runs[side][-1][workload] = run(roots[side], workload, seed)
+            print("seed %d pair %d %s done" % (seed, k, workload), file=sys.stderr, flush=True)
+    return runs
 
 
 def main(argv=None):
@@ -102,10 +119,12 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--claim", help="workload:metric the change claims a gain on")
-    parser.add_argument("--what", default="the parent checkout against the change checkout")
+    parser.add_argument("--claim-seed", type=int,
+                        help="a second seed to run the claimed workload at")
     args = parser.parse_args(argv)
+    if args.claim_seed is not None and (not args.claim or args.claim_seed == args.seed):
+        parser.error("--claim-seed needs --claim and a seed other than --seed")
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         bench = json.load(f)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
@@ -114,37 +133,39 @@ def main(argv=None):
     for root in roots.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                        cwd=root, check=True)
-    runs = {"parent": [], "change": []}
-    for k in range(1, args.pairs + 1):
-        for side in runs:
-            runs[side].append({})
-        for workload in workloads:
-            for side in ("parent", "change") if k % 2 else ("change", "parent"):
-                runs[side][-1][workload] = run(roots[side], workload, args.seed, args.seconds)
-            print("pair %d %s done" % (k, workload), file=sys.stderr, flush=True)
-    end_to_end = summarize(runs, metrics)
+    claimed = args.claim.split(":") if args.claim else None
+    by_seed = {args.seed: paired(roots, workloads, args.seed, args.pairs)}
+    if args.claim_seed is not None:
+        by_seed[args.claim_seed] = paired(roots, [claimed[0]], args.claim_seed, args.pairs)
     report = {
-        "what": "superbol benchmark: " + args.what,
-        "command": "python3 perfbench/run.py --workload <w> --seed %d --seconds %g --trace 0, "
-                   "in each checkout after python -m compileall -q src perfbench"
-                   % (args.seed, args.seconds),
+        "what": "superbol benchmark: the parent checkout against the change checkout, "
+                "in alternating pairs of runs",
+        "command": "python3 perfbench/run.py --workload <w> --seed <s> --trace 0, "
+                   "in each checkout after python -m compileall -q src perfbench",
         "machine": "%s, Python %s" % (platform.platform(), platform.python_version()),
-        "seed": args.seed,
+        "seeds": list(by_seed),
         "pairs": args.pairs,
         "order": "odd-numbered pairs parent first, even-numbered pairs change first",
         "units": "times are CPU seconds scaled to the reference speed, as perfbench/README.md "
                  "defines them",
         "claim": None,
-        "end_to_end": end_to_end,
-        "runs": {side: {str(k): {w: {name: r["metrics"][name]["value"] for name, _, _ in metrics}
-                                 for w, r in pair.items()}
-                        for k, pair in enumerate(runs[side], 1)} for side in runs},
     }
-    if args.claim:
-        workload, metric = args.claim.split(":")
+    suffix = {seed: "" if seed == args.seed else "_seed%d" % seed for seed in by_seed}
+    for seed, runs in by_seed.items():
+        report["end_to_end" + suffix[seed]] = summarize(runs, metrics)
+        report["runs" + suffix[seed]] = {
+            side: {str(k): {w: {name: r["metrics"][name]["value"] for name, _, _ in metrics}
+                            for w, r in pair.items()}
+                   for k, pair in enumerate(runs[side], 1)} for side in runs}
+    if claimed:
+        workload, metric = claimed
         direction = next(d for name, d, _ in metrics if name == metric)
-        report["claim"] = dict(claim(end_to_end[workload][metric], args.pairs, direction),
-                               workload=workload, metric=metric)
+        report["claim"] = {"workload": workload, "metric": metric}
+        for seed in by_seed:
+            summary = report["end_to_end" + suffix[seed]][workload][metric]
+            report["claim"]["seed_%d" % seed] = claim(summary, args.pairs, direction)
+        report["claim"]["met"] = all(report["claim"]["seed_%d" % seed]["met"]
+                                     for seed in by_seed)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
