@@ -9,10 +9,13 @@ Grammar, one declaration per line, '#' starts a comment:
     ternary [e2,e3,e3] = 2*e1 + e2
 
 Unlisted products are zero after skew-completion.  Coefficients are
-exact rationals p/q with optional sign; the '*' is optional.  A file
-with no product lines at all defines both a zero binary and a zero
-ternary operation; a file listing products of only one arity leaves
-the other operation undefined.  At most 64 labels, as for abelian_m_n.
+exact rationals p/q with optional sign; the '*' is optional.  A bare
+`binary` or `ternary` line, the word alone, declares that operation
+without listing a product.  A file defines each operation it declares
+or lists a product of; a file with neither kind of line defines both.
+So an operation with all products zero needs its bare line only when
+the file has other product or bare lines.  At most 64 labels, as for
+abelian_m_n.
 """
 
 from __future__ import annotations
@@ -188,7 +191,11 @@ def parse_algebra(text):
                                  % (labels[t], pretty, parities[t], want), line_no)
         table[key] = (value, line_no)
 
+    declared = set()
     for directive, rest, base, line_no in staged:
+        if not rest.strip():  # a bare declaration
+            declared.add(directive)
+            continue
         arity = 2 if directive == "binary" else 3
         key, value = resolve(rest, base, line_no, arity)
         admit(binary if arity == 2 else ternary, key, value, line_no)
@@ -197,16 +204,18 @@ def parse_algebra(text):
         name = "unnamed"
     listed_any = bool(staged)
     bin_struct = ter_struct = None
-    if binary or not listed_any:
+    if binary or "binary" in declared or not listed_any:
         bin_struct = BinaryStructure.from_products(space, {k: v for k, (v, _) in binary.items()})
-    if ternary or not listed_any:
+    if ternary or "ternary" in declared or not listed_any:
         ter_struct = TernaryStructure.from_products(space, {k: v for k, (v, _) in ternary.items()})
     return AlgebraDef(name, space, binary=bin_struct, ternary=ter_struct)
 
 
 def serialize_algebra(A):
     """Canonical text: only products not implied by skew-symmetry, in
-    lexicographic index order.  parse_algebra inverts this exactly."""
+    lexicographic index order, after a bare declaration of each operation
+    the product lines and the no-products default do not imply.
+    parse_algebra inverts this exactly."""
     space = A.space
     if not space.is_even_first():
         raise ValueError("serialization needs even labels before odd ones")
@@ -233,10 +242,12 @@ def serialize_algebra(A):
     if odds:
         out.append("odd %s" % " ".join(odds))
 
-    for st in (A.binary, A.ternary):
-        for at, entry in (st.cells() if st is not None else {}).items():
-            i, j = at[:2]
-            if i < j or (i == j and par[i] == 1):
-                out.append("%s [%s] = %s" % (st.NAME, ",".join(lab[t] for t in at),
-                                             SuperVector(space, _dense(entry, n))))
+    products = {st.NAME: ["%s [%s] = %s" % (st.NAME, ",".join(lab[t] for t in at),
+                                            SuperVector(space, _dense(entry, n)))
+                          for at, entry in st.cells().items()
+                          if at[0] < at[1] or (at[0] == at[1] and par[at[0]] == 1)]
+                for st in (A.binary, A.ternary) if st is not None}
+    if any(products.values()) or len(products) == 1:
+        out += [name for name, lines in products.items() if not lines]
+    out += [line for lines in products.values() for line in lines]
     return "\n".join(out) + "\n"

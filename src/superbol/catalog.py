@@ -2,24 +2,25 @@
 
 Besides the fixed entries, every key abelian_m_n names the Bol algebra
 with m even and n odd generators and all products zero, for
-1 <= m + n <= ABELIAN_MAX_DIM (64); a larger key is a ValueError raised
-before anything is built, since building and verifying it costs time
-and memory that grow as (m + n)^4.  The same cap bounds the labels of
-an .alg file: `algfile.parse_algebra` refuses the 65th with a ParseError.
+1 <= m + n <= ABELIAN_MAX_DIM (64), m and n in ASCII digits without
+leading zeros so that the key is the algebra's name; a larger key is a
+ValueError raised before anything is built, since building and
+verifying it costs time and memory that grow as (m + n)^4.  The same
+cap bounds the labels of an .alg file: `algfile.parse_algebra` refuses
+the 65th with a ParseError.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .constructions import malcev_to_bol
-from .graded import SuperSpace
+from .graded import SuperSpace, record
 from .structures import (AlgebraDef, BinaryStructure, TernaryStructure,
                          require_axioms)
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     key: str
     kind: str
@@ -89,7 +90,7 @@ _FIXED = (
      "all products zero; representative of the abelian_m_n family"),
 )
 
-_ABELIAN = re.compile(r"^abelian_(\d+)_(\d+)$")
+_ABELIAN = re.compile(r"abelian_(0|[1-9]\d*)_(0|[1-9]\d*)", re.ASCII)
 
 ABELIAN_MAX_DIM = 64
 
@@ -103,7 +104,7 @@ def build(key):
     for fixed_key, kind, builder, note in _FIXED:
         if key == fixed_key:
             return CatalogEntry(key, kind, builder(), note)
-    match = _ABELIAN.match(key)
+    match = _ABELIAN.fullmatch(key)
     if match:
         m, n = int(match.group(1)), int(match.group(2))
         if m + n > ABELIAN_MAX_DIM:

@@ -31,11 +31,10 @@ axioms; violations raise instead of producing a bad algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
-                     _sparse, _unit, _vector, rat, sign)
+                     _sparse, _unit, _vector, field, rat, record, sign)
 from .linalg import (_affine, _common_denominator, _divided, _kernel, _rref, _span_coordinates,
                      span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
@@ -47,7 +46,7 @@ class EnvelopeError(RuntimeError):
     """Internal consistency failure while building an enveloping algebra."""
 
 
-@dataclass(frozen=True)
+@record
 class PseudoDerivationPair:
     """Operator plus companion; the degree is the operator's degree."""
 
@@ -240,7 +239,7 @@ def companion_space(B, P):
     return _affine(*_rref(rows), n)
 
 
-@dataclass(frozen=True)
+@record
 class PairSpace:
     """Span of pseudo superderivation pairs, closed under pair_bracket.
 
@@ -359,7 +358,7 @@ def ps_space(B):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class EnvelopingLieSuperalgebra:
     base: AlgebraDef
     pairs: PairSpace

@@ -19,19 +19,18 @@ the nonzero products and form entries, not the n^4 basis tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
 from .envelope import enveloping
 from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into,
-                     _sparse, _SparseValue, _transposed, rat, sign)
+                     _sparse, _SparseValue, _transposed, rat, record, sign)
 from .linalg import _null_space, span_reduce, whole_space
 from .structures import (CheckReport, Witness, center, classify_subspace,
                          require_axioms)
 
 
-@dataclass(frozen=True, init=False)
+@record
 class BilinearForm(_SparseValue):
     """Even bilinear form on a superspace, held as its sparse rows: rows[i]
     is the tuple of nonzero (j, b(e_i, e_j)).  The view columns[j] =
@@ -140,7 +139,7 @@ def killing_ricci(B, method="restriction"):
     raise ValueError("method must be 'restriction' or 'direct'")
 
 
-@dataclass(frozen=True)
+@record
 class InvariantReport:
     """Invariance diagnostics for a bilinear form on a Bol algebra.
 
@@ -243,7 +242,7 @@ def orthogonal(b, V):
                                                  b.columns)) for v in V.basis])
 
 
-@dataclass(frozen=True)
+@record
 class SemisimplicityReport:
     """Checkable facts tying beta's nondegeneracy to the envelope.
 

@@ -17,7 +17,6 @@ in the check loops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -99,8 +98,75 @@ def _into(acc, vec, rows, s=1):
     return acc
 
 
+class field:
+    """A record field's flags: `x: tuple = field(compare=False, repr=False)`
+    leaves x out of ==, the hash and the repr.  Such a field has no default."""
+
+    def __init__(self, *, compare=True, repr=True):
+        self.compare, self.repr = compare, repr
+
+
+def _frozen(self, name, *value):
+    raise AttributeError("cannot %s field %r" % ("assign to" if value else "delete", name))
+
+
+class _Compiled:
+    """A record method held as source and compiled for its class at first
+    use, so that importing the package compiles none of them."""
+
+    def __init__(self, cls, name, source):
+        self.cls, self.name, self.source = cls, name, source
+
+    def __get__(self, obj, owner=None):
+        scope = {}
+        exec(self.source, {"_set": object.__setattr__, "_cls": self.cls}, scope)
+        method = scope[self.name]
+        method.__qualname__ = "%s.%s" % (self.cls.__qualname__, self.name)
+        setattr(self.cls, self.name, method)
+        return method.__get__(obj, owner)
+
+
+def record(cls):
+    """Make cls a frozen record over its annotated fields, in order, with what
+    dataclass(frozen=True) gives it: __init__ (class attributes are defaults,
+    then __post_init__ if any), __eq__ and __hash__ on the compared fields,
+    the repr Cls(field=value, ...), AttributeError on assignment and
+    deletion; a method cls defines itself is kept.  Each method is compiled
+    for cls at its first use.  __ne__ is written out too and answers at once
+    for an object and itself, as most of the package's space checks ask."""
+    names = tuple(vars(cls).get("__annotations__", ()))
+    flags = {f: vars(cls)[f] for f in names if isinstance(vars(cls).get(f), field)}
+    for f in flags:
+        delattr(cls, f)
+
+    def attrs(who, flag):  # "who.f, " for each field f with the flag set
+        return "".join("%s.%s, " % (who, f) for f in names if getattr(flags.get(f), flag, True))
+
+    same = "(%s) == (%s)" % (attrs("self", "compare"), attrs("other", "compare"))
+    shown = ", ".join(f + "=%r" for f in names if getattr(flags.get(f), "repr", True))
+    params = ", ".join(f + "=_cls." + f if f in vars(cls) else f for f in names)  # defaults
+    code = {
+        "__init__": "def __init__(self, %s):\n%s %s" % (
+            params, "".join(" _set(self, %r, %s)\n" % (f, f) for f in names),
+            "self.__post_init__()" if hasattr(cls, "__post_init__") else "pass"),
+        "__eq__": "def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+                  "  return %s\n return NotImplemented" % same,
+        "__ne__": "def __ne__(self, other):\n if self is other:\n  return False\n"
+                  " if other.__class__ is self.__class__:\n  return not %s\n"
+                  " return NotImplemented" % same,
+        "__hash__": "def __hash__(self):\n return hash((%s))" % attrs("self", "compare"),
+        "__repr__": "def __repr__(self):\n return '%%s(%s)' %% (self.__class__.__qualname__, %s)"
+                    % (shown, attrs("self", "repr")),
+    }
+    for name, source in code.items():
+        if name not in vars(cls):
+            setattr(cls, name, _Compiled(cls, name, source))
+    cls.__match_args__, cls.__setattr__, cls.__delattr__ = names, _frozen, _frozen
+    return cls
+
+
 class _SparseValue:
-    """Base of the frozen dataclasses whose value is a sparse form: the public
+    """Base of the frozen records whose value is a sparse form: the public
     constructor converts a dense form, `_of` takes the sparse form, and both
     end in the class's one validator `_init`, which stores the fields."""
 
@@ -115,7 +181,7 @@ def _vector(space, acc):
     return SuperVector(space, tuple(rat(c) for c in acc))
 
 
-@dataclass(frozen=True)
+@record
 class SuperSpace:
     """Finite dimensional Z2-graded space with a labelled homogeneous basis."""
 
@@ -191,7 +257,7 @@ class SuperSpace:
         return SuperVector(self, coords)
 
 
-@dataclass(frozen=True)
+@record
 class SuperVector:
     space: SuperSpace
     coords: tuple
@@ -255,7 +321,7 @@ class SuperVector:
         return out
 
 
-@dataclass(frozen=True, init=False)
+@record
 class GradedMap(_SparseValue):
     """Homogeneous linear map, held as its sparse columns: columns[m] is
     the tuple of nonzero (i, c) of f(e_m).  The dense view matrix[i][j],

@@ -9,11 +9,11 @@ equal iff their reduced bases are identical tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graded import GradingError, SuperVector, _dense, _quotient, _sparse, rat
+from .graded import (GradingError, SuperVector, _dense, _quotient, _sparse, field, rat,
+                     record)
 
 
 def _cleared(row):
@@ -121,7 +121,7 @@ def _null_space(space, rows):
     return _subspace(space, *_kernel(*_rref(rows), range(space.dim)))
 
 
-@dataclass(frozen=True)
+@record
 class AffineSubspace:
     """Solution set of a linear system: a point plus a direction span.
 
@@ -208,7 +208,7 @@ def _affine(reduced, pivots, ncols):
                           _common_denominator(dirs))
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Subspace of a SuperSpace with a canonical reduced basis (leading
     columns in `pivots`; sparse and times M, integral, in `_common`)."""

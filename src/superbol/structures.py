@@ -42,15 +42,13 @@ are swept as they stand.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
-                     _sparse, _SparseValue, _transposed, _unit, _vector, sign)
+                     _sparse, _SparseValue, _transposed, _unit, _vector, record, sign)
 from .linalg import Subspace, _null_space
 
 KINDS = ("lie", "malcev", "supertriple", "lie_supertriple", "bol")
@@ -101,7 +99,7 @@ def _densified(block, n, depth):
     return tuple(_densified(sub, n, depth - 1) for sub in block)
 
 
-@dataclass(frozen=True, init=False)
+@record
 class _Structure(_SparseValue):
     """Structure constants of one arity, held as their sparse form.
 
@@ -236,7 +234,7 @@ class TernaryStructure(_Structure):
                             | {(m, j, k) for j, k in {at[1:] for at in cells} for m in every}))
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraDef:
     """A named algebra: a superspace plus binary and/or ternary constants."""
 
@@ -263,7 +261,7 @@ class AlgebraDef:
         return _lift(self)
 
     def renamed(self, name):
-        return dataclasses.replace(self, name=name)
+        return type(self)(name, self.space, self.binary, self.ternary)
 
     def product(self, x, y):
         return _structures(self, ("binary",))[0].eval(x, y)
@@ -272,7 +270,7 @@ class AlgebraDef:
         return _structures(self, ("ternary",))[0].eval(x, y, z)
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     axiom: str
     at: tuple
@@ -282,7 +280,7 @@ class Witness:
         return "%s at (%s): defect %s" % (self.axiom, ", ".join(self.at), self.defect)
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     subject: str
     kind: str

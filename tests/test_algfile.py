@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,20 @@ def test_comments_and_blank_lines_ignored():
 def test_no_products_equals_catalog_abelian():
     A = sb.parse_algebra("name abelian_2_1\neven e1 e2\nodd e3\n")
     assert A == sb.catalog.load("abelian_2_1")
+
+
+def test_bare_lines_declare_operations():
+    zero = sb.catalog.load("abelian_2_1")
+    head = "name abelian_2_1\neven e1 e2\nodd e3\n"
+    for tail, binary, ternary in (("binary\n", True, False), ("ternary  # zero\n", False, True),
+                                  ("binary\nternary\n", True, True)):
+        A = sb.parse_algebra(head + tail)
+        assert (A.binary, A.ternary) == (zero.binary if binary else None,
+                                         zero.ternary if ternary else None)
+    A = sb.parse_algebra(head + "ternary\nbinary [e1,e3] = e3\n")
+    assert A.ternary == zero.ternary and A.binary.cells() == {(0, 2): ((2, 1),),
+                                                              (2, 0): ((2, -1),)}
+    assert "declarations must precede products" in _err(head + "binary\nodd e4\n").message
 
 
 def _err(text):
@@ -180,6 +195,9 @@ def test_round_trip_derived_structures():
     T = sb.lie_to_supertriple(aff2)
     assert T.binary is None
     assert sb.parse_algebra(sb.serialize_algebra(T)).binary is None
+    for A in (sb.lie_to_supertriple(sb.catalog.load("abelian_2_2")),
+              sb.malcev_to_bol(sb.catalog.load("abelian_3_1"))):
+        assert sb.parse_algebra(sb.serialize_algebra(A)) == A
 
 
 def test_serialize_rejects_awkward_input():
@@ -214,10 +232,8 @@ def test_what_serializes_reads_back(name, labels):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-1, 1), min_size=8, max_size=8))
 def test_what_serializes_reads_back_table(values):
-    """A table that is not super skew is refused; any other reads back.  (A
-    file with no products defines both structures, so the zero table is left
-    out.)"""
-    assume(any(values))
+    """A table that is not super skew is refused; any other reads back, the
+    zero table included."""
     sp = sb.SuperSpace.even_first(("a", "b"), ())
     table = [[values[4 * i + 2 * j: 4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
     A = AlgebraDef("t", sp, binary=BinaryStructure(sp, table))
@@ -227,3 +243,34 @@ def test_what_serializes_reads_back_table(values):
         assert A.binary._skew_witnesses
         return
     assert sb.parse_algebra(text) == A
+
+
+STATES = ("absent", "zero", "nonzero")
+
+
+@pytest.mark.parametrize("binary, ternary", [
+    states for states in itertools.product(STATES, repeat=2) if states != ("absent", "absent")])
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_each_operation_reads_back_absent_zero_or_nonzero(binary, ternary, data):
+    """Each arity absent, all zero, or with random nonzero products reads
+    back as written, the presence of each operation included."""
+    sp = sb.SuperSpace.even_first(("a", "b"), ("c",))
+    ops = {}
+    for cls, state in ((BinaryStructure, binary), (TernaryStructure, ternary)):
+        products = {}
+        if state == "nonzero":
+            # the keys a file lists, i < j or i = j odd, with outputs of the right parity
+            for at in itertools.product(range(3), repeat=cls.ARITY):
+                if at[0] < at[1] or at[0] == at[1] == 2:
+                    want = sum(sp.parities[i] for i in at) % 2
+                    products[at] = [data.draw(st.integers(-2, 2)) if p == want else 0
+                                    for p in sp.parities]
+            assume(any(map(any, products.values())))
+        if state != "absent":
+            ops[cls.NAME] = cls.from_products(sp, products)
+    A = AlgebraDef("t", sp, **ops)
+    back = sb.parse_algebra(sb.serialize_algebra(A))
+    assert back == A
+    assert (back.binary is None, back.ternary is None) == (binary == "absent",
+                                                           ternary == "absent")

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library.
+"""The package imports nothing outside the standard library, nor the
+standard modules that would dominate a CLI process's start-up.
 
 numpy, scipy and sympy may be installed next to the tests (sympy is an
 optional oracle), so an accidental runtime import of one of them would
@@ -7,7 +8,9 @@ module instead of running them.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import superbol
@@ -37,3 +40,15 @@ def test_the_reader_sees_a_third_party_import():
     tree = ast.parse("import os\nimport numpy.linalg\nfrom sympy import Matrix\n"
                      "from . import graded\nfrom .linalg import rref\n")
     assert sorted(imported_modules(tree)) == ["numpy", "os", "superbol", "superbol", "sympy"]
+
+
+def test_importing_the_cli_does_not_import_dataclasses():
+    """Every CLI command is a fresh process that imports the package first.
+    `dataclasses` pulls in inspect, ast, dis and tokenize, and with the
+    classes it generated was more than half of that import's CPU; the value
+    classes are made by `graded.record` instead."""
+    code = "import superbol.cli; import sys; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -24,6 +24,7 @@ ID, ID_OTHER = sb.GradedMap.identity(SPACE), sb.GradedMap.identity(OTHER)
 LTS = sb.lie_to_supertriple(sb.catalog.load("aff2_lie"))    # no binary structure
 ZERO = ((0,) * 4,) * 4
 PAIR = sb.SuperSpace.even_first(("a", "b"), ())
+KNOWN = ", ".join(sb.catalog.keys())
 ONE_SIDED = AlgebraDef("x", PAIR, binary=BinaryStructure(PAIR, (((0, 0), (1, 0)),
                                                                  ((0, 0), (0, 0)))))
 
@@ -93,6 +94,14 @@ CASES = [
      "binary table is not super skew at [a,b], which the file grammar implies"),
     ("empty abelian key", lambda: sb.catalog.load("abelian_0_0"), ValueError,
      "abelian algebra needs at least one basis element"),
+    ("abelian key with a leading zero", lambda: sb.catalog.build("abelian_01_1"), KeyError,
+     "unknown catalog key 'abelian_01_1'; known: %s, abelian_m_n" % KNOWN),
+    ("abelian key of padded zeros", lambda: sb.catalog.build("abelian_002_0"), KeyError,
+     "unknown catalog key 'abelian_002_0'; known: %s, abelian_m_n" % KNOWN),
+    ("abelian key with a non-ASCII digit", lambda: sb.catalog.build("abelian_\u0661_1"),
+     KeyError, "unknown catalog key 'abelian_\u0661_1'; known: %s, abelian_m_n" % KNOWN),
+    ("abelian key with a newline", lambda: sb.catalog.build("abelian_1_1\n"), KeyError,
+     "unknown catalog key 'abelian_1_1\\n'; known: %s, abelian_m_n" % KNOWN),
     # structures
     ("product length", lambda: BinaryStructure.from_products(SPACE, {(0, 1): (1,)}),
      sb.StructureError, "product [e1,e2]: expected 4 coordinates"),
