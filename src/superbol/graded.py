@@ -132,8 +132,8 @@ def record(cls):
     then __post_init__ if any), __eq__ and __hash__ on the compared fields,
     the repr Cls(field=value, ...), AttributeError on assignment and
     deletion; a method cls defines itself is kept.  Each method is compiled
-    for cls at its first use.  __ne__ is written out too and answers at once
-    for an object and itself, as most of the package's space checks ask."""
+    for cls at its first use.  __ne__, which the package's space checks use,
+    is written out too and answers at once for an object and itself."""
     names = tuple(vars(cls).get("__annotations__", ()))
     flags = {f: vars(cls)[f] for f in names if isinstance(vars(cls).get(f), field)}
     for f in flags:

@@ -79,10 +79,11 @@ def _instances():
 INSTANCES = _instances()
 
 
-def _twin_class(obj, cls):
+def _twin_class(kind, cls):
+    """A frozen dataclass named like kind, with the fields and flags of its record class cls."""
     hidden = HIDDEN.get(cls.__name__, set())
     return dataclasses.make_dataclass(
-        type(obj).__qualname__,
+        kind.__qualname__,
         [(f, object, dataclasses.field(compare=f not in hidden, repr=f not in hidden))
          for f in cls.__annotations__], frozen=True)
 
@@ -104,10 +105,8 @@ def test_every_record_class_has_instances():
 
 @pytest.mark.parametrize("cls", list(INSTANCES), ids=lambda cls: cls.__name__)
 def test_records_match_frozen_dataclasses(cls):
-    twins = {}
     objs = INSTANCES[cls]
-    for obj in objs:
-        twins.setdefault(type(obj), _twin_class(obj, cls))
+    twins = {kind: _twin_class(kind, cls) for kind in {type(obj) for obj in objs}}
     names = tuple(cls.__annotations__)
     twin = {id(obj): twins[type(obj)](*(getattr(obj, f) for f in names)) for obj in objs}
     assert cls.__match_args__ == names
