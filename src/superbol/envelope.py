@@ -34,7 +34,7 @@ import itertools
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
-                     _sparse, _unit, _vector, field, rat, record, sign)
+                     _sparse, _unit, _vector, hidden, rat, record, sign)
 from .linalg import (_affine, _common_denominator, _divided, _kernel, _rref, _span_coordinates,
                      span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
@@ -252,10 +252,10 @@ class PairSpace:
 
     algebra: AlgebraDef
     basis: tuple
-    pivots: tuple = field(compare=False, repr=False)
-    _brackets: tuple = field(compare=False, repr=False)
+    pivots: tuple = hidden
+    _brackets: tuple = hidden
     # (M, the sparse reduced rows times M) from linalg._common_denominator
-    _common: tuple = field(compare=False, repr=False)
+    _common: tuple = hidden
 
     @classmethod
     def from_pairs(cls, algebra, pairs):

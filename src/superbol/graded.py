@@ -98,12 +98,9 @@ def _into(acc, vec, rows, s=1):
     return acc
 
 
-class field:
-    """A record field's flags: `x: tuple = field(compare=False, repr=False)`
-    leaves x out of ==, the hash and the repr.  Such a field has no default."""
-
-    def __init__(self, *, compare=True, repr=True):
-        self.compare, self.repr = compare, repr
+# `x: tuple = hidden` leaves the record field x out of ==, the hash and the
+# repr; such a field has no default
+hidden = object()
 
 
 def _frozen(self, name, *value):
@@ -129,21 +126,17 @@ class _Compiled:
 def record(cls):
     """Make cls a frozen record over its annotated fields, in order, with what
     dataclass(frozen=True) gives it: __init__ (class attributes are defaults,
-    then __post_init__ if any), __eq__ and __hash__ on the compared fields,
-    the repr Cls(field=value, ...), AttributeError on assignment and
-    deletion; a method cls defines itself is kept.  Each method is compiled
+    then __post_init__ if any), __eq__, __hash__ and the repr
+    Cls(field=value, ...) over the fields not marked `hidden`, AttributeError
+    on assignment and deletion; a method cls defines itself is kept.  Each method is compiled
     for cls at its first use.  __ne__, which the package's space checks use,
     is written out too and answers at once for an object and itself."""
     names = tuple(vars(cls).get("__annotations__", ()))
-    flags = {f: vars(cls)[f] for f in names if isinstance(vars(cls).get(f), field)}
-    for f in flags:
+    shown = [f for f in names if vars(cls).get(f) is not hidden]
+    for f in set(names) - set(shown):
         delattr(cls, f)
-
-    def attrs(who, flag):  # "who.f, " for each field f with the flag set
-        return "".join("%s.%s, " % (who, f) for f in names if getattr(flags.get(f), flag, True))
-
-    same = "(%s) == (%s)" % (attrs("self", "compare"), attrs("other", "compare"))
-    shown = ", ".join(f + "=%r" for f in names if getattr(flags.get(f), "repr", True))
+    mine, theirs = ("".join("%s.%s, " % (who, f) for f in shown) for who in ("self", "other"))
+    same = "(%s) == (%s)" % (mine, theirs)
     params = ", ".join(f + "=_cls." + f if f in vars(cls) else f for f in names)  # defaults
     code = {
         "__init__": "def __init__(self, %s):\n%s %s" % (
@@ -154,9 +147,9 @@ def record(cls):
         "__ne__": "def __ne__(self, other):\n if self is other:\n  return False\n"
                   " if other.__class__ is self.__class__:\n  return not %s\n"
                   " return NotImplemented" % same,
-        "__hash__": "def __hash__(self):\n return hash((%s))" % attrs("self", "compare"),
+        "__hash__": "def __hash__(self):\n return hash((%s))" % mine,
         "__repr__": "def __repr__(self):\n return '%%s(%s)' %% (self.__class__.__qualname__, %s)"
-                    % (shown, attrs("self", "repr")),
+                    % (", ".join(f + "=%r" for f in shown), mine),
     }
     for name, source in code.items():
         if name not in vars(cls):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graded import (GradingError, SuperVector, _dense, _quotient, _sparse, field, rat,
+from .graded import (GradingError, SuperVector, _dense, _quotient, _sparse, hidden, rat,
                      record)
 
 
@@ -132,8 +132,8 @@ class AffineSubspace:
 
     point: tuple | None
     directions: tuple
-    pivots: tuple = field(compare=False, repr=False)
-    _common: tuple = field(compare=False, repr=False)
+    pivots: tuple = hidden
+    _common: tuple = hidden
 
     @classmethod
     def empty(cls):
@@ -215,8 +215,8 @@ class Subspace:
 
     space: object
     basis: tuple
-    pivots: tuple = field(compare=False, repr=False)
-    _common: tuple = field(compare=False, repr=False)
+    pivots: tuple = hidden
+    _common: tuple = hidden
 
     @property
     def dim(self):

@@ -3,9 +3,10 @@
 `graded.record` writes each record's methods itself, so that importing
 the package does not import `dataclasses`.  Here `dataclasses` is the
 oracle: every record class gets a `make_dataclass(..., frozen=True)`
-twin with the same fields, in the order of the class's annotations, and
-the same compare and repr flags, and the two must agree on repr, ==, !=
-and hash over catalog-derived instances.
+twin with the same fields, in the order of the class's annotations, a
+field marked `graded.hidden` being `field(compare=False, repr=False)`
+there, and the two must agree on repr, ==, != and hash over
+catalog-derived instances.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import superbol as sb
 from superbol.catalog import CatalogEntry
 from superbol.structures import AlgebraDef, _Structure
 
-# the fields left out of ==, the hash and repr; every other field is in all three
+# the fields marked `hidden`, left out of ==, the hash and repr; every other field is in all three
 HIDDEN = {"Subspace": {"pivots", "_common"}, "AffineSubspace": {"pivots", "_common"},
           "PairSpace": {"pivots", "_brackets", "_common"}}
 
@@ -80,7 +81,7 @@ INSTANCES = _instances()
 
 
 def _twin_class(kind, cls):
-    """A frozen dataclass named like kind, with the fields and flags of its record class cls."""
+    """A frozen dataclass named like kind, with the fields of its record class cls."""
     hidden = HIDDEN.get(cls.__name__, set())
     return dataclasses.make_dataclass(
         kind.__qualname__,
