@@ -106,6 +106,9 @@ def build(key):
             return CatalogEntry(key, kind, builder(), note)
     match = _ABELIAN.fullmatch(key)
     if match:
+        if max(map(len, match.groups())) > len(str(ABELIAN_MAX_DIM)):
+            raise ValueError("%s has more than %d generators; abelian_m_n allows at most %d"
+                             % (key, ABELIAN_MAX_DIM, ABELIAN_MAX_DIM))
         m, n = int(match.group(1)), int(match.group(2))
         if m + n > ABELIAN_MAX_DIM:
             raise ValueError("%s has dimension %d; abelian_m_n allows at most %d"

@@ -38,7 +38,7 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _
 from .linalg import (_affine, _common_denominator, _divided, _kernel, _rref, _span_coordinates,
                      span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, _all_skew, _inner_pairs, _kept,
+                         StructureError, Witness, _all_skew, _inner_pairs, _kept, _listed,
                          _rule_defects, _structures, _w_terms, require_axioms)
 
 
@@ -176,14 +176,16 @@ def _equations(B, r, x, columns):
     `structures` holding the known ones.  One row per rule tuple and output
     coordinate, without 0 = 0 or repeats, and only for u <= v once the
     tables a rule reads are super skew: (v, u, ...) gives -(-1)^{uv} times
-    the row.  The rows stop after a row 0 = b, b nonzero, with no solution.
+    the row.  Nor for the triple rule's derived tuples once ternary Jacobi
+    holds too (`structures._listed`): their rows combine the kept ones.
+    The rows stop after a row 0 = b, b nonzero, with no solution.
     """
     n, par, unit = B.space.dim, B.space.parities, _unit(B.space.dim)
     var = [[(m, u) for (s, m), u in columns.items() if s == slot] for slot in range(n + 1)]
     seen = set()
     # both rules' structures first: a missing one raises before any row
     for rule, structures in [(rule, _structures(B, reads)) for _, rule, reads in _RULES]:
-        for _, terms, w in _kept(rule(par, r, *structures), _all_skew(structures)):
+        for _, terms, w in _listed(rule, par, r, *structures):
             # RHS - LHS = sum of s x[slot] through rows: b holds minus its known part
             b, by_t = [0] * n, {}
             for slot, rows, s in terms + tuple((slot, rows, s * c) for q, c in w
@@ -254,7 +256,7 @@ class PairSpace:
     basis: tuple
     pivots: tuple = hidden
     _brackets: tuple = hidden
-    # (M, the sparse reduced rows times M) from linalg._common_denominator
+    # (M, the sparse reduced rows times M, leads) from linalg._common_denominator
     _common: tuple = hidden
 
     @classmethod
@@ -282,7 +284,7 @@ class PairSpace:
                 brackets[m][l] = tuple((k, s * c) for k, c in brackets[l][m])
                 continue
             brackets[m][l] = _span_coordinates(
-                common, pivots, _bracket_entries(n, E, scaled[m], scaled[l]), M * M)
+                common, _bracket_entries(n, E, scaled[m], scaled[l]), M * M)
             if brackets[m][l] is None:
                 raise EnvelopeError(
                     "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
@@ -302,7 +304,7 @@ class PairSpace:
     def coordinates_of(self, pair):
         if pair.space != self.algebra.space:
             raise GradingError("pair lives outside the algebra")
-        coords = _span_coordinates(self._common, self.pivots, pair._entries())
+        coords = _span_coordinates(self._common, pair._entries())
         return None if coords is None else _dense(coords, self.dim)
 
     @cached_property
@@ -348,11 +350,13 @@ def ps_space(B):
         # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k
         columns = {(k % n, k // n) if k < n * n else (n, k - n * n): k
                    for k in range(n * n + n) if _degree_at(par, k) == r}
+        if not columns:
+            continue    # no unknowns, no rows: the odd degree of an all-even algebra
         equations = _equations(B, r, ((),) * (n + 1), columns)
         pairs += (_pair(B.space, r, row)
                   for row in _kernel(*_rref(coeffs for coeffs, _ in equations), columns.values())[0])
     out = PairSpace.from_pairs(B, pairs)
-    if not all(_span_coordinates(out._common, out.pivots, _flat(x)) is not None
+    if not all(_span_coordinates(out._common, _flat(x)) is not None
                for _, _, x in _basis_inner_pairs(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
     return out
@@ -413,7 +417,7 @@ def enveloping(B, H=None):
     # the inner pairs (e_i, e_j) with i <= j, the Bol algebra B being super skew; the rest mirrored
     cells, par = {}, B.space.parities
     for (i, j), _, x in _basis_inner_pairs(B):
-        coords = _span_coordinates(H._common, H.pivots, _flat(x))
+        coords = _span_coordinates(H._common, _flat(x))
         if coords is None:
             raise EnvelopeError("inner pair (%s, %s) does not lie in H"
                                 % (space.labels[i], space.labels[j]))

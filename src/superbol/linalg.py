@@ -137,7 +137,7 @@ class AffineSubspace:
 
     @classmethod
     def empty(cls):
-        return cls(None, (), (), (1, ()))
+        return cls(None, (), (), (1, (), {}))
 
     @property
     def is_empty(self):
@@ -154,33 +154,33 @@ class AffineSubspace:
         if len(coords) != len(self.point):
             raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(coords, self.point)]
-        return _span_coordinates(self._common, self.pivots, _sparse(diff)) is not None
+        return _span_coordinates(self._common, _sparse(diff)) is not None
 
 
 def _common_denominator(rows):
     """The reduced rows of _rref's integer rows over one denominator: (M, the
-    reduced rows times M), M the lcm of the leading entries.  A primitive
-    row divided by its lead has exactly the lead as denominator, so the
-    scaled rows are integral."""
+    reduced rows times M, {leading column: row index}), M the lcm of the
+    leading entries.  A primitive row divided by its lead has exactly the
+    lead as denominator, so the scaled rows are integral."""
     M = lcm(*(row[0][1] for row in rows))
-    return M, tuple(tuple((c, x * (M // row[0][1])) for c, x in row) for row in rows)
+    return (M, tuple(tuple((c, x * (M // row[0][1])) for c, x in row) for row in rows),
+            {row[0][0]: r for r, row in enumerate(rows)})
 
 
-def _span_coordinates(common, pivots, vec, scale=1):
-    """The nonzero coefficients (r, c) of vec / scale over reduced rows at
-    pivots, given as (M, M rows) by _common_denominator, or None outside
-    their span; vec is sparse.  Row r's is vec[pivots[r]], and vec is in
-    the span iff the integer M d vec - sum of (d vec)[pivots[r]] M row r is 0."""
-    M, rows = common
+def _span_coordinates(common, vec, scale=1):
+    """The nonzero coefficients (r, c) of vec / scale over reduced rows, given
+    as (M, M rows, leads) by _common_denominator, or None outside their span;
+    vec is sparse.  Row r's is vec at its lead, so only the support of vec
+    at leads is visited, and vec is in the span iff the integer
+    M d vec - sum of (d vec)[lead of r] M row r is 0."""
+    M, rows, leads = common
     d, vec = _cleared(vec)
     residue = {c: M * x for c, x in vec.items()}
     coeffs = []
-    for r, (row, lead) in enumerate(zip(rows, pivots)):
-        f = vec.get(lead, 0)
-        if f:
-            coeffs.append((r, _quotient(f, d * scale)))
-            for t, y in row:
-                residue[t] = residue.get(t, 0) - f * y
+    for r, f in sorted((leads[c], f) for c, f in vec.items() if c in leads):
+        coeffs.append((r, _quotient(f, d * scale)))
+        for t, y in rows[r]:
+            residue[t] = residue.get(t, 0) - f * y
     return None if any(residue.values()) else tuple(coeffs)
 
 
@@ -229,7 +229,7 @@ class Subspace:
         """Coefficients of v over this basis, or None if outside."""
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        coords = _span_coordinates(self._common, self.pivots, _sparse(v.coords))
+        coords = _span_coordinates(self._common, _sparse(v.coords))
         return None if coords is None else _dense(coords, self.dim)
 
     def contains_subspace(self, other):

@@ -27,6 +27,13 @@ object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k;
 Malcev D(j,k,l,i) = (-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k; the
 pseudo-derivation rules by that skew sign in (i, j), as the inner pairs
 are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.
+Once the ternary table's Jacobi sweep finds nothing too (it also runs once
+per structure object), the triple rule's defect F of any homogeneous operator
+obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v)
+= 0.  Of the tuples u <= v only u < v, u <= w are then evaluated; the
+derived ones, u == v or w < u < v, are read off their two partners in the
+Nambu sweep ((a, a, a) is 0), and their rows, combinations of kept rows,
+are not listed in the pair-space solvers.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
@@ -215,6 +222,10 @@ class TernaryStructure(_Structure):
     for a vector in the first and the middle slot."""
 
     ARITY, NAME = 3, "ternary"
+
+    @cached_property
+    def _jacobi_witnesses(self):  # the ternary Jacobi sweep, run once per structure object
+        return tuple(_sweep_ternary_jacobi(self.space, self))
 
     @cached_property
     def first(self):
@@ -542,14 +553,49 @@ def _kept(items, mirror):
     return (x for x in items if x[0][0] <= x[0][1]) if mirror else items
 
 
+def _derives(rule, structures):
+    """Whether the rule is the triple rule on a table whose skew and ternary Jacobi
+    sweeps find nothing: then its derived tuples follow from the rest."""
+    return rule is _triple_rule and _all_skew(structures) and not structures[0]._jacobi_witnesses
+
+
+def _listed(rule, par, r, *structures):
+    """The rule's (at, terms, w) that a sweep or solver evaluates: the kept ones, of
+    them only u < v, u <= w where the triple rule's derived tuples follow."""
+    if _derives(rule, structures):
+        return (x for x in rule(par, r, *structures) if x[0][0] < x[0][1] and x[0][0] <= x[0][2])
+    return _kept(rule(par, r, *structures), _all_skew(structures))
+
+
+def _with_derived(par, defects):
+    """The triple rule's defects (key + at, acc), then per pair those at each derived
+    tuple with a nonzero partner, solved from the relation above for F(u,v,w),
+    each partner read from its kept form ((a, a, a) has none: it is 0)."""
+    for key, group in itertools.groupby(defects, lambda d: d[0][:2]):
+        found = {at[2:]: acc for at, acc in group}
+        yield from ((key + at, acc) for at, acc in found.items())
+        # the derived tuples whose partners (w, u, v) and (v, w, u) or (w, v, u) are found
+        for u, v, w in {c for b in found for c in (b[1:] + b[:1], b[2:] + b[:2], b[::-1])
+                        if c[0] == c[1] or c[2] < c[0] < c[1]}:
+            acc = [0] * len(par)
+            for b, s in (((v, w, u), -sign(par[u] * (par[v] + par[w]))),
+                         ((w, u, v), -sign(par[w] * (par[u] + par[v])))):
+                b, t = (b, 1) if b[0] <= b[1] else _swapped(0, par, b)
+                for m, c in enumerate(found.get(b, ())):
+                    acc[m] += s * t * c
+            yield key + (u, v, w), acc
+
+
 def _inner_witnesses(axiom, rule, space, *structures):
     # the rule on every inner pair, mirrored in (i, j) and (u, v) once the
-    # structures it reads are super skew
+    # structures it reads are super skew, the triple rule derived as above
     par, mirror = space.parities, _all_skew(structures)
-    return _orbit_witnesses(axiom, space, _rule_defects(
-        space, lambda *args: _kept(rule(*args), mirror), structures,
-        _kept(_inner_pairs(space, *structures), mirror)),
-        (partial(_swapped, 0, par), partial(_swapped, 2, par)) if mirror else ())
+    defects = _rule_defects(space, partial(_listed, rule), structures,
+                            _kept(_inner_pairs(space, *structures), mirror))
+    if _derives(rule, structures):
+        defects = _with_derived(par, defects)
+    return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
+                                                    partial(_swapped, 2, par)) if mirror else ())
 
 
 # every sweep with the structures it reads and the weight of its identity,
@@ -560,7 +606,7 @@ _SWEEPS = {
     "jacobi": (_sweep_super_jacobi, ("binary",), 2),
     "malcev": (_sweep_malcev, ("binary",), 3),
     "triple-skew": (lambda space, st: st._skew_witnesses, ("ternary",), 2),
-    "triple-jacobi": (_sweep_ternary_jacobi, ("ternary",), 2),
+    "triple-jacobi": (lambda space, ts: ts._jacobi_witnesses, ("ternary",), 2),
     "nambu": (partial(_inner_witnesses, "nambu", _triple_rule), ("ternary",), 4),
     "product-rule": (partial(_inner_witnesses, "product-rule", _product_rule),
                      ("binary", "ternary"), 3),

@@ -202,6 +202,10 @@ def test_abelian_keys_above_the_cap_exit_2(capsys):
     assert err == "error: abelian_60_5 has dimension 65; abelian_m_n allows at most 64\n"
     code, _, err = run(capsys, "catalog", "show", "abelian_0_65")
     assert code == 2 and err.startswith("error: abelian_0_65 has dimension 65")
+    long = "abelian_%s_0" % ("1" * 5000)
+    code, out, err = run(capsys, "report", long)
+    assert code == 2 and out == ""
+    assert err == "error: %s has more than 64 generators; abelian_m_n allows at most 64\n" % long
     code, out, _ = run(capsys, "center", "abelian_24_0")
     assert code == 0 and out.startswith("center of abelian_24_0: dim 24\n")
 

@@ -25,6 +25,7 @@ LTS = sb.lie_to_supertriple(sb.catalog.load("aff2_lie"))    # no binary structur
 ZERO = ((0,) * 4,) * 4
 PAIR = sb.SuperSpace.even_first(("a", "b"), ())
 KNOWN = ", ".join(sb.catalog.keys())
+LONG = "abelian_%s_0" % ("1" * 5000)    # int() of the 5000 digits would raise its own error
 ONE_SIDED = AlgebraDef("x", PAIR, binary=BinaryStructure(PAIR, (((0, 0), (1, 0)),
                                                                  ((0, 0), (0, 0)))))
 
@@ -102,6 +103,8 @@ CASES = [
      KeyError, "unknown catalog key 'abelian_\u0661_1'; known: %s, abelian_m_n" % KNOWN),
     ("abelian key with a newline", lambda: sb.catalog.build("abelian_1_1\n"), KeyError,
      "unknown catalog key 'abelian_1_1\\n'; known: %s, abelian_m_n" % KNOWN),
+    ("abelian key past int's digit limit", lambda: sb.catalog.build(LONG), ValueError,
+     "%s has more than 64 generators; abelian_m_n allows at most 64" % LONG),
     # structures
     ("product length", lambda: BinaryStructure.from_products(SPACE, {(0, 1): (1,)}),
      sb.StructureError, "product [e1,e2]: expected 4 coordinates"),

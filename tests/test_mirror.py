@@ -19,7 +19,10 @@ tuples with u <= v only, since the equations of (v, u, ...) are those of
 (u, v, ...) times -(-1)^{p_u p_v}, and ps_space checks the inner pairs
 i <= j only.  Each needs the skew sweeps of the tables it reads to find
 nothing; when one finds a witness, every tuple and every ordered pair is
-evaluated.
+evaluated.  Once the ternary table passes ternary Jacobi as well, the triple
+rule lists only u < v, u <= w: Nambu derives the other tuples u <= v from
+their partners and the solvers leave their rows out, on the verdict of the
+table each one reads (`tests/test_orbits.py` holds this on random tables).
 
 Both paths must agree with `slow_reference`, which evaluates every tuple on
 dense tables: the same witnesses (axiom, tuple, defect with its scalar
@@ -36,6 +39,7 @@ pairs, and the same point, directions and pivots, with scalar types.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -45,7 +49,7 @@ from superbol import envelope, structures
 from superbol.graded import sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 from test_reference import (LIFTED, POOL, VALUES, assert_same_checks, even_map, from_cells,
-                            mutate, random_pair, transport)
+                            mutate, random_pair, rescaled, transport)
 
 BOLS = [A for A in POOL + LIFTED if A.binary is not None and A.ternary is not None]
 RULES = ("nambu", "product-rule")
@@ -236,23 +240,32 @@ def every_tuple(B, rule, reads):
     return {r: [at for at, _, _ in rule(B.space.parities, r, *tables)] for r in (0, 1)}
 
 
-@pytest.mark.parametrize("broken", [None, "binary", "ternary"])
+@pytest.mark.parametrize("broken", [None, "binary", "ternary", "jacobi"])
 def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated, broken):
-    """Nambu reads the ternary skew verdict, the product rule both; a broken
-    binary skew leaves Nambu mirrored."""
+    """Nambu reads the ternary skew and ternary Jacobi verdicts, the product
+    rule both skew verdicts; a broken binary skew leaves Nambu mirrored.
+    Where both of Nambu's pass, its rule tuples (u, v, w) are the u < v with
+    u <= w: the rest of u <= v are derived.  "jacobi" adds [e1, e2, e3] = e1
+    and its skew mirror, so only ternary Jacobi fails, and Nambu lists every
+    tuple u <= v."""
     B = sb.catalog.load("L2_3_1_bol")
     if broken:
-        st = getattr(B, broken)
+        st = getattr(B, "ternary" if broken == "jacobi" else broken)
         cells = dict(st.cells())
-        at = next(at for at in sorted(cells) if at[0] != at[1])
-        cells[at] = tuple((t, 2 * c) for t, c in cells[at])
-        B = AlgebraDef("broken " + broken, B.space, **{
-            "binary": B.binary, "ternary": B.ternary, broken: from_cells(type(st), B.space, cells)})
+        if broken == "jacobi":
+            cells[0, 1, 2], cells[1, 0, 2] = ((0, 1),), ((0, -1),)
+        else:
+            at = next(at for at in sorted(cells) if at[0] != at[1])
+            cells[at] = tuple((t, 2 * c) for t, c in cells[at])
+        changed = from_cells(type(st), B.space, cells)
+        B = AlgebraDef("broken " + broken, B.space, binary=B.binary if st is B.ternary else changed,
+                       ternary=changed if st is B.ternary else B.ternary)
     B = B.renamed("fresh " + B.name)
     evaluated.clear()
-    report = sb.check_axioms(B, "bol")
-    assert ({w.axiom for w in report.witnesses} & {"skew", "triple-skew"}) == \
+    axioms = {w.axiom for w in sb.check_axioms(B, "bol").witnesses}
+    assert (axioms & {"skew", "triple-skew"}) == \
         ({"binary": {"skew"}, "ternary": {"triple-skew"}}.get(broken, set()))
+    assert ("triple-jacobi" in axioms) == (broken in ("ternary", "jacobi"))
     n = B.space.dim
     assert len(evaluated) == 2
     for (keys, listed), (rule, reads) in zip(evaluated, RULE_READS):
@@ -260,9 +273,46 @@ def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated
         if broken in reads:
             assert keys == [(i, j) for i in range(n) for j in range(n)]
             assert listed == full
+        elif rule is structures._triple_rule and broken != "jacobi":
+            assert keys == [(i, j) for i in range(n) for j in range(i, n)]
+            assert listed == {r: [at for at in ats if at[0] < at[1] and at[0] <= at[2]]
+                              for r, ats in full.items()}
         else:
             assert keys == [(i, j) for i in range(n) for j in range(i, n)]
             assert listed == {r: [at for at in ats if at[0] <= at[1]] for r, ats in full.items()}
+
+
+def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, monkeypatch):
+    """The ternary Jacobi sweep runs once per structure object and gates the
+    table it swept: on a fresh L2_3_1_bol/2 the checks of supertriple, lts and bol
+    sweep the lifted table once between them, and Nambu derives there in
+    both checks; ps_space and companion_space, which read the table as
+    given, sweep that one once.  Where a verdict is withheld, that table's
+    Nambu check lists every tuple u <= v again."""
+    A, calls = rescaled(sb.catalog.load("L2_3_1_bol"), Fraction(1, 2), Fraction(1, 4), "fresh"), []
+    sweep = structures._sweep_ternary_jacobi
+    monkeypatch.setattr(structures, "_sweep_ternary_jacobi",
+                        lambda space, ts: calls.append(ts) or sweep(space, ts))
+    evaluated.clear()
+    lifted = A._lifted[1]["ternary"]
+    assert A._lifted[0] > 1 and lifted is not A.ternary
+    for kind in ("supertriple", "lts", "bol"):
+        assert sb.check_axioms(A, kind).passed
+    assert calls == [lifted]
+    full = every_tuple(A, structures._triple_rule, ("ternary",))
+    assert len(evaluated) == 3    # Nambu in lts and bol, then the product rule
+    for _, listed in evaluated[:2]:
+        assert listed == {r: [at for at in ats if at[0] < at[1] and at[0] <= at[2]]
+                          for r, ats in full.items()}
+    sb.ps_space(A)
+    sb.companion_space(A, sb.GradedMap.identity(A.space))
+    assert calls == [lifted, A.ternary]
+    B = A.renamed("withheld")
+    vars(B._lifted[1]["ternary"])["_jacobi_witnesses"] = ("withheld",)
+    evaluated.clear()
+    list(structures._inner_witnesses("nambu", structures._triple_rule, B.space,
+                                     B._lifted[1]["ternary"]))
+    assert evaluated[0][1] == {r: [at for at in ats if at[0] <= at[1]] for r, ats in full.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@ for i <= j once both tables are super skew; its basis, pivots and brackets
 must equal those of the span of every inner_pair(B, x, y) of basis vectors.
 """
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +41,9 @@ import superbol as sb
 from superbol import envelope, structures
 from superbol.graded import _into, sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_mirror import skew_mutant, typed_space
-from test_reference import LIFTED, POOL, VALUES, even_map, from_cells, transport, typed
+from test_mirror import assert_same_solvers, skew_mutant, typed_space
+from test_reference import (LIFTED, POOL, VALUES, direct_sum, even_map, from_cells, transport,
+                            typed)
 
 KINDS = ("lie", "malcev", "supertriple")
 ORBIT_AXIOMS = ("jacobi", "malcev", "triple-jacobi")
@@ -318,3 +321,98 @@ def test_ips_space_spans_every_inner_pair(monkeypatch):
         upper = [every[i * n + j] for i in range(n) for j in range(i, n)]
         assert built == [p for p in upper if not (p.operator.is_zero()
                                                   and p.companion.is_zero())], B.name
+
+
+# ---------------------------------------------------------------------------
+# the triple rule on tables that pass ternary Jacobi: a third of its tuples derived
+
+
+@functools.lru_cache(maxsize=None)
+def jacobi_basis(par, skew):
+    """linalg.nullspace's basis of the graded ternary tables on basis vectors
+    of parities par that pass ternary Jacobi, and are super skew if skew,
+    flat: the e_t coordinate of [e_i, e_j, e_k] at ((i n + j) n + k) n + t."""
+    n = len(par)
+
+    def at(i, j, k, t):
+        return ((i * n + j) * n + k) * n + t
+
+    rows = []
+    for i, j, k, t in itertools.product(range(n), repeat=4):
+        if (par[i] + par[j] + par[k] + par[t]) % 2:
+            rows.append({at(i, j, k, t): 1})
+            continue
+        if skew:
+            rows.append({at(i, j, k, t): 1, at(j, i, k, t): sign(par[i] * par[j])})
+        cyclic = {}
+        for b, s in (((i, j, k), 1), ((j, k, i), sign(par[i] * (par[j] + par[k]))),
+                     ((k, i, j), sign(par[k] * (par[i] + par[j])))):
+            cyclic[at(*b, t)] = cyclic.get(at(*b, t), 0) + s
+        rows.append(cyclic)
+    return sb.nullspace([[row.get(c, 0) for c in range(n ** 4)] for row in rows], n ** 4)
+
+
+def jacobi_algebra(rng, n, skew=True):
+    """A random integer combination of jacobi_basis, times 1, 1/2 or -1/3, on n
+    basis vectors of random parities, with a random super skew binary product
+    in three of four draws."""
+    par = tuple(rng.randrange(2) for _ in range(n))
+    space = sb.SuperSpace(par, tuple("a%d" % i for i in range(n)))
+    flat, scale = [0] * n ** 4, rng.choice((1, 1, Fraction(1, 2), Fraction(-1, 3)))
+    for vec in jacobi_basis(par, skew):
+        c = rng.choice((-2, -1, 0, 0, 1, 2)) * scale
+        flat = [a + c * b for a, b in zip(flat, vec)] if c else flat
+    ts = TernaryStructure(space, tuple(tuple(tuple(
+        tuple(flat[((i * n + j) * n + k) * n:][:n]) for k in range(n))
+        for j in range(n)) for i in range(n)))
+    bs = from_cells(BinaryStructure, space, random_cells(rng, space, 2, True, range(n), range(n)))
+    return AlgebraDef("jacobi table %s" % (par,), space,
+                      binary=bs if rng.random() < 0.75 else None, ternary=ts)
+
+
+def derived(B, report):
+    """(odd, lifted) of each Nambu witness at a derived tuple or its (u, v)
+    mirror: (u, v, w) in kept order with u == v or w < u < v."""
+    index, par, lifted, out = B.space.index_of, B.space.parities, B._lifted[0] > 1, set()
+    for w in report.witnesses:
+        if w.axiom == "nambu":
+            u, v, x = sorted(map(index, w.at[2:4])) + [index(w.at[4])]
+            if u == v or x < u < v:
+                out.add((any(par[t] for t in (u, v, x)), lifted))
+    return out
+
+
+def test_tables_passing_ternary_jacobi_match_the_reference():
+    """On 60 random tables that pass triple skew and ternary Jacobi, of
+    dimension 2 to 5 and odd vectors included, the lts and bol reports equal
+    the reference's witness for witness, derived Nambu witnesses included, on
+    odd and even tuples and with and without a lift; and on those with a
+    binary product ps_space and companion_space equal the reference's.  So
+    do 15 tables that pass ternary Jacobi but not triple skew, where no
+    tuple may be derived."""
+    seen, nambu, rng = set(), 0, random.Random(17)
+    for seed in range(75):
+        A = jacobi_algebra(random.Random(seed), 2 + seed % 4, seed < 60)
+        assert bool(A.ternary._skew_witnesses) == (seed >= 60)
+        assert not A.ternary._jacobi_witnesses
+        for kind in ("lts", "bol") if A.binary else ("lts",):
+            fast, slow = sb.check_axioms(A, kind), slow_reference.check_axioms(A, kind)
+            assert fast == slow and typed(fast) == typed(slow), (A.name, seed, kind)
+            nambu += sum(w.axiom == "nambu" for w in fast.witnesses)
+            seen |= derived(A, fast)
+        if A.binary and seed % 3 == 0:
+            assert_same_solvers(A, rng)
+    assert seen == {(odd, lifted) for odd in (False, True) for lifted in (False, True)}
+    assert nambu > 10000
+
+
+def test_pair_solvers_match_the_reference_on_the_ladder():
+    """ps_space and companion_space equal the reference's on the benchmark's
+    sparse Bol algebras, bol(M7), bol(osp(1|2) + osp(1|2)) and bol(M7 +
+    osp(1|2)), whose tables pass ternary Jacobi, so their triple rule lists
+    only the tuples it does not derive."""
+    rng = random.Random(18)
+    for A in (M7, direct_sum(OSP, OSP, "osp+osp"), direct_sum(M7, OSP, "M7+osp")):
+        B = sb.malcev_to_bol(A)
+        assert not B.ternary._skew_witnesses and not B.ternary._jacobi_witnesses
+        assert_same_solvers(B, rng)

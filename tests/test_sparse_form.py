@@ -233,7 +233,8 @@ def test_pair_solvers_build_no_dense_pair_row(monkeypatch):
     read none from a flat row, and build no dense row as long as a
     flattened pair (n^2 + n) or as the unknowns of a degree.  The rows the
     rules give for ps_space(bol(osp(1|2))) are pinned per degree: the rule
-    tuples (u, v, ...) with u <= v only, without repeats."""
+    tuples (u, v, ...) with u <= v only, of the triple rule's only those with
+    u < v and u <= w (its table passes ternary Jacobi), without repeats."""
     from superbol import envelope, linalg
     flattened, widths, rows = [], [], {}
     flatten, from_flat = sb.PseudoDerivationPair.flatten, sb.PseudoDerivationPair.from_flat
@@ -269,7 +270,7 @@ def test_pair_solvers_build_no_dense_pair_row(monkeypatch):
         sb.enveloping(B, H)
         assert widths and not set(widths) & ({n * n + n} | unknowns), B.name
     assert flattened == []
-    assert (rows[osp.name, 0], rows[osp.name, 1]) == (70, 87)
+    assert (rows[osp.name, 0], rows[osp.name, 1]) == (58, 70)
 
 
 def test_pair_spaces_keep_their_brackets_sparse(monkeypatch):
