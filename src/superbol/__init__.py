@@ -5,44 +5,46 @@ package checks axiom systems (Lie, Malcev, supertriple systems, Bol),
 derives triple products, builds enveloping Lie superalgebras from
 pseudo superderivation pairs, and computes Killing and Killing-Ricci
 forms along two independent routes.  All arithmetic is exact.
+
+The public names and the submodules load on first access (PEP 562), so
+`import superbol`, which every `python -m superbol` process runs first,
+loads no submodule and each CLI command loads only the modules it uses.
 """
 
-from . import catalog
-from .algfile import ParseError, parse_algebra, serialize_algebra
-from .constructions import lie_to_supertriple, malcev_to_bol
-from .envelope import (EnvelopeError, EnvelopingLieSuperalgebra, PairSpace,
-                       PseudoDerivationPair, check_pseudo, companion_space,
-                       enveloping, ideal_envelope, inner_pair, ips_space,
-                       pair_bracket, ps_space)
-from .forms import (BilinearForm, InvariantReport, SemisimplicityReport,
-                    check_invariant, killing_form, killing_ricci, orthogonal,
-                    right_map, semisimplicity_report)
-from .graded import (EVEN, ODD, GradedMap, GradingError, SuperSpace,
-                     SuperVector, graded_commutator, rat, sign, supertrace)
-from .linalg import (AffineSubspace, Subspace, nullspace, rref, solve_affine,
-                     span_reduce, whole_space)
-from .structures import (IDEAL, INVARIANT, KINDS, NOT_CLOSED, SUBSUPERALGEBRA,
-                         AlgebraDef, AxiomError, BinaryStructure, CheckReport,
-                         StructureError, TernaryStructure, Witness, center,
-                         check_axioms, check_morphism, classify_subspace,
-                         require_axioms)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineSubspace", "AlgebraDef", "AxiomError", "BilinearForm",
-    "BinaryStructure", "CheckReport", "EVEN", "EnvelopeError",
-    "EnvelopingLieSuperalgebra", "GradedMap", "GradingError", "IDEAL",
-    "INVARIANT", "InvariantReport", "KINDS", "NOT_CLOSED", "ODD",
-    "PairSpace", "ParseError", "PseudoDerivationPair",
-    "SemisimplicityReport", "StructureError", "SUBSUPERALGEBRA",
-    "Subspace", "SuperSpace", "SuperVector", "TernaryStructure", "Witness",
-    "catalog", "center", "check_axioms", "check_invariant", "check_morphism",
-    "check_pseudo", "classify_subspace", "companion_space", "enveloping",
-    "graded_commutator", "ideal_envelope", "inner_pair", "ips_space",
-    "killing_form", "killing_ricci", "lie_to_supertriple", "malcev_to_bol",
-    "nullspace", "orthogonal", "pair_bracket", "parse_algebra", "ps_space",
-    "rat", "require_axioms", "right_map", "rref", "semisimplicity_report",
-    "serialize_algebra", "sign", "solve_affine", "span_reduce", "supertrace",
-    "whole_space",
-]
+# every public name, by the module that defines it
+_MODULE_OF = {name: module for module, names in {
+    "algfile": "ParseError parse_algebra serialize_algebra",
+    "constructions": "lie_to_supertriple malcev_to_bol",
+    "envelope": "EnvelopeError EnvelopingLieSuperalgebra PairSpace PseudoDerivationPair "
+                "check_pseudo companion_space enveloping ideal_envelope inner_pair ips_space "
+                "pair_bracket ps_space",
+    "forms": "BilinearForm InvariantReport SemisimplicityReport check_invariant killing_form "
+             "killing_ricci orthogonal right_map semisimplicity_report",
+    "graded": "EVEN ODD GradedMap GradingError SuperSpace SuperVector graded_commutator rat "
+              "sign supertrace",
+    "linalg": "AffineSubspace Subspace nullspace rref solve_affine span_reduce whole_space",
+    "structures": "IDEAL INVARIANT KINDS NOT_CLOSED SUBSUPERALGEBRA AlgebraDef AxiomError "
+                  "BinaryStructure CheckReport StructureError TernaryStructure Witness center "
+                  "check_axioms check_morphism classify_subspace require_axioms",
+}.items() for name in names.split()}
+_SUBMODULES = {*_MODULE_OF.values(), "catalog", "cli"}
+
+__all__ = sorted([*_MODULE_OF, "catalog"])
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(importlib.import_module("." + _MODULE_OF[name], __name__),
+                                      name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -23,8 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .catalog import ABELIAN_MAX_DIM
-from .graded import SuperSpace, SuperVector, _dense, rat, sign
+from .graded import ABELIAN_MAX_DIM, SuperSpace, SuperVector, _dense, rat, sign
 from .structures import AlgebraDef, BinaryStructure, TernaryStructure
 
 _LABEL = re.compile(r"[A-Za-z_]\w*")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .constructions import malcev_to_bol
-from .graded import SuperSpace, record
+from .graded import ABELIAN_MAX_DIM, SuperSpace, record
 from .structures import (AlgebraDef, BinaryStructure, TernaryStructure,
                          require_axioms)
 
@@ -91,8 +91,6 @@ _FIXED = (
 )
 
 _ABELIAN = re.compile(r"abelian_(0|[1-9]\d*)_(0|[1-9]\d*)", re.ASCII)
-
-ABELIAN_MAX_DIM = 64
 
 
 def keys():

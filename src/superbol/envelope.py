@@ -39,7 +39,7 @@ from .linalg import (_affine, _common_denominator, _divided, _kernel, _rref, _sp
                      span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
                          StructureError, Witness, _all_skew, _inner_pairs, _kept, _listed,
-                         _rule_defects, _structures, _w_terms, require_axioms)
+                         _rule_defects, _structures, _swept, _w_terms, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -141,8 +141,8 @@ def inner_pair(B, x, y):
 
 def _basis_inner_pairs(B):
     """_inner_pairs of B, only i <= j once its tables are super skew (the rest are multiples)."""
-    structures = _structures(B, ("binary", "ternary"))
-    return _kept(_inner_pairs(B.space, *structures), _all_skew(structures))
+    reads = ("binary", "ternary")
+    return _kept(_inner_pairs(B.space, *_structures(B, reads)), _all_skew(_swept(B, reads)))
 
 
 def _bracket_entries(n, E, p, q):
@@ -184,8 +184,9 @@ def _equations(B, r, x, columns):
     var = [[(m, u) for (s, m), u in columns.items() if s == slot] for slot in range(n + 1)]
     seen = set()
     # both rules' structures first: a missing one raises before any row
-    for rule, structures in [(rule, _structures(B, reads)) for _, rule, reads in _RULES]:
-        for _, terms, w in _listed(rule, par, r, *structures):
+    for rule, reads, structures in [(rule, reads, _structures(B, reads))
+                                    for _, rule, reads in _RULES]:
+        for _, terms, w in _listed(rule, par, r, *structures, swept=_swept(B, reads)):
             # RHS - LHS = sum of s x[slot] through rows: b holds minus its known part
             b, by_t = [0] * n, {}
             for slot, rows, s in terms + tuple((slot, rows, s * c) for q, c in w
@@ -275,7 +276,7 @@ class PairSpace:
         M, scaled = common[0], [_pair(space, p.degree, row) for p, row in zip(basis, common[1])]
         E = _structures(algebra, ("binary",))[0].entries if basis else None
         # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q]
-        mirror = basis and _all_skew((algebra.binary,))
+        mirror = basis and _all_skew(_swept(algebra, ("binary",)))
         brackets = [[None] * d for _ in range(d)]
         for m, l in itertools.product(range(d), repeat=2):
             p, q = basis[m], basis[l]

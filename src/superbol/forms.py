@@ -22,7 +22,6 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .envelope import enveloping
 from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into,
                      _sparse, _SparseValue, _transposed, rat, record, sign)
 from .linalg import _null_space, span_reduce, whole_space
@@ -126,6 +125,7 @@ def killing_ricci(B, method="restriction"):
     """Killing-Ricci form of a Bol algebra by either route."""
     require_axioms(B, "bol")
     if method == "restriction":
+        from .envelope import enveloping  # only here, so `killing` never loads envelope
         return _base_block(killing_form(enveloping(B).lie), B.space)
     if method == "direct":
         n, par = B.space.dim, B.space.parities
@@ -290,6 +290,7 @@ def _pairing_identity(B, env, alpha, beta):
 
 
 def semisimplicity_report(B, ideals=()):
+    from .envelope import enveloping
     env = enveloping(B)
     alpha = killing_form(env.lie)
     nb = B.space.dim

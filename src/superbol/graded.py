@@ -23,6 +23,10 @@ from functools import cached_property
 EVEN = 0
 ODD = 1
 
+# the most basis vectors of an abelian_m_n key or an .alg file: the work of
+# every check grows as the fourth power of the dimension or faster
+ABELIAN_MAX_DIM = 64
+
 
 class GradingError(ValueError):
     """A vector, map or table violates the Z2 grading."""

@@ -559,12 +559,20 @@ def _derives(rule, structures):
     return rule is _triple_rule and _all_skew(structures) and not structures[0]._jacobi_witnesses
 
 
-def _listed(rule, par, r, *structures):
+def _swept(A, reads):
+    """A's lifted structures named in reads, the tables check_axioms sweeps: their
+    skew and ternary Jacobi verdicts hold for A's own, which they scale by L or L^2."""
+    return tuple(A._lifted[1][what] for what in reads)
+
+
+def _listed(rule, par, r, *structures, swept=()):
     """The rule's (at, terms, w) that a sweep or solver evaluates: the kept ones, of
-    them only u < v, u <= w where the triple rule's derived tuples follow."""
-    if _derives(rule, structures):
+    them only u < v, u <= w where the triple rule's derived tuples follow, by the
+    verdicts of the swept tables (by default the structures)."""
+    swept = swept or structures
+    if _derives(rule, swept):
         return (x for x in rule(par, r, *structures) if x[0][0] < x[0][1] and x[0][0] <= x[0][2])
-    return _kept(rule(par, r, *structures), _all_skew(structures))
+    return _kept(rule(par, r, *structures), _all_skew(swept))
 
 
 def _with_derived(par, defects):

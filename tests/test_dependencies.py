@@ -8,10 +8,13 @@ module instead of running them.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import superbol
 
@@ -52,3 +55,83 @@ def test_importing_the_cli_does_not_import_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# what a fresh process loads: each command only the modules it uses
+
+RUN_AND_LIST = """\
+import runpy, sys
+try:
+    runpy.run_module("superbol", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    print("\\nexit", stop.code, *sorted(m for m in sys.modules if m.startswith("superbol.")))
+"""
+
+
+def loaded(*argv, cwd=None):
+    """The superbol submodules a fresh interpreter holds after running
+    `python -m superbol argv`, which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", RUN_AND_LIST, *argv], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    code, *modules = out.stdout.splitlines()[-1].split()[1:]
+    assert code == "0", (argv, out.stdout, out.stderr)
+    return set(modules)
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import superbol, sys\nprint(*(m for m in sys.modules if m.startswith('superbol.')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "\n"
+
+
+def test_commands_on_the_base_load_neither_the_envelope_nor_the_forms(tmp_path):
+    (tmp_path / "aff2.alg").write_text("name aff2\neven e1 e2\nbinary [e1,e2] = e2\n")
+    for argv in (("catalog", "list"), ("check", "aff2.alg", "--kind", "lie"),
+                 ("center", "abelian_3_1")):
+        modules = loaded(*argv, cwd=tmp_path)
+        assert "superbol.structures" in modules
+        assert not modules & {"superbol.envelope", "superbol.forms"}, argv
+
+
+def test_the_killing_form_loads_no_envelope():
+    modules = loaded("killing", "aff2_lie")
+    assert "superbol.forms" in modules and "superbol.envelope" not in modules
+
+
+def test_report_loads_every_module_but_the_file_reader():
+    assert loaded("report", "L2_3_1_bol") == {
+        "superbol.%s" % name for name in ("catalog", "cli", "constructions", "envelope",
+                                          "forms", "graded", "linalg", "structures")}
+
+
+# ---------------------------------------------------------------------------
+# the package namespace, resolved on first access
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in superbol.__all__:
+        module = importlib.import_module("superbol." + superbol._MODULE_OF.get(name, name))
+        assert getattr(superbol, name) is (module if name == "catalog" else getattr(module, name))
+    assert len(superbol.__all__) == len(set(superbol.__all__)) == 61
+
+
+def test_dir_and_star_import_cover_every_public_name():
+    assert set(superbol.__all__) <= set(dir(superbol))
+    namespace = {}
+    exec("from superbol import *", namespace)
+    assert set(superbol.__all__) <= set(namespace)
+    assert namespace["check_axioms"] is superbol.structures.check_axioms
+
+
+def test_submodules_resolve_and_unknown_names_raise():
+    for name in ("algfile", "catalog", "cli", "constructions", "envelope", "forms", "graded",
+                 "linalg", "structures"):
+        assert name in dir(superbol)
+        assert getattr(superbol, name) is importlib.import_module("superbol." + name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        superbol.no_such_name
+    assert not hasattr(superbol, "ABELIAN_MAX_DIM")

@@ -287,18 +287,21 @@ def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, mon
     table it swept: on a fresh L2_3_1_bol/2 the checks of supertriple, lts and bol
     sweep the lifted table once between them, and Nambu derives there in
     both checks; ps_space and companion_space, which read the table as
-    given, sweep that one once.  Where a verdict is withheld, that table's
-    Nambu check lists every tuple u <= v again."""
+    given, take their verdicts from the lifted one, so each table object is
+    swept at most once.  Where a verdict is withheld, that table's Nambu
+    check lists every tuple u <= v again."""
     A, calls = rescaled(sb.catalog.load("L2_3_1_bol"), Fraction(1, 2), Fraction(1, 4), "fresh"), []
-    sweep = structures._sweep_ternary_jacobi
+    sweep, skew, skewed = structures._sweep_ternary_jacobi, structures._skew, []
     monkeypatch.setattr(structures, "_sweep_ternary_jacobi",
                         lambda space, ts: calls.append(ts) or sweep(space, ts))
+    monkeypatch.setattr(structures, "_skew", lambda space, st: skewed.append(st) or skew(space, st))
     evaluated.clear()
     lifted = A._lifted[1]["ternary"]
     assert A._lifted[0] > 1 and lifted is not A.ternary
     for kind in ("supertriple", "lts", "bol"):
         assert sb.check_axioms(A, kind).passed
     assert calls == [lifted]
+    assert skewed == [lifted, A._lifted[1]["binary"]]    # the skew sweep likewise
     full = every_tuple(A, structures._triple_rule, ("ternary",))
     assert len(evaluated) == 3    # Nambu in lts and bol, then the product rule
     for _, listed in evaluated[:2]:
@@ -306,7 +309,8 @@ def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, mon
                           for r, ats in full.items()}
     sb.ps_space(A)
     sb.companion_space(A, sb.GradedMap.identity(A.space))
-    assert calls == [lifted, A.ternary]
+    assert calls == [lifted]
+    assert skewed == [lifted, A._lifted[1]["binary"]]    # the skew sweep likewise
     B = A.renamed("withheld")
     vars(B._lifted[1]["ternary"])["_jacobi_witnesses"] = ("withheld",)
     evaluated.clear()

@@ -4,12 +4,14 @@
         [--workload check-sparse ...] [--seed 1] \
         [--claim check-sparse:wall_s [--claim-seed 7]]
 
-PARENT and CHANGE are two checkouts of the repository.  Each is byte-compiled
-first (`python -m compileall -q src perfbench`), so neither side pays for
-compiling its modules in every process.  Then, for pair k = 1..N and each
-workload, both sides run `perfbench/run.py --workload W --seed S --trace 0`
-from their own root, the parent first in odd-numbered pairs and the change
-first in even-numbered ones; run.py fixes the run length.  The end-to-end
+PARENT and CHANGE are two checkouts of the repository, measured as a fresh
+checkout runs: every `__pycache__` under their `src/` and `perfbench/` is
+deleted first, and every run has PYTHONDONTWRITEBYTECODE=1, so each side
+compiles the modules each of its processes imports, in every process.
+Then, for pair k = 1..N and each workload, both sides run
+`perfbench/run.py --workload W --seed S --trace 0` from their own root,
+the parent first in odd-numbered pairs and the change first in
+even-numbered ones; run.py fixes the run length.  The end-to-end
 metrics, their direction and bound are read from the parent's BENCHMARK.json.
 
 The output holds every run's end-to-end metrics, each side's median and
@@ -29,7 +31,9 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -90,10 +94,12 @@ def summarize(runs, metrics):
 
 
 def run(root, workload, seed):
-    """The result object run.py prints last, run from the checkout root."""
+    """The result object run.py prints last, run from the checkout root
+    without writing bytecode."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True, check=True)
+                          cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -131,8 +137,9 @@ def main(argv=None):
     metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
     roots = {"parent": args.parent, "change": args.change}
     for root in roots.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                       cwd=root, check=True)
+        for cache in [c for top in ("src", "perfbench")
+                      for c in pathlib.Path(root, top).rglob("__pycache__")]:
+            shutil.rmtree(cache)
     claimed = args.claim.split(":") if args.claim else None
     by_seed = {args.seed: paired(roots, workloads, args.seed, args.pairs)}
     if args.claim_seed is not None:
@@ -140,8 +147,9 @@ def main(argv=None):
     report = {
         "what": "superbol benchmark: the parent checkout against the change checkout, "
                 "in alternating pairs of runs",
-        "command": "python3 perfbench/run.py --workload <w> --seed <s> --trace 0, "
-                   "in each checkout after python -m compileall -q src perfbench",
+        "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload <w> "
+                   "--seed <s> --trace 0, in each checkout with every __pycache__ under "
+                   "src/ and perfbench/ deleted first",
         "machine": "%s, Python %s" % (platform.platform(), platform.python_version()),
         "seeds": list(by_seed),
         "pairs": args.pairs,
