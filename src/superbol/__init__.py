@@ -6,16 +6,26 @@ derives triple products, builds enveloping Lie superalgebras from
 pseudo superderivation pairs, and computes Killing and Killing-Ricci
 forms along two independent routes.  All arithmetic is exact.
 
-The public names and the submodules load on first access (PEP 562), so
-`import superbol`, which every `python -m superbol` process runs first,
-loads no submodule and each CLI command loads only the modules it uses.
+`import superbol` loads the base every command uses (graded, linalg,
+structures); the names of the other modules resolve on each access
+(PEP 562), so each CLI command loads only the modules it runs.
 """
 
 import importlib
 
+from .graded import (EVEN, ODD, GradedMap, GradingError, SuperSpace,
+                     SuperVector, graded_commutator, rat, sign, supertrace)
+from .linalg import (AffineSubspace, Subspace, nullspace, rref, solve_affine,
+                     span_reduce, whole_space)
+from .structures import (IDEAL, INVARIANT, KINDS, NOT_CLOSED, SUBSUPERALGEBRA,
+                         AlgebraDef, AxiomError, BinaryStructure, CheckReport,
+                         StructureError, TernaryStructure, Witness, center,
+                         check_axioms, check_morphism, classify_subspace,
+                         require_axioms)
+
 __version__ = "0.1.0"
 
-# every public name, by the module that defines it
+# every public name of the modules loaded on access, by its module
 _MODULE_OF = {name: module for module, names in {
     "algfile": "ParseError parse_algebra serialize_algebra",
     "constructions": "lie_to_supertriple malcev_to_bol",
@@ -24,26 +34,29 @@ _MODULE_OF = {name: module for module, names in {
                 "pair_bracket ps_space",
     "forms": "BilinearForm InvariantReport SemisimplicityReport check_invariant killing_form "
              "killing_ricci orthogonal right_map semisimplicity_report",
-    "graded": "EVEN ODD GradedMap GradingError SuperSpace SuperVector graded_commutator rat "
-              "sign supertrace",
-    "linalg": "AffineSubspace Subspace nullspace rref solve_affine span_reduce whole_space",
-    "structures": "IDEAL INVARIANT KINDS NOT_CLOSED SUBSUPERALGEBRA AlgebraDef AxiomError "
-                  "BinaryStructure CheckReport StructureError TernaryStructure Witness center "
-                  "check_axioms check_morphism classify_subspace require_axioms",
 }.items() for name in names.split()}
 _SUBMODULES = {*_MODULE_OF.values(), "catalog", "cli"}
 
-__all__ = sorted([*_MODULE_OF, "catalog"])
+__all__ = sorted([
+    *_MODULE_OF, "catalog",
+    "EVEN", "ODD", "GradedMap", "GradingError", "SuperSpace", "SuperVector",
+    "graded_commutator", "rat", "sign", "supertrace",
+    "AffineSubspace", "Subspace", "nullspace", "rref", "solve_affine", "span_reduce",
+    "whole_space",
+    "IDEAL", "INVARIANT", "KINDS", "NOT_CLOSED", "SUBSUPERALGEBRA", "AlgebraDef",
+    "AxiomError", "BinaryStructure", "CheckReport", "StructureError", "TernaryStructure",
+    "Witness", "center", "check_axioms", "check_morphism", "classify_subspace",
+    "require_axioms",
+])
 
 
 def __getattr__(name):
+    # not cached: the value is always the defining module's binding
     if name in _SUBMODULES:
         return importlib.import_module("." + name, __name__)
     if name not in _MODULE_OF:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = globals()[name] = getattr(importlib.import_module("." + _MODULE_OF[name], __name__),
-                                      name)
-    return value
+    return getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
 
 
 def __dir__():

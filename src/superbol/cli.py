@@ -16,8 +16,9 @@ import argparse
 import os
 import sys
 
-# each command imports the modules it uses where it runs, and the parser
-# holds only the command argv names: a process loads what its command uses
+# `import superbol` has loaded the structures; each command imports the
+# other modules it uses where it runs, so a process loads only those
+from .structures import AxiomError, center, check_axioms, require_axioms
 
 _WITNESS_LIMIT = 8
 
@@ -76,7 +77,6 @@ def _matrix_facts(name, gram, facts):
 
 
 def cmd_check(args):
-    from .structures import check_axioms
     A = _load_algebra(args.algebra)
     report = check_axioms(A, args.kind)
     facts, lines = {}, []
@@ -112,7 +112,6 @@ def cmd_lie_to_lts(args):
 
 def cmd_envelope(args):
     from .envelope import enveloping, ips_space, ps_space
-    from .structures import require_axioms
     B = _load_algebra(args.algebra)
     require_axioms(B, "bol")
     H = ps_space(B) if args.maximal else ips_space(B)
@@ -177,7 +176,6 @@ def cmd_killing_ricci(args):
 
 
 def cmd_center(args):
-    from .structures import center
     A = _load_algebra(args.algebra)
     Z = center(A)
     facts, lines = {}, []
@@ -192,7 +190,6 @@ def cmd_center(args):
 
 def cmd_pseudo(args):
     from .envelope import ips_space, ps_space
-    from .structures import require_axioms
     B = _load_algebra(args.algebra)
     require_axioms(B, "bol")
     facts, lines = {}, []
@@ -223,7 +220,6 @@ def cmd_pseudo(args):
 
 def cmd_report(args):
     from .forms import check_invariant, semisimplicity_report
-    from .structures import check_axioms
     B = _load_algebra(args.algebra)
     bol = check_axioms(B, "bol")
     facts, lines = {}, []
@@ -300,98 +296,81 @@ def cmd_catalog(args):
     return 0, None, [text.rstrip("\n")]
 
 
-_COMMANDS = ("check", "derive-bol", "lie-to-lts", "envelope", "killing", "killing-ricci",
-             "center", "pseudo", "report", "catalog")
-
-
-class _FullTree(Exception):
-    pass
-
-
-class _OneCommand(argparse.ArgumentParser):
-    # help and usage errors at the top level print its usage, which lists
-    # every command: the full tree prints them instead
-    def print_usage(self, file=None):
-        raise _FullTree
-
-    print_help = print_usage
-
-
-def build_parser(argv=()):
-    """The parser for argv: the top level with only the subparser of the
-    command argv names, or the full tree where it names none."""
-    named = next((arg for arg in argv if arg in _COMMANDS), None)
+def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "machine"),
                         default=argparse.SUPPRESS, help="output style")
 
-    parser = (_OneCommand if named else argparse.ArgumentParser)(
+    parser = argparse.ArgumentParser(
         prog="superbol",
         description="Exact checks and constructions for graded algebras "
                     "given by structure constants.")
     parser.add_argument("--format", choices=("human", "machine"), default="human",
                         help="output style")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=argparse.ArgumentParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):  # None for a command the parser leaves out
-        if named in (None, name):
-            return sub.add_parser(name, parents=[common], **kwargs)
+    p = sub.add_parser("check", parents=[common],
+                       help="verify an axiom system, printing witnesses on failure")
+    p.add_argument("algebra", help="path to an .alg file, or a catalog key")
+    p.add_argument("--kind", required=True,
+                   choices=("lie", "malcev", "supertriple", "lts", "bol"))
+    p.set_defaults(func=cmd_check)
 
-    if p := add("check", help="verify an axiom system, printing witnesses on failure"):
-        p.add_argument("algebra", help="path to an .alg file, or a catalog key")
-        p.add_argument("--kind", required=True,
-                       choices=("lie", "malcev", "supertriple", "lts", "bol"))
-        p.set_defaults(func=cmd_check)
+    p = sub.add_parser("derive-bol", parents=[common],
+                       help="derived triple product of a Malcev superalgebra")
+    p.add_argument("algebra")
+    p.add_argument("-o", "--out", help="write the result here instead of stdout")
+    p.set_defaults(func=cmd_derive_bol)
 
-    if p := add("derive-bol", help="derived triple product of a Malcev superalgebra"):
-        p.add_argument("algebra")
-        p.add_argument("-o", "--out", help="write the result here instead of stdout")
-        p.set_defaults(func=cmd_derive_bol)
+    p = sub.add_parser("lie-to-lts", parents=[common],
+                       help="triple system [[x,y],z] of a Lie superalgebra")
+    p.add_argument("algebra")
+    p.add_argument("-o", "--out")
+    p.set_defaults(func=cmd_lie_to_lts)
 
-    if p := add("lie-to-lts", help="triple system [[x,y],z] of a Lie superalgebra"):
-        p.add_argument("algebra")
-        p.add_argument("-o", "--out")
-        p.set_defaults(func=cmd_lie_to_lts)
+    p = sub.add_parser("envelope", parents=[common],
+                       help="enveloping Lie superalgebra of a Bol superalgebra")
+    p.add_argument("algebra")
+    p.add_argument("--maximal", action="store_true",
+                   help="use all pseudo superderivation pairs, not only inner ones")
+    p.set_defaults(func=cmd_envelope)
 
-    if p := add("envelope", help="enveloping Lie superalgebra of a Bol superalgebra"):
-        p.add_argument("algebra")
-        p.add_argument("--maximal", action="store_true",
-                       help="use all pseudo superderivation pairs, not only inner ones")
-        p.set_defaults(func=cmd_envelope)
+    p = sub.add_parser("killing", parents=[common],
+                       help="Killing form of a Lie superalgebra")
+    p.add_argument("algebra")
+    p.set_defaults(func=cmd_killing)
 
-    if p := add("killing", help="Killing form of a Lie superalgebra"):
-        p.add_argument("algebra")
-        p.set_defaults(func=cmd_killing)
+    p = sub.add_parser("killing-ricci", parents=[common],
+                       help="Killing-Ricci form of a Bol superalgebra")
+    p.add_argument("algebra")
+    p.add_argument("--method", choices=("direct", "restriction", "both"),
+                   default="both")
+    p.set_defaults(func=cmd_killing_ricci)
 
-    if p := add("killing-ricci", help="Killing-Ricci form of a Bol superalgebra"):
-        p.add_argument("algebra")
-        p.add_argument("--method", choices=("direct", "restriction", "both"),
-                       default="both")
-        p.set_defaults(func=cmd_killing_ricci)
+    p = sub.add_parser("center", parents=[common], help="center of an algebra")
+    p.add_argument("algebra")
+    p.set_defaults(func=cmd_center)
 
-    if p := add("center", help="center of an algebra"):
-        p.add_argument("algebra")
-        p.set_defaults(func=cmd_center)
+    p = sub.add_parser("pseudo", parents=[common],
+                       help="pseudo superderivation pairs of a Bol superalgebra")
+    p.add_argument("algebra")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--inner", action="store_true", help="list the inner pairs")
+    group.add_argument("--max", action="store_true", help="list a maximal basis")
+    p.set_defaults(func=cmd_pseudo)
 
-    if p := add("pseudo", help="pseudo superderivation pairs of a Bol superalgebra"):
-        p.add_argument("algebra")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--inner", action="store_true", help="list the inner pairs")
-        group.add_argument("--max", action="store_true", help="list a maximal basis")
-        p.set_defaults(func=cmd_pseudo)
+    p = sub.add_parser("report", parents=[common],
+                       help="axioms, Killing-Ricci form, invariance and envelope facts")
+    p.add_argument("algebra")
+    p.set_defaults(func=cmd_report)
 
-    if p := add("report", help="axioms, Killing-Ricci form, invariance and envelope facts"):
-        p.add_argument("algebra")
-        p.set_defaults(func=cmd_report)
-
-    if p := add("catalog", help="built-in example algebras"):
-        csub = p.add_subparsers(dest="what", required=True)
-        c = csub.add_parser("list", parents=[common])
-        c.set_defaults(func=cmd_catalog, what="list")
-        c = csub.add_parser("show", parents=[common])
-        c.add_argument("key")
-        c.set_defaults(func=cmd_catalog, what="show")
+    p = sub.add_parser("catalog", parents=[common], help="built-in example algebras")
+    csub = p.add_subparsers(dest="what", required=True)
+    c = csub.add_parser("list", parents=[common])
+    c.set_defaults(func=cmd_catalog, what="list")
+    c = csub.add_parser("show", parents=[common])
+    c.add_argument("key")
+    c.set_defaults(func=cmd_catalog, what="show")
     return parser
 
 
@@ -409,33 +388,27 @@ def _write(lines):
     return 0
 
 
-def _loaded_class(module, name):
-    # the error class, or () where the command did not load its module, so raised none
-    return getattr(sys.modules.get("%s.%s" % (__package__, module)), name, ())
-
-
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except _FullTree:
-        args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     fmt = getattr(args, "format", "human")
     try:
         code, facts, lines = args.func(args)
-    except (ValueError, RuntimeError, OSError) as err:
-        if isinstance(err, _loaded_class("structures", "AxiomError")):
-            code, facts, lines = 1, {}, []
-            if fmt == "machine":
-                _witness_facts(err.report, facts)
-            else:
-                _report_lines(err.report, lines)
-        elif isinstance(err, (ValueError, OSError, _loaded_class("envelope", "EnvelopeError"))):
-            # ParseError, StructureError and GradingError are ValueErrors
-            print("error: %s" % err, file=sys.stderr)
-            return 2
+    except AxiomError as err:
+        code, facts, lines = 1, {}, []
+        if fmt == "machine":
+            _witness_facts(err.report, facts)
         else:
-            raise
+            _report_lines(err.report, lines)
+    except (ValueError, RuntimeError, OSError) as err:
+        # ParseError, StructureError and GradingError are ValueErrors; of the
+        # RuntimeErrors only EnvelopeError is the input's fault
+        if isinstance(err, RuntimeError):
+            from .envelope import EnvelopeError
+            if not isinstance(err, EnvelopeError):
+                raise
+        print("error: %s" % err, file=sys.stderr)
+        return 2
     # raw text output (.alg) comes with facts None, the same in both formats
     if facts is not None and fmt == "machine":
         lines = ["%s = %s" % (key, facts[key]) for key in sorted(facts)]

@@ -1,4 +1,3 @@
-import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +5,7 @@ import sys
 import pytest
 
 import superbol as sb
-from superbol.cli import build_parser, main
+from superbol.cli import main
 
 BROKEN_ALG = """\
 name broken
@@ -282,53 +281,7 @@ def test_closed_stdout_exits_2_without_traceback():
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-# ---------------------------------------------------------------------------
-# the parser of one command: help and usage errors as the full tree gives them
-
-COMMANDS = ("check", "derive-bol", "lie-to-lts", "envelope", "killing", "killing-ricci",
-            "center", "pseudo", "report", "catalog")
-PARITY = ([["--help"], ["-h", "center"], ["catalog", "list", "--help"]]
-          + [[command, "--help"] for command in COMMANDS]
-          + [[],                                          # no command
-             ["bogus", "L2_3_1_bol"],                     # an unknown command
-             ["--format", "bad", "center", "L2_3_1_bol"],  # a bad --format before the command
-             ["center", "L2_3_1_bol", "--format", "bad"],  # and after it
-             ["center"],                                  # a missing algebra
-             ["check", "L2_3_1_bol", "--kind", "bad"],
-             ["pseudo", "--inner", "--max", "L2_3_1_bol"],
-             ["center", "L2_3_1_bol", "--bogus"],         # an argument no parser takes
-             ["catalog"], ["catalog", "show"], ["L2_3_1_bol", "center"]])
-
-
-def exits(capsys, parse):
-    with pytest.raises(SystemExit) as stop:
-        parse()
-    captured = capsys.readouterr()
-    return stop.value.code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("argv", PARITY, ids=lambda argv: " ".join(argv) or "no command")
-def test_help_and_usage_errors_match_the_full_tree(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    full = exits(capsys, lambda: build_parser().parse_args(argv))
-    assert exits(capsys, lambda: main(argv)) == full
-    assert full[0] in (0, 2) and (full[1] if full[0] == 0 else full[2]).startswith("usage: superbol")
-
-
-def subcommands(parser):
-    return [name for action in parser._actions if isinstance(action, argparse._SubParsersAction)
-            for name in action.choices]
-
-
-def test_a_parser_holds_only_the_command_argv_names():
-    assert subcommands(build_parser()) == list(COMMANDS)
-    assert subcommands(build_parser(["bogus", "x"])) == list(COMMANDS)
-    for command in COMMANDS:
-        assert subcommands(build_parser(["--format", "machine", command, "x"])) == [command]
-    assert subcommands(build_parser(["center", "check"])) == ["center"]
-
-
-def test_errors_of_the_modules_a_command_loaded_exit_2(capsys, monkeypatch):
+def test_an_envelope_error_exits_2_and_a_foreign_runtime_error_raises(capsys, monkeypatch):
     from superbol import envelope
 
     def fails(B):

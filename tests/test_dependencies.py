@@ -80,12 +80,12 @@ def loaded(*argv, cwd=None):
     return set(modules)
 
 
-def test_importing_the_package_loads_no_submodule():
-    code = "import superbol, sys\nprint(*(m for m in sys.modules if m.startswith('superbol.')))"
+def test_importing_the_package_loads_only_the_base():
+    code = "import superbol, sys\nprint(*sorted(m for m in sys.modules if m.startswith('superbol.')))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout == "\n"
+    assert out.stdout == "superbol.graded superbol.linalg superbol.structures\n"
 
 
 def test_commands_on_the_base_load_neither_the_envelope_nor_the_forms(tmp_path):
@@ -109,14 +109,46 @@ def test_report_loads_every_module_but_the_file_reader():
 
 
 # ---------------------------------------------------------------------------
-# the package namespace, resolved on first access
+# the package namespace: the base bound on import, the rest resolved on access
+
+SUBMODULES = ("algfile", "catalog", "cli", "constructions", "envelope", "forms", "graded",
+              "linalg", "structures")
+
+
+def defined_names(path):
+    """The names the top level of a module defines."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
 
 
 def test_every_public_name_is_its_modules_object():
+    owners = {}
+    for module in SUBMODULES:
+        for name in defined_names(PACKAGE / (module + ".py")):
+            owners.setdefault(name, []).append(module)
     for name in superbol.__all__:
-        module = importlib.import_module("superbol." + superbol._MODULE_OF.get(name, name))
-        assert getattr(superbol, name) is (module if name == "catalog" else getattr(module, name))
+        if name == "catalog":
+            assert superbol.catalog is importlib.import_module("superbol.catalog")
+            continue
+        assert len(owners[name]) == 1, (name, owners[name])
+        module = importlib.import_module("superbol." + owners[name][0])
+        assert getattr(superbol, name) is getattr(module, name), name
     assert len(superbol.__all__) == len(set(superbol.__all__)) == 61
+
+
+def test_names_resolved_on_access_follow_their_module(monkeypatch):
+    """A lazy name is read from its module on every access, never cached,
+    so a rebinding of the module's attribute shows through and leaves
+    nothing behind in the package once undone."""
+    from superbol import envelope
+    original = envelope.ips_space
+    monkeypatch.setattr(envelope, "ips_space", len)
+    assert superbol.ips_space is len
+    monkeypatch.undo()
+    assert superbol.ips_space is original and "ips_space" not in vars(superbol)
 
 
 def test_dir_and_star_import_cover_every_public_name():
@@ -125,11 +157,11 @@ def test_dir_and_star_import_cover_every_public_name():
     exec("from superbol import *", namespace)
     assert set(superbol.__all__) <= set(namespace)
     assert namespace["check_axioms"] is superbol.structures.check_axioms
+    assert namespace["ips_space"] is superbol.envelope.ips_space
 
 
 def test_submodules_resolve_and_unknown_names_raise():
-    for name in ("algfile", "catalog", "cli", "constructions", "envelope", "forms", "graded",
-                 "linalg", "structures"):
+    for name in SUBMODULES:
         assert name in dir(superbol)
         assert getattr(superbol, name) is importlib.import_module("superbol." + name)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
