@@ -109,17 +109,24 @@ def _degree_at(par, k):
     return par[k // n] ^ par[k % n] if k < n * n else par[k - n * n]
 
 
-def _pair(space, degree, entries):
-    """The pair with these flat entries, each column's in order: _flat inverted."""
-    n = space.dim
-    cols, companion = [[] for _ in range(n)], [0] * n
+def _operand(n, degree, entries):
+    """(sparse columns, sparse companion, degree) of the pair of this degree
+    with these flat entries, each column's in order: _flat inverted, read as
+    _bracket_entries reads a pair, without building it."""
+    cols, companion = [[] for _ in range(n)], []
     for k, c in entries:
         if k < n * n:
             cols[k % n].append((k // n, c))
         else:
-            companion[k - n * n] = c
-    return PseudoDerivationPair(GradedMap._of(space, degree, tuple(map(tuple, cols))),
-                                SuperVector(space, tuple(companion)))
+            companion.append((k - n * n, c))
+    return tuple(map(tuple, cols)), tuple(companion), degree
+
+
+def _pair(space, degree, entries):
+    """The pair with these flat entries, each column's in order: _flat inverted."""
+    cols, companion, _ = _operand(space.dim, degree, entries)
+    return PseudoDerivationPair(GradedMap._of(space, degree, cols),
+                                SuperVector(space, _dense(companion, space.dim)))
 
 
 def inner_pair(B, x, y):
@@ -145,12 +152,13 @@ def _basis_inner_pairs(B):
     return _kept(_inner_pairs(B.space, *_structures(B, reads)), _all_skew(_swept(B, reads)))
 
 
-def _bracket_entries(n, E, p, q):
+def _bracket_entries(n, E, x, y):
     """The _entries() of pair_bracket(p, q) over the binary entries E, read off
-    the sparse columns and companions: column m of [P, Q] is
-    P(Q e_m) - (-1)^{pq} Q(P e_m), the companion P(b) - (-1)^{pq} Q(a) - a.b."""
-    (P, a), (Q, b) = [(x.operator.columns, _sparse(x.companion.coords)) for x in (p, q)]
-    s, out = sign(p.degree * q.degree), []
+    the operands x = (P, a, p) and y = (Q, b, q), as `_operand` gives them:
+    column m of [P, Q] is P(Q e_m) - (-1)^{pq} Q(P e_m), the companion
+    P(b) - (-1)^{pq} Q(a) - a.b."""
+    (P, a, p), (Q, b, q) = x, y
+    s, out = sign(p * q), []
     for m in range(n):
         if P[m] or Q[m]:
             col = _into(_into([0] * n, Q[m], P), P[m], Q, -s)
@@ -166,8 +174,9 @@ def pair_bracket(B, p, q):
     if p.space != B.space or q.space != B.space:
         raise GradingError("pair lives outside the algebra")
     n, (bs,) = B.space.dim, _structures(B, ("binary",))
+    x, y = [(r.operator.columns, _sparse(r.companion.coords), r.degree) for r in (p, q)]
     return _pair(B.space, (p.degree + q.degree) % 2,
-                 [(k, rat(c)) for k, c in _bracket_entries(n, bs.entries, p, q)])
+                 [(k, rat(c)) for k, c in _bracket_entries(n, bs.entries, x, y)])
 
 
 def _equations(B, r, x, columns):
@@ -239,7 +248,7 @@ def companion_space(B, P):
     rows = [coeffs + ((n, b),) for coeffs, b in _equations(
         B, r, P.columns + ((),), {(n, m): m for m in range(n) if par[m] == r})]
     rows += [((m, 1),) for m in range(n) if par[m] != r]
-    return _affine(*_rref(rows), n)
+    return _affine(*_rref(rows, n + 1), n)
 
 
 @record
@@ -273,7 +282,7 @@ class PairSpace:
                       for row in reduced)
         # the closure check brackets the basis pairs times M, integral: M^2 [p, q]
         common = _common_denominator(reduced)
-        M, scaled = common[0], [_pair(space, p.degree, row) for p, row in zip(basis, common[1])]
+        M, scaled = common[0], [_operand(n, p.degree, row) for p, row in zip(basis, common[1])]
         E = _structures(algebra, ("binary",))[0].entries if basis else None
         # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q]
         mirror = basis and _all_skew(_swept(algebra, ("binary",)))
@@ -355,7 +364,8 @@ def ps_space(B):
             continue    # no unknowns, no rows: the odd degree of an all-even algebra
         equations = _equations(B, r, ((),) * (n + 1), columns)
         pairs += (_pair(B.space, r, row)
-                  for row in _kernel(*_rref(coeffs for coeffs, _ in equations), columns.values())[0])
+                  for row in _kernel(*_rref((coeffs for coeffs, _ in equations), len(columns)),
+                                     columns.values())[0])
     out = PairSpace.from_pairs(B, pairs)
     if not all(_span_coordinates(out._common, _flat(x)) is not None
                for _, _, x in _basis_inner_pairs(B)):

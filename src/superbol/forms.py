@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into,
+from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into, _quotient,
                      _sparse, _SparseValue, _transposed, rat, record, sign)
 from .linalg import _null_space, span_reduce, whole_space
 from .structures import (CheckReport, Witness, center, classify_subspace,
@@ -100,17 +100,19 @@ def right_map(B, x, y):
 def killing_form(L):
     """gram[i][j] = str(ad_{e_i} ad_{e_j}) for a Lie superalgebra: the sum
     over the nonzero [e_i, e_m]_t of (-1)^{p_i + p_m} [e_i, e_m]_t [e_j, e_t]_m,
-    with x_t the e_t coordinate of x."""
+    with x_t the e_t coordinate of x.  Read off the integer table C = k L,
+    k the lcm of L's denominators, that the Lie check swept: divided by k^2."""
     require_axioms(L, "lie")
-    n, par, E = L.space.dim, L.space.parities, L.binary.entries
+    (k, lifted), n, par = L._lifted, L.space.dim, L.space.parities
+    C = lifted["binary"]
     # back[m][t]: the nonzero (j, [e_j, e_t]_m)
-    back = tuple(zip(*(_transposed(col, n) for col in L.binary.col)))
+    back = tuple(zip(*(_transposed(col, n) for col in C.col)))
     rows = []
     for i in range(n):
         acc = [0] * n
         for m in range(n):
-            _into(acc, E[i][m], back[m], sign(par[i] + par[m]))
-        rows.append(_exact(acc))
+            _into(acc, C.entries[i][m], back[m], sign(par[i] + par[m]))
+        rows.append(tuple((t, _quotient(c, k * k)) for t, c in enumerate(acc) if c))
     return BilinearForm._of(L.space, tuple(rows))
 
 

@@ -57,7 +57,7 @@ def _eliminate(row, pivot, col):
     return _primitive(out)
 
 
-def _rref(rows):
+def _rref(rows, width=None):
     """(integer rows, pivot columns) of the reduced echelon form of sparse
     rows of (column, value) pairs: each integer row is the sorted pairs of a
     reduced row times its leading entry, primitive.  Gauss-Jordan on
@@ -65,7 +65,12 @@ def _rref(rows):
     (Bareiss 1968, with content division in place of his exact divisor) at
     each pivot column in its support; its leftmost remaining column becomes
     a pivot and is eliminated from the pivot rows, which so stay zero at
-    every other pivot column and need no back-substitution."""
+    every other pivot column and need no back-substitution.
+
+    With width given, every row's columns must lie among width columns:
+    once the echelon holds width pivots, every column is one, each later
+    row lies in the span and cannot change the result, and no more rows
+    are read."""
     echelon = {}
     for row in rows:
         cells = _primitive(_cleared(row)[1])
@@ -77,6 +82,8 @@ def _rref(rows):
                 if lead in pivot:
                     echelon[p] = _eliminate(pivot, cells, lead)
             echelon[lead] = cells
+            if len(echelon) == width:
+                break
     pivots = sorted(echelon)
     return [tuple(sorted(echelon[p].items())) for p in pivots], pivots
 
@@ -112,13 +119,13 @@ def _kernel(reduced, pivots, columns):
 
 def nullspace(rows, ncols):
     """Canonical basis of {x : rows . x = 0}, as a list of tuples."""
-    basis = _kernel(*_rref(map(enumerate, rows)), range(ncols))[0]
+    basis = _kernel(*_rref(map(enumerate, rows), ncols), range(ncols))[0]
     return [_dense(_divided(row), ncols) for row in basis]
 
 
 def _null_space(space, rows):
     """The Subspace of space on which the sparse rows vanish."""
-    return _subspace(space, *_kernel(*_rref(rows), range(space.dim)))
+    return _subspace(space, *_kernel(*_rref(rows, space.dim), range(space.dim)))
 
 
 @record
@@ -193,7 +200,8 @@ def solve_affine(rows, rhs):
     if not rows:
         raise ValueError("no equations: unknown count is undetermined")
     ncols = len(rows[0])
-    return _affine(*_rref(list(enumerate(r)) + [(ncols, b)] for r, b in zip(rows, rhs)), ncols)
+    return _affine(*_rref((list(enumerate(r)) + [(ncols, b)] for r, b in zip(rows, rhs)),
+                          ncols + 1), ncols)
 
 
 def _affine(reduced, pivots, ncols):
@@ -255,7 +263,7 @@ def span_reduce(space, vectors):
     for v in vectors:
         if v.space != space:
             raise GradingError("vector lives in a different space")
-    return _subspace(space, *_rref(enumerate(v.coords) for v in vectors))
+    return _subspace(space, *_rref((enumerate(v.coords) for v in vectors), space.dim))
 
 
 def _subspace(space, reduced, pivots):

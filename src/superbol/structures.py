@@ -685,23 +685,25 @@ def require_axioms(A, kind):
 def center(A):
     """Elements x with x*B = 0 and [x,B,B] = [B,x,B] = [B,B,x] = 0.
 
-    Every slot is imposed directly; for well-formed algebras the extra
-    slots are redundant but harmless.  Works with whichever structures
-    are present.
+    Works with whichever structures are present.  The equations, one per
+    slot, basis tuple and output coordinate, are built as they are read,
+    binary first; once those read have full rank the center is 0 and no
+    more are built, so the slots a well-formed algebra makes redundant
+    are not all imposed.
     """
     n = A.space.dim
-    # row views with x in the free slot: view[m] is the product with e_m there
-    views = []
-    if A.binary is not None:
-        for j in range(n):
-            views += (A.binary.col[j], A.binary.entries[j])
-    if A.ternary is not None:
-        ts = A.ternary
-        for j, k in itertools.product(range(n), repeat=2):
-            views += (ts.first[j][k], ts.mid[j][k], ts.entries[j][k])
+
+    def views():  # row views with x in the free slot: view[m] is the product with e_m there
+        if A.binary is not None:
+            for j in range(n):
+                yield from (A.binary.col[j], A.binary.entries[j])
+        if A.ternary is not None:
+            ts = A.ternary
+            for j, k in itertools.product(range(n), repeat=2):
+                yield from (ts.first[j][k], ts.mid[j][k], ts.entries[j][k])
     # one equation per output coordinate t: the e_t coordinates of the view
-    return _null_space(A.space, [row for view in views if any(view)
-                                 for row in _transposed(view, n)])
+    return _null_space(A.space, (row for view in views() if any(view)
+                                 for row in _transposed(view, n)))
 
 
 NOT_CLOSED = "not_closed"

@@ -33,6 +33,13 @@ fraction-free one: every cell of every row is normalized through `rat`
 at every step.  `tests/test_rref_reference.py` holds the package's rref,
 and the solvers built on it, to the same rows, pivots and scalar types.
 
+center imposes every slot equation of every structure, x * e_j, e_j * x,
+[x, e_j, e_k], [e_j, x, e_k] and [e_j, e_k, x] per output coordinate, as
+a dense row, and reads the null space off the dense rref above: no row is
+left out, however early the rows reach full rank.  `tests/test_center.py`
+holds the package's center, which builds its rows lazily and stops at full
+rank, to it.
+
 classify_subspace is the version that wrote each of its four containment
 sweeps out as its own loop, before one local test served all four;
 `tests/test_structures.py` holds the package's to it.
@@ -898,6 +905,38 @@ def rref(rows):
         if row == len(a):
             break
     return tuple(tuple(r) for r in a[:row]), pivots
+
+
+def center(A):
+    """Elements x with x*B = 0 and [x,B,B] = [B,x,B] = [B,B,x] = 0: the null
+    space of every slot equation, through rref above."""
+    n = A.space.dim
+    rows = []
+    if A.binary is not None:
+        bt = A.binary.table
+        for j in range(n):
+            for t in range(n):
+                rows.append([bt[m][j][t] for m in range(n)])
+                rows.append([bt[j][m][t] for m in range(n)])
+    if A.ternary is not None:
+        tt = A.ternary.table
+        for j in range(n):
+            for k in range(n):
+                for t in range(n):
+                    rows.append([tt[m][j][k][t] for m in range(n)])
+                    rows.append([tt[j][m][k][t] for m in range(n)])
+                    rows.append([tt[j][k][m][t] for m in range(n)])
+    reduced, pivots = rref(rows)
+    # per free column f: e_f minus the reduced rows' entries at f, at their pivots
+    kernel = []
+    for f in range(n):
+        if f not in pivots:
+            x = [0] * n
+            x[f] = 1
+            for row, p in zip(reduced, pivots):
+                x[p] = rat(-row[f])
+            kernel.append(x)
+    return span_reduce(A.space, [SuperVector(A.space, tuple(v)) for v in rref(kernel)[0]])
 
 
 def classify_subspace(A, V):

@@ -8,12 +8,14 @@ routine instead; both must give the same values, scalar types included
 (ints where a value is integral), and check_invariant the same reports:
 witnesses in the same order with the same defects, and the same inva
 flags.  Inputs are catalog algebras, bol(osp(1|2)), standard and
-maximal envelopes, dense even re-basings, and random Gram matrices that
+maximal envelopes, dense even re-basings, Lie algebras with their
+constants scaled to have denominators, and random Gram matrices that
 are neither invariant nor supersymmetric, so that witness lists are not
 empty.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,9 @@ from hypothesis import strategies as st
 import slow_reference
 import superbol as sb
 from superbol.forms import _pairing_identity
-from test_reference import BOLS, POOL, VALUES, even_map, random_pair, transport
+from superbol.structures import AlgebraDef, BinaryStructure
+from test_reference import (BOLS, HALF, POOL, VALUES, even_map, from_cells, random_pair,
+                            transport)
 
 
 def typed(values):
@@ -102,6 +106,25 @@ SMALL_LIES = LIES + [L for L in ENVELOPES if L.space.dim <= 8]
 def test_killing_forms_on_dense_rebasings_match_the_reference(index, seed):
     L = SMALL_LIES[index]
     assert_same_killing(transport(L, even_map(L.space, random.Random(seed))))
+
+
+def fractional(L, b):
+    """L with its constants times b: a Lie superalgebra again, with denominators."""
+    return AlgebraDef("%s*%s" % (L.name, b), L.space, binary=from_cells(BinaryStructure, L.space, {
+        at: tuple((t, b * c) for t, c in entry) for at, entry in L.binary.cells().items()}))
+
+
+def test_killing_forms_of_fraction_constants_match_the_reference():
+    """killing_form reads the integer table k L that the Lie check swept, k
+    the lcm of L's denominators, and divides by k^2: the same forms, types
+    included, on constants with denominators, a dense re-basing of one, and
+    the envelopes of bol(osp(1|2)), whose constants have k = 2."""
+    scaled = [fractional(L, b) for L in LIES if L.binary.cells() for b in (HALF, Fraction(2, 3))]
+    inputs = scaled + [transport(scaled[0], even_map(scaled[0].space, random.Random(19)))] + [
+        L for L in ENVELOPES if L.name == "env(bol(osp12))"]
+    for L in inputs:
+        assert_same_killing(L)
+    assert len(inputs) > 10 and all(L._lifted[0] > 1 for L in inputs)
 
 
 def test_killing_ricci_invariance_matches_the_reference():

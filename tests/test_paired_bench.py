@@ -1,9 +1,12 @@
 """The statistics of tools/paired_bench.py on canned run results: quartiles
-by the inclusive method, pairs won with ties counting for neither, and a
-claim met only with at least nine tenths of the pairs won and a median gap
-larger than the parent's interquartile range."""
+by the inclusive method, pairs won with ties counting for neither, a claim
+met only with at least nine tenths of the pairs won, a median gap larger
+than the parent's interquartile range, every change run correct and no more
+failed operations than the parent, and the metrics outside their bounds
+listed as regressions."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -42,7 +45,7 @@ def test_a_clear_gain_is_met():
     assert wall["within_bound"]
     assert summary["check-sparse"]["failed"] == {"parent": 0, "change": 0}
     assert summary["check-sparse"]["attempted"] == {"parent": 100, "change": 100}
-    claim = paired_bench.claim(wall, 10, "lower")
+    claim = paired_bench.claim(summary["check-sparse"], "wall_s", 10, "lower")
     assert claim["met"] and claim["change_better_pairs"] == 9
     assert abs(claim["parent_iqr"] - (1.0175 - 0.9825)) < 1e-12
 
@@ -52,14 +55,14 @@ def test_ties_and_a_small_gap_do_not_meet_a_claim():
     # every pair won, but the median gap (0.05) is inside the parent's IQR (0.15)
     close = paired_bench.summarize(runs([result(v) for v in parent],
                                         [result(v - 0.05) for v in parent]), METRICS)
-    assert not paired_bench.claim(close["check-sparse"]["wall_s"], 10, "lower")["met"]
+    assert not paired_bench.claim(close["check-sparse"], "wall_s", 10, "lower")["met"]
     # a large gap, but a tie and two losses leave 7 wins of 10
     change = [0.5] * 7 + [1.0, 1.2, 1.5]
     tied = paired_bench.summarize(runs([result(v) for v in [1.0] * 10],
                                        [result(v) for v in change]), METRICS)
     wall = tied["check-sparse"]["wall_s"]
     assert wall["change_better_pairs"] == 7
-    assert not paired_bench.claim(wall, 10, "lower")["met"]
+    assert not paired_bench.claim(tied["check-sparse"], "wall_s", 10, "lower")["met"]
 
 
 def test_bounds_and_failures_are_reported():
@@ -71,3 +74,64 @@ def test_bounds_and_failures_are_reported():
     assert summary["failed"] == {"parent": 0, "change": 1}
     assert summary["correct"] == {"parent": True, "change": False}
     assert paired_bench.better(2, 1, "higher") and not paired_bench.better(1, 1, "lower")
+
+
+def test_a_fast_change_that_is_wrong_or_fails_more_does_not_meet_a_claim():
+    parent = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01, 0.99]
+    fast = [0.7] * 10
+
+    def claimed(parent_runs, change_runs):
+        entry = paired_bench.summarize(runs(parent_runs, change_runs), METRICS)["check-sparse"]
+        return paired_bench.claim(entry, "wall_s", 10, "lower")
+
+    assert claimed([result(v) for v in parent], [result(v) for v in fast])["met"]
+    # one change run wrong: every run fails one operation, the parent's none
+    wrong = claimed([result(v) for v in parent],
+                    [result(v, failed=int(k == 3)) for k, v in enumerate(fast)])
+    assert not wrong["change_correct"] and not wrong["met"]
+    # both sides wrong alike: still not met, the change's runs must all be correct
+    both = claimed([result(v, failed=1) for v in parent], [result(v, failed=1) for v in fast])
+    assert both["failed"] == {"parent": 10, "change": 10} and not both["met"]
+    # correct by the check but failing more operations than the parent
+    more = [dict(result(v), failed=2) for v in fast]
+    fails_more = claimed([result(v) for v in parent], more)
+    assert fails_more["change_correct"] and not fails_more["met"]
+
+
+def test_metrics_outside_their_bounds_are_listed_as_regressions():
+    parent = [result(1.0, 20.0)] * 4
+    worse = paired_bench.summarize(runs(parent, [result(1.3, 21.0)] * 4), METRICS)
+    assert paired_bench.regressions(worse, 7) == [
+        {"workload": "check-sparse", "metric": "wall_s", "seed": 7}]
+    both = paired_bench.summarize(runs(parent, [result(1.3, 22.5)] * 4, "pairs"), METRICS)
+    assert [(r["workload"], r["metric"]) for r in paired_bench.regressions(both, 1)] == [
+        ("pairs", "wall_s"), ("pairs", "peak_rss_mb")]
+    assert paired_bench.regressions(
+        paired_bench.summarize(runs(parent, [result(1.2, 21.9)] * 4), METRICS), 1) == []
+
+
+def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, monkeypatch):
+    """main() on canned runs: the change is faster on pairs but fails an
+    operation there, and its check-sparse peak RSS is past the bound."""
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        roots[side].mkdir()
+    (roots["parent"] / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "check-sparse"}, {"name": "pairs"}],
+        "end_to_end": [{"name": name, "better": better, "bound": bound}
+                       for name, better, bound in METRICS]}))
+    canned = {("parent", "check-sparse"): result(1.0), ("parent", "pairs"): result(1.0),
+              ("change", "check-sparse"): result(1.0, 23.0),
+              ("change", "pairs"): result(0.5, failed=1)}
+    side_of = {str(root): side for side, root in roots.items()}
+    monkeypatch.setattr(paired_bench, "run",
+                        lambda root, workload, seed: canned[side_of[str(root)], workload])
+    out = tmp_path / "bench.json"
+    paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "3",
+                       "--out", str(out), "--claim", "pairs:wall_s", "--claim-seed", "7"])
+    report = json.loads(out.read_text())
+    assert report["regressions"] == [
+        {"workload": "check-sparse", "metric": "peak_rss_mb", "seed": 1}]
+    assert report["claim"]["seed_1"]["change_better_pairs"] == 3
+    assert not report["claim"]["seed_1"]["met"] and not report["claim"]["met"]

@@ -84,6 +84,50 @@ def test_hilbert_type_matrices_match_the_reference(n, extra):
     assert_same_rref([list(col) for col in zip(*hilbert)])
 
 
+# ---------------------------------------------------------------------------
+# the stop at full rank: given the width of the rows, _rref reads no row
+# once every one of the width columns is a pivot
+
+
+@st.composite
+def full_rank_early(draw):
+    """(width, sparse rows in width columns) that reach rank width after a
+    few rows, with nonzero rows after that lie in the span."""
+    width = draw(st.integers(1, 8))
+    row = st.lists(st.tuples(st.integers(0, width - 1), SCALARS), max_size=width)
+    # triangular with a nonzero diagonal: independent, so full rank once all are read
+    block = [[(c, draw(SCALARS.filter(bool)))] + [(d, draw(SCALARS)) for d in range(c + 1, width)]
+             for c in range(width)]
+    rows = draw(st.permutations(block + draw(st.lists(row, max_size=3))))
+    return width, rows + draw(st.lists(row, max_size=6)) + [[(draw(st.integers(0, width - 1)), 1)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_early())
+def test_rref_stops_at_full_rank_with_the_same_result(drawn):
+    width, rows = drawn
+    assert typed(linalg._rref(rows, width)) == typed(linalg._rref(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_given_its_width_matches_it_without(rows):
+    width = len(rows[0]) if rows else 1
+    assert typed(linalg._rref(map(enumerate, rows), width)) == \
+        typed(linalg._rref(map(enumerate, rows)))
+
+
+def test_rref_reads_no_row_past_full_rank():
+    read = [[(0, 2), (2, 1)], [(1, 3)], [(0, 1), (2, Fraction(1, 2))], [(2, 5)], [(0, 7), (1, 1)]]
+
+    def rows():
+        yield from read[:4]
+        raise AssertionError("a row past full rank was read")
+
+    assert linalg._rref(rows(), 3) == linalg._rref(read) == ([((0, 1),), ((1, 1),), ((2, 1),)],
+                                                           [0, 1, 2])
+
+
 def _bols():
     osp_bol = sb.malcev_to_bol(_osp12())
     dense = transport(osp_bol, even_map(osp_bol.space, random.Random(5)))
@@ -111,7 +155,8 @@ def sparse_reduced(reduced, pivots):
     return rows, list(pivots)
 
 
-def reference_sparse_rref(rows):
+def reference_sparse_rref(rows, width=None):
+    # every row is read: the reference never stops at full rank
     return sparse_reduced(*slow_reference.rref(dense(rows)))
 
 
@@ -126,7 +171,7 @@ def solved_systems(B):
         seen.setdefault(solving, []).append(rows)
         return slow_reference.rref(rows)
 
-    def recording_sparse(rows):
+    def recording_sparse(rows, width=None):
         rows = dense(rows)
         seen.setdefault(solving, []).append(rows)
         return sparse_reduced(*slow_reference.rref(rows))

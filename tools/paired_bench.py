@@ -17,9 +17,12 @@ metrics, their direction and bound are read from the parent's BENCHMARK.json.
 The output holds every run's end-to-end metrics, each side's median and
 quartiles per workload and metric, how many pairs the change won, and the
 change's median over the parent's.  A claimed metric is met when the change
-wins at least nine tenths of the pairs, ties counting for neither, and its
+wins at least nine tenths of the pairs, ties counting for neither, its
 median is better than the parent's by more than the parent's interquartile
-range.  With --claim-seed the claimed workload is also run for N pairs at
+range, every change run of the claimed workload is correct, and the change
+fails no more of its operations than the parent.  `regressions` names each
+workload, metric and seed whose median is outside the metric's bound.
+With --claim-seed the claimed workload is also run for N pairs at
 that seed (one not used while writing the change), written as
 `end_to_end_seedN` and `runs_seedN`, and the claim must be met at both
 seeds.  Only the standard library is used.
@@ -61,9 +64,12 @@ def compare(parent, change, direction):
             "change_better_pairs": sum(better(c, p, direction) for p, c in zip(parent, change))}
 
 
-def claim(summary, pairs, direction):
-    """The claim on one metric's comparison: met when the change won at least
-    nine tenths of the pairs and its median gap exceeds the parent's IQR."""
+def claim(entry, metric, pairs, direction):
+    """The claim on one metric of a workload's summary entry: met when every
+    change run was correct, the change failed no more operations than the
+    parent, won at least nine tenths of the pairs, and its median gap
+    exceeds the parent's IQR."""
+    summary = entry[metric]
     parent, change = summary["parent"], summary["change"]
     iqr = parent["q3"] - parent["q1"]
     gap = parent["median"] - change["median"] if direction == "lower" else \
@@ -71,7 +77,10 @@ def claim(summary, pairs, direction):
     wins = summary["change_better_pairs"]
     return {"parent_median": parent["median"], "change_median": change["median"],
             "parent_iqr": iqr, "change_better_pairs": wins, "pairs": pairs,
-            "met": wins >= math.ceil(0.9 * pairs) and gap > iqr}
+            "change_correct": entry["correct"]["change"], "failed": entry["failed"],
+            "met": (entry["correct"]["change"]
+                    and entry["failed"]["change"] <= entry["failed"]["parent"]
+                    and wins >= math.ceil(0.9 * pairs) and gap > iqr)}
 
 
 def summarize(runs, metrics):
@@ -91,6 +100,14 @@ def summarize(runs, metrics):
                 ratio <= 1 + bound if direction == "lower" else ratio >= 1 - bound)
         out[workload] = entry
     return out
+
+
+def regressions(end_to_end, seed):
+    """{workload, metric, seed} of each metric of an end_to_end summary that
+    is outside its bound."""
+    return [{"workload": workload, "metric": name, "seed": seed}
+            for workload, entry in end_to_end.items() for name, summary in entry.items()
+            if summary.get("within_bound") is False]
 
 
 def run(root, workload, seed):
@@ -157,10 +174,12 @@ def main(argv=None):
         "units": "times are CPU seconds scaled to the reference speed, as perfbench/README.md "
                  "defines them",
         "claim": None,
+        "regressions": [],
     }
     suffix = {seed: "" if seed == args.seed else "_seed%d" % seed for seed in by_seed}
     for seed, runs in by_seed.items():
         report["end_to_end" + suffix[seed]] = summarize(runs, metrics)
+        report["regressions"] += regressions(report["end_to_end" + suffix[seed]], seed)
         report["runs" + suffix[seed]] = {
             side: {str(k): {w: {name: r["metrics"][name]["value"] for name, _, _ in metrics}
                             for w, r in pair.items()}
@@ -170,8 +189,8 @@ def main(argv=None):
         direction = next(d for name, d, _ in metrics if name == metric)
         report["claim"] = {"workload": workload, "metric": metric}
         for seed in by_seed:
-            summary = report["end_to_end" + suffix[seed]][workload][metric]
-            report["claim"]["seed_%d" % seed] = claim(summary, args.pairs, direction)
+            entry = report["end_to_end" + suffix[seed]][workload]
+            report["claim"]["seed_%d" % seed] = claim(entry, metric, args.pairs, direction)
         report["claim"]["met"] = all(report["claim"]["seed_%d" % seed]["met"]
                                      for seed in by_seed)
     with open(args.out, "w") as f:
