@@ -1,11 +1,12 @@
 """Pseudo superderivation pairs and enveloping Lie superalgebras.
 
-A pair (P, a) consists of a homogeneous operator and a companion vector
-of the same degree.  Spans and membership tests read its flat entries,
-sparse: operator entries row-major at t n + m, then the companion at
+A pair (P, a) is a homogeneous operator and a companion of its degree,
+held here in the rules' one form x (`structures`) and, for spans and
+membership tests, as flat entries: P's row-major at t n + m, then a's at
 n^2 + t.  The two rules that define the pairs are written once, in
-`structures`: check_pseudo runs them through the Bol checker's
-evaluator, companion_space and ps_space solve them as sparse systems.
+`structures`: check_pseudo runs them through the Bol checker's evaluator,
+companion_space and ps_space solve them as sparse systems on the lifted
+tables, B in the basis L e_i, with operator terms times L.
 The inner pairs of the basis are read off the tables, as the Bol checker
 reads them (`structures._inner_pairs`); inner_pair is for any two vectors.
 
@@ -70,9 +71,11 @@ class PseudoDerivationPair:
     def flatten(self):
         return _dense(self._entries(), self.space.dim * (self.space.dim + 1))
 
-    def _entries(self):
-        """The nonzero (index, coefficient) pairs of flatten()."""
-        return _flat(self.operator.columns + (_sparse(self.companion.coords),))
+    def _entries(self):  # the nonzero (index, coefficient) pairs of flatten()
+        return _flat(self._x())
+
+    def _x(self):  # the pair as the rules read it: x[m] = P e_m, x[n] = a, sparse
+        return self.operator.columns + (_sparse(self.companion.coords),)
 
     @classmethod
     def from_flat(cls, space, coords):
@@ -109,24 +112,21 @@ def _degree_at(par, k):
     return par[k // n] ^ par[k % n] if k < n * n else par[k - n * n]
 
 
-def _operand(n, degree, entries):
-    """(sparse columns, sparse companion, degree) of the pair of this degree
-    with these flat entries, each column's in order: _flat inverted, read as
-    _bracket_entries reads a pair, without building it."""
-    cols, companion = [[] for _ in range(n)], []
+def _unflat(n, entries):
+    """The x with these flat entries, each column's in order: _flat inverted."""
+    x = [[] for _ in range(n + 1)]
     for k, c in entries:
-        if k < n * n:
-            cols[k % n].append((k // n, c))
-        else:
-            companion.append((k - n * n, c))
-    return tuple(map(tuple, cols)), tuple(companion), degree
+        t, m = divmod(k, n)     # k = t n + m: P e_m's e_t coefficient, or a's e_m one at t = n
+        slot, i = (m, t) if t < n else (n, m)
+        x[slot].append((i, c))
+    return tuple(map(tuple, x))
 
 
 def _pair(space, degree, entries):
-    """The pair with these flat entries, each column's in order: _flat inverted."""
-    cols, companion, _ = _operand(space.dim, degree, entries)
-    return PseudoDerivationPair(GradedMap._of(space, degree, cols),
-                                SuperVector(space, _dense(companion, space.dim)))
+    """The pair of this degree with these flat entries, each column's in order."""
+    x = _unflat(space.dim, entries)
+    return PseudoDerivationPair(GradedMap._of(space, degree, x[:-1]),
+                                SuperVector(space, _dense(x[-1], space.dim)))
 
 
 def inner_pair(B, x, y):
@@ -152,13 +152,11 @@ def _basis_inner_pairs(B):
     return _kept(_inner_pairs(B.space, *_structures(B, reads)), _all_skew(_swept(B, reads)))
 
 
-def _bracket_entries(n, E, x, y):
+def _bracket_entries(n, E, x, y, s):
     """The _entries() of pair_bracket(p, q) over the binary entries E, read off
-    the operands x = (P, a, p) and y = (Q, b, q), as `_operand` gives them:
-    column m of [P, Q] is P(Q e_m) - (-1)^{pq} Q(P e_m), the companion
-    P(b) - (-1)^{pq} Q(a) - a.b."""
-    (P, a, p), (Q, b, q) = x, y
-    s, out = sign(p * q), []
+    p = (P, a) and q = (Q, b) as x and y, with s = (-1)^{pq}: column m of
+    [P, Q] is P(Q e_m) - s Q(P e_m), the companion P(b) - s Q(a) - a.b."""
+    (P, a), (Q, b), out = (x, x[n]), (y, y[n]), []
     for m in range(n):
         if P[m] or Q[m]:
             col = _into(_into([0] * n, Q[m], P), P[m], Q, -s)
@@ -174,15 +172,16 @@ def pair_bracket(B, p, q):
     if p.space != B.space or q.space != B.space:
         raise GradingError("pair lives outside the algebra")
     n, (bs,) = B.space.dim, _structures(B, ("binary",))
-    x, y = [(r.operator.columns, _sparse(r.companion.coords), r.degree) for r in (p, q)]
-    return _pair(B.space, (p.degree + q.degree) % 2,
-                 [(k, rat(c)) for k, c in _bracket_entries(n, bs.entries, x, y)])
+    entries = _bracket_entries(n, bs.entries, p._x(), q._x(), sign(p.degree * q.degree))
+    return _pair(B.space, (p.degree + q.degree) % 2, [(k, rat(c)) for k, c in entries])
 
 
 def _equations(B, r, x, columns):
     """The rules for degree r as sparse rows (((u, c), ...), b), sorted by u:
     unknown u = columns[slot, m] is the e_m coordinate of x[slot], x as in
-    `structures` holding the known ones.  One row per rule tuple and output
+    `structures` holding the known ones.  On the lifted tables, operator
+    terms times L, a row is L^2 (product rule) or L^3 (triple rule) times
+    B's own, with int coefficients.  One row per rule tuple and output
     coordinate, without 0 = 0 or repeats, and only for u <= v once the
     tables a rule reads are super skew: (v, u, ...) gives -(-1)^{uv} times
     the row.  Nor for the triple rule's derived tuples once ternary Jacobi
@@ -191,15 +190,15 @@ def _equations(B, r, x, columns):
     """
     n, par, unit = B.space.dim, B.space.parities, _unit(B.space.dim)
     var = [[(m, u) for (s, m), u in columns.items() if s == slot] for slot in range(n + 1)]
-    seen = set()
-    # both rules' structures first: a missing one raises before any row
-    for rule, reads, structures in [(rule, reads, _structures(B, reads))
-                                    for _, rule, reads in _RULES]:
-        for _, terms, w in _listed(rule, par, r, *structures, swept=_swept(B, reads)):
+    scale, seen = (B._lifted[0],) * n + (1,), set()
+    # both rules' tables first: a missing structure raises before any row
+    for rule, structures in [(rule, _swept(B, reads)) for _, rule, reads in _RULES]:
+        for _, terms, w in _listed(rule, par, r, *structures):
             # RHS - LHS = sum of s x[slot] through rows: b holds minus its known part
             b, by_t = [0] * n, {}
             for slot, rows, s in terms + tuple((slot, rows, s * c) for q, c in w
                                                for slot, rows, s in _w_terms(q, unit, structures)):
+                s *= scale[slot]
                 _into(b, x[slot], rows, -s)
                 for m, u in var[slot]:
                     for t, d in rows[m]:
@@ -226,10 +225,9 @@ def check_pseudo(B, pair):
     if pair.space != B.space:
         raise GradingError("pair lives outside the algebra")
     lab = B.space.labels
-    x = pair.operator.columns + (_sparse(pair.companion.coords),)
     witnesses = [Witness(axiom, tuple(lab[i] for i in at), _vector(B.space, acc))
                  for axiom, rule, reads in _RULES for at, acc in _rule_defects(
-                     B.space, rule, _structures(B, reads), [((), pair.degree, x)])]
+                     B.space, rule, _structures(B, reads), [((), pair.degree, pair._x())])]
     subject = "pair of degree %d on %s" % (pair.degree, B.name)
     return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
 
@@ -274,27 +272,25 @@ class PairSpace:
         for p in pairs:
             if p.space != algebra.space:
                 raise GradingError("pair lives outside the algebra")
-        # a zero pair spans nothing
-        reduced, pivots = _rref(p._entries() for p in pairs
-                                if not (p.operator.is_zero() and p.companion.is_zero()))
+        reduced, pivots = _rref(p._entries() for p in pairs)
         space, n, d = algebra.space, algebra.space.dim, len(reduced)
         basis = tuple(_pair(space, _degree_at(space.parities, row[0][0]), _divided(row))
                       for row in reduced)
         # the closure check brackets the basis pairs times M, integral: M^2 [p, q]
         common = _common_denominator(reduced)
-        M, scaled = common[0], [_operand(n, p.degree, row) for p, row in zip(basis, common[1])]
+        M, scaled = common[0], [_unflat(n, row) for row in common[1]]
         E = _structures(algebra, ("binary",))[0].entries if basis else None
         # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q]
         mirror = basis and _all_skew(_swept(algebra, ("binary",)))
         brackets = [[None] * d for _ in range(d)]
         for m, l in itertools.product(range(d), repeat=2):
             p, q = basis[m], basis[l]
+            s = sign(p.degree * q.degree)
             if mirror and l < m:
-                s = -sign(p.degree * q.degree)
-                brackets[m][l] = tuple((k, s * c) for k, c in brackets[l][m])
+                brackets[m][l] = tuple((k, -s * c) for k, c in brackets[l][m])
                 continue
             brackets[m][l] = _span_coordinates(
-                common, _bracket_entries(n, E, scaled[m], scaled[l]), M * M)
+                common, _bracket_entries(n, E, scaled[m], scaled[l], s), M * M)
             if brackets[m][l] is None:
                 raise EnvelopeError(
                     "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
@@ -362,10 +358,9 @@ def ps_space(B):
                    for k in range(n * n + n) if _degree_at(par, k) == r}
         if not columns:
             continue    # no unknowns, no rows: the odd degree of an all-even algebra
-        equations = _equations(B, r, ((),) * (n + 1), columns)
+        rows = (coeffs for coeffs, _ in _equations(B, r, ((),) * (n + 1), columns))
         pairs += (_pair(B.space, r, row)
-                  for row in _kernel(*_rref((coeffs for coeffs, _ in equations), len(columns)),
-                                     columns.values())[0])
+                  for row in _kernel(*_rref(rows, len(columns)), columns.values())[0])
     out = PairSpace.from_pairs(B, pairs)
     if not all(_span_coordinates(out._common, _flat(x)) is not None
                for _, _, x in _basis_inner_pairs(B)):

@@ -94,6 +94,16 @@ def _divided(row):
     return tuple((c, _quotient(x, lead)) for c, x in row)
 
 
+def _checked(rows, ncols=None):
+    """The rows as a list, each checked to hold ncols entries, by default the first row's."""
+    rows = list(rows)
+    ncols = len(rows[0]) if ncols is None and rows else ncols
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError("row %d has %d entries, expected %d" % (i, len(row), ncols))
+    return rows
+
+
 def rref(rows):
     """Reduced row echelon form.
 
@@ -101,7 +111,7 @@ def rref(rows):
     sorted by pivot column with unit pivots and zeros above and below;
     every entry is an `int` when integral and a `Fraction` otherwise.
     """
-    rows = list(rows)
+    rows = _checked(rows)
     reduced, pivots = _rref(map(enumerate, rows))
     return tuple(_dense(_divided(row), len(rows[0])) for row in reduced), pivots
 
@@ -119,7 +129,7 @@ def _kernel(reduced, pivots, columns):
 
 def nullspace(rows, ncols):
     """Canonical basis of {x : rows . x = 0}, as a list of tuples."""
-    basis = _kernel(*_rref(map(enumerate, rows), ncols), range(ncols))[0]
+    basis = _kernel(*_rref(map(enumerate, _checked(rows, ncols)), ncols), range(ncols))[0]
     return [_dense(_divided(row), ncols) for row in basis]
 
 
@@ -192,16 +202,15 @@ def _span_coordinates(common, vec, scale=1):
 
 
 def solve_affine(rows, rhs):
-    """Exact solution set of rows . x = rhs.
-
-    `rows` may be empty only if rhs is empty; the number of unknowns is
-    taken from the row length.
-    """
+    """Exact solution set of rows . x = rhs, in as many unknowns as each row
+    has entries; `rows` must not be empty, and rhs holds one entry per row."""
     if not rows:
         raise ValueError("no equations: unknown count is undetermined")
+    if len(rhs) != len(rows):
+        raise ValueError("rhs has %d entries, expected %d, one per row" % (len(rhs), len(rows)))
     ncols = len(rows[0])
-    return _affine(*_rref((list(enumerate(r)) + [(ncols, b)] for r, b in zip(rows, rhs)),
-                          ncols + 1), ncols)
+    return _affine(*_rref((list(enumerate(r)) + [(ncols, b)] for r, b in zip(
+        _checked(rows, ncols), rhs)), ncols + 1), ncols)
 
 
 def _affine(reduced, pivots, ncols):

@@ -16,8 +16,9 @@ Defect conventions:
 Nambu and the product rule are the pseudo-derivation rules evaluated on
 the inner pairs: D_{x,y} = [x, y, .] derives the triple product, and
 (D_{x,y}, x.y) the binary one.  The rules are written once, below, for
-this checker, envelope.check_pseudo and the pair-space solvers.  The
-inner pairs of the basis are read off the tables by one generator,
+this checker, envelope.check_pseudo and the pair-space solvers, on the
+pair layer's one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.
+The inner pairs of the basis are read off the tables by one generator,
 `_inner_pairs`, for this checker, ips_space, ps_space and enveloping.
 Each sweep evaluates the least tuple of each symmetry orbit and reports
 the rest as signed copies of its defect D.  The cyclic sums (super and
@@ -37,14 +38,16 @@ are not listed in the pair-space solvers.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
-and L^2*T.  Every identity is homogeneous when a binary constant has
-weight 1 and a ternary one weight 2, so each defect comes out L^weight
-times the true one and is divided back exactly.  The weights, kept in
-`_SWEEPS` next to the sweeps: skew 1; jacobi, triple-skew and
-triple-jacobi 2; malcev and product-rule 3; nambu 4.  Scaling B and T by
-the same factor would not do: the product rule mixes B.B.B and T.B
-terms.  The lift is made once per algebra object; when L = 1 the tables
-are swept as they stand.
+and L^2*T, the algebra in the basis L e_i.  Every identity is homogeneous
+when a binary constant has weight 1 and a ternary one weight 2, so each
+defect comes out L^weight times the true one and is divided back exactly.
+The weights, kept in `_SWEEPS` next to the sweeps: skew 1; jacobi,
+triple-skew and triple-jacobi 2; malcev and product-rule 3; nambu 4.
+Scaling B and T by the same factor would not do: the product rule mixes
+B.B.B and T.B terms.  The pair solvers read the same tables, where an
+operator's matrix is unchanged and a companion's coordinates are L times
+smaller: they take operator terms times L.  The lift is made once per
+algebra object; when L = 1 the tables are swept as they stand.
 """
 
 from __future__ import annotations
@@ -454,8 +457,7 @@ def _sweep_ternary_jacobi(space, ts):
 # product rule).  Each rule yields (at, terms, w) for the basis tuples `at`
 # some term can reach; the defect RHS - LHS there is the sum of
 # s * x[slot] through view over the three (slot, view, s) in terms, plus w
-# through the pair's w view, where x[m] is P e_m for m < n and x[n] is a,
-# all sparse.
+# through the pair's w view, x the pair's form above.
 
 
 def _triple_rule(par, r, ts):
@@ -560,19 +562,19 @@ def _derives(rule, structures):
 
 
 def _swept(A, reads):
-    """A's lifted structures named in reads, the tables check_axioms sweeps: their
-    skew and ternary Jacobi verdicts hold for A's own, which they scale by L or L^2."""
+    """A's lifted structures named in reads, A in the basis L e_i (a missing one
+    raises): the tables check_axioms sweeps and the pair solvers read."""
+    _structures(A, reads)
     return tuple(A._lifted[1][what] for what in reads)
 
 
-def _listed(rule, par, r, *structures, swept=()):
+def _listed(rule, par, r, *structures):
     """The rule's (at, terms, w) that a sweep or solver evaluates: the kept ones, of
     them only u < v, u <= w where the triple rule's derived tuples follow, by the
-    verdicts of the swept tables (by default the structures)."""
-    swept = swept or structures
-    if _derives(rule, swept):
+    verdicts of the structures listed."""
+    if _derives(rule, structures):
         return (x for x in rule(par, r, *structures) if x[0][0] < x[0][1] and x[0][0] <= x[0][2])
-    return _kept(rule(par, r, *structures), _all_skew(swept))
+    return _kept(rule(par, r, *structures), _all_skew(structures))
 
 
 def _with_derived(par, defects):
@@ -656,13 +658,10 @@ def check_axioms(A, kind):
         raise ValueError("unknown axiom system %r" % (kind,))
     if kind in A._reports:
         return A._reports[kind]
-    _structures(A, [what for what in ("binary", "ternary")
-                    if any(what in _SWEEPS[axiom][1] for axiom in _SYSTEMS[kind])])
-    L, lifted = A._lifted
-    witnesses = []
+    L, witnesses = A._lifted[0], []
     for axiom in _SYSTEMS[kind]:
         sweep, reads, weight = _SWEEPS[axiom]
-        found = sweep(A.space, *(lifted[what] for what in reads))
+        found = sweep(A.space, *_swept(A, reads))
         if L == 1:
             witnesses += found
         else:

@@ -9,7 +9,11 @@ maps C onto A.  Then:
   Killing-Ricci forms and for random forms that fail invariance;
 * g maps the center of C onto the center of A;
 * malcev_to_bol commutes with transport: the Bol algebra of C is the
-  transport of the Bol algebra of A.
+  transport of the Bol algebra of A;
+* g^-1 (P, a) = (g^-1 P g, g^-1 a) maps the pairs of A onto those of C:
+  ips_space and ps_space of C are the images of A's, and the companions
+  of g^-1 P g on C are the images of those of P on A.  With g = L id, L
+  the lcm of A's denominators, C has exactly A's lifted tables.
 """
 
 import random
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 import superbol as sb
 from superbol.graded import rat
 from test_forms_reference import random_form
-from test_reference import BOLS, POOL, _osp12, even_map, transport
+from test_reference import BOLS, LIFTED, POOL, _osp12, even_map, transport
 
 
 def pulled_back(b, g):
@@ -103,3 +107,43 @@ def test_malcev_to_bol_commutes_with_even_changes_of_basis(index, seed):
     left = sb.malcev_to_bol(transport(M, g))
     right = transport(sb.malcev_to_bol(M), g)
     assert left == right.renamed(left.name)
+
+
+PAIRED = [A for A in BOLS + LIFTED if sb.check_axioms(A, "bol").passed]
+
+
+def assert_pairs_map_under(A, g):
+    """Pair spaces and companion sets of C = transport(A, g) are g^-1 of A's."""
+    ginv, C = g.inverse(), transport(A, g)
+
+    def conjugated(P):
+        return ginv.compose(P).compose(g)
+
+    for build in (sb.ips_space, sb.ps_space):
+        images = [sb.PseudoDerivationPair(conjugated(p.operator), ginv(p.companion))
+                  for p in build(A).basis]
+        assert build(C) == sb.PairSpace.from_pairs(C, images), A.name
+    for P in [p.operator for p in sb.ps_space(A).basis] + [sb.GradedMap.identity(A.space)]:
+        here, there = sb.companion_space(A, P), sb.companion_space(C, conjugated(P))
+        assert (here.is_empty, here.dim) == (there.is_empty, there.dim), A.name
+        if not here.is_empty:
+            # the point and the point plus each direction, mapped by g^-1
+            for d in ((0,) * A.space.dim,) + here.directions:
+                moved = ginv(A.space.vector([a + b for a, b in zip(here.point, d)]))
+                assert there.contains(moved.coords), A.name
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, len(PAIRED) - 1), st.integers(0, 2 ** 32))
+def test_g_maps_pair_spaces_and_companions(index, seed):
+    A = PAIRED[index]
+    assert_pairs_map_under(A, even_map(A.space, random.Random(seed)))
+
+
+def test_the_lift_is_the_change_of_basis_by_L():
+    for A in PAIRED:
+        L, lifted = A._lifted
+        g = L * sb.GradedMap.identity(A.space)
+        C = transport(A, g)
+        assert (C.binary, C.ternary) == (lifted["binary"], lifted["ternary"]), A.name
+        assert_pairs_map_under(A, g)

@@ -126,3 +126,21 @@ def test_rref_invariant_under_row_scaling(rows, scale):
 def test_rank_nullity(rows):
     reduced, pivots = sb.rref(rows)
     assert len(pivots) + len(sb.nullspace(rows, 3)) == 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sb.nullspace([[1, 0], [0, 1, 5]], 2), "row 1 has 3 entries, expected 2"),
+    (lambda: sb.nullspace([[1, 0, 0]], 2), "row 0 has 3 entries, expected 2"),
+    (lambda: sb.rref([[1, 0], [0, 1, 5]]), "row 1 has 3 entries, expected 2"),
+    (lambda: sb.rref([[1, 0, 0], [1, 0]]), "row 1 has 2 entries, expected 3"),
+    (lambda: sb.solve_affine([[1, 0], [0, 1, 5]], [1, 2]), "row 1 has 3 entries, expected 2"),
+    (lambda: sb.solve_affine([[1, 0], [0, 1]], [1]), "rhs has 1 entries, expected 2"),
+    (lambda: sb.solve_affine([[1, 0]], [1, 2]), "rhs has 2 entries, expected 1"),
+], ids=["nullspace-long-row", "nullspace-wide-first-row", "rref-long-row", "rref-short-row",
+        "solve-long-row", "solve-short-rhs", "solve-long-rhs"])
+def test_ragged_rows_and_right_hand_sides_raise(call, message):
+    """A row of another length than the first row's (or than ncols), or a
+    right-hand side without one entry per row, raises instead of being
+    read short, padded or overwritten by the right-hand side."""
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -3,7 +3,7 @@ by the inclusive method, pairs won with ties counting for neither, a claim
 met only with at least nine tenths of the pairs won, a median gap larger
 than the parent's interquartile range, every change run correct and no more
 failed operations than the parent, and the metrics outside their bounds
-listed as regressions."""
+and the workloads whose change runs fail listed as regressions."""
 
 import importlib.util
 import json
@@ -110,6 +110,25 @@ def test_metrics_outside_their_bounds_are_listed_as_regressions():
         paired_bench.summarize(runs(parent, [result(1.2, 21.9)] * 4), METRICS), 1) == []
 
 
+def test_failing_change_runs_are_listed_as_regressions_without_a_claim():
+    parent = [result(1.0)] * 4
+
+    def listed(parent_runs, change_runs):
+        return paired_bench.regressions(
+            paired_bench.summarize(runs(parent_runs, change_runs, "pairs"), METRICS), 1)
+
+    assert listed(parent, [result(1.0)] * 4) == []
+    # one change run fails an operation the parent does not
+    assert listed(parent, [result(1.0, failed=1)] + [result(1.0)] * 3) == [
+        {"workload": "pairs", "metric": "failed", "seed": 1}]
+    # both sides fail alike: the change's runs are still incorrect
+    assert listed([result(1.0, failed=1)] * 4, [result(1.0, failed=1)] * 4) == [
+        {"workload": "pairs", "metric": "failed", "seed": 1}]
+    # correct by the check but failing more operations than the parent
+    assert listed(parent, [dict(result(1.0), failed=2)] * 4) == [
+        {"workload": "pairs", "metric": "failed", "seed": 1}]
+
+
 def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, monkeypatch):
     """main() on canned runs: the change is faster on pairs but fails an
     operation there, and its check-sparse peak RSS is past the bound."""
@@ -132,6 +151,8 @@ def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, 
                        "--out", str(out), "--claim", "pairs:wall_s", "--claim-seed", "7"])
     report = json.loads(out.read_text())
     assert report["regressions"] == [
-        {"workload": "check-sparse", "metric": "peak_rss_mb", "seed": 1}]
+        {"workload": "check-sparse", "metric": "peak_rss_mb", "seed": 1},
+        {"workload": "pairs", "metric": "failed", "seed": 1},
+        {"workload": "pairs", "metric": "failed", "seed": 7}]
     assert report["claim"]["seed_1"]["change_better_pairs"] == 3
     assert not report["claim"]["seed_1"]["met"] and not report["claim"]["met"]

@@ -401,6 +401,32 @@ def test_sweeps_read_integer_tables_lifted_once(monkeypatch):
     assert seen and set(seen) == {int}
 
 
+def test_pair_rules_give_the_solvers_int_rows_on_lifted_inputs(monkeypatch):
+    """With a denominator in either table the pair rules read the lifted
+    tables, so every coefficient and right-hand side they give ps_space, and
+    companion_space on an integer operator, is an int."""
+    from superbol import envelope
+    seen = []
+    equations = envelope._equations
+
+    def recorded(*args):
+        for coeffs, b in equations(*args):
+            seen.extend(type(c) for _, c in coeffs)
+            seen.append(type(b))
+            yield coeffs, b
+
+    monkeypatch.setattr(envelope, "_equations", recorded)
+    osp_bol = sb.malcev_to_bol(_osp12())
+    dense = transport(osp_bol, even_map(osp_bol.space, random.Random(1)))
+    for B in LIFTED + [dense]:
+        assert B._lifted[0] > 1, B.name
+        for p in sb.ps_space(B).basis:
+            # the operator times the lcm of its denominators has int entries
+            k = math.lcm(*(c.denominator for col in p.operator.columns for _, c in col))
+            assert not sb.companion_space(B, k * p.operator).is_empty, B.name
+    assert seen and set(seen) == {int}
+
+
 def test_cells_are_walked_once_per_structure_in_a_bol_check(monkeypatch):
     """The lift, both skew sweeps, the ternary Jacobi sweep and the triple
     rule's reach all read cells(); its leaves are walked once per

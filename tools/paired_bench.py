@@ -21,7 +21,10 @@ wins at least nine tenths of the pairs, ties counting for neither, its
 median is better than the parent's by more than the parent's interquartile
 range, every change run of the claimed workload is correct, and the change
 fails no more of its operations than the parent.  `regressions` names each
-workload, metric and seed whose median is outside the metric's bound.
+workload, metric and seed whose median is outside the metric's bound, and,
+under the metric "failed", each workload and seed where a change run was
+incorrect or the change failed more operations than the parent, claimed
+or not.
 With --claim-seed the claimed workload is also run for N pairs at
 that seed (one not used while writing the change), written as
 `end_to_end_seedN` and `runs_seedN`, and the claim must be met at both
@@ -104,10 +107,12 @@ def summarize(runs, metrics):
 
 def regressions(end_to_end, seed):
     """{workload, metric, seed} of each metric of an end_to_end summary that
-    is outside its bound."""
+    is outside its bound, and metric "failed" for a workload where a change
+    run was incorrect or the change failed more operations than the parent."""
     return [{"workload": workload, "metric": name, "seed": seed}
             for workload, entry in end_to_end.items() for name, summary in entry.items()
-            if summary.get("within_bound") is False]
+            if summary.get("within_bound") is False or name == "failed" and (
+                not entry["correct"]["change"] or summary["change"] > summary["parent"])]
 
 
 def run(root, workload, seed):
