@@ -20,11 +20,11 @@ is B + H with
 
 The last block is H's structure constants, which a PairSpace keeps
 sparse (`brackets` is their dense view) from its closure check: that
-brackets the basis pairs times a common denominator M, integral, on one
-sparse kernel.  A super skew binary product makes the bracket super
-skew, [q, p] = -(-1)^{pq} [p, q]: when the product's skew sweep finds
-nothing, only p <= q is bracketed and the rest are those exact
-multiples, as the inner pairs (e_j, e_i) with i < j are.
+brackets the integer rows of the basis, each pair times its leading
+entry, on one sparse kernel.  A super skew binary product makes the
+bracket super skew, [q, p] = -(-1)^{pq} [p, q]: when the product's skew
+sweep finds nothing, only p <= q is bracketed and the rest are those
+exact multiples, as the inner pairs (e_j, e_i) with i < j are.
 Every constructed enveloping algebra is re-checked against the Lie
 axioms; violations raise instead of producing a bad algebra.
 """
@@ -36,8 +36,7 @@ from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
                      _sparse, _unit, _vector, hidden, rat, record, sign)
-from .linalg import (_affine, _common_denominator, _divided, _kernel, _rref, _span_coordinates,
-                     span_reduce)
+from .linalg import _affine, _by_lead, _divided, _kernel, _rref, _span_coordinates, span_reduce
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
                          StructureError, Witness, _all_skew, _inner_pairs, _kept, _listed,
                          _rule_defects, _structures, _swept, _w_terms, require_axioms)
@@ -264,7 +263,7 @@ class PairSpace:
     basis: tuple
     pivots: tuple = hidden
     _brackets: tuple = hidden
-    # (M, the sparse reduced rows times M, leads) from linalg._common_denominator
+    # the integer rows of the basis by lead, and each lead's index, from linalg._by_lead
     _common: tuple = hidden
 
     @classmethod
@@ -276,9 +275,9 @@ class PairSpace:
         space, n, d = algebra.space, algebra.space.dim, len(reduced)
         basis = tuple(_pair(space, _degree_at(space.parities, row[0][0]), _divided(row))
                       for row in reduced)
-        # the closure check brackets the basis pairs times M, integral: M^2 [p, q]
-        common = _common_denominator(reduced)
-        M, scaled = common[0], [_unflat(n, row) for row in common[1]]
+        # the closure check brackets the integer rows, each its basis pair times
+        # its lead L, integral: L_m L_l [p, q]
+        common, scaled = _by_lead(reduced), [_unflat(n, row) for row in reduced]
         E = _structures(algebra, ("binary",))[0].entries if basis else None
         # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q]
         mirror = basis and _all_skew(_swept(algebra, ("binary",)))
@@ -290,7 +289,8 @@ class PairSpace:
                 brackets[m][l] = tuple((k, -s * c) for k, c in brackets[l][m])
                 continue
             brackets[m][l] = _span_coordinates(
-                common, _bracket_entries(n, E, scaled[m], scaled[l], s), M * M)
+                common, _bracket_entries(n, E, scaled[m], scaled[l], s),
+                reduced[m][0][1] * reduced[l][0][1])
             if brackets[m][l] is None:
                 raise EnvelopeError(
                     "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))

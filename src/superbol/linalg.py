@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Everything here reduces to one sparse elimination, `_rref`, on rows of
-(column, value) pairs, fraction-free over the integers; `rref`,
-`nullspace` and `solve_affine` are its dense views.  Reduced row echelon
-form is the canonical representative of a span, so two subspaces are
-equal iff their reduced bases are identical tuples.
+Everything here reduces to one sparse elimination, `_rref`, on integer
+rows of (column, value) pairs; `rref`, `nullspace` and `solve_affine`
+are its dense views.  Every reduction modulo a reduced echelon, in
+`_rref` and in the membership tests, is one residue, `_reduced`.
+Reduced row echelon form is the canonical representative of a span, so
+two subspaces are equal iff their reduced bases are identical tuples.
 """
 
 from __future__ import annotations
@@ -41,31 +42,38 @@ def _primitive(cells):
     return {c: x // g for c, x in cells.items()} if g > 1 else cells
 
 
-def _eliminate(row, pivot, col):
-    """(b/g) row - (a/g) pivot, divided by its content, where a and b are the
-    entries of row and pivot at col and g = gcd(a, b): col drops out."""
-    a, b = row[col], pivot[col]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    out = {c: b * x for c, x in row.items()} if b != 1 else dict(row)
-    for c, y in pivot.items():
-        x = out.get(c, 0) - a * y
-        if x:
-            out[c] = x
-        else:
-            del out[c]
-    return _primitive(out)
+def _reduced(cells, echelon):
+    """The primitive residue of the integer row cells modulo a reduced
+    echelon {lead: integer row}, each row zero at every other lead:
+    M cells - sum of cells[p] (M / row_p[p]) row_p over the leads p that
+    cells meets, M the lcm of those rows' entries at their leads.  It is
+    zero at every lead, and empty iff cells lies in the echelon's span."""
+    met = [p for p in cells if p in echelon]
+    if not met:
+        return _primitive(cells)
+    M = lcm(*(echelon[p][p] for p in met))
+    out = {c: M * x for c, x in cells.items()} if M != 1 else dict(cells)
+    for p in met:
+        f = cells[p] * (M // echelon[p][p])
+        for c, y in echelon[p].items():
+            x = out.get(c, 0) - f * y
+            if x:
+                out[c] = x
+            else:
+                del out[c]
+    return _primitive(out) if out else out
 
 
 def _rref(rows, width=None):
     """(integer rows, pivot columns) of the reduced echelon form of sparse
     rows of (column, value) pairs: each integer row is the sorted pairs of a
     reduced row times its leading entry, primitive.  Gauss-Jordan on
-    integers: each row, cleared of denominators, is eliminated fraction-free
-    (Bareiss 1968, with content division in place of his exact divisor) at
-    each pivot column in its support; its leftmost remaining column becomes
-    a pivot and is eliminated from the pivot rows, which so stay zero at
-    every other pivot column and need no back-substitution.
+    integers over a common denominator, as FLINT's fmpz_mat_rref: each row,
+    cleared of denominators, is replaced in one pass by its residue modulo
+    the echelon (_reduced); a nonzero residue's leftmost column becomes a
+    pivot, and each pivot row meeting it is replaced by its residue modulo
+    that one row, so the pivot rows stay zero at every other pivot column
+    and need no back-substitution.
 
     With width given, every row's columns must lie among width columns:
     once the echelon holds width pivots, every column is one, each later
@@ -73,14 +81,12 @@ def _rref(rows, width=None):
     are read."""
     echelon = {}
     for row in rows:
-        cells = _primitive(_cleared(row)[1])
-        for c in [c for c in cells if c in echelon]:
-            cells = _eliminate(cells, echelon[c], c)
+        cells = _reduced(_cleared(row)[1], echelon)
         if cells:
             lead = min(cells)
             for p, pivot in echelon.items():
                 if lead in pivot:
-                    echelon[p] = _eliminate(pivot, cells, lead)
+                    echelon[p] = _reduced(pivot, {lead: cells})
             echelon[lead] = cells
             if len(echelon) == width:
                 break
@@ -144,7 +150,7 @@ class AffineSubspace:
 
     `point` is None for the empty set.  Directions are stored as a
     canonical reduced basis of raw coordinate tuples (leading columns in
-    `pivots`; sparse and times M, integral, in `_common`).
+    `pivots`; as integer rows by lead, `_by_lead`, in `_common`).
     """
 
     point: tuple | None
@@ -154,7 +160,7 @@ class AffineSubspace:
 
     @classmethod
     def empty(cls):
-        return cls(None, (), (), (1, (), {}))
+        return cls(None, (), (), ({}, {}))
 
     @property
     def is_empty(self):
@@ -174,36 +180,28 @@ class AffineSubspace:
         return _span_coordinates(self._common, _sparse(diff)) is not None
 
 
-def _common_denominator(rows):
-    """The reduced rows of _rref's integer rows over one denominator: (M, the
-    reduced rows times M, {leading column: row index}), M the lcm of the
-    leading entries.  A primitive row divided by its lead has exactly the
-    lead as denominator, so the scaled rows are integral."""
-    M = lcm(*(row[0][1] for row in rows))
-    return (M, tuple(tuple((c, x * (M // row[0][1])) for c, x in row) for row in rows),
-            {row[0][0]: r for r, row in enumerate(rows)})
+def _by_lead(rows):
+    """_rref's integer rows by lead, as dicts, and each lead's row index."""
+    return {row[0][0]: dict(row) for row in rows}, {row[0][0]: r for r, row in enumerate(rows)}
 
 
 def _span_coordinates(common, vec, scale=1):
-    """The nonzero coefficients (r, c) of vec / scale over reduced rows, given
-    as (M, M rows, leads) by _common_denominator, or None outside their span;
-    vec is sparse.  Row r's is vec at its lead, so only the support of vec
-    at leads is visited, and vec is in the span iff the integer
-    M d vec - sum of (d vec)[lead of r] M row r is 0."""
-    M, rows, leads = common
-    d, vec = _cleared(vec)
-    residue = {c: M * x for c, x in vec.items()}
-    coeffs = []
-    for r, f in sorted((leads[c], f) for c, f in vec.items() if c in leads):
-        coeffs.append((r, _quotient(f, d * scale)))
-        for t, y in rows[r]:
-            residue[t] = residue.get(t, 0) - f * y
-    return None if any(residue.values()) else tuple(coeffs)
+    """The nonzero coefficients (r, c) of the sparse vec / scale over reduced
+    rows, given as _by_lead of their integer rows, or None outside their
+    span: row r's is vec at its lead, and vec is in the span iff its
+    residue (_reduced) is empty."""
+    echelon, index = common
+    d, cells = _cleared(vec)
+    if _reduced(cells, echelon):
+        return None
+    return tuple(sorted((index[c], _quotient(f, d * scale)) for c, f in cells.items()
+                        if c in index))
 
 
 def solve_affine(rows, rhs):
     """Exact solution set of rows . x = rhs, in as many unknowns as each row
     has entries; `rows` must not be empty, and rhs holds one entry per row."""
+    rows, rhs = list(rows), list(rhs)
     if not rows:
         raise ValueError("no equations: unknown count is undetermined")
     if len(rhs) != len(rows):
@@ -222,13 +220,13 @@ def _affine(reduced, pivots, ncols):
     reduced = [row[:-1] if row[-1][0] == ncols else row for row in reduced]
     dirs, leads = _kernel(reduced, pivots, range(ncols))
     return AffineSubspace(point, tuple(_dense(_divided(d), ncols) for d in dirs), tuple(leads),
-                          _common_denominator(dirs))
+                          _by_lead(dirs))
 
 
 @record
 class Subspace:
     """Subspace of a SuperSpace with a canonical reduced basis (leading
-    columns in `pivots`; sparse and times M, integral, in `_common`)."""
+    columns in `pivots`; as integer rows by lead, `_by_lead`, in `_common`)."""
 
     space: object
     basis: tuple
@@ -269,6 +267,7 @@ class Subspace:
 
 def span_reduce(space, vectors):
     """Canonical Subspace spanned by the given SuperVectors."""
+    vectors = list(vectors)
     for v in vectors:
         if v.space != space:
             raise GradingError("vector lives in a different space")
@@ -278,7 +277,7 @@ def span_reduce(space, vectors):
 def _subspace(space, reduced, pivots):
     """The Subspace of space spanned by _rref's integer rows leading at pivots."""
     return Subspace(space, tuple(SuperVector(space, _dense(_divided(row), space.dim))
-                                 for row in reduced), tuple(pivots), _common_denominator(reduced))
+                                 for row in reduced), tuple(pivots), _by_lead(reduced))
 
 
 def whole_space(space):

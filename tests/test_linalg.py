@@ -94,6 +94,23 @@ def test_subspace_sum_and_containment():
     assert sb.span_reduce(sp, []).is_zero
 
 
+def test_span_reduce_and_solve_affine_read_any_iterable_once():
+    """A generator of vectors spans what the same list spans, and
+    solve_affine takes iterators of rows and of right-hand sides as rref
+    and nullspace take iterators of rows."""
+    sp = sb.SuperSpace.even_first(2, 1)
+    assert sb.span_reduce(sp, (v for v in sp.basis())).dim == 3
+    assert sb.span_reduce(sp, iter(sp.basis())) == sb.whole_space(sp)
+    rows, rhs = [[1, 1, 0], [0, 1, 1]], [1, Fraction(1, 2)]
+    aff, expected = sb.solve_affine(iter(rows), (b for b in rhs)), sb.solve_affine(rows, rhs)
+    assert (aff.point, aff.directions) == (expected.point, expected.directions)
+    assert aff.contains((1, 0, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="no equations"):
+        sb.solve_affine(iter([]), iter([]))
+    with pytest.raises(ValueError, match="rhs has 1 entries, expected 2"):
+        sb.solve_affine(iter(rows), iter([1]))
+
+
 def test_graded_detection():
     sp = sb.SuperSpace.even_first(2, 1)
     e1, e2, e3 = sp.basis()

@@ -156,3 +156,60 @@ def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, 
         {"workload": "pairs", "metric": "failed", "seed": 7}]
     assert report["claim"]["seed_1"]["change_better_pairs"] == 3
     assert not report["claim"]["seed_1"]["met"] and not report["claim"]["met"]
+
+
+def test_a_run_that_exits_nonzero_is_listed_and_the_other_pairs_are_kept(tmp_path, monkeypatch):
+    """main() with run.py failing once, in the change's second pairs run: the
+    report is still written, the failed run keeps its exit code, is left out
+    of the change's medians and its pair counts for neither side, and the
+    workload is listed under regressions as "failed"."""
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        roots[side].mkdir()
+    (roots["parent"] / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "check-sparse"}, {"name": "pairs"}],
+        "end_to_end": [{"name": name, "better": better, "bound": bound}
+                       for name, better, bound in METRICS]}))
+    side_of = {str(root): side for side, root in roots.items()}
+    calls = {"parent": 0, "change": 0}
+
+    def run(root, workload, seed):
+        side = side_of[str(root)]
+        if workload != "pairs":
+            return result(1.0)
+        calls[side] += 1
+        if side == "change" and calls[side] == 2:
+            return {"exit_code": 1}
+        return result({"parent": 1.0, "change": 0.8}[side] + calls[side] / 100)
+
+    monkeypatch.setattr(paired_bench, "run", run)
+    out = tmp_path / "bench.json"
+    paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "4",
+                       "--out", str(out), "--claim", "pairs:wall_s"])
+    report = json.loads(out.read_text())
+    pairs = report["end_to_end"]["pairs"]
+    assert pairs["failed_runs"] == {"parent": {}, "change": {"2": 1}}
+    assert report["end_to_end"]["check-sparse"]["failed_runs"] == {"parent": {}, "change": {}}
+    assert report["runs"]["change"]["2"]["pairs"] == {"exit_code": 1}
+    assert abs(pairs["wall_s"]["change"]["median"] - 0.83) < 1e-12   # of 0.81, 0.83, 0.84
+    assert pairs["wall_s"]["change_better_pairs"] == 3
+    assert pairs["attempted"] == {"parent": 40, "change": 30}
+    assert report["regressions"] == [{"workload": "pairs", "metric": "failed", "seed": 1}]
+    assert not report["claim"]["met"]
+
+
+def test_a_side_whose_every_run_failed_has_no_median_and_meets_no_claim():
+    parent = [result(1.0)] * 3
+    entry = paired_bench.summarize(runs(parent, [{"exit_code": 1}] * 3), METRICS)["check-sparse"]
+    assert entry["wall_s"]["change"]["median"] is None
+    assert entry["wall_s"]["change_better_pairs"] == 0 and entry["wall_s"]["within_bound"]
+    assert not paired_bench.claim(entry, "wall_s", 3, "lower")["met"]
+    assert paired_bench.regressions({"check-sparse": entry}, 1) == [
+        {"workload": "check-sparse", "metric": "failed", "seed": 1}]
+
+
+def test_run_keeps_the_exit_code_of_a_failing_run_py(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit(3)\n")
+    assert paired_bench.run(tmp_path, "pairs", 1) == {"exit_code": 3}

@@ -15,13 +15,16 @@ algebras, bol(osp(1|2)) and a dense copy of it.  Those solvers
 eliminate sparse rows through `linalg._rref`, of which `rref` is the
 dense view, so both names are recorded and both are replaced by the
 reference.  nullspace, solve_affine and GradedMap.inverse are run twice,
-once on each elimination, and must return identical results.
+once on each elimination, and must return identical results.  The one
+residue routine under `_rref` and the membership tests, `linalg._reduced`,
+is held to the reference's reduction of a row modulo random and
+Hilbert-type echelons.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,60 @@ def test_rref_reads_no_row_past_full_rank():
 
     assert linalg._rref(rows(), 3) == linalg._rref(read) == ([((0, 1),), ((1, 1),), ((2, 1),)],
                                                            [0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# the one residue routine: _reduced takes a row modulo a reduced echelon
+
+
+@st.composite
+def hilbert_type(draw):
+    """Some rows of a Hilbert-type matrix 1/(i + j + 1 + shift), wide by extra columns."""
+    n, extra, shift = draw(st.integers(2, 7)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = [[Fraction(1, i + j + 1 + shift) for j in range(n + extra)] for i in range(n)]
+    return draw(st.permutations(rows))[:draw(st.integers(1, n))]
+
+
+@st.composite
+def echelon_and_row(draw):
+    """(rows, row): random or Hilbert-type rows, and a row as wide, either
+    random or a combination of the rows."""
+    rows = draw(st.one_of(matrices().filter(bool), hilbert_type()))
+    if draw(st.booleans()):
+        row = [draw(SCALARS) for _ in rows[0]]
+    else:
+        coeffs = [draw(SCALARS) for _ in rows]
+        row = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
+    return rows, row
+
+
+def normalized(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_and_row())
+def test_the_residue_matches_the_reference_reduction(drawn):
+    rows, row = drawn
+    reduced, pivots = linalg._rref(map(enumerate, rows))
+    echelon = {p: dict(r) for r, p in zip(reduced, pivots)}
+    residue = linalg._reduced(linalg._cleared(enumerate(row))[1], echelon)
+    assert all(type(x) is int and x for x in residue.values()) and gcd(*residue.values()) <= 1
+    assert not set(residue) & set(echelon)
+    # the reference: row minus row[p] times the reduced row leading at p, over the pivots p
+    ref_rows, ref_pivots = slow_reference.rref(rows)
+    assert list(ref_pivots) == pivots
+    left = [Fraction(x) for x in row]
+    for ref, p in zip(ref_rows, ref_pivots):
+        left = [x - left[p] * y for x, y in zip(left, ref)]
+    left = [(c, x) for c, x in enumerate(left) if x]
+    expected = tuple((c, normalized(x / left[0][1])) for c, x in left)
+    assert bool(residue) == bool(expected)
+    if residue:
+        assert typed(linalg._divided(tuple(sorted(residue.items())))) == typed(expected)
+    in_span = len(slow_reference.rref(rows + [row])[1]) == len(pivots)
+    assert (not residue) == in_span
 
 
 def _bols():

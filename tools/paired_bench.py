@@ -16,15 +16,18 @@ metrics, their direction and bound are read from the parent's BENCHMARK.json.
 
 The output holds every run's end-to-end metrics, each side's median and
 quartiles per workload and metric, how many pairs the change won, and the
-change's median over the parent's.  A claimed metric is met when the change
-wins at least nine tenths of the pairs, ties counting for neither, its
-median is better than the parent's by more than the parent's interquartile
-range, every change run of the claimed workload is correct, and the change
-fails no more of its operations than the parent.  `regressions` names each
+change's median over the parent's.  A run whose run.py exits nonzero (a
+worker died or passed its deadline) is a failed run of its side: it is
+kept as its exit code under `failed_runs`, left out of that side's
+quartiles, and its pair counts for neither side.  A claimed metric is met
+when the change wins at least nine tenths of the pairs, ties counting for
+neither, its median is better than the parent's by more than the parent's
+interquartile range, every change run of the claimed workload ran and is
+correct, and the change fails no more of its operations than the parent.  `regressions` names each
 workload, metric and seed whose median is outside the metric's bound, and,
-under the metric "failed", each workload and seed where a change run was
-incorrect or the change failed more operations than the parent, claimed
-or not.
+under the metric "failed", each workload and seed where a run of either
+side failed, a change run was incorrect or the change failed more
+operations than the parent, claimed or not.
 With --claim-seed the claimed workload is also run for N pairs at
 that seed (one not used while writing the change), written as
 `end_to_end_seedN` and `runs_seedN`, and the claim must be met at both
@@ -46,9 +49,10 @@ import sys
 
 
 def quartiles(values):
-    """(q1, median, q3) of the values, quartiles by the inclusive method."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
+    """(q1, median, q3) of the values, quartiles by the inclusive method;
+    all None when there are none."""
+    if len(values) <= 1:
+        return (values[0],) * 3 if values else (None,) * 3
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
@@ -59,44 +63,57 @@ def better(a, b, direction):
 
 
 def compare(parent, change, direction):
-    """Both sides' median and quartiles of one metric, paired run by run."""
-    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    """Both sides' median and quartiles of one metric, paired run by run; a
+    failed run's value is None, left out of its side's quartiles, and its
+    pair counts for neither side."""
+    (p1, pm, p3), (c1, cm, c3) = (quartiles([v for v in side if v is not None])
+                                  for side in (parent, change))
     return {"parent": {"median": pm, "q1": p1, "q3": p3},
             "change": {"median": cm, "q1": c1, "q3": c3},
-            "change_over_parent_median": cm / pm if pm else None,
-            "change_better_pairs": sum(better(c, p, direction) for p, c in zip(parent, change))}
+            "change_over_parent_median": cm / pm if pm and cm is not None else None,
+            "change_better_pairs": sum(None not in (p, c) and better(c, p, direction)
+                                       for p, c in zip(parent, change))}
 
 
 def claim(entry, metric, pairs, direction):
     """The claim on one metric of a workload's summary entry: met when every
-    change run was correct, the change failed no more operations than the
+    change run ran and was correct, the change failed no more operations than the
     parent, won at least nine tenths of the pairs, and its median gap
     exceeds the parent's IQR."""
     summary = entry[metric]
     parent, change = summary["parent"], summary["change"]
-    iqr = parent["q3"] - parent["q1"]
-    gap = parent["median"] - change["median"] if direction == "lower" else \
-        change["median"] - parent["median"]
+    if None in (parent["median"], change["median"]):     # every run of a side failed
+        iqr = gap = None
+    else:
+        iqr = parent["q3"] - parent["q1"]
+        gap = parent["median"] - change["median"] if direction == "lower" else \
+            change["median"] - parent["median"]
     wins = summary["change_better_pairs"]
     return {"parent_median": parent["median"], "change_median": change["median"],
             "parent_iqr": iqr, "change_better_pairs": wins, "pairs": pairs,
             "change_correct": entry["correct"]["change"], "failed": entry["failed"],
-            "met": (entry["correct"]["change"]
+            "met": (entry["correct"]["change"] and not entry["failed_runs"]["change"]
                     and entry["failed"]["change"] <= entry["failed"]["parent"]
-                    and wins >= math.ceil(0.9 * pairs) and gap > iqr)}
+                    and wins >= math.ceil(0.9 * pairs) and gap is not None and gap > iqr)}
 
 
 def summarize(runs, metrics):
     """end_to_end from runs {side: [{workload: result}, ...]} (one entry per
-    pair) and metrics [(name, direction, bound)]."""
+    pair) and metrics [(name, direction, bound)].  A failed run, a result
+    {"exit_code": code}, is listed by pair under failed_runs, and its
+    operations are counted for neither failed nor attempted."""
     out = {}
     for workload in runs["parent"][0]:
         results = {side: [pair[workload] for pair in runs[side]] for side in runs}
-        entry = {key: {side: agg(r[key] for r in results[side]) for side in results}
+        done = {side: [r for r in results[side] if "exit_code" not in r] for side in results}
+        entry = {key: {side: agg(r[key] for r in done[side]) for side in results}
                  for key, agg in (("failed", sum), ("attempted", sum), ("correct", all))}
+        entry["failed_runs"] = {side: {str(k): r["exit_code"]
+                                       for k, r in enumerate(results[side], 1)
+                                       if "exit_code" in r} for side in results}
         for name, direction, bound in metrics:
-            values = {side: [r["metrics"][name]["value"] for r in results[side]]
-                      for side in results}
+            values = {side: [r["metrics"][name]["value"] if "metrics" in r else None
+                             for r in results[side]] for side in results}
             entry[name] = compare(values["parent"], values["change"], direction)
             ratio = entry[name]["change_over_parent_median"]
             entry[name]["within_bound"] = ratio is None or (
@@ -107,21 +124,26 @@ def summarize(runs, metrics):
 
 def regressions(end_to_end, seed):
     """{workload, metric, seed} of each metric of an end_to_end summary that
-    is outside its bound, and metric "failed" for a workload where a change
-    run was incorrect or the change failed more operations than the parent."""
+    is outside its bound, and metric "failed" for a workload where a run of
+    either side failed, a change run was incorrect or the change failed
+    more operations than the parent."""
     return [{"workload": workload, "metric": name, "seed": seed}
             for workload, entry in end_to_end.items() for name, summary in entry.items()
             if summary.get("within_bound") is False or name == "failed" and (
-                not entry["correct"]["change"] or summary["change"] > summary["parent"])]
+                not entry["correct"]["change"] or summary["change"] > summary["parent"]
+                or any(entry["failed_runs"].values()))]
 
 
 def run(root, workload, seed):
     """The result object run.py prints last, run from the checkout root
-    without writing bytecode."""
+    without writing bytecode, or {"exit_code": code} when run.py exits
+    nonzero: a worker died or passed its deadline."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--trace", "0"],
                           cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if proc.returncode:
+        return {"exit_code": proc.returncode}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -187,7 +209,7 @@ def main(argv=None):
         report["regressions"] += regressions(report["end_to_end" + suffix[seed]], seed)
         report["runs" + suffix[seed]] = {
             side: {str(k): {w: {name: r["metrics"][name]["value"] for name, _, _ in metrics}
-                            for w, r in pair.items()}
+                            if "metrics" in r else r for w, r in pair.items()}
                    for k, pair in enumerate(runs[side], 1)} for side in runs}
     if claimed:
         workload, metric = claimed
