@@ -21,10 +21,11 @@ abelian_m_n.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .graded import ABELIAN_MAX_DIM, SuperSpace, SuperVector, _dense, rat, sign
-from .structures import AlgebraDef, BinaryStructure, TernaryStructure
+from .graded import ABELIAN_MAX_DIM, SuperSpace, SuperVector, _dense, rat
+from .structures import AlgebraDef, BinaryStructure, TernaryStructure, _swapped
 
 _LABEL = re.compile(r"[A-Za-z_]\w*")
 _DIRECTIVE = re.compile(r"\s*([\w-]+)")
@@ -71,6 +72,9 @@ def _parse_expr(text, base, index_of, dim, line_no):
             coeff = Fraction(coeff_tok.replace(" ", "")) if coeff_tok else Fraction(1)
         except ZeroDivisionError:
             raise ParseError("zero denominator in coefficient %r" % coeff_tok,
+                             line_no, base + m.start(2) + 1) from None
+        except ValueError:  # an integer past Python's limit on digits read from text
+            raise ParseError("coefficient has more than %d digits" % sys.get_int_max_str_digits(),
                              line_no, base + m.start(2) + 1) from None
         if sign_tok == "-":
             coeff = -coeff
@@ -169,20 +173,16 @@ def parse_algebra(text):
         return tuple(idx), value
 
     def admit(table, key, value, line_no):
-        i, j = key[0], key[1]
         pretty = "[%s]" % ",".join(labels[t] for t in key)
         if key in table:
             raise ParseError("product %s listed twice" % pretty, line_no)
-        if i == j and parities[i] == 0 and any(value):
+        mirror, s = _swapped(0, parities, key)
+        if mirror == key and s == -1 and any(value):
             raise ParseError("%s must vanish: square of an even element" % pretty,
                              line_no)
-        mirror = (j, i) + key[2:]
-        if mirror in table and mirror != key:
-            expected = tuple(-sign(parities[i] * parities[j]) * c
-                             for c in table[mirror][0])
-            if value != expected:
-                raise ParseError("%s contradicts the listing on line %d"
-                                 % (pretty, table[mirror][1]), line_no)
+        if mirror in table and value != tuple(s * c for c in table[mirror][0]):
+            raise ParseError("%s contradicts the listing on line %d"
+                             % (pretty, table[mirror][1]), line_no)
         want = sum(parities[t] for t in key) % 2
         for t, c in enumerate(value):
             if c and parities[t] != want:
@@ -199,15 +199,11 @@ def parse_algebra(text):
         key, value = resolve(rest, base, line_no, arity)
         admit(binary if arity == 2 else ternary, key, value, line_no)
 
-    if name is None:
-        name = "unnamed"
-    listed_any = bool(staged)
-    bin_struct = ter_struct = None
-    if binary or "binary" in declared or not listed_any:
-        bin_struct = BinaryStructure.from_products(space, {k: v for k, (v, _) in binary.items()})
-    if ternary or "ternary" in declared or not listed_any:
-        ter_struct = TernaryStructure.from_products(space, {k: v for k, (v, _) in ternary.items()})
-    return AlgebraDef(name, space, binary=bin_struct, ternary=ter_struct)
+    # each operation listed or declared, or both when no line names either
+    return AlgebraDef(name or "unnamed", space, **{
+        st.NAME: st.from_products(space, {k: v for k, (v, _) in table.items()})
+        for st, table in ((BinaryStructure, binary), (TernaryStructure, ternary))
+        if table or st.NAME in declared or not staged})
 
 
 def serialize_algebra(A):
@@ -225,7 +221,7 @@ def serialize_algebra(A):
     if not A.name or A.name != A.name.strip() or "#" in A.name or "\n" in A.name:
         raise ValueError("name %r does not fit the file grammar" % A.name)
     for st in (A.binary, A.ternary):
-        # only one product of each mirrored pair is written; the parser completes the other
+        # only the kept half, i <= j, is written (even squares are 0); the parser completes it
         if st is not None and st._skew_witnesses:
             raise ValueError("%s table is not super skew at [%s], which the file grammar "
                              "implies" % (st.NAME, ",".join(st._skew_witnesses[0].at)))
@@ -243,8 +239,7 @@ def serialize_algebra(A):
 
     products = {st.NAME: ["%s [%s] = %s" % (st.NAME, ",".join(lab[t] for t in at),
                                             SuperVector(space, _dense(entry, n)))
-                          for at, entry in st.cells().items()
-                          if at[0] < at[1] or (at[0] == at[1] and par[at[0]] == 1)]
+                          for at, entry in st.cells().items() if at[0] <= at[1]]
                 for st in (A.binary, A.ternary) if st is not None}
     if any(products.values()) or len(products) == 1:
         out += [name for name, lines in products.items() if not lines]

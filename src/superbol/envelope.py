@@ -23,22 +23,22 @@ sparse (`brackets` is their dense view) from its closure check: that
 brackets the integer rows of the basis, each pair times its leading
 entry, on one sparse kernel.  A super skew binary product makes the
 bracket super skew, [q, p] = -(-1)^{pq} [p, q]: when the product's skew
-sweep finds nothing, only p <= q is bracketed and the rest are those
-exact multiples, as the inner pairs (e_j, e_i) with i < j are.
+sweep finds nothing, only p <= q is bracketed.  The envelope's table
+lists [x, y] for x <= y in B and [(P, a), x]; `structures._mirrored`
+completes both tables, the one place super skew-symmetry is filled in.
 Every constructed enveloping algebra is re-checked against the Lie
 axioms; violations raise instead of producing a bad algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
                      _sparse, _unit, _vector, hidden, rat, record, sign)
 from .linalg import _affine, _by_lead, _divided, _kernel, _rref, _span_coordinates, span_reduce
-from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport,
-                         StructureError, Witness, _all_skew, _inner_pairs, _kept, _listed,
+from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
+                         Witness, _all_skew, _inner_pairs, _kept, _listed, _mirrored,
                          _rule_defects, _structures, _swept, _w_terms, require_axioms)
 
 
@@ -279,22 +279,21 @@ class PairSpace:
         # its lead L, integral: L_m L_l [p, q]
         common, scaled = _by_lead(reduced), [_unflat(n, row) for row in reduced]
         E = _structures(algebra, ("binary",))[0].entries if basis else None
-        # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q]
+        # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q],
+        # and only p <= q is bracketed, the rest completed by _mirrored
         mirror = basis and _all_skew(_swept(algebra, ("binary",)))
-        brackets = [[None] * d for _ in range(d)]
-        for m, l in itertools.product(range(d), repeat=2):
-            p, q = basis[m], basis[l]
-            s = sign(p.degree * q.degree)
-            if mirror and l < m:
-                brackets[m][l] = tuple((k, -s * c) for k, c in brackets[l][m])
-                continue
-            brackets[m][l] = _span_coordinates(
-                common, _bracket_entries(n, E, scaled[m], scaled[l], s),
-                reduced[m][0][1] * reduced[l][0][1])
-            if brackets[m][l] is None:
-                raise EnvelopeError(
-                    "span of pairs is not closed under the bracket: [%s, %s]" % (p, q))
-        return cls(algebra, basis, tuple(pivots), tuple(map(tuple, brackets)), common)
+        brackets, degrees = {}, tuple(p.degree for p in basis)
+        for m in range(d):
+            for l in range(m if mirror else 0, d):
+                brackets[m, l] = _span_coordinates(common, _bracket_entries(
+                    n, E, scaled[m], scaled[l], sign(degrees[m] * degrees[l])),
+                    reduced[m][0][1] * reduced[l][0][1])
+                if brackets[m, l] is None:
+                    raise EnvelopeError("span of pairs is not closed under the bracket: "
+                                        "[%s, %s]" % (basis[m], basis[l]))
+        brackets = _mirrored(degrees, brackets)
+        return cls(algebra, basis, tuple(pivots),
+                   tuple(tuple(brackets[m, l] for l in range(d)) for m in range(d)), common)
 
     @property
     def dim(self):
@@ -420,25 +419,21 @@ def enveloping(B, H=None):
     def shifted(coords):
         return tuple((nb + m, c) for m, c in coords)
 
-    # the inner pairs (e_i, e_j) with i <= j, the Bol algebra B being super skew; the rest mirrored
-    cells, par = {}, B.space.parities
+    # the inner pairs (e_i, e_j) with i <= j, the Bol algebra B being super skew, the
+    # cells [(P, a), e_j] and H's brackets; _mirrored completes the rest
+    cells = {}
     for (i, j), _, x in _basis_inner_pairs(B):
         coords = _span_coordinates(H._common, _flat(x))
         if coords is None:
             raise EnvelopeError("inner pair (%s, %s) does not lie in H"
                                 % (space.labels[i], space.labels[j]))
         cells[i, j] = shifted(coords)
-        if i < j:
-            cells[j, i] = tuple((t, -sign(par[i] * par[j]) * c) for t, c in cells[i, j])
     for m, p in enumerate(H.basis):
-        for j, col in enumerate(p.operator.columns):
-            s = -sign(p.degree * B.space.parities[j])
-            cells[nb + m, j] = col
-            cells[j, nb + m] = tuple((t, s * c) for t, c in col)
-        for l, coords in enumerate(H._brackets[m]):
-            cells[nb + m, nb + l] = shifted(coords)
+        cells.update(((nb + m, j), col) for j, col in enumerate(p.operator.columns))
+        cells.update(((nb + m, nb + l), shifted(c)) for l, c in enumerate(H._brackets[m]))
 
-    lie = AlgebraDef("env(%s)" % B.name, space, binary=BinaryStructure._of(space, cells))
+    lie = AlgebraDef("env(%s)" % B.name, space,
+                     binary=BinaryStructure._of(space, _mirrored(parities, cells)))
     require_axioms(lie, "lie")
     return EnvelopingLieSuperalgebra(B, H, lie)
 

@@ -21,7 +21,8 @@ pair layer's one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.
 The inner pairs of the basis are read off the tables by one generator,
 `_inner_pairs`, for this checker, ips_space, ps_space and enveloping.
 Each sweep evaluates the least tuple of each symmetry orbit and reports
-the rest as signed copies of its defect D.  The cyclic sums (super and
+the rest as signed copies of its defect D.  The skew sweeps always, only
+i <= j: D(j,i,...) = (-1)^{p_i p_j} D(i,j,...).  The cyclic sums (super and
 ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)} D(i,j,k).  Once the
 skew sweeps of the tables read find nothing (each runs once per structure
 object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k;
@@ -34,7 +35,9 @@ obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v)
 = 0.  Of the tuples u <= v only u < v, u <= w are then evaluated; the
 derived ones, u == v or w < u < v, are read off their two partners in the
 Nambu sweep ((a, a, a) is 0), and their rows, combinations of kept rows,
-are not listed in the pair-space solvers.
+are not listed in the pair-space solvers.  A table listed by its kept half,
+i <= j (from_products, the .alg parser, enveloping algebras and pair
+brackets), is completed by one routine, `_mirrored`.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
@@ -166,11 +169,10 @@ class _Structure(_SparseValue):
 
     @classmethod
     def from_products(cls, space, products):
-        """Build from `products`, index tuples to coordinate sequences, filling
-        in the mirror of each listing by super skew-symmetry in the first two
-        slots.  A key that is not ARITY basis indices and an explicit
-        contradiction (a nonzero even square too) raise.  Ternary Jacobi
-        consequences are NOT filled in; they are the checker's business."""
+        """Build from `products`, index tuples to coordinate sequences, completed by
+        super skew-symmetry in the first two slots (`_mirrored`).  A key that is not
+        ARITY basis indices and an explicit contradiction (a nonzero even square too)
+        raise.  Ternary Jacobi consequences are NOT filled in; the checker sweeps them."""
         n, par, arity = space.dim, space.parities, cls.ARITY
         cells = {}
         for at, coords in products.items():
@@ -179,19 +181,14 @@ class _Structure(_SparseValue):
                 raise StructureError("%s product key %r is not %d basis indices"
                                      % (cls.NAME, at, arity))
             cells[at] = _cell(space, coords, at)
-        for at in sorted(products):
-            i, j = at[:2]
-            s = sign(par[i] * par[j])
-            implied = tuple((t, -s * c) for t, c in cells[at])
-            mirror = (j, i) + at[2:]
-            if i == j and s == 1 and implied:
-                raise StructureError("%s must vanish by skew-symmetry" % _bracket(space, at))
-            if mirror not in cells:
-                cells[mirror] = implied
-            elif mirror in products and mirror != at and cells[mirror] != implied:
+        for at in sorted(cells):
+            mirror, s = _swapped(0, par, at)
+            if mirror in cells and cells[mirror] != tuple((t, s * c) for t, c in cells[at]):
+                if mirror == at:
+                    raise StructureError("%s must vanish by skew-symmetry" % _bracket(space, at))
                 raise StructureError("%s contradicts %s under skew-symmetry"
                                      % (_bracket(space, mirror), _bracket(space, at)))
-        return cls._of(space, cells)
+        return cls._of(space, _mirrored(par, cells))
 
     def eval(self, *args):
         if len(args) != self.ARITY:
@@ -315,20 +312,6 @@ class CheckReport:
 # visits only the tuples (or orbits) where some term of its identity can be nonzero
 
 
-def _skew(space, st):
-    # swapping the first two slots, wherever either product is nonzero
-    n, par, lab = space.dim, space.parities, space.labels
-    axiom = "skew" if st.ARITY == 2 else "triple-skew"
-    cells = st.cells()
-    for at in sorted(set(cells) | {(j, i, *rest) for i, j, *rest in cells}):
-        i, j = at[:2]
-        acc = list(_dense(cells.get(at, ()), n))
-        for t, c in cells.get((j, i) + at[2:], ()):
-            acc[t] += sign(par[i] * par[j]) * c
-        if any(acc):
-            yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
-
-
 def _rotated(par, at):
     # the cyclic identities: the first index moved last, times (-1)^{p_first (p_rest)}
     return at[1:] + at[:1], sign(par[at[0]] * sum(par[t] for t in at[1:]))
@@ -338,6 +321,36 @@ def _swapped(u, par, at):
     # super skew in slots u, u + 1: times -(-1)^{p_i p_j}
     i, j = at[u:u + 2]
     return at[:u] + (j, i) + at[u + 2:], -sign(par[i] * par[j])
+
+
+def _mirrored(par, cells):
+    """The cells {index tuple: entry} completed by super skew-symmetry in the first two
+    slots: each unlisted (j, i, ...) is the listed (i, j, ...) times _swapped's sign."""
+    out = dict(cells)
+    for at, entry in cells.items():
+        mirror, s = _swapped(0, par, at)
+        if mirror not in out:
+            out[mirror] = entry if s == 1 else tuple((t, -c) for t, c in entry)
+    return out
+
+
+def _skew(space, st):
+    # x y + (-1)^{xy} y x wherever either product is nonzero, at the tuples whose first two
+    # indices are in order: at (j, i, ...) it is (-1)^{p_i p_j}, -_swapped's sign, times that
+    n, par, cells = space.dim, space.parities, st.cells()
+
+    def sums():
+        for at in {at if at[0] <= at[1] else (at[1], at[0]) + at[2:] for at in cells}:
+            mirror, s = _swapped(0, par, at)
+            acc = list(_dense(cells.get(at, ()), n))
+            for t, c in cells.get(mirror, ()):
+                acc[t] -= s * c
+            yield at, acc
+
+    def swapped(at):
+        mirror, s = _swapped(0, par, at)
+        return mirror, -s
+    return _orbit_witnesses("skew" if st.ARITY == 2 else "triple-skew", space, sums(), (swapped,))
 
 
 def _least(at):

@@ -268,6 +268,15 @@ def test_zero_denominator_exits_2_without_traceback(tmp_path):
     assert done.stderr == "error: line 3, col 18: zero denominator in coefficient '1/0'\n"
 
 
+def test_a_coefficient_past_the_digit_limit_exits_2_at_its_column(tmp_path, capsys):
+    big = tmp_path / "big.alg"
+    big.write_text("name b\neven e1 e2\nbinary [e1,e2] = %s*e1\n" % ("1" * 5000))
+    code, out, err = run(capsys, "check", str(big), "--kind", "lie")
+    assert code == 2 and out == ""
+    assert err == "error: line 3, col 18: coefficient has more than %d digits\n" % (
+        sys.get_int_max_str_digits())
+
+
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader before the child writes a byte

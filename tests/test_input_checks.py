@@ -9,6 +9,8 @@ no row; the Lie re-check of every envelope and the closure check of every
 pair space run on each construction elsewhere.
 """
 
+import sys
+
 import pytest
 
 import superbol as sb
@@ -79,6 +81,9 @@ CASES = [
     # algfile and catalog
     ("file without labels", lambda: sb.parse_algebra("name x\neven\n"), sb.ParseError,
      "line 2, col 5: expected at least one label"),
+    ("coefficient past int's digit limit", lambda: sb.parse_algebra(
+        "even e1 e2\nbinary [e1,e2] = %s*e1\n" % ("1" * 5000)), sb.ParseError,
+     "line 2, col 18: coefficient has more than %d digits" % sys.get_int_max_str_digits()),
     ("label outside the grammar", lambda: sb.serialize_algebra(
         AlgebraDef("x", sb.SuperSpace((0,), ("a-b",)),
                    binary=BinaryStructure.from_products(sb.SuperSpace((0,), ("a-b",)), {}))),
@@ -108,6 +113,11 @@ CASES = [
     # structures
     ("product length", lambda: BinaryStructure.from_products(SPACE, {(0, 1): (1,)}),
      sb.StructureError, "product [e1,e2]: expected 4 coordinates"),
+    ("even square", lambda: BinaryStructure.from_products(SPACE, {(0, 0): (1, 0, 0, 0)}),
+     sb.StructureError, "[e1,e1] must vanish by skew-symmetry"),
+    ("contradicting mirror", lambda: BinaryStructure.from_products(
+        SPACE, {(0, 1): (1, 0, 0, 0), (1, 0): (1, 0, 0, 0)}), sb.StructureError,
+     "[e2,e1] contradicts [e1,e2] under skew-symmetry"),
     ("table shape", lambda: BinaryStructure(SPACE, ((),)), sb.StructureError,
      "binary table must be 4 x 4"),
     ("eval arity", lambda: B.binary.eval(E1), TypeError, "binary product takes 2 arguments"),

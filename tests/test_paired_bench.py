@@ -213,3 +213,22 @@ def test_run_keeps_the_exit_code_of_a_failing_run_py(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit(3)\n")
     assert paired_bench.run(tmp_path, "pairs", 1) == {"exit_code": 3}
+
+
+def test_a_run_py_without_a_result_line_is_a_failed_run_and_the_pairs_go_on(tmp_path):
+    """A run.py that exits 0 but whose last line is plain text, no line at all
+    or JSON that is no object is kept as a failed run of its side, exit code
+    0, and every pair is still run, the other side's results kept."""
+    roots = {side: tmp_path / side for side in ("parent", "change", "empty", "number")}
+    scripts = {"parent": "print('log line')\nprint(%r)\n" % json.dumps(result(1.0)),
+               "change": "print('one plain line')\n", "empty": "", "number": "print(3)\n"}
+    for side, root in roots.items():
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(scripts[side])
+    assert paired_bench.run(roots["empty"], "pairs", 1) == {"exit_code": 0}
+    assert paired_bench.run(roots["number"], "pairs", 1) == {"exit_code": 0}
+    runs = paired_bench.paired(roots, ["pairs"], 1, 2)
+    assert runs == {"parent": [{"pairs": result(1.0)}] * 2,
+                    "change": [{"pairs": {"exit_code": 0}}] * 2}
+    entry = paired_bench.summarize(runs, METRICS)["pairs"]
+    assert entry["failed_runs"] == {"parent": {}, "change": {"1": 0, "2": 0}}

@@ -56,15 +56,15 @@ def _instances():
         sb.CheckReport: [failed, sb.check_axioms(sb.catalog.build("L2_2_2_malcev").algebra, "lie"),
                          sb.check_axioms(B, "bol")],
         sb.PairSpace: [H, sb.ips_space(B), sb.ps_space(B), sb.PairSpace(
-            B, H.basis, H.pivots[::-1], H._brackets[::-1], (1, (), {}))],
+            B, H.basis, H.pivots[::-1], H._brackets[::-1], ({}, {}))],
         sb.PseudoDerivationPair: [pair, sb.PseudoDerivationPair(pair.operator, pair.companion),
                                   H.basis[-1]],
         sb.EnvelopingLieSuperalgebra: [env, sb.enveloping(B),
                                       sb.enveloping(sb.catalog.load("L2_2_2_bol"))],
         sb.Subspace: [sub, sb.span_reduce(space, [space.basis()[3], space.basis()[0]]),
-                      sb.Subspace(space, sub.basis, (), (1, (), {})), sb.whole_space(space)],
+                      sb.Subspace(space, sub.basis, (), ({}, {})), sb.whole_space(space)],
         sb.AffineSubspace: [affine, sb.solve_affine([[2, 2, 0], [0, 1, 1]], [2, 2]),
-                            sb.AffineSubspace(affine.point, affine.directions, (7,), (1, (), {})),
+                            sb.AffineSubspace(affine.point, affine.directions, (7,), ({}, {})),
                             sb.AffineSubspace.empty()],
         sb.BilinearForm: [BETA, sb.killing_ricci(B, "restriction"), sb.killing_form(env.lie)],
         sb.InvariantReport: [sb.check_invariant(B, BETA), sb.check_invariant(

@@ -1,11 +1,15 @@
 import itertools
+import random
 import re
 
 import pytest
 
 import slow_reference
 import superbol as sb
+from superbol import structures
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
+from test_orbits import random_algebra
+from test_reference import from_cells
 
 
 def _nonmalcev():
@@ -218,3 +222,45 @@ def test_classify_matches_the_reference_on_every_basis_span(monkeypatch):
         kinds.add((A.binary is not None, A.ternary is not None))
     assert outcomes == {sb.NOT_CLOSED, sb.SUBSUPERALGEBRA, sb.INVARIANT, sb.IDEAL}
     assert kinds == {(True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_skew_sweeps_evaluate_the_first_two_indices_in_order(monkeypatch, seed):
+    """skew and triple-skew evaluate each tuple whose first two indices are in
+    order, once, where it or its swap has a nonzero product, and hand the
+    swapped copies to the orbit expansion: the reference's witnesses, scalar
+    types included, from every tuple, on super skew tables and on tables whose
+    skew sweeps fail, catalog and random, binary and ternary."""
+    evaluated = []
+    expand = structures._orbit_witnesses
+
+    def counting(axiom, space, defects, moves):
+        defects = list(defects)
+        evaluated.extend((axiom, at) for at, _ in defects)
+        return expand(axiom, space, defects, moves)
+
+    monkeypatch.setattr(structures, "_orbit_witnesses", counting)
+    rng = random.Random(seed)
+    sp = sb.SuperSpace.even_first(2, 1)
+    one_sided = AlgebraDef("one-sided", sp, from_cells(BinaryStructure, sp, {(0, 1): ((0, 1),)}),
+                           from_cells(TernaryStructure, sp, {(2, 0, 2): ((1, 1),)}))
+    algebras = [one_sided] + [e.algebra for e in sb.catalog.entries()] + [
+        random_algebra(rng, rng.randint(1, 6), binary, ternary)
+        for binary in ("random", "skew") for ternary in ("random", "skew")]
+    verdicts = set()
+    for A in algebras:
+        for st, reference in ((A.binary, slow_reference._sweep_binary_skew),
+                              (A.ternary, slow_reference._sweep_ternary_skew)):
+            if st is None:
+                continue
+            evaluated.clear()
+            found = tuple(structures._skew(A.space, st))
+            axiom = "skew" if st.ARITY == 2 else "triple-skew"
+            kept = {at if at[0] <= at[1] else (at[1], at[0]) + at[2:] for at in st.cells()}
+            assert sorted(evaluated) == sorted((axiom, at) for at in kept), (A.name, axiom)
+            slow = tuple(reference(A.space, st.table))
+            assert [(w, [type(c) for c in w.defect.coords]) for w in found] == [
+                (w, [type(c) for c in w.defect.coords]) for w in slow], (A.name, axiom)
+            verdicts.add((axiom, not found))
+    assert verdicts == {("skew", True), ("skew", False),
+                        ("triple-skew", True), ("triple-skew", False)}

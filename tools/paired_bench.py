@@ -17,9 +17,10 @@ metrics, their direction and bound are read from the parent's BENCHMARK.json.
 The output holds every run's end-to-end metrics, each side's median and
 quartiles per workload and metric, how many pairs the change won, and the
 change's median over the parent's.  A run whose run.py exits nonzero (a
-worker died or passed its deadline) is a failed run of its side: it is
-kept as its exit code under `failed_runs`, left out of that side's
-quartiles, and its pair counts for neither side.  A claimed metric is met
+worker died or passed its deadline), or exits 0 without a JSON object as
+its last line, is a failed run of its side: it is kept as its exit code
+under `failed_runs`, left out of that side's quartiles, and its pair
+counts for neither side.  A claimed metric is met
 when the change wins at least nine tenths of the pairs, ties counting for
 neither, its median is better than the parent's by more than the parent's
 interquartile range, every change run of the claimed workload ran and is
@@ -137,14 +138,19 @@ def regressions(end_to_end, seed):
 def run(root, workload, seed):
     """The result object run.py prints last, run from the checkout root
     without writing bytecode, or {"exit_code": code} when run.py exits
-    nonzero: a worker died or passed its deadline."""
+    nonzero (a worker died or passed its deadline) or its last line is no
+    JSON object (code 0 then): a failed run either way."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--trace", "0"],
                           cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True)
-    if proc.returncode:
-        return {"exit_code": proc.returncode}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines, result = proc.stdout.strip().splitlines(), None
+    if lines and not proc.returncode:
+        try:
+            result = json.loads(lines[-1])
+        except ValueError:
+            pass
+    return result if isinstance(result, dict) else {"exit_code": proc.returncode}
 
 
 def paired(roots, workloads, seed, pairs):
