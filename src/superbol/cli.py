@@ -18,6 +18,7 @@ import sys
 
 # `import superbol` has loaded the structures; each command imports the
 # other modules it uses where it runs, so a process loads only those
+from .graded import _text
 from .structures import AxiomError, center, check_axioms, require_axioms
 
 _WITNESS_LIMIT = 8
@@ -62,7 +63,7 @@ def _report_lines(report, lines):
 
 
 def _matrix_lines(labels, gram, lines, indent="  "):
-    cells = [[str(x) for x in row] for row in gram]
+    cells = [[_text(x) for x in row] for row in gram]
     width = max((len(c) for row in cells for c in row), default=1)
     lwidth = max((len(lab) for lab in labels), default=1)
     for lab, row in zip(labels, cells):
@@ -73,7 +74,7 @@ def _matrix_lines(labels, gram, lines, indent="  "):
 def _matrix_facts(name, gram, facts):
     for i, row in enumerate(gram):
         for j, x in enumerate(row):
-            facts["%s[%02d][%02d]" % (name, i, j)] = str(x)
+            facts["%s[%02d][%02d]" % (name, i, j)] = _text(x)
 
 
 def cmd_check(args):

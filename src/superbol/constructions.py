@@ -7,11 +7,10 @@ bad table.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .graded import _exact, _into, rat
-from .structures import AlgebraDef, TernaryStructure, _jacobi_sums, require_axioms
+from .structures import AlgebraDef, TernaryStructure, _jacobi_sums, _mirrored, require_axioms
 
 
 def lie_to_supertriple(L):
@@ -37,17 +36,17 @@ def malcev_to_bol(M):
                        - (-1)^{z(x+y)} [[z,x],y]).
 
     For Lie input the correction terms cancel by the super Jacobi
-    identity and {x,y,z} reduces to [[x,y],z].
+    identity and {x,y,z} reduces to [[x,y],z].  Only i <= j is evaluated:
+    {x,y,z} is super skew in (x, y), and `_mirrored` completes the table.
     """
     require_axioms(M, "malcev")
-    third = Fraction(1, 3)
-    cells = {}
-    every = itertools.product(range(M.space.dim), repeat=3)
-    for at, acc in _jacobi_sums(M.space, M.binary, 2, -1, -1, every):
+    n, third, cells = M.space.dim, Fraction(1, 3), {}
+    kept = ((i, j, k) for i in range(n) for j in range(i, n) for k in range(n))
+    for at, acc in _jacobi_sums(M.space, M.binary, 2, -1, -1, kept):
         entry = tuple((t, rat(third * c)) for t, c in enumerate(acc) if c)
         if entry:
             cells[at] = entry
     out = AlgebraDef("bol(%s)" % M.name, M.space, binary=M.binary,
-                     ternary=TernaryStructure._of(M.space, cells))
+                     ternary=TernaryStructure._of(M.space, _mirrored(M.space.parities, cells)))
     require_axioms(out, "bol")
     return out

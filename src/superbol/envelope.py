@@ -38,7 +38,7 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _
                      _sparse, _unit, _vector, hidden, rat, record, sign)
 from .linalg import _affine, _by_lead, _divided, _kernel, _rref, _span_coordinates, span_reduce
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
-                         Witness, _all_skew, _inner_pairs, _kept, _listed, _mirrored,
+                         Witness, _all_skew, _inner_pairs, _listed, _mirrored,
                          _rule_defects, _structures, _swept, _w_terms, require_axioms)
 
 
@@ -148,7 +148,8 @@ def inner_pair(B, x, y):
 def _basis_inner_pairs(B):
     """_inner_pairs of B, only i <= j once its tables are super skew (the rest are multiples)."""
     reads = ("binary", "ternary")
-    return _kept(_inner_pairs(B.space, *_structures(B, reads)), _all_skew(_swept(B, reads)))
+    pairs, mirror = _inner_pairs(B.space, *_structures(B, reads)), _all_skew(_swept(B, reads))
+    return (p for p in pairs if p[0][0] <= p[0][1] or not mirror)
 
 
 def _bracket_entries(n, E, x, y, s):

@@ -40,6 +40,13 @@ def rat(x):
     return int(f) if f.denominator == 1 else f
 
 
+def _text(c):  # str(c) of an exact scalar, past Python's limit on the digits str converts
+    if c.denominator != 1:
+        return "%s/%s" % (_text(c.numerator), _text(c.denominator))
+    q, r = divmod(abs(c), 10 ** 300)    # the limit is >= 640 digits
+    return "-" * (c < 0) + (_text(q) + str(r).zfill(300) if q else str(r))
+
+
 def _quotient(x, d):
     """The exact quotient of the ints x and d, normalized like `rat`."""
     q, r = divmod(x, d)
@@ -53,7 +60,7 @@ def sign(exponent):
 
 def _sparse(coords):
     """The nonzero (index, coefficient) pairs of a coordinate sequence."""
-    return tuple((t, c) for t, c in enumerate(coords) if c)
+    return tuple((t, c) for t, c in enumerate(coords) if c) if any(coords) else ()
 
 
 def _exact(coords):
@@ -308,7 +315,7 @@ class SuperVector:
             elif c == -1:
                 t = "-" + lab
             else:
-                t = "%s*%s" % (c, lab)
+                t = "%s*%s" % (_text(c), lab)
             terms.append(t)
         if not terms:
             return "0"

@@ -13,13 +13,13 @@ Defect conventions:
 * equational axioms (Malcev, Nambu, product rule, morphism) report
   RHS - LHS.
 
-Nambu and the product rule are the pseudo-derivation rules evaluated on
-the inner pairs: D_{x,y} = [x, y, .] derives the triple product, and
-(D_{x,y}, x.y) the binary one.  The rules are written once, below, for
-this checker, envelope.check_pseudo and the pair-space solvers, on the
-pair layer's one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.
-The inner pairs of the basis are read off the tables by one generator,
-`_inner_pairs`, for this checker, ips_space, ps_space and enveloping.
+Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} =
+[x, y, .] derives the triple product, and (D_{x,y}, x.y) the binary one.  `_rule` writes
+both once (each term's slot and sign from `_terms`) for this checker, check_pseudo and the
+pair solvers, on the one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.  Per pair
+the evaluator joins the pair with an index of the tables by the value in each slot, built
+from `_terms` too, when the cells it would walk, counted first, are fewer than the n^arity
+tuples the rule lists; else, as on dense tables and in the pair solvers, it visits those.
 Each sweep evaluates the least tuple of each symmetry orbit and reports
 the rest as signed copies of its defect D.  The skew sweeps always, only
 i <= j: D(j,i,...) = (-1)^{p_i p_j} D(i,j,...).  The cyclic sums (super and
@@ -29,8 +29,8 @@ object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k;
 Malcev D(j,k,l,i) = (-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k; the
 pseudo-derivation rules by that skew sign in (i, j), as the inner pairs
 are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.
-Once the ternary table's Jacobi sweep finds nothing too (it also runs once
-per structure object), the triple rule's defect F of any homogeneous operator
+Once the ternary table's Jacobi sweep (also run once per structure object)
+finds nothing too, the triple rule's defect F of any homogeneous operator
 obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v)
 = 0.  Of the tuples u <= v only u < v, u <= w are then evaluated; the
 derived ones, u == v or w < u < v, are read off their two partners in the
@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import Counter
 from functools import cached_property, partial
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
@@ -162,6 +163,10 @@ class _Structure(_SparseValue):
             leaves = [entry for block in leaves for entry in block]
         return {at: entry for at, entry in zip(
             itertools.product(range(self.space.dim), repeat=self.ARITY), leaves) if entry}
+
+    @cached_property
+    def _slot_counts(self):  # per m, the cells with e_m in some slot and in the last
+        return Counter(m for c in self.cells() for m in c), Counter(c[-1] for c in self.cells())
 
     @cached_property
     def _skew_witnesses(self):  # the skew sweep, run once per structure object
@@ -465,30 +470,42 @@ def _sweep_ternary_jacobi(space, ts):
     return _orbit_witnesses("triple-jacobi", space, sums(), (partial(_rotated, par),))
 
 
-# the pseudo-derivation rules.  A degree-r pair (P, a) derives the ternary
-# product (the triple rule) and, with its companion, the binary one (the
-# product rule).  Each rule yields (at, terms, w) for the basis tuples `at`
-# some term can reach; the defect RHS - LHS there is the sum of
-# s * x[slot] through view over the three (slot, view, s) in terms, plus w
-# through the pair's w view, x the pair's form above.
+# the pseudo-derivation rules: a degree-r pair (P, a) derives the ternary product (the triple
+# rule) and, with its companion, the binary one (the product rule).  Each yields (at, terms, w)
+# at the tuples some term reaches; the defect RHS - LHS sums s * x[slot] through view over the
+# terms (slot, view, s), and w, the rule's product at at, through the pair's w view.  `_rule`
+# writes both, each term t as `_terms` lays it out, in slot t of its product (`_tables`).
 
 
-def _triple_rule(par, r, ts):
+def _terms(par, at):
+    """Per term t of a rule at its tuple at, (slot, p): it reads x[slot], slot at[t] or, past
+    the last factor, the companion's n, and moves P past at[:t], of parity p."""
+    i, j, k = at if len(at) == 3 else at + (len(par),)
+    return (i, 0), (j, par[i]), (k, par[i] ^ par[j])
+
+
+def _rule(domain, par, r, *structures):
+    sg, binary = (1, sign(r)), structures[0].ARITY == 2
+    v0, v1, v2 = (((st.col, st.entries) if st.ARITY == 2 else (st.first, st.mid, st.entries))[t]
+                  for t, st in enumerate(_tables(structures)))
+    for at in domain:
+        (i, p0), (j, p1), (k, p2) = _terms(par, at)
+        r0, r1 = (v0[j], v1[i]) if binary else (v0[j][k], v1[i][k])
+        yield at, ((i, r0, sg[p0]), (j, r1, sg[p1]), (k, v2[i][j], sg[p2])), r1[j]
+
+
+def _triple_rule(par, r, ts, keep):  # at its tuples where keep holds
     # [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k]
-    E, first, mid, sg = ts.entries, ts.first, ts.mid, (1, sign(r))
-    for at in ts.reach:
-        i, j, k = at
-        yield at, ((i, first[j][k], 1), (j, mid[i][k], sg[par[i]]),
-                   (k, E[i][j], sg[par[i] ^ par[j]])), E[i][j][k]
+    return _rule(filter(keep, ts.reach), par, r, ts)
 
 
-def _product_rule(par, r, bs, ts):
+def _product_rule(par, r, bs, ts, keep):
     # [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j)
-    n, Eb, col, Et, sg = len(par), bs.entries, bs.col, ts.entries, (1, sign(r))
-    for i in range(n):
-        for j in range(n):
-            yield (i, j), ((i, col[j], 1), (j, Eb[i], sg[par[i]]),
-                           (n, Et[i][j], sg[par[i] ^ par[j]])), Eb[i][j]
+    return _rule(filter(keep, itertools.product(range(len(par)), repeat=2)), par, r, bs, ts)
+
+
+def _tables(structures):  # the product term t reads: the rule's own, the ternary for a
+    return (structures[0],) * structures[0].ARITY + structures[1:]
 
 
 # each rule with check_pseudo's name for it and the structures it takes after r
@@ -499,32 +516,87 @@ _RULES = (("derives-triple", _triple_rule, ("ternary",)),
 def _w_terms(m, unit, structures):
     """The w view at e_m as (slot, view, s) terms: -P e_m, plus [a, e_m] for
     the rule that reads the binary product, through which a acts."""
-    if len(structures) == 1:
-        return ((m, unit, -1),)
-    return ((m, unit, -1), (len(unit), structures[0].col[m], 1))
+    return ((m, unit, -1),) + (((len(unit), structures[0].col[m], 1),) if structures[1:] else ())
 
 
-def _w_view(x, structures):
-    """The w view of the pair x, folded: view[m] sums the w terms at e_m."""
-    n = len(x) - 1
-    unit, view = _unit(n), [[0] * n for _ in range(n)]
-    for m, acc in enumerate(view):
-        for slot, rows, s in _w_terms(m, unit, structures):
+def _w_view(x, terms):
+    """The w view of the pair x, folded: view[m] sums the w terms at e_m, terms[m]."""
+    view = [[0] * (len(x) - 1) for _ in terms]
+    for acc, row in zip(view, terms):
+        for slot, rows, s in row:
             _into(acc, x[slot], rows, s)
     return [_sparse(acc) for acc in view]
 
 
-def _rule_defects(space, rule, structures, pairs):
-    """The nonzero defects of one rule on each (key, r, x) of pairs, a
-    degree-r pair with x as above: (key + at, acc) in order, acc dense.
-    The tuples are listed once per degree, the w view folded once per pair."""
-    n, listed = space.dim, {}
+def _ordered(d, at):  # at[0] + d[0] <= at[1] and at[0] + d[1] <= at[2], where at has them
+    return at[0] + d[0] <= at[1] and (len(at) < 3 or at[0] + d[1] <= at[2])
+
+
+def _window(n, d, at, t):
+    """The v < n in slot t of at for which _ordered(d, .) holds: [lo, hi]."""
+    if t == 0:
+        return 0, min([n - 1] + [b - di for b, di in zip(at[1:], d)])
+    return (at[0] + d[t - 1], n - 1) if _ordered(d, at[:t] + (math.inf,) + at[t + 1:]) else (1, 0)
+
+
+def _by_slot(par, structures, d):
+    """The join's index: per m, each cell of term t's product with e_m in slot t as (head, tail,
+    p, entry, lo, hi), the term at (head + (v,) + tail)[:arity] reading x[v], v in [lo, hi]
+    (or the companion's n), P past head of parity p; per m, the kept (at, c) of w's cells."""
+    n, a, index, w = len(par), structures[0].ARITY, [[] for _ in par], [[] for _ in par]
+    for t, st in enumerate(_tables(structures)):
+        for cell, entry in st.cells().items():
+            at = cell[:a]
+            slot, p = _terms(par, at)[t]
+            lo, hi = _window(n, d, at, t) if slot < n else (n, n) if _ordered(d, at) else (1, 0)
+            if lo <= hi:
+                index[cell[t]].append((cell[:t], cell[t + 1:], p, entry, lo, hi))
+    for at, entry in structures[0].cells().items():
+        if _ordered(d, at):
+            for m, c in entry:
+                w[m].append((at, c))
+    return index, w
+
+
+def _joins(x, structures):
+    """Whether the cells the pair's nonzeros reach (per m, `_slot_counts`), plus w's cells, are
+    fewer than n^arity, counted only while they are: dense tables and pairs count next to none."""
+    budget = (len(x) - 1) ** structures[0].ARITY - len(structures[0].cells())
+    if budget > 0 and structures[1:]:
+        budget -= sum(structures[1]._slot_counts[1][m] for m, _ in x[-1])
+    reached = (structures[0]._slot_counts[0][m] for m, _ in itertools.chain.from_iterable(x[:-1]))
+    return budget > 0 and all(c < budget for c in itertools.accumulate(reached))
+
+
+def _joined(a, r, x, view, index):
+    """The rule's defects at one pair at the tuples kept, (at, acc) in order: the sums over
+    the cells its nonzero (v, m, c) reach and those meeting its w view's support."""
+    (terms, w), sg, found, n = index, (1, sign(r)), {}, len(view)
+    reached = [((head + (v,) + tail)[:a], entry, sg[p] * c) for v, row in enumerate(x)
+               for m, c in row for head, tail, p, entry, lo, hi in terms[m] if lo <= v <= hi]
+    for at, row, c in reached + [(at, row, c) for m, row in enumerate(view) if row
+                                 for at, c in w[m]]:
+        acc = found.get(at) or found.setdefault(at, [0] * n)
+        for q, e in row:
+            acc[q] += c * e
+    return sorted((at, acc) for at, acc in found.items() if any(acc))
+
+
+def _rule_defects(space, rule, structures, pairs, order=(-math.inf,) * 2):
+    """The nonzero defects of one rule on each degree-r pair (key, r, x) of pairs at its tuples
+    `_ordered` by order, as (key + at, acc) in order, acc dense: joined if `_joins`, or listed."""
+    n, par, a, listed, index = space.dim, space.parities, structures[0].ARITY, {}, None
+    terms = [_w_terms(m, unit, structures) for unit in [_unit(n)] for m in range(n)]
     for key, r, x in pairs:
         if not any(x):
             continue    # a zero pair derives everything
+        view = _w_view(x, terms)
+        if _joins(x, structures):
+            index = index or _by_slot(par, structures, order)
+            yield from ((key + at, acc) for at, acc in _joined(a, r, x, view, index))
+            continue
         if r not in listed:
-            listed[r] = list(rule(space.parities, r, *structures))
-        view = _w_view(x, structures)
+            listed[r] = list(rule(par, r, *structures, partial(_ordered, order)))
         for at, ((i, vi, si), (j, vj, sj), (k, vk, sk)), w in listed[r]:
             xi, xj, xk = x[i], x[j], x[k]
             if not (w or xi or xj or xk):
@@ -563,11 +635,6 @@ def _all_skew(structures):
     return not any(st._skew_witnesses for st in structures)
 
 
-def _kept(items, mirror):
-    """The items (basis tuple first) with its first two indices in order, if mirror."""
-    return (x for x in items if x[0][0] <= x[0][1]) if mirror else items
-
-
 def _derives(rule, structures):
     """Whether the rule is the triple rule on a table whose skew and ternary Jacobi
     sweeps find nothing: then its derived tuples follow from the rest."""
@@ -581,13 +648,17 @@ def _swept(A, reads):
     return tuple(A._lifted[1][what] for what in reads)
 
 
-def _listed(rule, par, r, *structures):
-    """The rule's (at, terms, w) that a sweep or solver evaluates: the kept ones, of
-    them only u < v, u <= w where the triple rule's derived tuples follow, by the
-    verdicts of the structures listed."""
+def _order(rule, structures):
+    """The offsets d of the rule's tuples at a sweep or solver evaluates, `_ordered(d, at)`:
+    at[0] <= at[1] once the structures are super skew, u < v, u <= w once derived ones follow."""
     if _derives(rule, structures):
-        return (x for x in rule(par, r, *structures) if x[0][0] < x[0][1] and x[0][0] <= x[0][2])
-    return _kept(rule(par, r, *structures), _all_skew(structures))
+        return 1, 0
+    return (0 if _all_skew(structures) else -math.inf), -math.inf
+
+
+def _listed(rule, par, r, *structures):
+    """The rule's (at, terms, w) that a sweep or solver evaluates (`_order`)."""
+    return rule(par, r, *structures, partial(_ordered, _order(rule, structures)))
 
 
 def _with_derived(par, defects):
@@ -613,8 +684,8 @@ def _inner_witnesses(axiom, rule, space, *structures):
     # the rule on every inner pair, mirrored in (i, j) and (u, v) once the
     # structures it reads are super skew, the triple rule derived as above
     par, mirror = space.parities, _all_skew(structures)
-    defects = _rule_defects(space, partial(_listed, rule), structures,
-                            _kept(_inner_pairs(space, *structures), mirror))
+    pairs = (p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror)
+    defects = _rule_defects(space, rule, structures, pairs, _order(rule, structures))
     if _derives(rule, structures):
         defects = _with_derived(par, defects)
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),

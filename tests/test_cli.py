@@ -277,6 +277,30 @@ def test_a_coefficient_past_the_digit_limit_exits_2_at_its_column(tmp_path, caps
         sys.get_int_max_str_digits())
 
 
+def test_a_defect_past_the_digit_limit_exits_1_with_every_digit(tmp_path, capsys):
+    """Two coefficients under the parser's cap multiply into a 6,000-digit
+    defect, past what str converts at once: the check still fails cleanly
+    and prints the whole defect in both formats."""
+    big = tmp_path / "big.alg"
+    big.write_text("name big\neven e1 e2 e3\nbinary [e1,e2] = %s*e3\nbinary [e1,e3] = %s*e1\n"
+                   % ("7" * 3000, "3" * 3000))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(int("7" * 3000) * int("3" * 3000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) > limit
+    code, out, err = run(capsys, "check", str(big), "--kind", "lie")
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL: lie axioms on big\n")
+    assert "  jacobi fails at (e1, e2, e3): defect -%s*e3\n" % digits in out
+    code, out, err = run(capsys, "--format", "machine", "check", str(big), "--kind", "lie")
+    assert (code, err) == (1, "")
+    assert "check.witness[00].defect = -%s*e3\n" % digits in out
+    assert "check.witness.count = 6\n" in out
+
+
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader before the child writes a byte

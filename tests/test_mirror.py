@@ -40,6 +40,7 @@ pairs, and the same point, directions and pivots, with scalar types.
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -217,15 +218,17 @@ def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brac
 @pytest.fixture
 def evaluated(monkeypatch):
     """Per call of the rule evaluator from a sweep: the inner pairs it is
-    given and the rule tuples it lists for each degree."""
+    given and, for each degree, the rule tuples it keeps, those its per-tuple
+    path lists and the only ones its index walk reports."""
     calls = []
     rule_defects = structures._rule_defects
 
-    def recording(space, rule, tables, pairs):
+    def recording(space, rule, tables, pairs, *order):
         pairs = list(pairs)
-        listed = {r: [at for at, _, _ in rule(space.parities, r, *tables)] for r in (0, 1)}
+        kept = partial(structures._ordered, order[0]) if order else (lambda at: True)
+        listed = {r: [at for at, _, _ in rule(space.parities, r, *tables, kept)] for r in (0, 1)}
         calls.append(([key for key, _, _ in pairs], listed))
-        return rule_defects(space, rule, tables, pairs)
+        return rule_defects(space, rule, tables, pairs, *order)
 
     monkeypatch.setattr(structures, "_rule_defects", recording)
     return calls
@@ -237,7 +240,8 @@ RULE_READS = ((structures._triple_rule, ("ternary",)),
 
 def every_tuple(B, rule, reads):
     tables = [getattr(B, what) for what in reads]
-    return {r: [at for at, _, _ in rule(B.space.parities, r, *tables)] for r in (0, 1)}
+    return {r: [at for at, _, _ in rule(B.space.parities, r, *tables, lambda at: True)]
+            for r in (0, 1)}
 
 
 @pytest.mark.parametrize("broken", [None, "binary", "ternary", "jacobi"])

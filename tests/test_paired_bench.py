@@ -129,6 +129,11 @@ def test_failing_change_runs_are_listed_as_regressions_without_a_claim():
         {"workload": "pairs", "metric": "failed", "seed": 1}]
 
 
+def same_case(root, name, seed):
+    """A canned kernel-case run: the same time and report digest on both sides."""
+    return {"cpu_s": 1.0, "digest": "a" * 64}
+
+
 def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, monkeypatch):
     """main() on canned runs: the change is faster on pairs but fails an
     operation there, and its check-sparse peak RSS is past the bound."""
@@ -146,6 +151,7 @@ def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, 
     side_of = {str(root): side for side, root in roots.items()}
     monkeypatch.setattr(paired_bench, "run",
                         lambda root, workload, seed: canned[side_of[str(root)], workload])
+    monkeypatch.setattr(paired_bench, "case_run", same_case)
     out = tmp_path / "bench.json"
     paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "3",
                        "--out", str(out), "--claim", "pairs:wall_s", "--claim-seed", "7"])
@@ -184,6 +190,7 @@ def test_a_run_that_exits_nonzero_is_listed_and_the_other_pairs_are_kept(tmp_pat
         return result({"parent": 1.0, "change": 0.8}[side] + calls[side] / 100)
 
     monkeypatch.setattr(paired_bench, "run", run)
+    monkeypatch.setattr(paired_bench, "case_run", same_case)
     out = tmp_path / "bench.json"
     paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "4",
                        "--out", str(out), "--claim", "pairs:wall_s"])
@@ -232,3 +239,54 @@ def test_a_run_py_without_a_result_line_is_a_failed_run_and_the_pairs_go_on(tmp_
                     "change": [{"pairs": {"exit_code": 0}}] * 2}
     entry = paired_bench.summarize(runs, METRICS)["pairs"]
     assert entry["failed_runs"] == {"parent": {}, "change": {"1": 0, "2": 0}}
+
+
+def test_the_smallest_kernel_case_runs_on_both_sides_of_one_tree():
+    """The lts(osp(1|2) + osp(1|2)) case, three fresh processes per side of this
+    checkout: every run gives a CPU time and the same report digest."""
+    root = Path(__file__).resolve().parents[1]
+    case = paired_bench.kernel_cases({"parent": root, "change": root}, ["check_lts_osp2"], 3)
+    case = case["check_lts_osp2"]
+    assert case["how"] == paired_bench.CASES["check_lts_osp2"][0]
+    assert len(case["parent"]) == len(case["change"]) == 3
+    assert all(t > 0 for t in case["parent"] + case["change"])
+    assert case["parent_min"] == min(case["parent"]) and case["change_min"] == min(case["change"])
+    assert case["change_over_parent_min"] == case["change_min"] / case["parent_min"]
+    assert case["digest"] is not None and len(case["digest"]) == 16
+
+
+def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):
+    """main() writes every case under dense_cases, each run of run k
+    with hash seed k on both sides; a case whose report digest differs between
+    runs has digest None and is listed under regressions."""
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        roots[side].mkdir()
+    (roots["parent"] / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "pairs"}],
+        "end_to_end": [{"name": name, "better": better, "bound": bound}
+                       for name, better, bound in METRICS]}))
+    monkeypatch.setattr(paired_bench, "run", lambda root, workload, seed: result(1.0))
+    seeds = []
+
+    def case_run(root, name, seed):
+        seeds.append((str(root), seed))
+        digest = "b" if name == "check_dense_dim12" and str(root).endswith("change") else "a"
+        return {"cpu_s": 2.0 if str(root).endswith("parent") else 1.0, "digest": digest * 64}
+
+    monkeypatch.setattr(paired_bench, "case_run", case_run)
+    out = tmp_path / "bench.json"
+    paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "1",
+                       "--out", str(out)])
+    report = json.loads(out.read_text())
+    cases = report["dense_cases"]
+    assert list(cases) == list(paired_bench.CASES)
+    assert cases["check_sparse_dim12"]["digest"] == "a" * 16
+    assert cases["check_sparse_dim12"]["change_over_parent_min"] == 0.5
+    assert cases["check_dense_dim12"]["digest"] is None
+    assert report["regressions"] == [{"case": "check_dense_dim12", "metric": "digest"}]
+    runs = paired_bench.CASE_RUNS
+    order = [("parent", "change") if k % 2 else ("change", "parent") for k in range(1, runs + 1)]
+    assert seeds[:2 * runs] == [(str(roots[side]), k) for k, sides in enumerate(order, 1)
+                                for side in sides]

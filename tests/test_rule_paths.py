@@ -1,0 +1,216 @@
+"""The pseudo-derivation rules have two evaluation paths, and they agree.
+
+`structures._rule_defects` evaluates a rule on each pair (P, a) in one of
+two ways.  The join (`_joined`) walks the index of the tables by the value
+in each slot (`_by_slot`) from the pair's nonzero entries, plus the cells
+that meet its w view.  The per-tuple path visits every tuple the rule
+lists.  `_joins` picks one per pair, from how many index entries the pair
+reaches, plus the rule's product's cells for its w view, against the
+n^arity tuples the rule can list.
+
+Both paths must give the same (key + tuple, defect) list, scalar types
+included.  Each path is forced by patching `_joins`, on one input of each
+kind:
+- the sparse ladder, bol(M7 + osp(1|2)) and lts(osp(1|2) + osp(1|2));
+- a dense copy;
+- lifted tables with Fraction constants, L > 1;
+- a binary product whose skew sweep fails, so the product rule mirrors nothing;
+- a ternary product whose Jacobi sweep fails, so Nambu derives nothing.
+On both paths check_axioms and check_pseudo match `slow_reference`, on
+inner pairs and on random and sparse pairs of both degrees.  The sparse
+ladder takes the join and the dense copies take the per-tuple path.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bench_inputs import inputs
+import slow_reference
+import superbol as sb
+from superbol import structures
+from superbol.structures import AlgebraDef
+from test_reference import LIFTED, from_cells, random_pair
+
+RULES = (("nambu", structures._triple_rule, ("ternary",)),
+         ("product-rule", structures._product_rule, ("binary", "ternary")))
+
+
+def dense(A):
+    return inputs.transport(A, inputs.dense_even_map(random.Random(1), A.space), "dense " + A.name)
+
+
+def broken(B, what):
+    """B with one binary constant doubled ("skew": the skew sweep fails), or
+    with [e1, e2, e3] = e1 and its skew mirror added ("jacobi": only the
+    ternary Jacobi sweep fails)."""
+    st = B.binary if what == "skew" else B.ternary
+    cells = dict(st.cells())
+    if what == "skew":
+        at = next(at for at in sorted(cells) if at[0] != at[1])
+        cells[at] = tuple((t, 2 * c) for t, c in cells[at])
+    else:
+        cells[0, 1, 2], cells[1, 0, 2] = ((0, 1),), ((0, -1),)
+    changed = from_cells(type(st), B.space, cells)
+    return AlgebraDef("%s broken %s" % (B.name, what), B.space,
+                      binary=changed if what == "skew" else B.binary,
+                      ternary=B.ternary if what == "skew" else changed)
+
+
+def inner_input():
+    M7, osp = inputs.m7(), inputs.osp12()
+    osp2 = inputs.direct_sum(osp, inputs.osp12("_2"), "osp12+osp12")
+    bol12 = sb.malcev_to_bol(inputs.direct_sum(M7, osp, "M7+osp12"))
+    L231 = sb.catalog.load("L2_3_1_bol")
+    return {"sparse": [bol12, sb.lie_to_supertriple(osp2)],
+            "dense": [dense(sb.malcev_to_bol(osp))],
+            "lifted": [LIFTED[0]],
+            "skew broken": [broken(L231, "skew")],
+            "jacobi broken": [broken(L231, "jacobi")]}
+
+
+INPUTS = inner_input()
+
+
+@pytest.fixture
+def path(monkeypatch):
+    """path(join) forces the join (True) or the per-tuple path (False)."""
+    return lambda join: monkeypatch.setattr(structures, "_joins", lambda *args: join)
+
+
+def typed(acc):
+    return [(type(c), c) for c in acc]
+
+
+def inner_pairs(B, tables):
+    """The inner pairs the Bol check evaluates: i <= j once the tables are super skew."""
+    mirror = structures._all_skew(tables)
+    return [p for p in structures._inner_pairs(B.space, *tables)
+            if p[0][0] <= p[0][1] or not mirror]
+
+
+def sweep_defects(B, rule, reads):
+    """The rule's defects on the inner pairs as the Bol check evaluates them:
+    on the lifted tables, mirrored and derived by the sweeps' verdicts."""
+    tables = structures._swept(B, reads)
+    return [(at, typed(acc)) for at, acc in structures._rule_defects(
+        B.space, rule, tables, inner_pairs(B, tables), structures._order(rule, tables))]
+
+
+def sparse_odd_pair(B):
+    """An odd pair with two operator entries and a Fraction coefficient."""
+    n, par = B.space.dim, B.space.parities
+    odd = [m for m in range(n) if par[m]]
+    even = [m for m in range(n) if not par[m]]
+    rows = [[0] * n for _ in range(n)]
+    rows[odd[0]][even[0]], rows[even[-1]][odd[-1]] = Fraction(2, 3), -1
+    comp = [Fraction(1, 2) if m == odd[-1] else 0 for m in range(n)]
+    return sb.PseudoDerivationPair(sb.GradedMap.from_rows(B.space, 1, rows), B.space.vector(comp))
+
+
+def probe_pairs(B):
+    """Two inner pairs (when B has both products), two random pairs and the
+    sparse odd pair."""
+    rng, basis = random.Random(B.name), B.space.basis()
+    pairs = [random_pair(B, rng) for _ in range(2)]
+    if B.binary is not None:
+        pairs += [sb.inner_pair(B, x, y) for x, y in [(basis[0], basis[1]), (basis[-1], basis[1])]]
+    if B.space.parities.count(1) and B.space.parities.count(0):
+        pairs.append(sparse_odd_pair(B))
+    assert {p.degree for p in pairs} == {0, 1} or not any(B.space.parities)
+    return pairs
+
+
+def pseudo_defects(B, pair):
+    """check_pseudo's defects, of the rules whose structures B has."""
+    return [(axiom, at, typed(acc)) for axiom, rule, reads in structures._RULES
+            if all(getattr(B, what) is not None for what in reads)
+            for at, acc in structures._rule_defects(
+                B.space, rule, structures._structures(B, reads), [((), pair.degree, pair._x())])]
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_both_paths_give_the_same_defects(kind, path):
+    """The same lists, and nonempty ones to compare: the broken inputs fail in
+    the sweeps, and every input has a probe pair that fails."""
+    for B in INPUTS[kind]:
+        found = []
+        for axiom, rule, reads in RULES:
+            if B.binary is None and "binary" in reads:
+                continue
+            path(True)
+            joined = sweep_defects(B, rule, reads)
+            path(False)
+            assert sweep_defects(B, rule, reads) == joined, (B.name, axiom)
+            found += joined
+        assert bool(found) == kind.endswith("broken"), B.name
+        for pair in probe_pairs(B):
+            path(True)
+            joined = pseudo_defects(B, pair)
+            path(False)
+            assert pseudo_defects(B, pair) == joined, (B.name, str(pair))
+            found += joined
+        assert found, B.name
+
+
+def test_the_inputs_fail_where_they_should():
+    """Each input exercises what it is named for: the broken ones fail their
+    identities, with witnesses to compare, and mirror or derive nothing."""
+    for B in INPUTS["sparse"] + INPUTS["dense"] + INPUTS["lifted"]:
+        kind = "bol" if B.binary is not None else "lts"
+        assert sb.check_axioms(B.renamed("fresh"), kind).passed, B.name
+    assert LIFTED[0]._lifted[0] > 1
+    (skew,), (jacobi,) = INPUTS["skew broken"], INPUTS["jacobi broken"]
+    assert skew.binary._skew_witnesses and not skew.ternary._skew_witnesses
+    assert jacobi.ternary._jacobi_witnesses and not jacobi.ternary._skew_witnesses
+    for B in (skew, jacobi):
+        axioms = {w.axiom for w in sb.check_axioms(B.renamed("fresh"), "bol").witnesses}
+        assert {"nambu", "product-rule"} & axioms, B.name
+
+
+@pytest.mark.parametrize("join", [True, False])
+def test_checks_on_both_paths_match_the_reference(join, path):
+    path(join)
+    for B in [A for group in INPUTS.values() for A in group]:
+        kind = "bol" if B.binary is not None else "lie_supertriple"
+        fresh = B.renamed(B.name)
+        fast, slow = sb.check_axioms(fresh, kind), slow_reference.check_axioms(B, kind)
+        assert fast == slow, (B.name, join)
+        assert [(w.axiom, w.at, typed(w.defect.coords)) for w in fast.witnesses] == \
+            [(w.axiom, w.at, typed(w.defect.coords)) for w in slow.witnesses], (B.name, join)
+        if B.binary is None:
+            continue
+        for pair in probe_pairs(B):
+            fast, slow = sb.check_pseudo(B, pair), slow_reference.check_pseudo(B, pair)
+            assert fast == slow, (B.name, str(pair), join)
+            assert [typed(w.defect.coords) for w in fast.witnesses] == \
+                [typed(w.defect.coords) for w in slow.witnesses]
+
+
+def test_an_odd_sparse_pair_that_fails_is_joined_and_matches_the_reference():
+    """The sparse odd pair is no inner pair and fails both rules; on bol(M7 +
+    osp(1|2)) it takes the join, whose Koszul signs its odd entries test."""
+    B = INPUTS["sparse"][0]
+    pair = sparse_odd_pair(B)
+    assert structures._joins(pair._x(), structures._structures(B, ("ternary",)))
+    report = sb.check_pseudo(B, pair)
+    assert {w.axiom for w in report.witnesses} == {"derives-triple", "derives-product"}
+    assert report == slow_reference.check_pseudo(B, pair)
+
+
+def chosen(B, reads):
+    """Per nonzero inner pair the Bol check evaluates, whether it is joined."""
+    tables = structures._swept(B, reads)
+    return [structures._joins(x, tables) for _, _, x in inner_pairs(B, tables) if any(x)]
+
+
+def test_the_sparse_ladder_is_joined_and_dense_copies_visit_tuples():
+    bol12, lts = INPUTS["sparse"]
+    bol_m7 = sb.malcev_to_bol(inputs.m7())
+    for B, reads in ((bol12, ("ternary",)), (bol12, ("binary", "ternary")),
+                     (lts, ("ternary",)), (bol_m7, ("ternary",))):
+        assert all(chosen(B, reads)), (B.name, reads)
+    for B in INPUTS["dense"] + [dense(bol_m7)]:
+        for _, _, reads in RULES:
+            assert not any(chosen(B, reads)), (B.name, reads)

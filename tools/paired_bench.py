@@ -32,7 +32,15 @@ operations than the parent, claimed or not.
 With --claim-seed the claimed workload is also run for N pairs at
 that seed (one not used while writing the change), written as
 `end_to_end_seedN` and `runs_seedN`, and the claim must be met at both
-seeds.  Only the standard library is used.
+seeds.
+
+Each kernel case in CASES is timed too, written under `dense_cases`:
+CASE_RUNS fresh processes per side, the min taken, the parent first in
+odd-numbered runs, each building its input from perfbench/inputs.py and
+timing one check_axioms call in CPU seconds.  A case's digest is a
+prefix of the sha256 of the report's repr; it must be the same in every
+run of both sides, or the case is listed under `regressions` with the
+metric "digest".  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -140,9 +148,12 @@ def run(root, workload, seed):
     without writing bytecode, or {"exit_code": code} when run.py exits
     nonzero (a worker died or passed its deadline) or its last line is no
     JSON object (code 0 then): a failed run either way."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--trace", "0"],
-                          cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    return _result([sys.executable, "perfbench/run.py", "--workload", workload,
+                    "--seed", str(seed), "--trace", "0"], root)
+
+
+def _result(argv, root, **env):
+    proc = subprocess.run(argv, cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **env),
                           capture_output=True, text=True)
     lines, result = proc.stdout.strip().splitlines(), None
     if lines and not proc.returncode:
@@ -151,6 +162,92 @@ def run(root, workload, seed):
         except ValueError:
             pass
     return result if isinstance(result, dict) else {"exit_code": proc.returncode}
+
+
+# the kernel cases: name -> (what is timed, the input B as an expression over
+# perfbench/inputs.py, the kind check_axioms(B, kind) checks).  M7 and
+# osp(1|2) are built from inputs.py until the catalog has them; every input
+# is a fresh object, so no sweep of it has run before the timed call.
+CASES = {
+    "check_sparse_dim12": (
+        "check_axioms(B, 'bol'), B = malcev_to_bol(M7 + osp(1|2)) (dim 12) under a signed "
+        "permutation: the largest Bol check of the sparse ladder",
+        "inputs.permute(constructions.malcev_to_bol(inputs.direct_sum(inputs.m7(), "
+        "inputs.osp12(), 'M7+osp12')), *inputs.signed_permutation(random.Random(1), 12))",
+        "bol"),
+    "check_lts_osp2": (
+        "check_axioms(B, 'lts'), B = lie_to_supertriple(osp(1|2) + osp(1|2)) (dim 10) under a "
+        "signed permutation",
+        "inputs.permute(constructions.lie_to_supertriple(inputs.direct_sum(inputs.osp12(), "
+        "inputs.osp12('_2'), 'osp12+osp12')), *inputs.signed_permutation(random.Random(1), 10))",
+        "lts"),
+    "check_dense_bol_m7": (
+        "check_axioms(D, 'bol'), D = inputs.transport(malcev_to_bol(M7), "
+        "dense_even_map(random.Random(1), space)) (dim 7)",
+        "dense(constructions.malcev_to_bol(inputs.m7()))", "bol"),
+    "check_dense_dim12": (
+        "check_axioms(D, 'bol'), D = inputs.transport(malcev_to_bol(M7 + osp(1|2)), "
+        "dense_even_map(random.Random(1), space)) (dim 12)",
+        "dense(constructions.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "
+        "'M7+osp12')))", "bol"),
+}
+
+# fresh processes per side and case: single runs of the dense bol(M7) case spread
+# from 13.7 to 21.3 ms on a shared 2-vCPU machine
+CASE_RUNS = 7
+
+CASE_SCRIPT = """
+import hashlib, json, random, sys, time
+sys.path[:0] = ["src", "perfbench"]
+import inputs
+from superbol import constructions, structures
+
+
+def dense(A):
+    return inputs.transport(A, inputs.dense_even_map(random.Random(1), A.space), "dense " + A.name)
+
+
+B = %s
+start = time.process_time()
+report = structures.check_axioms(B, %r)
+cpu_s = time.process_time() - start
+print(json.dumps({"cpu_s": cpu_s, "digest": hashlib.sha256(repr(report).encode()).hexdigest()}))
+"""
+
+
+def case_run(root, name, hash_seed):
+    """{"cpu_s", "digest"} of one run of a kernel case, in a fresh process from
+    the checkout root without writing bytecode, or {"exit_code": code}."""
+    _, source, kind = CASES[name]
+    return _result([sys.executable, "-c", CASE_SCRIPT % (source, kind)], root,
+                   PYTHONHASHSEED=str(hash_seed))
+
+
+def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
+    """{case: {how, parent, change, parent_min, change_min, change_over_parent_min,
+    digest}}: each case run `runs` times per side, the parent first in odd-numbered
+    runs, and run k of both sides with PYTHONHASHSEED=k, as perfbench's workers fix
+    theirs, so the sides compare on the same dict layouts; parent and change list the
+    CPU seconds of each run, None for a failed one, and digest is None unless every
+    run of both sides gave the same report."""
+    out = {}
+    for name in names:
+        results = {"parent": [], "change": []}
+        for k in range(1, runs + 1):
+            for side in ("parent", "change") if k % 2 else ("change", "parent"):
+                results[side].append(case_run(roots[side], name, k))
+        times = {side: [r.get("cpu_s") for r in rs] for side, rs in results.items()}
+        mins = {side: min((t for t in ts if t is not None), default=None)
+                for side, ts in times.items()}
+        digests = {r.get("digest") for rs in results.values() for r in rs}
+        out[name] = {"how": CASES[name][0], **times, "parent_min": mins["parent"],
+                     "change_min": mins["change"],
+                     "change_over_parent_min": mins["change"] / mins["parent"]
+                     if None not in mins.values() else None,
+                     "digest": digests.pop()[:16] if len(digests) == 1 and None not in digests
+                     else None}
+        print("case %s done" % name, file=sys.stderr, flush=True)
+    return out
 
 
 def paired(roots, workloads, seed, pairs):
@@ -217,6 +314,10 @@ def main(argv=None):
             side: {str(k): {w: {name: r["metrics"][name]["value"] for name, _, _ in metrics}
                             if "metrics" in r else r for w, r in pair.items()}
                    for k, pair in enumerate(runs[side], 1)} for side in runs}
+    report["dense_cases"] = kernel_cases(roots)
+    report["regressions"] += [{"case": name, "metric": "digest"}
+                              for name, case in report["dense_cases"].items()
+                              if case["digest"] is None]
     if claimed:
         workload, metric = claimed
         direction = next(d for name, d, _ in metrics if name == metric)
