@@ -26,7 +26,8 @@ i <= j: D(j,i,...) = (-1)^{p_i p_j} D(i,j,...).  The cyclic sums (super and
 ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)} D(i,j,k).  Once the
 skew sweeps of the tables read find nothing (each runs once per structure
 object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k;
-Malcev D(j,k,l,i) = (-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k; the
+Malcev D(j,k,l,i) = (-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k, so
+its loops keep i <= j, k, l and, where i repeats, the least rotation; the
 pseudo-derivation rules by that skew sign in (i, j), as the inner pairs
 are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.
 Once the ternary table's Jacobi sweep (also run once per structure object)
@@ -38,6 +39,13 @@ Nambu sweep ((a, a, a) is 0), and their rows, combinations of kept rows,
 are not listed in the pair-space solvers.  A table listed by its kept half,
 i <= j (from_products, the .alg parser, enveloping algebras and pair
 brackets), is completed by one routine, `_mirrored`.
+
+The Malcev sweep visits no tuple.  Each of its five terms is an inner
+product from `_products`, (e_i e_j) e_k, e_i (e_k e_l) or (e_i e_k) e_b, times
+one more basis vector: it walks from the inner product's support to the
+nonzero cells there and adds into the tuple each such path reaches.  The
+work is the paths, on sparse and dense tables alike, and a tuple no path
+reaches, whose defect is 0, is not evaluated.
 
 The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
@@ -57,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, partial
 
@@ -404,55 +411,81 @@ def _sweep_super_jacobi(space, bs):
     return _orbit_witnesses("jacobi", space, _jacobi_sums(space, bs, 1, 1, 1, reps), moves)
 
 
-def _sweep_malcev(space, bs):
-    # RHS - LHS wherever a term can be nonzero; once the product is super skew it
-    # is cyclic in the four arguments: only tuples least among their rotations
-    n, par, mirror = space.dim, space.parities, _all_skew((bs,))
-    E, col = bs.entries, bs.col
-    every, none = range(n), ((),) * n
-    # right[a][b][c] = [[e_a, e_b], e_c] and left[b][c][a] = [e_a, [e_b, e_c]],
-    # built only where the inner product is nonzero
-    right = [[[_sparse(_into([0] * n, E[a][b], col[c])) for c in every] if E[a][b] else none
-              for b in every] for a in every]
-    left = [[[_sparse(_into([0] * n, E[b][c], E[a])) for a in every] if E[b][c] else none
-             for c in every] for b in every]
-    # a term at (i, j, k, l) needs e_i e_j, e_j e_k, e_k e_l, e_i e_l or
-    # both e_i e_k and e_j e_l nonzero.  So when e_i e_j and the row of e_i
-    # vanish, k lies in the support of e_j's row or has a nonzero row; when
-    # e_i e_j, e_j e_k and e_i e_k vanish, l lies in the support of row k or i
-    supp = [{b for b in every if E[a][b]} for a in every]
-    busy = {k for k in every if supp[k]}
-    ks_after = [sorted(supp[j] | busy) for j in every]
-    ls_after = [[sorted(supp[k] | supp[i]) for i in every] for k in every]
+def _products(vec, cells, n):
+    """{x: vec times e_x} where nonzero, sparse, with cells[m] the nonzero (x, e_m e_x) of row
+    m; with those (x, e_x e_m) of column m, {x: e_x times vec}."""
+    out = {}
+    for m, c in vec:
+        for x, e in cells[m]:
+            acc = out.get(x) or out.setdefault(x, [0] * n)
+            for t, d in e:
+                acc[t] += c * d
+    return {x: vec for x, acc in out.items() if (vec := _sparse(acc))}
 
-    def defects():
-        for i in every:
-            lo = i if mirror else 0     # a representative starts at its least index
-            for j in range(lo, n):
-                pj, right_ij, right_i = par[j], right[i][j], right[i]
-                wide = bool(E[i][j])
-                ks = ks_after[j]
-                for k in range(lo, n) if wide or supp[i] else ks[bisect_left(ks, lo):]:
-                    pk, ik, ijk = par[k], E[i][k], right_ij[k]
-                    right_jk, left_k, ls = right[j][k], left[k], ls_after[k][i]
-                    for l in range(lo, n) if wide or ik or E[j][k] else ls[bisect_left(ls, lo):]:
-                        pl = par[l]
-                        jkl, ikl, ilj = right_jk[l], left_k[l][i], right_i[l][j]
-                        if not (ijk or jkl or ikl or ilj or (ik and E[j][l])):
-                            continue
-                        if mirror and i in (j, k, l) and not _least((i, j, k, l)):
-                            continue
-                        acc = [0] * n
-                        s = sign(pj * pk)
-                        for a, c in ik:
-                            _into(acc, E[j][l], E[a], s * c)
-                        _into(acc, ijk, col[l], -1)
-                        _into(acc, jkl, E[i])
-                        _into(acc, ikl, col[j], sign(pj * (pk + pl)))
-                        _into(acc, ilj, col[k], sign(pl * (pj + pk)))
-                        yield (i, j, k, l), acc
-    return _orbit_witnesses("malcev", space, defects(),
-                            (partial(_rotated, par),) if mirror else ())
+
+def _sweep_malcev(space, bs):
+    """RHS - LHS of the Malcev identity, s = (-1)^{jk}, s4 = (-1)^{j(k+l)}, s5 = (-1)^{l(j+k)}:
+    D = s (e_i e_k)(e_j e_l) - ((e_i e_j) e_k) e_l + e_i ((e_j e_k) e_l)
+        + s4 (e_i (e_k e_l)) e_j + s5 ((e_i e_l) e_j) e_k.
+    No tuple is visited: each term's inner product, from `_products`, meets each nonzero
+    cell on its support, and the path adds into the tuple it reaches.  Once the product is
+    super skew D is cyclic: the loops keep i <= j, k, l, and a tuple with i repeated is kept
+    when least among its rotations, one per orbit."""
+    n, par, mirror = space.dim, space.parities, _all_skew((bs,))
+    cells = bs.cells()
+    rows = [[(b, e) for b, e in enumerate(row) if e] for row in bs.entries]
+    cols = [[(a, e) for a, e in enumerate(row) if e] for row in bs.col]
+    # right[a, b][c] = (e_a e_b) e_c and left[a, b][c] = e_c (e_a e_b)
+    right = {at: _products(entry, rows, n) for at, entry in cells.items()}
+    left = {at: _products(entry, cols, n) for at, entry in cells.items()}
+    found = {}
+    for (i, k), rik in right.items():
+        lo = i if mirror else 0
+        if k < lo:
+            continue
+        for j in range(lo, n):  # s (e_i e_k)(e_j e_l): s d (e_i e_k) e_b, (b, d) of e_j e_l
+            s = sign(par[j] * par[k])
+            for l, ejl in rows[j]:
+                for b, d in ejl if l >= lo else ():
+                    if b in rik:
+                        acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
+                        for t, c in rik[b]:
+                            acc[t] += s * d * c
+        for y, vec in rik.items():  # -((e_i e_k) e_y) e_f at (i, k, y, f); s5 times at (i, y, f, k)
+            for b, d in vec if y >= lo else ():
+                for f, e in rows[b]:
+                    if f >= lo:
+                        two = found.get((i, k, y, f)) or found.setdefault((i, k, y, f), [0] * n)
+                        five = found.get((i, y, f, k)) or found.setdefault((i, y, f, k), [0] * n)
+                        s = sign(par[k] * (par[y] + par[f])) * d
+                        for t, c in e:
+                            two[t] -= d * c
+                            five[t] += s * c
+    for (j, k), rjk in right.items():  # e_i ((e_j e_k) e_l)
+        for l, vec in rjk.items():
+            hi = min(j, k, l) if mirror else n
+            for b, d in vec:
+                for i, e in cols[b]:
+                    if i <= hi:
+                        acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
+                        for t, c in e:
+                            acc[t] += d * c
+    for (k, l), lkl in left.items():  # s4 (e_i (e_k e_l)) e_j
+        for i, vec in lkl.items():
+            lo = i if mirror else 0
+            for b, d in vec if lo <= min(k, l) else ():
+                for j, e in rows[b]:
+                    if j >= lo:
+                        acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
+                        s = sign(par[j] * (par[k] + par[l])) * d
+                        for t, c in e:
+                            acc[t] += s * c
+    # one per orbit: with i least, `_least` is this rule, as a rotation to a later i is less
+    # when that i is l (unless all four are), or is k and l < j, and never when it is j
+    return _orbit_witnesses("malcev", space, (
+        ((i, j, k, l), acc) for (i, j, k, l), acc in found.items()
+        if not mirror or (l != i or i == j == k) and (k != i or j <= l)),
+        (partial(_rotated, par),) if mirror else ())
 
 
 def _sweep_ternary_jacobi(space, ts):

@@ -1,0 +1,111 @@
+"""The Malcev sweep walks paths of nonzero cells and equals the reference.
+
+`structures._sweep_malcev` visits no 4-tuple: each of the five terms of the
+Malcev defect is a join of an inner product with the nonzero cells on its
+support, added into the tuple the path reaches, and once the product is super
+skew only i <= j, k, l, least among its rotations, is kept.  Its reports must
+equal `slow_reference`'s, which evaluates every tuple: the same witnesses
+(axiom, tuple, defect with its scalar types) in the same order.  The tuples
+it evaluates must be those `test_orbits.malcev_reach` finds, one per
+rotation orbit where the skew sweep passes.  Seeded inputs run until each
+kind below has been seen:
+
+* sparse random tables and dense re-basings of them;
+* products whose skew sweep passes (mirrored witnesses) and fails;
+* witnesses at tuples with an odd index and with even ones only;
+* Fraction constants, so the lift L > 1 runs, and integer ones;
+* tables that pass (2-step nilpotent products, re-based catalog Malcev
+  algebras) and fail;
+* a reached tuple (x, x, x, x) of one odd x on a skew product, the one
+  orbit of one tuple whose representative repeats i at l.
+
+A mutant that drops the sign s4 or s5 of a term must fail that comparison.
+"""
+
+import inspect
+import random
+
+import pytest
+
+import slow_reference
+import superbol as sb
+from superbol import structures
+from test_mirror import skew_mutant
+from test_orbits import M7, OSP, evaluated, malcev_reach, random_algebra, representative
+from test_reference import POOL, even_map, transport, typed
+
+MALCEV = [A for A in POOL if A.binary is not None and sb.check_axioms(A, "malcev").passed]
+
+
+def draw(seed):
+    """(algebra, dense) for one seed: a random table of dimension 1 to 6, a
+    skew mutant of M7, osp(1|2) or a catalog Malcev algebra, or a catalog
+    Malcev algebra as it is; every other seed re-based through a dense even map."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind < 2:
+        A = random_algebra(rng, rng.randint(1, 6), ("random", "skew", "nilpotent")[seed % 3], None)
+    elif kind == 2:
+        A = skew_mutant(rng.choice([M7, OSP] + MALCEV), rng)
+    else:
+        A = rng.choice(MALCEV)
+    dense = seed % 8 >= 4 and A.space.dim <= 5
+    return (transport(A, even_map(A.space, rng)) if dense else A), dense
+
+
+def features(A, report):
+    """What an input exercises, as (what, value) pairs: its skew verdict, whether
+    it is lifted, its Malcev verdict and whether a Malcev witness has an odd index."""
+    index, par = A.space.index_of, A.space.parities
+    odd = {any(par[index(label)] for label in w.at) for w in report.witnesses
+           if w.axiom == "malcev"}
+    return ({("skew", not A.binary._skew_witnesses), ("lifted", A._lifted[0] > 1),
+             ("passed", report.passed)} | {("odd", o) for o in odd})
+
+
+def assert_same(A):
+    fast = sb.check_axioms(A.renamed(A.name), "malcev")
+    slow = slow_reference.check_axioms(A, "malcev")
+    assert fast == slow, A.name
+    assert typed(fast) == typed(slow), A.name
+    return fast
+
+
+def test_the_join_matches_the_reference_on_every_kind_of_table(evaluated):
+    wanted = {(what, value, dense) for what in ("skew", "lifted", "passed", "odd")
+              for value in (False, True) for dense in (False, True)} | {"odd constant"}
+    seen, seed = set(), 0
+    while not (seen >= wanted and seed >= 80):
+        assert seed < 800, wanted - seen
+        A, dense = draw(seed)
+        seed += 1
+        seen |= {f + (dense,) for f in features(A, assert_same(A))}
+        skew, par = not A.binary._skew_witnesses, A.space.parities
+        kept = sorted(at for at in malcev_reach(A) if not skew or at == representative(at, False))
+        assert evaluated["malcev"] == kept, A.name
+        if skew and any(len(set(at)) == 1 and par[at[0]] for at in kept):
+            seen.add("odd constant")
+
+
+def mutant(monkeypatch, sign_of):
+    """Put in the Malcev sweep a copy of _sweep_malcev whose sign `sign_of`
+    is dropped: the term is added with the coefficient d alone."""
+    source = inspect.getsource(structures._sweep_malcev)
+    dropped = source.replace("s = %s * d" % sign_of, "s = d")
+    assert dropped != source
+    namespace = dict(vars(structures))
+    exec(compile(dropped, structures.__file__, "exec"), namespace)
+    monkeypatch.setitem(structures._SWEEPS, "malcev",
+                        (namespace["_sweep_malcev"],) + structures._SWEEPS["malcev"][1:])
+
+
+@pytest.mark.parametrize("sign_of", ["sign(par[j] * (par[k] + par[l]))",
+                                     "sign(par[k] * (par[y] + par[f]))"], ids=["s4", "s5"])
+def test_a_sweep_that_drops_a_sign_fails_the_comparison(monkeypatch, sign_of):
+    mutant(monkeypatch, sign_of)
+    for seed in range(400):
+        A, _ = draw(seed)
+        if sb.check_axioms(A.renamed(A.name), "malcev") != \
+                slow_reference.check_axioms(A, "malcev"):
+            return
+    pytest.fail("no input tells the mutant from the reference")

@@ -18,9 +18,11 @@ product passes Lie and Malcev), integer or with Fraction constants; dense
 re-basings of the small catalog and derived algebras; and
 `test_mirror.skew_mutant`s of Lie, Malcev and Bol algebras, whose skew
 sweeps pass while Jacobi, Malcev or ternary Jacobi fail, so mirrored
-witnesses are emitted.  Counting tests hold the number of tuples each
-sweep evaluates to orbit counts, and to the full count where the skew
-sweep fails.
+witnesses are emitted.  Counting tests hold the tuples each sweep
+evaluates to orbit representatives, one per orbit, and where the skew sweep
+fails to the full set.  Super Jacobi evaluates every orbit where a term can
+be nonzero; Malcev only those a path of nonzero products reaches, found
+here tuple by tuple (`malcev_reach`).
 
 ips_space builds a pair only for a nonzero inner pair (e_i, e_j), and only
 for i <= j once both tables are super skew; its basis, pivots and brackets
@@ -209,79 +211,105 @@ def test_skew_mutants_match_the_reference_with_mirrored_witnesses():
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """(axiom, number of tuples evaluated) per sweep: the defects each sweep
+    """{axiom: the tuples evaluated, sorted} per sweep: the defects each sweep
     hands to the orbit expansion, one per tuple its evaluation visited."""
-    counts = []
+    tuples = {}
     expand = structures._orbit_witnesses
 
-    def counting(axiom, space, defects, moves):
+    def recording(axiom, space, defects, moves):
         defects = list(defects)
-        counts.append((axiom, len(defects)))
+        tuples[axiom] = sorted(at for at, _ in defects)
         return expand(axiom, space, defects, moves)
 
-    monkeypatch.setattr(structures, "_orbit_witnesses", counting)
-    return counts
+    monkeypatch.setattr(structures, "_orbit_witnesses", recording)
+    return tuples
 
 
 def envelope_of_bol_m7():
     return sb.enveloping(sb.malcev_to_bol(M7)).lie
 
 
-def sweep_counts(A, evaluated):
+def sweep_tuples(A, evaluated):
     evaluated.clear()
     for kind in ("lie", "malcev"):
         sb.check_axioms(A.renamed("fresh " + A.name), kind)
     return dict(evaluated)
 
 
-# jacobi triples and Malcev 4-tuples evaluated on skew products.  M7: e_i e_j
-# is nonzero exactly when i != j, so only the 7 constant tuples are skipped,
-# of C(9, 3) = 84 sorted triples and (7^4 + 7^2 + 2 * 7) / 4 = 616 Malcev
-# orbits.  osp(1|2) (h, e, f even, x, y odd): of C(7, 3) = 35 sorted triples
-# hhh, eee, fff, eex and ffy have no nonzero product; 144 of the 165 Malcev
-# orbits have a term that can be nonzero.  The dim-28 envelope of bol(M7):
-# 3192 of C(30, 3) = 4060 triples and 88,116 of the 153,874 Malcev orbits.
-ORBIT_COUNTS = [(lambda: M7, 77, 609), (lambda: OSP, 30, 144),
-                (envelope_of_bol_m7, 3192, 88116)]
+def malcev_reach(A):
+    """The 4-tuples (i, j, k, l) where a term of the Malcev defect has a path of
+    nonzero products: a nonzero inner product ((e_i e_j) e_k, e_i (e_k e_l),
+    or e_i e_k times some e_b of e_j e_l) and a nonzero product of it with the
+    remaining basis vector, found tuple by tuple from the dense table through
+    bit masks of supports."""
+    n, table, every = A.space.dim, A.binary.table, range(A.space.dim)
+
+    def mask(vec):
+        return sum(1 << t for t, c in enumerate(vec) if c)
+
+    rows = [mask([any(table[a][b]) for b in every]) for a in every]  # b: e_a e_b != 0
+    cols = [mask([any(table[a][b]) for a in every]) for b in every]  # a: e_a e_b != 0
+    cell = [[mask(table[a][b]) for b in every] for a in every]
+    right = [[[mask(slow_reference._bv(table, table[a][b], c, n)) for c in every]
+              for b in every] for a in every]                       # (e_a e_b) e_c
+    left = [[[mask(slow_reference._vb(table, a, table[b][c], n)) for c in every]
+             for b in every] for a in every]                        # e_a (e_b e_c)
+    times = [[mask(right[a][b]) for b in every] for a in every]     # c: (e_a e_b) e_c != 0
+    return {(i, j, k, l) for i, j, k, l in itertools.product(every, repeat=4)
+            if times[i][k] & cell[j][l] or right[i][j][k] & cols[l]
+            or right[j][k][l] & rows[i] or left[i][k][l] & cols[j] or right[i][l][j] & cols[k]}
 
 
-@pytest.mark.parametrize("build, triples, quadruples", ORBIT_COUNTS)
-def test_skew_products_evaluate_one_tuple_per_orbit(evaluated, build, triples, quadruples):
+# jacobi triples evaluated on skew products.  M7: e_i e_j is nonzero exactly
+# when i != j, so only the 7 constant tuples are skipped, of C(9, 3) = 84
+# sorted triples.  osp(1|2) (h, e, f even, x, y odd): of C(7, 3) = 35 sorted
+# triples hhh, eee, fff, eex and ffy have no nonzero product.  The dim-28
+# envelope of bol(M7): 3192 of C(30, 3) = 4060 triples.  Malcev evaluates the
+# representatives malcev_reach finds: 525 of M7's (7^4 + 7^2 + 2 * 7) / 4 =
+# 616 orbits, 98 of osp(1|2)'s 165 and 30,240 of the envelope's 153,874.
+ORBIT_COUNTS = [pytest.param(lambda: M7, 77, id="M7"), pytest.param(lambda: OSP, 30, id="osp12"),
+                pytest.param(envelope_of_bol_m7, 3192, id="envelope_of_bol_m7")]
+
+
+@pytest.mark.parametrize("build, triples", ORBIT_COUNTS)
+def test_skew_products_evaluate_one_tuple_per_orbit(evaluated, build, triples):
+    """Malcev evaluates exactly the reached tuples that are least among their
+    rotations, each once: at most one per orbit."""
     A = build()
     assert not A.binary._skew_witnesses
-    assert sweep_counts(A, evaluated) == {"jacobi": triples, "malcev": quadruples}
+    tuples = sweep_tuples(A, evaluated)
+    assert len(tuples["jacobi"]) == triples
+    assert tuples["malcev"] == sorted(at for at in malcev_reach(A)
+                                      if at == representative(at, False))
 
 
-@pytest.mark.parametrize("build, triples, quadruples", ORBIT_COUNTS[:2])
-def test_the_counts_are_the_orbits_of_the_full_evaluation(monkeypatch, build, triples,
-                                                          quadruples):
-    """With the skew verdict withheld, the tuples evaluated fall into as many
-    orbits as the counts above."""
-    A, visited = build(), {}
-    expand = structures._orbit_witnesses
-
-    def recording(axiom, space, defects, moves):
-        defects = list(defects)
-        visited[axiom] = {at for at, _ in defects}
-        return expand(axiom, space, defects, moves)
-
+@pytest.mark.parametrize("build, triples", ORBIT_COUNTS[:2])
+def test_the_counts_are_the_orbits_of_the_full_evaluation(monkeypatch, evaluated, build,
+                                                          triples):
+    """With the skew verdict withheld, every reached tuple is evaluated, and
+    they fall into as many orbits as are evaluated above."""
+    A = build()
     monkeypatch.setattr(structures, "_all_skew", lambda tables: False)
-    monkeypatch.setattr(structures, "_orbit_witnesses", recording)
-    for kind in ("lie", "malcev"):
-        sb.check_axioms(A.renamed("unmirrored " + A.name), kind)
-    assert len({tuple(sorted(at)) for at in visited["jacobi"]}) == triples
-    assert len({representative(at, False) for at in visited["malcev"]}) == quadruples
+    tuples = sweep_tuples(A, evaluated)
+    assert len({tuple(sorted(at)) for at in tuples["jacobi"]}) == triples
+    reached = malcev_reach(A)
+    assert tuples["malcev"] == sorted(reached)
+    assert len({representative(at, False) for at in reached}) == \
+        sum(at == representative(at, False) for at in reached)
 
 
 def test_a_product_whose_skew_fails_evaluates_every_malcev_tuple(evaluated):
     """M7 with one constant doubled and its mirror left: the same support, so
     Jacobi evaluates the (7^3 + 2 * 7) / 3 = 119 cyclic orbits less the 7
-    constant ones, and Malcev all 7^4 tuples less the 7 constant ones."""
+    constant ones, and Malcev every tuple a path reaches, each once, with no
+    rotation folded."""
     cells = dict(M7.binary.cells())
     cells[0, 1] = tuple((t, 2 * c) for t, c in cells[0, 1])
     A = AlgebraDef("broken M7", M7.space, binary=from_cells(BinaryStructure, M7.space, cells))
     assert A.binary._skew_witnesses
-    assert sweep_counts(A, evaluated) == {"jacobi": 112, "malcev": 2394}
+    tuples = sweep_tuples(A, evaluated)
+    assert len(tuples["jacobi"]) == 112
+    assert tuples["malcev"] == sorted(malcev_reach(A))
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,8 @@ def test_a_run_py_without_a_result_line_is_a_failed_run_and_the_pairs_go_on(tmp_
 
 def test_the_smallest_kernel_case_runs_on_both_sides_of_one_tree():
     """The lts(osp(1|2) + osp(1|2)) case, three fresh processes per side of this
-    checkout: every run gives a CPU time and the same report digest."""
+    checkout: every run gives a CPU time and the same report digest, and the
+    run ratios' quartiles are the inclusive ones of change/parent, run by run."""
     root = Path(__file__).resolve().parents[1]
     case = paired_bench.kernel_cases({"parent": root, "change": root}, ["check_lts_osp2"], 3)
     case = case["check_lts_osp2"]
@@ -252,6 +253,10 @@ def test_the_smallest_kernel_case_runs_on_both_sides_of_one_tree():
     assert all(t > 0 for t in case["parent"] + case["change"])
     assert case["parent_min"] == min(case["parent"]) and case["change_min"] == min(case["change"])
     assert case["change_over_parent_min"] == case["change_min"] / case["parent_min"]
+    ratios = sorted(c / p for p, c in zip(case["parent"], case["change"]))
+    runs = case["change_over_parent_runs"]
+    assert runs["median"] == ratios[1]
+    assert runs["q1"] == (ratios[0] + ratios[1]) / 2 and runs["q3"] == (ratios[1] + ratios[2]) / 2
     assert case["digest"] is not None and len(case["digest"]) == 16
 
 

@@ -35,9 +35,11 @@ that seed (one not used while writing the change), written as
 seeds.
 
 Each kernel case in CASES is timed too, written under `dense_cases`:
-CASE_RUNS fresh processes per side, the min taken, the parent first in
-odd-numbered runs, each building its input from perfbench/inputs.py and
-timing one check_axioms call in CPU seconds.  A case's digest is a
+CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
+each building its input from perfbench/inputs.py and timing one
+check_axioms call in CPU seconds.  Each side's min is kept, and so are the
+median and quartiles of the change/parent ratios of the runs paired by
+number, which a swing of one side's min does not move.  A case's digest is a
 prefix of the sha256 of the report's repr; it must be the same in every
 run of both sides, or the case is listed under `regressions` with the
 metric "digest".  Only the standard library is used.
@@ -190,6 +192,15 @@ CASES = {
         "dense_even_map(random.Random(1), space)) (dim 12)",
         "dense(constructions.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "
         "'M7+osp12')))", "bol"),
+    "check_sparse_m7osp_malcev": (
+        "check_axioms(B, 'malcev'), B = M7 + osp(1|2) (dim 12) under a signed permutation: "
+        "the largest Malcev check of the sparse ladder",
+        "inputs.permute(inputs.direct_sum(inputs.m7(), inputs.osp12(), 'M7+osp12'), "
+        "*inputs.signed_permutation(random.Random(1), 12))", "malcev"),
+    "check_dense_m7_malcev": (
+        "check_axioms(D, 'malcev'), D = inputs.transport(M7, dense_even_map(random.Random(1), "
+        "space)) (dim 7)",
+        "dense(inputs.m7())", "malcev"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
@@ -225,11 +236,13 @@ def case_run(root, name, hash_seed):
 
 def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
     """{case: {how, parent, change, parent_min, change_min, change_over_parent_min,
-    digest}}: each case run `runs` times per side, the parent first in odd-numbered
-    runs, and run k of both sides with PYTHONHASHSEED=k, as perfbench's workers fix
-    theirs, so the sides compare on the same dict layouts; parent and change list the
-    CPU seconds of each run, None for a failed one, and digest is None unless every
-    run of both sides gave the same report."""
+    change_over_parent_runs, digest}}: each case run `runs` times per side, the parent
+    first in odd-numbered runs, and run k of both sides with PYTHONHASHSEED=k, as
+    perfbench's workers fix theirs, so the sides compare on the same dict layouts; parent
+    and change list the CPU seconds of each run, None for a failed one;
+    change_over_parent_runs holds the median, q1 and q3 of change/parent over the runs k
+    where both ran; and digest is None unless every run of both sides gave the same
+    report."""
     out = {}
     for name in names:
         results = {"parent": [], "change": []}
@@ -239,11 +252,14 @@ def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
         times = {side: [r.get("cpu_s") for r in rs] for side, rs in results.items()}
         mins = {side: min((t for t in ts if t is not None), default=None)
                 for side, ts in times.items()}
+        q1, median, q3 = quartiles([c / p for p, c in zip(times["parent"], times["change"])
+                                    if None not in (p, c)])
         digests = {r.get("digest") for rs in results.values() for r in rs}
         out[name] = {"how": CASES[name][0], **times, "parent_min": mins["parent"],
                      "change_min": mins["change"],
                      "change_over_parent_min": mins["change"] / mins["parent"]
                      if None not in mins.values() else None,
+                     "change_over_parent_runs": {"median": median, "q1": q1, "q3": q3},
                      "digest": digests.pop()[:16] if len(digests) == 1 and None not in digests
                      else None}
         print("case %s done" % name, file=sys.stderr, flush=True)
