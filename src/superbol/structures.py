@@ -411,12 +411,14 @@ def _sweep_super_jacobi(space, bs):
     return _orbit_witnesses("jacobi", space, _jacobi_sums(space, bs, 1, 1, 1, reps), moves)
 
 
-def _products(vec, cells, n):
-    """{x: vec times e_x} where nonzero, sparse, with cells[m] the nonzero (x, e_m e_x) of row
-    m; with those (x, e_x e_m) of column m, {x: e_x times vec}."""
+def _products(vec, cells, n, hi=math.inf):
+    """{x: vec times e_x} for x <= hi where nonzero, sparse, with cells[m] the nonzero
+    (x, e_m e_x) of row m in order; with those (x, e_x e_m) of column m, {x: e_x times vec}."""
     out = {}
     for m, c in vec:
         for x, e in cells[m]:
+            if x > hi:
+                break
             acc = out.get(x) or out.setdefault(x, [0] * n)
             for t, d in e:
                 acc[t] += c * d
@@ -435,9 +437,10 @@ def _sweep_malcev(space, bs):
     cells = bs.cells()
     rows = [[(b, e) for b, e in enumerate(row) if e] for row in bs.entries]
     cols = [[(a, e) for a, e in enumerate(row) if e] for row in bs.col]
-    # right[a, b][c] = (e_a e_b) e_c and left[a, b][c] = e_c (e_a e_b)
+    # right[a, b][c] = (e_a e_b) e_c and left[a, b][c] = e_c (e_a e_b), the latter, read with
+    # c as i, only for c <= a, b once the loops prune
     right = {at: _products(entry, rows, n) for at, entry in cells.items()}
-    left = {at: _products(entry, cols, n) for at, entry in cells.items()}
+    left = {at: _products(entry, cols, n, min(at) if mirror else n) for at, entry in cells.items()}
     found = {}
     for (i, k), rik in right.items():
         lo = i if mirror else 0
@@ -466,14 +469,15 @@ def _sweep_malcev(space, bs):
             hi = min(j, k, l) if mirror else n
             for b, d in vec:
                 for i, e in cols[b]:
-                    if i <= hi:
-                        acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
-                        for t, c in e:
-                            acc[t] += d * c
+                    if i > hi:
+                        break
+                    acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
+                    for t, c in e:
+                        acc[t] += d * c
     for (k, l), lkl in left.items():  # s4 (e_i (e_k e_l)) e_j
         for i, vec in lkl.items():
             lo = i if mirror else 0
-            for b, d in vec if lo <= min(k, l) else ():
+            for b, d in vec:
                 for j, e in rows[b]:
                     if j >= lo:
                         acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
