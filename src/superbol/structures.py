@@ -19,7 +19,10 @@ both once (each term's slot and sign from `_terms`) for this checker, check_pseu
 pair solvers, on the one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.  Per pair
 the evaluator joins the pair with an index of the tables by the value in each slot, built
 from `_terms` too, when the cells it would walk, counted first, are fewer than the n^arity
-tuples the rule lists; else, as on dense tables and in the pair solvers, it visits those.
+tuples the rule lists; else, as on dense tables and in the pair solvers, it visits those.  The
+integer pairs of one degree that visit them do so once between them, by Kronecker substitution:
+packed into one pair whose coordinates hold theirs W bits apart, each coordinate of its defects
+read back as their signed W-bit digits, exact since every term is linear in x (`_width`).
 Each sweep evaluates the least tuple of each symmetry orbit and reports
 the rest as signed copies of its defect D.  The skew sweeps always, only
 i <= j: D(j,i,...) = (-1)^{p_i p_j} D(i,j,...).  The cyclic sums (super and
@@ -174,6 +177,12 @@ class _Structure(_SparseValue):
     @cached_property
     def _slot_counts(self):  # per m, the cells with e_m in some slot and in the last
         return Counter(m for c in self.cells() for m in c), Counter(c[-1] for c in self.cells())
+
+    @cached_property
+    def _magnitudes(self):  # the largest |entry| and the largest L1 norm of a cell, for `_width`
+        cells = self.cells().values()
+        return (max((abs(c) for entry in cells for _, c in entry), default=0),
+                max((sum(abs(c) for _, c in entry) for entry in cells), default=0))
 
     @cached_property
     def _skew_witnesses(self):  # the skew sweep, run once per structure object
@@ -557,7 +566,10 @@ def _w_terms(m, unit, structures):
 
 
 def _w_view(x, terms):
-    """The w view of the pair x, folded: view[m] sums the w terms at e_m, terms[m]."""
+    """The w view of the pair x, folded: view[m] sums the w terms at e_m, terms[m];
+    -P e_m alone, negated as it stands, where the rule reads no companion or it is 0."""
+    if len(terms[0]) == 1 or not x[-1]:
+        return [tuple((t, -c) for t, c in row) for row in x[:-1]]
     view = [[0] * (len(x) - 1) for _ in terms]
     for acc, row in zip(view, terms):
         for slot, rows, s in row:
@@ -569,29 +581,33 @@ def _ordered(d, at):  # at[0] + d[0] <= at[1] and at[0] + d[1] <= at[2], where a
     return at[0] + d[0] <= at[1] and (len(at) < 3 or at[0] + d[1] <= at[2])
 
 
-def _window(n, d, at, t):
-    """The v < n in slot t of at for which _ordered(d, .) holds: [lo, hi]."""
-    if t == 0:
-        return 0, min([n - 1] + [b - di for b, di in zip(at[1:], d)])
-    return (at[0] + d[t - 1], n - 1) if _ordered(d, at[:t] + (math.inf,) + at[t + 1:]) else (1, 0)
-
-
 def _by_slot(par, structures, d):
     """The join's index: per m, each cell of term t's product with e_m in slot t as (head, tail,
     p, entry, lo, hi), the term at (head + (v,) + tail)[:arity] reading x[v], v in [lo, hi]
-    (or the companion's n), P past head of parity p; per m, the kept (at, c) of w's cells."""
+    (or the companion's n), P past head of parity p; per m, the kept (at, c) of w's cells.
+    One pass over each table's cells, (i, j, k) `_ordered` when i + d[0] <= j and i + d[1] <= k:
+    v <= j - d[0], k - d[1] in slot 0, v >= i + d[t - 1] in slot t while the other slot holds."""
     n, a, index, w = len(par), structures[0].ARITY, [[] for _ in par], [[] for _ in par]
-    for t, st in enumerate(_tables(structures)):
+    for st, reads in ((structures[0], range(a)),) + tuple((st, (2,)) for st in structures[1:]):
+        last = None
         for cell, entry in st.cells().items():
             at = cell[:a]
-            slot, p = _terms(par, at)[t]
-            lo, hi = _window(n, d, at, t) if slot < n else (n, n) if _ordered(d, at) else (1, 0)
-            if lo <= hi:
-                index[cell[t]].append((cell[:t], cell[t + 1:], p, entry, lo, hi))
-    for at, entry in structures[0].cells().items():
-        if _ordered(d, at):
-            for m, c in entry:
-                w[m].append((at, c))
+            if at != last:  # the product rule's ternary cells, in order, share their at
+                last, terms = at, _terms(par, at)
+                i, j, k = at if a == 3 else at + (math.inf,)
+                ok1, ok2 = i + d[0] <= j, i + d[1] <= k
+            for t in reads:
+                if t == 0:
+                    lo, hi = 0, min(n - 1, j - d[0], k - d[1])
+                elif t == 1:
+                    lo, hi = (i + d[0], n - 1) if ok2 else (1, 0)
+                else:   # slot 2, or the companion's n
+                    lo, hi = ((i + d[1], n - 1) if a == 3 else (n, n)) if ok1 else (1, 0)
+                if lo <= hi:
+                    index[cell[t]].append((cell[:t], cell[t + 1:], terms[t][1], entry, lo, hi))
+            if st is structures[0] and ok1 and ok2:
+                for m, c in entry:
+                    w[m].append((at, c))
     return index, w
 
 
@@ -619,34 +635,93 @@ def _joined(a, r, x, view, index):
     return sorted((at, acc) for at, acc in found.items() if any(acc))
 
 
+def _listed_defects(n, listed, x, view):
+    """The rule's defects at one pair, w view view, at the listed tuples: (at, acc) in order."""
+    for at, ((i, vi, si), (j, vj, sj), (k, vk, sk)), w in listed:
+        xi, xj, xk = x[i], x[j], x[k]
+        if not (w or xi or xj or xk):
+            continue    # no term reaches the pair
+        acc = _into([0] * n, w, view)
+        if xi:
+            _into(acc, xi, vi, si)
+        if xj:
+            _into(acc, xj, vj, sj)
+        if xk:
+            _into(acc, xk, vk, sk)
+        if any(acc):
+            yield at, acc
+
+
+def _width(xs, structures):
+    """W with 2^(W-1) > X1 (3M + S1 (1 + M)), a bound on every defect coordinate of the
+    integer pairs xs: X1 the largest L1 norm of a pair row, M the largest |entry| and S1
+    the largest L1 norm of a cell of the tables read.  Per tuple the three x terms are
+    at most X1 M each, and w . view at most S1 X1 (1 + M), as |view[m]| <= X1 + X1 M."""
+    x1 = max(sum(abs(c) for _, c in row) for x in xs for row in x)
+    m, s1 = (max(values) for values in zip(*(st._magnitudes for st in structures)))
+    return (x1 * (3 * m + s1 * (1 + m))).bit_length() + 1
+
+
+def _packed(xs, W):
+    """The pair sum over b of xs[b] 2^(W b), sparse: its rows' coordinates hold those of the
+    pairs W bits apart, nonzero where some pair's is, as each |c| < 2^(W-1)."""
+    out = []
+    for rows in zip(*xs):
+        acc = [0] * (len(xs[0]) - 1)
+        for b, row in enumerate(rows):
+            for m, c in row:
+                acc[m] += c << W * b
+        out.append(_sparse(acc))
+    return tuple(out)
+
+
+def _unpacked(acc, g, W):
+    """The g dense accs whose signed W-bit digits acc packs, acc[t] = sum over b of
+    out[b][t] 2^(W b) with each |out[b][t]| < 2^(W-1): plus 2^(W-1) every digit is in
+    [0, 2^W), so adding that to each digit, a bias, leaves them to be read off by masks."""
+    half, mask = 1 << W - 1, (1 << W) - 1
+    bias, out = half * ((1 << W * g) - 1) // mask, [[0] * len(acc) for _ in range(g)]
+    for t, v in enumerate(acc):
+        if v:
+            v += bias
+            for row in out:
+                row[t] = (v & mask) - half
+                v >>= W
+    return out
+
+
 def _rule_defects(space, rule, structures, pairs, order=(-math.inf,) * 2):
     """The nonzero defects of one rule on each degree-r pair (key, r, x) of pairs at its tuples
-    `_ordered` by order, as (key + at, acc) in order, acc dense: joined if `_joins`, or listed."""
-    n, par, a, listed, index = space.dim, space.parities, structures[0].ARITY, {}, None
+    `_ordered` by order, as (key + at, acc) in pair order, acc dense: joined if `_joins`, or
+    listed, the listed pairs of each degree at once as one pair `_packed` W bits apart, each
+    coordinate of its defects then `_unpacked` into theirs (every term is linear in x).  A
+    degree's one listed pair is evaluated as it stands: check_pseudo's may hold Fractions."""
+    n, par, a, index = space.dim, space.parities, structures[0].ARITY, None
     terms = [_w_terms(m, unit, structures) for unit in [_unit(n)] for m in range(n)]
+    found, listed = [], {}  # per pair, its key and defects; per degree, its listed pairs
     for key, r, x in pairs:
         if not any(x):
             continue    # a zero pair derives everything
-        view = _w_view(x, terms)
+        defects = []
+        found.append((key, defects))
         if _joins(x, structures):
             index = index or _by_slot(par, structures, order)
-            yield from ((key + at, acc) for at, acc in _joined(a, r, x, view, index))
+            defects += _joined(a, r, x, _w_view(x, terms), index)
+        else:
+            listed.setdefault(r, []).append((x, defects))
+    for r, group in listed.items():
+        tuples = rule(par, r, *structures, partial(_ordered, order))
+        xs, outs = zip(*group)
+        if len(xs) == 1:
+            outs[0].extend(_listed_defects(n, tuples, xs[0], _w_view(xs[0], terms)))
             continue
-        if r not in listed:
-            listed[r] = list(rule(par, r, *structures, partial(_ordered, order)))
-        for at, ((i, vi, si), (j, vj, sj), (k, vk, sk)), w in listed[r]:
-            xi, xj, xk = x[i], x[j], x[k]
-            if not (w or xi or xj or xk):
-                continue    # no term reaches the pair
-            acc = _into([0] * n, w, view)
-            if xi:
-                _into(acc, xi, vi, si)
-            if xj:
-                _into(acc, xj, vj, sj)
-            if xk:
-                _into(acc, xk, vk, sk)
-            if any(acc):
-                yield key + at, acc
+        W = _width(xs, structures)
+        x = _packed(xs, W)
+        for at, acc in _listed_defects(n, tuples, x, _w_view(x, terms)):
+            for out, digits in zip(outs, _unpacked(acc, len(xs), W)):
+                if any(digits):
+                    out.append((at, digits))
+    return [(key + at, acc) for key, defects in found for at, acc in defects]
 
 
 def _structures(A, reads):

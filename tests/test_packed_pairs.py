@@ -1,0 +1,172 @@
+"""The listed pairs of one degree are evaluated at once, as one packed pair.
+
+`structures._rule_defects` joins the pairs `_joins` accepts one by one.  The
+others it gathers per degree r and evaluates as one pair whose coordinates
+hold theirs W bits apart (`_packed`); each coordinate of a packed defect is
+then read back as the pairs' signed W-bit digits (`_unpacked`).  Every term
+of both rules is linear in the pair, so this is exact while each defect
+coordinate is under 2^(W-1) in size, which `_width` sizes from the pairs and
+the tables read.
+
+Packed and one-pair-at-a-time evaluation must give the same (key + tuple,
+defect) lists, scalar types included: on dense, lifted (L > 1), failing,
+odd-vector and both-degree tables, with coefficients past 2^64, and on a
+table built so that its defects come within a factor of 2 of the bound.  The
+decode must read back every digit up to +-(2^(W-1) - 1).
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from bench_inputs import inputs
+import superbol as sb
+from superbol import structures
+from superbol.graded import _dense
+from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
+from test_reference import LIFTED, from_cells
+from test_rule_paths import INPUTS, RULES, dense, inner_pairs, typed
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """The number of pairs of each packed evaluation, in order."""
+    sizes, packed = [], structures._packed
+    monkeypatch.setattr(structures, "_packed", lambda xs, W: sizes.append(len(xs)) or packed(xs, W))
+    return sizes
+
+
+def evaluated(B, rule, tables, pairs, order):
+    return [(at, typed(acc)) for at, acc in structures._rule_defects(
+        B.space, rule, tables, pairs, order)]
+
+
+def one_at_a_time(B, rule, tables, pairs, order):
+    return [d for p in pairs for d in evaluated(B, rule, tables, [p], order)]
+
+
+def assert_packed_as_one_at_a_time(B, pairs_of, packs):
+    """For each rule B has the tables of: the pairs pairs_of(tables) packed give
+    what they give one at a time, with at least one pack of two or more pairs;
+    the defects found, all rules together."""
+    found, packs[:] = [], []
+    for _, rule, reads in RULES:
+        if any(getattr(B, what) is None for what in reads):
+            continue
+        tables = structures._swept(B, reads)
+        pairs, order = pairs_of(tables), structures._order(rule, tables)
+        together = evaluated(B, rule, tables, pairs, order)
+        assert together == one_at_a_time(B, rule, tables, pairs, order), (B.name, rule)
+        assert all(t is int for _, acc in together for t, _ in acc)
+        found += together
+    assert packs and max(packs) > 1, B.name
+    return found
+
+
+def big_pair(B, rng, r, scale=1 << 70):
+    """A random degree-r pair, respecting the grading, with ints past 2^64."""
+    n, par = B.space.dim, B.space.parities
+    rows = [[rng.randint(-scale, scale) if par[t] == (par[m] + r) % 2 else 0
+             for m in range(n)] for t in range(n)]
+    companion = [rng.randint(-scale, scale) if par[m] == r else 0 for m in range(n)]
+    return sb.PseudoDerivationPair(sb.GradedMap.from_rows(B.space, r, rows),
+                                   B.space.vector(companion))
+
+
+def positive(n, M):
+    """An even algebra whose every product has every coordinate near M > 0,
+    failing skew, Jacobi and both rules: with pairs of one sign throughout, the
+    product rule's terms add up to within a factor of 2 of `_width`'s bound."""
+    space = sb.SuperSpace((0,) * n, tuple("e%d" % i for i in range(n)))
+    rng = random.Random(n)
+
+    def table(arity):
+        return {at: tuple((t, M - rng.randrange(8)) for t in range(n))
+                for at in itertools.product(range(n), repeat=arity)}
+    return AlgebraDef("positive", space, from_cells(BinaryStructure, space, table(2)),
+                      from_cells(TernaryStructure, space, table(3)))
+
+
+def uniform_pair(B, c):
+    """The degree-0 pair with every operator and companion entry c."""
+    n = B.space.dim
+    return ((), 0, tuple(tuple((m, c) for m in range(n)) for _ in range(n + 1)))
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_inner_pairs_packed_give_what_they_give_one_at_a_time(kind, packs, monkeypatch):
+    """The inner pairs as the Bol check evaluates them, every pair listed, so
+    the sparse ladder, which joins them all, packs too."""
+    monkeypatch.setattr(structures, "_joins", lambda *args: False)
+    for B in INPUTS[kind]:
+        assert_packed_as_one_at_a_time(B, lambda tables: inner_pairs(B, tables), packs)
+
+
+def test_dense_bol_m7_packs_every_inner_pair(packs):
+    """On its own path choice: the nonzero inner pairs i < j of dim 7, all even,
+    packed once per rule."""
+    B = dense(sb.malcev_to_bol(inputs.m7()))
+    assert_packed_as_one_at_a_time(B, lambda tables: inner_pairs(B, tables), packs)
+    assert packs == [21, 21]
+
+
+@pytest.mark.parametrize("B", [dense(sb.malcev_to_bol(inputs.osp12())), LIFTED[0], LIFTED[3]],
+                         ids=lambda B: B.name)
+def test_pairs_of_both_degrees_past_2_64_pack_exactly(B, packs, monkeypatch):
+    """Random pairs of both degrees with ints past 2^64, on dense odd vectors
+    and on lifted tables (Fraction constants, L > 1), every pair listed."""
+    monkeypatch.setattr(structures, "_joins", lambda *args: False)
+    rng = random.Random(B.name)
+    pairs = [big_pair(B, rng, r) for r in (0, 1, 1, 0, 1, 0, 0)]
+    found = assert_packed_as_one_at_a_time(
+        B, lambda tables: [((b,), p.degree, p._x()) for b, p in enumerate(pairs)], packs)
+    assert max(abs(c) for _, acc in found for _, c in acc) > 1 << 64
+    assert sorted(packs[:2]) == [3, 4]    # the first rule's pairs of each degree
+
+
+def test_defects_near_the_bound_read_back_with_both_signs(packs):
+    """Defects within a factor of 2 of 2^(W-1), positive and negative, on a
+    table with every entry past 2^64: a width sized from the entries alone, or
+    a decode that reads digits unsigned, gives other defects."""
+    B = positive(3, 1 << 70)
+    tables = structures._swept(B, ("binary", "ternary"))
+    pairs = [uniform_pair(B, c) for c in (1 << 66, -(1 << 66), 3, -(1 << 60))]
+    found = assert_packed_as_one_at_a_time(B, lambda tables: pairs, packs)
+    W = structures._width([x for _, _, x in pairs], tables)
+    biggest = max(abs(c) for _, acc in found for _, c in acc)
+    assert biggest < 1 << W - 1 <= 4 * biggest
+    assert {c > 0 for _, acc in found for _, c in acc} == {True, False}
+
+
+def test_joined_and_listed_pairs_keep_pair_order(monkeypatch):
+    """With the pairs joined and listed by turns, the defects come out in pair
+    order, each pair's as one call on it alone gives them."""
+    B = dense(sb.malcev_to_bol(inputs.osp12()))
+    rng = random.Random(5)
+    pairs = [((b,), p.degree, p._x()) for b, p in
+             enumerate(big_pair(B, rng, b % 2, 9) for b in range(8))]
+    joined = {id(x) for _, _, x in pairs[1::3]}
+    monkeypatch.setattr(structures, "_joins", lambda x, tables: id(x) in joined)
+    for _, rule, reads in RULES:
+        tables = structures._swept(B, reads)
+        together = evaluated(B, rule, tables, pairs, (0, -math.inf))
+        assert together and together == one_at_a_time(B, rule, tables, pairs, (0, -math.inf))
+
+
+@pytest.mark.parametrize("W", [2, 7, 8, 63, 64, 65, 131])
+def test_signed_digits_read_back_up_to_the_edge(W):
+    """Every digit in +-(2^(W-1) - 1), 0 and +-1 among them, next to every
+    other, through `_unpacked`, and pairs with such entries through `_packed`."""
+    top = (1 << W - 1) - 1
+    edge = [top, -top, 0, 1, -1]
+    digits = [[edge[(b + t) % 5] for t in range(5)] for b in range(5)]
+    digits += [[-top] * 5, [top] * 5, [0] * 5]
+    acc = [sum(row[t] << W * b for b, row in enumerate(digits)) for t in range(5)]
+    assert structures._unpacked(acc + [0], len(digits), W) == [row + [0] for row in digits]
+    xs = [tuple(tuple((m, c) for m, c in enumerate(digits[(b + s) % len(digits)]) if c)
+                for s in range(6)) for b in range(len(digits))]    # n = 5: six rows
+    for slot, row in enumerate(structures._packed(xs, W)):
+        assert structures._unpacked(list(_dense(row, 5)), len(xs), W) == \
+            [list(_dense(x[slot], 5)) for x in xs]

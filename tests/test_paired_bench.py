@@ -5,9 +5,14 @@ than the parent's interquartile range, every change run correct and no more
 failed operations than the parent, and the metrics outside their bounds
 and the workloads whose change runs fail listed as regressions."""
 
+import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
+
+from bench_inputs import inputs
+from superbol import constructions, forms
 
 spec = importlib.util.spec_from_file_location(
     "paired_bench", Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py")
@@ -258,6 +263,18 @@ def test_the_smallest_kernel_case_runs_on_both_sides_of_one_tree():
     assert runs["median"] == ratios[1]
     assert runs["q1"] == (ratios[0] + ratios[1]) / 2 and runs["q3"] == (ratios[1] + ratios[2]) / 2
     assert case["digest"] is not None and len(case["digest"]) == 16
+
+
+def test_a_case_times_its_own_expression():
+    """The semisimplicity_report case: its digest is that of the report the
+    expression gives, built here from the same input."""
+    root = Path(__file__).resolve().parents[1]
+    B = constructions.malcev_to_bol(inputs.m7())
+    report = forms.semisimplicity_report(
+        inputs.transport(B, inputs.dense_even_map(random.Random(1), B.space), "dense " + B.name))
+    run = paired_bench.case_run(root, "report_dense_bol_m7", 1)
+    assert run["cpu_s"] > 0
+    assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest()
 
 
 def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):

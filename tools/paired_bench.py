@@ -37,11 +37,11 @@ seeds.
 Each kernel case in CASES is timed too, written under `dense_cases`:
 CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
 each building its input from perfbench/inputs.py and timing one
-check_axioms call in CPU seconds.  Each side's min is kept, and so are the
-median and quartiles of the change/parent ratios of the runs paired by
-number, which a swing of one side's min does not move.  A case's digest is a
-prefix of the sha256 of the report's repr; it must be the same in every
-run of both sides, or the case is listed under `regressions` with the
+expression of it in CPU seconds: a check_axioms call, or a command that
+runs one.  Each side's min is kept, and so are the median and quartiles of
+the change/parent ratios of the runs paired by number, which a swing of one
+side's min does not move.  A case's digest is a prefix of the sha256 of the
+repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
 metric "digest".  Only the standard library is used.
 """
 
@@ -167,7 +167,7 @@ def _result(argv, root, **env):
 
 
 # the kernel cases: name -> (what is timed, the input B as an expression over
-# perfbench/inputs.py, the kind check_axioms(B, kind) checks).  M7 and
+# perfbench/inputs.py, the expression of B timed).  M7 and
 # osp(1|2) are built from inputs.py until the catalog has them; every input
 # is a fresh object, so no sweep of it has run before the timed call.
 CASES = {
@@ -176,31 +176,36 @@ CASES = {
         "permutation: the largest Bol check of the sparse ladder",
         "inputs.permute(constructions.malcev_to_bol(inputs.direct_sum(inputs.m7(), "
         "inputs.osp12(), 'M7+osp12')), *inputs.signed_permutation(random.Random(1), 12))",
-        "bol"),
+        "structures.check_axioms(B, 'bol')"),
     "check_lts_osp2": (
         "check_axioms(B, 'lts'), B = lie_to_supertriple(osp(1|2) + osp(1|2)) (dim 10) under a "
         "signed permutation",
         "inputs.permute(constructions.lie_to_supertriple(inputs.direct_sum(inputs.osp12(), "
         "inputs.osp12('_2'), 'osp12+osp12')), *inputs.signed_permutation(random.Random(1), 10))",
-        "lts"),
+        "structures.check_axioms(B, 'lts')"),
     "check_dense_bol_m7": (
         "check_axioms(D, 'bol'), D = inputs.transport(malcev_to_bol(M7), "
         "dense_even_map(random.Random(1), space)) (dim 7)",
-        "dense(constructions.malcev_to_bol(inputs.m7()))", "bol"),
+        "dense(constructions.malcev_to_bol(inputs.m7()))", "structures.check_axioms(B, 'bol')"),
     "check_dense_dim12": (
         "check_axioms(D, 'bol'), D = inputs.transport(malcev_to_bol(M7 + osp(1|2)), "
         "dense_even_map(random.Random(1), space)) (dim 12)",
         "dense(constructions.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "
-        "'M7+osp12')))", "bol"),
+        "'M7+osp12')))", "structures.check_axioms(B, 'bol')"),
     "check_sparse_m7osp_malcev": (
         "check_axioms(B, 'malcev'), B = M7 + osp(1|2) (dim 12) under a signed permutation: "
         "the largest Malcev check of the sparse ladder",
         "inputs.permute(inputs.direct_sum(inputs.m7(), inputs.osp12(), 'M7+osp12'), "
-        "*inputs.signed_permutation(random.Random(1), 12))", "malcev"),
+        "*inputs.signed_permutation(random.Random(1), 12))",
+        "structures.check_axioms(B, 'malcev')"),
     "check_dense_m7_malcev": (
         "check_axioms(D, 'malcev'), D = inputs.transport(M7, dense_even_map(random.Random(1), "
         "space)) (dim 7)",
-        "dense(inputs.m7())", "malcev"),
+        "dense(inputs.m7())", "structures.check_axioms(B, 'malcev')"),
+    "report_dense_bol_m7": (
+        "forms.semisimplicity_report(D), D as in check_dense_bol_m7: the Bol check, the "
+        "envelope and its Killing form",
+        "dense(constructions.malcev_to_bol(inputs.m7()))", "forms.semisimplicity_report(B)"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
@@ -211,7 +216,7 @@ CASE_SCRIPT = """
 import hashlib, json, random, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import inputs
-from superbol import constructions, structures
+from superbol import constructions, forms, structures
 
 
 def dense(A):
@@ -220,17 +225,17 @@ def dense(A):
 
 B = %s
 start = time.process_time()
-report = structures.check_axioms(B, %r)
+value = %s
 cpu_s = time.process_time() - start
-print(json.dumps({"cpu_s": cpu_s, "digest": hashlib.sha256(repr(report).encode()).hexdigest()}))
+print(json.dumps({"cpu_s": cpu_s, "digest": hashlib.sha256(repr(value).encode()).hexdigest()}))
 """
 
 
 def case_run(root, name, hash_seed):
     """{"cpu_s", "digest"} of one run of a kernel case, in a fresh process from
     the checkout root without writing bytecode, or {"exit_code": code}."""
-    _, source, kind = CASES[name]
-    return _result([sys.executable, "-c", CASE_SCRIPT % (source, kind)], root,
+    _, source, timed = CASES[name]
+    return _result([sys.executable, "-c", CASE_SCRIPT % (source, timed)], root,
                    PYTHONHASHSEED=str(hash_seed))
 
 
