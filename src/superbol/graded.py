@@ -172,7 +172,8 @@ def record(cls):
 class _SparseValue:
     """Base of the frozen records whose value is a sparse form: the public
     constructor converts a dense form, `_of` takes the sparse form, and both
-    end in the class's one validator `_init`, which stores the fields."""
+    end in the class's one validator `_init`, which stores the fields (only a
+    structure's `_scaled` copy, of cells already checked, stores its own)."""
 
     @classmethod
     def _of(cls, *fields):

@@ -179,10 +179,21 @@ class _Structure(_SparseValue):
         return Counter(m for c in self.cells() for m in c), Counter(c[-1] for c in self.cells())
 
     @cached_property
-    def _magnitudes(self):  # the largest |entry| and the largest L1 norm of a cell, for `_width`
-        cells = self.cells().values()
-        return (max((abs(c) for entry in cells for _, c in entry), default=0),
-                max((sum(abs(c) for _, c in entry) for entry in cells), default=0))
+    def _magnitudes(self):  # the largest |entry| and cell L1 norm, for `_width` and `_hom_defects`
+        norms = [[abs(c) for _, c in entry] for entry in self.cells().values()]
+        return max(map(max, norms), default=0), max(map(sum, norms), default=0)
+
+    def _scaled(self, f):  # times f, a multiple of every denominator: no cell is checked again
+        def scaled(block, depth):
+            return tuple([scaled(sub, depth - 1) for sub in block] if depth else [
+                (t, c.numerator * (f // c.denominator)) for t, c in block])
+        out = object.__new__(type(self))
+        vars(out).update(space=self.space, entries=scaled(self.entries, self.ARITY))
+        return out
+
+    @cached_property
+    def _indexes(self):  # `_by_slot`'s index per (order d, ids of the tables read next), with them
+        return {}
 
     @cached_property
     def _skew_witnesses(self):  # the skew sweep, run once per structure object
@@ -705,7 +716,9 @@ def _rule_defects(space, rule, structures, pairs, order=(-math.inf,) * 2):
         defects = []
         found.append((key, defects))
         if _joins(x, structures):
-            index = index or _by_slot(par, structures, order)
+            kept, ids = structures[0]._indexes, order + tuple(map(id, structures[1:]))
+            index = index or (kept.get(ids) or kept.setdefault(ids, (
+                structures, _by_slot(par, structures, order))))[1]
             defects += _joined(a, r, x, _w_view(x, terms), index)
         else:
             listed.setdefault(r, []).append((x, defects))
@@ -831,15 +844,12 @@ def _lift(A):
     every denominator of both tables, so the lifted constants are ints;
     L = 1 keeps the structures themselves."""
     structures = {"binary": A.binary, "ternary": A.ternary}
-    cells = {what: {} if st is None else st.cells() for what, st in structures.items()}
-    L = math.lcm(*(c.denominator for part in cells.values() for entry in part.values()
-                   for _, c in entry))
+    L = math.lcm(*(c.denominator for st in structures.values() if st is not None
+                   for entry in st.cells().values() for _, c in entry))
     if L == 1:
         return 1, structures
-    return L, {what: None if st is None else type(st)._of(A.space, {
-        at: tuple((t, c.numerator * (f // c.denominator)) for t, c in entry)
-        for at, entry in cells[what].items()})
-        for (what, st), f in zip(structures.items(), (L, L * L))}
+    return L, {what: None if st is None else st._scaled(f)
+               for (what, st), f in zip(structures.items(), (L, L * L))}
 
 
 def check_axioms(A, kind):
@@ -934,6 +944,15 @@ def check_morphism(f, A, B):
 
     A's and B's spaces must have identical parity signatures; f is read
     as a map from A's space to B's via coordinates.
+
+    It multiplies only ints: F = D*f (D the lcm of f's denominators) on
+    A's and B's lifted tables, where a binary defect comes out D^2 L_A L_B
+    and a ternary one D^3 L_A^2 L_B^2 times the true one, divided back only
+    for a witness.  One int per head (i) or (i, j) packs the defects at each
+    last index k, its e_t coordinate the signed W-bit digit k*n + t, with
+    2^(W-1) > wA X1^a M + wB S1 X1, a bound on every digit: X1 is F's largest
+    column L1 norm, M B's largest |entry| and S1 A's largest cell L1 norm
+    (`_magnitudes`), wA and wB the weights of the two sides in `_hom_defects`.
     """
     if f.degree != 0:
         raise GradingError("a morphism must be even")
@@ -944,34 +963,44 @@ def check_morphism(f, A, B):
     if (A.binary is None) != (B.binary is None) or (A.ternary is None) != (B.ternary is None):
         raise StructureError("A and B carry different structure kinds")
 
-    n = A.space.dim
-    lab = A.space.labels
-    fcol = f.columns
+    n, lab, (LA, SA), (LB, SB) = A.space.dim, A.space.labels, A._lifted, B._lifted
+    D = math.lcm(*(c.denominator for col in f.columns for _, c in col))
+    F = [tuple((t, c.numerator * (D // c.denominator)) for t, c in col) for col in f.columns]
     witnesses = []
-    if A.binary is not None:
-        EA = A.binary.entries
-        # [f e_i, e_m] for every i, m; then [f e_i, f e_j] - f(e_i e_j)
-        fe_b = [[_sparse(_into([0] * n, fcol[i], B.binary.col[m])) for m in range(n)]
-                for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = _into(_into([0] * n, fcol[j], fe_b[i]), EA[i][j], fcol, -1)
-                if any(acc):
-                    witnesses.append(Witness("binary-hom", (lab[i], lab[j]),
-                                             _vector(B.space, acc)))
-    if A.ternary is not None:
-        EA, EB = A.ternary.entries, B.ternary.entries
-        # push one slot at a time, last to first:
-        # b_b_f[a][k][m] = [e_a, e_m, f e_k], b_f_f[j][k][a] = [e_a, f e_j, f e_k]
-        b_b_f = [[[_sparse(_into([0] * n, fcol[k], EB[a][m])) for m in range(n)]
-                  for k in range(n)] for a in range(n)]
-        b_f_f = [[[_sparse(_into([0] * n, fcol[j], b_b_f[a][k])) for a in range(n)]
-                  for k in range(n)] for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = _into(_into([0] * n, fcol[i], b_f_f[j][k]), EA[i][j][k], fcol, -1)
-                    if any(acc):
-                        witnesses.append(Witness("ternary-hom", (lab[i], lab[j], lab[k]),
-                                                 _vector(B.space, acc)))
+    for a, what in ((2, "binary"), (3, "ternary")):
+        # weighted so that each side comes out D^a (LA LB)^(a-1) times its true value
+        wA, wB = LA ** (a - 1), (D * LB) ** (a - 1)
+        W, accs = (0, ()) if SA[what] is None else _hom_defects(n, F, SA[what], SB[what], wA, wB)
+        for h, digits in ((h, _unpacked([acc], n * n, W)) for h, acc in enumerate(accs) if acc):
+            for k in range(n):
+                if any(coords := [d for d, in digits[k * n:k * n + n]]):
+                    witnesses.append(Witness(what + "-hom", tuple(
+                        lab[i] for i in (h // n, h % n, k)[3 - a:]), SuperVector(B.space, tuple(
+                            _quotient(c, D * wA * wB) for c in coords))))
     return CheckReport("%s -> %s" % (A.name, B.name), "morphism", not witnesses, tuple(witnesses))
+
+
+def _hom_defects(n, F, SA, SB, wA, wB):
+    """(W, accs), accs[h] wA [F e_i, ..., F e_k]_SB - wB F(SA(e_i, ..., e_k)) at the head h =
+    (i, ...) packed over (k, t).  The SB side multiplies each cell packed over t by F's row q
+    packed over k at stride n W, one product for the whole last slot, then puts F into the
+    other slots; the SA side adds each cell's F image, packed over t, at k."""
+    a, rows = SA.ARITY, _transposed(F, n)
+    x1 = max((sum(abs(c) for _, c in col) for col in F), default=0)
+    W = (wA * x1 ** a * SB._magnitudes[0] + wB * SA._magnitudes[1] * x1).bit_length() + 1
+    G = [wA * sum(c << W * n * k for k, c in row) for row in rows]
+    heads = [st.entries if a == 2 else [r for p in st.entries for r in p] for st in (SA, SB)]
+    accs = [sum(sum(c << W * t for t, c in entry) * G[q] for q, entry in enumerate(row)
+                if entry) for row in heads[1]]
+    for step in (1, n)[:a - 1]:   # [e_i, e_m, .] -> [e_i, F e_j, .], then the first slot
+        out = [0] * len(accs)
+        for h, v in enumerate(accs):
+            m = h // step % n
+            for j, c in rows[m] if v else ():
+                out[h + (j - m) * step] += c * v
+        accs = out
+    fcol = [wB * sum(c << W * t for t, c in col) for col in F]
+    at_k = [[v << W * n * k for v in fcol] for k in range(n)]    # the F images at each k
+    for h, row in enumerate(heads[0]):
+        accs[h] -= sum(c * fk[q] for fk, entry in zip(at_k, row) for q, c in entry)
+    return W, accs

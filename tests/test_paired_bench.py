@@ -12,7 +12,8 @@ import random
 from pathlib import Path
 
 from bench_inputs import inputs
-from superbol import constructions, forms
+from superbol import constructions, forms, structures
+from superbol.graded import GradedMap
 
 spec = importlib.util.spec_from_file_location(
     "paired_bench", Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py")
@@ -275,6 +276,23 @@ def test_a_case_times_its_own_expression():
     run = paired_bench.case_run(root, "report_dense_bol_m7", 1)
     assert run["cpu_s"] > 0
     assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest()
+
+
+def test_the_morphism_cases_time_their_own_expressions():
+    """The check_morphism cases: each digest is that of the report built here, from
+    the map the dense copy was made by, as it stands (passes) and with row 0
+    doubled (fails with 336 witnesses)."""
+    root = Path(__file__).resolve().parents[1]
+    B = constructions.malcev_to_bol(inputs.m7())
+    g = inputs.dense_even_map(random.Random(1), B.space)
+    D = inputs.transport(B, g, "dense " + B.name)
+    for name, rows, witnesses in (
+            ("morphism_dense_bol_m7", g, 0),
+            ("morphism_dense_bol_m7_doubled", [[2 * c for c in g[0]]] + g[1:], 336)):
+        report = structures.check_morphism(GradedMap.from_rows(B.space, 0, rows), D, B)
+        assert len(report.witnesses) == witnesses and report.passed == (not witnesses)
+        run = paired_bench.case_run(root, name, 1)
+        assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest(), name
 
 
 def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ basis and brackets, and random pairs that respect the grading;
 companion_space and ps_space must return equal spaces.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -472,3 +473,115 @@ def test_inner_pairs_match_the_reference():
                 assert fast == slow, (B.name, str(x), str(y))
                 assert [[(type(c), c) for _, c in col] for col in fast.operator.columns] == \
                     [[(type(c), c) for _, c in col] for col in slow.operator.columns]
+
+
+# ---------------------------------------------------------------------------
+# check_morphism multiplies only ints: F = D*f on both algebras' lifted tables,
+# each defect packed over (last index, output coordinate) and divided back by
+# D^2 L_A L_B (binary) or D^3 L_A^2 L_B^2 (ternary) only for a witness
+
+
+def divided(A, c, name):
+    """A with its binary constants over c and its ternary ones over c^2, a
+    missing structure kept missing: c times the identity is a morphism from A."""
+    return AlgebraDef(name, A.space, *(None if st is None else from_cells(type(st), A.space, {
+        at: tuple((m, Fraction(v) / q) for m, v in entry) for at, entry in st.cells().items()})
+        for st, q in ((A.binary, c), (A.ternary, c * c))))
+
+
+def scaled_map(space, c, g=None, row=None):
+    """c times g (the identity when None), its row `row` doubled."""
+    rows = [[c * (2 if i == row else 1) * (g.matrix[i][j] if g else int(i == j))
+             for j in range(space.dim)] for i in range(space.dim)]
+    return sb.GradedMap.from_rows(space, 0, rows)
+
+
+TWO_FIFTHS = Fraction(2, 5)
+# binary only, ternary only and Bol, each with a denominator, and each next to
+# its image under (2/5) id, whose denominators differ
+MORPHISM_SOURCES = [divided(_osp12(), 3, "osp12/3"),
+                    divided(sb.lie_to_supertriple(_osp12()), 3, "lts(osp12)/3"), LIFTED[0]]
+
+
+def non_integral(report):
+    return any(type(c) is Fraction for w in report.witnesses for c in w.defect.coords)
+
+
+def test_morphisms_between_lifted_algebras_match_the_reference():
+    """Fraction maps between algebras lifted by different L, both above 1:
+    (2/5) id and its dense re-basing pass, (1/3) id and a dense map with a
+    doubled row fail with non-integral defects, the zero map passes."""
+    rng = random.Random(5)
+    kinds = set()
+    for A in MORPHISM_SOURCES:
+        B = divided(A, TWO_FIFTHS, A.name + "*5/2")
+        g = even_map(A.space, rng)
+        C = transport(A, g)
+        assert len({1, A._lifted[0], B._lifted[0]}) == 3, A.name
+        assert C._lifted[0] > 1, A.name
+        kinds.add((A.binary is None, A.ternary is None))
+        assert assert_same_morphism(scaled_map(A.space, TWO_FIFTHS), A, B).passed
+        assert assert_same_morphism(scaled_map(A.space, TWO_FIFTHS, g), C, B).passed
+        assert assert_same_morphism(sb.GradedMap.zero(A.space), A, B).passed
+        for f, source in ((scaled_map(A.space, Fraction(1, 3)), A),
+                          (scaled_map(A.space, TWO_FIFTHS, g, row=0), C)):
+            report = assert_same_morphism(f, source, B)
+            assert not report.passed and non_integral(report), A.name
+    assert kinds == {(False, True), (True, False), (False, False)}
+
+
+EVEN3 = sb.SuperSpace((0, 0, 0), ("a", "b", "c"))
+
+
+def even_algebra(name, binary, ternary, spread):
+    """Constants on EVEN3: each cell the given value at e_{sum of its indices
+    mod 3}, or at every coordinate when spread."""
+    return AlgebraDef(name, EVEN3, *(from_cells(cls, EVEN3, {
+        at: tuple((m, value) for m in range(3) if spread or m == sum(at) % 3)
+        for at in itertools.product(range(3), repeat=cls.ARITY)})
+        for cls, value in ((BinaryStructure, binary), (TernaryStructure, ternary))))
+
+
+def test_the_packing_width_holds_the_largest_defects(monkeypatch):
+    """Maps and tables whose defect digits reach the W bound: every product of
+    B's side positive and of A's side negative, so nothing cancels.  A diagonal
+    map on one-entry cells meets the bound exactly; a dense map on dense cells
+    comes within a factor 2 (its A side is 3 times smaller than bounded).  Either
+    way the largest digit is at least 2^(W-2): one bit less in W decodes it wrong."""
+    from superbol import structures
+    packed = []
+    hom_defects = structures._hom_defects
+    monkeypatch.setattr(structures, "_hom_defects", lambda *args: packed.append(
+        hom_defects(*args)) or packed[-1])
+    big = 2 ** 40 + 1
+    x = Fraction(big, 7)
+    for spread in (False, True):
+        A = even_algebra("A", Fraction(-big, 2), Fraction(-big, 4), spread)
+        B = even_algebra("B", Fraction(big, 3), Fraction(big, 9), spread)
+        f = sb.GradedMap.from_rows(EVEN3, 0, [[x if spread or i == j else 0 for j in range(3)]
+                                              for i in range(3)])
+        packed.clear()
+        report = assert_same_morphism(f, A, B)
+        assert len(report.witnesses) == 3 ** 2 + 3 ** 3
+        for W, accs in packed:
+            top = max(abs(d) for acc in accs for d, in structures._unpacked([acc], 9, W))
+            assert 2 ** (W - 2) <= top < 2 ** (W - 1), (spread, W)
+
+
+def test_check_morphism_makes_no_fraction_before_its_division(monkeypatch):
+    """With Fraction maps and Fraction tables, check_morphism makes one Fraction
+    per non-integral witness coordinate, in its final division, and none on a
+    map that passes."""
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
+                        or new(cls, *args, **kwargs))
+    for A in MORPHISM_SOURCES:
+        B = divided(A, TWO_FIFTHS, A.name + "*5/2")
+        for f, passes in ((scaled_map(A.space, TWO_FIFTHS), True),
+                          (scaled_map(A.space, Fraction(1, 3)), False)):
+            made.clear()
+            report = sb.check_morphism(f, A.renamed("fresh"), B.renamed("fresh"))
+            assert report.passed == passes
+            assert len(made) == sum(type(c) is Fraction for w in report.witnesses
+                                    for c in w.defect.coords), A.name

@@ -21,6 +21,7 @@ inner pairs and on random and sparse pairs of both degrees.  The sparse
 ladder takes the join and the dense copies take the per-tuple path.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -214,3 +215,27 @@ def test_the_sparse_ladder_is_joined_and_dense_copies_visit_tuples():
     for B in INPUTS["dense"] + [dense(bol_m7)]:
         for _, _, reads in RULES:
             assert not any(chosen(B, reads)), (B.name, reads)
+
+
+def test_the_join_index_is_built_once_per_tables_and_order(monkeypatch):
+    """check_pseudo joins the sparse odd pair for both rules.  A second call on
+    the same algebra builds no index and gives the same report; an algebra
+    with the same binary table object but its own, equal, ternary one builds
+    one index per rule again, as the product rule's joins both tables."""
+    builds = []
+    by_slot = structures._by_slot
+    monkeypatch.setattr(structures, "_by_slot", lambda par, tables, d: builds.append(
+        (tuple(map(id, tables)), d)) or by_slot(par, tables, d))
+    B = sb.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "M7+osp12"))
+    pair, anywhere = sparse_odd_pair(B), (-math.inf,) * 2
+    builds.clear()  # malcev_to_bol's Bol check joined the inner pairs at its own orders
+    first = sb.check_pseudo(B, pair)
+    assert builds == [((id(B.ternary),), anywhere), ((id(B.binary), id(B.ternary)), anywhere)]
+    second = sb.check_pseudo(B, pair)
+    assert len(builds) == 2
+    assert second == first and str(second) == str(first) and not first.passed
+    ternary = from_cells(type(B.ternary), B.space, B.ternary.cells())
+    assert ternary == B.ternary and ternary is not B.ternary
+    other = AlgebraDef(B.name, B.space, binary=B.binary, ternary=ternary)
+    assert sb.check_pseudo(other, pair) == first
+    assert builds[2:] == [((id(ternary),), anywhere), ((id(B.binary), id(ternary)), anywhere)]

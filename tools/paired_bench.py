@@ -37,10 +37,10 @@ seeds.
 Each kernel case in CASES is timed too, written under `dense_cases`:
 CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
 each building its input from perfbench/inputs.py and timing one
-expression of it in CPU seconds: a check_axioms call, or a command that
-runs one.  Each side's min is kept, and so are the median and quartiles of
-the change/parent ratios of the runs paired by number, which a swing of one
-side's min does not move.  A case's digest is a prefix of the sha256 of the
+expression of it in CPU seconds: a check_axioms call, a command that
+runs one, or a check_morphism call.  Each side's min is kept, and so are
+the median and quartiles of the change/parent ratios of the runs paired by
+number, which a swing of one side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
 metric "digest".  Only the standard library is used.
 """
@@ -167,9 +167,10 @@ def _result(argv, root, **env):
 
 
 # the kernel cases: name -> (what is timed, the input B as an expression over
-# perfbench/inputs.py, the expression of B timed).  M7 and
-# osp(1|2) are built from inputs.py until the catalog has them; every input
-# is a fresh object, so no sweep of it has run before the timed call.
+# perfbench/inputs.py: an algebra, or check_morphism's arguments, the expression
+# of B timed).  M7 and osp(1|2) are built from inputs.py until the catalog has
+# them; every input is a fresh object, so no sweep or lift of it has run before
+# the timed call.
 CASES = {
     "check_sparse_dim12": (
         "check_axioms(B, 'bol'), B = malcev_to_bol(M7 + osp(1|2)) (dim 12) under a signed "
@@ -206,6 +207,15 @@ CASES = {
         "forms.semisimplicity_report(D), D as in check_dense_bol_m7: the Bol check, the "
         "envelope and its Killing form",
         "dense(constructions.malcev_to_bol(inputs.m7()))", "forms.semisimplicity_report(B)"),
+    "morphism_dense_bol_m7": (
+        "check_morphism(g, D, bol(M7)), D as in check_dense_bol_m7 and g the even map D -> "
+        "bol(M7) it was built by: passes",
+        "dense_map(constructions.malcev_to_bol(inputs.m7()))", "structures.check_morphism(*B)"),
+    "morphism_dense_bol_m7_doubled": (
+        "check_morphism(g, D, bol(M7)) as in morphism_dense_bol_m7 with row 0 of g doubled: "
+        "fails with 336 witnesses, whose exact defects the digest holds",
+        "dense_map(constructions.malcev_to_bol(inputs.m7()), doubled=0)",
+        "structures.check_morphism(*B)"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
@@ -217,10 +227,18 @@ import hashlib, json, random, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import inputs
 from superbol import constructions, forms, structures
+from superbol.graded import GradedMap
 
 
 def dense(A):
     return inputs.transport(A, inputs.dense_even_map(random.Random(1), A.space), "dense " + A.name)
+
+
+def dense_map(A, doubled=None):
+    # (g, dense(A), A), g the even map dense(A) -> A, its row `doubled` times 2
+    g = inputs.dense_even_map(random.Random(1), A.space)
+    rows = [[c * (1 + (i == doubled)) for c in row] for i, row in enumerate(g)]
+    return GradedMap.from_rows(A.space, 0, rows), inputs.transport(A, g, "dense " + A.name), A
 
 
 B = %s
