@@ -5,8 +5,9 @@ held here in the rules' one form x (`structures`) and, for spans and
 membership tests, as flat entries: P's row-major at t n + m, then a's at
 n^2 + t.  The two rules that define the pairs are written once, in
 `structures`: check_pseudo runs them through the Bol checker's evaluator,
-companion_space and ps_space solve them as sparse systems on the lifted
-tables, B in the basis L e_i, with operator terms times L.
+and companion_space and ps_space read their rows from it (`_pair_rows`),
+one unit pair per unknown, on the lifted tables, B in the basis L e_i, the
+operator units L.
 The inner pairs of the basis are read off the tables, as the Bol checker
 reads them (`structures._inner_pairs`); inner_pair is for any two vectors.
 
@@ -32,14 +33,16 @@ axioms; violations raise instead of producing a bad algebra.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
-                     _sparse, _unit, _vector, hidden, rat, record, sign)
-from .linalg import _affine, _by_lead, _divided, _kernel, _rref, _span_coordinates, span_reduce
+                     _sparse, _vector, hidden, rat, record, sign)
+from .linalg import (AffineSubspace, _affine, _by_lead, _divided, _kernel, _rref,
+                     _span_coordinates, span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
-                         Witness, _all_skew, _inner_pairs, _listed, _mirrored,
-                         _rule_defects, _structures, _swept, _w_terms, require_axioms)
+                         Witness, _all_skew, _inner_pairs, _mirrored, _order, _pair_rows,
+                         _rule_defects, _structures, _swept, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -176,45 +179,6 @@ def pair_bracket(B, p, q):
     return _pair(B.space, (p.degree + q.degree) % 2, [(k, rat(c)) for k, c in entries])
 
 
-def _equations(B, r, x, columns):
-    """The rules for degree r as sparse rows (((u, c), ...), b), sorted by u:
-    unknown u = columns[slot, m] is the e_m coordinate of x[slot], x as in
-    `structures` holding the known ones.  On the lifted tables, operator
-    terms times L, a row is L^2 (product rule) or L^3 (triple rule) times
-    B's own, with int coefficients.  One row per rule tuple and output
-    coordinate, without 0 = 0 or repeats, and only for u <= v once the
-    tables a rule reads are super skew: (v, u, ...) gives -(-1)^{uv} times
-    the row.  Nor for the triple rule's derived tuples once ternary Jacobi
-    holds too (`structures._listed`): their rows combine the kept ones.
-    The rows stop after a row 0 = b, b nonzero, with no solution.
-    """
-    n, par, unit = B.space.dim, B.space.parities, _unit(B.space.dim)
-    var = [[(m, u) for (s, m), u in columns.items() if s == slot] for slot in range(n + 1)]
-    scale, seen = (B._lifted[0],) * n + (1,), set()
-    # both rules' tables first: a missing structure raises before any row
-    for rule, structures in [(rule, _swept(B, reads)) for _, rule, reads in _RULES]:
-        for _, terms, w in _listed(rule, par, r, *structures):
-            # RHS - LHS = sum of s x[slot] through rows: b holds minus its known part
-            b, by_t = [0] * n, {}
-            for slot, rows, s in terms + tuple((slot, rows, s * c) for q, c in w
-                                               for slot, rows, s in _w_terms(q, unit, structures)):
-                s *= scale[slot]
-                _into(b, x[slot], rows, -s)
-                for m, u in var[slot]:
-                    for t, d in rows[m]:
-                        row = by_t.setdefault(t, {})
-                        row[u] = row.get(u, 0) + s * d
-            if not by_t and not any(b):
-                continue
-            for t in range(n):
-                coeffs = tuple(sorted((u, c) for u, c in by_t[t].items() if c)) if t in by_t else ()
-                if (coeffs or b[t]) and (coeffs, b[t]) not in seen:
-                    seen.add((coeffs, b[t]))
-                    yield coeffs, b[t]
-                    if not coeffs:
-                        return
-
-
 def check_pseudo(B, pair):
     """Pointwise verification that the pair derives both products.
 
@@ -241,10 +205,23 @@ def companion_space(B, P):
     """
     if P.space != B.space:
         raise GradingError("operator lives outside the algebra")
-    n, par, r = B.space.dim, B.space.parities, P.degree
-    # the unknowns a_m of P's degree at column m, the others zero; b at column n
-    rows = [coeffs + ((n, b),) for coeffs, b in _equations(
-        B, r, P.columns + ((),), {(n, m): m for m in range(n) if par[m] == r})]
+    n, par, r, L = B.space.dim, B.space.parities, P.degree, B._lifted[0]
+    (_, triple, reads), product = _RULES
+    _swept(B, product[2])   # a missing structure raises before any row
+    tables = _swept(B, reads)
+    # the triple rule reads no companion: P fails it, or only the product rule gives rows
+    if _rule_defects(B.space, triple, tables, [((), r, P.columns + ((),))], _order(triple, tables)):
+        return AffineSubspace.empty()
+    # the unknowns a_m of P's degree at column m, the others zero; b at column n, from
+    # -P (operator terms times L): all times D, the lcm of P's denominators
+    D = math.lcm(*(c.denominator for col in P.columns for _, c in col))
+    known = tuple(tuple((t, -L * int(D * c)) for t, c in col) for col in P.columns) + ((),)
+    rows = []
+    for row in _pair_rows(B, r, [(m, _unflat(n, [(n * n + m, D)])) for m in range(n)
+                                 if par[m] == r] + [(n, known)], (product,)):
+        if row[0][0] == n:
+            return AffineSubspace.empty()   # 0 = b, b nonzero: no companion
+        rows.append(row)
     rows += [((m, 1),) for m in range(n) if par[m] != r]
     return _affine(*_rref(rows, n + 1), n)
 
@@ -350,17 +327,17 @@ def ps_space(B):
     in them, so the space is an exact nullspace.  Every inner pair, and
     so ips_space(B), is verified to lie in it.
     """
-    n, par = B.space.dim, B.space.parities
+    n, par, L = B.space.dim, B.space.parities, B._lifted[0]
     pairs = []
     for r in (0, 1):
-        # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k
-        columns = {(k % n, k // n) if k < n * n else (n, k - n * n): k
-                   for k in range(n * n + n) if _degree_at(par, k) == r}
+        # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k,
+        # each as its unit pair, operator terms times L
+        columns = [k for k in range(n * n + n) if _degree_at(par, k) == r]
         if not columns:
             continue    # no unknowns, no rows: the odd degree of an all-even algebra
-        rows = (coeffs for coeffs, _ in _equations(B, r, ((),) * (n + 1), columns))
+        rows = _pair_rows(B, r, [(k, _unflat(n, [(k, L if k < n * n else 1)])) for k in columns])
         pairs += (_pair(B.space, r, row)
-                  for row in _kernel(*_rref(rows, len(columns)), columns.values())[0])
+                  for row in _kernel(*_rref(rows, len(columns)), columns)[0])
     out = PairSpace.from_pairs(B, pairs)
     if not all(_span_coordinates(out._common, _flat(x)) is not None
                for _, _, x in _basis_inner_pairs(B)):

@@ -183,10 +183,10 @@ class _Structure(_SparseValue):
         norms = [[abs(c) for _, c in entry] for entry in self.cells().values()]
         return max(map(max, norms), default=0), max(map(sum, norms), default=0)
 
-    def _scaled(self, f):  # times f, a multiple of every denominator: no cell is checked again
+    def _scaled(self, values):  # each constant, in cells() order, the next of values: none checked
         def scaled(block, depth):
             return tuple([scaled(sub, depth - 1) for sub in block] if depth else [
-                (t, c.numerator * (f // c.denominator)) for t, c in block])
+                (t, next(values)) for t, _ in block])
         out = object.__new__(type(self))
         vars(out).update(space=self.space, entries=scaled(self.entries, self.ARITY))
         return out
@@ -570,10 +570,12 @@ _RULES = (("derives-triple", _triple_rule, ("ternary",)),
           ("derives-product", _product_rule, ("binary", "ternary")))
 
 
-def _w_terms(m, unit, structures):
-    """The w view at e_m as (slot, view, s) terms: -P e_m, plus [a, e_m] for
+def _w_terms(n, structures):
+    """The w view at each e_m as (slot, view, s) terms: -P e_m, plus [a, e_m] for
     the rule that reads the binary product, through which a acts."""
-    return ((m, unit, -1),) + (((len(unit), structures[0].col[m], 1),) if structures[1:] else ())
+    unit = _unit(n)
+    return [((m, unit, -1),) + (((n, structures[0].col[m], 1),) if structures[1:] else ())
+            for m in range(n)]
 
 
 def _w_view(x, terms):
@@ -646,9 +648,12 @@ def _joined(a, r, x, view, index):
     return sorted((at, acc) for at, acc in found.items() if any(acc))
 
 
-def _listed_defects(n, listed, x, view):
-    """The rule's defects at one pair, w view view, at the listed tuples: (at, acc) in order."""
-    for at, ((i, vi, si), (j, vj, sj), (k, vk, sk)), w in listed:
+def _listed_defects(space, rule, structures, r, x, order):
+    """The rule's defects at one degree-r pair x, at its tuples `_ordered` by order, each
+    listed: (at, acc) in order, acc dense."""
+    n, view = space.dim, _w_view(x, _w_terms(space.dim, structures))
+    for at, ((i, vi, si), (j, vj, sj), (k, vk, sk)), w in rule(
+            space.parities, r, *structures, partial(_ordered, order)):
         xi, xj, xk = x[i], x[j], x[k]
         if not (w or xi or xj or xk):
             continue    # no term reaches the pair
@@ -668,7 +673,7 @@ def _width(xs, structures):
     integer pairs xs: X1 the largest L1 norm of a pair row, M the largest |entry| and S1
     the largest L1 norm of a cell of the tables read.  Per tuple the three x terms are
     at most X1 M each, and w . view at most S1 X1 (1 + M), as |view[m]| <= X1 + X1 M."""
-    x1 = max(sum(abs(c) for _, c in row) for x in xs for row in x)
+    x1 = max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
     m, s1 = (max(values) for values in zip(*(st._magnitudes for st in structures)))
     return (x1 * (3 * m + s1 * (1 + m))).bit_length() + 1
 
@@ -707,8 +712,8 @@ def _rule_defects(space, rule, structures, pairs, order=(-math.inf,) * 2):
     listed, the listed pairs of each degree at once as one pair `_packed` W bits apart, each
     coordinate of its defects then `_unpacked` into theirs (every term is linear in x).  A
     degree's one listed pair is evaluated as it stands: check_pseudo's may hold Fractions."""
-    n, par, a, index = space.dim, space.parities, structures[0].ARITY, None
-    terms = [_w_terms(m, unit, structures) for unit in [_unit(n)] for m in range(n)]
+    par, a, index = space.parities, structures[0].ARITY, None
+    terms = _w_terms(space.dim, structures)
     found, listed = [], {}  # per pair, its key and defects; per degree, its listed pairs
     for key, r, x in pairs:
         if not any(x):
@@ -718,19 +723,17 @@ def _rule_defects(space, rule, structures, pairs, order=(-math.inf,) * 2):
         if _joins(x, structures):
             kept, ids = structures[0]._indexes, order + tuple(map(id, structures[1:]))
             index = index or (kept.get(ids) or kept.setdefault(ids, (
-                structures, _by_slot(par, structures, order))))[1]
+                structures[1:], _by_slot(par, structures, order))))[1]
             defects += _joined(a, r, x, _w_view(x, terms), index)
         else:
             listed.setdefault(r, []).append((x, defects))
     for r, group in listed.items():
-        tuples = rule(par, r, *structures, partial(_ordered, order))
         xs, outs = zip(*group)
         if len(xs) == 1:
-            outs[0].extend(_listed_defects(n, tuples, xs[0], _w_view(xs[0], terms)))
+            outs[0].extend(_listed_defects(space, rule, structures, r, xs[0], order))
             continue
         W = _width(xs, structures)
-        x = _packed(xs, W)
-        for at, acc in _listed_defects(n, tuples, x, _w_view(x, terms)):
+        for at, acc in _listed_defects(space, rule, structures, r, _packed(xs, W), order):
             for out, digits in zip(outs, _unpacked(acc, len(xs), W)):
                 if any(digits):
                     out.append((at, digits))
@@ -781,9 +784,31 @@ def _order(rule, structures):
     return (0 if _all_skew(structures) else -math.inf), -math.inf
 
 
-def _listed(rule, par, r, *structures):
-    """The rule's (at, terms, w) that a sweep or solver evaluates (`_order`)."""
-    return rule(par, r, *structures, partial(_ordered, _order(rule, structures)))
+def _pair_rows(A, r, pairs, rules=_RULES):
+    """The pair solvers' rows: the rules (`_RULES` entries, both by default) on A's lifted
+    tables at `_order`'s tuples, for the integer degree-r pairs (column, x) in column order,
+    packed into one W bits apart (`_packed`; `_width` over every table read).  Each nonzero
+    packed defect coordinate is one row ((column, c), ...), c that coordinate of x's defect:
+    one seen before, up to sign, is dropped, and a new one is read from its lowest set bit,
+    one signed digit at a time.  A missing structure raises before any row."""
+    rules = [(rule, _swept(A, reads)) for _, rule, reads in rules]
+    columns, xs = zip(*pairs)
+    W = _width(xs, [st for _, structures in rules for st in structures])
+    x, seen, half, mask = _packed(xs, W), set(), 1 << W - 1, (1 << W) - 1
+    for rule, structures in rules:
+        for _, acc in _listed_defects(A.space, rule, structures, r, x, _order(rule, structures)):
+            for v in map(abs, acc):
+                if v and v not in seen:
+                    seen.add(v)
+                    row, b = [], 0
+                    while v:    # v holds digits b and up
+                        if not v & mask:    # on to the lowest nonzero digit
+                            skip = ((v & -v).bit_length() - 1) // W
+                            v, b = v >> W * skip, b + skip
+                        c = ((v & mask) ^ half) - half    # signed: its sign borrows from v
+                        row.append((columns[b], c))
+                        v, b = (v - c) >> W, b + 1
+                    yield row
 
 
 def _with_derived(par, defects):
@@ -842,13 +867,17 @@ _SYSTEMS = {
 def _lift(A):
     """(L, {"binary": L*binary, "ternary": L^2*ternary}) with L the lcm of
     every denominator of both tables, so the lifted constants are ints;
-    L = 1 keeps the structures themselves."""
+    L = 1 keeps the structures themselves.  Each constant is read once, in
+    cells() order: an int as it stands, a Fraction as its numerator and denominator."""
     structures = {"binary": A.binary, "ternary": A.ternary}
-    L = math.lcm(*(c.denominator for st in structures.values() if st is not None
-                   for entry in st.cells().values() for _, c in entry))
+    read = {what: [c if type(c) is int else c.as_integer_ratio()
+                   for entry in st.cells().values() for _, c in entry]
+            for what, st in structures.items() if st is not None}
+    L = math.lcm(*{c[1] for cs in read.values() for c in cs if type(c) is tuple})
     if L == 1:
         return 1, structures
-    return L, {what: None if st is None else st._scaled(f)
+    return L, {what: st and st._scaled(iter([c * f if type(c) is int else c[0] * (f // c[1])
+                                             for c in read[what]]))
                for (what, st), f in zip(structures.items(), (L, L * L))}
 
 

@@ -13,7 +13,10 @@ check_pseudo, companion_space and ps_space are the versions that wrote
 the triple rule and the product rule out once each, each copy with its
 own signs, before the package derived all three from one description of
 the rules.  They keep their own copies of the sparse contraction helpers
-and share no rule code with `superbol.envelope`.
+and share no rule code with `superbol.envelope`.  pair_rows writes out,
+term by term, the rows the package's two solvers read from its packed
+rule evaluator, at the same tuples and on the same lifted scale;
+`tests/test_pair_rows.py` holds the solvers' rows to it.
 
 killing_ricci_direct is the direct Killing-Ricci route as it was before
 the closed-form sum: one GradedMap per right multiplication R_{e_i,e_j},
@@ -46,6 +49,7 @@ sweeps out as its own loop, before one local test served all four;
 """
 
 from fractions import Fraction
+from math import gcd
 
 from superbol.envelope import (EnvelopeError, PairSpace, PseudoDerivationPair,
                                ips_space)
@@ -617,6 +621,80 @@ def ps_space(B):
     out = PairSpace.from_pairs(B, all_pairs)
     if not out.contains_space(ips_space(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
+    return out
+
+
+def pair_rows(B, r, P=None):
+    """The rows the pair solvers take in degree r, each rule written out term by
+    term per tuple and output coordinate t: the e_t coordinate of every
+    unknown's defect, on B in the basis L e_i (L the lcm of every denominator
+    of both tables), so a triple rule row is L^3 and a product rule row L^2
+    times B's own, in ints.  Without P, ps_space's rows of both rules: the
+    unknowns are the flat entries k of a degree-r pair, t n + m for P e_m's
+    e_t coefficient and n^2 + m for a_m.  With P, companion_space's rows of
+    the product rule (the triple rule reads no companion): the unknowns a_m of
+    parity r at column m and b, minus P's part, at column n, all times D, the
+    lcm of P's denominators.  The tuples are the ones the solvers evaluate:
+    (i, j, ...) with i <= j where the tables a rule reads pass their skew
+    sweeps, and of the triple rule only i < j, i <= k where the ternary table
+    passes its Jacobi sweep too.  Every nonzero row ((column, c), ...), sorted
+    by column, in tuple order, repeats included."""
+    n, par = B.space.dim, B.space.parities
+    T, Bt = B.ternary.table, B.binary.table
+    L = 1
+    for c in [c for cube in T for plane in cube for cell in plane for c in cell] + [
+            c for plane in Bt for cell in plane for c in cell]:
+        L = L * Fraction(c).denominator // gcd(L, Fraction(c).denominator)
+    skew = not any(_sweep_ternary_skew(B.space, T))
+    derived = skew and not any(_sweep_ternary_jacobi(B.space, T))
+    both_skew = skew and not any(_sweep_binary_skew(B.space, Bt))
+    found = []     # (scale, dense row over the n^2 + n flat entries)
+    for i in range(n):
+        for j in range(n):
+            s1, s2 = sign(r * par[i]), sign(r * (par[i] + par[j]))
+            for k in range(n) if P is None and not (skew and i > j) else ():
+                if derived and (i == j or k < i):
+                    continue
+                for t in range(n):
+                    # [P e_i, e_j, e_k] + s1 [e_i, P e_j, e_k] + s2 [e_i, e_j, P e_k]
+                    # - P [e_i, e_j, e_k]: P e_m's e_q coefficient is at q n + m
+                    row = [0] * (n * n + n)
+                    for q in range(n):
+                        row[q * n + i] += T[q][j][k][t]
+                        row[q * n + j] += s1 * T[i][q][k][t]
+                        row[q * n + k] += s2 * T[i][j][q][t]
+                        row[t * n + q] -= T[i][j][k][q]
+                    found.append((L ** 3, row))
+            if both_skew and i > j:
+                continue
+            w = Bt[i][j]
+            for t in range(n):
+                # [P e_i, e_j] + s1 [e_i, P e_j] + s2 [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j)
+                row = [0] * (n * n + n)
+                for q in range(n):
+                    row[q * n + i] += Bt[q][j][t]
+                    row[q * n + j] += s1 * Bt[i][q][t]
+                    row[t * n + q] -= w[q]
+                    row[n * n + q] += s2 * T[i][j][q][t] + sum(
+                        w[m] * Bt[q][m][t] for m in range(n))
+                found.append((L ** 2, row))
+    out = []
+    for scale, row in found:
+        if P is None:
+            cells = [(k, row[k]) for k in range(n * n + n) if (
+                par[k // n] == (par[k % n] + r) % 2 if k < n * n else par[k - n * n] == r)]
+        else:
+            D = 1
+            for line in P.matrix:
+                for c in line:
+                    D = D * Fraction(c).denominator // gcd(D, Fraction(c).denominator)
+            scale *= D
+            known = sum(row[q * n + m] * P.matrix[q][m] for q in range(n) for m in range(n))
+            cells = [(m, row[n * n + m]) for m in range(n) if par[m] == r] + [(n, -known)]
+        cells = tuple((k, Fraction(scale * c)) for k, c in cells if c)
+        assert all(c.denominator == 1 for _, c in cells)
+        if cells:
+            out.append(tuple((k, int(c)) for k, c in cells))
     return out
 
 

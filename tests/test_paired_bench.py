@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 
 from bench_inputs import inputs
-from superbol import constructions, forms, structures
+from superbol import constructions, envelope, forms, structures
 from superbol.graded import GradedMap
 
 spec = importlib.util.spec_from_file_location(
@@ -293,6 +293,18 @@ def test_the_morphism_cases_time_their_own_expressions():
         assert len(report.witnesses) == witnesses and report.passed == (not witnesses)
         run = paired_bench.case_run(root, name, 1)
         assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest(), name
+
+
+def test_the_pair_space_case_times_its_own_expression():
+    """The ps_space case of the pairs workload's slowest operation: its digest is
+    that of the pair space built here from the same signed permutation."""
+    root = Path(__file__).resolve().parents[1]
+    A = constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), inputs.osp12("_2"),
+                                                      "osp12+osp12"))
+    B = inputs.permute(A, *inputs.signed_permutation(random.Random(1), 10))
+    run = paired_bench.case_run(root, "ps_bol_osp2", 1)
+    assert run["cpu_s"] > 0
+    assert run["digest"] == hashlib.sha256(repr(envelope.ps_space(B)).encode()).hexdigest()
 
 
 def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):

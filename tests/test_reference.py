@@ -408,15 +408,14 @@ def test_pair_rules_give_the_solvers_int_rows_on_lifted_inputs(monkeypatch):
     companion_space on an integer operator, is an int."""
     from superbol import envelope
     seen = []
-    equations = envelope._equations
+    pair_rows = envelope._pair_rows
 
     def recorded(*args):
-        for coeffs, b in equations(*args):
-            seen.extend(type(c) for _, c in coeffs)
-            seen.append(type(b))
-            yield coeffs, b
+        for row in pair_rows(*args):
+            seen.extend(type(c) for _, c in row)
+            yield row
 
-    monkeypatch.setattr(envelope, "_equations", recorded)
+    monkeypatch.setattr(envelope, "_pair_rows", recorded)
     osp_bol = sb.malcev_to_bol(_osp12())
     dense = transport(osp_bol, even_map(osp_bol.space, random.Random(1)))
     for B in LIFTED + [dense]:

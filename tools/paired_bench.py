@@ -38,7 +38,7 @@ Each kernel case in CASES is timed too, written under `dense_cases`:
 CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
 each building its input from perfbench/inputs.py and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
-runs one, or a check_morphism call.  Each side's min is kept, and so are
+runs one, a check_morphism call or a ps_space call.  Each side's min is kept, and so are
 the median and quartiles of the change/parent ratios of the runs paired by
 number, which a swing of one side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
@@ -216,6 +216,16 @@ CASES = {
         "fails with 336 witnesses, whose exact defects the digest holds",
         "dense_map(constructions.malcev_to_bol(inputs.m7()), doubled=0)",
         "structures.check_morphism(*B)"),
+    "ps_dense_dim12": (
+        "ps_space(D), D as in check_dense_dim12: the pair solvers' dense wall",
+        "dense(constructions.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "
+        "'M7+osp12')))", "envelope.ps_space(B)"),
+    "ps_bol_osp2": (
+        "ps_space(B), B = malcev_to_bol(osp(1|2) + osp(1|2)) (dim 10) under a signed "
+        "permutation: the slowest operation of the pairs workload",
+        "inputs.permute(constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), "
+        "inputs.osp12('_2'), 'osp12+osp12')), *inputs.signed_permutation(random.Random(1), 10))",
+        "envelope.ps_space(B)"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
@@ -226,7 +236,7 @@ CASE_SCRIPT = """
 import hashlib, json, random, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import inputs
-from superbol import constructions, forms, structures
+from superbol import constructions, envelope, forms, structures
 from superbol.graded import GradedMap
 
 
