@@ -20,12 +20,13 @@ is B + H with
     [(P,a),(Q,b)] = ([P,Q], P(b) - (-1)^{deg P deg Q} Q(a) - a.b).
 
 The last block is H's structure constants, which a PairSpace keeps
-sparse (`brackets` is their dense view) from its closure check: that
-brackets the integer rows of the basis, each pair times its leading
-entry, on one sparse kernel.  A super skew binary product makes the
-bracket super skew, [q, p] = -(-1)^{pq} [p, q]: when the product's skew
-sweep finds nothing, only p <= q is bracketed.  The envelope's table
-lists [x, y] for x <= y in B and [(P, a), x]; `structures._mirrored`
+sparse (`brackets` is their dense view) from its closure check, on
+ints: each basis pair p times its lead, lifted as the rules read it, is
+bracketed with all its partners q of one degree at once, packed W bits
+apart, and one residue tests them all.  A super skew binary product makes
+the bracket super skew, [q, p] = -(-1)^{pq} [p, q]: when its skew sweep
+finds nothing, only q >= p are packed.  The envelope's table lists
+[x, y] for x <= y in B and [(P, a), x]; `structures._mirrored`
 completes both tables, the one place super skew-symmetry is filled in.
 Every constructed enveloping algebra is re-checked against the Lie
 axioms; violations raise instead of producing a bad algebra.
@@ -37,12 +38,12 @@ import math
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
-                     _sparse, _vector, hidden, rat, record, sign)
-from .linalg import (AffineSubspace, _affine, _by_lead, _divided, _kernel, _rref,
+                     _quotient, _sparse, _vector, hidden, rat, record, sign)
+from .linalg import (AffineSubspace, _affine, _by_lead, _divided, _kernel, _reduced, _rref,
                      _span_coordinates, span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
-                         Witness, _all_skew, _inner_pairs, _mirrored, _order, _pair_rows,
-                         _rule_defects, _structures, _swept, require_axioms)
+                         Witness, _all_skew, _digits, _inner_pairs, _mirrored, _order, _packed,
+                         _pair_rows, _rule_defects, _structures, _swept, require_axioms)
 
 
 class EnvelopeError(RuntimeError):
@@ -234,7 +235,7 @@ class PairSpace:
     entries (leading columns in pivots), so equality of PairSpaces is
     equality of spans.  _brackets[m][l] holds the sparse coordinates of
     pair_bracket(basis[m], basis[l]) over the basis, like a structure's
-    entries, computed once to verify closure; `brackets` is their dense view.
+    entries, read off the closure check (`_closed`); `brackets` is their dense view.
     """
 
     algebra: AlgebraDef
@@ -246,29 +247,54 @@ class PairSpace:
 
     @classmethod
     def from_pairs(cls, algebra, pairs):
-        for p in pairs:
-            if p.space != algebra.space:
-                raise GradingError("pair lives outside the algebra")
-        reduced, pivots = _rref(p._entries() for p in pairs)
-        space, n, d = algebra.space, algebra.space.dim, len(reduced)
-        basis = tuple(_pair(space, _degree_at(space.parities, row[0][0]), _divided(row))
-                      for row in reduced)
-        # the closure check brackets the integer rows, each its basis pair times
-        # its lead L, integral: L_m L_l [p, q]
-        common, scaled = _by_lead(reduced), [_unflat(n, row) for row in reduced]
-        E = _structures(algebra, ("binary",))[0].entries if basis else None
-        # once the product is super skew, so is the bracket: [q, p] = -(-1)^{pq} [p, q],
-        # and only p <= q is bracketed, the rest completed by _mirrored
-        mirror = basis and _all_skew(_swept(algebra, ("binary",)))
-        brackets, degrees = {}, tuple(p.degree for p in basis)
-        for m in range(d):
-            for l in range(m if mirror else 0, d):
-                brackets[m, l] = _span_coordinates(common, _bracket_entries(
-                    n, E, scaled[m], scaled[l], sign(degrees[m] * degrees[l])),
-                    reduced[m][0][1] * reduced[l][0][1])
-                if brackets[m, l] is None:
-                    raise EnvelopeError("span of pairs is not closed under the bracket: "
-                                        "[%s, %s]" % (basis[m], basis[l]))
+        if any(p.space != algebra.space for p in pairs):
+            raise GradingError("pair lives outside the algebra")
+        return cls._closed(algebra, _rref(p._entries() for p in pairs)[0])
+
+    @classmethod
+    def _closed(cls, algebra, reduced):
+        """The PairSpace of _rref's integer rows, each lead_m times a basis pair p_m, closed
+        on ints as above: a packed bracket, its operator part divided by L, has the digits
+        L lead_m lead_l [p_m, p_l], and those at the pivot columns give the coordinates."""
+        space, n, d, brackets = algebra.space, algebra.space.dim, len(reduced), {}
+        pivots, leads = [row[0][0] for row in reduced], [row[0][1] for row in reduced]
+        degrees, common = [_degree_at(space.parities, p) for p in pivots], _by_lead(reduced)
+        basis = tuple(_pair(space, r, _divided(row)) for r, row in zip(degrees, reduced))
+        if basis:
+            (st,), L, nn = _swept(algebra, ("binary",)), algebra._lifted[0], n * n
+            xs = [_unflat(n, [(k, c * L if k < nn else c) for k, c in row]) for row in reduced]
+            # 2^(W-1) > M X (1 + d R) > a residue's digits, X > a bracket's: M the lcm of the
+            # leads and R the largest |entry| of a row, met by the residue's d pivot rows
+            x1, R = (max(f(abs(c) for _, c in row) for row in reduced) for f in (sum, max))
+            X = x1 * x1 * (2 + st._magnitudes[0]) * L * L
+            W = (math.lcm(*leads) * X * (1 + d * R)).bit_length() + 1
+
+            def bracketed(m, y, r):  # p_m with the pack y of partners of degree r
+                return {k: c // L if k < nn else c for k, c in _bracket_entries(
+                    n, st.entries, xs[m], y, sign(degrees[m] * r))}
+
+            def close(m):  # p_m with each degree's packed partners
+                for r, ls in enumerate(partners):
+                    cells = bracketed(m, packs[r], r) if ls else {}
+                    if _reduced(cells, common[0]):  # the first escaping [p_m, p_l], each alone
+                        m, l = next((m, l) for m in range(d) for l in range(m if mirror else 0, d)
+                                    if _reduced(bracketed(m, xs[l], degrees[l]), common[0]))
+                        raise EnvelopeError("span of pairs is not closed under the bracket: "
+                                            "[%s, %s]" % (basis[m], basis[l]))
+                    coords = {l: [] for l in ls}
+                    for i, p in enumerate(pivots):
+                        for b, c in _digits(cells[p], W) if p in cells else ():
+                            coords[ls[b]].append((i, _quotient(c, L * leads[m] * leads[ls[b]])))
+                    brackets.update(((m, l), tuple(c)) for l, c in coords.items())
+            # per degree, its partners p_l from the last down, packed: each new one at digit 0
+            mirror, partners, packs = _all_skew((st,)), [[], []], [((),) * (n + 1)] * 2
+            for l in reversed(range(d)):
+                partners[degrees[l]].insert(0, l)
+                packs[degrees[l]] = _packed([xs[l], packs[degrees[l]]], W)
+                if mirror:
+                    close(l)    # with its partners l' >= l
+            for m in () if mirror else range(d):
+                close(m)
         brackets = _mirrored(degrees, brackets)
         return cls(algebra, basis, tuple(pivots),
                    tuple(tuple(brackets[m, l] for l in range(d)) for m in range(d)), common)
@@ -309,8 +335,8 @@ def ips_space(B, K=None):
     both orders; the span is the same either way by skew-symmetry.
     """
     if K is None:
-        return PairSpace.from_pairs(B, [_pair(B.space, r, _flat(x))
-                                        for _, r, x in _basis_inner_pairs(B) if any(x)])
+        rows = (_flat(x) for _, _, x in _basis_inner_pairs(B) if any(x))
+        return PairSpace._closed(B, _rref(rows)[0])
     if K.space != B.space:
         raise GradingError("K is not a subspace of B")
     if not K.is_graded():
@@ -328,17 +354,17 @@ def ps_space(B):
     so ips_space(B), is verified to lie in it.
     """
     n, par, L = B.space.dim, B.space.parities, B._lifted[0]
-    pairs = []
+    rows = []
     for r in (0, 1):
         # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k,
         # each as its unit pair, operator terms times L
         columns = [k for k in range(n * n + n) if _degree_at(par, k) == r]
         if not columns:
             continue    # no unknowns, no rows: the odd degree of an all-even algebra
-        rows = _pair_rows(B, r, [(k, _unflat(n, [(k, L if k < n * n else 1)])) for k in columns])
-        pairs += (_pair(B.space, r, row)
-                  for row in _kernel(*_rref(rows, len(columns)), columns)[0])
-    out = PairSpace.from_pairs(B, pairs)
+        found = _pair_rows(B, r, [(k, _unflat(n, [(k, L if k < n * n else 1)])) for k in columns])
+        rows += _kernel(*_rref(found, len(columns)), columns)[0]
+    # the degrees' reduced kernels share no column: by lead, they are what _rref would give
+    out = PairSpace._closed(B, sorted(rows))
     if not all(_span_coordinates(out._common, _flat(x)) is not None
                for _, _, x in _basis_inner_pairs(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")

@@ -185,16 +185,16 @@ def _by_lead(rows):
     return {row[0][0]: dict(row) for row in rows}, {row[0][0]: r for r, row in enumerate(rows)}
 
 
-def _span_coordinates(common, vec, scale=1):
-    """The nonzero coefficients (r, c) of the sparse vec / scale over reduced
-    rows, given as _by_lead of their integer rows, or None outside their
-    span: row r's is vec at its lead, and vec is in the span iff its
-    residue (_reduced) is empty."""
+def _span_coordinates(common, vec):
+    """The nonzero coefficients (r, c) of the sparse vec over reduced rows,
+    given as _by_lead of their integer rows, or None outside their span:
+    row r's is vec at its lead, and vec is in the span iff its residue
+    (_reduced) is empty."""
     echelon, index = common
     d, cells = _cleared(vec)
     if _reduced(cells, echelon):
         return None
-    return tuple(sorted((index[c], _quotient(f, d * scale)) for c, f in cells.items()
+    return tuple(sorted((index[c], _quotient(f, d)) for c, f in cells.items()
                         if c in index))
 
 

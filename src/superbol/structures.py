@@ -680,7 +680,7 @@ def _width(xs, structures):
 
 def _packed(xs, W):
     """The pair sum over b of xs[b] 2^(W b), sparse: its rows' coordinates hold those of the
-    pairs W bits apart, nonzero where some pair's is, as each |c| < 2^(W-1)."""
+    pairs W bits apart, nonzero where some pair's is, as each |c| < 2^(W-1) but the last's."""
     out = []
     for rows in zip(*xs):
         acc = [0] * (len(xs[0]) - 1)
@@ -789,26 +789,30 @@ def _pair_rows(A, r, pairs, rules=_RULES):
     tables at `_order`'s tuples, for the integer degree-r pairs (column, x) in column order,
     packed into one W bits apart (`_packed`; `_width` over every table read).  Each nonzero
     packed defect coordinate is one row ((column, c), ...), c that coordinate of x's defect:
-    one seen before, up to sign, is dropped, and a new one is read from its lowest set bit,
-    one signed digit at a time.  A missing structure raises before any row."""
+    one seen before, up to sign, is dropped, and a new one is read by `_digits`.  A missing
+    structure raises before any row."""
     rules = [(rule, _swept(A, reads)) for _, rule, reads in rules]
     columns, xs = zip(*pairs)
     W = _width(xs, [st for _, structures in rules for st in structures])
-    x, seen, half, mask = _packed(xs, W), set(), 1 << W - 1, (1 << W) - 1
+    x, seen = _packed(xs, W), set()
     for rule, structures in rules:
         for _, acc in _listed_defects(A.space, rule, structures, r, x, _order(rule, structures)):
             for v in map(abs, acc):
                 if v and v not in seen:
                     seen.add(v)
-                    row, b = [], 0
-                    while v:    # v holds digits b and up
-                        if not v & mask:    # on to the lowest nonzero digit
-                            skip = ((v & -v).bit_length() - 1) // W
-                            v, b = v >> W * skip, b + skip
-                        c = ((v & mask) ^ half) - half    # signed: its sign borrows from v
-                        row.append((columns[b], c))
-                        v, b = (v - c) >> W, b + 1
-                    yield row
+                    yield [(columns[b], c) for b, c in _digits(v, W)]
+
+
+def _digits(v, W):
+    """The nonzero signed digits (b, c) of v = sum of c 2^(W b), |c| < 2^(W-1), b rising."""
+    half, mask, b = 1 << W - 1, (1 << W) - 1, 0
+    while v:    # v holds digits b and up
+        if not v & mask:    # on to the lowest nonzero digit
+            skip = ((v & -v).bit_length() - 1) // W
+            v, b = v >> W * skip, b + skip
+        c = ((v & mask) ^ half) - half    # signed: its sign borrows from v
+        yield b, c
+        v, b = (v - c) >> W, b + 1
 
 
 def _with_derived(par, defects):

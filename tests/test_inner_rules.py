@@ -167,11 +167,10 @@ def test_pair_spaces_and_the_envelope_call_no_inner_pair(monkeypatch):
 
 
 def test_ips_space_of_a_zero_algebra_flattens_no_pair(monkeypatch):
-    # pairs enter elimination through their sparse flat entries
+    # inner pairs enter elimination through their sparse flat entries
     flattened = []
-    entries = sb.PseudoDerivationPair._entries
-    monkeypatch.setattr(sb.PseudoDerivationPair, "_entries",
-                        lambda p: flattened.append(p) or entries(p))
+    flat = envelope._flat
+    monkeypatch.setattr(envelope, "_flat", lambda x: flattened.append(x) or flat(x))
     B = sb.catalog.load("abelian_64_0")
     H = sb.ips_space(B)
     assert (H.dim, H.rows, H.brackets, flattened) == (0, (), (), [])

@@ -14,8 +14,9 @@ rule on the inner pairs (D_{i,j}, e_i.e_j) with i <= j, on the rule tuples
 with u <= v, and mirror the rest: the defect at (j, i, ...) is
 -(-1)^{p_i p_j} times the one at (i, j, ...), and likewise in (u, v).
 PairSpace.from_pairs brackets the basis pairs p <= q only and mirrors
-[q, p] = -(-1)^{pq} [p, q].  ps_space and companion_space list the rule
-tuples with u <= v only, since the equations of (v, u, ...) are those of
+[q, p] = -(-1)^{pq} [p, q], each p with its partners q of one degree
+packed into one pair.  ps_space and companion_space list the rule tuples
+with u <= v only, since the equations of (v, u, ...) are those of
 (u, v, ...) times -(-1)^{p_u p_v}, and ps_space checks the inner pairs
 i <= j only.  Each needs the skew sweeps of the tables it reads to find
 nothing; when one finds a witness, every tuple and every ordered pair is
@@ -190,16 +191,38 @@ def one_sided():
 
 
 # ---------------------------------------------------------------------------
-# what is evaluated: d(d+1)/2 brackets and the inner pairs i <= j when skew
-# passes, d^2 brackets and every inner pair when it fails
+# what is evaluated: the d(d+1)/2 brackets p_m, p_l with l >= m and the inner
+# pairs i <= j when skew passes, the d^2 brackets and every inner pair when it
+# fails; the closure brackets p_m with its partners of one degree at once
 
 
 @pytest.fixture
 def brackets(monkeypatch):
-    calls = []
-    kernel = envelope._bracket_entries
-    monkeypatch.setattr(envelope, "_bracket_entries", lambda *a: calls.append(a) or kernel(*a))
+    """The number of partners packed into the second pair of each closure bracket, in
+    call order: a pack is one partner more than the pack (or empty pair) it is made on."""
+    calls, sizes = [], {}
+    kernel, pack = envelope._bracket_entries, envelope._packed
+
+    def packed(xs, W):
+        out = pack(xs, W)
+        sizes[id(out)] = (out, 1 + sizes.get(id(xs[1]), (None, 0))[1])  # out kept: ids stay
+        return out
+
+    monkeypatch.setattr(envelope, "_packed", packed)
+    monkeypatch.setattr(envelope, "_bracket_entries", lambda n, E, x, y, s: calls.append(
+        sizes.get(id(y), (None, 1))[1]) or kernel(n, E, x, y, s))
     return calls
+
+
+def packs(H, skew):
+    """Per closure bracket, in call order, the number of partners packed: each basis pair
+    p_m from the last down with its partners l >= m of degree 0, then of degree 1, when
+    the product is skew, else each p_m in order with all of them; a degree without
+    partners is not bracketed."""
+    degrees, d = [p.degree for p in H.basis], H.dim
+    return [c for m in (reversed(range(d)) if skew else range(d))
+            for c in (sum(degrees[l] == r for l in range(m if skew else 0, d)) for r in (0, 1))
+            if c]
 
 
 def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brackets):
@@ -208,11 +231,14 @@ def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brac
     for B in (osp, sb.catalog.load("L2_3_1_bol"), dense):
         for build in (sb.ips_space, sb.ps_space):
             brackets.clear()
-            d = build(B).dim
-            assert d > 1 and len(brackets) == d * (d + 1) // 2, (B.name, build)
+            H = build(B)
+            d, degrees = H.dim, {p.degree for p in H.basis}
+            assert d > 1 and brackets == packs(H, True), (B.name, build)
+            assert sum(brackets) == d * (d + 1) // 2, (B.name, build)
+            assert len(brackets) < sum(brackets) and len(brackets) <= len(degrees) * d
     brackets.clear()
     H = sb.PairSpace.from_pairs(*one_sided())
-    assert len(brackets) == H.dim ** 2 == 4
+    assert brackets == packs(H, False) == [2, 2] and sum(brackets) == H.dim ** 2 == 4
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 
 from bench_inputs import inputs
-from superbol import constructions, envelope, forms, structures
+from superbol import catalog, constructions, envelope, forms, structures
 from superbol.graded import GradedMap
 
 spec = importlib.util.spec_from_file_location(
@@ -296,15 +296,17 @@ def test_the_morphism_cases_time_their_own_expressions():
 
 
 def test_the_pair_space_case_times_its_own_expression():
-    """The ps_space case of the pairs workload's slowest operation: its digest is
-    that of the pair space built here from the same signed permutation."""
+    """The ps_space cases, of the pairs workload's slowest operation and of
+    abelian_14_0 from the catalog: each digest is that of the pair space built here
+    from the same signed permutation or catalog key."""
     root = Path(__file__).resolve().parents[1]
     A = constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), inputs.osp12("_2"),
                                                       "osp12+osp12"))
-    B = inputs.permute(A, *inputs.signed_permutation(random.Random(1), 10))
-    run = paired_bench.case_run(root, "ps_bol_osp2", 1)
-    assert run["cpu_s"] > 0
-    assert run["digest"] == hashlib.sha256(repr(envelope.ps_space(B)).encode()).hexdigest()
+    for name, B in (("ps_bol_osp2", inputs.permute(A, *inputs.signed_permutation(
+            random.Random(1), 10))), ("ps_abelian_14_0", catalog.build("abelian_14_0").algebra)):
+        run = paired_bench.case_run(root, name, 1)
+        assert run["cpu_s"] > 0
+        assert run["digest"] == hashlib.sha256(repr(envelope.ps_space(B)).encode()).hexdigest()
 
 
 def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):

@@ -290,9 +290,9 @@ def test_pair_spaces_keep_their_brackets_sparse(monkeypatch):
     coefficients are stored."""
     from superbol.graded import _sparse
     built = []
-    from_pairs = sb.PairSpace.from_pairs.__func__
-    monkeypatch.setattr(sb.PairSpace, "from_pairs", classmethod(
-        lambda cls, A, pairs: built.append(from_pairs(cls, A, pairs)) or built[-1]))
+    closed = sb.PairSpace._closed.__func__
+    monkeypatch.setattr(sb.PairSpace, "_closed", classmethod(
+        lambda cls, A, rows: built.append(closed(cls, A, rows)) or built[-1]))
     bols = [e.algebra for e in sb.catalog.entries() if e.kind == "bol"]
     for B in bols + [sb.malcev_to_bol(_osp12())]:
         H = sb.ps_space(B)

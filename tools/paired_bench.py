@@ -36,7 +36,7 @@ seeds.
 
 Each kernel case in CASES is timed too, written under `dense_cases`:
 CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
-each building its input from perfbench/inputs.py and timing one
+each building its input from perfbench/inputs.py or the catalog and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
 runs one, a check_morphism call or a ps_space call.  Each side's min is kept, and so are
 the median and quartiles of the change/parent ratios of the runs paired by
@@ -167,10 +167,10 @@ def _result(argv, root, **env):
 
 
 # the kernel cases: name -> (what is timed, the input B as an expression over
-# perfbench/inputs.py: an algebra, or check_morphism's arguments, the expression
-# of B timed).  M7 and osp(1|2) are built from inputs.py until the catalog has
-# them; every input is a fresh object, so no sweep or lift of it has run before
-# the timed call.
+# perfbench/inputs.py or the catalog: an algebra, or check_morphism's arguments,
+# the expression of B timed).  M7 and osp(1|2) are built from inputs.py until the
+# catalog has them; every input is a fresh object, so no sweep or lift of it has
+# run before the timed call.
 CASES = {
     "check_sparse_dim12": (
         "check_axioms(B, 'bol'), B = malcev_to_bol(M7 + osp(1|2)) (dim 12) under a signed "
@@ -226,6 +226,10 @@ CASES = {
         "inputs.permute(constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), "
         "inputs.osp12('_2'), 'osp12+osp12')), *inputs.signed_permutation(random.Random(1), 10))",
         "envelope.ps_space(B)"),
+    "ps_abelian_14_0": (
+        "ps_space(Z), Z = abelian_14_0 (dim 14, every product zero) built afresh from the "
+        "catalog: PS is gl(14) + V, of dim 210, the pair-space half of its maximal envelope",
+        "catalog.build('abelian_14_0').algebra", "envelope.ps_space(B)"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
@@ -236,7 +240,7 @@ CASE_SCRIPT = """
 import hashlib, json, random, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import inputs
-from superbol import constructions, envelope, forms, structures
+from superbol import catalog, constructions, envelope, forms, structures
 from superbol.graded import GradedMap
 
 
