@@ -191,8 +191,8 @@ def check_pseudo(B, pair):
         raise GradingError("pair lives outside the algebra")
     lab = B.space.labels
     witnesses = [Witness(axiom, tuple(lab[i] for i in at), _vector(B.space, acc))
-                 for axiom, rule, reads in _RULES for at, acc in _rule_defects(
-                     B.space, rule, _structures(B, reads), [((), pair.degree, pair._x())])]
+                 for axiom, reads in _RULES for at, acc in _rule_defects(
+                     B.space, _structures(B, reads), [((), pair.degree, pair._x())])]
     subject = "pair of degree %d on %s" % (pair.degree, B.name)
     return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
 
@@ -207,11 +207,11 @@ def companion_space(B, P):
     if P.space != B.space:
         raise GradingError("operator lives outside the algebra")
     n, par, r, L = B.space.dim, B.space.parities, P.degree, B._lifted[0]
-    (_, triple, reads), product = _RULES
-    _swept(B, product[2])   # a missing structure raises before any row
+    (_, reads), product = _RULES
+    _swept(B, product[1])   # a missing structure raises before any row
     tables = _swept(B, reads)
     # the triple rule reads no companion: P fails it, or only the product rule gives rows
-    if _rule_defects(B.space, triple, tables, [((), r, P.columns + ((),))], _order(triple, tables)):
+    if _rule_defects(B.space, tables, [((), r, P.columns + ((),))], _order(tables)):
         return AffineSubspace.empty()
     # the unknowns a_m of P's degree at column m, the others zero; b at column n, from
     # -P (operator terms times L): all times D, the lcm of P's denominators

@@ -14,15 +14,15 @@ Defect conventions:
   RHS - LHS.
 
 Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} =
-[x, y, .] derives the triple product, and (D_{x,y}, x.y) the binary one.  `_rule` writes
+[x, y, .] derives the triple product, and (D_{x,y}, x.y) the binary one.  `_listed` writes
 both once (each term's slot and sign from `_terms`) for this checker, check_pseudo and the
-pair solvers, on the one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.  Per pair
-the evaluator joins the pair with an index of the tables by the value in each slot, built
-from `_terms` too, when the cells it would walk, counted first, are fewer than the n^arity
-tuples the rule lists; else, as on dense tables and in the pair solvers, it visits those.  The
-integer pairs of one degree that visit them do so once between them, by Kronecker substitution:
-packed into one pair whose coordinates hold theirs W bits apart, each coordinate of its defects
-read back as their signed W-bit digits, exact since every term is linear in x (`_width`).
+pair solvers, on the one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The
+integer pairs of one degree are evaluated at once, by Kronecker substitution: packed into one
+pair whose coordinates hold theirs W bits apart, each coordinate of its defects read back as
+their signed W-bit digits, exact since every term is linear in x (`_width`).  The path is a
+property of the tables (`_joins`): where the rule's own product has fewer than half its n^arity
+cells nonzero, the evaluator joins the pair with an index of the tables by the value in each
+slot, built from `_terms` too; else it visits each of the tuples the rule lists.
 Each sweep evaluates the least tuple of each symmetry orbit and reports
 the rest as signed copies of its defect D.  The skew sweeps always, only
 i <= j: D(j,i,...) = (-1)^{p_i p_j} D(i,j,...).  The cyclic sums (super and
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import cached_property, partial
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
@@ -175,10 +174,6 @@ class _Structure(_SparseValue):
             itertools.product(range(self.space.dim), repeat=self.ARITY), leaves) if entry}
 
     @cached_property
-    def _slot_counts(self):  # per m, the cells with e_m in some slot and in the last
-        return Counter(m for c in self.cells() for m in c), Counter(c[-1] for c in self.cells())
-
-    @cached_property
     def _magnitudes(self):  # the largest |entry| and cell L1 norm, for `_width` and `_hom_defects`
         norms = [[abs(c) for _, c in entry] for entry in self.cells().values()]
         return max(map(max, norms), default=0), max(map(sum, norms), default=0)
@@ -266,15 +261,6 @@ class TernaryStructure(_Structure):
     @cached_property
     def mid(self):
         return tuple(tuple(zip(*plane)) for plane in self.entries)
-
-    @cached_property
-    def reach(self):
-        """The (i, j, k), in order, sharing two slots with a nonzero product: where
-        the terms of the triple rule below can be nonzero for some pair."""
-        every, cells = range(self.space.dim), self.cells()
-        return tuple(sorted({(i, j, m) for i, j in {at[:2] for at in cells} for m in every}
-                            | {(i, m, k) for i, k in {at[::2] for at in cells} for m in every}
-                            | {(m, j, k) for j, k in {at[1:] for at in cells} for m in every}))
 
 
 @record
@@ -528,10 +514,13 @@ def _sweep_ternary_jacobi(space, ts):
 
 
 # the pseudo-derivation rules: a degree-r pair (P, a) derives the ternary product (the triple
-# rule) and, with its companion, the binary one (the product rule).  Each yields (at, terms, w)
-# at the tuples some term reaches; the defect RHS - LHS sums s * x[slot] through view over the
-# terms (slot, view, s), and w, the rule's product at at, through the pair's w view.  `_rule`
-# writes both, each term t as `_terms` lays it out, in slot t of its product (`_tables`).
+# rule) and, with its companion, the binary one (the product rule).  The structures a rule reads
+# name it: the ternary alone, or the binary then the ternary.  At the tuple at, the defect RHS -
+# LHS sums, over the terms t as `_terms` lays them out, s * x[slot] through the row view of term
+# t's product (`_tables`) with e_slot in slot t, and w, the rule's product at at, through the
+# pair's w view:
+#   [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k],
+#   [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j).
 
 
 def _terms(par, at):
@@ -541,33 +530,12 @@ def _terms(par, at):
     return (i, 0), (j, par[i]), (k, par[i] ^ par[j])
 
 
-def _rule(domain, par, r, *structures):
-    sg, binary = (1, sign(r)), structures[0].ARITY == 2
-    v0, v1, v2 = (((st.col, st.entries) if st.ARITY == 2 else (st.first, st.mid, st.entries))[t]
-                  for t, st in enumerate(_tables(structures)))
-    for at in domain:
-        (i, p0), (j, p1), (k, p2) = _terms(par, at)
-        r0, r1 = (v0[j], v1[i]) if binary else (v0[j][k], v1[i][k])
-        yield at, ((i, r0, sg[p0]), (j, r1, sg[p1]), (k, v2[i][j], sg[p2])), r1[j]
-
-
-def _triple_rule(par, r, ts, keep):  # at its tuples where keep holds
-    # [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k]
-    return _rule(filter(keep, ts.reach), par, r, ts)
-
-
-def _product_rule(par, r, bs, ts, keep):
-    # [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j)
-    return _rule(filter(keep, itertools.product(range(len(par)), repeat=2)), par, r, bs, ts)
-
-
 def _tables(structures):  # the product term t reads: the rule's own, the ternary for a
     return (structures[0],) * structures[0].ARITY + structures[1:]
 
 
-# each rule with check_pseudo's name for it and the structures it takes after r
-_RULES = (("derives-triple", _triple_rule, ("ternary",)),
-          ("derives-product", _product_rule, ("binary", "ternary")))
+# each rule with check_pseudo's name for it and the structures it reads
+_RULES = (("derives-triple", ("ternary",)), ("derives-product", ("binary", "ternary")))
 
 
 def _w_terms(n, structures):
@@ -590,8 +558,11 @@ def _w_view(x, terms):
     return [_sparse(acc) for acc in view]
 
 
-def _ordered(d, at):  # at[0] + d[0] <= at[1] and at[0] + d[1] <= at[2], where at has them
-    return at[0] + d[0] <= at[1] and (len(at) < 3 or at[0] + d[1] <= at[2])
+def _ordered(n, a, d):
+    """The a-tuples at of basis indices with at[0] + d[0] <= at[1] and, for a = 3,
+    at[0] + d[1] <= at[2], in order: those a rule is evaluated at, d from `_order`."""
+    return ((i,) + rest for i in range(n)
+            for rest in itertools.product(*(range(max(0, i + e), n) for e in d[:a - 1])))
 
 
 def _by_slot(par, structures, d):
@@ -624,20 +595,22 @@ def _by_slot(par, structures, d):
     return index, w
 
 
-def _joins(x, structures):
-    """Whether the cells the pair's nonzeros reach (per m, `_slot_counts`), plus w's cells, are
-    fewer than n^arity, counted only while they are: dense tables and pairs count next to none."""
-    budget = (len(x) - 1) ** structures[0].ARITY - len(structures[0].cells())
-    if budget > 0 and structures[1:]:
-        budget -= sum(structures[1]._slot_counts[1][m] for m, _ in x[-1])
-    reached = (structures[0]._slot_counts[0][m] for m, _ in itertools.chain.from_iterable(x[:-1]))
-    return budget > 0 and all(c < budget for c in itertools.accumulate(reached))
+def _joins(structures):
+    """Whether the rule's own product, structures[0], has fewer than half its n^arity cells
+    nonzero: the join's work grows with the cells, the listed path's with the tuples."""
+    st = structures[0]
+    return 2 * len(st.cells()) < st.space.dim ** st.ARITY
 
 
-def _joined(a, r, x, view, index):
-    """The rule's defects at one pair at the tuples kept, (at, acc) in order: the sums over
-    the cells its nonzero (v, m, c) reach and those meeting its w view's support."""
-    (terms, w), sg, found, n = index, (1, sign(r)), {}, len(view)
+def _joined(space, structures, r, x, order):
+    """The rule's defects at one degree-r pair x at its tuples `_ordered` by order, (at, acc) in
+    order, acc dense: the sums over the cells its nonzero (v, m, c) reach in the tables' index
+    (`_by_slot`, kept per order and tables) and those meeting its w view's support."""
+    kept, ids = structures[0]._indexes, order + tuple(map(id, structures[1:]))
+    terms, w = (kept.get(ids) or kept.setdefault(ids, (
+        structures[1:], _by_slot(space.parities, structures, order))))[1]
+    a, sg, found, n = structures[0].ARITY, (1, sign(r)), {}, space.dim
+    view = _w_view(x, _w_terms(n, structures))
     reached = [((head + (v,) + tail)[:a], entry, sg[p] * c) for v, row in enumerate(x)
                for m, c in row for head, tail, p, entry, lo, hi in terms[m] if lo <= v <= hi]
     for at, row, c in reached + [(at, row, c) for m, row in enumerate(view) if row
@@ -648,22 +621,26 @@ def _joined(a, r, x, view, index):
     return sorted((at, acc) for at, acc in found.items() if any(acc))
 
 
-def _listed_defects(space, rule, structures, r, x, order):
-    """The rule's defects at one degree-r pair x, at its tuples `_ordered` by order, each
-    listed: (at, acc) in order, acc dense."""
-    n, view = space.dim, _w_view(x, _w_terms(space.dim, structures))
-    for at, ((i, vi, si), (j, vj, sj), (k, vk, sk)), w in rule(
-            space.parities, r, *structures, partial(_ordered, order)):
-        xi, xj, xk = x[i], x[j], x[k]
+def _listed(space, structures, r, x, order):
+    """The rule's defects at one degree-r pair x, at each of its tuples `_ordered` by order in
+    turn: (at, acc) in order, acc dense."""
+    n, par, a, sg = space.dim, space.parities, structures[0].ARITY, (1, sign(r))
+    v0, v1, v2 = (((st.col, st.entries) if st.ARITY == 2 else (st.first, st.mid, st.entries))[t]
+                  for t, st in enumerate(_tables(structures)))
+    view = _w_view(x, _w_terms(n, structures))
+    for at in _ordered(n, a, order):
+        (i, p0), (j, p1), (k, p2) = _terms(par, at)
+        r0, r1 = (v0[j], v1[i]) if a == 2 else (v0[j][k], v1[i][k])
+        w, xi, xj, xk = r1[j], x[i], x[j], x[k]
         if not (w or xi or xj or xk):
             continue    # no term reaches the pair
         acc = _into([0] * n, w, view)
         if xi:
-            _into(acc, xi, vi, si)
+            _into(acc, xi, r0, sg[p0])
         if xj:
-            _into(acc, xj, vj, sj)
+            _into(acc, xj, r1, sg[p1])
         if xk:
-            _into(acc, xk, vk, sk)
+            _into(acc, xk, v2[i][j], sg[p2])
         if any(acc):
             yield at, acc
 
@@ -706,34 +683,26 @@ def _unpacked(acc, g, W):
     return out
 
 
-def _rule_defects(space, rule, structures, pairs, order=(-math.inf,) * 2):
-    """The nonzero defects of one rule on each degree-r pair (key, r, x) of pairs at its tuples
-    `_ordered` by order, as (key + at, acc) in pair order, acc dense: joined if `_joins`, or
-    listed, the listed pairs of each degree at once as one pair `_packed` W bits apart, each
-    coordinate of its defects then `_unpacked` into theirs (every term is linear in x).  A
-    degree's one listed pair is evaluated as it stands: check_pseudo's may hold Fractions."""
-    par, a, index = space.parities, structures[0].ARITY, None
-    terms = _w_terms(space.dim, structures)
-    found, listed = [], {}  # per pair, its key and defects; per degree, its listed pairs
+def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
+    """The nonzero defects of the rule the structures name on each degree-r pair (key, r, x) of
+    pairs at its tuples `_ordered` by order, as (key + at, acc) in pair order, acc dense.  The
+    pairs of each degree are evaluated at once, as one pair `_packed` W bits apart, each
+    coordinate of its defects then `_unpacked` into theirs (every term is linear in x), joined
+    or listed as `_joins` chooses for the tables.  A degree's one pair is evaluated as it
+    stands: check_pseudo's may hold Fractions."""
+    evaluate = _joined if _joins(structures) else _listed
+    found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
     for key, r, x in pairs:
-        if not any(x):
-            continue    # a zero pair derives everything
-        defects = []
-        found.append((key, defects))
-        if _joins(x, structures):
-            kept, ids = structures[0]._indexes, order + tuple(map(id, structures[1:]))
-            index = index or (kept.get(ids) or kept.setdefault(ids, (
-                structures[1:], _by_slot(par, structures, order))))[1]
-            defects += _joined(a, r, x, _w_view(x, terms), index)
-        else:
-            listed.setdefault(r, []).append((x, defects))
-    for r, group in listed.items():
+        if any(x):  # a zero pair derives everything
+            found.append((key, []))
+            degrees.setdefault(r, []).append((x, found[-1][1]))
+    for r, group in degrees.items():
         xs, outs = zip(*group)
         if len(xs) == 1:
-            outs[0].extend(_listed_defects(space, rule, structures, r, xs[0], order))
+            outs[0].extend(evaluate(space, structures, r, xs[0], order))
             continue
         W = _width(xs, structures)
-        for at, acc in _listed_defects(space, rule, structures, r, _packed(xs, W), order):
+        for at, acc in evaluate(space, structures, r, _packed(xs, W), order):
             for out, digits in zip(outs, _unpacked(acc, len(xs), W)):
                 if any(digits):
                     out.append((at, digits))
@@ -763,10 +732,11 @@ def _all_skew(structures):
     return not any(st._skew_witnesses for st in structures)
 
 
-def _derives(rule, structures):
-    """Whether the rule is the triple rule on a table whose skew and ternary Jacobi
-    sweeps find nothing: then its derived tuples follow from the rest."""
-    return rule is _triple_rule and _all_skew(structures) and not structures[0]._jacobi_witnesses
+def _derives(structures):
+    """Whether the structures are the triple rule's, a ternary table alone, whose skew and
+    ternary Jacobi sweeps find nothing: then its derived tuples follow from the rest."""
+    st = structures[0]
+    return st.ARITY == 3 and _all_skew(structures) and not st._jacobi_witnesses
 
 
 def _swept(A, reads):
@@ -776,10 +746,10 @@ def _swept(A, reads):
     return tuple(A._lifted[1][what] for what in reads)
 
 
-def _order(rule, structures):
-    """The offsets d of the rule's tuples at a sweep or solver evaluates, `_ordered(d, at)`:
-    at[0] <= at[1] once the structures are super skew, u < v, u <= w once derived ones follow."""
-    if _derives(rule, structures):
+def _order(structures):
+    """The offsets d, `_ordered`'s, of the tuples a sweep or solver evaluates the structures'
+    rule at: at[0] <= at[1] once they are super skew, u < v, u <= w once derived ones follow."""
+    if _derives(structures):
         return 1, 0
     return (0 if _all_skew(structures) else -math.inf), -math.inf
 
@@ -787,16 +757,18 @@ def _order(rule, structures):
 def _pair_rows(A, r, pairs, rules=_RULES):
     """The pair solvers' rows: the rules (`_RULES` entries, both by default) on A's lifted
     tables at `_order`'s tuples, for the integer degree-r pairs (column, x) in column order,
-    packed into one W bits apart (`_packed`; `_width` over every table read).  Each nonzero
+    packed into one W bits apart (`_packed`; `_width` over every table read), joined or listed
+    as `_joins` chooses for each rule's tables, as in `_rule_defects`.  Each nonzero
     packed defect coordinate is one row ((column, c), ...), c that coordinate of x's defect:
     one seen before, up to sign, is dropped, and a new one is read by `_digits`.  A missing
     structure raises before any row."""
-    rules = [(rule, _swept(A, reads)) for _, rule, reads in rules]
+    rules = [_swept(A, reads) for _, reads in rules]
     columns, xs = zip(*pairs)
-    W = _width(xs, [st for _, structures in rules for st in structures])
+    W = _width(xs, [st for structures in rules for st in structures])
     x, seen = _packed(xs, W), set()
-    for rule, structures in rules:
-        for _, acc in _listed_defects(A.space, rule, structures, r, x, _order(rule, structures)):
+    for structures in rules:
+        evaluate = _joined if _joins(structures) else _listed
+        for _, acc in evaluate(A.space, structures, r, x, _order(structures)):
             for v in map(abs, acc):
                 if v and v not in seen:
                     seen.add(v)
@@ -834,13 +806,13 @@ def _with_derived(par, defects):
             yield key + (u, v, w), acc
 
 
-def _inner_witnesses(axiom, rule, space, *structures):
-    # the rule on every inner pair, mirrored in (i, j) and (u, v) once the
-    # structures it reads are super skew, the triple rule derived as above
+def _inner_witnesses(axiom, space, *structures):
+    # the structures' rule on every inner pair, mirrored in (i, j) and (u, v) once
+    # they are super skew, the triple rule derived as above
     par, mirror = space.parities, _all_skew(structures)
     pairs = (p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror)
-    defects = _rule_defects(space, rule, structures, pairs, _order(rule, structures))
-    if _derives(rule, structures):
+    defects = _rule_defects(space, structures, pairs, _order(structures))
+    if _derives(structures):
         defects = _with_derived(par, defects)
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
                                                     partial(_swapped, 2, par)) if mirror else ())
@@ -855,9 +827,8 @@ _SWEEPS = {
     "malcev": (_sweep_malcev, ("binary",), 3),
     "triple-skew": (lambda space, st: st._skew_witnesses, ("ternary",), 2),
     "triple-jacobi": (lambda space, ts: ts._jacobi_witnesses, ("ternary",), 2),
-    "nambu": (partial(_inner_witnesses, "nambu", _triple_rule), ("ternary",), 4),
-    "product-rule": (partial(_inner_witnesses, "product-rule", _product_rule),
-                     ("binary", "ternary"), 3),
+    "nambu": (partial(_inner_witnesses, "nambu"), ("ternary",), 4),
+    "product-rule": (partial(_inner_witnesses, "product-rule"), ("binary", "ternary"), 3),
 }
 _SYSTEMS = {
     "lie": ("skew", "jacobi"),

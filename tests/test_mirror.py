@@ -39,9 +39,10 @@ systems over every rule tuple: the same rows, pivots, brackets and basis
 pairs, and the same point, directions and pivots, with scalar types.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -244,30 +245,27 @@ def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brac
 @pytest.fixture
 def evaluated(monkeypatch):
     """Per call of the rule evaluator from a sweep: the inner pairs it is
-    given and, for each degree, the rule tuples it keeps, those its per-tuple
-    path lists and the only ones its index walk reports."""
+    given and the rule tuples it keeps, those its per-tuple path lists and
+    the only ones its index walk reports."""
     calls = []
     rule_defects = structures._rule_defects
 
-    def recording(space, rule, tables, pairs, *order):
+    def recording(space, tables, pairs, order=(-math.inf,) * 2):
         pairs = list(pairs)
-        kept = partial(structures._ordered, order[0]) if order else (lambda at: True)
-        listed = {r: [at for at, _, _ in rule(space.parities, r, *tables, kept)] for r in (0, 1)}
+        listed = list(structures._ordered(space.dim, tables[0].ARITY, order))
         calls.append(([key for key, _, _ in pairs], listed))
-        return rule_defects(space, rule, tables, pairs, *order)
+        return rule_defects(space, tables, pairs, order)
 
     monkeypatch.setattr(structures, "_rule_defects", recording)
     return calls
 
 
-RULE_READS = ((structures._triple_rule, ("ternary",)),
-              (structures._product_rule, ("binary", "ternary")))
+READS = (("ternary",), ("binary", "ternary"))
 
 
-def every_tuple(B, rule, reads):
-    tables = [getattr(B, what) for what in reads]
-    return {r: [at for at, _, _ in rule(B.space.parities, r, *tables, lambda at: True)]
-            for r in (0, 1)}
+def every_tuple(B, reads):
+    """Every tuple of the arity of the rule on the tables named in reads, in order."""
+    return list(itertools.product(range(B.space.dim), repeat=getattr(B, reads[0]).ARITY))
 
 
 @pytest.mark.parametrize("broken", [None, "binary", "ternary", "jacobi"])
@@ -298,18 +296,17 @@ def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated
     assert ("triple-jacobi" in axioms) == (broken in ("ternary", "jacobi"))
     n = B.space.dim
     assert len(evaluated) == 2
-    for (keys, listed), (rule, reads) in zip(evaluated, RULE_READS):
-        full = every_tuple(B, rule, reads)
+    for (keys, listed), reads in zip(evaluated, READS):
+        full = every_tuple(B, reads)
         if broken in reads:
             assert keys == [(i, j) for i in range(n) for j in range(n)]
             assert listed == full
-        elif rule is structures._triple_rule and broken != "jacobi":
+        elif reads == ("ternary",) and broken != "jacobi":
             assert keys == [(i, j) for i in range(n) for j in range(i, n)]
-            assert listed == {r: [at for at in ats if at[0] < at[1] and at[0] <= at[2]]
-                              for r, ats in full.items()}
+            assert listed == [at for at in full if at[0] < at[1] and at[0] <= at[2]]
         else:
             assert keys == [(i, j) for i in range(n) for j in range(i, n)]
-            assert listed == {r: [at for at in ats if at[0] <= at[1]] for r, ats in full.items()}
+            assert listed == [at for at in full if at[0] <= at[1]]
 
 
 def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, monkeypatch):
@@ -332,11 +329,10 @@ def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, mon
         assert sb.check_axioms(A, kind).passed
     assert calls == [lifted]
     assert skewed == [lifted, A._lifted[1]["binary"]]    # the skew sweep likewise
-    full = every_tuple(A, structures._triple_rule, ("ternary",))
+    full = every_tuple(A, ("ternary",))
     assert len(evaluated) == 3    # Nambu in lts and bol, then the product rule
     for _, listed in evaluated[:2]:
-        assert listed == {r: [at for at in ats if at[0] < at[1] and at[0] <= at[2]]
-                          for r, ats in full.items()}
+        assert listed == [at for at in full if at[0] < at[1] and at[0] <= at[2]]
     sb.ps_space(A)
     sb.companion_space(A, sb.GradedMap.identity(A.space))
     assert calls == [lifted]
@@ -344,9 +340,8 @@ def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, mon
     B = A.renamed("withheld")
     vars(B._lifted[1]["ternary"])["_jacobi_witnesses"] = ("withheld",)
     evaluated.clear()
-    list(structures._inner_witnesses("nambu", structures._triple_rule, B.space,
-                                     B._lifted[1]["ternary"]))
-    assert evaluated[0][1] == {r: [at for at in ats if at[0] <= at[1]] for r, ats in full.items()}
+    list(structures._inner_witnesses("nambu", B.space, B._lifted[1]["ternary"]))
+    assert evaluated[0][1] == [at for at in full if at[0] <= at[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 """The listed pairs of one degree are evaluated at once, as one packed pair.
 
-`structures._rule_defects` joins the pairs `_joins` accepts one by one.  The
-others it gathers per degree r and evaluates as one pair whose coordinates
-hold theirs W bits apart (`_packed`); each coordinate of a packed defect is
-then read back as the pairs' signed W-bit digits (`_unpacked`).  Every term
-of both rules is linear in the pair, so this is exact while each defect
+`structures._rule_defects` gathers the pairs per degree r and evaluates
+them as one pair whose coordinates hold theirs W bits apart (`_packed`), on
+the path `_joins` chooses for the tables; each coordinate of a packed defect
+is then read back as the pairs' signed W-bit digits (`_unpacked`).  Every
+term of both rules is linear in the pair, so this is exact while each defect
 coordinate is under 2^(W-1) in size, which `_width` sizes from the pairs and
 the tables read.
 
 Packed and one-pair-at-a-time evaluation must give the same (key + tuple,
-defect) lists, scalar types included: on dense, lifted (L > 1), failing,
-odd-vector and both-degree tables, with coefficients past 2^64, and on a
-table built so that its defects come within a factor of 2 of the bound.  The
-decode must read back every digit up to +-(2^(W-1) - 1).
+defect) lists, scalar types included, on both paths: on dense, lifted
+(L > 1), failing, odd-vector and both-degree tables, with coefficients past
+2^64, and on a table built so that its defects come within a factor of 2 of
+the bound.  The decode must read back every digit up to +-(2^(W-1) - 1).
 """
 
 import itertools
@@ -38,13 +38,12 @@ def packs(monkeypatch):
     return sizes
 
 
-def evaluated(B, rule, tables, pairs, order):
-    return [(at, typed(acc)) for at, acc in structures._rule_defects(
-        B.space, rule, tables, pairs, order)]
+def evaluated(B, tables, pairs, order):
+    return [(at, typed(acc)) for at, acc in structures._rule_defects(B.space, tables, pairs, order)]
 
 
-def one_at_a_time(B, rule, tables, pairs, order):
-    return [d for p in pairs for d in evaluated(B, rule, tables, [p], order)]
+def one_at_a_time(B, tables, pairs, order):
+    return [d for p in pairs for d in evaluated(B, tables, [p], order)]
 
 
 def assert_packed_as_one_at_a_time(B, pairs_of, packs):
@@ -52,13 +51,13 @@ def assert_packed_as_one_at_a_time(B, pairs_of, packs):
     what they give one at a time, with at least one pack of two or more pairs;
     the defects found, all rules together."""
     found, packs[:] = [], []
-    for _, rule, reads in RULES:
+    for axiom, reads in RULES:
         if any(getattr(B, what) is None for what in reads):
             continue
         tables = structures._swept(B, reads)
-        pairs, order = pairs_of(tables), structures._order(rule, tables)
-        together = evaluated(B, rule, tables, pairs, order)
-        assert together == one_at_a_time(B, rule, tables, pairs, order), (B.name, rule)
+        pairs, order = pairs_of(tables), structures._order(tables)
+        together = evaluated(B, tables, pairs, order)
+        assert together == one_at_a_time(B, tables, pairs, order), (B.name, axiom)
         assert all(t is int for _, acc in together for t, _ in acc)
         found += together
     assert packs and max(packs) > 1, B.name
@@ -97,11 +96,13 @@ def uniform_pair(B, c):
 
 @pytest.mark.parametrize("kind", sorted(INPUTS))
 def test_inner_pairs_packed_give_what_they_give_one_at_a_time(kind, packs, monkeypatch):
-    """The inner pairs as the Bol check evaluates them, every pair listed, so
-    the sparse ladder, which joins them all, packs too."""
-    monkeypatch.setattr(structures, "_joins", lambda *args: False)
-    for B in INPUTS[kind]:
-        assert_packed_as_one_at_a_time(B, lambda tables: inner_pairs(B, tables), packs)
+    """The inner pairs as the Bol check evaluates them, on each path forced:
+    every pair listed, so the sparse ladder, whose tables join, is listed too,
+    and every pair joined, so the dense copies are joined too."""
+    for join in (True, False):
+        monkeypatch.setattr(structures, "_joins", lambda tables: join)
+        for B in INPUTS[kind]:
+            assert_packed_as_one_at_a_time(B, lambda tables: inner_pairs(B, tables), packs)
 
 
 def test_dense_bol_m7_packs_every_inner_pair(packs):
@@ -117,7 +118,7 @@ def test_dense_bol_m7_packs_every_inner_pair(packs):
 def test_pairs_of_both_degrees_past_2_64_pack_exactly(B, packs, monkeypatch):
     """Random pairs of both degrees with ints past 2^64, on dense odd vectors
     and on lifted tables (Fraction constants, L > 1), every pair listed."""
-    monkeypatch.setattr(structures, "_joins", lambda *args: False)
+    monkeypatch.setattr(structures, "_joins", lambda tables: False)
     rng = random.Random(B.name)
     pairs = [big_pair(B, rng, r) for r in (0, 1, 1, 0, 1, 0, 0)]
     found = assert_packed_as_one_at_a_time(
@@ -141,18 +142,22 @@ def test_defects_near_the_bound_read_back_with_both_signs(packs):
 
 
 def test_joined_and_listed_pairs_keep_pair_order(monkeypatch):
-    """With the pairs joined and listed by turns, the defects come out in pair
-    order, each pair's as one call on it alone gives them."""
+    """With the pairs' degrees by turns, joined and listed, the defects come out
+    in pair order, each pair's as one call on it alone gives them, and the same
+    on both paths."""
     B = dense(sb.malcev_to_bol(inputs.osp12()))
     rng = random.Random(5)
     pairs = [((b,), p.degree, p._x()) for b, p in
              enumerate(big_pair(B, rng, b % 2, 9) for b in range(8))]
-    joined = {id(x) for _, _, x in pairs[1::3]}
-    monkeypatch.setattr(structures, "_joins", lambda x, tables: id(x) in joined)
-    for _, rule, reads in RULES:
-        tables = structures._swept(B, reads)
-        together = evaluated(B, rule, tables, pairs, (0, -math.inf))
-        assert together and together == one_at_a_time(B, rule, tables, pairs, (0, -math.inf))
+    for _, reads in RULES:
+        tables, found = structures._swept(B, reads), []
+        for join in (True, False):
+            monkeypatch.setattr(structures, "_joins", lambda tables: join)
+            together = evaluated(B, tables, pairs, (0, -math.inf))
+            assert together and together == one_at_a_time(B, tables, pairs, (0, -math.inf))
+            assert [at[0] for at, _ in together] == sorted(at[0] for at, _ in together)
+            found.append(together)
+        assert found[0] == found[1]
 
 
 @pytest.mark.parametrize("W", [2, 7, 8, 63, 64, 65, 131])

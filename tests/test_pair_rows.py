@@ -2,10 +2,10 @@
 
 ps_space and companion_space take their linear systems from
 `structures._pair_rows`: each unknown is a unit pair, all packed into one
-pair W bits apart, and that pair runs through the rules' listed path
-(`_listed_defects`).  Each nonzero packed coordinate of a defect is one
-row; one seen before, up to sign, is dropped, and a new one is read off its
-signed W-bit digits.  `slow_reference.pair_rows` writes both rules out term
+pair W bits apart, and that pair runs through the path `_joins` chooses for
+each rule's tables, as the Bol check's does.  Each nonzero packed coordinate
+of a defect is one row; one seen before, up to sign, is dropped, and a new
+one is read off its signed W-bit digits.  `slow_reference.pair_rows` writes both rules out term
 by term instead, at the same tuples and on the same lifted scale.
 
 The rows the solvers read must be the reference's up to sign and order, with
@@ -14,7 +14,8 @@ bol(osp(1|2) + osp(1|2)), a dense copy, lifted tables with Fraction
 constants and tables whose skew or ternary Jacobi sweep fails, in both
 degrees, for ps_space and for companion_space of integer and Fraction
 operators.  An operator that fails the triple rule has no companion.  A
-width one bit short reads other rows.
+width one bit short reads other rows.  Both paths read the same rows in the
+same order.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from superbol import envelope, structures
 from superbol.linalg import _divided, _rref
 from test_packed_pairs import positive
 from test_reference import LIFTED
-from test_rule_paths import broken, dense
+from test_rule_paths import INPUTS as RULE_INPUTS, broken, dense
 
 
 def solver_inputs():
@@ -152,3 +153,29 @@ def test_a_width_one_bit_short_reads_other_rows(monkeypatch, read):
     sb.companion_space(B.renamed("fresh"), zero)
     [(_, short)] = read
     assert widths and {up_to_sign(row) for row in short} != {up_to_sign(row) for row in rows}
+
+
+@pytest.mark.parametrize("B", RULE_INPUTS["sparse"] + RULE_INPUTS["dense"] + [
+    sb.catalog.load("abelian_6_2")] + LIFTED, ids=lambda B: B.name)
+def test_both_paths_read_the_same_rows_in_the_same_order(B, monkeypatch):
+    """ps_space's unit pairs of each degree, for each rule whose tables B has,
+    joined and listed: the same rows, in the same order, nonempty but on the
+    zero algebra."""
+    n, par, L = B.space.dim, B.space.parities, B._lifted[0]
+    found, joined, join_ = [], [], structures._joined
+    monkeypatch.setattr(structures, "_joined", lambda *args: joined.append(1) or join_(*args))
+    for rule in structures._RULES:
+        if any(getattr(B, what) is None for what in rule[1]):
+            continue
+        for r in (0, 1):
+            columns = [k for k in range(n * n + n) if envelope._degree_at(par, k) == r]
+            pairs = [(k, envelope._unflat(n, [(k, L if k < n * n else 1)])) for k in columns]
+            rows = []
+            for join in (True, False):
+                monkeypatch.setattr(structures, "_joins", lambda tables: join)
+                joined.clear()
+                rows.append(list(structures._pair_rows(B, r, pairs, (rule,))) if pairs else [])
+                assert bool(joined) == (join and bool(pairs))
+            assert rows[0] == rows[1], (B.name, rule[0], r)
+            found += rows[0]
+    assert bool(found) == any(st is not None and st.cells() for st in (B.binary, B.ternary))

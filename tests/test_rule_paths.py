@@ -1,12 +1,12 @@
 """The pseudo-derivation rules have two evaluation paths, and they agree.
 
-`structures._rule_defects` evaluates a rule on each pair (P, a) in one of
-two ways.  The join (`_joined`) walks the index of the tables by the value
-in each slot (`_by_slot`) from the pair's nonzero entries, plus the cells
-that meet its w view.  The per-tuple path visits every tuple the rule
-lists.  `_joins` picks one per pair, from how many index entries the pair
-reaches, plus the rule's product's cells for its w view, against the
-n^arity tuples the rule can list.
+`structures._rule_defects` evaluates a rule on the pairs (P, a) of each
+degree, packed into one, in one of two ways.  The join (`_joined`) walks the
+index of the tables by the value in each slot (`_by_slot`) from the pair's
+nonzero entries, plus the cells that meet its w view.  The per-tuple path
+(`_listed`) visits every tuple the rule lists.  `_joins` picks one per
+table: the join where the rule's own product has fewer than half its
+n^arity cells nonzero.
 
 Both paths must give the same (key + tuple, defect) list, scalar types
 included.  Each path is forced by patching `_joins`, on one input of each
@@ -18,7 +18,7 @@ kind:
 - a ternary product whose Jacobi sweep fails, so Nambu derives nothing.
 On both paths check_axioms and check_pseudo match `slow_reference`, on
 inner pairs and on random and sparse pairs of both degrees.  The sparse
-ladder takes the join and the dense copies take the per-tuple path.
+ladder's tables take the join and the dense copies' the per-tuple path.
 """
 
 import math
@@ -34,8 +34,7 @@ from superbol import structures
 from superbol.structures import AlgebraDef
 from test_reference import LIFTED, from_cells, random_pair
 
-RULES = (("nambu", structures._triple_rule, ("ternary",)),
-         ("product-rule", structures._product_rule, ("binary", "ternary")))
+RULES = (("nambu", ("ternary",)), ("product-rule", ("binary", "ternary")))
 
 
 def dense(A):
@@ -77,7 +76,7 @@ INPUTS = inner_input()
 @pytest.fixture
 def path(monkeypatch):
     """path(join) forces the join (True) or the per-tuple path (False)."""
-    return lambda join: monkeypatch.setattr(structures, "_joins", lambda *args: join)
+    return lambda join: monkeypatch.setattr(structures, "_joins", lambda tables: join)
 
 
 def typed(acc):
@@ -91,12 +90,13 @@ def inner_pairs(B, tables):
             if p[0][0] <= p[0][1] or not mirror]
 
 
-def sweep_defects(B, rule, reads):
-    """The rule's defects on the inner pairs as the Bol check evaluates them:
-    on the lifted tables, mirrored and derived by the sweeps' verdicts."""
+def sweep_defects(B, reads):
+    """The defects of the rule on the tables named in reads on the inner pairs as
+    the Bol check evaluates them: on the lifted tables, mirrored and derived by
+    the sweeps' verdicts."""
     tables = structures._swept(B, reads)
     return [(at, typed(acc)) for at, acc in structures._rule_defects(
-        B.space, rule, tables, inner_pairs(B, tables), structures._order(rule, tables))]
+        B.space, tables, inner_pairs(B, tables), structures._order(tables))]
 
 
 def sparse_odd_pair(B):
@@ -125,10 +125,10 @@ def probe_pairs(B):
 
 def pseudo_defects(B, pair):
     """check_pseudo's defects, of the rules whose structures B has."""
-    return [(axiom, at, typed(acc)) for axiom, rule, reads in structures._RULES
+    return [(axiom, at, typed(acc)) for axiom, reads in structures._RULES
             if all(getattr(B, what) is not None for what in reads)
             for at, acc in structures._rule_defects(
-                B.space, rule, structures._structures(B, reads), [((), pair.degree, pair._x())])]
+                B.space, structures._structures(B, reads), [((), pair.degree, pair._x())])]
 
 
 @pytest.mark.parametrize("kind", sorted(INPUTS))
@@ -137,13 +137,13 @@ def test_both_paths_give_the_same_defects(kind, path):
     the sweeps, and every input has a probe pair that fails."""
     for B in INPUTS[kind]:
         found = []
-        for axiom, rule, reads in RULES:
+        for axiom, reads in RULES:
             if B.binary is None and "binary" in reads:
                 continue
             path(True)
-            joined = sweep_defects(B, rule, reads)
+            joined = sweep_defects(B, reads)
             path(False)
-            assert sweep_defects(B, rule, reads) == joined, (B.name, axiom)
+            assert sweep_defects(B, reads) == joined, (B.name, axiom)
             found += joined
         assert bool(found) == kind.endswith("broken"), B.name
         for pair in probe_pairs(B):
@@ -189,32 +189,69 @@ def test_checks_on_both_paths_match_the_reference(join, path):
                 [typed(w.defect.coords) for w in slow.witnesses]
 
 
-def test_an_odd_sparse_pair_that_fails_is_joined_and_matches_the_reference():
+def test_an_odd_sparse_pair_that_fails_is_joined_and_matches_the_reference(monkeypatch):
     """The sparse odd pair is no inner pair and fails both rules; on bol(M7 +
-    osp(1|2)) it takes the join, whose Koszul signs its odd entries test."""
+    osp(1|2)) both rules' tables take the join, whose Koszul signs its odd
+    entries test."""
     B = INPUTS["sparse"][0]
-    pair = sparse_odd_pair(B)
-    assert structures._joins(pair._x(), structures._structures(B, ("ternary",)))
+    pair, joined = sparse_odd_pair(B), []
+    join = structures._joined
+    monkeypatch.setattr(structures, "_joined", lambda space, tables, *args: joined.append(
+        tuple(st.ARITY for st in tables)) or join(space, tables, *args))
     report = sb.check_pseudo(B, pair)
+    assert joined == [(3,), (2, 3)]
     assert {w.axiom for w in report.witnesses} == {"derives-triple", "derives-product"}
     assert report == slow_reference.check_pseudo(B, pair)
 
 
-def chosen(B, reads):
-    """Per nonzero inner pair the Bol check evaluates, whether it is joined."""
-    tables = structures._swept(B, reads)
-    return [structures._joins(x, tables) for _, _, x in inner_pairs(B, tables) if any(x)]
-
-
 def test_the_sparse_ladder_is_joined_and_dense_copies_visit_tuples():
+    """The path is chosen per table, from its nonzero cells alone: the sparse
+    ladder's lifted tables join, but for bol(M7)'s binary one, 42 of 49 cells
+    nonzero, and the dense copies' tables list."""
     bol12, lts = INPUTS["sparse"]
     bol_m7 = sb.malcev_to_bol(inputs.m7())
     for B, reads in ((bol12, ("ternary",)), (bol12, ("binary", "ternary")),
                      (lts, ("ternary",)), (bol_m7, ("ternary",))):
-        assert all(chosen(B, reads)), (B.name, reads)
+        assert structures._joins(structures._swept(B, reads)), (B.name, reads)
+    assert len(bol_m7.binary.cells()) == 42
+    assert not structures._joins(structures._swept(bol_m7, ("binary", "ternary")))
     for B in INPUTS["dense"] + [dense(bol_m7)]:
-        for _, _, reads in RULES:
-            assert not any(chosen(B, reads)), (B.name, reads)
+        for _, reads in RULES:
+            assert not structures._joins(structures._swept(B, reads)), (B.name, reads)
+
+
+def test_a_table_with_half_its_cells_nonzero_is_listed_and_one_fewer_is_joined():
+    """L2_2_2_bol's binary table has 8 of its 16 cells nonzero: the product rule
+    lists it.  The same table with one nonzero cell dropped is joined."""
+    B = sb.catalog.load("L2_2_2_bol")
+    cells = dict(B.binary.cells())
+    assert len(cells) == 8 and B.space.dim == 4
+    assert not structures._joins((B.binary, B.ternary))
+    del cells[min(cells)]
+    fewer = from_cells(type(B.binary), B.space, cells)
+    assert len(fewer.cells()) == 7 and structures._joins((fewer, B.ternary))
+
+
+def test_check_pseudo_on_a_dense_and_a_fraction_pair_over_a_sparse_table_matches_the_reference():
+    """On sparse bol(M7 + osp(1|2)), whose tables join, a pair with every entry its
+    degree allows nonzero, in ints, and the same pair over 3, in Fractions: each
+    fails both rules, with the reference's witnesses and scalar types."""
+    B = INPUTS["sparse"][0]
+    assert all(structures._joins(structures._structures(B, reads)) for _, reads in RULES)
+    n, par, rng = B.space.dim, B.space.parities, random.Random(3)
+    for r in (0, 1):
+        rows = [[rng.choice([-2, -1, 1, 3]) if par[t] == (par[m] + r) % 2 else 0
+                 for m in range(n)] for t in range(n)]
+        comp = [rng.choice([-1, 2]) if par[m] == r else 0 for m in range(n)]
+        for scale in (1, Fraction(1, 3)):
+            pair = sb.PseudoDerivationPair(
+                sb.GradedMap.from_rows(B.space, r, [[scale * c for c in row] for row in rows]),
+                B.space.vector([scale * c for c in comp]))
+            fast, slow = sb.check_pseudo(B, pair), slow_reference.check_pseudo(B, pair)
+            assert {w.axiom for w in fast.witnesses} == {"derives-triple", "derives-product"}
+            assert fast == slow, (r, scale)
+            assert [typed(w.defect.coords) for w in fast.witnesses] == \
+                [typed(w.defect.coords) for w in slow.witnesses], (r, scale)
 
 
 def test_the_join_index_is_built_once_per_tables_and_order(monkeypatch):
