@@ -20,14 +20,14 @@ is B + H with
     [(P,a),(Q,b)] = ([P,Q], P(b) - (-1)^{deg P deg Q} Q(a) - a.b).
 
 The last block is H's structure constants, which a PairSpace keeps
-sparse (`brackets` is their dense view) from its closure check, on
-ints: each basis pair p times its lead, lifted as the rules read it, is
-bracketed with all its partners q of one degree at once, packed W bits
-apart, and one residue tests them all.  A super skew binary product makes
-the bracket super skew, [q, p] = -(-1)^{pq} [p, q]: when its skew sweep
-finds nothing, only q >= p are packed.  The envelope's table lists
-[x, y] for x <= y in B and [(P, a), x]; `structures._mirrored`
-completes both tables, the one place super skew-symmetry is filled in.
+sparse from its closure check, on ints: each basis pair p times its lead,
+lifted as the rules read it, is bracketed with all its partners q of one
+degree at once, packed W bits apart, and one residue tests them all.  A
+super skew binary product makes the bracket super skew, [q, p] =
+-(-1)^{pq} [p, q]: when its skew sweep finds nothing, only q >= p are
+packed and kept.  The envelope's table lists [x, y] for x <= y in B,
+[(P, a), x] and those brackets, and one `structures._mirrored` call
+completes it; the dense view `brackets` is completed by the same routine.
 Every constructed enveloping algebra is re-checked against the Lie
 axioms; violations raise instead of producing a bad algebra.
 """
@@ -233,15 +233,15 @@ class PairSpace:
 
     `basis` holds homogeneous pairs read off the reduced rows of their flat
     entries (leading columns in pivots), so equality of PairSpaces is
-    equality of spans.  _brackets[m][l] holds the sparse coordinates of
-    pair_bracket(basis[m], basis[l]) over the basis, like a structure's
-    entries, read off the closure check (`_closed`); `brackets` is their dense view.
+    equality of spans.  _brackets[m, l] holds the sparse coordinates of pair_bracket(basis[m],
+    basis[l]), () if zero, at each (m, l) the closure check (`_closed`) brackets: l >= m once
+    the product is super skew, else all; `brackets` is their dense view, completed.
     """
 
     algebra: AlgebraDef
     basis: tuple
     pivots: tuple = hidden
-    _brackets: tuple = hidden
+    _brackets: dict = hidden
     # the integer rows of the basis by lead, and each lead's index, from linalg._by_lead
     _common: tuple = hidden
 
@@ -295,9 +295,7 @@ class PairSpace:
                     close(l)    # with its partners l' >= l
             for m in () if mirror else range(d):
                 close(m)
-        brackets = _mirrored(degrees, brackets)
-        return cls(algebra, basis, tuple(pivots),
-                   tuple(tuple(brackets[m, l] for l in range(d)) for m in range(d)), common)
+        return cls(algebra, basis, tuple(pivots), brackets, common)
 
     @property
     def dim(self):
@@ -321,8 +319,9 @@ class PairSpace:
         return tuple(p.flatten() for p in self.basis)
 
     @cached_property
-    def brackets(self):  # _brackets, dense
-        return tuple(tuple(_dense(coords, self.dim) for coords in row) for row in self._brackets)
+    def brackets(self):  # _brackets completed by super skew-symmetry, dense
+        full, d = _mirrored([p.degree for p in self.basis], self._brackets), self.dim
+        return tuple(tuple(_dense(full[m, l], d) for l in range(d)) for m in range(d))
 
     def contains_space(self, other):
         return all(self.contains(p) for p in other.basis)
@@ -424,7 +423,7 @@ def enveloping(B, H=None):
         return tuple((nb + m, c) for m, c in coords)
 
     # the inner pairs (e_i, e_j) with i <= j, the Bol algebra B being super skew, the
-    # cells [(P, a), e_j] and H's brackets; _mirrored completes the rest
+    # cells [(P, a), e_j] and H's kept brackets; _mirrored completes the rest
     cells = {}
     for (i, j), _, x in _basis_inner_pairs(B):
         coords = _span_coordinates(H._common, _flat(x))
@@ -434,7 +433,7 @@ def enveloping(B, H=None):
         cells[i, j] = shifted(coords)
     for m, p in enumerate(H.basis):
         cells.update(((nb + m, j), col) for j, col in enumerate(p.operator.columns))
-        cells.update(((nb + m, nb + l), shifted(c)) for l, c in enumerate(H._brackets[m]))
+    cells.update(((nb + m, nb + l), shifted(c)) for (m, l), c in H._brackets.items())
 
     lie = AlgebraDef("env(%s)" % B.name, space,
                      binary=BinaryStructure._of(space, _mirrored(parities, cells)))

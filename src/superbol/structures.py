@@ -668,28 +668,13 @@ def _packed(xs, W):
     return tuple(out)
 
 
-def _unpacked(acc, g, W):
-    """The g dense accs whose signed W-bit digits acc packs, acc[t] = sum over b of
-    out[b][t] 2^(W b) with each |out[b][t]| < 2^(W-1): plus 2^(W-1) every digit is in
-    [0, 2^W), so adding that to each digit, a bias, leaves them to be read off by masks."""
-    half, mask = 1 << W - 1, (1 << W) - 1
-    bias, out = half * ((1 << W * g) - 1) // mask, [[0] * len(acc) for _ in range(g)]
-    for t, v in enumerate(acc):
-        if v:
-            v += bias
-            for row in out:
-                row[t] = (v & mask) - half
-                v >>= W
-    return out
-
-
 def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
     """The nonzero defects of the rule the structures name on each degree-r pair (key, r, x) of
     pairs at its tuples `_ordered` by order, as (key + at, acc) in pair order, acc dense.  The
-    pairs of each degree are evaluated at once, as one pair `_packed` W bits apart, each
-    coordinate of its defects then `_unpacked` into theirs (every term is linear in x), joined
-    or listed as `_joins` chooses for the tables.  A degree's one pair is evaluated as it
-    stands: check_pseudo's may hold Fractions."""
+    pairs of each degree are evaluated at once, as one pair `_packed` W bits apart (every term
+    is linear in x), joined or listed as `_joins` chooses for the tables: digit b of coordinate
+    t of a packed defect, read by `_digits`, is coordinate t of pair b's.  A degree's one pair
+    is evaluated as it stands: check_pseudo's may hold Fractions."""
     evaluate = _joined if _joins(structures) else _listed
     found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
     for key, r, x in pairs:
@@ -703,9 +688,12 @@ def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
             continue
         W = _width(xs, structures)
         for at, acc in evaluate(space, structures, r, _packed(xs, W), order):
-            for out, digits in zip(outs, _unpacked(acc, len(xs), W)):
-                if any(digits):
-                    out.append((at, digits))
+            defects = {}    # per pair with a nonzero digit, its dense defect
+            for t, v in enumerate(acc):
+                for b, c in _digits(v, W):
+                    (defects.get(b) or defects.setdefault(b, [0] * len(acc)))[t] = c
+            for b, defect in defects.items():
+                outs[b].append((at, defect))
     return [(key + at, acc) for key, defects in found for at, acc in defects]
 
 
@@ -975,12 +963,12 @@ def check_morphism(f, A, B):
         # weighted so that each side comes out D^a (LA LB)^(a-1) times its true value
         wA, wB = LA ** (a - 1), (D * LB) ** (a - 1)
         W, accs = (0, ()) if SA[what] is None else _hom_defects(n, F, SA[what], SB[what], wA, wB)
-        for h, digits in ((h, _unpacked([acc], n * n, W)) for h, acc in enumerate(accs) if acc):
-            for k in range(n):
-                if any(coords := [d for d, in digits[k * n:k * n + n]]):
-                    witnesses.append(Witness(what + "-hom", tuple(
-                        lab[i] for i in (h // n, h % n, k)[3 - a:]), SuperVector(B.space, tuple(
-                            _quotient(c, D * wA * wB) for c in coords))))
+        for h, acc in enumerate(accs):
+            for k, digits in itertools.groupby(_digits(acc, W), lambda bc: bc[0] // n):
+                coords = _dense(((b - k * n, c) for b, c in digits), n)
+                witnesses.append(Witness(what + "-hom", tuple(
+                    lab[i] for i in (h // n, h % n, k)[3 - a:]), SuperVector(B.space, tuple(
+                        _quotient(c, D * wA * wB) for c in coords))))
     return CheckReport("%s -> %s" % (A.name, B.name), "morphism", not witnesses, tuple(witnesses))
 
 

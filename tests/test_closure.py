@@ -21,12 +21,11 @@ dense copies and their skew-completed and skew-broken mutants:
   (m, l), as the per-pair order names it;
 - W is the stated bound, every bracket digit lies below 2^(W-1), and the
   packed inputs do reach past 2^64;
-- the closure makes a `Fraction` only where it builds the basis, divides
-  a coordinate or mirrors one: never while bracketing, packing, reducing
-  or reading digits.
+- the closure makes a `Fraction` only where it builds the basis or divides
+  a coordinate: never while bracketing, packing, reducing or reading
+  digits, and it mirrors nothing.
 """
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -128,8 +127,8 @@ def test_the_width_is_the_stated_bound_and_holds_every_digit(B, packs):
         # every digit of a bracket, L lead_m lead_l times its coordinates, lies below 2^(W-1)
         W, L = packs[0][1], B._lifted[0]
         leads = [r[min(r)] for r in primitive(H)]
-        for m, l in itertools.product(range(H.dim), repeat=2):
-            for _, c in H._brackets[m][l]:
+        for (m, l), coords in H._brackets.items():
+            for _, c in coords:
                 assert abs(c * L * leads[m] * leads[l]) < 2 ** (W - 1)
 
 
@@ -212,9 +211,8 @@ def test_a_non_closed_span_over_a_product_that_is_not_skew():
 def test_the_closure_makes_no_fraction_before_its_final_division(monkeypatch):
     """On Fraction tables (LIFTED, a dense copy, a rescaled one with a big
     denominator), every Fraction the closure makes comes from building the
-    basis pairs, from a coordinate's final division (`_quotient`, given ints
-    only) or from mirroring a coordinate: none from bracketing, packing,
-    reducing or reading digits."""
+    basis pairs or from a coordinate's final division (`_quotient`, given ints
+    only): none from bracketing, packing, reducing, reading digits or mirroring."""
     made, allowed, spent, total = [], [], [], 0
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
@@ -235,7 +233,7 @@ def test_the_closure_makes_no_fraction_before_its_final_division(monkeypatch):
         return quotient(x, d)
 
     monkeypatch.setattr(envelope, "_quotient", counted(divided, allowed))
-    for name in ("_divided", "_pair", "_mirrored"):
+    for name in ("_divided", "_pair"):
         monkeypatch.setattr(envelope, name, counted(getattr(envelope, name), allowed))
     closed = sb.PairSpace._closed.__func__
     monkeypatch.setattr(sb.PairSpace, "_closed", classmethod(counted(closed, spent)))

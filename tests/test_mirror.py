@@ -51,8 +51,8 @@ import superbol as sb
 from superbol import envelope, structures
 from superbol.graded import sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import (LIFTED, POOL, VALUES, assert_same_checks, even_map, from_cells,
-                            mutate, random_pair, rescaled, transport)
+from test_reference import (LIFTED, POOL, VALUES, _osp12, assert_same_checks, even_map,
+                            from_cells, mutate, random_pair, rescaled, transport)
 
 BOLS = [A for A in POOL + LIFTED if A.binary is not None and A.ternary is not None]
 RULES = ("nambu", "product-rule")
@@ -242,6 +242,35 @@ def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brac
     assert brackets == packs(H, False) == [2, 2] and sum(brackets) == H.dim ** 2 == 4
 
 
+def test_each_bracket_table_is_completed_once(monkeypatch):
+    """ips_space and ps_space mirror nothing: their closure keeps the d(d+1)/2
+    brackets l >= m when the product is skew, the d^2 ordered ones when it is not
+    (one_sided), and enveloping completes its whole table, H's block included,
+    with one `_mirrored` call."""
+    from superbol import constructions
+    calls = []
+    mirrored = structures._mirrored
+    for module in (structures, envelope, constructions):
+        monkeypatch.setattr(module, "_mirrored", lambda *args: calls.append(args)
+                            or mirrored(*args))
+    osp = sb.malcev_to_bol(_osp12())
+    for B in (osp, sb.catalog.build("L2_3_1_bol").algebra,
+              transport(osp, even_map(osp.space, random.Random(2)))):
+        for build in (sb.ips_space, sb.ps_space):
+            calls.clear()
+            H = build(B)
+            d = H.dim
+            assert d > 1 and calls == [], (B.name, build)
+            assert sorted(H._brackets) == [(m, l) for m in range(d) for l in range(m, d)]
+        calls.clear()
+        sb.enveloping(B, H)
+        assert len(calls) == 1, B.name
+    calls.clear()
+    H = sb.PairSpace.from_pairs(*one_sided())
+    assert calls == [] and sorted(H._brackets) == list(itertools.product(range(2), repeat=2))
+    assert H.brackets[0][1] != H.brackets[1][0] and not any(H.brackets[1][0])
+
+
 @pytest.fixture
 def evaluated(monkeypatch):
     """Per call of the rule evaluator from a sweep: the inner pairs it is
@@ -347,6 +376,11 @@ def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, mon
 # ---------------------------------------------------------------------------
 # the pair-space solvers: only the rule tuples u <= v once the tables a rule
 # reads are super skew, every tuple otherwise
+
+
+def kept_brackets(H):
+    """The brackets the closure keeps, by (m, l), with their scalar types."""
+    return {ml: [(t, type(c), c) for t, c in coords] for ml, coords in H._brackets.items()}
 
 
 def typed_space(H):

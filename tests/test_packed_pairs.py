@@ -3,7 +3,7 @@
 `structures._rule_defects` gathers the pairs per degree r and evaluates
 them as one pair whose coordinates hold theirs W bits apart (`_packed`), on
 the path `_joins` chooses for the tables; each coordinate of a packed defect
-is then read back as the pairs' signed W-bit digits (`_unpacked`).  Every
+is then read back as the pairs' signed W-bit digits (`_digits`).  Every
 term of both rules is linear in the pair, so this is exact while each defect
 coordinate is under 2^(W-1) in size, which `_width` sizes from the pairs and
 the tables read.
@@ -160,18 +160,33 @@ def test_joined_and_listed_pairs_keep_pair_order(monkeypatch):
         assert found[0] == found[1]
 
 
+def unpacked(acc, g, W):
+    """The g dense rows whose digits the ints acc pack: digit b of acc[t], read by
+    `_digits`, at row b, column t."""
+    out = [[0] * len(acc) for _ in range(g)]
+    for t, v in enumerate(acc):
+        for b, c in structures._digits(v, W):
+            out[b][t] = c
+    return out
+
+
 @pytest.mark.parametrize("W", [2, 7, 8, 63, 64, 65, 131])
 def test_signed_digits_read_back_up_to_the_edge(W):
     """Every digit in +-(2^(W-1) - 1), 0 and +-1 among them, next to every
-    other, through `_unpacked`, and pairs with such entries through `_packed`."""
+    other, through `_digits`, from a positive int and from its negative, and
+    pairs with such entries through `_packed`."""
     top = (1 << W - 1) - 1
     edge = [top, -top, 0, 1, -1]
     digits = [[edge[(b + t) % 5] for t in range(5)] for b in range(5)]
     digits += [[-top] * 5, [top] * 5, [0] * 5]
     acc = [sum(row[t] << W * b for b, row in enumerate(digits)) for t in range(5)]
-    assert structures._unpacked(acc + [0], len(digits), W) == [row + [0] for row in digits]
+    assert unpacked(acc + [0], len(digits), W) == [row + [0] for row in digits]
+    assert unpacked([-v for v in acc], len(digits), W) == [[-c for c in row] for row in digits]
+    for t, v in enumerate(acc):     # the nonzero digits only, b rising
+        assert list(structures._digits(v, W)) == [(b, row[t]) for b, row in enumerate(digits)
+                                                  if row[t]]
     xs = [tuple(tuple((m, c) for m, c in enumerate(digits[(b + s) % len(digits)]) if c)
                 for s in range(6)) for b in range(len(digits))]    # n = 5: six rows
     for slot, row in enumerate(structures._packed(xs, W)):
-        assert structures._unpacked(list(_dense(row, 5)), len(xs), W) == \
+        assert unpacked(list(_dense(row, 5)), len(xs), W) == \
             [list(_dense(x[slot], 5)) for x in xs]

@@ -297,16 +297,45 @@ def test_the_morphism_cases_time_their_own_expressions():
 
 def test_the_pair_space_case_times_its_own_expression():
     """The ps_space cases, of the pairs workload's slowest operation and of
-    abelian_14_0 from the catalog: each digest is that of the pair space built here
-    from the same signed permutation or catalog key."""
+    abelian_14_0 from the catalog, and the maximal envelope of abelian_14_0: each
+    digest is that of the pair space or envelope built here from the same signed
+    permutation or catalog key."""
     root = Path(__file__).resolve().parents[1]
     A = constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), inputs.osp12("_2"),
                                                       "osp12+osp12"))
-    for name, B in (("ps_bol_osp2", inputs.permute(A, *inputs.signed_permutation(
-            random.Random(1), 10))), ("ps_abelian_14_0", catalog.build("abelian_14_0").algebra)):
+    Z = catalog.build("abelian_14_0").algebra
+    H = envelope.ps_space(Z)
+    for name, value in (("ps_bol_osp2", envelope.ps_space(inputs.permute(
+            A, *inputs.signed_permutation(random.Random(1), 10)))), ("ps_abelian_14_0", H),
+            ("envelope_max_abelian_14_0", envelope.enveloping(Z, H))):
         run = paired_bench.case_run(root, name, 1)
         assert run["cpu_s"] > 0
-        assert run["digest"] == hashlib.sha256(repr(envelope.ps_space(B)).encode()).hexdigest()
+        assert run["digest"] == hashlib.sha256(repr(value).encode()).hexdigest(), name
+
+
+def test_the_report_counts_each_sides_source_lines(tmp_path, monkeypatch):
+    """main() writes each side's non-blank lines of the modules under src/superbol/,
+    subpackages included, as src_lines: no blank or whitespace-only line, no file that
+    is not a module and no module outside src/superbol/ is counted."""
+    roots = {}
+    for side, lines in (("parent", "x = 1\n\n   \ny = 2\n\tz = 3\n"), ("change", "x = 1\n\n")):
+        roots[side] = tmp_path / side
+        (roots[side] / "src" / "superbol" / "sub").mkdir(parents=True)
+        (roots[side] / "src" / "superbol" / "a.py").write_text(lines)
+        (roots[side] / "src" / "superbol" / "sub" / "b.py").write_text("\nimport a\n")
+        (roots[side] / "src" / "superbol" / "notes.txt").write_text("not code\n")
+        (roots[side] / "src" / "other.py").write_text("outside = 1\n")
+    (roots["parent"] / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "pairs"}],
+        "end_to_end": [{"name": name, "better": better, "bound": bound}
+                       for name, better, bound in METRICS]}))
+    monkeypatch.setattr(paired_bench, "run", lambda root, workload, seed: result(1.0))
+    monkeypatch.setattr(paired_bench, "case_run", same_case)
+    out = tmp_path / "bench.json"
+    paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "1",
+                       "--out", str(out)])
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 4, "change": 2}
+    assert paired_bench.src_lines(tmp_path / "nowhere") == 0
 
 
 def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):

@@ -56,7 +56,7 @@ def _instances():
         sb.CheckReport: [failed, sb.check_axioms(sb.catalog.build("L2_2_2_malcev").algebra, "lie"),
                          sb.check_axioms(B, "bol")],
         sb.PairSpace: [H, sb.ips_space(B), sb.ps_space(B), sb.PairSpace(
-            B, H.basis, H.pivots[::-1], H._brackets[::-1], ({}, {}))],
+            B, H.basis, H.pivots[::-1], dict(reversed(H._brackets.items())), ({}, {}))],
         sb.PseudoDerivationPair: [pair, sb.PseudoDerivationPair(pair.operator, pair.companion),
                                   H.basis[-1]],
         sb.EnvelopingLieSuperalgebra: [env, sb.enveloping(B),

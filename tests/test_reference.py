@@ -563,7 +563,7 @@ def test_the_packing_width_holds_the_largest_defects(monkeypatch):
         report = assert_same_morphism(f, A, B)
         assert len(report.witnesses) == 3 ** 2 + 3 ** 3
         for W, accs in packed:
-            top = max(abs(d) for acc in accs for d, in structures._unpacked([acc], 9, W))
+            top = max(abs(c) for acc in accs for _, c in structures._digits(acc, W))
             assert 2 ** (W - 2) <= top < 2 ** (W - 1), (spread, W)
 
 

@@ -285,9 +285,9 @@ def test_pair_spaces_keep_their_brackets_sparse(monkeypatch):
     structure: after ps_space, ips_space, both envelopes and
     semisimplicity_report on the catalog Bol algebras and bol(osp(1|2)), no
     pair space they built holds the dense `brackets` view, and the view
-    gives back exactly the stored nonzero coordinates.  On the zero algebra
-    with six even labels, whose PS has d = 42, far fewer than d^3
-    coefficients are stored."""
+    gives back exactly the stored nonzero coordinates at each stored (m, l).
+    On the zero algebra with six even labels, whose PS has d = 42, far fewer
+    than d^3 coefficients are stored."""
     from superbol.graded import _sparse
     built = []
     closed = sb.PairSpace._closed.__func__
@@ -303,7 +303,7 @@ def test_pair_spaces_keep_their_brackets_sparse(monkeypatch):
     assert len(built) >= 5 * len(bols) and any(H.dim > 1 for H in built)
     assert not any("brackets" in vars(H) for H in built)
     for H in built:
-        assert H._brackets == tuple(tuple(map(_sparse, row)) for row in H.brackets)
+        assert all(c == _sparse(H.brackets[m][l]) for (m, l), c in H._brackets.items())
     H = sb.ps_space(sb.catalog.load("abelian_6_0"))
     d = H.dim
-    assert d == 42 and sum(len(c) for row in H._brackets for c in row) < d ** 2
+    assert d == 42 and sum(len(c) for c in H._brackets.values()) < d ** 2

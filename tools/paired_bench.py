@@ -38,11 +38,13 @@ Each kernel case in CASES is timed too, written under `dense_cases`:
 CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
 each building its input from perfbench/inputs.py or the catalog and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
-runs one, a check_morphism call or a ps_space call.  Each side's min is kept, and so are
-the median and quartiles of the change/parent ratios of the runs paired by
-number, which a swing of one side's min does not move.  A case's digest is a prefix of the sha256 of the
+runs one, a check_morphism call, a ps_space call or an enveloping call.
+Each side's min is kept, and so are the median and quartiles of the
+change/parent ratios of the runs paired by number, which a swing of one
+side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
-metric "digest".  Only the standard library is used.
+metric "digest".  `src_lines` holds each side's count of non-blank lines in
+the modules under src/superbol/.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -230,6 +232,11 @@ CASES = {
         "ps_space(Z), Z = abelian_14_0 (dim 14, every product zero) built afresh from the "
         "catalog: PS is gl(14) + V, of dim 210, the pair-space half of its maximal envelope",
         "catalog.build('abelian_14_0').algebra", "envelope.ps_space(B)"),
+    "envelope_max_abelian_14_0": (
+        "enveloping(Z, ps_space(Z)), Z = abelian_14_0 built afresh from the catalog: the "
+        "maximal envelope (dim 224), its pair space, the completion of its table and its "
+        "Lie re-check",
+        "catalog.build('abelian_14_0').algebra", "envelope.enveloping(B, envelope.ps_space(B))"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
@@ -261,6 +268,12 @@ value = %s
 cpu_s = time.process_time() - start
 print(json.dumps({"cpu_s": cpu_s, "digest": hashlib.sha256(repr(value).encode()).hexdigest()}))
 """
+
+
+def src_lines(root):
+    """The non-blank lines of the modules under src/superbol/ of a checkout."""
+    return sum(1 for path in pathlib.Path(root, "src", "superbol").rglob("*.py")
+               for line in path.read_text().splitlines() if line.strip())
 
 
 def case_run(root, name, hash_seed):
@@ -358,6 +371,7 @@ def main(argv=None):
                  "defines them",
         "claim": None,
         "regressions": [],
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
     }
     suffix = {seed: "" if seed == args.seed else "_seed%d" % seed for seed in by_seed}
     for seed, runs in by_seed.items():
