@@ -42,7 +42,7 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _
 from .linalg import (AffineSubspace, _affine, _by_lead, _divided, _kernel, _reduced, _rref,
                      _span_coordinates, span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
-                         Witness, _all_skew, _digits, _inner_pairs, _mirrored, _order, _packed,
+                         Witness, _all_skew, _digits, _inner_pairs, _mirrored, _packed,
                          _pair_rows, _rule_defects, _structures, _swept, require_axioms)
 
 
@@ -200,26 +200,20 @@ def check_pseudo(B, pair):
 def companion_space(B, P):
     """All companions a making (P, a) a pseudo superderivation pair.
 
-    Returns the exact affine solution set of the product rule, which is
-    empty when P fails the (companion-free) triple rule.  Coordinates
-    are over B's basis.
+    Returns the exact affine solution set of both rules, empty when P
+    fails the (companion-free) triple rule: its rows come first, and the
+    first is then 0 = b.  Coordinates are over B's basis.
     """
     if P.space != B.space:
         raise GradingError("operator lives outside the algebra")
     n, par, r, L = B.space.dim, B.space.parities, P.degree, B._lifted[0]
-    (_, reads), product = _RULES
-    _swept(B, product[1])   # a missing structure raises before any row
-    tables = _swept(B, reads)
-    # the triple rule reads no companion: P fails it, or only the product rule gives rows
-    if _rule_defects(B.space, tables, [((), r, P.columns + ((),))], _order(tables)):
-        return AffineSubspace.empty()
     # the unknowns a_m of P's degree at column m, the others zero; b at column n, from
     # -P (operator terms times L): all times D, the lcm of P's denominators
     D = math.lcm(*(c.denominator for col in P.columns for _, c in col))
     known = tuple(tuple((t, -L * int(D * c)) for t, c in col) for col in P.columns) + ((),)
     rows = []
     for row in _pair_rows(B, r, [(m, _unflat(n, [(n * n + m, D)])) for m in range(n)
-                                 if par[m] == r] + [(n, known)], (product,)):
+                                 if par[m] == r] + [(n, known)]):
         if row[0][0] == n:
             return AffineSubspace.empty()   # 0 = b, b nonzero: no companion
         rows.append(row)

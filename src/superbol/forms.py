@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into, _quotient,
                      _sparse, _SparseValue, _transposed, rat, record, sign)
-from .linalg import _null_space, span_reduce, whole_space
+from .linalg import _null_space, span_reduce
 from .structures import (CheckReport, Witness, center, classify_subspace,
                          require_axioms)
 
@@ -82,8 +82,8 @@ class BilinearForm(_SparseValue):
     def is_supersymmetric(self):
         return not any(self._asymmetry())
 
-    def radical(self):
-        return orthogonal(self, whole_space(self.space))
+    def radical(self):  # {x : b(x, e_k) = 0 for every k}: one equation per column
+        return _null_space(self.space, self.columns)
 
     def is_nondegenerate(self):
         return self.radical().dim == 0

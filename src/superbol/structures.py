@@ -71,7 +71,7 @@ import math
 from functools import cached_property, partial
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
-                     _sparse, _SparseValue, _transposed, _unit, _vector, record, sign)
+                     _sparse, _SparseValue, _transposed, _vector, record, sign)
 from .linalg import Subspace, _null_space
 
 KINDS = ("lie", "malcev", "supertriple", "lie_supertriple", "bol")
@@ -187,7 +187,7 @@ class _Structure(_SparseValue):
         return out
 
     @cached_property
-    def _indexes(self):  # `_by_slot`'s index per (order d, ids of the tables read next), with them
+    def _indexes(self):  # this table's part of the join's index (`_by_slot`) per (order, arity)
         return {}
 
     @cached_property
@@ -517,8 +517,8 @@ def _sweep_ternary_jacobi(space, ts):
 # rule) and, with its companion, the binary one (the product rule).  The structures a rule reads
 # name it: the ternary alone, or the binary then the ternary.  At the tuple at, the defect RHS -
 # LHS sums, over the terms t as `_terms` lays them out, s * x[slot] through the row view of term
-# t's product (`_tables`) with e_slot in slot t, and w, the rule's product at at, through the
-# pair's w view:
+# t's product with e_slot in slot t (the rule's own product, but the ternary for the product
+# rule's companion term), and w, the rule's product at at, through the pair's w view:
 #   [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k],
 #   [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j).
 
@@ -530,31 +530,20 @@ def _terms(par, at):
     return (i, 0), (j, par[i]), (k, par[i] ^ par[j])
 
 
-def _tables(structures):  # the product term t reads: the rule's own, the ternary for a
-    return (structures[0],) * structures[0].ARITY + structures[1:]
-
-
 # each rule with check_pseudo's name for it and the structures it reads
 _RULES = (("derives-triple", ("ternary",)), ("derives-product", ("binary", "ternary")))
 
 
-def _w_terms(n, structures):
-    """The w view at each e_m as (slot, view, s) terms: -P e_m, plus [a, e_m] for
-    the rule that reads the binary product, through which a acts."""
-    unit = _unit(n)
-    return [((m, unit, -1),) + (((n, structures[0].col[m], 1),) if structures[1:] else ())
-            for m in range(n)]
-
-
-def _w_view(x, terms):
-    """The w view of the pair x, folded: view[m] sums the w terms at e_m, terms[m];
-    -P e_m alone, negated as it stands, where the rule reads no companion or it is 0."""
-    if len(terms[0]) == 1 or not x[-1]:
-        return [tuple((t, -c) for t, c in row) for row in x[:-1]]
-    view = [[0] * (len(x) - 1) for _ in terms]
-    for acc, row in zip(view, terms):
-        for slot, rows, s in row:
-            _into(acc, x[slot], rows, s)
+def _w_view(x, structures):
+    """The w view of the pair x: view[m] = -P e_m, plus [a, e_m] where the rule reads the binary
+    product, through which a acts; -P e_m alone, negated, where it reads no companion or a = 0."""
+    *P, a = x
+    if not (structures[1:] and a):
+        return [tuple((t, -c) for t, c in row) for row in P]
+    view = [_into([0] * len(P), a, col) for col in structures[0].col]
+    for acc, row in zip(view, P):
+        for t, c in row:
+            acc[t] -= c
     return [_sparse(acc) for acc in view]
 
 
@@ -565,33 +554,32 @@ def _ordered(n, a, d):
             for rest in itertools.product(*(range(max(0, i + e), n) for e in d[:a - 1])))
 
 
-def _by_slot(par, structures, d):
-    """The join's index: per m, each cell of term t's product with e_m in slot t as (head, tail,
-    p, entry, lo, hi), the term at (head + (v,) + tail)[:arity] reading x[v], v in [lo, hi]
-    (or the companion's n), P past head of parity p; per m, the kept (at, c) of w's cells.
-    One pass over each table's cells, (i, j, k) `_ordered` when i + d[0] <= j and i + d[1] <= k:
+def _by_slot(par, st, a, d):
+    """Table st's part of the join's index for the rule of arity a: per m, each cell with e_m in
+    a slot t of st's terms (the product rule's ternary: the companion's) as (head, tail, p,
+    entry, lo, hi), the term at (head + (v,) + tail)[:a] reading x[v], v in [lo, hi] (or the
+    companion's n), P past head of parity p; per m, the kept (at, c) of w's cells if st is the
+    rule's own.  One pass over st's cells, (i, j, k) `_ordered` when i + d[0] <= j, i + d[1] <= k:
     v <= j - d[0], k - d[1] in slot 0, v >= i + d[t - 1] in slot t while the other slot holds."""
-    n, a, index, w = len(par), structures[0].ARITY, [[] for _ in par], [[] for _ in par]
-    for st, reads in ((structures[0], range(a)),) + tuple((st, (2,)) for st in structures[1:]):
-        last = None
-        for cell, entry in st.cells().items():
-            at = cell[:a]
-            if at != last:  # the product rule's ternary cells, in order, share their at
-                last, terms = at, _terms(par, at)
-                i, j, k = at if a == 3 else at + (math.inf,)
-                ok1, ok2 = i + d[0] <= j, i + d[1] <= k
-            for t in reads:
-                if t == 0:
-                    lo, hi = 0, min(n - 1, j - d[0], k - d[1])
-                elif t == 1:
-                    lo, hi = (i + d[0], n - 1) if ok2 else (1, 0)
-                else:   # slot 2, or the companion's n
-                    lo, hi = ((i + d[1], n - 1) if a == 3 else (n, n)) if ok1 else (1, 0)
-                if lo <= hi:
-                    index[cell[t]].append((cell[:t], cell[t + 1:], terms[t][1], entry, lo, hi))
-            if st is structures[0] and ok1 and ok2:
-                for m, c in entry:
-                    w[m].append((at, c))
+    n, own, index, w, last = len(par), st.ARITY == a, [[] for _ in par], [[] for _ in par], None
+    for cell, entry in st.cells().items():
+        at = cell[:a]
+        if at != last:  # the product rule's ternary cells, in order, share their at
+            last, terms = at, _terms(par, at)
+            i, j, k = at if a == 3 else at + (math.inf,)
+            ok1, ok2 = i + d[0] <= j, i + d[1] <= k
+        for t in range(a) if own else (2,):
+            if t == 0:
+                lo, hi = 0, min(n - 1, j - d[0], k - d[1])
+            elif t == 1:
+                lo, hi = (i + d[0], n - 1) if ok2 else (1, 0)
+            else:   # slot 2, or the companion's n
+                lo, hi = ((i + d[1], n - 1) if a == 3 else (n, n)) if ok1 else (1, 0)
+            if lo <= hi:
+                index[cell[t]].append((cell[:t], cell[t + 1:], terms[t][1], entry, lo, hi))
+        if own and ok1 and ok2:
+            for m, c in entry:
+                w[m].append((at, c))
     return index, w
 
 
@@ -604,17 +592,18 @@ def _joins(structures):
 
 def _joined(space, structures, r, x, order):
     """The rule's defects at one degree-r pair x at its tuples `_ordered` by order, (at, acc) in
-    order, acc dense: the sums over the cells its nonzero (v, m, c) reach in the tables' index
-    (`_by_slot`, kept per order and tables) and those meeting its w view's support."""
-    kept, ids = structures[0]._indexes, order + tuple(map(id, structures[1:]))
-    terms, w = (kept.get(ids) or kept.setdefault(ids, (
-        structures[1:], _by_slot(space.parities, structures, order))))[1]
+    order, acc dense: the sums over the cells its nonzero (v, m, c) reach in the index of each
+    table read, its own part of it (`_by_slot`) kept on it per order and rule arity and the
+    parts read in turn, and over those meeting its w view's support."""
     a, sg, found, n = structures[0].ARITY, (1, sign(r)), {}, space.dim
-    view = _w_view(x, _w_terms(n, structures))
+    parts = [st._indexes.get((order, a)) or st._indexes.setdefault((order, a), _by_slot(
+        space.parities, st, a, order)) for st in structures]
+    view = _w_view(x, structures)
     reached = [((head + (v,) + tail)[:a], entry, sg[p] * c) for v, row in enumerate(x)
-               for m, c in row for head, tail, p, entry, lo, hi in terms[m] if lo <= v <= hi]
+               for m, c in row for index, _ in parts
+               for head, tail, p, entry, lo, hi in index[m] if lo <= v <= hi]
     for at, row, c in reached + [(at, row, c) for m, row in enumerate(view) if row
-                                 for at, c in w[m]]:
+                                 for at, c in parts[0][1][m]]:
         acc = found.get(at) or found.setdefault(at, [0] * n)
         for q, e in row:
             acc[q] += c * e
@@ -624,10 +613,10 @@ def _joined(space, structures, r, x, order):
 def _listed(space, structures, r, x, order):
     """The rule's defects at one degree-r pair x, at each of its tuples `_ordered` by order in
     turn: (at, acc) in order, acc dense."""
-    n, par, a, sg = space.dim, space.parities, structures[0].ARITY, (1, sign(r))
-    v0, v1, v2 = (((st.col, st.entries) if st.ARITY == 2 else (st.first, st.mid, st.entries))[t]
-                  for t, st in enumerate(_tables(structures)))
-    view = _w_view(x, _w_terms(n, structures))
+    n, par, st, sg = space.dim, space.parities, structures[0], (1, sign(r))
+    a, v2 = st.ARITY, structures[-1].entries    # term 2 reads the ternary product
+    v0, v1 = (st.col, st.entries) if a == 2 else (st.first, st.mid)
+    view = _w_view(x, structures)
     for at in _ordered(n, a, order):
         (i, p0), (j, p1), (k, p2) = _terms(par, at)
         r0, r1 = (v0[j], v1[i]) if a == 2 else (v0[j][k], v1[i][k])
@@ -742,15 +731,15 @@ def _order(structures):
     return (0 if _all_skew(structures) else -math.inf), -math.inf
 
 
-def _pair_rows(A, r, pairs, rules=_RULES):
-    """The pair solvers' rows: the rules (`_RULES` entries, both by default) on A's lifted
-    tables at `_order`'s tuples, for the integer degree-r pairs (column, x) in column order,
-    packed into one W bits apart (`_packed`; `_width` over every table read), joined or listed
-    as `_joins` chooses for each rule's tables, as in `_rule_defects`.  Each nonzero
-    packed defect coordinate is one row ((column, c), ...), c that coordinate of x's defect:
-    one seen before, up to sign, is dropped, and a new one is read by `_digits`.  A missing
-    structure raises before any row."""
-    rules = [_swept(A, reads) for _, reads in rules]
+def _pair_rows(A, r, pairs):
+    """The pair solvers' rows: both rules, the triple rule's first, on A's lifted tables at
+    `_order`'s tuples, for the integer degree-r pairs (column, x) in column order, packed into
+    one W bits apart (`_packed`; `_width` over both tables), joined or listed as `_joins`
+    chooses for each rule's tables, as in `_rule_defects`.  Each nonzero packed defect
+    coordinate is one row ((column, c), ...), c that coordinate of x's defect: one seen
+    before, up to sign, is dropped, and a new one is read by `_digits`.  A missing structure
+    raises before any row."""
+    rules = [_swept(A, reads) for _, reads in _RULES]
     columns, xs = zip(*pairs)
     W = _width(xs, [st for structures in rules for st in structures])
     x, seen = _packed(xs, W), set()

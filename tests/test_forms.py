@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import superbol as sb
+from bench_inputs import inputs
 from superbol.structures import AlgebraDef, BinaryStructure
 
 
@@ -123,6 +125,21 @@ def test_orthogonal_subspaces():
     assert perp.contains(e[0]) and perp.contains(e[1]) and perp.contains(e[3])
     assert not perp.contains(e[2])
     assert beta.radical().dim == 3
+
+
+def test_radical_is_the_orthogonal_of_the_whole_space():
+    """radical, one null space of the form's columns, is the Subspace that
+    orthogonal gives for the whole space, basis, pivots and scalar types
+    included: on a catalog form and on the form of a dense re-basing."""
+    B = sb.catalog.load("L2_3_1_bol")
+    D = inputs.transport(B, inputs.dense_even_map(random.Random(1), B.space), "dense")
+    for beta in (sb.killing_ricci(B, "direct"), sb.killing_ricci(D, "direct")):
+        radical = beta.radical()
+        assert radical.dim == 3
+        other = sb.orthogonal(beta, sb.whole_space(beta.space))
+        assert radical == other and radical.pivots == other.pivots
+        assert [[type(c) for c in v.coords] for v in radical.basis] == \
+            [[type(c) for c in v.coords] for v in other.basis]
 
 
 def test_semisimplicity_report_solvable_case():

@@ -88,6 +88,8 @@ def test_inverse_round_trip():
     f = sb.GradedMap.from_rows(sp, 0, ((1, 2), (0, 1)))
     g = f.inverse()
     assert g.compose(f) == sb.GradedMap.identity(sp)
+    assert f - g == sb.GradedMap.from_rows(sp, 0, ((0, 4), (0, 0)))
+    assert g.compose(f) - sb.GradedMap.identity(sp) == 0 * f
     singular = sb.GradedMap.from_rows(sp, 0, ((1, 2), (2, 4)))
     with pytest.raises(ZeroDivisionError):
         singular.inverse()

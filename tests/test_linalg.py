@@ -91,7 +91,7 @@ def test_subspace_sum_and_containment():
     assert V.sum_with(W).dim == 2
     assert sb.whole_space(sp).contains_subspace(V)
     assert not V.contains_subspace(W)
-    assert sb.span_reduce(sp, []).is_zero
+    assert sb.span_reduce(sp, []).is_zero() and not V.is_zero()
 
 
 def test_span_reduce_and_solve_affine_read_any_iterable_once():

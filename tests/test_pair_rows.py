@@ -13,7 +13,8 @@ no repeat and the same reduced echelon form: on the catalog Bol algebras, bol(M7
 bol(osp(1|2) + osp(1|2)), a dense copy, lifted tables with Fraction
 constants and tables whose skew or ternary Jacobi sweep fails, in both
 degrees, for ps_space and for companion_space of integer and Fraction
-operators.  An operator that fails the triple rule has no companion.  A
+operators.  Both rules are read in one pass, the triple rule's first: an
+operator that fails it has no companion, seen at the first row read.  A
 width one bit short reads other rows.  Both paths read the same rows in the
 same order.
 """
@@ -48,12 +49,14 @@ INPUTS = solver_inputs()
 
 @pytest.fixture
 def read(monkeypatch):
-    """(degree, rows) of each `_pair_rows` call a solver makes, every row read."""
+    """(degree, rows) of each `_pair_rows` call a solver makes, each row as it is read."""
     calls, pair_rows = [], envelope._pair_rows
 
     def recorded(B, r, *args):
-        calls.append((r, [tuple(row) for row in pair_rows(B, r, *args)]))
-        return iter(calls[-1][1])
+        calls.append((r, []))
+        for row in pair_rows(B, r, *args):
+            calls[-1][1].append(tuple(row))
+            yield calls[-1][1][-1]
     monkeypatch.setattr(envelope, "_pair_rows", recorded)
     return calls
 
@@ -105,7 +108,7 @@ def test_companion_space_reads_the_reference_rows(B, read):
         found = sb.companion_space(B, P)
         assert found == slow_reference.companion_space(B, P)
         if found.is_empty:
-            continue    # the triple rule failed first: no rows were read
+            continue    # the triple rule failed at the first row read
         [(r, rows)] = read
         assert r == P.degree
         assert_reference_rows(rows, slow_reference.pair_rows(B, r, P))
@@ -119,7 +122,9 @@ def random_operator(B, rng, r):
 
 def test_an_operator_failing_the_triple_rule_has_no_companion(read):
     """Random operators of both degrees: where the reference's triple rule
-    fails, companion_space is empty and reads no row."""
+    fails, companion_space is empty, and its one `_pair_rows` call stops at
+    the first row, 0 = b (its only digit at the known column n), reading
+    nothing after it."""
     rng, failed = random.Random(7), 0
     for B in INPUTS:
         for r in (0, 1):
@@ -131,7 +136,8 @@ def test_an_operator_failing_the_triple_rule_has_no_companion(read):
                 read.clear()
                 assert sb.companion_space(B, P).is_empty, B.name
                 assert slow_reference.companion_space(B, P).is_empty
-                assert read == []
+                [(degree, [row])] = read
+                assert degree == r and [k for k, _ in row] == [B.space.dim], B.name
     assert failed > len(INPUTS)
 
 
@@ -158,15 +164,16 @@ def test_a_width_one_bit_short_reads_other_rows(monkeypatch, read):
 @pytest.mark.parametrize("B", RULE_INPUTS["sparse"] + RULE_INPUTS["dense"] + [
     sb.catalog.load("abelian_6_2")] + LIFTED, ids=lambda B: B.name)
 def test_both_paths_read_the_same_rows_in_the_same_order(B, monkeypatch):
-    """ps_space's unit pairs of each degree, for each rule whose tables B has,
-    joined and listed: the same rows, in the same order, nonempty but on the
-    zero algebra."""
+    """ps_space's unit pairs of each degree, for each rule whose tables B has
+    (the one `_RULES` is patched to), joined and listed: the same rows, in the
+    same order, nonempty but on the zero algebra."""
     n, par, L = B.space.dim, B.space.parities, B._lifted[0]
     found, joined, join_ = [], [], structures._joined
     monkeypatch.setattr(structures, "_joined", lambda *args: joined.append(1) or join_(*args))
     for rule in structures._RULES:
         if any(getattr(B, what) is None for what in rule[1]):
             continue
+        monkeypatch.setattr(structures, "_RULES", (rule,))
         for r in (0, 1):
             columns = [k for k in range(n * n + n) if envelope._degree_at(par, k) == r]
             pairs = [(k, envelope._unflat(n, [(k, L if k < n * n else 1)])) for k in columns]
@@ -174,7 +181,7 @@ def test_both_paths_read_the_same_rows_in_the_same_order(B, monkeypatch):
             for join in (True, False):
                 monkeypatch.setattr(structures, "_joins", lambda tables: join)
                 joined.clear()
-                rows.append(list(structures._pair_rows(B, r, pairs, (rule,))) if pairs else [])
+                rows.append(list(structures._pair_rows(B, r, pairs)) if pairs else [])
                 assert bool(joined) == (join and bool(pairs))
             assert rows[0] == rows[1], (B.name, rule[0], r)
             found += rows[0]

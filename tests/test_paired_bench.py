@@ -3,7 +3,8 @@ by the inclusive method, pairs won with ties counting for neither, a claim
 met only with at least nine tenths of the pairs won, a median gap larger
 than the parent's interquartile range, every change run correct and no more
 failed operations than the parent, and the metrics outside their bounds
-and the workloads whose change runs fail listed as regressions."""
+and the workloads whose change runs fail listed as regressions.  Kernel
+cases keep each side's raw and normalized CPU minimums."""
 
 import hashlib
 import importlib.util
@@ -258,12 +259,35 @@ def test_the_smallest_kernel_case_runs_on_both_sides_of_one_tree():
     assert len(case["parent"]) == len(case["change"]) == 3
     assert all(t > 0 for t in case["parent"] + case["change"])
     assert case["parent_min"] == min(case["parent"]) and case["change_min"] == min(case["change"])
+    assert case["parent_norm_min"] > 0 and case["change_norm_min"] > 0
     assert case["change_over_parent_min"] == case["change_min"] / case["parent_min"]
     ratios = sorted(c / p for p, c in zip(case["parent"], case["change"]))
     runs = case["change_over_parent_runs"]
     assert runs["median"] == ratios[1]
     assert runs["q1"] == (ratios[0] + ratios[1]) / 2 and runs["q3"] == (ratios[1] + ratios[2]) / 2
     assert case["digest"] is not None and len(case["digest"]) == 16
+
+
+def test_a_case_scales_its_time_by_the_reference_chunks_around_it(tmp_path, monkeypatch):
+    """norm_s is cpu_s scaled as run.py's `scale` scales a pass: by the number of
+    reference chunks over the sum of their CPU time over nominal time.  In a stub
+    checkout whose reference module drives a fake CPU clock, the chunk before the
+    expression reads 2 nominal chunks and the one after 6, and the expression 2 s:
+    2 s at a quarter of the reference speed is 0.5 s at it."""
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "src").symlink_to(root / "src")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "inputs.py").write_text("")
+    (tmp_path / "perfbench" / "reference.py").write_text(
+        "import time\n"
+        "CHUNK_S, now, chunk_s = 0.5, [0.0], iter([1.0, 3.0])\n"
+        "time.process_time = lambda: now[0]\n"
+        "def chunk():\n    now[0] += next(chunk_s)\n"
+        "def work(seconds):\n    now[0] += seconds\n    return seconds\n")
+    monkeypatch.setitem(paired_bench.CASES, "stub", ("a stub", "2.0", "reference.work(B)"))
+    run = paired_bench.case_run(tmp_path, "stub", 1)
+    assert run["cpu_s"] == 2.0 and run["norm_s"] == 2.0 * 2 / (2 + 6) == 0.5
+    assert run["digest"] == hashlib.sha256(repr(2.0).encode()).hexdigest()
 
 
 def test_a_case_times_its_own_expression():
@@ -356,7 +380,8 @@ def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):
     def case_run(root, name, seed):
         seeds.append((str(root), seed))
         digest = "b" if name == "check_dense_dim12" and str(root).endswith("change") else "a"
-        return {"cpu_s": 2.0 if str(root).endswith("parent") else 1.0, "digest": digest * 64}
+        cpu_s = 2.0 if str(root).endswith("parent") else 1.0
+        return {"cpu_s": cpu_s, "norm_s": cpu_s / 2 + seed, "digest": digest * 64}
 
     monkeypatch.setattr(paired_bench, "case_run", case_run)
     out = tmp_path / "bench.json"
@@ -367,6 +392,9 @@ def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):
     assert list(cases) == list(paired_bench.CASES)
     assert cases["check_sparse_dim12"]["digest"] == "a" * 16
     assert cases["check_sparse_dim12"]["change_over_parent_min"] == 0.5
+    assert cases["check_sparse_dim12"]["parent_min"] == 2.0
+    assert cases["check_sparse_dim12"]["parent_norm_min"] == 2.0     # run 1's norm_s
+    assert cases["check_sparse_dim12"]["change_norm_min"] == 1.5
     assert cases["check_dense_dim12"]["digest"] is None
     assert report["regressions"] == [{"case": "check_dense_dim12", "metric": "digest"}]
     runs = paired_bench.CASE_RUNS

@@ -17,12 +17,16 @@ kind:
 - a binary product whose skew sweep fails, so the product rule mirrors nothing;
 - a ternary product whose Jacobi sweep fails, so Nambu derives nothing.
 On both paths check_axioms and check_pseudo match `slow_reference`, on
-inner pairs and on random and sparse pairs of both degrees.  The sparse
+inner pairs and on random and sparse pairs of both degrees.  Each table
+keeps its own part of the join's index, so algebras that share a table
+share its part and keep no other table alive.  The sparse
 ladder's tables take the join and the dense copies' the per-tuple path.
 """
 
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -255,24 +259,50 @@ def test_check_pseudo_on_a_dense_and_a_fraction_pair_over_a_sparse_table_matches
 
 
 def test_the_join_index_is_built_once_per_tables_and_order(monkeypatch):
-    """check_pseudo joins the sparse odd pair for both rules.  A second call on
-    the same algebra builds no index and gives the same report; an algebra
-    with the same binary table object but its own, equal, ternary one builds
-    one index per rule again, as the product rule's joins both tables."""
+    """check_pseudo joins the sparse odd pair for both rules, each table
+    building its own part of the index per order and rule arity: the ternary
+    one for each rule, the binary one for the product rule.  A second call on
+    the same algebra builds nothing and gives the same report; an algebra with
+    the same binary table object but its own, equal, ternary one builds only
+    that ternary table's two parts, and no part is kept under another table."""
     builds = []
     by_slot = structures._by_slot
-    monkeypatch.setattr(structures, "_by_slot", lambda par, tables, d: builds.append(
-        (tuple(map(id, tables)), d)) or by_slot(par, tables, d))
+    monkeypatch.setattr(structures, "_by_slot", lambda par, st, a, d: builds.append(
+        (id(st), a, d)) or by_slot(par, st, a, d))
     B = sb.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "M7+osp12"))
     pair, anywhere = sparse_odd_pair(B), (-math.inf,) * 2
     builds.clear()  # malcev_to_bol's Bol check joined the inner pairs at its own orders
     first = sb.check_pseudo(B, pair)
-    assert builds == [((id(B.ternary),), anywhere), ((id(B.binary), id(B.ternary)), anywhere)]
+    assert builds == [(id(B.ternary), 3, anywhere), (id(B.binary), 2, anywhere),
+                      (id(B.ternary), 2, anywhere)]
     second = sb.check_pseudo(B, pair)
-    assert len(builds) == 2
+    assert len(builds) == 3
     assert second == first and str(second) == str(first) and not first.passed
     ternary = from_cells(type(B.ternary), B.space, B.ternary.cells())
     assert ternary == B.ternary and ternary is not B.ternary
     other = AlgebraDef(B.name, B.space, binary=B.binary, ternary=ternary)
     assert sb.check_pseudo(other, pair) == first
-    assert builds[2:] == [((id(ternary),), anywhere), ((id(B.binary), id(ternary)), anywhere)]
+    assert builds[3:] == [(id(ternary), 3, anywhere), (id(ternary), 2, anywhere)]
+    assert set(ternary._indexes) == {(anywhere, 3), (anywhere, 2)}
+    assert (anywhere, 2) in B.binary._indexes and (anywhere, 3) not in B.binary._indexes
+
+
+def test_results_that_share_a_binary_table_leave_nothing_on_it():
+    """malcev_to_bol of a Lie input (L = 1) shares the input's binary table,
+    and its Bol check joins the product rule.  Fifty results, each dropped,
+    leave at most the binary table's own parts of the index on it, and their
+    ternary tables and index parts are freed with them."""
+    A = inputs.direct_sum(inputs.osp12(), inputs.osp12("_2"), "osp12+osp12")
+    assert sb.malcev_to_bol(A).binary is A.binary    # A's own reports and lift stay
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            sb.malcev_to_bol(A)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(A.binary._indexes) <= 2
+    assert grown < 1 << 20, grown

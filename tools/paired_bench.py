@@ -39,7 +39,11 @@ CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
 each building its input from perfbench/inputs.py or the catalog and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
 runs one, a check_morphism call, a ps_space call or an enveloping call.
-Each side's min is kept, and so are the median and quartiles of the
+Each process also runs one reference chunk (perfbench/reference.py) just
+before and one just after the expression, and scales its CPU seconds by
+them as run.py's `scale` scales a pass's times, to seconds at the
+reference speed (`norm_s`), which compare across BENCH_*.json files.
+Each side's min of both is kept, and so are the median and quartiles of the
 change/parent ratios of the runs paired by number, which a swing of one
 side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
@@ -246,7 +250,7 @@ CASE_RUNS = 7
 CASE_SCRIPT = """
 import hashlib, json, random, sys, time
 sys.path[:0] = ["src", "perfbench"]
-import inputs
+import inputs, reference
 from superbol import catalog, constructions, envelope, forms, structures
 from superbol.graded import GradedMap
 
@@ -262,11 +266,21 @@ def dense_map(A, doubled=None):
     return GradedMap.from_rows(A.space, 0, rows), inputs.transport(A, g, "dense " + A.name), A
 
 
+def chunk():
+    # CPU time over nominal time of one reference chunk, as run.py's passes read theirs
+    start = time.process_time()
+    reference.chunk()
+    return (time.process_time() - start) / reference.CHUNK_S
+
+
 B = %s
+chunks = [chunk()]
 start = time.process_time()
 value = %s
 cpu_s = time.process_time() - start
-print(json.dumps({"cpu_s": cpu_s, "digest": hashlib.sha256(repr(value).encode()).hexdigest()}))
+chunks.append(chunk())
+print(json.dumps({"cpu_s": cpu_s, "norm_s": cpu_s * len(chunks) / sum(chunks),
+                  "digest": hashlib.sha256(repr(value).encode()).hexdigest()}))
 """
 
 
@@ -277,19 +291,20 @@ def src_lines(root):
 
 
 def case_run(root, name, hash_seed):
-    """{"cpu_s", "digest"} of one run of a kernel case, in a fresh process from
-    the checkout root without writing bytecode, or {"exit_code": code}."""
+    """{"cpu_s", "norm_s", "digest"} of one run of a kernel case, in a fresh process
+    from the checkout root without writing bytecode, or {"exit_code": code}."""
     _, source, timed = CASES[name]
     return _result([sys.executable, "-c", CASE_SCRIPT % (source, timed)], root,
                    PYTHONHASHSEED=str(hash_seed))
 
 
 def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
-    """{case: {how, parent, change, parent_min, change_min, change_over_parent_min,
-    change_over_parent_runs, digest}}: each case run `runs` times per side, the parent
-    first in odd-numbered runs, and run k of both sides with PYTHONHASHSEED=k, as
-    perfbench's workers fix theirs, so the sides compare on the same dict layouts; parent
-    and change list the CPU seconds of each run, None for a failed one;
+    """{case: {how, parent, change, parent_min, change_min, parent_norm_min,
+    change_norm_min, change_over_parent_min, change_over_parent_runs, digest}}: each case
+    run `runs` times per side, the parent first in odd-numbered runs, and run k of both
+    sides with PYTHONHASHSEED=k, as perfbench's workers fix theirs, so the sides compare on
+    the same dict layouts; parent and change list the CPU seconds of each run, None for a
+    failed one; the norm minimums are those of the runs' `norm_s`;
     change_over_parent_runs holds the median, q1 and q3 of change/parent over the runs k
     where both ran; and digest is None unless every run of both sides gave the same
     report."""
@@ -300,13 +315,14 @@ def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
             for side in ("parent", "change") if k % 2 else ("change", "parent"):
                 results[side].append(case_run(roots[side], name, k))
         times = {side: [r.get("cpu_s") for r in rs] for side, rs in results.items()}
-        mins = {side: min((t for t in ts if t is not None), default=None)
-                for side, ts in times.items()}
+        mins, norms = ({side: min((r[key] for r in rs if key in r), default=None)
+                        for side, rs in results.items()} for key in ("cpu_s", "norm_s"))
         q1, median, q3 = quartiles([c / p for p, c in zip(times["parent"], times["change"])
                                     if None not in (p, c)])
         digests = {r.get("digest") for rs in results.values() for r in rs}
         out[name] = {"how": CASES[name][0], **times, "parent_min": mins["parent"],
-                     "change_min": mins["change"],
+                     "change_min": mins["change"], "parent_norm_min": norms["parent"],
+                     "change_norm_min": norms["change"],
                      "change_over_parent_min": mins["change"] / mins["parent"]
                      if None not in mins.values() else None,
                      "change_over_parent_runs": {"median": median, "q1": q1, "q3": q3},
