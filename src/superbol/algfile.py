@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .graded import ABELIAN_MAX_DIM, SuperSpace, SuperVector, _dense, rat
-from .structures import AlgebraDef, BinaryStructure, TernaryStructure, _swapped
+from .structures import AlgebraDef, BinaryStructure, TernaryStructure, _swapped, _witnesses
 
 _LABEL = re.compile(r"[A-Za-z_]\w*")
 _DIRECTIVE = re.compile(r"\s*([\w-]+)")
@@ -53,7 +53,7 @@ def _parse_expr(text, base, index_of, dim, line_no):
     """Sum of signed rational multiples of labels, or the single token 0."""
     if text.strip() == "0":
         return (0,) * dim
-    coords = [Fraction(0)] * dim
+    coords = [0] * dim
     pos = 0
     first = True
     while True:
@@ -69,7 +69,8 @@ def _parse_expr(text, base, index_of, dim, line_no):
             raise ParseError("expected '+' or '-' between terms",
                              line_no, base + m.start() + 1)
         try:
-            coeff = Fraction(coeff_tok.replace(" ", "")) if coeff_tok else Fraction(1)
+            tok = (coeff_tok or "1").replace(" ", "")
+            coeff = Fraction(tok) if "/" in tok else int(tok)  # a Fraction only for p/q
         except ZeroDivisionError:
             raise ParseError("zero denominator in coefficient %r" % coeff_tok,
                              line_no, base + m.start(2) + 1) from None
@@ -224,7 +225,8 @@ def serialize_algebra(A):
         # only the kept half, i <= j, is written (even squares are 0); the parser completes it
         if st is not None and st._skew_witnesses:
             raise ValueError("%s table is not super skew at [%s], which the file grammar "
-                             "implies" % (st.NAME, ",".join(st._skew_witnesses[0].at)))
+                             "implies" % (st.NAME, ",".join(
+                                 _witnesses(st.NAME, space, st._skew_witnesses)[0].at)))
 
     n = space.dim
     par = space.parities

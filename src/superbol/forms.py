@@ -14,11 +14,16 @@ Their agreement on every catalog algebra is part of the test suite.
 
 Each form identity below is one comparison of two sparse tables, {index
 tuple: value}, over the union of their supports only: the work follows
-the nonzero products and form entries, not the n^4 basis tuples.
+the nonzero products and form entries, not the n^4 basis tuples.  Both
+are integer tables, the algebra's lifted ones (L*binary, L^2*ternary) with
+D*b (D the lcm of b's denominators): each side comes out D L^weight times
+its true value, so unequal factors are cross-multiplied, and a defect is
+divided back only for a witness.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from operator import itemgetter
 
@@ -62,6 +67,12 @@ class BilinearForm(_SparseValue):
         return _transposed(self.rows, self.space.dim)
 
     @cached_property
+    def _lifted(self):  # (D, D*rows, D*columns), D the lcm of the form's denominators: ints
+        D = math.lcm(*(c.denominator for row in self.rows for _, c in row))
+        rows = tuple(tuple((j, c.numerator * D // c.denominator) for j, c in r) for r in self.rows)
+        return D, rows, _transposed(rows, self.space.dim)
+
+    @cached_property
     def gram(self):
         n = self.space.dim
         return tuple(_dense(row, n) for row in self.rows)
@@ -74,9 +85,9 @@ class BilinearForm(_SparseValue):
         return rat(sum(a * by[i] for i, a in _sparse(x.coords)))
 
     def _asymmetry(self):
-        # ((i, j), (-1)^{p_i p_j} b(e_j, e_i) - b(e_i, e_j)) where nonzero, in order
+        # ((i, j), D times (-1)^{p_i p_j} b(e_j, e_i) - b(e_i, e_j)) where nonzero, in order
         par = self.space.parities
-        gram = {(i, j): c for i, row in enumerate(self.rows) for j, c in row}
+        gram = {(i, j): c for i, row in enumerate(self._lifted[1]) for j, c in row}
         return _mismatches(gram, (0, 1), gram, (1, 0), lambda at: sign(par[at[0]] * par[at[1]]))
 
     def is_supersymmetric(self):
@@ -188,7 +199,7 @@ def _contracted(view, st):
 
 
 def _mismatches(lhs, lorder, rhs, rorder, factor):
-    """(at, rat(factor(at) * rhs[at read in rorder] - lhs[at read in lorder])),
+    """(at, factor(at) * rhs[at read in rorder] - lhs[at read in lorder]),
     in lexicographic order of at, wherever the two sides differ; `at read in
     order` is the tuple of at[o] for o in order.  An unlisted key reads 0, and
     only the tuples that either side lists are visited."""
@@ -199,7 +210,7 @@ def _mismatches(lhs, lorder, rhs, rorder, factor):
     defects = {at: -value for at, value in by_at(lhs, lorder)}
     for at, value in by_at(rhs, rorder):
         defects[at] = defects.get(at, 0) + factor(at) * value
-    return sorted((at, rat(defect)) for at, defect in defects.items() if defect)
+    return sorted((at, defect) for at, defect in defects.items() if defect)
 
 
 def check_invariant(B, b):
@@ -210,29 +221,30 @@ def check_invariant(B, b):
     if b.space != B.space:
         raise GradingError("form lives on a different space")
     par, lab = B.space.parities, B.space.labels
+    (D, rows, columns), (L, lifted) = b._lifted, B._lifted
 
-    def report(axiom, found):
-        found = tuple(Witness(axiom, tuple(lab[t] for t in at), defect) for at, defect in found)
+    def report(axiom, found, k):  # each defect k times its true value
+        found = tuple(Witness(axiom, tuple(lab[t] for t in at), _quotient(d, k)) for at, d in found)
         return CheckReport(B.name, axiom, not found, found)
 
     prod, trip, inva1, inva3 = (), (), True, True
     if B.binary is not None:
         # left[i, j, k] = b(e_i e_j, e_k), right[i, k, j] = b(e_j, e_i e_k)
-        left, right = (_contracted(view, B.binary) for view in (b.rows, b.columns))
+        left, right = (_contracted(view, lifted["binary"]) for view in (rows, columns))
         prod = _mismatches(left, (0, 1, 2), right, (0, 2, 1),
                            lambda at: -sign(par[at[0]] * par[at[1]]))
     if B.ternary is not None:
         # left[i, j, k, l] = b([e_i, e_j, e_k], e_l), right[i, j, k, l] = b(e_l, [e_i, e_j, e_k])
-        left, right = (_contracted(view, B.ternary) for view in (b.rows, b.columns))
+        left, right = (_contracted(view, lifted["ternary"]) for view in (rows, columns))
         trip = _mismatches(left, (0, 1, 2, 3), right, (2, 3, 1, 0),
                            lambda at: -sign(par[at[1]] * (par[at[2]] + par[at[3]])))
         inva1 = not any(_mismatches(left, (0, 1, 2, 3), right, (0, 1, 3, 2),
                                     lambda at: -sign(par[at[2]] * (par[at[0]] + par[at[1]]))))
         inva3 = not any(_mismatches(right, (1, 2, 3, 0), right, (0, 3, 2, 1), lambda at:
                                     sign(par[at[0]] * par[at[1]] + par[at[2]] * par[at[3]])))
-    return InvariantReport(report("supersymmetry", b._asymmetry()),
-                           report("product-invariance", prod),
-                           report("triple-invariance", trip), inva1, inva3)
+    return InvariantReport(report("supersymmetry", b._asymmetry(), D),
+                           report("product-invariance", prod, D * L),
+                           report("triple-invariance", trip, D * L * L), inva1, inva3)
 
 
 def orthogonal(b, V):
@@ -274,21 +286,24 @@ class SemisimplicityReport:
 def _pairing_identity(B, env, alpha, beta):
     """Whether alpha([e_i, e_j], [e_u, e_v]) = (-1)^{p_i(p_u+p_v+p_j)}
     beta(e_j, [e_u, e_v, e_i]) on every basis 4-tuple of B, the binary
-    brackets taken in the envelope env."""
+    brackets taken in the envelope env; the sides, L_E^2 D_alpha and L_B^2
+    D_beta times their true values, each multiplied by the other's factor."""
     nb, par = B.space.dim, B.space.parities
+    (LE, tables), (LB, lifted) = env.lie._lifted, B._lifted
+    (Da, rows, _), (Db, _, columns) = alpha._lifted, beta._lifted
     # lhs[i, j, u, v] = alpha([e_i, e_j], [e_u, e_v]): the base-block cells of env paired
-    cells = [(at, entry) for at, entry in env.lie.binary.cells().items() if max(at) < nb]
+    cells = [(at, entry) for at, entry in tables["binary"].cells().items() if max(at) < nb]
     lhs = {}
     for at, entry in cells:
-        row = _into([0] * env.dim, entry, alpha.rows)    # alpha([e_i, e_j], e_t) at t
+        row = _into([0] * env.dim, entry, rows, LB * LB * Db)    # alpha([e_i, e_j], e_t) at t
         for uv, other in cells:
-            value = sum(c * row[t] for t, c in other)
+            value = sum([c * row[t] for t, c in other])
             if value:
                 lhs[at + uv] = value
     # rhs[u, v, i, j] = beta(e_j, [e_u, e_v, e_i])
-    rhs = _contracted(beta.columns, B.ternary)
-    return not any(_mismatches(lhs, (0, 1, 2, 3), rhs, (2, 3, 0, 1), lambda at:
-                               sign(par[at[0]] * (par[at[1]] + par[at[2]] + par[at[3]]))))
+    rhs = _contracted(columns, lifted["ternary"])
+    return not any(_mismatches(lhs, (0, 1, 2, 3), rhs, (2, 3, 0, 1), lambda at: LE * LE * Da
+                               * sign(par[at[0]] * (par[at[1]] + par[at[2]] + par[at[3]]))))
 
 
 def semisimplicity_report(B, ideals=()):

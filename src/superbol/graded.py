@@ -36,8 +36,8 @@ def rat(x):
     """Normalize a scalar: exact rational, `int` when integral."""
     if type(x) is int:
         return x
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+    f = x if type(x) is Fraction else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 def _text(c):  # str(c) of an exact scalar, past Python's limit on the digits str converts

@@ -54,7 +54,9 @@ The sweeps run on integer tables.  With L the lcm of every denominator
 in the binary table B and the ternary table T, check_axioms sweeps L*B
 and L^2*T, the algebra in the basis L e_i.  Every identity is homogeneous
 when a binary constant has weight 1 and a ternary one weight 2, so each
-defect comes out L^weight times the true one and is divided back exactly.
+defect comes out L^weight times the true one and is divided back exactly,
+once per orbit representative: its orbit's witnesses share that quotient
+and its negation (`_witnesses`).
 The weights, kept in `_SWEEPS` next to the sweeps: skew 1; jacobi,
 triple-skew and triple-jacobi 2; malcev and product-rule 3; nambu 4.
 Scaling B and T by the same factor would not do: the product rule mixes
@@ -332,13 +334,17 @@ class CheckReport:
 
 def _rotated(par, at):
     # the cyclic identities: the first index moved last, times (-1)^{p_first (p_rest)}
-    return at[1:] + at[:1], sign(par[at[0]] * sum(par[t] for t in at[1:]))
+    return at[1:] + at[:1], -1 if par[at[0]] and sum(map(par.__getitem__, at[1:])) % 2 else 1
 
 
 def _swapped(u, par, at):
     # super skew in slots u, u + 1: times -(-1)^{p_i p_j}
     i, j = at[u:u + 2]
-    return at[:u] + (j, i) + at[u + 2:], -sign(par[i] * par[j])
+    return at[:u] + (j, i) + at[u + 2:], 1 if par[i] & par[j] else -1
+
+
+def _signed(vec, keep):  # the sparse vec, negated unless keep
+    return vec if keep else tuple((t, -c) for t, c in vec)
 
 
 def _mirrored(par, cells):
@@ -348,7 +354,7 @@ def _mirrored(par, cells):
     for at, entry in cells.items():
         mirror, s = _swapped(0, par, at)
         if mirror not in out:
-            out[mirror] = entry if s == 1 else tuple((t, -c) for t, c in entry)
+            out[mirror] = _signed(entry, s == 1)
     return out
 
 
@@ -377,21 +383,32 @@ def _least(at):
 
 
 def _orbit_witnesses(axiom, space, defects, moves):
-    """Witnesses of the defects (at, acc) at orbit representatives, in order: each
-    nonzero acc closed under the moves, at -> (image, s) scaling the defect by s."""
-    lab, found = space.labels, []
+    """(acc, images) per nonzero defect (at, acc) at an orbit representative, in turn: at's
+    images (image, s), itself first, closed under the moves at -> (image, s), s acc's sign."""
+    orbits = []
     for at, acc in defects:
         if any(acc):
-            orbit, seen = [(at, acc)], {at}
-            for b, a in orbit:     # the list grows while it is read: a breadth-first closure
+            images, seen = [(at, 1)], {at}
+            for b, s in images:     # the list grows while it is read: a breadth-first closure
                 for move in moves:
-                    image, s = move(b)
+                    image, t = move(b)
                     if image not in seen:
                         seen.add(image)
-                        orbit.append((image, a if s == 1 else [-c for c in a]))
-            found += orbit
-    for at, acc in sorted(found):
-        yield Witness(axiom, tuple(lab[t] for t in at), _vector(space, acc))
+                        images.append((image, s * t))
+            orbits.append((acc, images))
+    return orbits
+
+
+def _witnesses(axiom, space, orbits, scale=1):
+    """The Witnesses of the orbits in tuple order, each representative's defect divided by
+    scale once (not at all when it is 1), that vector and its negation shared by its orbit."""
+    lab, found = space.labels, []
+    for acc, images in orbits:
+        vec = SuperVector(space, tuple(acc if scale == 1 else [_quotient(c, scale) for c in acc]))
+        signed = {1: vec, -1: -vec}
+        found += [(at, signed[s]) for at, s in images]
+    found.sort(key=lambda w: w[0])
+    return [Witness(axiom, tuple(map(lab.__getitem__, at)), v) for at, v in found]
 
 
 def _jacobi_sums(space, bs, w1, w2, w3, tuples):
@@ -417,14 +434,12 @@ def _sweep_super_jacobi(space, bs):
     return _orbit_witnesses("jacobi", space, _jacobi_sums(space, bs, 1, 1, 1, reps), moves)
 
 
-def _products(vec, cells, n, hi=math.inf):
-    """{x: vec times e_x} for x <= hi where nonzero, sparse, with cells[m] the nonzero
-    (x, e_m e_x) of row m in order; with those (x, e_x e_m) of column m, {x: e_x times vec}."""
+def _products(vec, cells, n):
+    """{x: vec times e_x} where nonzero, sparse, with cells[m] the nonzero (x, e_m e_x) of
+    row m; with those (x, e_x e_m) of column m, {x: e_x times vec}."""
     out = {}
     for m, c in vec:
         for x, e in cells[m]:
-            if x > hi:
-                break
             acc = out.get(x) or out.setdefault(x, [0] * n)
             for t, d in e:
                 acc[t] += c * d
@@ -444,9 +459,17 @@ def _sweep_malcev(space, bs):
     rows = [[(b, e) for b, e in enumerate(row) if e] for row in bs.entries]
     cols = [[(a, e) for a, e in enumerate(row) if e] for row in bs.col]
     # right[a, b][c] = (e_a e_b) e_c and left[a, b][c] = e_c (e_a e_b), the latter, read with
-    # c as i, only for c <= a, b once the loops prune
-    right = {at: _products(entry, rows, n) for at, entry in cells.items()}
-    left = {at: _products(entry, cols, n, min(at) if mirror else n) for at, entry in cells.items()}
+    # c as i, only for c <= a, b once the loops prune.  Skew, both are read off right's kept
+    # half a <= b: e_b e_a = -(-1)^{ab} e_a e_b and e_c (e_a e_b) = -(-1)^{c(a+b)} (e_a e_b) e_c
+    if mirror:
+        right = {at: _products(entry, rows, n) for at, entry in cells.items() if at[0] <= at[1]}
+        right.update({(b, a): {c: _signed(v, par[a] & par[b]) for c, v in r.items()}
+                      for (a, b), r in right.items() if a < b})
+        left = {(a, b): {c: _signed(v, par[c] & (par[a] ^ par[b])) for c, v in r.items()
+                         if c <= a and c <= b} for (a, b), r in right.items()}
+    else:
+        right = {at: _products(entry, rows, n) for at, entry in cells.items()}
+        left = {at: _products(entry, cols, n) for at, entry in cells.items()}
     found = {}
     for (i, k), rik in right.items():
         lo = i if mirror else 0
@@ -848,13 +871,7 @@ def check_axioms(A, kind):
     L, witnesses = A._lifted[0], []
     for axiom in _SYSTEMS[kind]:
         sweep, reads, weight = _SWEEPS[axiom]
-        found = sweep(A.space, *_swept(A, reads))
-        if L == 1:
-            witnesses += found
-        else:
-            scale = L ** weight
-            witnesses += (Witness(w.axiom, w.at, SuperVector(A.space, tuple(
-                _quotient(c, scale) for c in w.defect.coords))) for w in found)
+        witnesses += _witnesses(axiom, A.space, sweep(A.space, *_swept(A, reads)), L ** weight)
     report = A._reports[kind] = CheckReport(A.name, kind, not witnesses, tuple(witnesses))
     return report
 

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from cli_env import CLI_ENV
+
 import superbol as sb
 from superbol.structures import AlgebraDef, TernaryStructure
 
@@ -32,7 +34,7 @@ def verdict(capsys, number, description):
 
 def _cli(*argv):
     return subprocess.run([sys.executable, "-m", "superbol"] + list(argv),
-                          capture_output=True)
+                          capture_output=True, env=CLI_ENV)
 
 
 def test_criterion_01_catalog_checks(capsys):

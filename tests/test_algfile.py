@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import superbol as sb
+from superbol import algfile
 from superbol.algfile import ParseError
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 
@@ -274,3 +275,41 @@ def test_each_operation_reads_back_absent_zero_or_nonzero(binary, ternary, data)
     assert back == A
     assert (back.binary is None, back.ternary is None) == (binary == "absent",
                                                            ternary == "absent")
+
+
+TERMS = st.tuples(st.sampled_from(["+", "-"]), st.integers(0, 10 ** 6),
+                  st.none() | st.integers(1, 99), st.sampled_from(["", " ", "*", " * "]),
+                  st.sampled_from(["", " "]), st.sampled_from(["e1", "e2", "e3"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(TERMS, min_size=1, max_size=5))
+def test_coefficients_read_as_fraction_reads_them(terms):
+    """Integer coefficients are read as ints and p/q ones as Fractions: the
+    values Fraction reads from each token, summed, an int where integral."""
+    expected, text = [Fraction(0)] * 3, []
+    for sign, p, q, star, pad, label in terms:
+        token = "%d%s/%s%d" % (p, pad, pad, q) if q else "%03d" % p
+        expected[int(label[1]) - 1] += (-1 if sign == "-" else 1) * Fraction(
+            token.replace(" ", ""))
+        text.append("%s %s%s%s" % (sign, token, star or " ", label))
+    value = " ".join(text)
+    got = sb.parse_algebra("name t\neven e1 e2 e3\nternary [e1,e2,e1] = %s\n" % value)
+    want = [c.numerator if c.denominator == 1 else c for c in expected]
+    assert [(type(c), c) for c in got.ternary.table[0][1][0]] == \
+        [(type(c), c) for c in want], value
+
+
+def test_only_a_ratio_token_makes_a_fraction(monkeypatch):
+    """Reading an expression makes no Fraction for integer coefficients; each
+    p/q token makes at most three: its reading, its negation and its sum."""
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
+                        or new(cls, *args, **kwargs))
+    index = {"e1": 0, "e2": 1, "e3": 2}
+    for value, ratios in (("2*e3 - 17 e1 + 007e2", 0), ("e1 + 0*e2 - e1", 0),
+                          ("2*e3 - 1/2 e1", 1), ("4/2*e1 + 1 / 3 e1 - 5e2", 2)):
+        made.clear()
+        algfile._parse_expr(value, 0, index, 3, 1)
+        assert (0 < len(made) <= 3 * ratios) if ratios else made == [], value

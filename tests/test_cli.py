@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from cli_env import CLI_ENV
 
 import superbol as sb
 from superbol.cli import main
@@ -240,21 +241,21 @@ def test_in_process_determinism(capsys):
 def test_subprocess_entry_point():
     base = [sys.executable, "-m", "superbol"]
     ok = subprocess.run(base + ["check", "L2_3_1_bol", "--kind", "bol"],
-                        capture_output=True)
+                        capture_output=True, env=CLI_ENV)
     assert ok.returncode == 0
 
     bad = subprocess.run(base + ["check", "L2_3_1_bol", "--kind", "lie"],
-                         capture_output=True)
+                         capture_output=True, env=CLI_ENV)
     assert bad.returncode == 1
 
-    usage = subprocess.run(base, capture_output=True)
+    usage = subprocess.run(base, capture_output=True, env=CLI_ENV)
     assert usage.returncode == 2
 
     twice = subprocess.run(base + ["--format", "machine", "killing-ricci", "L2_3_1_bol"],
-                           capture_output=True)
+                           capture_output=True, env=CLI_ENV)
     assert twice.returncode == 0
     again = subprocess.run(base + ["--format", "machine", "killing-ricci", "L2_3_1_bol"],
-                           capture_output=True)
+                           capture_output=True, env=CLI_ENV)
     assert twice.stdout == again.stdout
 
 
@@ -262,7 +263,7 @@ def test_zero_denominator_exits_2_without_traceback(tmp_path):
     bad = tmp_path / "zero.alg"
     bad.write_text("name z\neven e1 e2\nbinary [e1,e2] = 1/0*e1\n")
     done = subprocess.run([sys.executable, "-m", "superbol", "check", str(bad), "--kind", "lie"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: line 3, col 18: zero denominator in coefficient '1/0'\n"
@@ -306,7 +307,7 @@ def test_closed_stdout_exits_2_without_traceback():
     os.close(read_end)  # no reader before the child writes a byte
     try:
         done = subprocess.run([sys.executable, "-m", "superbol", "center", "abelian_2_2"],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=CLI_ENV)
     finally:
         os.close(write_end)
     assert done.returncode == 2

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 import slow_reference
 import superbol as sb
+from superbol import forms as forms_module
 from superbol.forms import _pairing_identity
 from superbol.structures import AlgebraDef, BinaryStructure
-from test_reference import (BOLS, HALF, POOL, VALUES, even_map, from_cells, random_pair,
-                            transport)
+from test_reference import (BOLS, HALF, LIFTED, POOL, VALUES, even_map, from_cells,
+                            random_pair, transport)
 
 
 def typed(values):
@@ -249,3 +250,65 @@ def test_forms_off_the_products_match_the_reference(index, seed, symmetric):
     env = sb.enveloping(B)
     alpha = random_form(env.lie.space, rng, True)
     assert _pairing_identity(B, env, alpha, b) == slow_reference.pairing_identity(B, env, alpha, b)
+
+
+def lifted_cases():
+    """(B, env, [(alpha, beta), ...]) on the Bol algebras whose tables have
+    denominators, binary and ternary ones differing, and on a dense re-basing
+    of two: the envelope's Killing form with beta by either route, and random
+    Fraction forms beside them."""
+    rng = random.Random(5)
+    algebras = LIFTED + [transport(B, even_map(B.space, rng)) for B in LIFTED[:2]]
+    for B in algebras:
+        env = sb.enveloping(B)
+        alpha = sb.killing_form(env.lie)
+        yield B, env, [(alpha, sb.killing_ricci(B, "direct")), (alpha, random_form(B.space, rng)),
+                       (random_form(env.lie.space, rng, True), random_form(B.space, rng, True))]
+
+
+def test_form_identities_on_lifted_tables_match_the_reference():
+    """The pairing identity and check_invariant compare integer tables scaled
+    by L_E, L_B and the forms' denominators: on lifted tables they give the
+    reference's verdicts, witnesses and scalar types, and the pairing identity
+    holds for the envelope's own forms."""
+    lifted = set()
+    for B, env, forms in lifted_cases():
+        lifted.add((B._lifted[0] > 1, env.lie._lifted[0] > 1))
+        for alpha, beta in forms:
+            assert _pairing_identity(B, env, alpha, beta) == \
+                slow_reference.pairing_identity(B, env, alpha, beta), B.name
+            assert_same_invariance(B, beta)
+        assert _pairing_identity(B, env, *forms[0]) is True
+        assert sb.semisimplicity_report(B).pairing_identity is True
+    assert (True, True) in lifted
+
+
+def test_the_form_identities_make_no_fraction_before_their_final_division(monkeypatch):
+    """On lifted tables and Fraction forms, `_pairing_identity` makes no
+    `Fraction` at all, and every `Fraction` check_invariant makes comes from
+    dividing a witness's defect (`_quotient`, given ints only)."""
+    made, allowed, witnesses = [], [], 0
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
+                        or new(cls, *args, **kwargs))
+    quotient = forms_module._quotient
+
+    def divided(x, d):
+        assert type(x) is int and type(d) is int
+        start = len(made)
+        out = quotient(x, d)
+        allowed.append(len(made) - start)
+        return out
+
+    monkeypatch.setattr(forms_module, "_quotient", divided)
+    for B, env, forms in lifted_cases():
+        for alpha, beta in forms:
+            start = len(made)
+            _pairing_identity(B, env, alpha, beta)
+            assert len(made) == start, B.name
+            allowed.clear()
+            start = len(made)
+            report = sb.check_invariant(B, beta)
+            assert len(made) - start == sum(allowed), B.name
+            witnesses += sum(type(w.defect) is Fraction for w in report.witnesses)
+    assert witnesses > 0

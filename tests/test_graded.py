@@ -144,3 +144,15 @@ def test_supertrace_is_conjugation_invariant(data):
         assume(False)
         return
     assert sb.supertrace(h.compose(f).compose(hinv)) == sb.supertrace(f)
+
+
+def test_rat_returns_a_fraction_as_it_is_and_makes_none(monkeypatch):
+    third, whole = Fraction(1, 3), Fraction(6, 3)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
+                        or new(cls, *args, **kwargs))
+    assert sb.rat(third) is third
+    assert type(sb.rat(whole)) is int and sb.rat(whole) == 2
+    assert type(sb.rat(7)) is int and made == []
+    assert sb.rat(0.5) == Fraction(1, 2) and type(sb.rat(2.0)) is int

@@ -32,7 +32,7 @@ import superbol as sb
 from superbol import structures
 from test_mirror import skew_mutant
 from test_orbits import M7, OSP, evaluated, malcev_reach, random_algebra, representative
-from test_reference import POOL, even_map, transport, typed
+from test_reference import POOL, even_map, from_cells, transport, typed
 
 MALCEV = [A for A in POOL if A.binary is not None and sb.check_axioms(A, "malcev").passed]
 
@@ -109,3 +109,26 @@ def test_a_sweep_that_drops_a_sign_fails_the_comparison(monkeypatch, sign_of):
                 slow_reference.check_axioms(A, "malcev"):
             return
     pytest.fail("no input tells the mutant from the reference")
+
+
+def test_a_skew_product_builds_the_kept_half_of_its_inner_products(monkeypatch):
+    """Once the product is super skew, `_products` runs once per nonzero cell
+    (a, b) with a <= b: the right maps of b > a and every left map are read off
+    those by sign.  A product whose skew sweep fails builds both maps of every
+    cell.  The reports equal the reference's either way."""
+    calls = []
+    products = structures._products
+    monkeypatch.setattr(structures, "_products",
+                        lambda vec, cells, n: calls.append(vec) or products(vec, cells, n))
+    cells = dict(M7.binary.cells())
+    cells[0, 1] = tuple((t, 2 * c) for t, c in cells[0, 1])
+    broken = sb.AlgebraDef("broken M7", M7.space, binary=from_cells(
+        sb.BinaryStructure, M7.space, cells))
+    rng = random.Random(3)
+    for A in [M7, OSP, transport(OSP, even_map(OSP.space, rng)), broken] + MALCEV:
+        skew, table = not A.binary._skew_witnesses, A._lifted[1]["binary"]
+        calls.clear()
+        assert_same(A)
+        assert len(calls) == (sum(a <= b for a, b in table.cells()) if skew
+                              else 2 * len(table.cells())), A.name
+        assert skew == (A is not broken)

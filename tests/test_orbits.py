@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 
 import slow_reference
 import superbol as sb
+from bench_inputs import inputs
 from superbol import envelope, structures
 from superbol.graded import _into, sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
@@ -310,6 +311,40 @@ def test_a_product_whose_skew_fails_evaluates_every_malcev_tuple(evaluated):
     tuples = sweep_tuples(A, evaluated)
     assert len(tuples["jacobi"]) == 112
     assert tuples["malcev"] == sorted(malcev_reach(A))
+
+
+def test_a_lifted_check_divides_each_orbit_once(monkeypatch):
+    """check-dense's M7 in a dense basis (L > 1) fails Lie: check_axioms divides
+    each orbit representative's integer defect once, by L^2, coordinate by
+    coordinate, and the orbit's witnesses share that vector and its negation,
+    one object per representative and sign.  The counts come from the orbits
+    the sweeps hand back."""
+    orbits, divisors = {}, []
+    expand, quotient = structures._orbit_witnesses, structures._quotient
+
+    def recording(axiom, space, defects, moves):
+        orbits[axiom] = expand(axiom, space, defects, moves)
+        return orbits[axiom]
+
+    monkeypatch.setattr(structures, "_orbit_witnesses", recording)
+    monkeypatch.setattr(structures, "_quotient", lambda x, d: divisors.append(d) or quotient(x, d))
+    A = inputs.transport(M7, inputs.dense_even_map(random.Random(1), M7.space), "dense M7")
+    L = A._lifted[0]
+    assert L > 1
+    report = sb.check_axioms(A, "lie")
+    assert orbits["skew"] == [] and orbits["jacobi"]
+    jacobi = orbits["jacobi"]
+    assert divisors == [L ** 2] * sum(len(acc) for acc, _ in jacobi)
+    signs = sum(len({s for _, s in images}) for _, images in jacobi)
+    assert len(report.witnesses) == sum(len(images) for _, images in jacobi)
+    assert len({id(w.defect) for w in report.witnesses}) == signs
+    assert signs > len(jacobi)
+    defects = {w.at: w.defect for w in report.witnesses}
+    for acc, images in jacobi:
+        shared = [defects[tuple(A.space.labels[t] for t in at)] for at, _ in images]
+        assert shared[0].coords == tuple(quotient(c, L ** 2) for c in acc)
+        assert all(v is shared[0] if s == 1 else v.coords == (-shared[0]).coords
+                   for v, (_, s) in zip(shared, images))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from bench_inputs import inputs
 from superbol import catalog, constructions, envelope, forms, structures
 from superbol.graded import GradedMap
@@ -302,6 +303,23 @@ def test_a_case_times_its_own_expression():
     assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest()
 
 
+def test_the_dense_m7_lie_case_times_check_denses_failing_check():
+    """check_dense_m7_lie: its digest is that of the Lie report of M7 in the dense
+    basis of check_dense_m7_malcev, built here, which fails with 210 witnesses;
+    report_dense_dim12 reports on check_dense_dim12's input."""
+    root = Path(__file__).resolve().parents[1]
+    M7 = inputs.m7()
+    report = structures.check_axioms(inputs.transport(
+        M7, inputs.dense_even_map(random.Random(1), M7.space), "dense " + M7.name), "lie")
+    assert len(report.witnesses) == 210
+    run = paired_bench.case_run(root, "check_dense_m7_lie", 1)
+    assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest()
+    cases = paired_bench.CASES
+    assert cases["check_dense_m7_lie"][1] == cases["check_dense_m7_malcev"][1]
+    assert cases["report_dense_dim12"][1:] == (cases["check_dense_dim12"][1],
+                                               cases["report_dense_bol_m7"][2])
+
+
 def test_the_morphism_cases_time_their_own_expressions():
     """The check_morphism cases: each digest is that of the report built here, from
     the map the dense copy was made by, as it stands (passes) and with row 0
@@ -401,3 +419,61 @@ def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):
     order = [("parent", "change") if k % 2 else ("change", "parent") for k in range(1, runs + 1)]
     assert seeds[:2 * runs] == [(str(roots[side]), k) for k, sides in enumerate(order, 1)
                                 for side in sides]
+
+
+def test_the_trajectory_prints_every_committed_report(capsys):
+    """--trajectory reads every BENCH_*.json in the repository root, in the order
+    of their numbers, and prints each workload metric's medians and each kernel
+    case's minimums, raw and normalized, as the files hold them."""
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(root.glob("BENCH_*.json"), key=paired_bench._number)
+    reports = {path.name: json.loads(path.read_text()) for path in files}
+    assert len(files) >= 20
+    assert paired_bench.main(["--trajectory"]) == 0
+    series = paired_bench.trajectory(files)
+    assert capsys.readouterr().out == paired_bench.trajectory_text(series)
+    for points in series.values():
+        numbers = [paired_bench._number(Path(name)) for name, _, _ in points]
+        assert numbers == sorted(numbers) and len(set(numbers)) == len(numbers)
+    for path in files:
+        for workload, entry in reports[path.name].get("end_to_end", {}).items():
+            wall = entry.get("wall_s", {})
+            if isinstance(wall.get("parent"), dict):
+                assert (path.name, wall["parent"]["median"], wall["change"]["median"]) in \
+                    series["workload", workload, "wall_s"]
+    last = files[-1].name
+    for case, entry in reports[last]["dense_cases"].items():
+        assert series["case", case, "min"][-1] == (last, entry["parent_min"], entry["change_min"])
+        if "parent_norm_min" in entry:
+            assert series["case", case, "norm_min"][-1] == (
+                last, entry["parent_norm_min"], entry["change_norm_min"])
+
+
+def test_the_trajectory_passes_over_other_layouts(tmp_path):
+    """Entries laid out otherwise (early files: counts, flags, a case list under
+    `cases`) are passed over, and a failed side's None is printed as it stands."""
+    early = tmp_path / "BENCH_2.json"
+    early.write_text(json.dumps({"end_to_end": {"pairs": {
+        "correct": {"parent": True, "change": True}, "failed": {"parent": 0, "change": 0},
+        "wall_s": {"parent": {"median": 2.0}, "change": {"median": 1.0}}}},
+        "dense_cases": {"how": "text", "cases": ["a"]}}))
+    late = tmp_path / "BENCH_10.json"
+    late.write_text(json.dumps({"end_to_end": {"pairs": {
+        "wall_s": {"parent": {"median": 1.0}, "change": {"median": None}}}},
+        "dense_cases": {"c": {"parent_min": 0.5, "change_min": 0.25}}}))
+    series = paired_bench.trajectory([early, late])
+    assert series == {("workload", "pairs", "wall_s"): [("BENCH_2.json", 2.0, 1.0),
+                                                        ("BENCH_10.json", 1.0, None)],
+                      ("case", "c", "min"): [("BENCH_10.json", 0.5, 0.25)]}
+    assert paired_bench.trajectory_text(series).splitlines() == [
+        "workload pairs wall_s: parent, change",
+        "  BENCH_2.json             2           1",
+        "  BENCH_10.json            1        None",
+        "case c min: parent, change",
+        "  BENCH_10.json          0.5        0.25"]
+
+
+def test_main_needs_both_trees_and_an_output_without_the_trajectory(capsys):
+    with pytest.raises(SystemExit):
+        paired_bench.main(["parent", "change"])
+    assert "--out are required" in capsys.readouterr().err

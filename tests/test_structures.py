@@ -228,9 +228,10 @@ def test_classify_matches_the_reference_on_every_basis_span(monkeypatch):
 def test_skew_sweeps_evaluate_the_first_two_indices_in_order(monkeypatch, seed):
     """skew and triple-skew evaluate each tuple whose first two indices are in
     order, once, where it or its swap has a nonzero product, and hand the
-    swapped copies to the orbit expansion: the reference's witnesses, scalar
-    types included, from every tuple, on super skew tables and on tables whose
-    skew sweeps fail, catalog and random, binary and ternary."""
+    swapped copies to the orbit expansion: on the lifted tables, divided by
+    L^weight, the reference's witnesses, scalar types included, from every
+    tuple, on super skew tables and on tables whose skew sweeps fail, catalog
+    and random, binary and ternary."""
     evaluated = []
     expand = structures._orbit_witnesses
 
@@ -249,13 +250,15 @@ def test_skew_sweeps_evaluate_the_first_two_indices_in_order(monkeypatch, seed):
         for binary in ("random", "skew") for ternary in ("random", "skew")]
     verdicts = set()
     for A in algebras:
+        L, lifted = A._lifted
         for st, reference in ((A.binary, slow_reference._sweep_binary_skew),
                               (A.ternary, slow_reference._sweep_ternary_skew)):
             if st is None:
                 continue
             evaluated.clear()
-            found = tuple(structures._skew(A.space, st))
             axiom = "skew" if st.ARITY == 2 else "triple-skew"
+            found = structures._witnesses(axiom, A.space, structures._skew(
+                A.space, lifted[st.NAME]), L ** (st.ARITY - 1))
             kept = {at if at[0] <= at[1] else (at[1], at[0]) + at[2:] for at in st.cells()}
             assert sorted(evaluated) == sorted((axiom, at) for at in kept), (A.name, axiom)
             slow = tuple(reference(A.space, st.table))

@@ -3,6 +3,7 @@
     python3 tools/paired_bench.py PARENT CHANGE --pairs 10 --out BENCH_15.json \
         [--workload check-sparse ...] [--seed 1] \
         [--claim check-sparse:wall_s [--claim-seed 7]]
+    python3 tools/paired_bench.py --trajectory
 
 PARENT and CHANGE are two checkouts of the repository, measured as a fresh
 checkout runs: every `__pycache__` under their `src/` and `perfbench/` is
@@ -49,6 +50,12 @@ side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
 metric "digest".  `src_lines` holds each side's count of non-blank lines in
 the modules under src/superbol/.  Only the standard library is used.
+
+With --trajectory it runs nothing: it prints, across every BENCH_*.json in
+the repository root in the order of their numbers, each workload metric's
+parent and change medians (`end_to_end`, the first seed) and each kernel
+case's parent and change minimums, raw and, where written, normalized.  A
+file or an entry laid out otherwise, as some early files are, is passed over.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ import math
 import os
 import pathlib
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -209,10 +217,19 @@ CASES = {
         "check_axioms(D, 'malcev'), D = inputs.transport(M7, dense_even_map(random.Random(1), "
         "space)) (dim 7)",
         "dense(inputs.m7())", "structures.check_axioms(B, 'malcev')"),
+    "check_dense_m7_lie": (
+        "check_axioms(D, 'lie'), D as in check_dense_m7_malcev: fails super Jacobi with 210 "
+        "witnesses, as check-dense's dense M7 Lie check does, each divided by L^2",
+        "dense(inputs.m7())", "structures.check_axioms(B, 'lie')"),
     "report_dense_bol_m7": (
         "forms.semisimplicity_report(D), D as in check_dense_bol_m7: the Bol check, the "
         "envelope and its Killing form",
         "dense(constructions.malcev_to_bol(inputs.m7()))", "forms.semisimplicity_report(B)"),
+    "report_dense_dim12": (
+        "forms.semisimplicity_report(D), D as in check_dense_dim12: the Bol check, the "
+        "envelope, its Killing form and the pairing identity",
+        "dense(constructions.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "
+        "'M7+osp12')))", "forms.semisimplicity_report(B)"),
     "morphism_dense_bol_m7": (
         "check_morphism(g, D, bol(M7)), D as in check_dense_bol_m7 and g the even map D -> "
         "bol(M7) it was built by: passes",
@@ -332,6 +349,46 @@ def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
     return out
 
 
+def _number(path):
+    return int(re.search(r"\d+", path.name).group())
+
+
+def trajectory(paths):
+    """{series: [(file name, parent, change), ...]} over the BENCH_*.json files at
+    paths, in order: ("workload", name, metric) with the parent and change medians of
+    each `end_to_end` metric, ("case", name, "min") with each kernel case's raw minimums
+    and ("case", name, "norm_min") with its normalized ones where written.  An entry
+    laid out otherwise is passed over."""
+    series = {}
+    for path in paths:
+        report, name = json.loads(pathlib.Path(path).read_text()), pathlib.Path(path).name
+        for workload, entry in report.get("end_to_end", {}).items():
+            for metric, summary in entry.items():
+                sides = [summary.get(side) if isinstance(summary, dict) else None
+                         for side in ("parent", "change")]
+                if all(isinstance(side, dict) and "median" in side for side in sides):
+                    series.setdefault(("workload", workload, metric), []).append(
+                        (name, sides[0]["median"], sides[1]["median"]))
+        cases = report.get("dense_cases")
+        for case, entry in cases.items() if isinstance(cases, dict) else ():
+            for what in ("min", "norm_min"):
+                if isinstance(entry, dict) and "parent_" + what in entry:
+                    series.setdefault(("case", case, what), []).append(
+                        (name, entry["parent_" + what], entry["change_" + what]))
+    return series
+
+
+def trajectory_text(series):
+    """The series as text: a line per series, then a line per file with its values."""
+    def value(v):
+        return "%12.6g" % v if isinstance(v, (int, float)) else "%12s" % v
+    out = []
+    for key, points in series.items():
+        out.append(" ".join(key) + ": parent, change")
+        out += ["  %-14s%s%s" % (name, value(p), value(c)) for name, p, c in points]
+    return "\n".join(out) + "\n"
+
+
 def paired(roots, workloads, seed, pairs):
     """{side: [{workload: result}, ...]}, one entry per pair, alternating which
     side runs first."""
@@ -348,16 +405,25 @@ def paired(roots, workloads, seed, pairs):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--out")
     parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--claim", help="workload:metric the change claims a gain on")
     parser.add_argument("--claim-seed", type=int,
                         help="a second seed to run the claimed workload at")
+    parser.add_argument("--trajectory", action="store_true",
+                        help="print the series of every committed BENCH_*.json and exit")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        root = pathlib.Path(__file__).resolve().parents[1]
+        sys.stdout.write(trajectory_text(trajectory(sorted(root.glob("BENCH_*.json"),
+                                                           key=_number))))
+        return 0
+    if None in (args.parent, args.change, args.out):
+        parser.error("PARENT, CHANGE and --out are required without --trajectory")
     if args.claim_seed is not None and (not args.claim or args.claim_seed == args.seed):
         parser.error("--claim-seed needs --claim and a seed other than --seed")
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
