@@ -7,10 +7,9 @@ bad table.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .graded import _exact, _into, rat
-from .structures import AlgebraDef, TernaryStructure, _jacobi_sums, _mirrored, require_axioms
+from .graded import _exact, _into, _quotient
+from .structures import (AlgebraDef, TernaryStructure, _digits, _jacobi_sums, _mirrored,
+                         require_axioms)
 
 
 def lie_to_supertriple(L):
@@ -38,14 +37,13 @@ def malcev_to_bol(M):
     For Lie input the correction terms cancel by the super Jacobi
     identity and {x,y,z} reduces to [[x,y],z].  Only i <= j is evaluated:
     {x,y,z} is super skew in (x, y), and `_mirrored` completes the table.
+    The sums are taken on L*M, as its Malcev check lifted it, and divided by 3 L^2.
     """
     require_axioms(M, "malcev")
-    n, third, cells = M.space.dim, Fraction(1, 3), {}
-    kept = ((i, j, k) for i in range(n) for j in range(i, n) for k in range(n))
-    for at, acc in _jacobi_sums(M.space, M.binary, 2, -1, -1, kept):
-        entry = tuple((t, rat(third * c)) for t, c in enumerate(acc) if c)
-        if entry:
-            cells[at] = entry
+    n, L, bs = M.space.dim, M._lifted[0], M._lifted[1]["binary"]
+    kept = ((i, j, range(n)) for i in range(n) for j in range(i, n))
+    cells = {at: tuple((t, _quotient(c, 3 * L * L)) for t, c in _digits(v, bs._packs[1]))
+             for at, v in _jacobi_sums(M.space, bs, 2, -1, -1, kept) if v}
     out = AlgebraDef("bol(%s)" % M.name, M.space, binary=M.binary,
                      ternary=TernaryStructure._of(M.space, _mirrored(M.space.parities, cells)))
     require_axioms(out, "bol")

@@ -23,47 +23,45 @@ their signed W-bit digits, exact since every term is linear in x (`_width`).  Th
 property of the tables (`_joins`): where the rule's own product has fewer than half its n^arity
 cells nonzero, the evaluator joins the pair with an index of the tables by the value in each
 slot, built from `_terms` too; else it visits each of the tuples the rule lists.
-Each sweep evaluates the least tuple of each symmetry orbit and reports
-the rest as signed copies of its defect D.  The skew sweeps always, only
-i <= j: D(j,i,...) = (-1)^{p_i p_j} D(i,j,...).  The cyclic sums (super and
-ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)} D(i,j,k).  Once the
-skew sweeps of the tables read find nothing (each runs once per structure
-object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k;
-Malcev D(j,k,l,i) = (-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k, so
-its loops keep i <= j, k, l and, where i repeats, the least rotation; the
-pseudo-derivation rules by that skew sign in (i, j), as the inner pairs
-are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.
-Once the ternary table's Jacobi sweep (also run once per structure object)
-finds nothing too, the triple rule's defect F of any homogeneous operator
-obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v)
-= 0.  Of the tuples u <= v only u < v, u <= w are then evaluated; the
-derived ones, u == v or w < u < v, are read off their two partners in the
-Nambu sweep ((a, a, a) is 0), and their rows, combinations of kept rows,
-are not listed in the pair-space solvers.  A table listed by its kept half,
-i <= j (from_products, the .alg parser, enveloping algebras and pair
-brackets), is completed by one routine, `_mirrored`.
+Each sweep evaluates the least tuple of each symmetry orbit and reports the rest as signed
+copies of its defect D.  The skew sweeps always, only i <= j: D(j,i,...) = (-1)^{p_i p_j}
+D(i,j,...).  The cyclic sums (super and ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)}
+D(i,j,k).  Once the skew sweeps of the tables read find nothing (each runs once per structure
+object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k; Malcev D(j,k,l,i) =
+(-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k, so its loops keep i <= j, k, l and, where i
+repeats, the least rotation; the pseudo-derivation rules by that skew sign in (i, j), as the
+inner pairs are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.  Once the
+ternary table's Jacobi sweep (also run once per structure object) finds nothing too, the triple
+rule's defect F of any homogeneous operator obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) +
+(-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only u < v, u <= w are then evaluated;
+the derived ones, u == v or w < u < v, are read off their two partners in the Nambu sweep
+((a, a, a) is 0), and their rows, combinations of kept rows, are not listed in the pair-space
+solvers.  A table listed by its kept half, i <= j (from_products, the .alg parser, enveloping
+algebras and pair brackets), is completed by one routine, `_mirrored`.
 
-The Malcev sweep visits no tuple.  Each of its five terms is an inner
-product from `_products`, (e_i e_j) e_k, e_i (e_k e_l) or (e_i e_k) e_b, times
-one more basis vector: it walks from the inner product's support to the
-nonzero cells there and adds into the tuple each such path reaches.  The
-work is the paths, on sparse and dense tables alike, and a tuple no path
-reaches, whose defect is 0, is not evaluated.
+The Malcev sweep visits no tuple.  Each of its five terms is an inner product from `_products`,
+(e_i e_j) e_k, e_i (e_k e_l) or (e_i e_k) e_b, times one more basis vector: it walks from the
+inner product's support to the nonzero cells there and adds into the tuple each such path
+reaches.  The work is the paths, on sparse and dense tables alike, and a tuple no path reaches,
+whose defect is 0, is not evaluated.
 
-The sweeps run on integer tables.  With L the lcm of every denominator
-in the binary table B and the ternary table T, check_axioms sweeps L*B
-and L^2*T, the algebra in the basis L e_i.  Every identity is homogeneous
-when a binary constant has weight 1 and a ternary one weight 2, so each
-defect comes out L^weight times the true one and is divided back exactly,
-once per orbit representative: its orbit's witnesses share that quotient
-and its negation (`_witnesses`).
-The weights, kept in `_SWEEPS` next to the sweeps: skew 1; jacobi,
-triple-skew and triple-jacobi 2; malcev and product-rule 3; nambu 4.
-Scaling B and T by the same factor would not do: the product rule mixes
-B.B.B and T.B terms.  The pair solvers read the same tables, where an
-operator's matrix is unchanged and a companion's coordinates are L times
-smaller: they take operator terms times L.  The lift is made once per
-algebra object; when L = 1 the tables are swept as they stand.
+The sweeps run on integer tables.  With L the lcm of every denominator in the binary table B and
+the ternary table T, check_axioms sweeps L*B and L^2*T, the algebra in the basis L e_i.  Every
+identity is homogeneous when a binary constant has weight 1 and a ternary one weight 2, so each
+defect comes out L^weight times the true one and is divided back exactly, once per orbit
+representative: its orbit's witnesses share that quotient and its negation (`_witnesses`).  The
+weights, kept in `_SWEEPS` next to the sweeps: skew 1; jacobi, triple-skew and triple-jacobi 2;
+malcev and product-rule 3; nambu 4.  Scaling B and T by the same factor would not do: the
+product rule mixes B.B.B and T.B terms.  The pair solvers read the same tables, where an
+operator's matrix is unchanged and a companion's coordinates are L times smaller: they take
+operator terms times L.  The lift is made once per algebra object; when L = 1 the tables are
+swept as they stand.
+
+Each table also packs its cells once, by the same substitution, as {cell: sum of c 2^(W t)}
+(`_packs`) with 2^(W-1) > 4 S1 M (S1, M as in `_width`): above the skew (2M), ternary Jacobi (3M)
+and super Jacobi (3 S1 M) defects and malcev_to_bol's sums (weights 2, -1, -1: 4 S1 M), which add
+these ints (a super Jacobi term: one multiply-add per (m, c) of e_i e_j) and read back only a
+nonzero defect.  A Fraction table swept as given packs d times itself and divides back by d.
 """
 
 from __future__ import annotations
@@ -176,9 +174,27 @@ class _Structure(_SparseValue):
             itertools.product(range(self.space.dim), repeat=self.ARITY), leaves) if entry}
 
     @cached_property
-    def _magnitudes(self):  # the largest |entry| and cell L1 norm, for `_width` and `_hom_defects`
-        norms = [[abs(c) for _, c in entry] for entry in self.cells().values()]
-        return max(map(max, norms), default=0), max(map(sum, norms), default=0)
+    def _magnitudes(self):  # largest |entry|, cell L1 norm: `_width`, `_packs`, `_hom_defects`
+        m = s1 = 0
+        for entry in self.cells().values():
+            s = 0
+            for _, c in entry:
+                c = c if c > 0 else -c
+                s, m = s + c, c if c > m else m
+            s1 = s if s > s1 else s1
+        return m, s1
+
+    @cached_property
+    def _packs(self):  # (d, W, {cell: d entry packed}) the skew and Jacobi sweeps add and test
+        d = math.lcm(*{c.denominator for entry in self.cells().values() for _, c in entry})
+        W = int(4 * math.prod(self._magnitudes) * d * d).bit_length() + 1
+        packs = {}
+        for at, entry in self.cells().items():
+            v = 0
+            for t, c in entry:
+                v += (c * d).numerator << W * t
+            packs[at] = v
+        return d, W, packs
 
     def _scaled(self, values):  # each constant, in cells() order, the next of values: none checked
         def scaled(block, depth):
@@ -361,25 +377,22 @@ def _mirrored(par, cells):
 def _skew(space, st):
     # x y + (-1)^{xy} y x wherever either product is nonzero, at the tuples whose first two
     # indices are in order: at (j, i, ...) it is (-1)^{p_i p_j}, -_swapped's sign, times that
-    n, par, cells = space.dim, space.parities, st.cells()
-
-    def sums():
-        for at in {at if at[0] <= at[1] else (at[1], at[0]) + at[2:] for at in cells}:
-            mirror, s = _swapped(0, par, at)
-            acc = list(_dense(cells.get(at, ()), n))
-            for t, c in cells.get(mirror, ()):
-                acc[t] -= s * c
-            yield at, acc
+    par, packs = space.parities, st._packs[2]
+    kept = {at if at[0] <= at[1] else (at[1], at[0]) + at[2:] for at in packs}
+    sums = ((at, packs.get(at, 0) - s * packs.get(mirror, 0))
+            for at in kept for mirror, s in [_swapped(0, par, at)])
 
     def swapped(at):
         mirror, s = _swapped(0, par, at)
         return mirror, -s
-    return _orbit_witnesses("skew" if st.ARITY == 2 else "triple-skew", space, sums(), (swapped,))
+    return _packed_orbits("skew" if st.ARITY == 2 else "triple-skew", space, st, sums, (swapped,))
 
 
-def _least(at):
-    """Whether at is least among its rotations: its orbit's representative."""
-    return all(at <= at[m:] + at[:m] for m in range(1, len(at)))
+def _packed_orbits(axiom, space, st, sums, moves):
+    # `_orbit_witnesses` of st's packed sums (at, v), each v () if 0, else its digits divided by d
+    n, (d, W, _) = space.dim, st._packs
+    return _orbit_witnesses(axiom, space, ((at, _dense([(t, c if d == 1 else _quotient(c, d))
+        for t, c in _digits(v, W)], n) if v else ()) for at, v in sums), moves)
 
 
 def _orbit_witnesses(axiom, space, defects, moves):
@@ -411,27 +424,34 @@ def _witnesses(axiom, space, orbits, scale=1):
     return [Witness(axiom, tuple(map(lab.__getitem__, at)), v) for at, v in found]
 
 
-def _jacobi_sums(space, bs, w1, w2, w3, tuples):
-    """((i, j, k), acc) for the tuples where a term of the super Jacobi cyclic
-    sum can be nonzero, acc the dense w1 [[e_i,e_j],e_k] + w2 (-1)^{i(j+k)}
-    [[e_j,e_k],e_i] + w3 (-1)^{k(i+j)} [[e_k,e_i],e_j]."""
-    n, par = space.dim, space.parities
-    E, col = bs.entries, bs.col
-    for i, j, k in tuples:
-        if E[i][j] or E[j][k] or E[k][i]:
-            acc = _into([0] * n, E[i][j], col[k], w1)
-            _into(acc, E[j][k], col[i], w2 * sign(par[i] * (par[j] + par[k])))
-            _into(acc, E[k][i], col[j], w3 * sign(par[k] * (par[i] + par[j])))
-            yield (i, j, k), acc
+def _jacobi_sums(space, bs, w1, w2, w3, heads):
+    """((i, j, k), v) for (i, j, ks) of heads and k in the range ks, rising, where e_i e_j, e_j e_k
+    (k in right[j]) or e_k e_i (k in left[i]) is nonzero, v packed as bs's int cells (`_packs`):
+    w1 [[e_i,e_j],e_k] + w2 (-1)^{i(j+k)} [[e_j,e_k],e_i] + w3 (-1)^{k(i+j)} [[e_k,e_i],e_j]."""
+    n, par, E, packs = space.dim, space.parities, bs.entries, bs._packs[2]
+    col = [[packs.get((m, k), 0) for m in range(n)] for k in range(n)]  # col[k][m]: e_m e_k
+    right, left = ([{k for k, e in enumerate(row) if e} for row in view] for view in (E, bs.col))
+    for i, j, ks in heads:
+        eij, Ej, Ci, ci, cj, pi, pj = E[i][j], E[j], bs.col[i], col[i], col[j], par[i], par[j]
+        for k in ks if eij else sorted(k for k in right[j] | left[i] if k in ks):
+            ejk, eki, ck, v = Ej[k], Ci[k], col[k], 0
+            for m, c in eij:
+                v += w1 * c * ck[m]
+            if ejk or eki:
+                s2, s3 = (-w2 if pi & (pj ^ par[k]) else w2), (-w3 if par[k] & (pi ^ pj) else w3)
+                for m, c in ejk:
+                    v += s2 * c * ci[m]
+                for m, c in eki:
+                    v += s3 * c * cj[m]
+            yield (i, j, k), v
 
 
 def _sweep_super_jacobi(space, bs):
-    # cyclic always, and once the product is super skew in (i, j) too: i <= j <= k
+    # cyclic always: the least rotations, i <= j and i + (j > i) <= k; skew too: i <= j <= k
     n, par, skew = space.dim, space.parities, _all_skew((bs,))
-    reps = (itertools.combinations_with_replacement(range(n), 3) if skew
-            else filter(_least, itertools.product(range(n), repeat=3)))
+    heads = ((i, j, range(j if skew else i + (j > i), n)) for i in range(n) for j in range(i, n))
     moves = (partial(_rotated, par),) + ((partial(_swapped, 0, par),) if skew else ())
-    return _orbit_witnesses("jacobi", space, _jacobi_sums(space, bs, 1, 1, 1, reps), moves)
+    return _packed_orbits("jacobi", space, bs, _jacobi_sums(space, bs, 1, 1, 1, heads), moves)
 
 
 def _products(vec, cells, n):
@@ -513,8 +533,8 @@ def _sweep_malcev(space, bs):
                         s = sign(par[j] * (par[k] + par[l])) * d
                         for t, c in e:
                             acc[t] += s * c
-    # one per orbit: with i least, `_least` is this rule, as a rotation to a later i is less
-    # when that i is l (unless all four are), or is k and l < j, and never when it is j
+    # one per orbit, the least rotation: with i least, a rotation to a later i is less when
+    # that i is l (unless all four are), or is k and l < j, and never when it is j
     return _orbit_witnesses("malcev", space, (
         ((i, j, k, l), acc) for (i, j, k, l), acc in found.items()
         if not mirror or (l != i or i == j == k) and (k != i or j <= l)),
@@ -523,17 +543,12 @@ def _sweep_malcev(space, bs):
 
 def _sweep_ternary_jacobi(space, ts):
     # the cyclic sum, at the least rotation of each nonzero product's tuple
-    n, par, cells = space.dim, space.parities, ts.cells()
-
-    def sums():
-        for i, j, k in {min(at, at[1:] + at[:1], at[2:] + at[:2]) for at in cells}:
-            acc = list(_dense(cells.get((i, j, k), ()), n))
-            for at, s in (((j, k, i), sign(par[i] * (par[j] + par[k]))),
-                          ((k, i, j), sign(par[k] * (par[i] + par[j])))):
-                for t, c in cells.get(at, ()):
-                    acc[t] += s * c
-            yield (i, j, k), acc
-    return _orbit_witnesses("triple-jacobi", space, sums(), (partial(_rotated, par),))
+    par, packs = space.parities, ts._packs[2]
+    sums = (((i, j, k), packs.get((i, j, k), 0)
+             + sign(par[i] * (par[j] + par[k])) * packs.get((j, k, i), 0)
+             + sign(par[k] * (par[i] + par[j])) * packs.get((k, i, j), 0))
+            for i, j, k in {min(at, at[1:] + at[:1], at[2:] + at[:2]) for at in packs})
+    return _packed_orbits("triple-jacobi", space, ts, sums, (partial(_rotated, par),))
 
 
 # the pseudo-derivation rules: a degree-r pair (P, a) derives the ternary product (the triple
@@ -658,12 +673,13 @@ def _listed(space, structures, r, x, order):
 
 
 def _width(xs, structures):
-    """W with 2^(W-1) > X1 (3M + S1 (1 + M)), a bound on every defect coordinate of the
-    integer pairs xs: X1 the largest L1 norm of a pair row, M the largest |entry| and S1
-    the largest L1 norm of a cell of the tables read.  Per tuple the three x terms are
-    at most X1 M each, and w . view at most S1 X1 (1 + M), as |view[m]| <= X1 + X1 M."""
-    x1 = max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
+    """W with 2^(W-1) > X1 (3M + S1 (1 + M)), a bound on every defect coordinate of the integer
+    pairs xs: X1 the largest L1 norm of a pair row (S1 when xs is None: inner pairs, whose rows
+    are cells), M the largest |entry| and S1 the largest L1 norm of a cell of the tables read.
+    Per tuple the three x terms are at most X1 M each, and w . view at most S1 X1 (1 + M)."""
     m, s1 = (max(values) for values in zip(*(st._magnitudes for st in structures)))
+    x1 = s1 if xs is None else max(
+        (sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
     return (x1 * (3 * m + s1 * (1 + m))).bit_length() + 1
 
 
@@ -680,13 +696,13 @@ def _packed(xs, W):
     return tuple(out)
 
 
-def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
+def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2, inner=False):
     """The nonzero defects of the rule the structures name on each degree-r pair (key, r, x) of
     pairs at its tuples `_ordered` by order, as (key + at, acc) in pair order, acc dense.  The
     pairs of each degree are evaluated at once, as one pair `_packed` W bits apart (every term
     is linear in x), joined or listed as `_joins` chooses for the tables: digit b of coordinate
     t of a packed defect, read by `_digits`, is coordinate t of pair b's.  A degree's one pair
-    is evaluated as it stands: check_pseudo's may hold Fractions."""
+    is evaluated as it stands: check_pseudo's may hold Fractions.  inner: rows are cells."""
     evaluate = _joined if _joins(structures) else _listed
     found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
     for key, r, x in pairs:
@@ -698,7 +714,7 @@ def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
         if len(xs) == 1:
             outs[0].extend(evaluate(space, structures, r, xs[0], order))
             continue
-        W = _width(xs, structures)
+        W = _width(None if inner else xs, structures)
         for at, acc in evaluate(space, structures, r, _packed(xs, W), order):
             defects = {}    # per pair with a nonzero digit, its dense defect
             for t, v in enumerate(acc):
@@ -811,7 +827,7 @@ def _inner_witnesses(axiom, space, *structures):
     # they are super skew, the triple rule derived as above
     par, mirror = space.parities, _all_skew(structures)
     pairs = (p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror)
-    defects = _rule_defects(space, structures, pairs, _order(structures))
+    defects = _rule_defects(space, structures, pairs, _order(structures), inner=True)
     if _derives(structures):
         defects = _with_derived(par, defects)
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),

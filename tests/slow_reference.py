@@ -4,7 +4,9 @@ pseudo-derivation rules.
 These are the dense sweeps the package used before its sparse kernel:
 every identity is evaluated on every basis tuple by scanning all n
 coordinates of every table entry, and check_morphism pushes basis
-vectors through f and the dense evaluators one tuple at a time.  They
+vectors through f and the dense evaluators one tuple at a time.
+bol_cells evaluates malcev_to_bol's ternary product on every tuple
+through the same dense products.  They
 share no code with `superbol.structures` beyond its value types, so
 `tests/test_reference.py` can hold the fast checks to them: the same
 reports, witnesses in the same order, and the same exact defects.
@@ -362,6 +364,24 @@ def check_axioms(A, kind):
         witnesses += _sweep_nambu(space, A.ternary.table)
         witnesses += _sweep_product_rule(space, A.binary.table, A.ternary.table)
     return CheckReport(A.name, kind, not witnesses, tuple(witnesses))
+
+
+def bol_cells(M):
+    """The nonzero cells {(i, j, k): ((t, c), ...)} of malcev_to_bol's ternary product,
+    every tuple evaluated through the dense products: 1/3 (2 [[e_i,e_j],e_k] -
+    (-1)^{i(j+k)} [[e_j,e_k],e_i] - (-1)^{k(i+j)} [[e_k,e_i],e_j]), each coordinate `rat`."""
+    n, par, table = M.space.dim, M.space.parities, M.binary.table
+    cells = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = [2 * c for c in _bv(table, table[i][j], k, n)]
+                _addto(acc, _bv(table, table[j][k], i, n), -sign(par[i] * (par[j] + par[k])))
+                _addto(acc, _bv(table, table[k][i], j, n), -sign(par[k] * (par[i] + par[j])))
+                entry = tuple((t, rat(Fraction(1, 3) * c)) for t, c in enumerate(acc) if c)
+                if entry:
+                    cells[(i, j, k)] = entry
+    return cells
 
 
 

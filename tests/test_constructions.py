@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from bench_inputs import inputs
+import slow_reference
 import superbol as sb
-from superbol.structures import AlgebraDef, BinaryStructure, _jacobi_sums
+from superbol.structures import AlgebraDef, BinaryStructure
 from test_reference import rescaled
 
 
@@ -97,9 +98,9 @@ def test_derived_bol_of_abelian_is_abelian():
 
 def test_malcev_to_bol_matches_the_full_evaluation_of_every_tuple():
     """malcev_to_bol evaluates {x,y,z} on i <= j only and mirrors the rest;
-    the table must equal the 1/3-combination evaluated on all n^3 tuples,
-    with its scalar types, on the sparse ladder, a dense copy and a
-    Fraction-constant algebra."""
+    the table must equal the 1/3-combination evaluated on all n^3 tuples
+    through the slow reference's dense products, with its scalar types, on
+    the sparse ladder, a dense copy and a Fraction-constant algebra."""
     M7, osp = inputs.m7(), inputs.osp12()
     half = Fraction(1, 2)
     algebras = [M7, osp, inputs.direct_sum(M7, osp, "M7+osp12"),
@@ -107,11 +108,8 @@ def test_malcev_to_bol_matches_the_full_evaluation_of_every_tuple():
                 rescaled(M7, half, half ** 2, "M7/2")]
     assert any(type(c) is Fraction for e in algebras[3].binary.cells().values() for _, c in e)
     for M in algebras:
-        n = M.space.dim
-        every = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        full = {at: tuple((t, sb.rat(Fraction(1, 3) * c)) for t, c in enumerate(acc) if c)
-                for at, acc in _jacobi_sums(M.space, M.binary, 2, -1, -1, every)}
+        full = slow_reference.bol_cells(M)
         cells = sb.malcev_to_bol(M).ternary.cells()
-        assert cells == {at: entry for at, entry in full.items() if entry}, M.name
+        assert cells == full, M.name
         assert [(type(c), c) for e in cells.values() for _, c in e] == \
             [(type(c), c) for at in sorted(cells) for _, c in full[at]], M.name

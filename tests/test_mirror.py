@@ -279,11 +279,11 @@ def evaluated(monkeypatch):
     calls = []
     rule_defects = structures._rule_defects
 
-    def recording(space, tables, pairs, order=(-math.inf,) * 2):
+    def recording(space, tables, pairs, order=(-math.inf,) * 2, **options):
         pairs = list(pairs)
         listed = list(structures._ordered(space.dim, tables[0].ARITY, order))
         calls.append(([key for key, _, _ in pairs], listed))
-        return rule_defects(space, tables, pairs, order)
+        return rule_defects(space, tables, pairs, order, **options)
 
     monkeypatch.setattr(structures, "_rule_defects", recording)
     return calls

@@ -266,28 +266,32 @@ def test_the_smallest_kernel_case_runs_on_both_sides_of_one_tree():
     runs = case["change_over_parent_runs"]
     assert runs["median"] == ratios[1]
     assert runs["q1"] == (ratios[0] + ratios[1]) / 2 and runs["q3"] == (ratios[1] + ratios[2]) / 2
+    norms = case["change_over_parent_norm_runs"]
+    assert norms["q1"] <= norms["median"] <= norms["q3"] and norms["median"] > 0
     assert case["digest"] is not None and len(case["digest"]) == 16
 
 
 def test_a_case_scales_its_time_by_the_reference_chunks_around_it(tmp_path, monkeypatch):
-    """norm_s is cpu_s scaled as run.py's `scale` scales a pass: by the number of
-    reference chunks over the sum of their CPU time over nominal time.  In a stub
-    checkout whose reference module drives a fake CPU clock, the chunk before the
-    expression reads 2 nominal chunks and the one after 6, and the expression 2 s:
-    2 s at a quarter of the reference speed is 0.5 s at it."""
+    """norm_s is cpu_s over the median CPU time over nominal time of CASE_CHUNKS
+    reference chunks before the expression and as many after it.  In a stub checkout
+    whose reference module drives a fake CPU clock, the three chunks before the
+    expression read 2, 4 and 2 nominal chunks and the three after 4, 4 and 100, and the
+    expression 2 s: 2 s at a quarter of the reference speed, the median, is 0.5 s at
+    it, however slow the last chunk ran."""
     root = Path(__file__).resolve().parents[1]
     (tmp_path / "src").symlink_to(root / "src")
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "inputs.py").write_text("")
     (tmp_path / "perfbench" / "reference.py").write_text(
         "import time\n"
-        "CHUNK_S, now, chunk_s = 0.5, [0.0], iter([1.0, 3.0])\n"
+        "CHUNK_S, now, chunk_s = 0.5, [0.0], iter([1.0, 2.0, 1.0, 2.0, 2.0, 50.0])\n"
         "time.process_time = lambda: now[0]\n"
         "def chunk():\n    now[0] += next(chunk_s)\n"
         "def work(seconds):\n    now[0] += seconds\n    return seconds\n")
     monkeypatch.setitem(paired_bench.CASES, "stub", ("a stub", "2.0", "reference.work(B)"))
     run = paired_bench.case_run(tmp_path, "stub", 1)
-    assert run["cpu_s"] == 2.0 and run["norm_s"] == 2.0 * 2 / (2 + 6) == 0.5
+    assert paired_bench.CASE_CHUNKS == 3
+    assert run["cpu_s"] == 2.0 and run["norm_s"] == 2.0 / 4 == 0.5
     assert run["digest"] == hashlib.sha256(repr(2.0).encode()).hexdigest()
 
 

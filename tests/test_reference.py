@@ -584,3 +584,56 @@ def test_check_morphism_makes_no_fraction_before_its_division(monkeypatch):
             assert report.passed == passes
             assert len(made) == sum(type(c) is Fraction for w in report.witnesses
                                     for c in w.defect.coords), A.name
+
+
+# The skew, ternary Jacobi and super Jacobi sweeps and malcev_to_bol add each table's cells
+# packed W bits per output coordinate, 2^(W-1) > 4 S1 M (`_Structure._packs`), and read a
+# nonzero sum back as its signed W-bit digits.
+BIG = 2 ** 70 - 1
+
+
+def aligned(big, alpha):
+    """The even algebra on EVEN3 whose cell (a, b) is big alpha_a alpha_b alpha_t at every
+    e_t, each alpha +-1: not skew, and its super Jacobi defect at (i, j, k) is 9 big^2
+    alpha_i alpha_j alpha_k alpha_t at e_t, 3 S1 M, of both signs in one vector."""
+    return AlgebraDef("aligned", EVEN3, binary=from_cells(BinaryStructure, EVEN3, {
+        (a, b): tuple((t, big * alpha[a] * alpha[b] * alpha[t]) for t in range(3))
+        for a, b in itertools.product(range(3), repeat=2)}))
+
+
+def test_packed_sweeps_at_the_bound_match_the_reference():
+    """Every kind's check, the lie, lts and bol ones among them, and malcev_to_bol against
+    the slow reference, witnesses and scalar types included, where packing could go wrong:
+    constants past 2^64, Fraction constants (L > 1), odd-odd cells, and defects within a
+    factor of 2 of 2^(W-1), a negative digit below a nonzero one.  12 big^2, aligned's
+    4 S1 M, lies just under 2^146, so its Jacobi defects 9 big^2 are at least 2^(W-2); the
+    packed {e1, e2, e1} of aff2 times BIG, -3 BIG^2 before the division by 3, is too.  A W
+    one bit short, or a decode that reads each W-bit window of a packed int without the
+    borrow of the negative digits below it, gives other defects here."""
+    from bench_inputs import inputs
+    osp, aff2, rng = _osp12(), sb.catalog.load("aff2_lie"), random.Random(33)
+    lies = [rescaled(osp, BIG, BIG ** 2, "osp12*big"), rescaled(aff2, BIG, BIG ** 2, "aff2*big"),
+            rescaled(osp, Fraction(BIG, 3), Fraction(BIG, 3) ** 2, "osp12*big/3"),
+            transport(osp, even_map(osp.space, rng)), transport(aff2, even_map(aff2.space, rng))]
+    malcevs = lies + [rescaled(inputs.m7(), HALF, HALF ** 2, "M7/2")]
+    assert {A._lifted[0] > 1 for A in malcevs} == {True, False}
+    for M in malcevs:
+        derived = [sb.malcev_to_bol(M)] + ([sb.lie_to_supertriple(M)] if M in lies else [])
+        for A in [M, mutate(M, rng), mutate(M, rng)] + derived + [mutate(derived[0], rng)]:
+            assert_same_checks(A)
+        cells, full = derived[0].ternary.cells(), slow_reference.bol_cells(M)
+        assert [(at, [(t, type(c), c) for t, c in entry]) for at, entry in cells.items()] == [
+            (at, [(t, type(c), c) for t, c in full[at]]) for at in sorted(full)], M.name
+    big_aff2 = malcevs[1]
+    W = big_aff2._lifted[1]["binary"]._packs[1]
+    assert sb.malcev_to_bol(big_aff2).ternary.cells()[(0, 1, 0)] == ((1, -BIG ** 2),)
+    assert 2 ** (W - 2) <= 3 * BIG ** 2 < 2 ** (W - 1)
+    near = aligned(math.isqrt(2 ** 146 // 12), (1, -1, 1))
+    assert_same_checks(near)
+    W, jacobi = near.binary._packs[1], [w.defect.coords for w in sb.check_axioms(
+        near, "lie").witnesses if w.axiom == "jacobi"]
+    assert len(jacobi) == 27 and W == 147
+    assert {abs(c) for coords in jacobi for c in coords} == {9 * near.binary._magnitudes[0] ** 2}
+    assert 2 ** (W - 2) <= 9 * near.binary._magnitudes[0] ** 2 < 2 ** (W - 1)
+    assert {tuple(c > 0 for c in coords) for coords in jacobi} == {
+        (True, False, True), (False, True, False)}

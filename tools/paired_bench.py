@@ -40,13 +40,14 @@ CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
 each building its input from perfbench/inputs.py or the catalog and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
 runs one, a check_morphism call, a ps_space call or an enveloping call.
-Each process also runs one reference chunk (perfbench/reference.py) just
-before and one just after the expression, and scales its CPU seconds by
-them as run.py's `scale` scales a pass's times, to seconds at the
-reference speed (`norm_s`), which compare across BENCH_*.json files.
+Each process also runs CASE_CHUNKS reference chunks (perfbench/reference.py)
+just before and as many just after the expression, and divides its CPU
+seconds by the median of their CPU time over nominal time, to seconds at
+the reference speed (`norm_s`), which compare across BENCH_*.json files; a
+median, as one slow chunk of a fresh process would move a mean.
 Each side's min of both is kept, and so are the median and quartiles of the
-change/parent ratios of the runs paired by number, which a swing of one
-side's min does not move.  A case's digest is a prefix of the sha256 of the
+change/parent ratios of the runs paired by number, raw and normalized, which
+a swing of one side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
 metric "digest".  `src_lines` holds each side's count of non-blank lines in
 the modules under src/superbol/.  Only the standard library is used.
@@ -263,9 +264,11 @@ CASES = {
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
 # from 13.7 to 21.3 ms on a shared 2-vCPU machine
 CASE_RUNS = 7
+# reference chunks before and again after each case's expression
+CASE_CHUNKS = 3
 
 CASE_SCRIPT = """
-import hashlib, json, random, sys, time
+import hashlib, json, random, statistics, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import inputs, reference
 from superbol import catalog, constructions, envelope, forms, structures
@@ -291,12 +294,12 @@ def chunk():
 
 
 B = %s
-chunks = [chunk()]
+chunks = [chunk() for _ in range(%d)]
 start = time.process_time()
 value = %s
 cpu_s = time.process_time() - start
-chunks.append(chunk())
-print(json.dumps({"cpu_s": cpu_s, "norm_s": cpu_s * len(chunks) / sum(chunks),
+chunks += [chunk() for _ in range(len(chunks))]
+print(json.dumps({"cpu_s": cpu_s, "norm_s": cpu_s / statistics.median(chunks),
                   "digest": hashlib.sha256(repr(value).encode()).hexdigest()}))
 """
 
@@ -311,31 +314,34 @@ def case_run(root, name, hash_seed):
     """{"cpu_s", "norm_s", "digest"} of one run of a kernel case, in a fresh process
     from the checkout root without writing bytecode, or {"exit_code": code}."""
     _, source, timed = CASES[name]
-    return _result([sys.executable, "-c", CASE_SCRIPT % (source, timed)], root,
+    return _result([sys.executable, "-c", CASE_SCRIPT % (source, CASE_CHUNKS, timed)], root,
                    PYTHONHASHSEED=str(hash_seed))
 
 
 def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
     """{case: {how, parent, change, parent_min, change_min, parent_norm_min,
-    change_norm_min, change_over_parent_min, change_over_parent_runs, digest}}: each case
-    run `runs` times per side, the parent first in odd-numbered runs, and run k of both
-    sides with PYTHONHASHSEED=k, as perfbench's workers fix theirs, so the sides compare on
-    the same dict layouts; parent and change list the CPU seconds of each run, None for a
-    failed one; the norm minimums are those of the runs' `norm_s`;
-    change_over_parent_runs holds the median, q1 and q3 of change/parent over the runs k
-    where both ran; and digest is None unless every run of both sides gave the same
-    report."""
+    change_norm_min, change_over_parent_min, change_over_parent_runs,
+    change_over_parent_norm_runs, digest}}: each case run `runs` times per side, the
+    parent first in odd-numbered runs, and run k of both sides with PYTHONHASHSEED=k, as
+    perfbench's workers fix theirs, so the sides compare on the same dict layouts; parent
+    and change list the CPU seconds of each run, None for a failed one; the norm minimums
+    are those of the runs' `norm_s`; change_over_parent_runs holds the median, q1 and q3
+    of change/parent over the runs k where both ran, and change_over_parent_norm_runs
+    those of their `norm_s`; and digest is None unless every run of both sides gave the
+    same report."""
     out = {}
     for name in names:
         results = {"parent": [], "change": []}
         for k in range(1, runs + 1):
             for side in ("parent", "change") if k % 2 else ("change", "parent"):
                 results[side].append(case_run(roots[side], name, k))
-        times = {side: [r.get("cpu_s") for r in rs] for side, rs in results.items()}
-        mins, norms = ({side: min((r[key] for r in rs if key in r), default=None)
-                        for side, rs in results.items()} for key in ("cpu_s", "norm_s"))
-        q1, median, q3 = quartiles([c / p for p, c in zip(times["parent"], times["change"])
-                                    if None not in (p, c)])
+        times, normed = ({side: [r.get(key) for r in rs] for side, rs in results.items()}
+                         for key in ("cpu_s", "norm_s"))
+        mins, norms = ({side: min((v for v in vs if v is not None), default=None)
+                        for side, vs in values.items()} for values in (times, normed))
+        (q1, median, q3), (n1, nm, n3) = (quartiles([
+            c / p for p, c in zip(values["parent"], values["change"]) if None not in (p, c)])
+            for values in (times, normed))
         digests = {r.get("digest") for rs in results.values() for r in rs}
         out[name] = {"how": CASES[name][0], **times, "parent_min": mins["parent"],
                      "change_min": mins["change"], "parent_norm_min": norms["parent"],
@@ -343,6 +349,7 @@ def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
                      "change_over_parent_min": mins["change"] / mins["parent"]
                      if None not in mins.values() else None,
                      "change_over_parent_runs": {"median": median, "q1": q1, "q3": q3},
+                     "change_over_parent_norm_runs": {"median": nm, "q1": n1, "q3": n3},
                      "digest": digests.pop()[:16] if len(digests) == 1 and None not in digests
                      else None}
         print("case %s done" % name, file=sys.stderr, flush=True)
