@@ -42,8 +42,8 @@ algebras and pair brackets), is completed by one routine, `_mirrored`.
 The Malcev sweep visits no tuple.  Each of its five terms is an inner product from `_products`,
 (e_i e_j) e_k, e_i (e_k e_l) or (e_i e_k) e_b, times one more basis vector: it walks from the
 inner product's support to the nonzero cells there and adds into the tuple each such path
-reaches.  The work is the paths, on sparse and dense tables alike, and a tuple no path reaches,
-whose defect is 0, is not evaluated.
+reaches one packed int.  The work is the paths, on sparse and dense tables alike, and a tuple
+no path reaches, whose defect is 0, is not evaluated.
 
 The sweeps run on integer tables.  With L the lcm of every denominator in the binary table B and
 the ternary table T, check_axioms sweeps L*B and L^2*T, the algebra in the basis L e_i.  Every
@@ -58,10 +58,12 @@ operator terms times L.  The lift is made once per algebra object; when L = 1 th
 swept as they stand.
 
 Each table also packs its cells once, by the same substitution, as {cell: sum of c 2^(W t)}
-(`_packs`) with 2^(W-1) > 4 S1 M (S1, M as in `_width`): above the skew (2M), ternary Jacobi (3M)
-and super Jacobi (3 S1 M) defects and malcev_to_bol's sums (weights 2, -1, -1: 4 S1 M), which add
-these ints (a super Jacobi term: one multiply-add per (m, c) of e_i e_j) and read back only a
-nonzero defect.  A Fraction table swept as given packs d times itself and divides back by d.
+(`_packs`, by `_packed_cells`) with 2^(W-1) > 4 S1 M (S1, M as in `_width`): above the skew (2M),
+ternary Jacobi (3M) and super Jacobi (3 S1 M) defects and malcev_to_bol's sums (weights 2, -1, -1:
+4 S1 M), which add these ints (a super Jacobi term: one multiply-add per (m, c) of e_i e_j).  The
+Malcev sweep packs by `_packed_cells` at its own W, 2^(W-1) > 5 S1^2 M: each of its five terms is
+at most S1^2 M per coordinate.  One decoder, `_packed_orbits`, reads back every sweep's nonzero
+defects.  A Fraction table swept as given packs d times itself and divides back by d.
 """
 
 from __future__ import annotations
@@ -188,18 +190,16 @@ class _Structure(_SparseValue):
     def _packs(self):  # (d, W, {cell: d entry packed}) the skew and Jacobi sweeps add and test
         d = math.lcm(*{c.denominator for entry in self.cells().values() for _, c in entry})
         W = int(4 * math.prod(self._magnitudes) * d * d).bit_length() + 1
-        packs = {}
-        for at, entry in self.cells().items():
-            v = 0
-            for t, c in entry:
-                v += (c * d).numerator << W * t
-            packs[at] = v
-        return d, W, packs
+        return d, W, _packed_cells(self.cells(), W, d)
 
     def _scaled(self, values):  # each constant, in cells() order, the next of values: none checked
-        def scaled(block, depth):
-            return tuple([scaled(sub, depth - 1) for sub in block] if depth else [
-                (t, next(values)) for t, _ in block])
+        def scaled(block, depth):  # a loop per leaf cell: a comprehension is a call of its own
+            if depth:
+                return tuple([scaled(sub, depth - 1) for sub in block])
+            out = []
+            for t, _ in block:
+                out.append((t, next(values)))
+            return tuple(out)
         out = object.__new__(type(self))
         vars(out).update(space=self.space, entries=scaled(self.entries, self.ARITY))
         return out
@@ -359,10 +359,6 @@ def _swapped(u, par, at):
     return at[:u] + (j, i) + at[u + 2:], 1 if par[i] & par[j] else -1
 
 
-def _signed(vec, keep):  # the sparse vec, negated unless keep
-    return vec if keep else tuple((t, -c) for t, c in vec)
-
-
 def _mirrored(par, cells):
     """The cells {index tuple: entry} completed by super skew-symmetry in the first two
     slots: each unlisted (j, i, ...) is the listed (i, j, ...) times _swapped's sign."""
@@ -370,29 +366,25 @@ def _mirrored(par, cells):
     for at, entry in cells.items():
         mirror, s = _swapped(0, par, at)
         if mirror not in out:
-            out[mirror] = _signed(entry, s == 1)
+            out[mirror] = entry if s == 1 else tuple((t, -c) for t, c in entry)
     return out
 
 
 def _skew(space, st):
     # x y + (-1)^{xy} y x wherever either product is nonzero, at the tuples whose first two
-    # indices are in order: at (j, i, ...) it is (-1)^{p_i p_j}, -_swapped's sign, times that
-    par, packs = space.parities, st._packs[2]
+    # indices are in order: at (j, i, ...) it is (-1)^{p_i p_j} times that
+    par, (d, W, packs) = space.parities, st._packs
     kept = {at if at[0] <= at[1] else (at[1], at[0]) + at[2:] for at in packs}
     sums = ((at, packs.get(at, 0) - s * packs.get(mirror, 0))
             for at in kept for mirror, s in [_swapped(0, par, at)])
-
-    def swapped(at):
-        mirror, s = _swapped(0, par, at)
-        return mirror, -s
-    return _packed_orbits("skew" if st.ARITY == 2 else "triple-skew", space, st, sums, (swapped,))
+    return _packed_orbits("skew" if st.ARITY == 2 else "triple-skew", space, d, W, sums, (
+        lambda at: ((at[1], at[0]) + at[2:], sign(par[at[0]] * par[at[1]])),))
 
 
-def _packed_orbits(axiom, space, st, sums, moves):
-    # `_orbit_witnesses` of st's packed sums (at, v), each v () if 0, else its digits divided by d
-    n, (d, W, _) = space.dim, st._packs
+def _packed_orbits(axiom, space, d, W, sums, moves):
+    # every sweep's decoder: `_orbit_witnesses` of the sums (at, v), v's W-bit digits over d
     return _orbit_witnesses(axiom, space, ((at, _dense([(t, c if d == 1 else _quotient(c, d))
-        for t, c in _digits(v, W)], n) if v else ()) for at, v in sums), moves)
+        for t, c in _digits(v, W)], space.dim) if v else ()) for at, v in sums), moves)
 
 
 def _orbit_witnesses(axiom, space, defects, moves):
@@ -451,19 +443,18 @@ def _sweep_super_jacobi(space, bs):
     n, par, skew = space.dim, space.parities, _all_skew((bs,))
     heads = ((i, j, range(j if skew else i + (j > i), n)) for i in range(n) for j in range(i, n))
     moves = (partial(_rotated, par),) + ((partial(_swapped, 0, par),) if skew else ())
-    return _packed_orbits("jacobi", space, bs, _jacobi_sums(space, bs, 1, 1, 1, heads), moves)
+    return _packed_orbits("jacobi", space, *bs._packs[:2], _jacobi_sums(space, bs, 1, 1, 1, heads),
+                          moves)
 
 
-def _products(vec, cells, n):
-    """{x: vec times e_x} where nonzero, sparse, with cells[m] the nonzero (x, e_m e_x) of
-    row m; with those (x, e_x e_m) of column m, {x: e_x times vec}."""
+def _products(vec, cells):
+    """{x: vec times e_x} where nonzero, packed, with cells[m] the nonzero (x, packed e_m e_x) of
+    row m; with those (x, packed e_x e_m) of column m, {x: e_x times vec}."""
     out = {}
     for m, c in vec:
         for x, e in cells[m]:
-            acc = out.get(x) or out.setdefault(x, [0] * n)
-            for t, d in e:
-                acc[t] += c * d
-    return {x: vec for x, acc in out.items() if (vec := _sparse(acc))}
+            out[x] = out.get(x, 0) + c * e
+    return {x: v for x, v in out.items() if v}
 
 
 def _sweep_malcev(space, bs):
@@ -473,23 +464,25 @@ def _sweep_malcev(space, bs):
     No tuple is visited: each term's inner product, from `_products`, meets each nonzero
     cell on its support, and the path adds into the tuple it reaches.  Once the product is
     super skew D is cyclic: the loops keep i <= j, k, l, and a tuple with i repeated is kept
-    when least among its rotations, one per orbit."""
-    n, par, mirror = space.dim, space.parities, _all_skew((bs,))
-    cells = bs.cells()
-    rows = [[(b, e) for b, e in enumerate(row) if e] for row in bs.entries]
-    cols = [[(a, e) for a, e in enumerate(row) if e] for row in bs.col]
+    when least among its rotations, one per orbit.  A path adds one int, W as the module says."""
+    n, par, mirror, E = space.dim, space.parities, _all_skew((bs,)), bs.entries
+    (m, s1), cells = bs._magnitudes, bs.cells()
+    W, rows, cols = (5 * s1 * s1 * m).bit_length() + 1, [[] for _ in E], [[] for _ in E]
+    for (a, b), v in _packed_cells(cells, W, 1).items():
+        rows[a].append((b, v))
+        cols[b].append((a, v))
     # right[a, b][c] = (e_a e_b) e_c and left[a, b][c] = e_c (e_a e_b), the latter, read with
     # c as i, only for c <= a, b once the loops prune.  Skew, both are read off right's kept
     # half a <= b: e_b e_a = -(-1)^{ab} e_a e_b and e_c (e_a e_b) = -(-1)^{c(a+b)} (e_a e_b) e_c
     if mirror:
-        right = {at: _products(entry, rows, n) for at, entry in cells.items() if at[0] <= at[1]}
-        right.update({(b, a): {c: _signed(v, par[a] & par[b]) for c, v in r.items()}
+        right = {at: _products(entry, rows) for at, entry in cells.items() if at[0] <= at[1]}
+        right.update({(b, a): {c: v if par[a] & par[b] else -v for c, v in r.items()}
                       for (a, b), r in right.items() if a < b})
-        left = {(a, b): {c: _signed(v, par[c] & (par[a] ^ par[b])) for c, v in r.items()
+        left = {(a, b): {c: v if par[c] & (par[a] ^ par[b]) else -v for c, v in r.items()
                          if c <= a and c <= b} for (a, b), r in right.items()}
     else:
-        right = {at: _products(entry, rows, n) for at, entry in cells.items()}
-        left = {at: _products(entry, cols, n) for at, entry in cells.items()}
+        right = {at: _products(entry, rows) for at, entry in cells.items()}
+        left = {at: _products(entry, cols) for at, entry in cells.items()}
     found = {}
     for (i, k), rik in right.items():
         lo = i if mirror else 0
@@ -497,46 +490,37 @@ def _sweep_malcev(space, bs):
             continue
         for j in range(lo, n):  # s (e_i e_k)(e_j e_l): s d (e_i e_k) e_b, (b, d) of e_j e_l
             s = sign(par[j] * par[k])
-            for l, ejl in rows[j]:
-                for b, d in ejl if l >= lo else ():
+            for l, _ in rows[j]:
+                for b, d in E[j][l] if l >= lo else ():
                     if b in rik:
-                        acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
-                        for t, c in rik[b]:
-                            acc[t] += s * d * c
+                        found[i, j, k, l] = found.get((i, j, k, l), 0) + s * d * rik[b]
         for y, vec in rik.items():  # -((e_i e_k) e_y) e_f at (i, k, y, f); s5 times at (i, y, f, k)
-            for b, d in vec if y >= lo else ():
+            for b, d in _digits(vec, W) if y >= lo else ():
                 for f, e in rows[b]:
                     if f >= lo:
-                        two = found.get((i, k, y, f)) or found.setdefault((i, k, y, f), [0] * n)
-                        five = found.get((i, y, f, k)) or found.setdefault((i, y, f, k), [0] * n)
                         s = sign(par[k] * (par[y] + par[f])) * d
-                        for t, c in e:
-                            two[t] -= d * c
-                            five[t] += s * c
+                        found[i, k, y, f] = found.get((i, k, y, f), 0) - d * e
+                        found[i, y, f, k] = found.get((i, y, f, k), 0) + s * e
     for (j, k), rjk in right.items():  # e_i ((e_j e_k) e_l)
         for l, vec in rjk.items():
             hi = min(j, k, l) if mirror else n
-            for b, d in vec:
+            for b, d in _digits(vec, W):
                 for i, e in cols[b]:
                     if i > hi:
                         break
-                    acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
-                    for t, c in e:
-                        acc[t] += d * c
+                    found[i, j, k, l] = found.get((i, j, k, l), 0) + d * e
     for (k, l), lkl in left.items():  # s4 (e_i (e_k e_l)) e_j
         for i, vec in lkl.items():
             lo = i if mirror else 0
-            for b, d in vec:
+            for b, d in _digits(vec, W):
                 for j, e in rows[b]:
                     if j >= lo:
-                        acc = found.get((i, j, k, l)) or found.setdefault((i, j, k, l), [0] * n)
                         s = sign(par[j] * (par[k] + par[l])) * d
-                        for t, c in e:
-                            acc[t] += s * c
+                        found[i, j, k, l] = found.get((i, j, k, l), 0) + s * e
     # one per orbit, the least rotation: with i least, a rotation to a later i is less when
     # that i is l (unless all four are), or is k and l < j, and never when it is j
-    return _orbit_witnesses("malcev", space, (
-        ((i, j, k, l), acc) for (i, j, k, l), acc in found.items()
+    return _packed_orbits("malcev", space, 1, W, (
+        ((i, j, k, l), v) for (i, j, k, l), v in found.items()
         if not mirror or (l != i or i == j == k) and (k != i or j <= l)),
         (partial(_rotated, par),) if mirror else ())
 
@@ -548,7 +532,7 @@ def _sweep_ternary_jacobi(space, ts):
              + sign(par[i] * (par[j] + par[k])) * packs.get((j, k, i), 0)
              + sign(par[k] * (par[i] + par[j])) * packs.get((k, i, j), 0))
             for i, j, k in {min(at, at[1:] + at[:1], at[2:] + at[:2]) for at in packs})
-    return _packed_orbits("triple-jacobi", space, ts, sums, (partial(_rotated, par),))
+    return _packed_orbits("triple-jacobi", space, *ts._packs[:2], sums, (partial(_rotated, par),))
 
 
 # the pseudo-derivation rules: a degree-r pair (P, a) derives the ternary product (the triple
@@ -791,6 +775,17 @@ def _pair_rows(A, r, pairs):
                     yield [(columns[b], c) for b, c in _digits(v, W)]
 
 
+def _packed_cells(cells, W, d):
+    """{cell: sum of d c_t 2^(W t)} of the cells {index tuple: entry}: each one int."""
+    packs = {}
+    for at, entry in cells.items():
+        v = 0
+        for t, c in entry:
+            v += (c * d).numerator << W * t
+        packs[at] = v
+    return packs
+
+
 def _digits(v, W):
     """The nonzero signed digits (b, c) of v = sum of c 2^(W b), |c| < 2^(W-1), b rising."""
     half, mask, b = 1 << W - 1, (1 << W) - 1, 0
@@ -996,16 +991,15 @@ def check_morphism(f, A, B):
 
 def _hom_defects(n, F, SA, SB, wA, wB):
     """(W, accs), accs[h] wA [F e_i, ..., F e_k]_SB - wB F(SA(e_i, ..., e_k)) at the head h =
-    (i, ...) packed over (k, t).  The SB side multiplies each cell packed over t by F's row q
-    packed over k at stride n W, one product for the whole last slot, then puts F into the
-    other slots; the SA side adds each cell's F image, packed over t, at k."""
+    (i, ...) packed over (k, t).  The SB side multiplies each cell packed over t
+    (`_packed_cells`) by F's row q packed over k at stride n W, one product for the whole last
+    slot, then puts F into the other slots; the SA side adds each cell's F image at k."""
     a, rows = SA.ARITY, _transposed(F, n)
     x1 = max((sum(abs(c) for _, c in col) for col in F), default=0)
     W = (wA * x1 ** a * SB._magnitudes[0] + wB * SA._magnitudes[1] * x1).bit_length() + 1
-    G = [wA * sum(c << W * n * k for k, c in row) for row in rows]
-    heads = [st.entries if a == 2 else [r for p in st.entries for r in p] for st in (SA, SB)]
-    accs = [sum(sum(c << W * t for t, c in entry) * G[q] for q, entry in enumerate(row)
-                if entry) for row in heads[1]]
+    G, accs = [wA * sum(c << W * n * k for k, c in row) for row in rows], [0] * n ** (a - 1)
+    for at, v in _packed_cells(SB.cells(), W, 1).items():
+        accs[at[0] * n + at[1] if a == 3 else at[0]] += v * G[at[-1]]
     for step in (1, n)[:a - 1]:   # [e_i, e_m, .] -> [e_i, F e_j, .], then the first slot
         out = [0] * len(accs)
         for h, v in enumerate(accs):
@@ -1015,6 +1009,6 @@ def _hom_defects(n, F, SA, SB, wA, wB):
         accs = out
     fcol = [wB * sum(c << W * t for t, c in col) for col in F]
     at_k = [[v << W * n * k for v in fcol] for k in range(n)]    # the F images at each k
-    for h, row in enumerate(heads[0]):
+    for h, row in enumerate(SA.entries if a == 2 else [r for p in SA.entries for r in p]):
         accs[h] -= sum(c * fk[q] for fk, entry in zip(at_k, row) for q, c in entry)
     return W, accs

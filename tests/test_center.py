@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import slow_reference
 import superbol as sb
+from bench_inputs import inputs
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_orbits import m7
-from test_reference import POOL, _osp12, direct_sum, from_cells
+from test_reference import POOL, direct_sum, from_cells
 
 ARITIES = (("binary",), ("ternary",), ("binary", "ternary"))
 INTEGERS = (-2, -1, 1, 3)
@@ -87,7 +87,7 @@ def test_center_of_a_simple_bol_algebra_builds_no_ternary_view():
     alone reach full rank, so on fresh structure objects (the Bol check of
     malcev_to_bol reads the views) the views of the first and middle slots
     of the ternary product are never built."""
-    for A in (m7(), _osp12()):
+    for A in (inputs.m7(), inputs.osp12()):
         B = sb.malcev_to_bol(A)
         B = AlgebraDef(B.name, B.space, from_cells(BinaryStructure, B.space, B.binary.cells()),
                        from_cells(TernaryStructure, B.space, B.ternary.cells()))

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superbol as sb
+from bench_inputs import inputs
 from superbol.cli import main
-from test_reference import _osp12
 
 EVEN, ODD = ("a", "b", "c"), ("u", "v")
 VALID = [sb.serialize_algebra(ent.algebra) for ent in sb.catalog.entries()] + [
-    sb.serialize_algebra(sb.malcev_to_bol(_osp12()))]
+    sb.serialize_algebra(sb.malcev_to_bol(inputs.osp12()))]
 
 coefficients = st.sampled_from(["", "2", "-", "1/2", "-3", "2*", "1/0", "0*", "7 /3 "])
 labels = st.sampled_from(EVEN + ODD + ("w", "x1"))

@@ -37,9 +37,9 @@ from bench_inputs import inputs
 from superbol import envelope, linalg
 from superbol.structures import AlgebraDef, BinaryStructure
 from test_mirror import assert_same_brackets, pair_spaces, slow_pair_bracket
-from test_reference import LIFTED, _osp12, from_cells, mutate, rescaled
+from test_reference import LIFTED, from_cells, mutate, rescaled
 
-OSP_BOL = sb.malcev_to_bol(_osp12())
+OSP_BOL = sb.malcev_to_bol(inputs.osp12())
 BIG = 2 ** 70 + 1
 
 

@@ -22,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superbol as sb
+from bench_inputs import inputs
 from superbol.graded import rat
 from test_forms_reference import random_form
-from test_reference import BOLS, LIFTED, POOL, _osp12, even_map, transport
+from test_reference import BOLS, LIFTED, POOL, even_map, transport
 
 
 def pulled_back(b, g):
@@ -37,7 +38,7 @@ def pulled_back(b, g):
 
 
 def _lies():
-    osp = _osp12()
+    osp = inputs.osp12()
     return [sb.catalog.load("aff2_lie"), osp,
             sb.enveloping(sb.catalog.load("L2_3_1_bol")).lie,
             sb.enveloping(sb.malcev_to_bol(osp)).lie]

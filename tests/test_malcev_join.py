@@ -119,7 +119,7 @@ def test_a_skew_product_builds_the_kept_half_of_its_inner_products(monkeypatch):
     calls = []
     products = structures._products
     monkeypatch.setattr(structures, "_products",
-                        lambda vec, cells, n: calls.append(vec) or products(vec, cells, n))
+                        lambda vec, cells: calls.append(vec) or products(vec, cells))
     cells = dict(M7.binary.cells())
     cells[0, 1] = tuple((t, 2 * c) for t, c in cells[0, 1])
     broken = sb.AlgebraDef("broken M7", M7.space, binary=from_cells(

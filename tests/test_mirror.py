@@ -48,10 +48,11 @@ import pytest
 
 import slow_reference
 import superbol as sb
+from bench_inputs import inputs
 from superbol import envelope, structures
 from superbol.graded import sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import (LIFTED, POOL, VALUES, _osp12, assert_same_checks, even_map,
+from test_reference import (LIFTED, POOL, VALUES, assert_same_checks, even_map,
                             from_cells, mutate, random_pair, rescaled, transport)
 
 BOLS = [A for A in POOL + LIFTED if A.binary is not None and A.ternary is not None]
@@ -253,7 +254,7 @@ def test_each_bracket_table_is_completed_once(monkeypatch):
     for module in (structures, envelope, constructions):
         monkeypatch.setattr(module, "_mirrored", lambda *args: calls.append(args)
                             or mirrored(*args))
-    osp = sb.malcev_to_bol(_osp12())
+    osp = sb.malcev_to_bol(inputs.osp12())
     for B in (osp, sb.catalog.build("L2_3_1_bol").algebra,
               transport(osp, even_map(osp.space, random.Random(2)))):
         for build in (sb.ips_space, sb.ps_space):

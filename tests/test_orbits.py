@@ -53,19 +53,8 @@ ORBIT_AXIOMS = ("jacobi", "malcev", "triple-jacobi")
 NONZERO = [v for v in VALUES if v]
 
 
-def m7():
-    """Sagle's 7-dim Malcev algebra: [e_i, e_j] = 2 e_k along the oriented Fano lines."""
-    space = sb.SuperSpace.even_first(tuple("m%d" % i for i in range(1, 8)), ())
-    cells = {}
-    for line in ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3)):
-        for r in range(3):
-            i, j, k = (line[(r + m) % 3] - 1 for m in range(3))
-            cells[i, j], cells[j, i] = ((k, 2),), ((k, -2),)
-    return AlgebraDef("M7", space, binary=from_cells(BinaryStructure, space, cells))
-
-
 OSP = next(A for A in POOL if A.name == "osp12")
-M7 = m7()
+M7 = inputs.m7()
 
 
 def random_cells(rng, space, arity, skew, inputs, outputs):

@@ -25,25 +25,13 @@ from hypothesis import strategies as st
 
 import slow_reference
 import superbol as sb
+from bench_inputs import inputs
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-
-
-def _osp12():
-    space = sb.SuperSpace.even_first(("h", "e", "f"), ("x", "y"))
-
-    def vec(**coeffs):
-        return tuple(coeffs.get(label, 0) for label in space.labels)
-
-    return AlgebraDef("osp12", space, binary=BinaryStructure.from_products(space, {
-        (0, 1): vec(e=2), (0, 2): vec(f=-2), (1, 2): vec(h=1),
-        (0, 3): vec(x=1), (0, 4): vec(y=-1), (1, 4): vec(x=-1), (2, 3): vec(y=-1),
-        (3, 3): vec(e=2), (3, 4): vec(h=1), (4, 4): vec(f=-2),
-    }))
 
 
 def _pool():
     aff2 = sb.catalog.load("aff2_lie")
-    osp = _osp12()
+    osp = inputs.osp12()
     return [ent.algebra for ent in sb.catalog.entries()] + [
         sb.lie_to_supertriple(aff2), sb.malcev_to_bol(aff2), osp,
         sb.lie_to_supertriple(osp), sb.malcev_to_bol(osp),
@@ -313,7 +301,7 @@ LIFTED = [
     direct_sum(rescaled(sb.catalog.load("L2_2_2_bol"), HALF, HALF ** 2, "-"),
                rescaled(sb.lie_to_supertriple(sb.catalog.load("aff2_lie")), 0, FIFTH, "-"),
                "L2_2_2_bol/2 + lts(aff2)/5"),
-    rescaled(sb.lie_to_supertriple(_osp12()), 0, THIRD, "lts(osp12)/3"),
+    rescaled(sb.lie_to_supertriple(inputs.osp12()), 0, THIRD, "lts(osp12)/3"),
     rescaled(sb.malcev_to_bol(sb.catalog.load("L2_2_2_malcev")), 3 * HALF, 9 * HALF ** 2,
              "bol(L2_2_2_malcev)*3/2"),
 ]
@@ -416,7 +404,7 @@ def test_pair_rules_give_the_solvers_int_rows_on_lifted_inputs(monkeypatch):
             yield row
 
     monkeypatch.setattr(envelope, "_pair_rows", recorded)
-    osp_bol = sb.malcev_to_bol(_osp12())
+    osp_bol = sb.malcev_to_bol(inputs.osp12())
     dense = transport(osp_bol, even_map(osp_bol.space, random.Random(1)))
     for B in LIFTED + [dense]:
         assert B._lifted[0] > 1, B.name
@@ -459,7 +447,7 @@ def test_inner_pairs_match_the_reference():
     coefficient types included, on basis vectors and on random
     homogeneous vectors."""
     rng = random.Random(3)
-    osp_bol = sb.malcev_to_bol(_osp12())
+    osp_bol = sb.malcev_to_bol(inputs.osp12())
     for B in BOLS + LIFTED + [transport(osp_bol, even_map(osp_bol.space, rng))]:
         n, par = B.space.dim, B.space.parities
         vectors = list(B.space.basis())
@@ -498,8 +486,8 @@ def scaled_map(space, c, g=None, row=None):
 TWO_FIFTHS = Fraction(2, 5)
 # binary only, ternary only and Bol, each with a denominator, and each next to
 # its image under (2/5) id, whose denominators differ
-MORPHISM_SOURCES = [divided(_osp12(), 3, "osp12/3"),
-                    divided(sb.lie_to_supertriple(_osp12()), 3, "lts(osp12)/3"), LIFTED[0]]
+MORPHISM_SOURCES = [divided(inputs.osp12(), 3, "osp12/3"),
+                    divided(sb.lie_to_supertriple(inputs.osp12()), 3, "lts(osp12)/3"), LIFTED[0]]
 
 
 def non_integral(report):
@@ -610,8 +598,7 @@ def test_packed_sweeps_at_the_bound_match_the_reference():
     packed {e1, e2, e1} of aff2 times BIG, -3 BIG^2 before the division by 3, is too.  A W
     one bit short, or a decode that reads each W-bit window of a packed int without the
     borrow of the negative digits below it, gives other defects here."""
-    from bench_inputs import inputs
-    osp, aff2, rng = _osp12(), sb.catalog.load("aff2_lie"), random.Random(33)
+    osp, aff2, rng = inputs.osp12(), sb.catalog.load("aff2_lie"), random.Random(33)
     lies = [rescaled(osp, BIG, BIG ** 2, "osp12*big"), rescaled(aff2, BIG, BIG ** 2, "aff2*big"),
             rescaled(osp, Fraction(BIG, 3), Fraction(BIG, 3) ** 2, "osp12*big/3"),
             transport(osp, even_map(osp.space, rng)), transport(aff2, even_map(aff2.space, rng))]

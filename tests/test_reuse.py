@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 import slow_reference
 import superbol as sb
+from bench_inputs import inputs
 from superbol import algfile, structures
 from superbol.cli import main
 from superbol.graded import rat
-from test_reference import BOLS, _osp12, even_map, transport
+from test_reference import BOLS, even_map, transport
 
 BOL_KEYS = ("L2_2_2_bol", "L2_3_1_bol", "abelian_2_2")
 
@@ -52,7 +53,7 @@ def sweeps(monkeypatch):
     ("report",), ("killing-ricci",), ("envelope", "--maximal"), ("pseudo", "--max")])
 def test_each_command_sweeps_each_algebra_once_per_kind(sweeps, argv, tmp_path, capsys):
     osp = tmp_path / "bol_osp12.alg"
-    osp.write_text(algfile.serialize_algebra(sb.malcev_to_bol(_osp12())), encoding="utf-8")
+    osp.write_text(algfile.serialize_algebra(sb.malcev_to_bol(inputs.osp12())), encoding="utf-8")
     for algebra in ("L2_3_1_bol", str(osp)):
         sweeps.clear()
         assert main([argv[0], algebra] + list(argv[1:])) == 0
@@ -80,7 +81,7 @@ def test_each_table_is_swept_for_skew_once(monkeypatch):
     """The skew verdict is kept on each structure object: the Bol check,
     ps_space, ips_space and companion_space on one bol(osp(1|2)) read it
     from one sweep of each table."""
-    built = sb.malcev_to_bol(_osp12())
+    built = sb.malcev_to_bol(inputs.osp12())
     # fresh structure objects, which no earlier call has swept
     B = sb.AlgebraDef("bol(osp12)", built.space, *(
         type(st)._of(built.space, dict(st.cells())) for st in (built.binary, built.ternary)))
@@ -97,7 +98,7 @@ def test_each_table_is_swept_for_skew_once(monkeypatch):
 
 
 def _bol_inputs():
-    osp = sb.malcev_to_bol(_osp12())
+    osp = sb.malcev_to_bol(inputs.osp12())
     return [sb.catalog.load(key) for key in BOL_KEYS] + [
         osp, transport(osp, even_map(osp.space, random.Random(0)))]
 

@@ -32,8 +32,9 @@ from hypothesis import strategies as st
 
 import slow_reference
 import superbol as sb
+from bench_inputs import inputs
 from superbol import envelope, linalg
-from test_reference import _osp12, even_map, transport
+from test_reference import even_map, transport
 
 SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6, Fraction(4, 2), Fraction(-3, 3),
                            Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(7, 12)])
@@ -186,7 +187,7 @@ def test_the_residue_matches_the_reference_reduction(drawn):
 
 
 def _bols():
-    osp_bol = sb.malcev_to_bol(_osp12())
+    osp_bol = sb.malcev_to_bol(inputs.osp12())
     dense = transport(osp_bol, even_map(osp_bol.space, random.Random(5)))
     return [ent.algebra for ent in sb.catalog.entries() if ent.kind == "bol"] + [osp_bol, dense]
 

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 import slow_reference
 import superbol as sb
+from bench_inputs import inputs
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import POOL, _osp12
+from test_reference import POOL
 
 SPACE = sb.SuperSpace.even_first(2, 1)
 PAR = SPACE.parities
@@ -256,7 +257,7 @@ def test_pair_solvers_build_no_dense_pair_row(monkeypatch):
             yield row
 
     monkeypatch.setattr(envelope, "_pair_rows", counted)
-    osp = sb.malcev_to_bol(_osp12())
+    osp = sb.malcev_to_bol(inputs.osp12())
     bols = [e.algebra for e in sb.catalog.entries() if e.kind == "bol"] + [osp]
     for B in bols:
         n, par = B.space.dim, B.space.parities
@@ -294,7 +295,7 @@ def test_pair_spaces_keep_their_brackets_sparse(monkeypatch):
     monkeypatch.setattr(sb.PairSpace, "_closed", classmethod(
         lambda cls, A, rows: built.append(closed(cls, A, rows)) or built[-1]))
     bols = [e.algebra for e in sb.catalog.entries() if e.kind == "bol"]
-    for B in bols + [sb.malcev_to_bol(_osp12())]:
+    for B in bols + [sb.malcev_to_bol(inputs.osp12())]:
         H = sb.ps_space(B)
         sb.ips_space(B)
         sb.enveloping(B)
