@@ -41,9 +41,9 @@ algebras and pair brackets), is completed by one routine, `_mirrored`.
 
 The Malcev sweep visits no tuple.  Each of its five terms is an inner product from `_products`,
 (e_i e_j) e_k, e_i (e_k e_l) or (e_i e_k) e_b, times one more basis vector: it walks from the
-inner product's support to the nonzero cells there and adds into the tuple each such path
-reaches one packed int.  The work is the paths, on sparse and dense tables alike, and a tuple
-no path reaches, whose defect is 0, is not evaluated.
+inner product's support to the nonzero cells there, one first index i at a time, each path
+adding one packed int into its tuple's slot (j n + k) n + l (`_slots`).  The work is the paths,
+on sparse and dense tables alike, and only nonzero slots are decoded.
 
 The sweeps run on integer tables.  With L the lcm of every denominator in the binary table B and
 the ternary table T, check_axioms sweeps L*B and L^2*T, the algebra in the basis L e_i.  Every
@@ -70,7 +70,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from functools import cached_property, partial
+from operator import itemgetter, mul
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
                      _sparse, _SparseValue, _transposed, _vector, record, sign)
@@ -457,72 +459,92 @@ def _products(vec, cells):
     return {x: v for x, v in out.items() if v}
 
 
+def _slots(n, paths):
+    """`_sweep_malcev`'s zero slots of one i: n^3 ints once its writes, about 2 paths, reach n^4/50,
+    else a dict (measured: a dict write costs about as much as 50 slots of the n lists)."""
+    return [0] * n ** 3 if 100 * paths >= n ** 4 else defaultdict(int)
+
+
 def _sweep_malcev(space, bs):
     """RHS - LHS of the Malcev identity, s = (-1)^{jk}, s4 = (-1)^{j(k+l)}, s5 = (-1)^{l(j+k)}:
     D = s (e_i e_k)(e_j e_l) - ((e_i e_j) e_k) e_l + e_i ((e_j e_k) e_l)
         + s4 (e_i (e_k e_l)) e_j + s5 ((e_i e_l) e_j) e_k.
-    No tuple is visited: each term's inner product, from `_products`, meets each nonzero
-    cell on its support, and the path adds into the tuple it reaches.  Once the product is
-    super skew D is cyclic: the loops keep i <= j, k, l, and a tuple with i repeated is kept
-    when least among its rotations, one per orbit.  A path adds one int, W as the module says."""
-    n, par, mirror, E = space.dim, space.parities, _all_skew((bs,)), bs.entries
-    (m, s1), cells = bs._magnitudes, bs.cells()
-    W, rows, cols = (5 * s1 * s1 * m).bit_length() + 1, [[] for _ in E], [[] for _ in E]
-    for (a, b), v in _packed_cells(cells, W, 1).items():
+    No tuple is visited: each path from a term's inner product to a nonzero cell adds one int (W
+    as the module says), signed by parity bits, into the slot (j n + k) n + l of its tuple in its
+    first index i's `_slots`; only nonzero slots are decoded.  Once the product is super skew D
+    is cyclic: i <= j, k, l, and a tuple with i repeated is kept when least among its rotations."""
+    n, nn, par, mirror = space.dim, space.dim ** 2, space.parities, _all_skew((bs,))
+    (m, s1), cells, found = bs._magnitudes, bs.cells(), []
+    W, rows, cols = (5 * s1 * s1 * m).bit_length() + 1, [[] for _ in par], [[] for _ in par]
+    for (a, b), v in reversed(_packed_cells(cells, W, 1).items()):  # by falling index
         rows[a].append((b, v))
         cols[b].append((a, v))
-    # right[a, b][c] = (e_a e_b) e_c and left[a, b][c] = e_c (e_a e_b), the latter, read with
-    # c as i, only for c <= a, b once the loops prune.  Skew, both are read off right's kept
-    # half a <= b: e_b e_a = -(-1)^{ab} e_a e_b and e_c (e_a e_b) = -(-1)^{c(a+b)} (e_a e_b) e_c
+    # right[a, b][c] = (e_a e_b) e_c; skew, read off its kept half: e_b e_a = -(-1)^{ab} e_a e_b
     if mirror:
         right = {at: _products(entry, rows) for at, entry in cells.items() if at[0] <= at[1]}
         right.update({(b, a): {c: v if par[a] & par[b] else -v for c, v in r.items()}
                       for (a, b), r in right.items() if a < b})
-        left = {(a, b): {c: v if par[c] & (par[a] ^ par[b]) else -v for c, v in r.items()
-                         if c <= a and c <= b} for (a, b), r in right.items()}
     else:
         right = {at: _products(entry, rows) for at, entry in cells.items()}
-        left = {at: _products(entry, cols) for at, entry in cells.items()}
-    found = {}
-    for (i, k), rik in right.items():
-        lo = i if mirror else 0
-        if k < lo:
-            continue
-        for j in range(lo, n):  # s (e_i e_k)(e_j e_l): s d (e_i e_k) e_b, (b, d) of e_j e_l
-            s = sign(par[j] * par[k])
-            for l, _ in rows[j]:
-                for b, d in E[j][l] if l >= lo else ():
-                    if b in rik:
-                        found[i, j, k, l] = found.get((i, j, k, l), 0) + s * d * rik[b]
-        for y, vec in rik.items():  # -((e_i e_k) e_y) e_f at (i, k, y, f); s5 times at (i, y, f, k)
-            for b, d in _digits(vec, W) if y >= lo else ():
-                for f, e in rows[b]:
-                    if f >= lo:
-                        s = sign(par[k] * (par[y] + par[f])) * d
-                        found[i, k, y, f] = found.get((i, k, y, f), 0) - d * e
-                        found[i, y, f, k] = found.get((i, y, f, k), 0) + s * e
-    for (j, k), rjk in right.items():  # e_i ((e_j e_k) e_l)
-        for l, vec in rjk.items():
-            hi = min(j, k, l) if mirror else n
-            for b, d in _digits(vec, W):
-                for i, e in cols[b]:
-                    if i > hi:
+    # per i: heads (k, e_i e_k's right map), k >= i if skew, and tails (k n + l, p_k + p_l,
+    # e_i (e_k e_l)), skew only i <= k, l, read off right: -(-1)^{i(k+l)} (e_k e_l) e_i; per b,
+    # least index first: units (least, j n^2 + l, p_j, d) of d e_b in e_j e_l and into
+    # (least, slot, d) of d e_b in (e_j e_k) e_l
+    heads, tails, units, into = ([[] for _ in par] for _ in range(4))
+    for (a, b), entry in cells.items():
+        for t, d in entry:
+            units[t].append((min(a, b) if mirror else n, a * nn + b, par[a], d))
+        for c, vec in ({} if mirror else _products(entry, cols)).items():
+            tails[c].append((a * n + b, par[a] ^ par[b], vec))
+    for (a, b), r in right.items():
+        r, p = [(c, vec, list(_digits(vec, W))) for c, vec in r.items()], par[a] ^ par[b]
+        if b >= a or not mirror:
+            heads[a].append((b, r))
+        for c, vec, digits in r:
+            if mirror and c <= a and c <= b:
+                tails[c].append((a * n + b, p, vec if par[c] & p else -vec))
+            for t, d in digits:
+                into[t].append((min(a, b, c) if mirror else n, (a * n + b) * n + c, d))
+    for group in units + into:
+        group.sort(key=itemgetter(0), reverse=True)
+    paths = sum(len(c) * len(t) for c, t in zip(cols, into))  # e_i ((e_j e_k) e_l)'s, unpruned
+    for i in range(n):
+        lo, slots = i if mirror else 0, _slots(n, paths)
+        for k, rik in heads[i]:
+            kn, pk = k * n, par[k]
+            for y, vec, digits in rik:  # s (e_i e_k)(e_j e_l): s d (e_i e_k) e_y, (y, d) of e_j e_l
+                for least, at, pj, d in units[y]:
+                    if least < i:
                         break
-                    found[i, j, k, l] = found.get((i, j, k, l), 0) + d * e
-    for (k, l), lkl in left.items():  # s4 (e_i (e_k e_l)) e_j
-        for i, vec in lkl.items():
-            lo = i if mirror else 0
+                    slots[at + kn] += -d * vec if pj & pk else d * vec
+                if y >= lo:  # -((e_i e_k) e_y) e_f at (i, k, y, f); s5 times at (i, y, f, k)
+                    b2, b5, py = (kn + y) * n, y * nn + k, par[y]
+                    for b, d in digits:
+                        for f, e in rows[b]:
+                            if f < lo:
+                                break
+                            t = d * e
+                            slots[b2 + f] -= t
+                            slots[b5 + f * n] += -t if pk & (py ^ par[f]) else t
+        for b, e in rows[i]:  # e_i ((e_j e_k) e_l): d e_i e_b, (b, d) of (e_j e_k) e_l
+            for least, at, d in into[b]:
+                if least < i:
+                    break
+                slots[at] += d * e
+        for kl, p, vec in tails[i]:  # s4 (e_i (e_k e_l)) e_j
             for b, d in _digits(vec, W):
                 for j, e in rows[b]:
-                    if j >= lo:
-                        s = sign(par[j] * (par[k] + par[l])) * d
-                        found[i, j, k, l] = found.get((i, j, k, l), 0) + s * e
-    # one per orbit, the least rotation: with i least, a rotation to a later i is less when
-    # that i is l (unless all four are), or is k and l < j, and never when it is j
-    return _packed_orbits("malcev", space, 1, W, (
-        ((i, j, k, l), v) for (i, j, k, l), v in found.items()
-        if not mirror or (l != i or i == j == k) and (k != i or j <= l)),
-        (partial(_rotated, par),) if mirror else ())
+                    if j < lo:
+                        break
+                    slots[j * nn + kl] += -d * e if par[j] & p else d * e
+        # the nonzero slots (one count passes a list of zeros), each orbit's least rotation: with
+        # i least, a rotation to a later i is less only when it is l (not all four), or k and l < j
+        for at in (slots.count(0) < n * nn and itertools.compress(range(n * nn), slots) or ()
+                   if isinstance(slots, list) else itertools.compress(slots, slots.values())):
+            j, k, l = at // nn, at // n % n, at % n
+            if not mirror or (l != i or i == j == k) and (k != i or j <= l):
+                found.append(((i, j, k, l), slots[at]))
+    return _packed_orbits("malcev", space, 1, W, found, (partial(_rotated, par),) if mirror else ())
 
 
 def _sweep_ternary_jacobi(space, ts):
@@ -578,16 +600,18 @@ def _ordered(n, a, d):
 
 def _by_slot(par, st, a, d):
     """Table st's part of the join's index for the rule of arity a: per m, each cell with e_m in
-    a slot t of st's terms (the product rule's ternary: the companion's) as (head, tail, p,
-    entry, lo, hi), the term at (head + (v,) + tail)[:a] reading x[v], v in [lo, hi] (or the
-    companion's n), P past head of parity p; per m, the kept (at, c) of w's cells if st is the
-    rule's own.  One pass over st's cells, (i, j, k) `_ordered` when i + d[0] <= j, i + d[1] <= k:
-    v <= j - d[0], k - d[1] in slot 0, v >= i + d[t - 1] in slot t while the other slot holds."""
+    a slot t of st's terms (the product rule's ternary: the companion's) as (base, stride, p,
+    entry, lo, hi), the term at the tuple keyed base + v stride reading x[v], v in [lo, hi] (or
+    the companion's n, stride 0), P past at[:t] of parity p; per m, the kept (key, c) of w's
+    cells if st is the rule's own.  One pass over st's cells, (i, j, k) `_ordered` when
+    i + d[0] <= j, i + d[1] <= k: v <= j - d[0], k - d[1] in slot 0, v >= i + d[t - 1] in slot
+    t while the other slot holds.  A tuple's key is its indices' base-n digits, (i n + j) n + k."""
     n, own, index, w, last = len(par), st.ARITY == a, [[] for _ in par], [[] for _ in par], None
+    strides = (n * n, n, 1) if a == 3 else (n, 1, 0)
     for cell, entry in st.cells().items():
         at = cell[:a]
         if at != last:  # the product rule's ternary cells, in order, share their at
-            last, terms = at, _terms(par, at)
+            last, terms, key = at, _terms(par, at), sum(map(mul, at, strides))
             i, j, k = at if a == 3 else at + (math.inf,)
             ok1, ok2 = i + d[0] <= j, i + d[1] <= k
         for t in range(a) if own else (2,):
@@ -598,10 +622,11 @@ def _by_slot(par, st, a, d):
             else:   # slot 2, or the companion's n
                 lo, hi = ((i + d[1], n - 1) if a == 3 else (n, n)) if ok1 else (1, 0)
             if lo <= hi:
-                index[cell[t]].append((cell[:t], cell[t + 1:], terms[t][1], entry, lo, hi))
+                m, s = cell[t], strides[t]
+                index[m].append((key - m * s, s, terms[t][1], entry, lo, hi))
         if own and ok1 and ok2:
             for m, c in entry:
-                w[m].append((at, c))
+                w[m].append((key, c))
     return index, w
 
 
@@ -616,20 +641,22 @@ def _joined(space, structures, r, x, order):
     """The rule's defects at one degree-r pair x at its tuples `_ordered` by order, (at, acc) in
     order, acc dense: the sums over the cells its nonzero (v, m, c) reach in the index of each
     table read, its own part of it (`_by_slot`) kept on it per order and rule arity and the
-    parts read in turn, and over those meeting its w view's support."""
+    parts read in turn, and over those meeting its w view's support, each summed under its
+    tuple's int key; the keys are sorted, and only those with a nonzero sum decoded."""
     a, sg, found, n = structures[0].ARITY, (1, sign(r)), {}, space.dim
     parts = [st._indexes.get((order, a)) or st._indexes.setdefault((order, a), _by_slot(
         space.parities, st, a, order)) for st in structures]
     view = _w_view(x, structures)
-    reached = [((head + (v,) + tail)[:a], entry, sg[p] * c) for v, row in enumerate(x)
+    reached = [(base + v * stride, entry, sg[p] * c) for v, row in enumerate(x)
                for m, c in row for index, _ in parts
-               for head, tail, p, entry, lo, hi in index[m] if lo <= v <= hi]
-    for at, row, c in reached + [(at, row, c) for m, row in enumerate(view) if row
-                                 for at, c in parts[0][1][m]]:
-        acc = found.get(at) or found.setdefault(at, [0] * n)
+               for base, stride, p, entry, lo, hi in index[m] if lo <= v <= hi]
+    for key, row, c in reached + [(key, row, c) for m, row in enumerate(view) if row
+                                  for key, c in parts[0][1][m]]:
+        acc = found.get(key) or found.setdefault(key, [0] * n)
         for q, e in row:
             acc[q] += c * e
-    return sorted((at, acc) for at, acc in found.items() if any(acc))
+    return [(divmod(key, n) if a == 2 else (key // n // n, key // n % n, key % n), found[key])
+            for key in sorted(found) if any(found[key])]
 
 
 def _listed(space, structures, r, x, order):

@@ -5,9 +5,9 @@ Malcev defect is a join of an inner product with the nonzero cells on its
 support, added into the tuple the path reaches, and once the product is super
 skew only i <= j, k, l, least among its rotations, is kept.  Its reports must
 equal `slow_reference`'s, which evaluates every tuple: the same witnesses
-(axiom, tuple, defect with its scalar types) in the same order.  The tuples
-it evaluates must be those `test_orbits.malcev_reach` finds, one per
-rotation orbit where the skew sweep passes.  Seeded inputs run until each
+(axiom, tuple, defect with its scalar types) in the same order.  The slots
+it writes must be the tuples `test_orbits.malcev_reach` finds, and those it
+keeps one per rotation orbit where the skew sweep passes.  Seeded inputs run until each
 kind below has been seen:
 
 * sparse random tables and dense re-basings of them;
@@ -19,11 +19,16 @@ kind below has been seen:
 * a reached tuple (x, x, x, x) of one odd x on a skew product, the one
   orbit of one tuple whose representative repeats i at l.
 
-A mutant that drops the sign s4 or s5 of a term must fail that comparison.
+Each first index's slots live in a list of n^3 ints or in a dict
+(`structures._slots`); the comparison runs with each container forced.  A
+mutant that drops the sign s4 or s5 of a term, or decodes a slot with k and
+l swapped, must fail that comparison.
 """
 
 import inspect
 import random
+import tracemalloc
+from collections import defaultdict
 
 import pytest
 
@@ -71,7 +76,20 @@ def assert_same(A):
     return fast
 
 
-def test_the_join_matches_the_reference_on_every_kind_of_table(evaluated):
+@pytest.fixture(params=["list", "dict"])
+def container(monkeypatch, request):
+    """Forces the Malcev walk's slots into a list of n^3 ints or a dict, as
+    test_rule_paths forces `_joins`: (the type forced, the types made)."""
+    kind, made = list if request.param == "list" else defaultdict, []
+
+    def slots(n, paths):
+        made.append(kind)
+        return [0] * n ** 3 if kind is list else defaultdict(int)
+    monkeypatch.setattr(structures, "_slots", slots)
+    return kind, made
+
+
+def test_the_join_matches_the_reference_on_every_kind_of_table(container, evaluated):
     wanted = {(what, value, dense) for what in ("skew", "lifted", "passed", "odd")
               for value in (False, True) for dense in (False, True)} | {"odd constant"}
     seen, seed = set(), 0
@@ -85,30 +103,42 @@ def test_the_join_matches_the_reference_on_every_kind_of_table(evaluated):
         assert evaluated["malcev"] == kept, A.name
         if skew and any(len(set(at)) == 1 and par[at[0]] for at in kept):
             seen.add("odd constant")
+    kind, made = container
+    assert made and set(made) == {kind}
 
 
-def mutant(monkeypatch, sign_of):
-    """Put in the Malcev sweep a copy of _sweep_malcev whose sign `sign_of`
-    is dropped: the term is added with the coefficient d alone."""
+def mutant(monkeypatch, old, new):
+    """Put in the Malcev sweep a copy of _sweep_malcev with its one text old
+    replaced by new."""
     source = inspect.getsource(structures._sweep_malcev)
-    dropped = source.replace("s = %s * d" % sign_of, "s = d")
-    assert dropped != source
+    assert source.count(old) == 1
     namespace = dict(vars(structures))
-    exec(compile(dropped, structures.__file__, "exec"), namespace)
+    exec(compile(source.replace(old, new), structures.__file__, "exec"), namespace)
     monkeypatch.setitem(structures._SWEEPS, "malcev",
                         (namespace["_sweep_malcev"],) + structures._SWEEPS["malcev"][1:])
 
 
-@pytest.mark.parametrize("sign_of", ["sign(par[j] * (par[k] + par[l]))",
-                                     "sign(par[k] * (par[y] + par[f]))"], ids=["s4", "s5"])
-def test_a_sweep_that_drops_a_sign_fails_the_comparison(monkeypatch, sign_of):
-    mutant(monkeypatch, sign_of)
+def assert_told_apart():
     for seed in range(400):
         A, _ = draw(seed)
         if sb.check_axioms(A.renamed(A.name), "malcev") != \
                 slow_reference.check_axioms(A, "malcev"):
             return
     pytest.fail("no input tells the mutant from the reference")
+
+
+@pytest.mark.parametrize("signed, unsigned", [("-d * e if par[j] & p else d * e", "d * e"),
+                                              ("-t if pk & (py ^ par[f]) else t", "t")],
+                         ids=["s4", "s5"])
+def test_a_sweep_that_drops_a_sign_fails_the_comparison(monkeypatch, signed, unsigned):
+    """The term's path adds its int d e unsigned."""
+    mutant(monkeypatch, signed, unsigned)
+    assert_told_apart()
+
+
+def test_a_sweep_that_decodes_k_and_l_swapped_fails_the_comparison(monkeypatch):
+    mutant(monkeypatch, "j, k, l = at // nn", "j, l, k = at // nn")
+    assert_told_apart()
 
 
 def test_a_skew_product_builds_the_kept_half_of_its_inner_products(monkeypatch):
@@ -132,3 +162,28 @@ def test_a_skew_product_builds_the_kept_half_of_its_inner_products(monkeypatch):
         assert len(calls) == (sum(a <= b for a, b in table.cells()) if skew
                               else 2 * len(table.cells())), A.name
         assert skew == (A is not broken)
+
+
+def chain(n):
+    """The even algebra on e_0 .. e_{n-1} with e_i e_{i+1} = e_{i+2}, completed
+    by skew-symmetry: sparse, of n - 2 products in n^2 cells."""
+    space = sb.SuperSpace.even_first(n, 0)
+    return sb.AlgebraDef("chain %d" % n, space, binary=sb.BinaryStructure.from_products(
+        space, {(i, i + 1): [int(t == i + 2) for t in range(n)] for i in range(n - 2)}))
+
+
+def test_a_large_sparse_chain_keeps_its_witnesses_in_bounded_memory():
+    """The 64-label chain fails Malcev at 1,888 tuples; the sweep keeps its slots
+    per first index, in a dict here, so its traced peak stays under 2 MB where
+    one list of n^4 slots would take over 100 MB.  The 16-label chain matches
+    the reference witness for witness."""
+    A = chain(64)
+    tracemalloc.start()
+    try:
+        report = sb.check_axioms(A, "malcev")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.witnesses) == 1888 and not report.passed
+    assert peak <= 2 << 20, peak
+    assert len(assert_same(chain(16)).witnesses) == 352

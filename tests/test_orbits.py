@@ -22,7 +22,8 @@ witnesses are emitted.  Counting tests hold the tuples each sweep
 evaluates to orbit representatives, one per orbit, and where the skew sweep
 fails to the full set.  Super Jacobi evaluates every orbit where a term can
 be nonzero; Malcev only those a path of nonzero products reaches, found
-here tuple by tuple (`malcev_reach`).
+here tuple by tuple (`malcev_reach`): its walk writes a slot per reached
+tuple and hands on only the nonzero ones, so the counts read its slots.
 
 ips_space builds a pair only for a nonzero inner pair (e_i, e_j), and only
 for i <= j once both tables are super skew; its basis, pivots and brackets
@@ -202,16 +203,41 @@ def test_skew_mutants_match_the_reference_with_mirrored_witnesses():
 @pytest.fixture
 def evaluated(monkeypatch):
     """{axiom: the tuples evaluated, sorted} per sweep: the defects each sweep
-    hands to the orbit expansion, one per tuple its evaluation visited."""
-    tuples = {}
-    expand = structures._orbit_witnesses
+    hands to the orbit expansion, one per tuple its evaluation visited.  The
+    Malcev walk hands on only its nonzero slots, so for it: the slots it writes,
+    decoded to tuples, that it keeps (where the product is super skew, the
+    least rotations), and under "malcev written" every slot it writes.  Slot
+    (j n + k) n + l of the walk's i-th container (`_slots`) is (i, j, k, l).
+    The tuples it hands on must be exactly the kept ones whose slot ends
+    nonzero, so its one-per-orbit rule is held to `representative`."""
+    tuples, written, expand, slots = {}, {}, structures._orbit_witnesses, structures._slots
 
     def recording(axiom, space, defects, moves):
         defects = list(defects)
         tuples[axiom] = sorted(at for at, _ in defects)
+        if axiom == "malcev":
+            assert all(any(acc) for _, acc in defects)
+            kept = [at for at in sorted(written) if not moves or at == representative(at, False)]
+            assert tuples[axiom] == [at for at in kept if written[at]]
+            tuples["malcev written"], tuples[axiom] = sorted(written), kept
+            written.clear()
+            made[:] = []
         return expand(axiom, space, defects, moves)
 
+    made = []   # the containers of the running Malcev walk, one per first index
+
+    def recorded(n, paths):
+        container, i = slots(n, paths), len(made)
+        made.append(type(container))
+
+        class Written(type(container)):
+            def __setitem__(self, key, value):
+                written[i, key // n // n, key // n % n, key % n] = value
+                super().__setitem__(key, value)
+        return Written(int) if isinstance(container, dict) else Written(container)
+
     monkeypatch.setattr(structures, "_orbit_witnesses", recording)
+    monkeypatch.setattr(structures, "_slots", recorded)
     return tuples
 
 
@@ -254,36 +280,52 @@ def malcev_reach(A):
 # when i != j, so only the 7 constant tuples are skipped, of C(9, 3) = 84
 # sorted triples.  osp(1|2) (h, e, f even, x, y odd): of C(7, 3) = 35 sorted
 # triples hhh, eee, fff, eex and ffy have no nonzero product.  The dim-28
-# envelope of bol(M7): 3192 of C(30, 3) = 4060 triples.  Malcev evaluates the
-# representatives malcev_reach finds: 525 of M7's (7^4 + 7^2 + 2 * 7) / 4 =
-# 616 orbits, 98 of osp(1|2)'s 165 and 30,240 of the envelope's 153,874.
+# envelope of bol(M7): 3192 of C(30, 3) = 4060 triples.  The Malcev walk
+# writes the tuples malcev_reach finds with i least and keeps their
+# representatives: 525 of M7's (7^4 + 7^2 + 2 * 7) / 4 = 616 orbits, 98 of
+# osp(1|2)'s 165 and 30,240 of the envelope's 153,874.  Each of these passes
+# Malcev, so its walk hands on nothing; M7 and osp(1|2) with one constant
+# doubled along with its mirror stay super skew on the same support, so the
+# same counts, and fail Malcev at tuples with i repeated too (osp(1|2) at one
+# of all four equal), which the walk's one-per-orbit rule must hand on.
+def doubled(A, at):
+    cells = dict(A.binary.cells())
+    for c in {at, at[::-1]}:
+        cells[c] = tuple((t, 2 * v) for t, v in cells[c])
+    return AlgebraDef("doubled " + A.name, A.space,
+                      binary=from_cells(BinaryStructure, A.space, cells))
+
+
 ORBIT_COUNTS = [pytest.param(lambda: M7, 77, id="M7"), pytest.param(lambda: OSP, 30, id="osp12"),
-                pytest.param(envelope_of_bol_m7, 3192, id="envelope_of_bol_m7")]
+                pytest.param(envelope_of_bol_m7, 3192, id="envelope_of_bol_m7"),
+                pytest.param(lambda: doubled(M7, (0, 1)), 77, id="doubled_M7"),
+                pytest.param(lambda: doubled(OSP, (0, 1)), 30, id="doubled_osp12")]
 
 
 @pytest.mark.parametrize("build, triples", ORBIT_COUNTS)
 def test_skew_products_evaluate_one_tuple_per_orbit(evaluated, build, triples):
-    """Malcev evaluates exactly the reached tuples that are least among their
-    rotations, each once: at most one per orbit."""
+    """The Malcev walk writes exactly the reached tuples whose first index is
+    least, and keeps those least among their rotations: at most one per orbit."""
     A = build()
     assert not A.binary._skew_witnesses
     tuples = sweep_tuples(A, evaluated)
     assert len(tuples["jacobi"]) == triples
-    assert tuples["malcev"] == sorted(at for at in malcev_reach(A)
-                                      if at == representative(at, False))
+    reached = malcev_reach(A)
+    assert tuples["malcev"] == sorted(at for at in reached if at == representative(at, False))
+    assert tuples["malcev written"] == sorted(at for at in reached if at[0] == min(at))
 
 
 @pytest.mark.parametrize("build, triples", ORBIT_COUNTS[:2])
 def test_the_counts_are_the_orbits_of_the_full_evaluation(monkeypatch, evaluated, build,
                                                           triples):
-    """With the skew verdict withheld, every reached tuple is evaluated, and
-    they fall into as many orbits as are evaluated above."""
+    """With the skew verdict withheld, the Malcev walk writes and keeps every
+    reached tuple, and they fall into as many orbits as are kept above."""
     A = build()
     monkeypatch.setattr(structures, "_all_skew", lambda tables: False)
     tuples = sweep_tuples(A, evaluated)
     assert len({tuple(sorted(at)) for at in tuples["jacobi"]}) == triples
     reached = malcev_reach(A)
-    assert tuples["malcev"] == sorted(reached)
+    assert tuples["malcev"] == tuples["malcev written"] == sorted(reached)
     assert len({representative(at, False) for at in reached}) == \
         sum(at == representative(at, False) for at in reached)
 
@@ -291,15 +333,15 @@ def test_the_counts_are_the_orbits_of_the_full_evaluation(monkeypatch, evaluated
 def test_a_product_whose_skew_fails_evaluates_every_malcev_tuple(evaluated):
     """M7 with one constant doubled and its mirror left: the same support, so
     Jacobi evaluates the (7^3 + 2 * 7) / 3 = 119 cyclic orbits less the 7
-    constant ones, and Malcev every tuple a path reaches, each once, with no
-    rotation folded."""
+    constant ones, and the Malcev walk writes and keeps every tuple a path
+    reaches, with no rotation folded."""
     cells = dict(M7.binary.cells())
     cells[0, 1] = tuple((t, 2 * c) for t, c in cells[0, 1])
     A = AlgebraDef("broken M7", M7.space, binary=from_cells(BinaryStructure, M7.space, cells))
     assert A.binary._skew_witnesses
     tuples = sweep_tuples(A, evaluated)
     assert len(tuples["jacobi"]) == 112
-    assert tuples["malcev"] == sorted(malcev_reach(A))
+    assert tuples["malcev"] == tuples["malcev written"] == sorted(malcev_reach(A))
 
 
 def test_a_lifted_check_divides_each_orbit_once(monkeypatch):

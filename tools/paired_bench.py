@@ -37,7 +37,8 @@ seeds.
 
 Each kernel case in CASES is timed too, written under `dense_cases`:
 CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
-each building its input from perfbench/inputs.py or the catalog and timing one
+each building its input from perfbench/inputs.py, the catalog or its own
+constants and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
 runs one, a check_morphism call, a ps_space call or an enveloping call.
 Each process also runs CASE_CHUNKS reference chunks (perfbench/reference.py)
@@ -182,7 +183,7 @@ def _result(argv, root, **env):
 
 
 # the kernel cases: name -> (what is timed, the input B as an expression over
-# perfbench/inputs.py or the catalog: an algebra, or check_morphism's arguments,
+# perfbench/inputs.py, the catalog or its own constants: an algebra, or check_morphism's arguments,
 # the expression of B timed).  M7 and osp(1|2) are built from inputs.py until the
 # catalog has them; every input is a fresh object, so no sweep or lift of it has
 # run before the timed call.
@@ -218,6 +219,22 @@ CASES = {
         "check_axioms(D, 'malcev'), D = inputs.transport(M7, dense_even_map(random.Random(1), "
         "space)) (dim 7)",
         "dense(inputs.m7())", "structures.check_axioms(B, 'malcev')"),
+    "check_malcev_chain64": (
+        "check_axioms(C, 'malcev'), C the even 64-label chain e_i e_(i+1) = e_(i+2), built "
+        "inline: a large sparse table, 124 of 4,096 cells nonzero, failing at 1,888 tuples",
+        "structures.AlgebraDef('chain 64', SuperSpace.even_first(64, 0), binary=structures."
+        "BinaryStructure.from_products(SuperSpace.even_first(64, 0), {(i, i + 1): [int(t == i + 2) "
+        "for t in range(64)] for i in range(62)}))",
+        "structures.check_axioms(B, 'malcev')"),
+    "check_malcev_m7x3_24": (
+        "check_axioms(B, 'malcev'), B = 3 copies of M7 and 3 abelian labels (dim 24, built "
+        "inline): passes; its walk is just past the switch to list slots, 100 paths = 1.37 n^4",
+        "m7_copies(3, 24)", "structures.check_axioms(B, 'malcev')"),
+    "check_malcev_m7x2_24": (
+        "check_axioms(B, 'malcev'), B = 2 copies of M7 and 10 abelian labels (dim 24, built "
+        "inline): passes; its walk is just short of the switch, on dict slots, 100 paths = "
+        "0.91 n^4",
+        "m7_copies(2, 24)", "structures.check_axioms(B, 'malcev')"),
     "check_dense_m7_lie": (
         "check_axioms(D, 'lie'), D as in check_dense_m7_malcev: fails super Jacobi with 210 "
         "witnesses, as check-dense's dense M7 Lie check does, each divided by L^2",
@@ -272,7 +289,7 @@ import hashlib, json, random, statistics, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import inputs, reference
 from superbol import catalog, constructions, envelope, forms, structures
-from superbol.graded import GradedMap
+from superbol.graded import GradedMap, SuperSpace
 
 
 def dense(A):
@@ -284,6 +301,15 @@ def dense_map(A, doubled=None):
     g = inputs.dense_even_map(random.Random(1), A.space)
     rows = [[c * (1 + (i == doubled)) for c in row] for i, row in enumerate(g)]
     return GradedMap.from_rows(A.space, 0, rows), inputs.transport(A, g, "dense " + A.name), A
+
+
+def m7_copies(copies, n):
+    # M7 on labels 7c .. 7c + 6 for each c < copies, every other product of the n labels zero
+    space, cells = SuperSpace.even_first(n, 0), inputs.m7().binary.cells()
+    return structures.AlgebraDef(f"{copies} M7 + {n - 7 * copies}", space,
+                                 binary=structures.BinaryStructure.from_products(space, {
+        (a + 7 * c, b + 7 * c): [dict(e).get(t - 7 * c, 0) for t in range(n)]
+        for c in range(copies) for (a, b), e in cells.items()}))
 
 
 def chunk():
