@@ -33,11 +33,12 @@ repeats, the least rotation; the pseudo-derivation rules by that skew sign in (i
 inner pairs are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.  Once the
 ternary table's Jacobi sweep (also run once per structure object) finds nothing too, the triple
 rule's defect F of any homogeneous operator obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) +
-(-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only u < v, u <= w are then evaluated;
-the derived ones, u == v or w < u < v, are read off their two partners in the Nambu sweep
-((a, a, a) is 0), and their rows, combinations of kept rows, are not listed in the pair-space
-solvers.  A table listed by its kept half, i <= j (from_products, the .alg parser, enveloping
-algebras and pair brackets), is completed by one routine, `_mirrored`.
+(-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only u < v, u <= w are then evaluated:
+the derived ones, u == v or w < u < v, are zero where these are ((a, a, a) is 0).  A Nambu sweep
+that finds a defect there evaluates its failing inner pairs again at every u <= v, and the
+derived rows, combinations of kept rows, are not listed in the pair-space solvers.  A table
+listed by its kept half, i <= j (from_products, the .alg parser, enveloping algebras and pair
+brackets), is completed by one routine, `_mirrored`.
 
 The Malcev sweep visits no tuple.  Each of its five terms is an inner product from `_products`,
 (e_i e_j) e_k, e_i (e_k e_l) or (e_i e_k) e_b, times one more basis vector: it walks from the
@@ -407,13 +408,13 @@ def _orbit_witnesses(axiom, space, defects, moves):
 
 
 def _witnesses(axiom, space, orbits, scale=1):
-    """The Witnesses of the orbits in tuple order, each representative's defect divided by
-    scale once (not at all when it is 1), that vector and its negation shared by its orbit."""
+    """The Witnesses of the orbits in tuple order, each representative's defect divided by scale
+    once (not at all when it is 1), that vector and, if used, its negation shared by its orbit."""
     lab, found = space.labels, []
     for acc, images in orbits:
         vec = SuperVector(space, tuple(acc if scale == 1 else [_quotient(c, scale) for c in acc]))
-        signed = {1: vec, -1: -vec}
-        found += [(at, signed[s]) for at, s in images]
+        neg = -vec if any(s < 0 for _, s in images) else None
+        found += [(at, vec if s > 0 else neg) for at, s in images]
     found.sort(key=lambda w: w[0])
     return [Witness(axiom, tuple(map(lab.__getitem__, at)), v) for at, v in found]
 
@@ -761,7 +762,7 @@ def _all_skew(structures):
 
 def _derives(structures):
     """Whether the structures are the triple rule's, a ternary table alone, whose skew and
-    ternary Jacobi sweeps find nothing: then its derived tuples follow from the rest."""
+    ternary Jacobi sweeps find nothing: then its derived tuples are zero where the rest are."""
     st = structures[0]
     return st.ARITY == 3 and _all_skew(structures) and not st._jacobi_witnesses
 
@@ -775,7 +776,8 @@ def _swept(A, reads):
 
 def _order(structures):
     """The offsets d, `_ordered`'s, of the tuples a sweep or solver evaluates the structures'
-    rule at: at[0] <= at[1] once they are super skew, u < v, u <= w once derived ones follow."""
+    rule at: at[0] <= at[1] once they are super skew, u < v, u <= w once derived ones follow
+    (a failing Nambu sweep then evaluates its failing pairs again at every u <= v)."""
     if _derives(structures):
         return 1, 0
     return (0 if _all_skew(structures) else -math.inf), -math.inf
@@ -825,33 +827,16 @@ def _digits(v, W):
         v, b = (v - c) >> W, b + 1
 
 
-def _with_derived(par, defects):
-    """The triple rule's defects (key + at, acc), then per pair those at each derived
-    tuple with a nonzero partner, solved from the relation above for F(u,v,w),
-    each partner read from its kept form ((a, a, a) has none: it is 0)."""
-    for key, group in itertools.groupby(defects, lambda d: d[0][:2]):
-        found = {at[2:]: acc for at, acc in group}
-        yield from ((key + at, acc) for at, acc in found.items())
-        # the derived tuples whose partners (w, u, v) and (v, w, u) or (w, v, u) are found
-        for u, v, w in {c for b in found for c in (b[1:] + b[:1], b[2:] + b[:2], b[::-1])
-                        if c[0] == c[1] or c[2] < c[0] < c[1]}:
-            acc = [0] * len(par)
-            for b, s in (((v, w, u), -sign(par[u] * (par[v] + par[w]))),
-                         ((w, u, v), -sign(par[w] * (par[u] + par[v])))):
-                b, t = (b, 1) if b[0] <= b[1] else _swapped(0, par, b)
-                for m, c in enumerate(found.get(b, ())):
-                    acc[m] += s * t * c
-            yield key + (u, v, w), acc
-
-
 def _inner_witnesses(axiom, space, *structures):
-    # the structures' rule on every inner pair, mirrored in (i, j) and (u, v) once
-    # they are super skew, the triple rule derived as above
+    # the structures' rule on every inner pair, mirrored in (i, j) and (u, v) once they are
+    # super skew; where the derived tuples were left out, the failing pairs again at all u <= v
     par, mirror = space.parities, _all_skew(structures)
-    pairs = (p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror)
+    pairs = [p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror]
     defects = _rule_defects(space, structures, pairs, _order(structures), inner=True)
-    if _derives(structures):
-        defects = _with_derived(par, defects)
+    if defects and _derives(structures):
+        failing = {at[:2] for at, _ in defects}
+        defects = _rule_defects(space, structures, [p for p in pairs if p[0] in failing],
+                                (0, -math.inf), inner=True)
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
                                                     partial(_swapped, 2, par)) if mirror else ())
 

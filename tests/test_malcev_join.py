@@ -187,3 +187,12 @@ def test_a_large_sparse_chain_keeps_its_witnesses_in_bounded_memory():
     assert len(report.witnesses) == 1888 and not report.passed
     assert peak <= 2 << 20, peak
     assert len(assert_same(chain(16)).witnesses) == 352
+
+
+def test_an_even_chain_negates_no_defect(monkeypatch):
+    """Every rotation sign of the even 64-label chain's Malcev orbits is +1, so
+    its check negates no defect vector and still keeps its 1,888 witnesses."""
+    negated, neg = [], sb.SuperVector.__neg__
+    monkeypatch.setattr(sb.SuperVector, "__neg__", lambda v: negated.append(v) or neg(v))
+    report = sb.check_axioms(chain(64), "malcev")
+    assert len(report.witnesses) == 1888 and negated == []

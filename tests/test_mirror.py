@@ -21,9 +21,11 @@ with u <= v only, since the equations of (v, u, ...) are those of
 i <= j only.  Each needs the skew sweeps of the tables it reads to find
 nothing; when one finds a witness, every tuple and every ordered pair is
 evaluated.  Once the ternary table passes ternary Jacobi as well, the triple
-rule lists only u < v, u <= w: Nambu derives the other tuples u <= v from
-their partners and the solvers leave their rows out, on the verdict of the
-table each one reads (`tests/test_orbits.py` holds this on random tables).
+rule lists only u < v, u <= w: the other tuples u <= v are zero where these
+are, so a passing Nambu sweep and the solvers leave them out, and a failing
+sweep evaluates its failing inner pairs again at every u <= v, on the
+verdict of the table each one reads (`tests/test_orbits.py` holds this on
+random tables).
 
 Both paths must agree with `slow_reference`, which evaluates every tuple on
 dense tables: the same witnesses (axiom, tuple, defect with its scalar
@@ -52,6 +54,7 @@ from bench_inputs import inputs
 from superbol import envelope, structures
 from superbol.graded import sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
+from test_rule_paths import nambu_broken
 from test_reference import (LIFTED, POOL, VALUES, assert_same_checks, even_map,
                             from_cells, mutate, random_pair, rescaled, transport)
 
@@ -298,16 +301,19 @@ def every_tuple(B, reads):
     return list(itertools.product(range(B.space.dim), repeat=getattr(B, reads[0]).ARITY))
 
 
-@pytest.mark.parametrize("broken", [None, "binary", "ternary", "jacobi"])
+@pytest.mark.parametrize("broken", [None, "binary", "ternary", "jacobi", "nambu"])
 def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated, broken):
     """Nambu reads the ternary skew and ternary Jacobi verdicts, the product
     rule both skew verdicts; a broken binary skew leaves Nambu mirrored.
     Where both of Nambu's pass, its rule tuples (u, v, w) are the u < v with
     u <= w: the rest of u <= v are derived.  "jacobi" adds [e1, e2, e3] = e1
     and its skew mirror, so only ternary Jacobi fails, and Nambu lists every
-    tuple u <= v."""
-    B = sb.catalog.load("L2_3_1_bol")
-    if broken:
+    tuple u <= v.  "nambu" is osp(1|2) with one product doubled and the ternary
+    product malcev_to_bol makes from it: both ternary sweeps pass and Nambu
+    fails, so a second Nambu call takes exactly the failing inner pairs and
+    lists every tuple u <= v for them; the product rule follows."""
+    B = nambu_broken(inputs.osp12()) if broken == "nambu" else sb.catalog.load("L2_3_1_bol")
+    if broken in ("binary", "ternary", "jacobi"):
         st = getattr(B, "ternary" if broken == "jacobi" else broken)
         cells = dict(st.cells())
         if broken == "jacobi":
@@ -320,11 +326,19 @@ def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated
                        ternary=changed if st is B.ternary else B.ternary)
     B = B.renamed("fresh " + B.name)
     evaluated.clear()
-    axioms = {w.axiom for w in sb.check_axioms(B, "bol").witnesses}
+    witnesses = sb.check_axioms(B, "bol").witnesses
+    axioms = {w.axiom for w in witnesses}
     assert (axioms & {"skew", "triple-skew"}) == \
         ({"binary": {"skew"}, "ternary": {"triple-skew"}}.get(broken, set()))
     assert ("triple-jacobi" in axioms) == (broken in ("ternary", "jacobi"))
     n = B.space.dim
+    if broken == "nambu":   # the failing inner pairs again, at every u <= v
+        failing, relisted = evaluated.pop(1)
+        index = B.space.labels.index
+        assert failing == sorted({(index(w.at[0]), index(w.at[1])) for w in witnesses
+                                  if w.axiom == "nambu" and index(w.at[0]) <= index(w.at[1])})
+        assert 0 < len(failing) < len(evaluated[0][0])
+        assert relisted == [at for at in every_tuple(B, ("ternary",)) if at[0] <= at[1]]
     assert len(evaluated) == 2
     for (keys, listed), reads in zip(evaluated, READS):
         full = every_tuple(B, reads)

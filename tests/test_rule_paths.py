@@ -15,7 +15,10 @@ kind:
 - a dense copy;
 - lifted tables with Fraction constants, L > 1;
 - a binary product whose skew sweep fails, so the product rule mirrors nothing;
-- a ternary product whose Jacobi sweep fails, so Nambu derives nothing.
+- a ternary product whose Jacobi sweep fails, so Nambu derives nothing;
+- a ternary product that passes triple skew and ternary Jacobi but fails
+  Nambu, so the check evaluates its failing inner pairs again at every
+  rule tuple u <= v.
 On both paths check_axioms and check_pseudo match `slow_reference`, on
 inner pairs and on random and sparse pairs of both degrees.  Each table
 keeps its own part of the join's index, so algebras that share a table
@@ -62,6 +65,29 @@ def broken(B, what):
                       ternary=B.ternary if what == "skew" else changed)
 
 
+def nambu_broken(A):
+    """A with its first product e_i e_j, i < j, doubled, and the ternary product
+    malcev_to_bol installs made from that product, {x,y,z} = (2[[x,y],z] -
+    s[[y,z],x] - s[[z,x],y])/3, built from public products only: super skew and
+    ternary Jacobi for any super skew product, but failing Nambu, as the doubled
+    product is no Malcev product."""
+    space, par, e = A.space, A.space.parities, A.space.basis()
+    first = min(at for at in A.binary.cells() if at[0] < at[1])
+    C = AlgebraDef("doubled " + A.name, space, binary=sb.BinaryStructure.from_products(space, {
+        (i, j): A.product(e[i], e[j]).scale(1 + ((i, j) == first)).coords
+        for i, j in A.binary.cells() if i <= j}))
+    P, n = C.product, space.dim
+
+    def triple(i, j, k):
+        x, y, z = e[i], e[j], e[k]
+        return (2 * P(P(x, y), z) - sb.sign(par[i] * (par[j] + par[k])) * P(P(y, z), x)
+                - sb.sign(par[k] * (par[i] + par[j])) * P(P(z, x), y)).scale(Fraction(1, 3))
+    return AlgebraDef("%s broken nambu" % A.name, space, binary=C.binary,
+                      ternary=sb.TernaryStructure.from_products(space, {
+                          (i, j, k): triple(i, j, k).coords
+                          for i in range(n) for j in range(i, n) for k in range(n)}))
+
+
 def inner_input():
     M7, osp = inputs.m7(), inputs.osp12()
     osp2 = inputs.direct_sum(osp, inputs.osp12("_2"), "osp12+osp12")
@@ -71,7 +97,8 @@ def inner_input():
             "dense": [dense(sb.malcev_to_bol(osp))],
             "lifted": [LIFTED[0]],
             "skew broken": [broken(L231, "skew")],
-            "jacobi broken": [broken(L231, "jacobi")]}
+            "jacobi broken": [broken(L231, "jacobi")],
+            "nambu broken": [nambu_broken(osp)]}
 
 
 INPUTS = inner_input()
@@ -161,7 +188,9 @@ def test_both_paths_give_the_same_defects(kind, path):
 
 def test_the_inputs_fail_where_they_should():
     """Each input exercises what it is named for: the broken ones fail their
-    identities, with witnesses to compare, and mirror or derive nothing."""
+    identities, with witnesses to compare; the skew and Jacobi ones mirror or
+    derive nothing, and the Nambu one passes every sweep the derived tuples
+    need, so its failing pairs are evaluated again at every u <= v."""
     for B in INPUTS["sparse"] + INPUTS["dense"] + INPUTS["lifted"]:
         kind = "bol" if B.binary is not None else "lts"
         assert sb.check_axioms(B.renamed("fresh"), kind).passed, B.name
@@ -172,6 +201,10 @@ def test_the_inputs_fail_where_they_should():
     for B in (skew, jacobi):
         axioms = {w.axiom for w in sb.check_axioms(B.renamed("fresh"), "bol").witnesses}
         assert {"nambu", "product-rule"} & axioms, B.name
+    (nambu,) = INPUTS["nambu broken"]
+    assert nambu._lifted[0] == 3 and structures._derives(structures._swept(nambu, ("ternary",)))
+    report = sb.check_axioms(nambu.renamed("fresh"), "lts")
+    assert {w.axiom for w in report.witnesses} == {"nambu"} and len(report.witnesses) == 830
 
 
 @pytest.mark.parametrize("join", [True, False])

@@ -235,6 +235,16 @@ CASES = {
         "inline): passes; its walk is just short of the switch, on dict slots, 100 paths = "
         "0.91 n^4",
         "m7_copies(2, 24)", "structures.check_axioms(B, 'malcev')"),
+    "check_lts_nambu_failing": (
+        "check_axioms(B, 'lts'), B = M7 with its first product e_i e_j, i < j, doubled and "
+        "the ternary product malcev_to_bol makes from it (built inline): passes triple skew "
+        "and ternary Jacobi, fails Nambu at 2,912 tuples; its tables take the join",
+        "nambu_failing(inputs.m7())", "structures.check_axioms(B, 'lts')"),
+    "check_lts_nambu_failing_dense": (
+        "check_axioms(D, 'lts'), D = inputs.transport(B, dense_even_map(random.Random(1), "
+        "space)), B as in check_lts_nambu_failing: fails Nambu at 12,348 tuples on the "
+        "per-tuple path",
+        "dense(nambu_failing(inputs.m7()))", "structures.check_axioms(B, 'lts')"),
     "check_dense_m7_lie": (
         "check_axioms(D, 'lie'), D as in check_dense_m7_malcev: fails super Jacobi with 210 "
         "witnesses, as check-dense's dense M7 Lie check does, each divided by L^2",
@@ -286,10 +296,11 @@ CASE_CHUNKS = 3
 
 CASE_SCRIPT = """
 import hashlib, json, random, statistics, sys, time
+from fractions import Fraction
 sys.path[:0] = ["src", "perfbench"]
 import inputs, reference
 from superbol import catalog, constructions, envelope, forms, structures
-from superbol.graded import GradedMap, SuperSpace
+from superbol.graded import GradedMap, SuperSpace, sign
 
 
 def dense(A):
@@ -310,6 +321,25 @@ def m7_copies(copies, n):
                                  binary=structures.BinaryStructure.from_products(space, {
         (a + 7 * c, b + 7 * c): [dict(e).get(t - 7 * c, 0) for t in range(n)]
         for c in range(copies) for (a, b), e in cells.items()}))
+
+
+def nambu_failing(A):
+    # A with its first product e_i e_j, i < j, doubled, and the ternary product malcev_to_bol
+    # makes from that product, {x,y,z} = (2[[x,y],z] - s[[y,z],x] - s[[z,x],y])/3
+    space, par, e, n = A.space, A.space.parities, A.space.basis(), A.space.dim
+    first = min(at for at in A.binary.cells() if at[0] < at[1])
+    C = structures.AlgebraDef(A.name, space, binary=structures.BinaryStructure.from_products(
+        space, {(i, j): A.product(e[i], e[j]).scale(1 + ((i, j) == first)).coords
+                for i, j in A.binary.cells() if i <= j}))
+    P = C.product
+
+    def triple(i, j, k):
+        x, y, z = e[i], e[j], e[k]
+        return (2 * P(P(x, y), z) - sign(par[i] * (par[j] + par[k])) * P(P(y, z), x)
+                - sign(par[k] * (par[i] + par[j])) * P(P(z, x), y)).scale(Fraction(1, 3)).coords
+    return structures.AlgebraDef(A.name + " failing nambu", space, binary=C.binary,
+                                 ternary=structures.TernaryStructure.from_products(space, {
+        (i, j, k): triple(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)}))
 
 
 def chunk():
