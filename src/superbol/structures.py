@@ -22,7 +22,8 @@ pair whose coordinates hold theirs W bits apart, each coordinate of its defects 
 their signed W-bit digits, exact since every term is linear in x (`_width`).  The path is a
 property of the tables (`_joins`): where the rule's own product has fewer than half its n^arity
 cells nonzero, the evaluator joins the pair with an index of the tables by the value in each
-slot, built from `_terms` too; else it visits each of the tuples the rule lists.
+slot, built in one pass per table with each cell's windows computed inline, adding each cell it
+reaches straight into its tuple's sum; else it visits each of the tuples the rule lists.
 Each sweep evaluates the least tuple of each symmetry orbit and reports the rest as signed
 copies of its defect D.  The skew sweeps always, only i <= j: D(j,i,...) = (-1)^{p_i p_j}
 D(i,j,...).  The cyclic sums (super and ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)}
@@ -73,7 +74,7 @@ import itertools
 import math
 from collections import defaultdict
 from functools import cached_property, partial
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
                      _sparse, _SparseValue, _transposed, _vector, record, sign)
@@ -604,28 +605,29 @@ def _by_slot(par, st, a, d):
     a slot t of st's terms (the product rule's ternary: the companion's) as (base, stride, p,
     entry, lo, hi), the term at the tuple keyed base + v stride reading x[v], v in [lo, hi] (or
     the companion's n, stride 0), P past at[:t] of parity p; per m, the kept (key, c) of w's
-    cells if st is the rule's own.  One pass over st's cells, (i, j, k) `_ordered` when
-    i + d[0] <= j, i + d[1] <= k: v <= j - d[0], k - d[1] in slot 0, v >= i + d[t - 1] in slot
-    t while the other slot holds.  A tuple's key is its indices' base-n digits, (i n + j) n + k."""
-    n, own, index, w, last = len(par), st.ARITY == a, [[] for _ in par], [[] for _ in par], None
-    strides = (n * n, n, 1) if a == 3 else (n, 1, 0)
-    for cell, entry in st.cells().items():
-        at = cell[:a]
-        if at != last:  # the product rule's ternary cells, in order, share their at
-            last, terms, key = at, _terms(par, at), sum(map(mul, at, strides))
-            i, j, k = at if a == 3 else at + (math.inf,)
-            ok1, ok2 = i + d[0] <= j, i + d[1] <= k
-        for t in range(a) if own else (2,):
-            if t == 0:
-                lo, hi = 0, min(n - 1, j - d[0], k - d[1])
-            elif t == 1:
-                lo, hi = (i + d[0], n - 1) if ok2 else (1, 0)
-            else:   # slot 2, or the companion's n
-                lo, hi = ((i + d[1], n - 1) if a == 3 else (n, n)) if ok1 else (1, 0)
-            if lo <= hi:
-                m, s = cell[t], strides[t]
-                index[m].append((key - m * s, s, terms[t][1], entry, lo, hi))
-        if own and ok1 and ok2:
+    cells if st is the rule's own.  One pass over st's cells, each unpacked once with its key
+    and windows computed inline; (i, j, k) is `_ordered` when i + d[0] <= j, i + d[1] <= k, so
+    v <= j - d[0], k - d[1] in slot 0 and v >= i + d[t - 1] in slot t while the other slot
+    holds.  The product rule's ternary, read for the companion's term alone, has its own loop.
+    A tuple's key is its indices' base-n digits, (i n + j) n + k."""
+    n, (d0, d1), index, w = len(par), d, [[] for _ in par], [[] for _ in par]
+    if st.ARITY > a:  # the product rule's ternary: its companion term at (i, j) reads x[n]
+        for (i, j, k), entry in st.cells().items():
+            if i + d0 <= j:
+                index[k].append((i * n + j, 0, par[i] ^ par[j], entry, n, n))
+        return index, w
+    s0, s1 = (n * n, n) if a == 3 else (n, 1)
+    for at, entry in st.cells().items():
+        i, j, k = at if a == 3 else at + (math.inf,)
+        key = (i * n + j) * n + k if a == 3 else i * n + j
+        ok1, ok2, hi = i + d0 <= j, i + d1 <= k, min(n - 1, j - d0, k - d1)
+        if hi >= 0:
+            index[i].append((key - i * s0, s0, 0, entry, 0, hi))
+        if ok2 and i + d0 < n:
+            index[j].append((key - j * s1, s1, par[i], entry, i + d0, n - 1))
+        if a == 3 and ok1:
+            index[k].append((key - k, 1, par[i] ^ par[j], entry, i + d1, n - 1))
+        if ok1 and ok2:
             for m, c in entry:
                 w[m].append((key, c))
     return index, w
@@ -642,22 +644,28 @@ def _joined(space, structures, r, x, order):
     """The rule's defects at one degree-r pair x at its tuples `_ordered` by order, (at, acc) in
     order, acc dense: the sums over the cells its nonzero (v, m, c) reach in the index of each
     table read, its own part of it (`_by_slot`) kept on it per order and rule arity and the
-    parts read in turn, and over those meeting its w view's support, each summed under its
-    tuple's int key; the keys are sorted, and only those with a nonzero sum decoded."""
+    parts read in turn, and over those meeting its w view's support, each cell added straight
+    into its tuple's sum under the tuple's int key; only the keys with a nonzero sum are sorted
+    and decoded."""
     a, sg, found, n = structures[0].ARITY, (1, sign(r)), {}, space.dim
     parts = [st._indexes.get((order, a)) or st._indexes.setdefault((order, a), _by_slot(
         space.parities, st, a, order)) for st in structures]
-    view = _w_view(x, structures)
-    reached = [(base + v * stride, entry, sg[p] * c) for v, row in enumerate(x)
-               for m, c in row for index, _ in parts
-               for base, stride, p, entry, lo, hi in index[m] if lo <= v <= hi]
-    for key, row, c in reached + [(key, row, c) for m, row in enumerate(view) if row
-                                  for key, c in parts[0][1][m]]:
-        acc = found.get(key) or found.setdefault(key, [0] * n)
-        for q, e in row:
-            acc[q] += c * e
+    for v, row in enumerate(x):
+        for m, c in row:
+            for index, _ in parts:
+                for base, stride, p, entry, lo, hi in index[m]:
+                    if lo <= v <= hi:
+                        key, f = base + v * stride, sg[p] * c
+                        acc = found.get(key) or found.setdefault(key, [0] * n)
+                        for q, e in entry:
+                            acc[q] += f * e
+    for m, row in enumerate(_w_view(x, structures)):
+        for key, c in parts[0][1][m] if row else ():
+            acc = found.get(key) or found.setdefault(key, [0] * n)
+            for q, e in row:
+                acc[q] += c * e
     return [(divmod(key, n) if a == 2 else (key // n // n, key // n % n, key % n), found[key])
-            for key in sorted(found) if any(found[key])]
+            for key in sorted(key for key, acc in found.items() if any(acc))]
 
 
 def _listed(space, structures, r, x, order):

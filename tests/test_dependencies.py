@@ -39,6 +39,28 @@ def test_every_import_is_stdlib_or_superbol():
         assert not outside, (path.name, sorted(outside))
 
 
+def unused_imports(tree):
+    """The names the import statements of a module bind that nothing in it reads, but
+    `from __future__ import annotations`."""
+    bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every CLI process compiles and runs the import statements of the modules it loads.
+    `__init__.py` binds names to re-export them, so it is left out."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            unused = unused_imports(ast.parse(path.read_text()))
+            assert not unused, (path.name, unused)
+    assert unused_imports(ast.parse(
+        "from __future__ import annotations\nimport os.path\nfrom operator import itemgetter, mul"
+        " as times\nos.sep\n")) == ["itemgetter", "times"]
+
+
 def test_the_reader_sees_a_third_party_import():
     tree = ast.parse("import os\nimport numpy.linalg\nfrom sympy import Matrix\n"
                      "from . import graded\nfrom .linalg import rref\n")

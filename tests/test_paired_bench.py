@@ -359,6 +359,22 @@ def test_the_pair_space_case_times_its_own_expression():
         assert run["digest"] == hashlib.sha256(repr(value).encode()).hexdigest(), name
 
 
+def test_the_sparse_pseudo_case_checks_the_sparse_odd_pair():
+    """pseudo_sparse_odd_dim12: its digest is that of check_pseudo on the permuted
+    sparse dim-12 Bol algebra of check_sparse_dim12 and the pair the rule-path tests
+    build as their sparse odd pair, which fails both rules."""
+    from test_rule_paths import sparse_odd_pair
+    root = Path(__file__).resolve().parents[1]
+    B = inputs.permute(constructions.malcev_to_bol(inputs.direct_sum(
+        inputs.m7(), inputs.osp12(), "M7+osp12")), *inputs.signed_permutation(random.Random(1), 12))
+    report = envelope.check_pseudo(B, sparse_odd_pair(B))
+    assert {w.axiom for w in report.witnesses} == {"derives-triple", "derives-product"}
+    run = paired_bench.case_run(root, "pseudo_sparse_odd_dim12", 1)
+    assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest()
+    assert paired_bench.CASES["pseudo_sparse_odd_dim12"][1].startswith(
+        "sparse_odd_pair(" + paired_bench.CASES["check_sparse_dim12"][1])
+
+
 def test_the_report_counts_each_sides_source_lines(tmp_path, monkeypatch):
     """main() writes each side's non-blank lines of the modules under src/superbol/,
     subpackages included, as src_lines: no blank or whitespace-only line, no file that

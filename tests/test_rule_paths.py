@@ -2,8 +2,10 @@
 
 `structures._rule_defects` evaluates a rule on the pairs (P, a) of each
 degree, packed into one, in one of two ways.  The join (`_joined`) walks the
-index of the tables by the value in each slot (`_by_slot`) from the pair's
-nonzero entries, plus the cells that meet its w view.  The per-tuple path
+index of the tables by the value in each slot (`_by_slot`, built in one pass
+per table, each cell's key and value windows computed inline) from the pair's
+nonzero entries, plus the cells that meet its w view, adding each cell it
+reaches straight into its tuple's sum.  The per-tuple path
 (`_listed`) visits every tuple the rule lists.  `_joins` picks one per
 table: the join where the rule's own product has fewer than half its
 n^arity cells nonzero.
@@ -19,6 +21,9 @@ kind:
 - a ternary product that passes triple skew and ternary Jacobi but fails
   Nambu, so the check evaluates its failing inner pairs again at every
   rule tuple u <= v.
+On random sparse tables with mostly odd parities, unit pairs x[v] = e_m
+at every v, the companion's included, reach each edge of every index
+window, and the join gives the per-tuple path's list at each order.
 On both paths check_axioms and check_pseudo match `slow_reference`, on
 inner pairs and on random and sparse pairs of both degrees.  Each table
 keeps its own part of the join's index, so algebras that share a table
@@ -27,6 +32,7 @@ ladder's tables take the join and the dense copies' the per-tuple path.
 """
 
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -184,6 +190,45 @@ def test_both_paths_give_the_same_defects(kind, path):
             assert pseudo_defects(B, pair) == joined, (B.name, str(pair))
             found += joined
         assert found, B.name
+
+
+def random_table(cls, space, rng):
+    """A random sparse table of cls on space: each cell nonzero with chance 0.4, with one or
+    two small constants on outputs of its parity."""
+    n, par, cells = space.dim, space.parities, {}
+    for at in itertools.product(range(n), repeat=cls.ARITY):
+        outs = [t for t in range(n) if par[t] == sum(par[i] for i in at) % 2]
+        if outs and rng.random() < 0.4:
+            cells[at] = tuple((t, rng.choice((-2, -1, 1, 3)))
+                              for t in sorted(rng.sample(outs, min(2, len(outs)))))
+    return from_cells(cls, space, cells)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_join_reaches_every_edge_of_its_index_windows(seed):
+    """On a random sparse table, n = 3-6 with mostly odd parities, for the
+    ternary table alone and the binary then the ternary, at each order the
+    sweeps and solvers use: the unit pair x[v] = e_m of each v < n and m, and
+    the companion's x[n] = e_m, each at its own degree, reaches every cell
+    of the index at each v of its window and just past either edge, and the
+    join gives the per-tuple path's list."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    par = tuple(int(rng.random() < 0.75) for _ in range(n - 1)) + (1,)
+    space = sb.SuperSpace(par, tuple("e%d" % (i + 1) for i in range(n)))
+    ternary = random_table(sb.TernaryStructure, space, rng)
+    binary = random_table(sb.BinaryStructure, space, rng)
+    found = 0
+    for tables in ((ternary,), (binary, ternary)):
+        for order in ((1, 0), (0, -math.inf), (-math.inf, -math.inf)):
+            for v, m in itertools.product(range(n + 1), range(n)):
+                x = tuple(((m, 1),) if u == v else () for u in range(n + 1))
+                r = par[m] ^ (par[v] if v < n else 0)
+                joined = list(structures._joined(space, tables, r, x, order))
+                assert joined == list(structures._listed(space, tables, r, x, order)), \
+                    (len(tables), order, v, m)
+                found += len(joined)
+    assert found
 
 
 def test_the_inputs_fail_where_they_should():

@@ -200,6 +200,14 @@ CASES = {
         "inputs.permute(constructions.lie_to_supertriple(inputs.direct_sum(inputs.osp12(), "
         "inputs.osp12('_2'), 'osp12+osp12')), *inputs.signed_permutation(random.Random(1), 10))",
         "structures.check_axioms(B, 'lts')"),
+    "pseudo_sparse_odd_dim12": (
+        "check_pseudo(B, P), B as in check_sparse_dim12 and P an odd pair with two operator "
+        "entries, a companion and Fraction coefficients (built inline): fails both rules, "
+        "on the join with the companion's part and odd signs",
+        "sparse_odd_pair(inputs.permute(constructions.malcev_to_bol(inputs.direct_sum("
+        "inputs.m7(), inputs.osp12(), 'M7+osp12')), *inputs.signed_permutation("
+        "random.Random(1), 12)))",
+        "envelope.check_pseudo(*B)"),
     "check_dense_bol_m7": (
         "check_axioms(D, 'bol'), D = inputs.transport(malcev_to_bol(M7), "
         "dense_even_map(random.Random(1), space)) (dim 7)",
@@ -340,6 +348,17 @@ def nambu_failing(A):
     return structures.AlgebraDef(A.name + " failing nambu", space, binary=C.binary,
                                  ternary=structures.TernaryStructure.from_products(space, {
         (i, j, k): triple(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)}))
+
+
+def sparse_odd_pair(B):
+    # (B, P), P odd: P e_even[0] = 2/3 e_odd[0], P e_odd[-1] = -e_even[-1], companion e_odd[-1] / 2
+    n, par = B.space.dim, B.space.parities
+    odd, even = [m for m in range(n) if par[m]], [m for m in range(n) if not par[m]]
+    rows = [[0] * n for _ in range(n)]
+    rows[odd[0]][even[0]], rows[even[-1]][odd[-1]] = Fraction(2, 3), -1
+    comp = [Fraction(1, 2) if m == odd[-1] else 0 for m in range(n)]
+    return B, envelope.PseudoDerivationPair(GradedMap.from_rows(B.space, 1, rows),
+                                            B.space.vector(comp))
 
 
 def chunk():
