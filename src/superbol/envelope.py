@@ -19,13 +19,13 @@ is B + H with
     [x, (P,a)]    = -(-1)^{deg(P) par(x)} P(x),
     [(P,a),(Q,b)] = ([P,Q], P(b) - (-1)^{deg P deg Q} Q(a) - a.b).
 
-The last block is H's structure constants, which a PairSpace keeps
-sparse from its closure check, on ints: each basis pair p times its lead,
+The last block is H's structure constants, which a PairSpace reads off
+its closure check, on ints, when first asked: each basis pair p times its lead,
 lifted as the rules read it, is bracketed with all its partners q of one
 degree at once, packed W bits apart, and one residue tests them all.  A
 super skew binary product makes the bracket super skew, [q, p] =
 -(-1)^{pq} [p, q]: when its skew sweep finds nothing, only q >= p are
-packed and kept.  The envelope's table lists [x, y] for x <= y in B,
+packed, and only the nonzero ones kept.  The envelope's table lists [x, y] for x <= y in B,
 [(P, a), x] and those brackets, and one `structures._mirrored` call
 completes it; the dense view `brackets` is completed by the same routine.
 Every constructed enveloping algebra is re-checked against the Lie
@@ -39,10 +39,10 @@ from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
                      _quotient, _sparse, _vector, hidden, rat, record, sign)
-from .linalg import (AffineSubspace, _affine, _by_lead, _divided, _kernel, _reduced, _rref,
+from .linalg import (AffineSubspace, _affine, _by_lead, _in_span, _kernel, _reduced, _rref,
                      _span_coordinates, span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
-                         Witness, _all_skew, _digits, _inner_pairs, _mirrored, _packed,
+                         Witness, _all_skew, _digits, _inner_pairs, _mirrored,
                          _pair_rows, _rule_defects, _structures, _swept, require_axioms)
 
 
@@ -89,7 +89,7 @@ class PseudoDerivationPair:
         degrees = {_degree_at(space.parities, k) for k, _ in entries}
         if len(degrees) > 1:
             raise GradingError("flattened pair mixes degrees")
-        return _pair(space, degrees.pop() if degrees else 0, entries)
+        return _pair(space, degrees.pop() if degrees else 0, _unflat(n, entries))
 
     def __str__(self):
         return "(%s, %s)" % (self._op_str(), self.companion)
@@ -125,9 +125,8 @@ def _unflat(n, entries):
     return tuple(map(tuple, x))
 
 
-def _pair(space, degree, entries):
-    """The pair of this degree with these flat entries, each column's in order."""
-    x = _unflat(space.dim, entries)
+def _pair(space, degree, x):
+    """The pair of this degree read as the rules read it, x = (P e_0, ..., a)."""
     return PseudoDerivationPair(GradedMap._of(space, degree, x[:-1]),
                                 SuperVector(space, _dense(x[-1], space.dim)))
 
@@ -177,7 +176,7 @@ def pair_bracket(B, p, q):
         raise GradingError("pair lives outside the algebra")
     n, (bs,) = B.space.dim, _structures(B, ("binary",))
     entries = _bracket_entries(n, bs.entries, p._x(), q._x(), sign(p.degree * q.degree))
-    return _pair(B.space, (p.degree + q.degree) % 2, [(k, rat(c)) for k, c in entries])
+    return _pair(B.space, (p.degree + q.degree) % 2, _unflat(n, [(k, rat(c)) for k, c in entries]))
 
 
 def check_pseudo(B, pair):
@@ -227,15 +226,16 @@ class PairSpace:
 
     `basis` holds homogeneous pairs read off the reduced rows of their flat
     entries (leading columns in pivots), so equality of PairSpaces is
-    equality of spans.  _brackets[m, l] holds the sparse coordinates of pair_bracket(basis[m],
-    basis[l]), () if zero, at each (m, l) the closure check (`_closed`) brackets: l >= m once
-    the product is super skew, else all; `brackets` is their dense view, completed.
+    equality of spans.  _brackets[m, l], read off _packs at its first use, holds the sparse
+    coordinates of pair_bracket(basis[m], basis[l]) where `_closed` brackets: the nonzero
+    l >= m once the product is super skew, else all, () if zero; `brackets` completes them.
     """
 
     algebra: AlgebraDef
     basis: tuple
     pivots: tuple = hidden
-    _brackets: dict = hidden
+    # W, L, leads, every, mirror and per (m, r) the (i, int) of a packed bracket: see _closed
+    _packs: tuple = hidden
     # the integer rows of the basis by lead, and each lead's index, from linalg._by_lead
     _common: tuple = hidden
 
@@ -249,14 +249,16 @@ class PairSpace:
     def _closed(cls, algebra, reduced):
         """The PairSpace of _rref's integer rows, each lead_m times a basis pair p_m, closed
         on ints as above: a packed bracket, its operator part divided by L, has the digits
-        L lead_m lead_l [p_m, p_l], and those at the pivot columns give the coordinates."""
-        space, n, d, brackets = algebra.space, algebra.space.dim, len(reduced), {}
-        pivots, leads = [row[0][0] for row in reduced], [row[0][1] for row in reduced]
+        L lead_m lead_l [p_m, p_l], and its ints at the pivot columns give the coordinates."""
+        space, n, d, kept = algebra.space, algebra.space.dim, len(reduced), []
+        pivots, leads = tuple(row[0][0] for row in reduced), [row[0][1] for row in reduced]
         degrees, common = [_degree_at(space.parities, p) for p in pivots], _by_lead(reduced)
-        basis = tuple(_pair(space, r, _divided(row)) for r, row in zip(degrees, reduced))
+        xs = [_unflat(n, row) for row in reduced]    # each lead_m p_m, then lifted as below
+        basis = tuple(_pair(space, r, tuple(tuple((i, _quotient(c, q)) for i, c in col)
+                                            for col in x)) for r, q, x in zip(degrees, leads, xs))
         if basis:
             (st,), L, nn = _swept(algebra, ("binary",)), algebra._lifted[0], n * n
-            xs = [_unflat(n, [(k, c * L if k < nn else c) for k, c in row]) for row in reduced]
+            xs = [tuple(tuple((i, c * L) for i, c in col) for col in x[:n]) + x[n:] for x in xs]
             # 2^(W-1) > M X (1 + d R) > a residue's digits, X > a bracket's: M the lcm of the
             # leads and R the largest |entry| of a row, met by the residue's d pivot rows
             x1, R = (max(f(abs(c) for _, c in row) for row in reduced) for f in (sum, max))
@@ -267,29 +269,27 @@ class PairSpace:
                 return {k: c // L if k < nn else c for k, c in _bracket_entries(
                     n, st.entries, xs[m], y, sign(degrees[m] * r))}
 
-            def close(m):  # p_m with each degree's packed partners
-                for r, ls in enumerate(partners):
-                    cells = bracketed(m, packs[r], r) if ls else {}
+            def close(m):  # p_m with each degree's packed partners: its ints at the pivots
+                for r, y in enumerate(views):
+                    cells = bracketed(m, y, r) if y else {}
                     if _reduced(cells, common[0]):  # the first escaping [p_m, p_l], each alone
                         m, l = next((m, l) for m in range(d) for l in range(m if mirror else 0, d)
                                     if _reduced(bracketed(m, xs[l], degrees[l]), common[0]))
                         raise EnvelopeError("span of pairs is not closed under the bracket: "
                                             "[%s, %s]" % (basis[m], basis[l]))
-                    coords = {l: [] for l in ls}
-                    for i, p in enumerate(pivots):
-                        for b, c in _digits(cells[p], W) if p in cells else ():
-                            coords[ls[b]].append((i, _quotient(c, L * leads[m] * leads[ls[b]])))
-                    brackets.update(((m, l), tuple(c)) for l, c in coords.items())
-            # per degree, its partners p_l from the last down, packed: each new one at digit 0
-            mirror, partners, packs = _all_skew((st,)), [[], []], [((),) * (n + 1)] * 2
-            for l in reversed(range(d)):
-                partners[degrees[l]].insert(0, l)
-                packs[degrees[l]] = _packed([xs[l], packs[degrees[l]]], W)
+                    kept.append((m, r, [(i, cells[p]) for i, p in enumerate(pivots) if p in cells]))
+            # degree r's pairs every[r], each added to its pack from the last down at digit top[r]
+            every, top = [[l for l, s in enumerate(degrees) if s == r] for r in (0, 1)], [0, 0]
+            mirror, packs, views = _all_skew((st,)), [[{} for _ in xs[0]] for _ in every], [(), ()]
+            for l, r in reversed(list(enumerate(degrees))):
+                for slot, col in zip(packs[r], xs[l]):
+                    slot.update((i, slot.get(i, 0) + (c << W * top[r])) for i, c in col)
+                views[r], top[r] = tuple(tuple(slot.items()) for slot in packs[r]), top[r] + 1
                 if mirror:
                     close(l)    # with its partners l' >= l
             for m in () if mirror else range(d):
                 close(m)
-        return cls(algebra, basis, tuple(pivots), brackets, common)
+        return cls(algebra, basis, pivots, kept and (W, L, leads, every, mirror, kept), common)
 
     @property
     def dim(self):
@@ -300,7 +300,9 @@ class PairSpace:
         return (d0, len(self.basis) - d0)
 
     def contains(self, pair):
-        return self.coordinates_of(pair) is not None
+        if pair.space != self.algebra.space:
+            raise GradingError("pair lives outside the algebra")
+        return _in_span(self._common, pair._entries())
 
     def coordinates_of(self, pair):
         if pair.space != self.algebra.space:
@@ -313,9 +315,20 @@ class PairSpace:
         return tuple(p.flatten() for p in self.basis)
 
     @cached_property
+    def _brackets(self):  # read once off _packs, then let go: digit b of (m, r) is every[r][~b]
+        out, (W, L, leads, every, mirror, kept) = {}, self._packs or (0, 1, (), (), True, ())
+        for m, r, cells in kept:
+            out.update(() if mirror else (((m, l), []) for l in every[r]))
+            for i, v in cells:
+                for l, c in ((every[r][~b], c) for b, c in _digits(v, W)):
+                    out.setdefault((m, l), []).append((i, _quotient(c, L * leads[m] * leads[l])))
+        vars(self)["_packs"] = None
+        return {ml: tuple(coords) for ml, coords in out.items()}
+
+    @cached_property
     def brackets(self):  # _brackets completed by super skew-symmetry, dense
         full, d = _mirrored([p.degree for p in self.basis], self._brackets), self.dim
-        return tuple(tuple(_dense(full[m, l], d) for l in range(d)) for m in range(d))
+        return tuple(tuple(_dense(full.get((m, l), ()), d) for l in range(d)) for m in range(d))
 
     def contains_space(self, other):
         return all(self.contains(p) for p in other.basis)
@@ -346,8 +359,7 @@ def ps_space(B):
     in them, so the space is an exact nullspace.  Every inner pair, and
     so ips_space(B), is verified to lie in it.
     """
-    n, par, L = B.space.dim, B.space.parities, B._lifted[0]
-    rows = []
+    n, par, L, rows = B.space.dim, B.space.parities, B._lifted[0], []
     for r in (0, 1):
         # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k,
         # each as its unit pair, operator terms times L
@@ -358,8 +370,7 @@ def ps_space(B):
         rows += _kernel(*_rref(found, len(columns)), columns)[0]
     # the degrees' reduced kernels share no column: by lead, they are what _rref would give
     out = PairSpace._closed(B, sorted(rows))
-    if not all(_span_coordinates(out._common, _flat(x)) is not None
-               for _, _, x in _basis_inner_pairs(B)):
+    if not all(_in_span(out._common, _flat(x)) for _, _, x in _basis_inner_pairs(B)):
         raise EnvelopeError("inner pairs escaped the pseudo derivation space")
     return out
 

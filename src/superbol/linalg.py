@@ -177,12 +177,17 @@ class AffineSubspace:
         if len(coords) != len(self.point):
             raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(coords, self.point)]
-        return _span_coordinates(self._common, _sparse(diff)) is not None
+        return _in_span(self._common, _sparse(diff))
 
 
 def _by_lead(rows):
     """_rref's integer rows by lead, as dicts, and each lead's row index."""
     return {row[0][0]: dict(row) for row in rows}, {row[0][0]: r for r, row in enumerate(rows)}
+
+
+def _in_span(common, vec):
+    """Whether the sparse vec lies in the span _span_coordinates reads: its residue alone."""
+    return not _reduced(_cleared(vec)[1], common[0])
 
 
 def _span_coordinates(common, vec):
@@ -238,7 +243,9 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v):
-        return self.coordinates_of(v) is not None
+        if v.space != self.space:
+            raise GradingError("vector lives in a different space")
+        return _in_span(self._common, _sparse(v.coords))
 
     def coordinates_of(self, v):
         """Coefficients of v over this basis, or None if outside."""

@@ -19,11 +19,11 @@ dense copies and their skew-completed and skew-broken mutants:
   2^64;
 - a span that is not closed raises with the first escaping ordered pair
   (m, l), as the per-pair order names it;
-- W is the stated bound, every bracket digit lies below 2^(W-1), and the
-  packed inputs do reach past 2^64;
-- the closure makes a `Fraction` only where it builds the basis or divides
-  a coordinate: never while bracketing, packing, reducing or reading
-  digits, and it mirrors nothing.
+- W, as the packed brackets keep it, is the stated bound, every bracket
+  digit lies below 2^(W-1), and the lifted pairs packed do reach past 2^64;
+- the closure and the decoding of its packed brackets make a `Fraction`
+  only where they build the basis or divide a coordinate: never while
+  bracketing, packing, reducing or reading digits, and they mirror nothing.
 """
 
 import math
@@ -49,12 +49,13 @@ def dense(A, seed=1):
 
 
 @pytest.fixture
-def packs(monkeypatch):
-    """(pairs, W) of every `_packed` call of the closure: the partner it adds to a
-    degree's pack, then that pack."""
+def lifted(monkeypatch):
+    """The first pair of every bracket the closure takes: a basis pair times its lead,
+    operator terms times L, as it is packed as a partner."""
     calls = []
-    pack = envelope._packed
-    monkeypatch.setattr(envelope, "_packed", lambda xs, W: calls.append((xs, W)) or pack(xs, W))
+    kernel = envelope._bracket_entries
+    monkeypatch.setattr(envelope, "_bracket_entries", lambda n, E, x, y, s: calls.append(x)
+                        or kernel(n, E, x, y, s))
     return calls
 
 
@@ -74,7 +75,7 @@ def test_brackets_match_the_slow_bracket(B):
 
 
 @pytest.mark.parametrize("b", [BIG, Fraction(1, BIG), Fraction(3, 2 ** 66 + 1)])
-def test_entries_past_two_to_the_64_pack_exactly(b, packs):
+def test_entries_past_two_to_the_64_pack_exactly(b, lifted):
     """bol(osp(1|2)) rescaled by b (binary) and b^2 (ternary), an isomorphic
     copy: its lifted pair rows hold entries past 2^64, and every bracket is
     still the slow one."""
@@ -82,7 +83,7 @@ def test_entries_past_two_to_the_64_pack_exactly(b, packs):
     for H in (sb.ips_space(B), sb.ps_space(B)):
         assert H.dim > 1
         assert_same_brackets(H)
-    assert max(abs(c) for (x, _), _ in packs for row in x for _, c in row) > 2 ** 64
+    assert max(abs(c) for x in lifted for row in x for _, c in row) > 2 ** 64
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +120,12 @@ def width(H):
 @pytest.mark.parametrize("B", [OSP_BOL, dense(OSP_BOL), LIFTED[0], LIFTED[3],
                                rescaled(OSP_BOL, Fraction(1, BIG), Fraction(1, BIG ** 2), "small")],
                          ids=lambda B: B.name)
-def test_the_width_is_the_stated_bound_and_holds_every_digit(B, packs):
+def test_the_width_is_the_stated_bound_and_holds_every_digit(B):
     for build in (sb.ips_space, sb.ps_space):
-        packs.clear()
         H = build(B)
-        assert packs and {W for _, W in packs} == {width(H)}, (B.name, build)
+        W, L = H._packs[0], B._lifted[0]    # read before `_brackets` decodes and lets go
+        assert H._packs[-1] and W == width(H), (B.name, build)
         # every digit of a bracket, L lead_m lead_l times its coordinates, lies below 2^(W-1)
-        W, L = packs[0][1], B._lifted[0]
         leads = [r[min(r)] for r in primitive(H)]
         for (m, l), coords in H._brackets.items():
             for _, c in coords:
@@ -210,9 +210,10 @@ def test_a_non_closed_span_over_a_product_that_is_not_skew():
 
 def test_the_closure_makes_no_fraction_before_its_final_division(monkeypatch):
     """On Fraction tables (LIFTED, a dense copy, a rescaled one with a big
-    denominator), every Fraction the closure makes comes from building the
-    basis pairs or from a coordinate's final division (`_quotient`, given ints
-    only): none from bracketing, packing, reducing, reading digits or mirroring."""
+    denominator), every Fraction the closure and the decoding of its packed
+    brackets make comes from building the basis pairs or from a coordinate's
+    final division (`_quotient`, given ints only): none from bracketing,
+    packing, reducing, reading digits or mirroring."""
     made, allowed, spent, total = [], [], [], 0
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
@@ -233,8 +234,7 @@ def test_the_closure_makes_no_fraction_before_its_final_division(monkeypatch):
         return quotient(x, d)
 
     monkeypatch.setattr(envelope, "_quotient", counted(divided, allowed))
-    for name in ("_divided", "_pair"):
-        monkeypatch.setattr(envelope, name, counted(getattr(envelope, name), allowed))
+    monkeypatch.setattr(envelope, "_pair", counted(envelope._pair, allowed))
     closed = sb.PairSpace._closed.__func__
     monkeypatch.setattr(sb.PairSpace, "_closed", classmethod(counted(closed, spent)))
     for B in LIFTED + [dense(OSP_BOL),
@@ -242,7 +242,8 @@ def test_the_closure_makes_no_fraction_before_its_final_division(monkeypatch):
         for build in (sb.ips_space, sb.ps_space):
             allowed.clear()
             spent.clear()
-            build(B)
-            assert spent == [sum(allowed)], (B.name, build)
-            total += spent[0]
+            H = build(B)
+            counted(lambda: H._brackets, spent)()
+            assert len(spent) == 2 and sum(spent) == sum(allowed), (B.name, build)
+            total += sum(spent)
     assert total > 0

@@ -141,7 +141,7 @@ def test_inner_pairs_read_off_the_tables_equal_inner_pair():
                for _, c in e)
     for B in BOLS + LIFTED + [dense]:
         n, basis = B.space.dim, B.space.basis()
-        read = [(at, envelope._pair(B.space, r, envelope._flat(x)))
+        read = [(at, envelope._pair(B.space, r, x))
                 for at, r, x in structures._inner_pairs(B.space, B.binary, B.ternary)]
         assert [at for at, _ in read] == [(i, j) for i in range(n) for j in range(n)]
         for (i, j), pair in read:

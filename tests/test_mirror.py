@@ -41,6 +41,7 @@ systems over every rule tuple: the same rows, pivots, brackets and basis
 pairs, and the same point, directions and pivots, with scalar types.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -203,20 +204,20 @@ def one_sided():
 
 @pytest.fixture
 def brackets(monkeypatch):
-    """The number of partners packed into the second pair of each closure bracket, in
-    call order: a pack is one partner more than the pack (or empty pair) it is made on."""
-    calls, sizes = [], {}
-    kernel, pack = envelope._bracket_entries, envelope._packed
-
-    def packed(xs, W):
-        out = pack(xs, W)
-        sizes[id(out)] = (out, 1 + sizes.get(id(xs[1]), (None, 0))[1])  # out kept: ids stay
-        return out
-
-    monkeypatch.setattr(envelope, "_packed", packed)
-    monkeypatch.setattr(envelope, "_bracket_entries", lambda n, E, x, y, s: calls.append(
-        sizes.get(id(y), (None, 1))[1]) or kernel(n, E, x, y, s))
+    """The pack, the second pair, of each closure bracket, in call order."""
+    calls = []
+    kernel = envelope._bracket_entries
+    monkeypatch.setattr(envelope, "_bracket_entries", lambda n, E, x, y, s: calls.append(y)
+                        or kernel(n, E, x, y, s))
     return calls
+
+
+def partners(H, packs):
+    """Per pack, the number of partners packed into it: its digits b, W bits apart, that
+    are nonzero in some entry, W as H keeps it until its brackets are decoded."""
+    W = H._packs[0]
+    return [len({b for col in y for _, v in col for b, _ in structures._digits(v, W)})
+            for y in packs]
 
 
 def packs(H, skew):
@@ -237,20 +238,22 @@ def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brac
         for build in (sb.ips_space, sb.ps_space):
             brackets.clear()
             H = build(B)
-            d, degrees = H.dim, {p.degree for p in H.basis}
-            assert d > 1 and brackets == packs(H, True), (B.name, build)
-            assert sum(brackets) == d * (d + 1) // 2, (B.name, build)
-            assert len(brackets) < sum(brackets) and len(brackets) <= len(degrees) * d
+            d, degrees, sizes = H.dim, {p.degree for p in H.basis}, partners(H, brackets)
+            assert d > 1 and sizes == packs(H, True), (B.name, build)
+            assert sum(sizes) == d * (d + 1) // 2, (B.name, build)
+            assert len(sizes) < sum(sizes) and len(sizes) <= len(degrees) * d
     brackets.clear()
     H = sb.PairSpace.from_pairs(*one_sided())
-    assert brackets == packs(H, False) == [2, 2] and sum(brackets) == H.dim ** 2 == 4
+    sizes = partners(H, brackets)
+    assert sizes == packs(H, False) == [2, 2] and sum(sizes) == H.dim ** 2 == 4
 
 
 def test_each_bracket_table_is_completed_once(monkeypatch):
-    """ips_space and ps_space mirror nothing: their closure keeps the d(d+1)/2
-    brackets l >= m when the product is skew, the d^2 ordered ones when it is not
-    (one_sided), and enveloping completes its whole table, H's block included,
-    with one `_mirrored` call."""
+    """ips_space and ps_space mirror nothing, nor does the decoding of their
+    brackets: it keeps only brackets l >= m when the product is skew, those
+    nonzero, every bracket left out being zero by the slow bracket, and the d^2
+    ordered ones, () if zero, when it is not (one_sided); enveloping completes
+    its whole table, H's block included, with one `_mirrored` call."""
     from superbol import constructions
     calls = []
     mirrored = structures._mirrored
@@ -263,9 +266,14 @@ def test_each_bracket_table_is_completed_once(monkeypatch):
         for build in (sb.ips_space, sb.ps_space):
             calls.clear()
             H = build(B)
-            d = H.dim
+            d, kept = H.dim, H._brackets
             assert d > 1 and calls == [], (B.name, build)
-            assert sorted(H._brackets) == [(m, l) for m in range(d) for l in range(m, d)]
+            assert all(l >= m and coords for (m, l), coords in kept.items()), (B.name, build)
+            for m, l in itertools.combinations_with_replacement(range(d), 2):
+                if (m, l) not in kept:
+                    zero = slow_pair_bracket(B, H.basis[m], H.basis[l])
+                    assert zero.operator.is_zero() and zero.companion.is_zero(), (m, l)
+            assert len(kept) < d * (d + 1) // 2, (B.name, build)
         calls.clear()
         sb.enveloping(B, H)
         assert len(calls) == 1, B.name
@@ -273,6 +281,32 @@ def test_each_bracket_table_is_completed_once(monkeypatch):
     H = sb.PairSpace.from_pairs(*one_sided())
     assert calls == [] and sorted(H._brackets) == list(itertools.product(range(2), repeat=2))
     assert H.brackets[0][1] != H.brackets[1][0] and not any(H.brackets[1][0])
+
+
+def test_the_bracket_table_is_decoded_on_first_read(monkeypatch):
+    """ps_space and ips_space keep their brackets packed: `_brackets` is decoded the
+    first time enveloping reads it, once, and then neither the dense view nor a
+    second envelope decodes it again; enveloping(B) and semisimplicity_report decode
+    the one pair space they build once."""
+    decoded, decode = [], sb.PairSpace._brackets.func
+    prop = functools.cached_property(lambda H: decoded.append(id(H)) or decode(H))
+    prop.__set_name__(sb.PairSpace, "_brackets")
+    monkeypatch.setattr(sb.PairSpace, "_brackets", prop)
+    osp = sb.malcev_to_bol(inputs.osp12())
+    for B in (osp, sb.catalog.load("L2_3_1_bol"), sb.catalog.load("abelian_2_2")):
+        for build in (sb.ips_space, sb.ps_space):
+            decoded.clear()
+            H = build(B)
+            assert "_brackets" not in vars(H) and H._packs is not None and not decoded, B.name
+            sb.enveloping(B, H)
+            assert decoded == [id(H)] and H._packs is None, (B.name, build)
+            H.brackets
+            sb.enveloping(B, H)
+            assert decoded == [id(H)], (B.name, build)
+        decoded.clear()
+        sb.enveloping(B)
+        sb.semisimplicity_report(B)
+        assert len(decoded) == 2, B.name
 
 
 @pytest.fixture

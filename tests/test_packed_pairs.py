@@ -26,8 +26,7 @@ import superbol as sb
 from superbol import structures
 from superbol.graded import _dense
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import LIFTED, from_cells
-from test_rule_paths import INPUTS, RULES, dense, inner_pairs, typed
+from test_rule_paths import KINDS, RULES, dense, inner_input, inner_pairs, reference, typed
 
 
 @pytest.fixture
@@ -84,6 +83,7 @@ def positive(n, M):
     def table(arity):
         return {at: tuple((t, M - rng.randrange(8)) for t in range(n))
                 for at in itertools.product(range(n), repeat=arity)}
+    from_cells = reference().from_cells
     return AlgebraDef("positive", space, from_cells(BinaryStructure, space, table(2)),
                       from_cells(TernaryStructure, space, table(3)))
 
@@ -94,14 +94,14 @@ def uniform_pair(B, c):
     return ((), 0, tuple(tuple((m, c) for m in range(n)) for _ in range(n + 1)))
 
 
-@pytest.mark.parametrize("kind", sorted(INPUTS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_inner_pairs_packed_give_what_they_give_one_at_a_time(kind, packs, monkeypatch):
     """The inner pairs as the Bol check evaluates them, on each path forced:
     every pair listed, so the sparse ladder, whose tables join, is listed too,
     and every pair joined, so the dense copies are joined too."""
     for join in (True, False):
         monkeypatch.setattr(structures, "_joins", lambda tables: join)
-        for B in INPUTS[kind]:
+        for B in inner_input(kind):
             assert_packed_as_one_at_a_time(B, lambda tables: inner_pairs(B, tables), packs)
 
 
@@ -113,11 +113,14 @@ def test_dense_bol_m7_packs_every_inner_pair(packs):
     assert packs == [21, 21]
 
 
-@pytest.mark.parametrize("B", [dense(sb.malcev_to_bol(inputs.osp12())), LIFTED[0], LIFTED[3]],
-                         ids=lambda B: B.name)
-def test_pairs_of_both_degrees_past_2_64_pack_exactly(B, packs, monkeypatch):
+@pytest.mark.parametrize("name", ["dense bol(osp12)", "L2_3_1_bol/2", "bol(L2_2_2_malcev)*3/2"])
+def test_pairs_of_both_degrees_past_2_64_pack_exactly(name, packs, monkeypatch):
     """Random pairs of both degrees with ints past 2^64, on dense odd vectors
-    and on lifted tables (Fraction constants, L > 1), every pair listed."""
+    and on lifted tables (Fraction constants, L > 1), every pair listed; each
+    input is built here, so that a fault in building it fails this test alone."""
+    B = dense(sb.malcev_to_bol(inputs.osp12())) if name.startswith("dense") else next(
+        A for A in reference().LIFTED if A.name == name)
+    assert B.name == name
     monkeypatch.setattr(structures, "_joins", lambda tables: False)
     rng = random.Random(B.name)
     pairs = [big_pair(B, rng, r) for r in (0, 1, 1, 0, 1, 0, 0)]

@@ -31,7 +31,7 @@ from superbol import envelope, structures
 from superbol.linalg import _divided, _rref
 from test_packed_pairs import positive
 from test_reference import LIFTED
-from test_rule_paths import INPUTS as RULE_INPUTS, broken, dense
+from test_rule_paths import broken, dense, inner_input
 
 
 def solver_inputs():
@@ -161,7 +161,7 @@ def test_a_width_one_bit_short_reads_other_rows(monkeypatch, read):
     assert widths and {up_to_sign(row) for row in short} != {up_to_sign(row) for row in rows}
 
 
-@pytest.mark.parametrize("B", RULE_INPUTS["sparse"] + RULE_INPUTS["dense"] + [
+@pytest.mark.parametrize("B", inner_input("sparse") + inner_input("dense") + [
     sb.catalog.load("abelian_6_2")] + LIFTED, ids=lambda B: B.name)
 def test_both_paths_read_the_same_rows_in_the_same_order(B, monkeypatch):
     """ps_space's unit pairs of each degree, for each rule whose tables B has

@@ -9,7 +9,10 @@ cases keep each side's raw and normalized CPU minimums."""
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -497,3 +500,48 @@ def test_main_needs_both_trees_and_an_output_without_the_trajectory(capsys):
     with pytest.raises(SystemExit):
         paired_bench.main(["parent", "change"])
     assert "--out are required" in capsys.readouterr().err
+
+
+def test_the_larger_abelian_cases_time_what_the_abelian_14_0_ones_do():
+    """ps_abelian_24_0 and envelope_max_abelian_20_0 time the expressions of the
+    abelian_14_0 cases on larger catalog keys, the pseudo --max and envelope --maximal
+    walls' pair space and envelope."""
+    for small, large, key in (("ps_abelian_14_0", "ps_abelian_24_0", "abelian_24_0"),
+                              ("envelope_max_abelian_14_0", "envelope_max_abelian_20_0",
+                               "abelian_20_0")):
+        _, source, timed = paired_bench.CASES[small]
+        assert paired_bench.CASES[large][1:] == (source.replace("abelian_14_0", key), timed)
+
+
+def test_a_cli_wall_is_one_process_read_alone():
+    """cli_wall runs `python -m superbol --format machine ...` from the checkout root
+    with PYTHONHASHSEED=1: its stdout is that of the same command run here, its CPU
+    seconds and peak RSS are its own, and a process that cannot start the package
+    keeps its exit code."""
+    root = Path(__file__).resolve().parents[1]
+    argv = ("center", "abelian_3_1")
+    run = paired_bench.cli_wall(root, argv)
+    same = subprocess.run([sys.executable, "-m", "superbol", "--format", "machine", *argv],
+                          cwd=root, capture_output=True, check=True,
+                          env=dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED="1"))
+    assert run["exit_code"] == 0 and 0 < run["cpu_s"] < 30 and 1 < run["peak_rss_mb"] < 500
+    assert run["stdout_sha256"] == hashlib.sha256(same.stdout).hexdigest()
+    assert paired_bench.cli_wall(Path(paired_bench.__file__).parent, argv)["exit_code"] == 1
+
+
+def test_cli_walls_compare_each_wall_once_per_side(monkeypatch):
+    """Each wall runs once per side, the parent first; the ratios are None unless both
+    sides exit 0, and same_stdout needs the same exit code and stdout."""
+    calls = []
+    canned = {"p": {"cpu_s": 2.0, "peak_rss_mb": 80.0, "exit_code": 0, "stdout_sha256": "a"},
+              "c": {"cpu_s": 1.0, "peak_rss_mb": 40.0, "exit_code": 0, "stdout_sha256": "a"},
+              "x": {"cpu_s": 0.1, "peak_rss_mb": 9.0, "exit_code": 1, "stdout_sha256": "a"}}
+    monkeypatch.setattr(paired_bench, "cli_wall", lambda root, argv: calls.append(
+        (root, argv)) or canned[root])
+    out = paired_bench.cli_walls({"parent": "p", "change": "c"}, {"w": ("pseudo", "--max")})
+    assert calls == [("p", ("pseudo", "--max")), ("c", ("pseudo", "--max"))]
+    assert out["w"]["argv"] == ["superbol", "--format", "machine", "pseudo", "--max"]
+    assert (out["w"]["cpu_change_over_parent"], out["w"]["rss_change_over_parent"]) == (0.5, 0.5)
+    assert out["w"]["same_stdout"] and out["w"]["parent"] == canned["p"]
+    failed = paired_bench.cli_walls({"parent": "p", "change": "x"}, {"w": ("center",)})["w"]
+    assert failed["cpu_change_over_parent"] is None and not failed["same_stdout"]

@@ -20,7 +20,7 @@ from superbol.structures import AlgebraDef, _Structure
 
 # the fields marked `hidden`, left out of ==, the hash and repr; every other field is in all three
 HIDDEN = {"Subspace": {"pivots", "_common"}, "AffineSubspace": {"pivots", "_common"},
-          "PairSpace": {"pivots", "_brackets", "_common"}}
+          "PairSpace": {"pivots", "_packs", "_common"}}
 
 B = sb.catalog.load("L2_3_1_bol")
 M = sb.catalog.load("L2_2_2_malcev")
@@ -56,7 +56,7 @@ def _instances():
         sb.CheckReport: [failed, sb.check_axioms(sb.catalog.build("L2_2_2_malcev").algebra, "lie"),
                          sb.check_axioms(B, "bol")],
         sb.PairSpace: [H, sb.ips_space(B), sb.ps_space(B), sb.PairSpace(
-            B, H.basis, H.pivots[::-1], dict(reversed(H._brackets.items())), ({}, {}))],
+            B, H.basis, H.pivots[::-1], H._packs[:-1] + (H._packs[-1][::-1],), ({}, {}))],
         sb.PseudoDerivationPair: [pair, sb.PseudoDerivationPair(pair.operator, pair.companion),
                                   H.basis[-1]],
         sb.EnvelopingLieSuperalgebra: [env, sb.enveloping(B),

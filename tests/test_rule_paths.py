@@ -31,6 +31,7 @@ share its part and keep no other table alive.  The sparse
 ladder's tables take the join and the dense copies' the per-tuple path.
 """
 
+import functools
 import gc
 import itertools
 import math
@@ -45,9 +46,15 @@ import slow_reference
 import superbol as sb
 from superbol import structures
 from superbol.structures import AlgebraDef
-from test_reference import LIFTED, from_cells, random_pair
 
 RULES = (("nambu", ("ternary",)), ("product-rule", ("binary", "ternary")))
+
+
+def reference():
+    """test_reference, imported at its first use inside a test: its import builds and
+    checks its pool of catalog and derived algebras, which a fault in the join breaks."""
+    import test_reference
+    return test_reference
 
 
 def dense(A):
@@ -65,7 +72,7 @@ def broken(B, what):
         cells[at] = tuple((t, 2 * c) for t, c in cells[at])
     else:
         cells[0, 1, 2], cells[1, 0, 2] = ((0, 1),), ((0, -1),)
-    changed = from_cells(type(st), B.space, cells)
+    changed = reference().from_cells(type(st), B.space, cells)
     return AlgebraDef("%s broken %s" % (B.name, what), B.space,
                       binary=changed if what == "skew" else B.binary,
                       ternary=B.ternary if what == "skew" else changed)
@@ -94,20 +101,23 @@ def nambu_broken(A):
                           for i in range(n) for j in range(i, n) for k in range(n)}))
 
 
-def inner_input():
-    M7, osp = inputs.m7(), inputs.osp12()
-    osp2 = inputs.direct_sum(osp, inputs.osp12("_2"), "osp12+osp12")
-    bol12 = sb.malcev_to_bol(inputs.direct_sum(M7, osp, "M7+osp12"))
-    L231 = sb.catalog.load("L2_3_1_bol")
-    return {"sparse": [bol12, sb.lie_to_supertriple(osp2)],
-            "dense": [dense(sb.malcev_to_bol(osp))],
-            "lifted": [LIFTED[0]],
-            "skew broken": [broken(L231, "skew")],
-            "jacobi broken": [broken(L231, "jacobi")],
-            "nambu broken": [nambu_broken(osp)]}
+KINDS = ("sparse", "dense", "lifted", "skew broken", "jacobi broken", "nambu broken")
 
 
-INPUTS = inner_input()
+@functools.cache
+def inner_input(kind):
+    """The inputs of one kind, built at their first use inside a test and kept: a
+    construction that a fault breaks (malcev_to_bol's Bol check runs the join) fails
+    the tests that use it, not the collection of this module and those importing it."""
+    osp, L231 = inputs.osp12(), sb.catalog.load("L2_3_1_bol")
+    return {"sparse": lambda: [
+                sb.malcev_to_bol(inputs.direct_sum(inputs.m7(), osp, "M7+osp12")),
+                sb.lie_to_supertriple(inputs.direct_sum(osp, inputs.osp12("_2"), "osp12+osp12"))],
+            "dense": lambda: [dense(sb.malcev_to_bol(osp))],
+            "lifted": lambda: [reference().LIFTED[0]],
+            "skew broken": lambda: [broken(L231, "skew")],
+            "jacobi broken": lambda: [broken(L231, "jacobi")],
+            "nambu broken": lambda: [nambu_broken(osp)]}[kind]()
 
 
 @pytest.fixture
@@ -151,7 +161,7 @@ def probe_pairs(B):
     """Two inner pairs (when B has both products), two random pairs and the
     sparse odd pair."""
     rng, basis = random.Random(B.name), B.space.basis()
-    pairs = [random_pair(B, rng) for _ in range(2)]
+    pairs = [reference().random_pair(B, rng) for _ in range(2)]
     if B.binary is not None:
         pairs += [sb.inner_pair(B, x, y) for x, y in [(basis[0], basis[1]), (basis[-1], basis[1])]]
     if B.space.parities.count(1) and B.space.parities.count(0):
@@ -168,11 +178,11 @@ def pseudo_defects(B, pair):
                 B.space, structures._structures(B, reads), [((), pair.degree, pair._x())])]
 
 
-@pytest.mark.parametrize("kind", sorted(INPUTS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_both_paths_give_the_same_defects(kind, path):
     """The same lists, and nonempty ones to compare: the broken inputs fail in
     the sweeps, and every input has a probe pair that fails."""
-    for B in INPUTS[kind]:
+    for B in inner_input(kind):
         found = []
         for axiom, reads in RULES:
             if B.binary is None and "binary" in reads:
@@ -201,7 +211,7 @@ def random_table(cls, space, rng):
         if outs and rng.random() < 0.4:
             cells[at] = tuple((t, rng.choice((-2, -1, 1, 3)))
                               for t in sorted(rng.sample(outs, min(2, len(outs)))))
-    return from_cells(cls, space, cells)
+    return reference().from_cells(cls, space, cells)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -236,17 +246,17 @@ def test_the_inputs_fail_where_they_should():
     identities, with witnesses to compare; the skew and Jacobi ones mirror or
     derive nothing, and the Nambu one passes every sweep the derived tuples
     need, so its failing pairs are evaluated again at every u <= v."""
-    for B in INPUTS["sparse"] + INPUTS["dense"] + INPUTS["lifted"]:
+    for B in inner_input("sparse") + inner_input("dense") + inner_input("lifted"):
         kind = "bol" if B.binary is not None else "lts"
         assert sb.check_axioms(B.renamed("fresh"), kind).passed, B.name
-    assert LIFTED[0]._lifted[0] > 1
-    (skew,), (jacobi,) = INPUTS["skew broken"], INPUTS["jacobi broken"]
+    assert reference().LIFTED[0]._lifted[0] > 1
+    (skew,), (jacobi,) = inner_input("skew broken"), inner_input("jacobi broken")
     assert skew.binary._skew_witnesses and not skew.ternary._skew_witnesses
     assert jacobi.ternary._jacobi_witnesses and not jacobi.ternary._skew_witnesses
     for B in (skew, jacobi):
         axioms = {w.axiom for w in sb.check_axioms(B.renamed("fresh"), "bol").witnesses}
         assert {"nambu", "product-rule"} & axioms, B.name
-    (nambu,) = INPUTS["nambu broken"]
+    (nambu,) = inner_input("nambu broken")
     assert nambu._lifted[0] == 3 and structures._derives(structures._swept(nambu, ("ternary",)))
     report = sb.check_axioms(nambu.renamed("fresh"), "lts")
     assert {w.axiom for w in report.witnesses} == {"nambu"} and len(report.witnesses) == 830
@@ -255,7 +265,7 @@ def test_the_inputs_fail_where_they_should():
 @pytest.mark.parametrize("join", [True, False])
 def test_checks_on_both_paths_match_the_reference(join, path):
     path(join)
-    for B in [A for group in INPUTS.values() for A in group]:
+    for B in [A for kind in KINDS for A in inner_input(kind)]:
         kind = "bol" if B.binary is not None else "lie_supertriple"
         fresh = B.renamed(B.name)
         fast, slow = sb.check_axioms(fresh, kind), slow_reference.check_axioms(B, kind)
@@ -275,7 +285,7 @@ def test_an_odd_sparse_pair_that_fails_is_joined_and_matches_the_reference(monke
     """The sparse odd pair is no inner pair and fails both rules; on bol(M7 +
     osp(1|2)) both rules' tables take the join, whose Koszul signs its odd
     entries test."""
-    B = INPUTS["sparse"][0]
+    B = inner_input("sparse")[0]
     pair, joined = sparse_odd_pair(B), []
     join = structures._joined
     monkeypatch.setattr(structures, "_joined", lambda space, tables, *args: joined.append(
@@ -290,14 +300,14 @@ def test_the_sparse_ladder_is_joined_and_dense_copies_visit_tuples():
     """The path is chosen per table, from its nonzero cells alone: the sparse
     ladder's lifted tables join, but for bol(M7)'s binary one, 42 of 49 cells
     nonzero, and the dense copies' tables list."""
-    bol12, lts = INPUTS["sparse"]
+    bol12, lts = inner_input("sparse")
     bol_m7 = sb.malcev_to_bol(inputs.m7())
     for B, reads in ((bol12, ("ternary",)), (bol12, ("binary", "ternary")),
                      (lts, ("ternary",)), (bol_m7, ("ternary",))):
         assert structures._joins(structures._swept(B, reads)), (B.name, reads)
     assert len(bol_m7.binary.cells()) == 42
     assert not structures._joins(structures._swept(bol_m7, ("binary", "ternary")))
-    for B in INPUTS["dense"] + [dense(bol_m7)]:
+    for B in inner_input("dense") + [dense(bol_m7)]:
         for _, reads in RULES:
             assert not structures._joins(structures._swept(B, reads)), (B.name, reads)
 
@@ -310,7 +320,7 @@ def test_a_table_with_half_its_cells_nonzero_is_listed_and_one_fewer_is_joined()
     assert len(cells) == 8 and B.space.dim == 4
     assert not structures._joins((B.binary, B.ternary))
     del cells[min(cells)]
-    fewer = from_cells(type(B.binary), B.space, cells)
+    fewer = reference().from_cells(type(B.binary), B.space, cells)
     assert len(fewer.cells()) == 7 and structures._joins((fewer, B.ternary))
 
 
@@ -318,7 +328,7 @@ def test_check_pseudo_on_a_dense_and_a_fraction_pair_over_a_sparse_table_matches
     """On sparse bol(M7 + osp(1|2)), whose tables join, a pair with every entry its
     degree allows nonzero, in ints, and the same pair over 3, in Fractions: each
     fails both rules, with the reference's witnesses and scalar types."""
-    B = INPUTS["sparse"][0]
+    B = inner_input("sparse")[0]
     assert all(structures._joins(structures._structures(B, reads)) for _, reads in RULES)
     n, par, rng = B.space.dim, B.space.parities, random.Random(3)
     for r in (0, 1):
@@ -356,7 +366,7 @@ def test_the_join_index_is_built_once_per_tables_and_order(monkeypatch):
     second = sb.check_pseudo(B, pair)
     assert len(builds) == 3
     assert second == first and str(second) == str(first) and not first.passed
-    ternary = from_cells(type(B.ternary), B.space, B.ternary.cells())
+    ternary = reference().from_cells(type(B.ternary), B.space, B.ternary.cells())
     assert ternary == B.ternary and ternary is not B.ternary
     other = AlgebraDef(B.name, B.space, binary=B.binary, ternary=ternary)
     assert sb.check_pseudo(other, pair) == first

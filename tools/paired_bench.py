@@ -50,7 +50,12 @@ Each side's min of both is kept, and so are the median and quartiles of the
 change/parent ratios of the runs paired by number, raw and normalized, which
 a swing of one side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
-metric "digest".  `src_lines` holds each side's count of non-blank lines in
+metric "digest".  Each CLI wall in CLI_WALLS is one fresh `superbol --format
+machine` process per side, the parent first, with PYTHONHASHSEED=1, written under
+`cli_walls`: its CPU seconds and peak RSS, read by os.wait4 for that process
+alone, its exit code and the sha256 of its stdout; a wall whose exit code or
+stdout differs between the sides is listed under `regressions` with the metric
+"stdout".  `src_lines` holds each side's count of non-blank lines in
 the modules under src/superbol/.  Only the standard library is used.
 
 With --trajectory it runs nothing: it prints, across every BENCH_*.json in
@@ -63,6 +68,7 @@ file or an entry laid out otherwise, as some early files are, is passed over.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -294,6 +300,22 @@ CASES = {
         "maximal envelope (dim 224), its pair space, the completion of its table and its "
         "Lie re-check",
         "catalog.build('abelian_14_0').algebra", "envelope.enveloping(B, envelope.ps_space(B))"),
+    "ps_abelian_24_0": (
+        "ps_space(Z), Z = abelian_24_0 built afresh from the catalog: PS is gl(24) + V, of dim "
+        "600, the pair space that pseudo --max abelian_24_0 lists",
+        "catalog.build('abelian_24_0').algebra", "envelope.ps_space(B)"),
+    "envelope_max_abelian_20_0": (
+        "enveloping(Z, ps_space(Z)), Z = abelian_20_0 built afresh from the catalog: the "
+        "maximal envelope (dim 440) that envelope --maximal abelian_20_0 prints",
+        "catalog.build('abelian_20_0').algebra", "envelope.enveloping(B, envelope.ps_space(B))"),
+}
+
+# the CLI walls: name -> the arguments of one `superbol --format machine` process, run once
+# per side from the checkout root with PYTHONHASHSEED=1 and timed from its own parent
+CLI_WALLS = {
+    "pseudo_max_abelian_32_0": ("pseudo", "--max", "abelian_32_0"),
+    "pseudo_max_abelian_16_16": ("pseudo", "--max", "abelian_16_16"),
+    "envelope_maximal_abelian_20_0": ("envelope", "--maximal", "abelian_20_0"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
@@ -431,6 +453,40 @@ def kernel_cases(roots, names=tuple(CASES), runs=CASE_RUNS):
     return out
 
 
+def cli_wall(root, argv):
+    """{"cpu_s", "peak_rss_mb", "exit_code", "stdout_sha256"} of one fresh `python -m superbol
+    --format machine argv` process from the checkout root, without writing bytecode: its
+    CPU seconds and peak RSS are that process's alone, read by os.wait4, which no
+    process it did not start adds to."""
+    proc = subprocess.Popen([sys.executable, "-m", "superbol", "--format", "machine", *argv],
+                            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            env=dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1",
+                                     PYTHONHASHSEED="1"))
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)    # reaped: Popen must not wait
+    return {"cpu_s": usage.ru_utime + usage.ru_stime, "peak_rss_mb": usage.ru_maxrss / 1024,
+            "exit_code": proc.returncode, "stdout_sha256": hashlib.sha256(out).hexdigest()}
+
+
+def cli_walls(roots, walls=CLI_WALLS):
+    """{wall: {argv, parent, change, cpu_change_over_parent, rss_change_over_parent,
+    same_stdout}}: each wall run once per side, the parent first, by cli_wall; the ratios
+    are None unless both sides exit 0."""
+    out = {}
+    for name, argv in walls.items():
+        sides = {side: cli_wall(roots[side], argv) for side in ("parent", "change")}
+        ran = all(r["exit_code"] == 0 for r in sides.values())
+        out[name] = {"argv": ["superbol", "--format", "machine", *argv], **sides, **{
+            key + "_change_over_parent": sides["change"][metric] / sides["parent"][metric]
+            if ran else None for key, metric in (("cpu", "cpu_s"), ("rss", "peak_rss_mb"))},
+            "same_stdout": sides["change"]["stdout_sha256"] == sides["parent"]["stdout_sha256"]
+            and sides["change"]["exit_code"] == sides["parent"]["exit_code"]}
+        print("cli wall %s done" % name, file=sys.stderr, flush=True)
+    return out
+
+
 def _number(path):
     return int(re.search(r"\d+", path.name).group())
 
@@ -549,6 +605,10 @@ def main(argv=None):
     report["regressions"] += [{"case": name, "metric": "digest"}
                               for name, case in report["dense_cases"].items()
                               if case["digest"] is None]
+    report["cli_walls"] = cli_walls(roots)
+    report["regressions"] += [{"cli": name, "metric": "stdout"}
+                              for name, wall in report["cli_walls"].items()
+                              if not wall["same_stdout"]]
     if claimed:
         workload, metric = claimed
         direction = next(d for name, d, _ in metrics if name == metric)
