@@ -221,7 +221,7 @@ def serialize_algebra(A):
     # the parser strips the name and cuts its line at '#' and newlines
     if not A.name or A.name != A.name.strip() or "#" in A.name or "\n" in A.name:
         raise ValueError("name %r does not fit the file grammar" % A.name)
-    for st in (A.binary, A.ternary):
+    for st in A._lifted[1].values():
         # only the kept half, i <= j, is written (even squares are 0); the parser completes it
         if st is not None and st._skew_witnesses:
             raise ValueError("%s table is not super skew at [%s], which the file grammar "

@@ -7,20 +7,27 @@ bad table.
 
 from __future__ import annotations
 
-from .graded import _exact, _into, _quotient
+from .graded import _quotient
 from .structures import (AlgebraDef, TernaryStructure, _digits, _jacobi_sums, _mirrored,
                          require_axioms)
 
 
+def _jacobi_table(A, kind, weights, k):
+    """The ternary table w1 [[x,y],z] + w2 (-1)^{x(y+z)} [[y,z],x] + w3 (-1)^{z(x+y)} [[z,x],y],
+    all over k, of A once it passes `kind`: super skew in (x, y), so only i <= j is summed, on
+    the lifted binary table L*B, each digit divided by k L^2, and `_mirrored` completes it."""
+    require_axioms(A, kind)
+    n, L, bs = A.space.dim, A._lifted[0], A._lifted[1]["binary"]
+    kept = ((i, j, range(n)) for i in range(n) for j in range(i, n))
+    cells = {at: tuple((t, _quotient(c, k * L * L)) for t, c in _digits(v, bs._packs[0]))
+             for at, v in _jacobi_sums(A.space, bs, *weights, kept) if v}
+    return TernaryStructure._of(A.space, _mirrored(A.space.parities, cells))
+
+
 def lie_to_supertriple(L):
     """Lie superalgebra to Lie supertriple system via [x,y,z] := [[x,y],z]."""
-    require_axioms(L, "lie")
-    n = L.space.dim
-    E, col = L.binary.entries, L.binary.col
-    ternary = TernaryStructure._of(L.space, {
-        (i, j, k): _exact(_into([0] * n, E[i][j], col[k]))
-        for i in range(n) for j in range(n) if E[i][j] for k in range(n)})
-    out = AlgebraDef("lts(%s)" % L.name, L.space, binary=None, ternary=ternary)
+    out = AlgebraDef("lts(%s)" % L.name, L.space, binary=None,
+                     ternary=_jacobi_table(L, "lie", (1, 0, 0), 1))
     require_axioms(out, "lie_supertriple")
     return out
 
@@ -35,16 +42,10 @@ def malcev_to_bol(M):
                        - (-1)^{z(x+y)} [[z,x],y]).
 
     For Lie input the correction terms cancel by the super Jacobi
-    identity and {x,y,z} reduces to [[x,y],z].  Only i <= j is evaluated:
-    {x,y,z} is super skew in (x, y), and `_mirrored` completes the table.
-    The sums are taken on L*M, as its Malcev check lifted it, and divided by 3 L^2.
+    identity and {x,y,z} reduces to [[x,y],z].  The table is
+    `_jacobi_table`'s, summed on L*M as its Malcev check lifted it.
     """
-    require_axioms(M, "malcev")
-    n, L, bs = M.space.dim, M._lifted[0], M._lifted[1]["binary"]
-    kept = ((i, j, range(n)) for i in range(n) for j in range(i, n))
-    cells = {at: tuple((t, _quotient(c, 3 * L * L)) for t, c in _digits(v, bs._packs[1]))
-             for at, v in _jacobi_sums(M.space, bs, 2, -1, -1, kept) if v}
     out = AlgebraDef("bol(%s)" % M.name, M.space, binary=M.binary,
-                     ternary=TernaryStructure._of(M.space, _mirrored(M.space.parities, cells)))
+                     ternary=_jacobi_table(M, "malcev", (2, -1, -1), 3))
     require_axioms(out, "bol")
     return out

@@ -4,10 +4,10 @@ A pair (P, a) is a homogeneous operator and a companion of its degree,
 held here in the rules' one form x (`structures`) and, for spans and
 membership tests, as flat entries: P's row-major at t n + m, then a's at
 n^2 + t.  The two rules that define the pairs are written once, in
-`structures`: check_pseudo runs them through the Bol checker's evaluator,
-and companion_space and ps_space read their rows from it (`_pair_rows`),
-one unit pair per unknown, on the lifted tables, B in the basis L e_i, the
-operator units L.
+`structures`: check_pseudo runs the integer multiple of its pair through
+the Bol checker's evaluator, and companion_space and ps_space read their
+rows from it (`_pair_rows`), one unit pair per unknown, all on the lifted
+tables, B in the basis L e_i, each operator term times L.
 The inner pairs of the basis are read off the tables, as the Bol checker
 reads them (`structures._inner_pairs`); inner_pair is for any two vectors.
 
@@ -38,7 +38,7 @@ import math
 from functools import cached_property
 
 from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
-                     _quotient, _sparse, _vector, hidden, rat, record, sign)
+                     _quotient, _sparse, hidden, rat, record, sign)
 from .linalg import (AffineSubspace, _affine, _by_lead, _in_span, _kernel, _reduced, _rref,
                      _span_coordinates, span_reduce)
 from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
@@ -184,14 +184,19 @@ def check_pseudo(B, pair):
 
     derives-triple is the Leibniz-type rule on the ternary bracket
     (companion-free); derives-product is the rule on the binary product
-    involving the companion.  Defects are RHS - LHS.
+    involving the companion.  Defects are RHS - LHS.  Both run on B's lifted
+    tables on the pair times D, the lcm of its denominators, its operator terms
+    times L: each defect is D L^3 (triple rule) or D L^2 times the true one.
     """
     if pair.space != B.space:
         raise GradingError("pair lives outside the algebra")
-    lab = B.space.labels
-    witnesses = [Witness(axiom, tuple(lab[i] for i in at), _vector(B.space, acc))
-                 for axiom, reads in _RULES for at, acc in _rule_defects(
-                     B.space, _structures(B, reads), [((), pair.degree, pair._x())])]
+    lab, L, x = B.space.labels, B._lifted[0], pair._x()
+    D = math.lcm(*(c.denominator for row in x for _, c in row))
+    x = tuple(tuple((t, int(D * s * c)) for t, c in row) for row, s in zip(x, [L] * len(lab) + [1]))
+    witnesses = [Witness(axiom, tuple(lab[i] for i in at), SuperVector(B.space, tuple(
+                     _quotient(c, D * L ** w) if c else 0 for c in acc)))
+                 for (axiom, reads), w in zip(_RULES, (3, 2))
+                 for at, acc in _rule_defects(B.space, _swept(B, reads), [((), pair.degree, x)])]
     subject = "pair of degree %d on %s" % (pair.degree, B.name)
     return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
 

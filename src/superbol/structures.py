@@ -14,16 +14,17 @@ Defect conventions:
   RHS - LHS.
 
 Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} =
-[x, y, .] derives the triple product, and (D_{x,y}, x.y) the binary one.  `_listed` writes
-both once (each term's slot and sign from `_terms`) for this checker, check_pseudo and the
-pair solvers, on the one form x of a pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The
-integer pairs of one degree are evaluated at once, by Kronecker substitution: packed into one
-pair whose coordinates hold theirs W bits apart, each coordinate of its defects read back as
-their signed W-bit digits, exact since every term is linear in x (`_width`).  The path is a
-property of the tables (`_joins`): where the rule's own product has fewer than half its n^arity
-cells nonzero, the evaluator joins the pair with an index of the tables by the value in each
-slot, built in one pass per table with each cell's windows computed inline, adding each cell it
-reaches straight into its tuple's sum; else it visits each of the tuples the rule lists.
+[x, y, .] derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator,
+`_rule_defects`, runs both for this checker, check_pseudo and the pair solvers, on the one
+form x of an integer pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The pairs of one degree
+are evaluated at once, by Kronecker substitution: packed into one pair whose coordinates hold
+theirs W bits apart, each coordinate of its defects read back as their signed W-bit digits,
+exact since every term is linear in x (`_width`).  The path is a property of the tables
+(`_joins`): where the rule's own product has fewer than half its n^arity cells nonzero,
+`_joined` joins the pair with an index of the tables by the value in each slot (`_by_slot`),
+built in one pass per table with each cell's slots, parities and windows computed inline,
+adding each cell it reaches straight into its tuple's sum; else `_listed` visits each of the
+tuples the rule lists, each term's slot and sign from `_terms`.
 Each sweep evaluates the least tuple of each symmetry orbit and reports the rest as signed
 copies of its defect D.  The skew sweeps always, only i <= j: D(j,i,...) = (-1)^{p_i p_j}
 D(i,j,...).  The cyclic sums (super and ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)}
@@ -54,18 +55,18 @@ defect comes out L^weight times the true one and is divided back exactly, once p
 representative: its orbit's witnesses share that quotient and its negation (`_witnesses`).  The
 weights, kept in `_SWEEPS` next to the sweeps: skew 1; jacobi, triple-skew and triple-jacobi 2;
 malcev and product-rule 3; nambu 4.  Scaling B and T by the same factor would not do: the
-product rule mixes B.B.B and T.B terms.  The pair solvers read the same tables, where an
-operator's matrix is unchanged and a companion's coordinates are L times smaller: they take
-operator terms times L.  The lift is made once per algebra object; when L = 1 the tables are
-swept as they stand.
+product rule mixes B.B.B and T.B terms.  check_pseudo and the pair solvers read the same
+tables, where an operator's matrix is unchanged and a companion's coordinates are L times
+smaller: they take operator terms times L.  The lift is made once per algebra object; when
+L = 1 the tables are swept as they stand.  Only these integer tables reach the packed layer.
 
 Each table also packs its cells once, by the same substitution, as {cell: sum of c 2^(W t)}
 (`_packs`, by `_packed_cells`) with 2^(W-1) > 4 S1 M (S1, M as in `_width`): above the skew (2M),
-ternary Jacobi (3M) and super Jacobi (3 S1 M) defects and malcev_to_bol's sums (weights 2, -1, -1:
-4 S1 M), which add these ints (a super Jacobi term: one multiply-add per (m, c) of e_i e_j).  The
-Malcev sweep packs by `_packed_cells` at its own W, 2^(W-1) > 5 S1^2 M: each of its five terms is
-at most S1^2 M per coordinate.  One decoder, `_packed_orbits`, reads back every sweep's nonzero
-defects.  A Fraction table swept as given packs d times itself and divides back by d.
+ternary Jacobi (3M) and super Jacobi (3 S1 M) defects and the sums of malcev_to_bol (weights 2,
+-1, -1: 4 S1 M) and lie_to_supertriple (1, 0, 0: S1 M), which add these ints (a super Jacobi
+term: one multiply-add per (m, c) of e_i e_j).  The Malcev sweep packs by `_packed_cells` at its
+own W, 2^(W-1) > 5 S1^2 M: each of its five terms is at most S1^2 M per coordinate.  One
+decoder, `_packed_orbits`, reads back every sweep's nonzero defects.
 """
 
 from __future__ import annotations
@@ -191,10 +192,9 @@ class _Structure(_SparseValue):
         return m, s1
 
     @cached_property
-    def _packs(self):  # (d, W, {cell: d entry packed}) the skew and Jacobi sweeps add and test
-        d = math.lcm(*{c.denominator for entry in self.cells().values() for _, c in entry})
-        W = int(4 * math.prod(self._magnitudes) * d * d).bit_length() + 1
-        return d, W, _packed_cells(self.cells(), W, d)
+    def _packs(self):  # (W, {cell: entry packed}) the skew and Jacobi sweeps add and test
+        W = (4 * math.prod(self._magnitudes)).bit_length() + 1
+        return W, _packed_cells(self.cells(), W)
 
     def _scaled(self, values):  # each constant, in cells() order, the next of values: none checked
         def scaled(block, depth):  # a loop per leaf cell: a comprehension is a call of its own
@@ -377,18 +377,18 @@ def _mirrored(par, cells):
 def _skew(space, st):
     # x y + (-1)^{xy} y x wherever either product is nonzero, at the tuples whose first two
     # indices are in order: at (j, i, ...) it is (-1)^{p_i p_j} times that
-    par, (d, W, packs) = space.parities, st._packs
+    par, (W, packs) = space.parities, st._packs
     kept = {at if at[0] <= at[1] else (at[1], at[0]) + at[2:] for at in packs}
     sums = ((at, packs.get(at, 0) - s * packs.get(mirror, 0))
             for at in kept for mirror, s in [_swapped(0, par, at)])
-    return _packed_orbits("skew" if st.ARITY == 2 else "triple-skew", space, d, W, sums, (
+    return _packed_orbits("skew" if st.ARITY == 2 else "triple-skew", space, W, sums, (
         lambda at: ((at[1], at[0]) + at[2:], sign(par[at[0]] * par[at[1]])),))
 
 
-def _packed_orbits(axiom, space, d, W, sums, moves):
-    # every sweep's decoder: `_orbit_witnesses` of the sums (at, v), v's W-bit digits over d
-    return _orbit_witnesses(axiom, space, ((at, _dense([(t, c if d == 1 else _quotient(c, d))
-        for t, c in _digits(v, W)], space.dim) if v else ()) for at, v in sums), moves)
+def _packed_orbits(axiom, space, W, sums, moves):
+    # every sweep's decoder: `_orbit_witnesses` of the sums (at, v), v's W-bit digits
+    return _orbit_witnesses(axiom, space, ((at, _dense(_digits(v, W), space.dim) if v else ())
+                                           for at, v in sums), moves)
 
 
 def _orbit_witnesses(axiom, space, defects, moves):
@@ -424,7 +424,7 @@ def _jacobi_sums(space, bs, w1, w2, w3, heads):
     """((i, j, k), v) for (i, j, ks) of heads and k in the range ks, rising, where e_i e_j, e_j e_k
     (k in right[j]) or e_k e_i (k in left[i]) is nonzero, v packed as bs's int cells (`_packs`):
     w1 [[e_i,e_j],e_k] + w2 (-1)^{i(j+k)} [[e_j,e_k],e_i] + w3 (-1)^{k(i+j)} [[e_k,e_i],e_j]."""
-    n, par, E, packs = space.dim, space.parities, bs.entries, bs._packs[2]
+    n, par, E, packs = space.dim, space.parities, bs.entries, bs._packs[1]
     col = [[packs.get((m, k), 0) for m in range(n)] for k in range(n)]  # col[k][m]: e_m e_k
     right, left = ([{k for k, e in enumerate(row) if e} for row in view] for view in (E, bs.col))
     for i, j, ks in heads:
@@ -447,7 +447,7 @@ def _sweep_super_jacobi(space, bs):
     n, par, skew = space.dim, space.parities, _all_skew((bs,))
     heads = ((i, j, range(j if skew else i + (j > i), n)) for i in range(n) for j in range(i, n))
     moves = (partial(_rotated, par),) + ((partial(_swapped, 0, par),) if skew else ())
-    return _packed_orbits("jacobi", space, *bs._packs[:2], _jacobi_sums(space, bs, 1, 1, 1, heads),
+    return _packed_orbits("jacobi", space, bs._packs[0], _jacobi_sums(space, bs, 1, 1, 1, heads),
                           moves)
 
 
@@ -478,7 +478,7 @@ def _sweep_malcev(space, bs):
     n, nn, par, mirror = space.dim, space.dim ** 2, space.parities, _all_skew((bs,))
     (m, s1), cells, found = bs._magnitudes, bs.cells(), []
     W, rows, cols = (5 * s1 * s1 * m).bit_length() + 1, [[] for _ in par], [[] for _ in par]
-    for (a, b), v in reversed(_packed_cells(cells, W, 1).items()):  # by falling index
+    for (a, b), v in reversed(_packed_cells(cells, W).items()):  # by falling index
         rows[a].append((b, v))
         cols[b].append((a, v))
     # right[a, b][c] = (e_a e_b) e_c; skew, read off its kept half: e_b e_a = -(-1)^{ab} e_a e_b
@@ -546,17 +546,17 @@ def _sweep_malcev(space, bs):
             j, k, l = at // nn, at // n % n, at % n
             if not mirror or (l != i or i == j == k) and (k != i or j <= l):
                 found.append(((i, j, k, l), slots[at]))
-    return _packed_orbits("malcev", space, 1, W, found, (partial(_rotated, par),) if mirror else ())
+    return _packed_orbits("malcev", space, W, found, (partial(_rotated, par),) if mirror else ())
 
 
 def _sweep_ternary_jacobi(space, ts):
     # the cyclic sum, at the least rotation of each nonzero product's tuple
-    par, packs = space.parities, ts._packs[2]
+    (W, packs), par = ts._packs, space.parities
     sums = (((i, j, k), packs.get((i, j, k), 0)
              + sign(par[i] * (par[j] + par[k])) * packs.get((j, k, i), 0)
              + sign(par[k] * (par[i] + par[j])) * packs.get((k, i, j), 0))
             for i, j, k in {min(at, at[1:] + at[:1], at[2:] + at[:2]) for at in packs})
-    return _packed_orbits("triple-jacobi", space, *ts._packs[:2], sums, (partial(_rotated, par),))
+    return _packed_orbits("triple-jacobi", space, W, sums, (partial(_rotated, par),))
 
 
 # the pseudo-derivation rules: a degree-r pair (P, a) derives the ternary product (the triple
@@ -694,12 +694,11 @@ def _listed(space, structures, r, x, order):
 
 def _width(xs, structures):
     """W with 2^(W-1) > X1 (3M + S1 (1 + M)), a bound on every defect coordinate of the integer
-    pairs xs: X1 the largest L1 norm of a pair row (S1 when xs is None: inner pairs, whose rows
-    are cells), M the largest |entry| and S1 the largest L1 norm of a cell of the tables read.
-    Per tuple the three x terms are at most X1 M each, and w . view at most S1 X1 (1 + M)."""
+    pairs xs: X1 the largest L1 norm of a pair row, M the largest |entry| and S1 the largest L1
+    norm of a cell of the tables read.  Per tuple the three x terms are at most X1 M each, and
+    w . view at most S1 X1 (1 + M)."""
     m, s1 = (max(values) for values in zip(*(st._magnitudes for st in structures)))
-    x1 = s1 if xs is None else max(
-        (sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
+    x1 = max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
     return (x1 * (3 * m + s1 * (1 + m))).bit_length() + 1
 
 
@@ -716,13 +715,12 @@ def _packed(xs, W):
     return tuple(out)
 
 
-def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2, inner=False):
-    """The nonzero defects of the rule the structures name on each degree-r pair (key, r, x) of
-    pairs at its tuples `_ordered` by order, as (key + at, acc) in pair order, acc dense.  The
-    pairs of each degree are evaluated at once, as one pair `_packed` W bits apart (every term
-    is linear in x), joined or listed as `_joins` chooses for the tables: digit b of coordinate
-    t of a packed defect, read by `_digits`, is coordinate t of pair b's.  A degree's one pair
-    is evaluated as it stands: check_pseudo's may hold Fractions.  inner: rows are cells."""
+def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
+    """The nonzero defects of the rule the structures name on each integer degree-r pair (key,
+    r, x) of pairs at its tuples `_ordered` by order, as (key + at, acc) in pair order, acc
+    dense.  The pairs of each degree are evaluated at once, as one pair `_packed` W bits apart
+    (every term is linear in x), joined or listed as `_joins` chooses for the tables: digit b
+    of coordinate t of a packed defect, read by `_digits`, is coordinate t of pair b's."""
     evaluate = _joined if _joins(structures) else _listed
     found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
     for key, r, x in pairs:
@@ -731,14 +729,11 @@ def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2, inner=False)
             degrees.setdefault(r, []).append((x, found[-1][1]))
     for r, group in degrees.items():
         xs, outs = zip(*group)
-        if len(xs) == 1:
-            outs[0].extend(evaluate(space, structures, r, xs[0], order))
-            continue
-        W = _width(None if inner else xs, structures)
+        W = _width(xs, structures)
         for at, acc in evaluate(space, structures, r, _packed(xs, W), order):
             defects = {}    # per pair with a nonzero digit, its dense defect
             for t, v in enumerate(acc):
-                for b, c in _digits(v, W):
+                for b, c in _digits(v, W) if v else ():
                     (defects.get(b) or defects.setdefault(b, [0] * len(acc)))[t] = c
             for b, defect in defects.items():
                 outs[b].append((at, defect))
@@ -812,13 +807,13 @@ def _pair_rows(A, r, pairs):
                     yield [(columns[b], c) for b, c in _digits(v, W)]
 
 
-def _packed_cells(cells, W, d):
-    """{cell: sum of d c_t 2^(W t)} of the cells {index tuple: entry}: each one int."""
+def _packed_cells(cells, W):
+    """{cell: sum of c_t 2^(W t)} of the integer cells {index tuple: entry}: each one int."""
     packs = {}
     for at, entry in cells.items():
         v = 0
         for t, c in entry:
-            v += (c * d).numerator << W * t
+            v += c << W * t
         packs[at] = v
     return packs
 
@@ -840,11 +835,11 @@ def _inner_witnesses(axiom, space, *structures):
     # super skew; where the derived tuples were left out, the failing pairs again at all u <= v
     par, mirror = space.parities, _all_skew(structures)
     pairs = [p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror]
-    defects = _rule_defects(space, structures, pairs, _order(structures), inner=True)
+    defects = _rule_defects(space, structures, pairs, _order(structures))
     if defects and _derives(structures):
         failing = {at[:2] for at, _ in defects}
         defects = _rule_defects(space, structures, [p for p in pairs if p[0] in failing],
-                                (0, -math.inf), inner=True)
+                                (0, -math.inf))
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
                                                     partial(_swapped, 2, par)) if mirror else ())
 
@@ -1018,7 +1013,7 @@ def _hom_defects(n, F, SA, SB, wA, wB):
     x1 = max((sum(abs(c) for _, c in col) for col in F), default=0)
     W = (wA * x1 ** a * SB._magnitudes[0] + wB * SA._magnitudes[1] * x1).bit_length() + 1
     G, accs = [wA * sum(c << W * n * k for k, c in row) for row in rows], [0] * n ** (a - 1)
-    for at, v in _packed_cells(SB.cells(), W, 1).items():
+    for at, v in _packed_cells(SB.cells(), W).items():
         accs[at[0] * n + at[1] if a == 3 else at[0]] += v * G[at[-1]]
     for step in (1, n)[:a - 1]:   # [e_i, e_m, .] -> [e_i, F e_j, .], then the first slot
         out = [0] * len(accs)

@@ -21,7 +21,7 @@ import slow_reference
 import superbol as sb
 from bench_inputs import inputs
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import POOL, direct_sum, from_cells
+from test_reference import direct_sum, from_cells, pool
 
 ARITIES = (("binary",), ("ternary",), ("binary", "ternary"))
 INTEGERS = (-2, -1, 1, 3)
@@ -74,7 +74,7 @@ def test_centers_of_every_kind_match_the_reference():
     each arity with integer and Fraction constants."""
     rng = random.Random(19)
     abelian = sb.catalog.load("abelian_1_1")
-    algebras = list(POOL) + [direct_sum(A, abelian, A.name + " + ab") for A in POOL[:6]]
+    algebras = list(pool()) + [direct_sum(A, abelian, A.name + " + ab") for A in pool()[:6]]
     for arities, values, share in itertools.product(ARITIES, (INTEGERS, FRACTIONS), (0, 0.4, 1)):
         algebras += [random_algebra(2, 2, arities, values, share, 1, rng) for _ in range(3)]
     dims = {(A.space.dim, assert_same_center(A).dim) for A in algebras}

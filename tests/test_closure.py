@@ -12,7 +12,7 @@ a basis row.
 
 Held here, beside `tests/test_mirror.py`, which compares every ordered
 bracket with the slow reference's (`slow_pair_bracket`, dense maps and
-products) on the catalog, derived and `LIFTED` `Fraction` tables, their
+products) on the catalog, derived and lifted `Fraction` tables, their
 dense copies and their skew-completed and skew-broken mutants:
 - every ordered bracket, scalar types included, equals the slow one on
   dense bol(M7), abelian_6_2 and copies whose pair rows hold entries past
@@ -26,6 +26,7 @@ dense copies and their skew-completed and skew-broken mutants:
   bracketing, packing, reducing or reading digits, and they mirror nothing.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -37,10 +38,16 @@ from bench_inputs import inputs
 from superbol import envelope, linalg
 from superbol.structures import AlgebraDef, BinaryStructure
 from test_mirror import assert_same_brackets, pair_spaces, slow_pair_bracket
-from test_reference import LIFTED, from_cells, mutate, rescaled
+from test_reference import from_cells, lifted_inputs, mutate, rescaled
 
-OSP_BOL = sb.malcev_to_bol(inputs.osp12())
 BIG = 2 ** 70 + 1
+
+
+@functools.cache
+def osp_bol():
+    """bol(osp(1|2)), built at its first use inside a test, as every input here is: a fault
+    in building one fails the tests that read it, not the collection of this module."""
+    return sb.malcev_to_bol(inputs.osp12())
 
 
 def dense(A, seed=1):
@@ -63,12 +70,13 @@ def lifted(monkeypatch):
 # the brackets against the slow reference
 
 
-@pytest.mark.parametrize("B", [dense(sb.malcev_to_bol(inputs.m7())),
-                               sb.catalog.load("abelian_6_2")], ids=lambda B: B.name)
-def test_brackets_match_the_slow_bracket(B):
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: dense(sb.malcev_to_bol(inputs.m7())), id="dense bol(M7)"),
+    pytest.param(lambda: sb.catalog.load("abelian_6_2"), id="abelian_6_2")])
+def test_brackets_match_the_slow_bracket(build):
     """A dense copy, whose pair rows are dense, and a zero algebra, whose PS is
     every pair (d = 72)."""
-    spaces = pair_spaces(B)
+    spaces = pair_spaces(build())
     assert spaces and max(H.dim for H in spaces) > 1
     for H in spaces:
         assert_same_brackets(H)
@@ -79,7 +87,7 @@ def test_entries_past_two_to_the_64_pack_exactly(b, lifted):
     """bol(osp(1|2)) rescaled by b (binary) and b^2 (ternary), an isomorphic
     copy: its lifted pair rows hold entries past 2^64, and every bracket is
     still the slow one."""
-    B = rescaled(OSP_BOL, b, b * b, "bol(osp12)*%s" % b)
+    B = rescaled(osp_bol(), b, b * b, "bol(osp12)*%s" % b)
     for H in (sb.ips_space(B), sb.ps_space(B)):
         assert H.dim > 1
         assert_same_brackets(H)
@@ -117,10 +125,15 @@ def width(H):
     return bound.bit_length() + 1
 
 
-@pytest.mark.parametrize("B", [OSP_BOL, dense(OSP_BOL), LIFTED[0], LIFTED[3],
-                               rescaled(OSP_BOL, Fraction(1, BIG), Fraction(1, BIG ** 2), "small")],
-                         ids=lambda B: B.name)
-def test_the_width_is_the_stated_bound_and_holds_every_digit(B):
+@pytest.mark.parametrize("make", [
+    pytest.param(osp_bol, id="bol(osp12)"),
+    pytest.param(lambda: dense(osp_bol()), id="dense bol(osp12)"),
+    pytest.param(lambda: lifted_inputs()[0], id="L2_3_1_bol/2"),
+    pytest.param(lambda: lifted_inputs()[3], id="bol(L2_2_2_malcev)*3/2"),
+    pytest.param(lambda: rescaled(osp_bol(), Fraction(1, BIG), Fraction(1, BIG ** 2), "small"),
+                 id="small")])
+def test_the_width_is_the_stated_bound_and_holds_every_digit(make):
+    B = make()
     for build in (sb.ips_space, sb.ps_space):
         H = build(B)
         W, L = H._packs[0], B._lifted[0]    # read before `_brackets` decodes and lets go
@@ -167,7 +180,7 @@ def test_a_span_that_is_not_closed_names_the_first_escaping_pair():
     names the pair the per-pair order meets first, also where an even partner
     after it escapes too (the closure packs the even partners first)."""
     rng, raised, later_group = random.Random(5), 0, 0
-    sources = [OSP_BOL, sb.catalog.load("L2_3_1_bol"), LIFTED[0], dense(OSP_BOL, 2)]
+    sources = [osp_bol(), sb.catalog.load("L2_3_1_bol"), lifted_inputs()[0], dense(osp_bol(), 2)]
     for seed in range(90):
         B = sources[seed % len(sources)]
         if seed % 3 == 2:
@@ -209,11 +222,13 @@ def test_a_non_closed_span_over_a_product_that_is_not_skew():
 
 
 def test_the_closure_makes_no_fraction_before_its_final_division(monkeypatch):
-    """On Fraction tables (LIFTED, a dense copy, a rescaled one with a big
+    """On Fraction tables (the lifted inputs, a dense copy, a rescaled one with a big
     denominator), every Fraction the closure and the decoding of its packed
     brackets make comes from building the basis pairs or from a coordinate's
     final division (`_quotient`, given ints only): none from bracketing,
     packing, reducing, reading digits or mirroring."""
+    algebras = lifted_inputs() + [
+        dense(osp_bol()), rescaled(osp_bol(), Fraction(3, BIG), Fraction(9, BIG ** 2), "osp*3/big")]
     made, allowed, spent, total = [], [], [], 0
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
@@ -237,8 +252,7 @@ def test_the_closure_makes_no_fraction_before_its_final_division(monkeypatch):
     monkeypatch.setattr(envelope, "_pair", counted(envelope._pair, allowed))
     closed = sb.PairSpace._closed.__func__
     monkeypatch.setattr(sb.PairSpace, "_closed", classmethod(counted(closed, spent)))
-    for B in LIFTED + [dense(OSP_BOL),
-                       rescaled(OSP_BOL, Fraction(3, BIG), Fraction(9, BIG ** 2), "osp*3/big")]:
+    for B in algebras:
         for build in (sb.ips_space, sb.ps_space):
             allowed.clear()
             spent.clear()

@@ -25,7 +25,7 @@ import superbol as sb
 from bench_inputs import inputs
 from superbol.graded import rat
 from test_forms_reference import random_form
-from test_reference import BOLS, LIFTED, POOL, even_map, transport
+from test_reference import bols, even_map, lifted_inputs, pool, transport
 
 
 def pulled_back(b, g):
@@ -61,11 +61,11 @@ def verdicts(report):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, len(BOLS) - 1), st.integers(0, 2 ** 32), st.sampled_from(
+@given(st.integers(0, len(bols()) - 1), st.integers(0, 2 ** 32), st.sampled_from(
     ("killing-ricci", "supersymmetric", "random")))
 def test_check_invariant_keeps_verdicts_and_flags(index, seed, which):
     rng = random.Random(seed)
-    B = BOLS[index]
+    B = bols()[index]
     g = even_map(B.space, rng)
     if which == "killing-ricci":
         b = sb.killing_ricci(B, "direct")
@@ -85,7 +85,7 @@ def _heisenberg():
         space, {(0, 1): z, (3, 3): z, (4, 4): z}))
 
 
-CENTERED = POOL + [_heisenberg(), sb.malcev_to_bol(_heisenberg())]
+CENTERED = pool() + [_heisenberg(), sb.malcev_to_bol(_heisenberg())]
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,7 +97,7 @@ def test_g_maps_the_center_onto_the_center(index, seed):
     assert sb.span_reduce(A.space, [g(z) for z in Z.basis]) == sb.center(A)
 
 
-MALCEVS = [A for A in POOL if A.ternary is None and sb.check_axioms(A, "malcev").passed]
+MALCEVS = [A for A in pool() if A.ternary is None and sb.check_axioms(A, "malcev").passed]
 
 
 @settings(max_examples=20, deadline=None)
@@ -110,7 +110,7 @@ def test_malcev_to_bol_commutes_with_even_changes_of_basis(index, seed):
     assert left == right.renamed(left.name)
 
 
-PAIRED = [A for A in BOLS + LIFTED if sb.check_axioms(A, "bol").passed]
+PAIRED = [A for A in bols() + lifted_inputs() if sb.check_axioms(A, "bol").passed]
 
 
 def assert_pairs_map_under(A, g):

@@ -25,8 +25,8 @@ import superbol as sb
 from superbol import forms as forms_module
 from superbol.forms import _pairing_identity
 from superbol.structures import AlgebraDef, BinaryStructure
-from test_reference import (BOLS, HALF, LIFTED, POOL, VALUES, even_map, from_cells,
-                            random_pair, transport)
+from test_reference import (HALF, VALUES, bols, even_map, from_cells, lifted_inputs,
+                            pool, random_pair, transport)
 
 
 def typed(values):
@@ -62,13 +62,13 @@ def random_vector(space, rng):
 
 def _envelopes():
     out = []
-    for B in BOLS:
+    for B in bols():
         out.append(sb.enveloping(B).lie)
         out.append(sb.enveloping(B, sb.ps_space(B)).lie)
     return out
 
 
-LIES = [A for A in POOL if A.binary is not None and sb.check_axioms(A, "lie").passed]
+LIES = [A for A in pool() if A.binary is not None and sb.check_axioms(A, "lie").passed]
 ENVELOPES = _envelopes()
 
 
@@ -129,7 +129,7 @@ def test_killing_forms_of_fraction_constants_match_the_reference():
 
 
 def test_killing_ricci_invariance_matches_the_reference():
-    for B in BOLS:
+    for B in bols():
         for method in ("direct", "restriction"):
             report = assert_same_invariance(B, sb.killing_ricci(B, method))
             assert report.passed and report.equivalence_consistent
@@ -138,7 +138,7 @@ def test_killing_ricci_invariance_matches_the_reference():
 def test_invariance_witnesses_of_supersymmetric_forms_match_the_reference():
     rng = random.Random(3)
     found = set()
-    for B in BOLS:
+    for B in bols():
         for _ in range(3):
             report = assert_same_invariance(B, random_form(B.space, rng, symmetric=True))
             assert report.supersymmetry.passed
@@ -147,20 +147,20 @@ def test_invariance_witnesses_of_supersymmetric_forms_match_the_reference():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, len(BOLS) - 1), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+@given(st.integers(0, len(bols()) - 1), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
 def test_invariance_of_random_forms_matches_the_reference(index, seed, symmetric, dense):
     rng = random.Random(seed)
-    B = BOLS[index]
+    B = bols()[index]
     if dense:
         B = transport(B, even_map(B.space, rng))
     assert_same_invariance(B, random_form(B.space, rng, symmetric))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, len(POOL) - 1), st.integers(0, 2 ** 32))
+@given(st.integers(0, len(pool()) - 1), st.integers(0, 2 ** 32))
 def test_evaluate_and_orthogonal_match_the_reference(index, seed):
     rng = random.Random(seed)
-    space = POOL[index].space
+    space = pool()[index].space
     b = random_form(space, rng, symmetric=rng.random() < 0.5)
     for _ in range(3):
         x, y = random_vector(space, rng), random_vector(space, rng)
@@ -191,10 +191,10 @@ def assert_same_maps(f, g, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, len(POOL) - 1), st.integers(0, 2 ** 32))
+@given(st.integers(0, len(pool()) - 1), st.integers(0, 2 ** 32))
 def test_random_maps_match_the_reference(index, seed):
     rng = random.Random(seed)
-    space = POOL[index].space
+    space = pool()[index].space
     f = random_map(space, rng, rng.randrange(2))
     g = random_map(space, rng, rng.randrange(2))
     assert_same_maps(f, g, rng)
@@ -203,7 +203,7 @@ def test_random_maps_match_the_reference(index, seed):
 
 def test_pair_operators_match_the_reference():
     rng = random.Random(1)
-    for B in BOLS:
+    for B in bols():
         ops = [p.operator for p in sb.ps_space(B).basis]
         ops += [random_pair(B, rng).operator for _ in range(3)]
         for f in ops:
@@ -213,7 +213,7 @@ def test_pair_operators_match_the_reference():
 
 def test_pairing_identity_matches_the_reference():
     rng = random.Random(2)
-    for B in BOLS + [transport(B, even_map(B.space, rng)) for B in BOLS]:
+    for B in bols() + [transport(B, even_map(B.space, rng)) for B in bols()]:
         env = sb.enveloping(B)
         alpha = sb.killing_form(env.lie)
         beta = sb.killing_ricci(B, "direct")
@@ -241,10 +241,10 @@ def off_the_products(B, form):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, len(ZEROS + BOLS) - 1), st.integers(0, 2 ** 32), st.booleans())
+@given(st.integers(0, len(ZEROS + bols()) - 1), st.integers(0, 2 ** 32), st.booleans())
 def test_forms_off_the_products_match_the_reference(index, seed, symmetric):
     rng = random.Random(seed)
-    B = (ZEROS + BOLS)[index]
+    B = (ZEROS + bols())[index]
     b = off_the_products(B, random_form(B.space, rng, symmetric))
     assert_same_invariance(B, b)
     env = sb.enveloping(B)
@@ -258,7 +258,7 @@ def lifted_cases():
     of two: the envelope's Killing form with beta by either route, and random
     Fraction forms beside them."""
     rng = random.Random(5)
-    algebras = LIFTED + [transport(B, even_map(B.space, rng)) for B in LIFTED[:2]]
+    algebras = lifted_inputs() + [transport(B, even_map(B.space, rng)) for B in lifted_inputs()[:2]]
     for B in algebras:
         env = sb.enveloping(B)
         alpha = sb.killing_form(env.lie)

@@ -25,9 +25,9 @@ import pytest
 
 import superbol as sb
 from superbol import envelope, structures
-from test_reference import LIFTED, POOL, even_map, mutate, transport
+from test_reference import even_map, lifted_inputs, mutate, pool, transport
 
-BOLS = [A for A in POOL if A.binary is not None and A.ternary is not None
+BOLS = [A for A in pool() if A.binary is not None and A.ternary is not None
         and sb.check_axioms(A, "bol").passed]
 RULES = (("nambu", "derives-triple"), ("product-rule", "derives-product"))
 
@@ -76,14 +76,14 @@ def test_catalog_and_derived_bol_algebras():
 
 
 def test_lifted_bol_algebras():
-    for B in LIFTED:
+    for B in lifted_inputs():
         assert B._lifted[0] > 1
         assert assert_rules_on_inner_pairs(B) == set(), B.name
 
 
 @pytest.mark.parametrize("lifted", [False, True])
 def test_mutants_failing_both_identities(lifted):
-    mutants = failing_mutants(LIFTED if lifted else BOLS, lifted)
+    mutants = failing_mutants(lifted_inputs() if lifted else BOLS, lifted)
     assert len(mutants) >= 3
     for M in mutants:
         assert assert_rules_on_inner_pairs(M) == {"nambu", "product-rule"}, M.name
@@ -137,9 +137,9 @@ def test_inner_pairs_read_off_the_tables_equal_inner_pair():
     a dense re-basing and the inputs with Fraction constants."""
     osp_bol = next(B for B in BOLS if B.name == "bol(osp12)")
     dense = transport(osp_bol, even_map(osp_bol.space, random.Random(5)))
-    assert any(type(c) is not int for B in LIFTED for e in B.ternary.cells().values()
+    assert any(type(c) is not int for B in lifted_inputs() for e in B.ternary.cells().values()
                for _, c in e)
-    for B in BOLS + LIFTED + [dense]:
+    for B in BOLS + lifted_inputs() + [dense]:
         n, basis = B.space.dim, B.space.basis()
         read = [(at, envelope._pair(B.space, r, x))
                 for at, r, x in structures._inner_pairs(B.space, B.binary, B.ternary)]

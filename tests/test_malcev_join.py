@@ -37,9 +37,9 @@ import superbol as sb
 from superbol import structures
 from test_mirror import skew_mutant
 from test_orbits import M7, OSP, evaluated, malcev_reach, random_algebra, representative
-from test_reference import POOL, even_map, from_cells, transport, typed
+from test_reference import even_map, from_cells, pool, transport, typed
 
-MALCEV = [A for A in POOL if A.binary is not None and sb.check_axioms(A, "malcev").passed]
+MALCEV = [A for A in pool() if A.binary is not None and sb.check_axioms(A, "malcev").passed]
 
 
 def draw(seed):
@@ -64,7 +64,7 @@ def features(A, report):
     index, par = A.space.index_of, A.space.parities
     odd = {any(par[index(label)] for label in w.at) for w in report.witnesses
            if w.axiom == "malcev"}
-    return ({("skew", not A.binary._skew_witnesses), ("lifted", A._lifted[0] > 1),
+    return ({("skew", not A._lifted[1]["binary"]._skew_witnesses), ("lifted", A._lifted[0] > 1),
              ("passed", report.passed)} | {("odd", o) for o in odd})
 
 
@@ -98,7 +98,7 @@ def test_the_join_matches_the_reference_on_every_kind_of_table(container, evalua
         A, dense = draw(seed)
         seed += 1
         seen |= {f + (dense,) for f in features(A, assert_same(A))}
-        skew, par = not A.binary._skew_witnesses, A.space.parities
+        skew, par = not A._lifted[1]["binary"]._skew_witnesses, A.space.parities
         kept = sorted(at for at in malcev_reach(A) if not skew or at == representative(at, False))
         assert evaluated["malcev"] == kept, A.name
         if skew and any(len(set(at)) == 1 and par[at[0]] for at in kept):
@@ -156,7 +156,7 @@ def test_a_skew_product_builds_the_kept_half_of_its_inner_products(monkeypatch):
         sb.BinaryStructure, M7.space, cells))
     rng = random.Random(3)
     for A in [M7, OSP, transport(OSP, even_map(OSP.space, rng)), broken] + MALCEV:
-        skew, table = not A.binary._skew_witnesses, A._lifted[1]["binary"]
+        skew, table = not A._lifted[1]["binary"]._skew_witnesses, A._lifted[1]["binary"]
         calls.clear()
         assert_same(A)
         assert len(calls) == (sum(a <= b for a, b in table.cells()) if skew

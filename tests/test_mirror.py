@@ -56,11 +56,17 @@ from superbol import envelope, structures
 from superbol.graded import sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 from test_rule_paths import nambu_broken
-from test_reference import (LIFTED, POOL, VALUES, assert_same_checks, even_map,
-                            from_cells, mutate, random_pair, rescaled, transport)
+from test_reference import (VALUES, assert_same_checks, even_map, from_cells, lifted_inputs,
+                            mutate, pool, random_pair, rescaled, transport)
 
-BOLS = [A for A in POOL + LIFTED if A.binary is not None and A.ternary is not None]
 RULES = ("nambu", "product-rule")
+
+
+@functools.cache
+def all_bols():
+    """The Bol algebras of test_reference's pool and its lifted inputs, built at their
+    first use inside a test: a fault in building them fails the tests that read them."""
+    return [A for A in pool() + lifted_inputs() if A.binary is not None and A.ternary is not None]
 
 
 def typed(coords):
@@ -139,8 +145,8 @@ def mirrored(B, report):
 
 def test_passing_inputs_match_the_reference():
     rng = random.Random(11)
-    dense = [transport(B, even_map(B.space, rng)) for B in BOLS if B.space.dim <= 5]
-    for B in BOLS + dense:
+    dense = [transport(B, even_map(B.space, rng)) for B in all_bols() if B.space.dim <= 5]
+    for B in all_bols() + dense:
         assert_same_checks(B)
         for H in pair_spaces(B):
             assert_same_brackets(H)
@@ -157,7 +163,7 @@ def test_skew_completed_mutants_match_the_reference_with_mirrored_witnesses():
     while not (seen >= wanted and spaces >= 20):
         assert seed < 600, wanted - seen
         rng = random.Random(seed)
-        M = skew_mutant(BOLS[seed % len(BOLS)], rng)
+        M = skew_mutant(all_bols()[seed % len(all_bols())], rng)
         seed += 1
         report = sb.check_axioms(M, "bol")
         assert not {w.axiom for w in report.witnesses} & {"skew", "triple-skew"}, M.name
@@ -174,7 +180,7 @@ def test_inputs_whose_skew_fails_match_the_reference():
     e1.e2 = e1 and e2.e1 = 0, where the mirrored bracket would be wrong."""
     unmirrored = 0
     for seed in range(60):
-        M = mutate(BOLS[seed % len(BOLS)], random.Random(seed))
+        M = mutate(all_bols()[seed % len(all_bols())], random.Random(seed))
         assert_same_checks(M)
         axioms = {w.axiom for w in sb.check_axioms(M, "bol").witnesses}
         unmirrored += bool(axioms & {"skew", "triple-skew"})
@@ -232,7 +238,7 @@ def packs(H, skew):
 
 
 def test_closure_brackets_each_unordered_pair_once_when_the_product_is_skew(brackets):
-    osp = next(B for B in BOLS if B.name == "bol(osp12)")
+    osp = next(B for B in all_bols() if B.name == "bol(osp12)")
     dense = transport(osp, even_map(osp.space, random.Random(2)))
     for B in (osp, sb.catalog.load("L2_3_1_bol"), dense):
         for build in (sb.ips_space, sb.ps_space):
@@ -486,12 +492,12 @@ def one_sided_bol():
 
 
 def test_pair_solvers_match_the_reference_with_and_without_mirroring():
-    rng = random.Random(12)
-    dense = [transport(B, even_map(B.space, rng)) for B in BOLS if B.space.dim <= 4]
-    mutants = [mutate(BOLS[seed % len(BOLS)], random.Random(seed)) for seed in range(60)]
+    rng, bols = random.Random(12), all_bols()
+    dense = [transport(B, even_map(B.space, rng)) for B in bols if B.space.dim <= 4]
+    mutants = [mutate(bols[seed % len(bols)], random.Random(seed)) for seed in range(60)]
     B = one_sided_bol()
     assert B.ternary._skew_witnesses == () and B.binary._skew_witnesses
-    assert any(type(c) is not int for A in LIFTED for e in A.binary.cells().values()
+    assert any(type(c) is not int for A in lifted_inputs() for e in A.binary.cells().values()
                for _, c in e)
-    for A in BOLS + dense + mutants + [B]:
+    for A in bols + dense + mutants + [B]:
         assert_same_solvers(A, rng)

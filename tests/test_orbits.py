@@ -46,15 +46,15 @@ from superbol import envelope, structures
 from superbol.graded import _into, sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 from test_mirror import assert_same_solvers, kept_brackets, skew_mutant, typed_space
-from test_reference import (LIFTED, POOL, VALUES, direct_sum, even_map, from_cells, transport,
-                            typed)
+from test_reference import (VALUES, direct_sum, even_map, from_cells, lifted_inputs, pool,
+                            transport, typed)
 
 KINDS = ("lie", "malcev", "supertriple")
 ORBIT_AXIOMS = ("jacobi", "malcev", "triple-jacobi")
 NONZERO = [v for v in VALUES if v]
 
 
-OSP = next(A for A in POOL if A.name == "osp12")
+OSP = next(A for A in pool() if A.name == "osp12")
 M7 = inputs.m7()
 
 
@@ -124,7 +124,7 @@ def mirrored(A):
     tuple that is not its orbit's representative: a signed copy; odd when an
     odd index is among its indices."""
     index, par, out = A.space.index_of, A.space.parities, set()
-    skew = not A.binary._skew_witnesses if A.binary is not None else None
+    skew = not A._lifted[1]["binary"]._skew_witnesses if A.binary is not None else None
     for kind in KINDS:
         if (A.binary if kind != "supertriple" else A.ternary) is None:
             continue
@@ -169,7 +169,7 @@ def test_rebasings_match_the_reference():
     """Dense re-basings of the small catalog and derived algebras; M7, which
     fails Jacobi on 168 tuples, as it is and sheared by m1 -> m1 + m2 (180)."""
     rng = random.Random(15)
-    for A in POOL:
+    for A in pool():
         if A.space.dim <= 5:
             assert_same_sweeps(transport(A, even_map(A.space, rng)))
     shear = [[int(i == j or (i, j) == (1, 0)) for j in range(7)] for i in range(7)]
@@ -185,13 +185,13 @@ def test_skew_mutants_match_the_reference_with_mirrored_witnesses():
     wanted = {(axiom, skew, odd) for axiom, skew in (("jacobi", True), ("malcev", True),
                                                     ("triple-jacobi", None))
               for odd in (False, True)}
-    bases = [M7, OSP] + [A for A in POOL if A.binary is not None and A.ternary is not None]
+    bases = [M7, OSP] + [A for A in pool() if A.binary is not None and A.ternary is not None]
     seen, seed = set(), 0
     while not (seen >= wanted and seed >= 40):
         assert seed < 400, wanted - seen
         A = skew_mutant(bases[seed % len(bases)], random.Random(seed))
         seed += 1
-        assert A.binary is None or not A.binary._skew_witnesses
+        assert A.binary is None or not A._lifted[1]["binary"]._skew_witnesses
         assert_same_sweeps(A)
         seen |= mirrored(A)
 
@@ -396,7 +396,7 @@ def test_ips_space_spans_every_inner_pair(monkeypatch):
     basis, pivots and brackets, scalar types included, as every inner pair of
     basis vectors gives, on the catalog, derived, lifted and dense inputs."""
     rng = random.Random(16)
-    bols = [A for A in POOL + LIFTED if A.binary is not None and A.ternary is not None
+    bols = [A for A in pool() + lifted_inputs() if A.binary is not None and A.ternary is not None
             and sb.check_axioms(A, "bol").passed]
     inputs = bols + [transport(B, even_map(B.space, rng)) for B in bols if B.space.dim <= 5]
     given = []
@@ -487,8 +487,9 @@ def test_tables_passing_ternary_jacobi_match_the_reference():
     seen, nambu, rng = set(), 0, random.Random(17)
     for seed in range(75):
         A = jacobi_algebra(random.Random(seed), 2 + seed % 4, seed < 60)
-        assert bool(A.ternary._skew_witnesses) == (seed >= 60)
-        assert not A.ternary._jacobi_witnesses
+        ternary = A._lifted[1]["ternary"]
+        assert bool(ternary._skew_witnesses) == (seed >= 60)
+        assert not ternary._jacobi_witnesses
         for kind in ("lts", "bol") if A.binary else ("lts",):
             fast, slow = sb.check_axioms(A, kind), slow_reference.check_axioms(A, kind)
             assert fast == slow and typed(fast) == typed(slow), (A.name, seed, kind)

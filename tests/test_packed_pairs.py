@@ -107,10 +107,11 @@ def test_inner_pairs_packed_give_what_they_give_one_at_a_time(kind, packs, monke
 
 def test_dense_bol_m7_packs_every_inner_pair(packs):
     """On its own path choice: the nonzero inner pairs i < j of dim 7, all even,
-    packed once per rule."""
+    packed once per rule, and then one by one, a pack of one each, for the
+    comparison."""
     B = dense(sb.malcev_to_bol(inputs.m7()))
     assert_packed_as_one_at_a_time(B, lambda tables: inner_pairs(B, tables), packs)
-    assert packs == [21, 21]
+    assert packs == ([21] + [1] * 21) * 2
 
 
 @pytest.mark.parametrize("name", ["dense bol(osp12)", "L2_3_1_bol/2", "bol(L2_2_2_malcev)*3/2"])
@@ -119,7 +120,7 @@ def test_pairs_of_both_degrees_past_2_64_pack_exactly(name, packs, monkeypatch):
     and on lifted tables (Fraction constants, L > 1), every pair listed; each
     input is built here, so that a fault in building it fails this test alone."""
     B = dense(sb.malcev_to_bol(inputs.osp12())) if name.startswith("dense") else next(
-        A for A in reference().LIFTED if A.name == name)
+        A for A in reference().lifted_inputs() if A.name == name)
     assert B.name == name
     monkeypatch.setattr(structures, "_joins", lambda tables: False)
     rng = random.Random(B.name)

@@ -502,6 +502,32 @@ def test_main_needs_both_trees_and_an_output_without_the_trajectory(capsys):
     assert "--out are required" in capsys.readouterr().err
 
 
+def test_the_moved_path_cases_time_their_own_expressions():
+    """check_pseudo_dense_bol_m7 and lie_to_lts_dense_osp2: each digest is that of the
+    report or the Lie supertriple built here, from the dense bol(M7) of check_dense_bol_m7
+    and an even pair with Fraction entries throughout, which fails both rules, and from
+    the dense copy of osp(1|2) + osp(1|2); both inputs have L > 1."""
+    from fractions import Fraction
+    root, rng = Path(__file__).resolve().parents[1], random.Random(1)
+    B = constructions.malcev_to_bol(inputs.m7())
+    D = inputs.transport(B, inputs.dense_even_map(random.Random(1), B.space), "dense " + B.name)
+    n = D.space.dim
+    pair = envelope.PseudoDerivationPair(GradedMap.from_rows(D.space, 0, [
+        [Fraction(t - m, 3) for m in range(n)] for t in range(n)]),
+        D.space.vector([Fraction(m + 1, 2) for m in range(n)]))
+    report = envelope.check_pseudo(D, pair)
+    assert {w.axiom for w in report.witnesses} == {"derives-triple", "derives-product"}
+    osp2 = inputs.direct_sum(inputs.osp12(), inputs.osp12("_2"), "osp12+osp12")
+    L = inputs.transport(osp2, inputs.dense_even_map(rng, osp2.space), "dense " + osp2.name)
+    assert D._lifted[0] > 1 and L._lifted[0] > 1
+    for name, value in (("check_pseudo_dense_bol_m7", report),
+                        ("lie_to_lts_dense_osp2", constructions.lie_to_supertriple(L))):
+        run = paired_bench.case_run(root, name, 1)
+        assert run["digest"] == hashlib.sha256(repr(value).encode()).hexdigest(), name
+    assert paired_bench.CASES["check_pseudo_dense_bol_m7"][1] == \
+        "fraction_pair(%s)" % paired_bench.CASES["check_dense_bol_m7"][1]
+
+
 def test_the_larger_abelian_cases_time_what_the_abelian_14_0_ones_do():
     """ps_abelian_24_0 and envelope_max_abelian_20_0 time the expressions of the
     abelian_14_0 cases on larger catalog keys, the pseudo --max and envelope --maximal

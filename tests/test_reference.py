@@ -15,6 +15,7 @@ basis and brackets, and random pairs that respect the grading;
 companion_space and ps_space must return equal spaces.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -29,7 +30,12 @@ from bench_inputs import inputs
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 
 
-def _pool():
+# The shared inputs are built and checked at their first use inside a test, and kept: a fault
+# in a check then fails the tests that read them, not the collection of this module and of
+# those importing it.
+@functools.cache
+def pool():
+    """The catalog algebras and those derived from aff2 and osp(1|2)."""
     aff2 = sb.catalog.load("aff2_lie")
     osp = inputs.osp12()
     return [ent.algebra for ent in sb.catalog.entries()] + [
@@ -38,8 +44,11 @@ def _pool():
     ]
 
 
-POOL = _pool()
-SMALL = [A for A in POOL if A.space.dim <= 4]
+@functools.cache
+def small():
+    return [A for A in pool() if A.space.dim <= 4]
+
+
 VALUES = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3))
 
 
@@ -133,21 +142,22 @@ def transport(A, g):
 
 
 def test_catalog_and_derived_algebras_match_the_reference():
-    for A in POOL:
+    for A in pool():
         assert_same_checks(A)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, len(POOL) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(pool()) - 1)), st.integers(0, 2 ** 32))
 def test_single_constant_mutations_match_the_reference(index, seed):
-    assert_same_checks(mutate(POOL[index], random.Random(seed)))
+    assert_same_checks(mutate(pool()[index], random.Random(seed)))
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, len(SMALL) - 1), st.integers(0, 2 ** 32), st.booleans())
+@given(st.deferred(lambda: st.integers(0, len(small()) - 1)), st.integers(0, 2 ** 32),
+       st.booleans())
 def test_dense_rebasings_match_the_reference(index, seed, mutated):
     rng = random.Random(seed)
-    A = SMALL[index]
+    A = small()[index]
     g = even_map(A.space, rng)
     C = transport(A, g)
     if mutated:
@@ -158,17 +168,23 @@ def test_dense_rebasings_match_the_reference(index, seed, mutated):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, len(SMALL) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(small()) - 1)), st.integers(0, 2 ** 32))
 def test_arbitrary_even_maps_match_the_reference(index, seed):
     rng = random.Random(seed)
-    A = SMALL[index]
+    A = small()[index]
     f = even_map(A.space, rng)
     assert_same_morphism(f, A, A)
     assert_same_morphism(f, mutate(A, rng), A)
 
 
-BOLS = [A for A in POOL if A.binary is not None and A.ternary is not None]
-SMALL_BOLS = [A for A in BOLS if A.space.dim <= 4]
+@functools.cache
+def bols():
+    return [A for A in pool() if A.binary is not None and A.ternary is not None]
+
+
+@functools.cache
+def small_bols():
+    return [A for A in bols() if A.space.dim <= 4]
 
 
 def random_pair(A, rng):
@@ -217,27 +233,28 @@ def assert_same_pairs(B, rng, brackets=None):
 
 def test_pseudo_rules_match_the_reference():
     rng = random.Random(0)
-    for B in BOLS:
+    for B in bols():
         assert_same_pairs(B, rng)
     # one dense copy of the largest input; the slow reference takes
     # seconds on it, so the random re-basings below stay at dim 4
-    osp = BOLS[-1]
+    osp = bols()[-1]
     assert_same_pairs(transport(osp, even_map(osp.space, rng)), rng, brackets=6)
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(0, len(SMALL_BOLS) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(small_bols()) - 1)), st.integers(0, 2 ** 32))
 def test_pseudo_rules_on_dense_rebasings_match_the_reference(index, seed):
     rng = random.Random(seed)
-    A = SMALL_BOLS[index]
+    A = small_bols()[index]
     assert_same_pairs(transport(A, even_map(A.space, rng)), rng, brackets=6)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, len(BOLS) - 1), st.integers(0, 2 ** 32), st.booleans())
+@given(st.deferred(lambda: st.integers(0, len(bols()) - 1)), st.integers(0, 2 ** 32),
+       st.booleans())
 def test_random_pairs_match_the_reference(index, seed, mutated):
     rng = random.Random(seed)
-    B = BOLS[index]
+    B = bols()[index]
     if mutated:
         B = mutate(B, rng)
     assert_same_pseudo(B, random_pair(B, rng))
@@ -292,19 +309,23 @@ def direct_sum(A, C, name):
 
 
 HALF, THIRD, FIFTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
-# Bol algebras whose binary and ternary denominators differ: 2 in B and 4
-# in T; 2 in B and 4 and 5 in T (a rescaled Bol algebra next to a Lie
-# triple system with zero B); none in B and 3 in T; 2 in B and 4 in T
-# with numerators 3 and 9
-LIFTED = [
-    rescaled(sb.catalog.load("L2_3_1_bol"), HALF, HALF ** 2, "L2_3_1_bol/2"),
-    direct_sum(rescaled(sb.catalog.load("L2_2_2_bol"), HALF, HALF ** 2, "-"),
-               rescaled(sb.lie_to_supertriple(sb.catalog.load("aff2_lie")), 0, FIFTH, "-"),
-               "L2_2_2_bol/2 + lts(aff2)/5"),
-    rescaled(sb.lie_to_supertriple(inputs.osp12()), 0, THIRD, "lts(osp12)/3"),
-    rescaled(sb.malcev_to_bol(sb.catalog.load("L2_2_2_malcev")), 3 * HALF, 9 * HALF ** 2,
-             "bol(L2_2_2_malcev)*3/2"),
-]
+
+
+@functools.cache
+def lifted_inputs():
+    """Bol algebras whose binary and ternary denominators differ: 2 in B and 4
+    in T; 2 in B and 4 and 5 in T (a rescaled Bol algebra next to a Lie
+    triple system with zero B); none in B and 3 in T; 2 in B and 4 in T
+    with numerators 3 and 9."""
+    return [
+        rescaled(sb.catalog.load("L2_3_1_bol"), HALF, HALF ** 2, "L2_3_1_bol/2"),
+        direct_sum(rescaled(sb.catalog.load("L2_2_2_bol"), HALF, HALF ** 2, "-"),
+                   rescaled(sb.lie_to_supertriple(sb.catalog.load("aff2_lie")), 0, FIFTH, "-"),
+                   "L2_2_2_bol/2 + lts(aff2)/5"),
+        rescaled(sb.lie_to_supertriple(inputs.osp12()), 0, THIRD, "lts(osp12)/3"),
+        rescaled(sb.malcev_to_bol(sb.catalog.load("L2_2_2_malcev")), 3 * HALF, 9 * HALF ** 2,
+                 "bol(L2_2_2_malcev)*3/2"),
+    ]
 
 # a file with the distinct prime denominators 2, 3, 5 and 7
 PRIMES_ALG = """name primes
@@ -326,18 +347,18 @@ def test_lifted_inputs_pass_with_the_stated_denominators():
     def lcm(st):
         return math.lcm(*(c.denominator for e in cells_of(st).values() for _, c in e))
 
-    for A in LIFTED:
+    for A in lifted_inputs():
         assert sb.check_axioms(A, "bol").passed, A.name
-    assert [lcm(A.binary) for A in LIFTED] == [2, 2, 1, 2]
-    assert [lcm(A.ternary) for A in LIFTED] == [4, 20, 3, 4]
-    assert [A._lifted[0] for A in LIFTED] == [4, 20, 3, 4]
+    assert [lcm(A.binary) for A in lifted_inputs()] == [2, 2, 1, 2]
+    assert [lcm(A.ternary) for A in lifted_inputs()] == [4, 20, 3, 4]
+    assert [A._lifted[0] for A in lifted_inputs()] == [4, 20, 3, 4]
 
 
 def test_lifted_reports_match_the_reference():
-    for A in LIFTED:
+    for A in lifted_inputs():
         assert_same_checks(A)
     rng = random.Random(7)
-    for A in LIFTED[:3]:
+    for A in lifted_inputs()[:3]:
         assert_same_checks(transport(A, even_map(A.space, rng)))
     A = sb.algfile.parse_algebra(PRIMES_ALG)
     assert A._lifted[0] == 2 * 3 * 5 * 7
@@ -354,7 +375,7 @@ def test_mutants_of_lifted_inputs_match_the_reference_for_every_axiom():
     while len(witnessed) < 7:
         assert seed < 400, witnessed
         rng = random.Random(seed)
-        A = mutate(LIFTED[seed % len(LIFTED)], rng)
+        A = mutate(lifted_inputs()[seed % len(lifted_inputs())], rng)
         assert_same_checks(A)
         if A._lifted[0] > 1:
             witnessed |= {w.axiom for kind in sb.KINDS if kind in A._reports
@@ -381,7 +402,7 @@ def test_sweeps_read_integer_tables_lifted_once(monkeypatch):
         monkeypatch.setitem(structures._SWEEPS, axiom, (recorded(sweep), reads, weight))
     lift = structures._lift
     monkeypatch.setattr(structures, "_lift", lambda A: lifts.append(A) or lift(A))
-    for A in LIFTED + [sb.algfile.parse_algebra(PRIMES_ALG)]:
+    for A in lifted_inputs() + [sb.algfile.parse_algebra(PRIMES_ALG)]:
         A = A.renamed("fresh " + A.name)
         for kind in sb.KINDS:
             sb.check_axioms(A, kind)
@@ -406,13 +427,94 @@ def test_pair_rules_give_the_solvers_int_rows_on_lifted_inputs(monkeypatch):
     monkeypatch.setattr(envelope, "_pair_rows", recorded)
     osp_bol = sb.malcev_to_bol(inputs.osp12())
     dense = transport(osp_bol, even_map(osp_bol.space, random.Random(1)))
-    for B in LIFTED + [dense]:
+    for B in lifted_inputs() + [dense]:
         assert B._lifted[0] > 1, B.name
         for p in sb.ps_space(B).basis:
             # the operator times the lcm of its denominators has int entries
             k = math.lcm(*(c.denominator for col in p.operator.columns for _, c in col))
             assert not sb.companion_space(B, k * p.operator).is_empty, B.name
     assert seen and set(seen) == {int}
+
+
+def test_only_int_tables_and_pairs_reach_the_packed_layer(monkeypatch):
+    """With the rule evaluators and the cell packer wrapped to record the type of every
+    constant and pair coefficient they are given: every kind's check, check_pseudo,
+    ps_space, companion_space and the .alg writer on the lifted inputs, malcev_to_bol on
+    the Malcev product of one (3/2 L2_2_2_malcev) and lie_to_supertriple on osp(1|2)/3,
+    each with a denominator, hand them ints only."""
+    from superbol import structures
+    seen = []
+
+    def recorded(f, read):
+        def run(*args):
+            seen.extend(type(c) for c in read(*args))
+            return f(*args)
+        return run
+
+    def rule_input(space, tables, r, x, order):
+        return [c for st in tables for e in st.cells().values() for _, c in e] + [
+            c for row in x for _, c in row]
+
+    for name in ("_joined", "_listed"):
+        monkeypatch.setattr(structures, name, recorded(getattr(structures, name), rule_input))
+    monkeypatch.setattr(structures, "_packed_cells", recorded(
+        structures._packed_cells, lambda cells, *_: [c for e in cells.values() for _, c in e]))
+    rng = random.Random(40)
+    malcev = AlgebraDef("3/2 L2_2_2_malcev", lifted_inputs()[3].space,
+                        binary=lifted_inputs()[3].binary)
+    lie = divided(inputs.osp12(), 3, "osp12/3")
+    for A in lifted_inputs():
+        A = rescaled(A, 1, 1, "fresh " + A.name)
+        assert A._lifted[0] > 1
+        for kind in sb.KINDS:
+            sb.check_axioms(A, kind)
+        pair = random_pair(A, rng)
+        assert_same_pseudo(A, pair)
+        assert sb.ps_space(A) == slow_reference.ps_space(A), A.name
+        if A.space.is_even_first():     # the file grammar's order of labels
+            sb.algfile.serialize_algebra(A)
+    for M, build in ((malcev, sb.malcev_to_bol), (lie, sb.lie_to_supertriple)):
+        assert M._lifted[0] > 1
+        build(M)
+    assert seen and set(seen) == {int}
+
+
+def test_the_alg_writer_reads_the_skew_verdict_of_the_bol_check(monkeypatch):
+    """After the Bol check of an algebra with L > 1, serialize_algebra runs no skew
+    sweep: it reads the verdict the check left on the lifted tables, and the given
+    tables keep none of their own.  The lifted inputs whose labels the file grammar
+    takes in order, even first: all but the direct sum."""
+    from superbol import structures
+    swept, skew = [], structures._skew
+    monkeypatch.setattr(structures, "_skew", lambda space, st: swept.append(st) or skew(space, st))
+    written = [A for A in lifted_inputs() if A.space.is_even_first()]
+    assert len(written) == 3
+    for A in written:
+        A = rescaled(A, 1, 1, "fresh " + A.name)
+        assert A._lifted[0] > 1 and sb.check_axioms(A, "bol").passed
+        swept.clear()
+        text = sb.algfile.serialize_algebra(A)
+        assert not swept, A.name
+        assert sb.algfile.parse_algebra(text) == A.renamed(A.name)
+        for st in (A.binary, A.ternary):
+            assert "_skew_witnesses" not in vars(st), A.name
+
+
+def test_check_pseudo_reads_only_the_lifted_tables():
+    """After the Bol check of an algebra with L > 1, check_pseudo of a pair with
+    Fraction entries builds no join index and no row view on the given tables,
+    and its report is the reference's, scalar types included."""
+    rng = random.Random(41)
+    for A in lifted_inputs():
+        A = rescaled(A, 1, 1, "fresh " + A.name)
+        assert A._lifted[0] > 1 and sb.check_axioms(A, "bol").passed
+        pairs = [random_pair(A, rng) for _ in range(3)]
+        reports = [sb.check_pseudo(A, pair) for pair in pairs]
+        for st in (A.binary, A.ternary):
+            assert not {"_indexes", "col", "first", "mid"} & set(vars(st)), A.name
+        for pair, fast in zip(pairs, reports):
+            slow = slow_reference.check_pseudo(A, pair)
+            assert fast == slow and typed(fast) == typed(slow), (A.name, str(pair))
 
 
 def test_cells_are_walked_once_per_structure_in_a_bol_check(monkeypatch):
@@ -432,7 +534,7 @@ def test_cells_are_walked_once_per_structure_in_a_bol_check(monkeypatch):
     texts = [PRIMES_ALG, "name one64\neven %s\nodd %s\nbinary [a0,a1] = a2\n"
              "ternary [a0,a1,a2] = a3\n" % (even, odd)]
     for A in [sb.algfile.parse_algebra(text) for text in texts] + [
-            rescaled(A, 1, 1, "fresh " + A.name) for A in LIFTED]:
+            rescaled(A, 1, 1, "fresh " + A.name) for A in lifted_inputs()]:
         walks.clear()
         sb.check_axioms(A, "bol")
         L, lifted = A._lifted
@@ -448,7 +550,7 @@ def test_inner_pairs_match_the_reference():
     homogeneous vectors."""
     rng = random.Random(3)
     osp_bol = sb.malcev_to_bol(inputs.osp12())
-    for B in BOLS + LIFTED + [transport(osp_bol, even_map(osp_bol.space, rng))]:
+    for B in bols() + lifted_inputs() + [transport(osp_bol, even_map(osp_bol.space, rng))]:
         n, par = B.space.dim, B.space.parities
         vectors = list(B.space.basis())
         for p in (0, 1):
@@ -486,8 +588,10 @@ def scaled_map(space, c, g=None, row=None):
 TWO_FIFTHS = Fraction(2, 5)
 # binary only, ternary only and Bol, each with a denominator, and each next to
 # its image under (2/5) id, whose denominators differ
-MORPHISM_SOURCES = [divided(inputs.osp12(), 3, "osp12/3"),
-                    divided(sb.lie_to_supertriple(inputs.osp12()), 3, "lts(osp12)/3"), LIFTED[0]]
+@functools.cache
+def morphism_sources():
+    return [divided(inputs.osp12(), 3, "osp12/3"),
+            divided(sb.lie_to_supertriple(inputs.osp12()), 3, "lts(osp12)/3"), lifted_inputs()[0]]
 
 
 def non_integral(report):
@@ -500,7 +604,7 @@ def test_morphisms_between_lifted_algebras_match_the_reference():
     doubled row fail with non-integral defects, the zero map passes."""
     rng = random.Random(5)
     kinds = set()
-    for A in MORPHISM_SOURCES:
+    for A in morphism_sources():
         B = divided(A, TWO_FIFTHS, A.name + "*5/2")
         g = even_map(A.space, rng)
         C = transport(A, g)
@@ -563,7 +667,7 @@ def test_check_morphism_makes_no_fraction_before_its_division(monkeypatch):
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args)
                         or new(cls, *args, **kwargs))
-    for A in MORPHISM_SOURCES:
+    for A in morphism_sources():
         B = divided(A, TWO_FIFTHS, A.name + "*5/2")
         for f, passes in ((scaled_map(A.space, TWO_FIFTHS), True),
                           (scaled_map(A.space, Fraction(1, 3)), False)):
@@ -612,12 +716,12 @@ def test_packed_sweeps_at_the_bound_match_the_reference():
         assert [(at, [(t, type(c), c) for t, c in entry]) for at, entry in cells.items()] == [
             (at, [(t, type(c), c) for t, c in full[at]]) for at in sorted(full)], M.name
     big_aff2 = malcevs[1]
-    W = big_aff2._lifted[1]["binary"]._packs[1]
+    W = big_aff2._lifted[1]["binary"]._packs[0]
     assert sb.malcev_to_bol(big_aff2).ternary.cells()[(0, 1, 0)] == ((1, -BIG ** 2),)
     assert 2 ** (W - 2) <= 3 * BIG ** 2 < 2 ** (W - 1)
     near = aligned(math.isqrt(2 ** 146 // 12), (1, -1, 1))
     assert_same_checks(near)
-    W, jacobi = near.binary._packs[1], [w.defect.coords for w in sb.check_axioms(
+    W, jacobi = near.binary._packs[0], [w.defect.coords for w in sb.check_axioms(
         near, "lie").witnesses if w.axiom == "jacobi"]
     assert len(jacobi) == 27 and W == 147
     assert {abs(c) for coords in jacobi for c in coords} == {9 * near.binary._magnitudes[0] ** 2}

@@ -24,7 +24,7 @@ from bench_inputs import inputs
 from superbol import algfile, structures
 from superbol.cli import main
 from superbol.graded import rat
-from test_reference import BOLS, even_map, transport
+from test_reference import bols, even_map, transport
 
 BOL_KEYS = ("L2_2_2_bol", "L2_3_1_bol", "abelian_2_2")
 
@@ -120,15 +120,15 @@ def typed(form):
 
 
 def test_direct_killing_ricci_matches_the_right_map_route():
-    for B in BOLS + _bol_inputs()[-1:]:
+    for B in bols() + _bol_inputs()[-1:]:
         assert typed(sb.killing_ricci(B, "direct")) == \
             typed(slow_reference.killing_ricci_direct(B)), B.name
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, len(BOLS) - 1), st.integers(0, 2 ** 32))
+@given(st.integers(0, len(bols()) - 1), st.integers(0, 2 ** 32))
 def test_killing_ricci_routes_transform_as_gt_beta_g(index, seed):
-    A = BOLS[index]
+    A = bols()[index]
     g = even_map(A.space, random.Random(seed))
     C = transport(A, g)
     n = A.space.dim

@@ -114,7 +114,7 @@ def inner_input(kind):
                 sb.malcev_to_bol(inputs.direct_sum(inputs.m7(), osp, "M7+osp12")),
                 sb.lie_to_supertriple(inputs.direct_sum(osp, inputs.osp12("_2"), "osp12+osp12"))],
             "dense": lambda: [dense(sb.malcev_to_bol(osp))],
-            "lifted": lambda: [reference().LIFTED[0]],
+            "lifted": lambda: [reference().lifted_inputs()[0]],
             "skew broken": lambda: [broken(L231, "skew")],
             "jacobi broken": lambda: [broken(L231, "jacobi")],
             "nambu broken": lambda: [nambu_broken(osp)]}[kind]()
@@ -171,11 +171,17 @@ def probe_pairs(B):
 
 
 def pseudo_defects(B, pair):
-    """check_pseudo's defects, of the rules whose structures B has."""
+    """check_pseudo's defects, of the rules whose structures B has, on the lifted tables for
+    the pair lifted as check_pseudo lifts it: times D, the lcm of its denominators, and its
+    operator terms times L."""
+    L, (*P, a) = B._lifted[0], pair._x()
+    D = math.lcm(*(c.denominator for row in (*P, a) for _, c in row))
+    x = tuple(tuple((t, int(c * D * s)) for t, c in row)
+              for row, s in [(row, L) for row in P] + [(a, 1)])
     return [(axiom, at, typed(acc)) for axiom, reads in structures._RULES
             if all(getattr(B, what) is not None for what in reads)
             for at, acc in structures._rule_defects(
-                B.space, structures._structures(B, reads), [((), pair.degree, pair._x())])]
+                B.space, structures._swept(B, reads), [((), pair.degree, x)])]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -249,7 +255,7 @@ def test_the_inputs_fail_where_they_should():
     for B in inner_input("sparse") + inner_input("dense") + inner_input("lifted"):
         kind = "bol" if B.binary is not None else "lts"
         assert sb.check_axioms(B.renamed("fresh"), kind).passed, B.name
-    assert reference().LIFTED[0]._lifted[0] > 1
+    assert reference().lifted_inputs()[0]._lifted[0] > 1
     (skew,), (jacobi,) = inner_input("skew broken"), inner_input("jacobi broken")
     assert skew.binary._skew_witnesses and not skew.ternary._skew_witnesses
     assert jacobi.ternary._jacobi_witnesses and not jacobi.ternary._skew_witnesses

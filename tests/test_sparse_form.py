@@ -21,7 +21,7 @@ import slow_reference
 import superbol as sb
 from bench_inputs import inputs
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import POOL
+from test_reference import pool
 
 SPACE = sb.SuperSpace.even_first(2, 1)
 PAR = SPACE.parities
@@ -146,12 +146,12 @@ def same_as_dense(obj):
     assert again == obj and hash(again) == hash(obj)
 
 
-MALCEVS = [A for A in POOL if A.ternary is None and sb.check_axioms(A, "malcev").passed]
+MALCEVS = [A for A in pool() if A.ternary is None and sb.check_axioms(A, "malcev").passed]
 LIES = [A for A in MALCEVS if sb.check_axioms(A, "lie").passed]
 
 
 def test_builders_agree_with_the_dense_constructors():
-    for A in POOL:
+    for A in pool():
         for s in (A.binary, A.ternary):
             if s is not None:
                 same_as_dense(s)

@@ -308,6 +308,17 @@ CASES = {
         "enveloping(Z, ps_space(Z)), Z = abelian_20_0 built afresh from the catalog: the "
         "maximal envelope (dim 440) that envelope --maximal abelian_20_0 prints",
         "catalog.build('abelian_20_0').algebra", "envelope.enveloping(B, envelope.ps_space(B))"),
+    "check_pseudo_dense_bol_m7": (
+        "check_pseudo(D, P), D as in check_dense_bol_m7 (L > 1) and P an even pair with "
+        "Fraction entries throughout (built inline): fails both rules, on D's lifted tables",
+        "fraction_pair(dense(constructions.malcev_to_bol(inputs.m7())))",
+        "envelope.check_pseudo(*B)"),
+    "lie_to_lts_dense_osp2": (
+        "lie_to_supertriple(D), D = inputs.transport(osp(1|2) + osp(1|2), "
+        "dense_even_map(random.Random(1), space)) (dim 10, L > 1): its Lie check, the "
+        "table summed on L*D and the Lie supertriple check of the result",
+        "dense(inputs.direct_sum(inputs.osp12(), inputs.osp12('_2'), 'osp12+osp12'))",
+        "constructions.lie_to_supertriple(B)"),
 }
 
 # the CLI walls: name -> the arguments of one `superbol --format machine` process, run once
@@ -380,6 +391,16 @@ def sparse_odd_pair(B):
     rows[odd[0]][even[0]], rows[even[-1]][odd[-1]] = Fraction(2, 3), -1
     comp = [Fraction(1, 2) if m == odd[-1] else 0 for m in range(n)]
     return B, envelope.PseudoDerivationPair(GradedMap.from_rows(B.space, 1, rows),
+                                            B.space.vector(comp))
+
+
+def fraction_pair(B):
+    # (B, P), P even: P e_m = (t - m)/3 e_t for each t of m's parity, companion (m + 1)/2 e_m
+    # at each even m
+    n, par = B.space.dim, B.space.parities
+    rows = [[Fraction(t - m, 3) if par[t] == par[m] else 0 for m in range(n)] for t in range(n)]
+    comp = [Fraction(m + 1, 2) if not par[m] else 0 for m in range(n)]
+    return B, envelope.PseudoDerivationPair(GradedMap.from_rows(B.space, 0, rows),
                                             B.space.vector(comp))
 
 
