@@ -13,18 +13,18 @@ Defect conventions:
 * equational axioms (Malcev, Nambu, product rule, morphism) report
   RHS - LHS.
 
-Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} =
-[x, y, .] derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator,
-`_rule_defects`, runs both for this checker, check_pseudo and the pair solvers, on the one
-form x of an integer pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The pairs of one degree
-are evaluated at once, by Kronecker substitution: packed into one pair whose coordinates hold
-theirs W bits apart, each coordinate of its defects read back as their signed W-bit digits,
-exact since every term is linear in x (`_width`).  The path is a property of the tables
-(`_joins`): where the rule's own product has fewer than half its n^arity cells nonzero,
-`_joined` joins the pair with an index of the tables by the value in each slot (`_by_slot`),
-built in one pass per table with each cell's slots, parities and windows computed inline,
-adding each cell it reaches straight into its tuple's sum; else `_listed` visits each of the
-tuples the rule lists, each term's slot and sign from `_terms`.
+Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} = [x, y, .]
+derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator, `_rule_defects`, runs
+both for this checker and check_pseudo (the pair solvers call its two paths through `_pair_rows`),
+on the one form x of an integer pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The pairs of one
+degree are evaluated at once, by Kronecker substitution: packed into one pair whose coordinates
+hold theirs W bits apart, each coordinate of its defects read back as their signed W-bit digits,
+exact since every term is linear in x (`_width`).  The path is a property of the tables (`_joins`):
+where the rule's own product has fewer than half its n^arity cells nonzero, `_joined` joins the
+pair with an index of the tables by the value in each slot (`_by_slot`), built in one pass per
+table with each cell's slots, parities and windows computed inline, adding each cell it reaches
+straight into its tuple's sum; else `_listed` visits each of the tuples the rule lists, each term's
+slot and sign from `_terms`.
 Each sweep evaluates the least tuple of each symmetry orbit and reports the rest as signed
 copies of its defect D.  The skew sweeps always, only i <= j: D(j,i,...) = (-1)^{p_i p_j}
 D(i,j,...).  The cyclic sums (super and ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)}
@@ -134,7 +134,8 @@ class _Structure(_SparseValue):
     """Structure constants of one arity, held as their sparse form.
 
     entries[i][j]... (ARITY indices) is the tuple of nonzero (t, c) of
-    the product of e_i, e_j, ...; the dense view `table` holds the
+    the product of e_i, e_j, ...; cells() holds the same entries by index
+    tuple, kept from construction; the dense view `table` holds the
     coordinate tuple of that product instead and is derived on demand.
     """
 
@@ -161,24 +162,17 @@ class _Structure(_SparseValue):
             at, t = min(bad)
             raise GradingError("product %s: output has a component on %s of wrong parity"
                                % (_bracket(space, at), space.labels[t]))
-        vars(self).update(space=space, entries=_nested(cells, space.dim, self.ARITY))
+        cells = {at: cells[at] for at in sorted(cells) if cells[at]}
+        vars(self).update(space=space, entries=_nested(cells, space.dim, self.ARITY), _cells=cells)
 
     @cached_property
     def table(self):
         return _densified(self.entries, self.space.dim, self.ARITY)
 
     def cells(self):
-        """{index tuple: entry} of the nonzero products, in lexicographic order,
-        built once per structure object: callers only read it."""
+        """{index tuple: entry} of the nonzero products, in lexicographic order: the
+        same constants as `entries`, kept from construction.  Callers only read it."""
         return self._cells
-
-    @cached_property
-    def _cells(self):
-        leaves = self.entries
-        for _ in range(self.ARITY - 1):
-            leaves = [entry for block in leaves for entry in block]
-        return {at: entry for at, entry in zip(
-            itertools.product(range(self.space.dim), repeat=self.ARITY), leaves) if entry}
 
     @cached_property
     def _magnitudes(self):  # largest |entry|, cell L1 norm: `_width`, `_packs`, `_hom_defects`
@@ -197,15 +191,20 @@ class _Structure(_SparseValue):
         return W, _packed_cells(self.cells(), W)
 
     def _scaled(self, values):  # each constant, in cells() order, the next of values: none checked
+        leaves = []
         def scaled(block, depth):  # a loop per leaf cell: a comprehension is a call of its own
             if depth:
                 return tuple([scaled(sub, depth - 1) for sub in block])
             out = []
             for t, _ in block:
                 out.append((t, next(values)))
-            return tuple(out)
+            out = tuple(out)
+            if out:
+                leaves.append(out)
+            return out
         out = object.__new__(type(self))
-        vars(out).update(space=self.space, entries=scaled(self.entries, self.ARITY))
+        vars(out).update(space=self.space, entries=scaled(self.entries, self.ARITY),
+                         _cells=dict(zip(self._cells, leaves)))
         return out
 
     @cached_property

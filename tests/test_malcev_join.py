@@ -36,7 +36,7 @@ import slow_reference
 import superbol as sb
 from superbol import structures
 from test_mirror import skew_mutant
-from test_orbits import M7, OSP, evaluated, malcev_reach, random_algebra, representative
+from test_orbits import evaluated, m7, malcev_reach, osp, random_algebra, representative
 from test_reference import even_map, from_cells, pool, transport, typed
 
 MALCEV = [A for A in pool() if A.binary is not None and sb.check_axioms(A, "malcev").passed]
@@ -51,7 +51,7 @@ def draw(seed):
     if kind < 2:
         A = random_algebra(rng, rng.randint(1, 6), ("random", "skew", "nilpotent")[seed % 3], None)
     elif kind == 2:
-        A = skew_mutant(rng.choice([M7, OSP] + MALCEV), rng)
+        A = skew_mutant(rng.choice([m7(), osp()] + MALCEV), rng)
     else:
         A = rng.choice(MALCEV)
     dense = seed % 8 >= 4 and A.space.dim <= 5
@@ -150,12 +150,12 @@ def test_a_skew_product_builds_the_kept_half_of_its_inner_products(monkeypatch):
     products = structures._products
     monkeypatch.setattr(structures, "_products",
                         lambda vec, cells: calls.append(vec) or products(vec, cells))
-    cells = dict(M7.binary.cells())
+    cells = dict(m7().binary.cells())
     cells[0, 1] = tuple((t, 2 * c) for t, c in cells[0, 1])
-    broken = sb.AlgebraDef("broken M7", M7.space, binary=from_cells(
-        sb.BinaryStructure, M7.space, cells))
+    broken = sb.AlgebraDef("broken M7", m7().space, binary=from_cells(
+        sb.BinaryStructure, m7().space, cells))
     rng = random.Random(3)
-    for A in [M7, OSP, transport(OSP, even_map(OSP.space, rng)), broken] + MALCEV:
+    for A in [m7(), osp(), transport(osp(), even_map(osp().space, rng)), broken] + MALCEV:
         skew, table = not A._lifted[1]["binary"]._skew_witnesses, A._lifted[1]["binary"]
         calls.clear()
         assert_same(A)

@@ -54,8 +54,15 @@ ORBIT_AXIOMS = ("jacobi", "malcev", "triple-jacobi")
 NONZERO = [v for v in VALUES if v]
 
 
-OSP = next(A for A in pool() if A.name == "osp12")
-M7 = inputs.m7()
+# osp(1|2) and M7 are built at their first use inside a test, and kept (see `test_reference.pool`).
+@functools.cache
+def osp():
+    return next(A for A in pool() if A.name == "osp12")
+
+
+@functools.cache
+def m7():
+    return inputs.m7()
 
 
 def random_cells(rng, space, arity, skew, inputs, outputs):
@@ -173,6 +180,7 @@ def test_rebasings_match_the_reference():
         if A.space.dim <= 5:
             assert_same_sweeps(transport(A, even_map(A.space, rng)))
     shear = [[int(i == j or (i, j) == (1, 0)) for j in range(7)] for i in range(7)]
+    M7 = m7()
     for A, failing in ((M7, 168), (transport(M7, sb.GradedMap.from_rows(M7.space, 0, shear)), 180)):
         assert len(sb.check_axioms(A, "lie").witnesses) == failing
         assert_same_sweeps(A)
@@ -185,7 +193,7 @@ def test_skew_mutants_match_the_reference_with_mirrored_witnesses():
     wanted = {(axiom, skew, odd) for axiom, skew in (("jacobi", True), ("malcev", True),
                                                     ("triple-jacobi", None))
               for odd in (False, True)}
-    bases = [M7, OSP] + [A for A in pool() if A.binary is not None and A.ternary is not None]
+    bases = [m7(), osp()] + [A for A in pool() if A.binary is not None and A.ternary is not None]
     seen, seed = set(), 0
     while not (seen >= wanted and seed >= 40):
         assert seed < 400, wanted - seen
@@ -242,7 +250,7 @@ def evaluated(monkeypatch):
 
 
 def envelope_of_bol_m7():
-    return sb.enveloping(sb.malcev_to_bol(M7)).lie
+    return sb.enveloping(sb.malcev_to_bol(m7())).lie
 
 
 def sweep_tuples(A, evaluated):
@@ -296,10 +304,10 @@ def doubled(A, at):
                       binary=from_cells(BinaryStructure, A.space, cells))
 
 
-ORBIT_COUNTS = [pytest.param(lambda: M7, 77, id="M7"), pytest.param(lambda: OSP, 30, id="osp12"),
+ORBIT_COUNTS = [pytest.param(m7, 77, id="M7"), pytest.param(osp, 30, id="osp12"),
                 pytest.param(envelope_of_bol_m7, 3192, id="envelope_of_bol_m7"),
-                pytest.param(lambda: doubled(M7, (0, 1)), 77, id="doubled_M7"),
-                pytest.param(lambda: doubled(OSP, (0, 1)), 30, id="doubled_osp12")]
+                pytest.param(lambda: doubled(m7(), (0, 1)), 77, id="doubled_M7"),
+                pytest.param(lambda: doubled(osp(), (0, 1)), 30, id="doubled_osp12")]
 
 
 @pytest.mark.parametrize("build, triples", ORBIT_COUNTS)
@@ -335,9 +343,9 @@ def test_a_product_whose_skew_fails_evaluates_every_malcev_tuple(evaluated):
     Jacobi evaluates the (7^3 + 2 * 7) / 3 = 119 cyclic orbits less the 7
     constant ones, and the Malcev walk writes and keeps every tuple a path
     reaches, with no rotation folded."""
-    cells = dict(M7.binary.cells())
+    cells = dict(m7().binary.cells())
     cells[0, 1] = tuple((t, 2 * c) for t, c in cells[0, 1])
-    A = AlgebraDef("broken M7", M7.space, binary=from_cells(BinaryStructure, M7.space, cells))
+    A = AlgebraDef("broken M7", m7().space, binary=from_cells(BinaryStructure, m7().space, cells))
     assert A.binary._skew_witnesses
     tuples = sweep_tuples(A, evaluated)
     assert len(tuples["jacobi"]) == 112
@@ -359,7 +367,7 @@ def test_a_lifted_check_divides_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(structures, "_orbit_witnesses", recording)
     monkeypatch.setattr(structures, "_quotient", lambda x, d: divisors.append(d) or quotient(x, d))
-    A = inputs.transport(M7, inputs.dense_even_map(random.Random(1), M7.space), "dense M7")
+    A = inputs.transport(m7(), inputs.dense_even_map(random.Random(1), m7().space), "dense M7")
     L = A._lifted[0]
     assert L > 1
     report = sb.check_axioms(A, "lie")
@@ -507,7 +515,7 @@ def test_pair_solvers_match_the_reference_on_the_ladder():
     osp(1|2)), whose tables pass ternary Jacobi, so their triple rule lists
     only the tuples it does not derive."""
     rng = random.Random(18)
-    for A in (M7, direct_sum(OSP, OSP, "osp+osp"), direct_sum(M7, OSP, "M7+osp")):
+    for A in (m7(), direct_sum(osp(), osp(), "osp+osp"), direct_sum(m7(), osp(), "M7+osp")):
         B = sb.malcev_to_bol(A)
         assert not B.ternary._skew_witnesses and not B.ternary._jacobi_witnesses
         assert_same_solvers(B, rng)

@@ -517,30 +517,26 @@ def test_check_pseudo_reads_only_the_lifted_tables():
             assert fast == slow and typed(fast) == typed(slow), (A.name, str(pair))
 
 
-def test_cells_are_walked_once_per_structure_in_a_bol_check(monkeypatch):
+def test_cells_are_kept_from_construction_through_a_bol_check():
     """The lift, both skew sweeps, the ternary Jacobi sweep and the triple
-    rule's reach all read cells(); its leaves are walked once per
-    structure object, the lifted copies included."""
-    from functools import cached_property
-
-    from superbol import structures
-    walks = []
-    walk = structures._Structure._cells.func
-    counted = cached_property(lambda st: walks.append(st) or walk(st))
-    counted.__set_name__(structures._Structure, "_cells")
-    monkeypatch.setattr(structures._Structure, "_cells", counted)
+    rule's reach all read cells(); every structure object, the lifted
+    copies included, holds that dict from the moment it is built, and a
+    Bol check reads the same dict object."""
     even = " ".join("a%d" % i for i in range(40))
     odd = " ".join("b%d" % i for i in range(24))
     texts = [PRIMES_ALG, "name one64\neven %s\nodd %s\nbinary [a0,a1] = a2\n"
              "ternary [a0,a1,a2] = a3\n" % (even, odd)]
     for A in [sb.algfile.parse_algebra(text) for text in texts] + [
             rescaled(A, 1, 1, "fresh " + A.name) for A in lifted_inputs()]:
-        walks.clear()
+        kept = {id(st): vars(st).get("_cells") for st in (A.binary, A.ternary)}
+        L, lifted = A._lifted  # the lift reads cells() of A's own tables
+        structures = {id(st): st for st in (A.binary, A.ternary, *lifted.values())}
+        assert len(structures) == (4 if L > 1 else 2), A.name
+        kept.update((key, vars(st).get("_cells")) for key, st in structures.items()
+                    if key not in kept)
+        assert None not in kept.values(), A.name
         sb.check_axioms(A, "bol")
-        L, lifted = A._lifted
-        objects = {id(st) for st in (A.binary, A.ternary, *lifted.values())}
-        assert len(objects) == (4 if L > 1 else 2), A.name
-        assert sorted(map(id, walks)) == sorted(objects), A.name
+        assert all(st.cells() is kept[key] for key, st in structures.items()), A.name
 
 
 def test_inner_pairs_match_the_reference():

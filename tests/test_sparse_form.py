@@ -7,11 +7,15 @@ hold the contract of that representation: the dense view gives back the
 dense input, two objects are equal exactly when their dense inputs are
 (ints, integral Fractions and Fraction(0) mixed), equal objects hash
 equal, and the package's own builders, which write the sparse form
-directly, agree with the dense constructors.  A guard test runs the
+directly, agree with the dense constructors, and a structure's cells()
+are its nonzero `entries` leaves in lexicographic order.  A guard test runs the
 checks and constructions on catalog algebras and on a 64-label zero
 algebra and asserts that none of them built a dense view.
 """
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -20,8 +24,8 @@ from hypothesis import strategies as st
 import slow_reference
 import superbol as sb
 from bench_inputs import inputs
-from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
-from test_reference import pool
+from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure, _mirrored
+from test_reference import from_cells, lifted_inputs, pool, rescaled
 
 SPACE = sb.SuperSpace.even_first(2, 1)
 PAR = SPACE.parities
@@ -146,8 +150,15 @@ def same_as_dense(obj):
     assert again == obj and hash(again) == hash(obj)
 
 
-MALCEVS = [A for A in pool() if A.ternary is None and sb.check_axioms(A, "malcev").passed]
-LIES = [A for A in MALCEVS if sb.check_axioms(A, "lie").passed]
+# checked at their first use inside a test, and kept (see `test_reference.pool`)
+@functools.cache
+def malcevs():
+    return [A for A in pool() if A.ternary is None and sb.check_axioms(A, "malcev").passed]
+
+
+@functools.cache
+def lies():
+    return [A for A in malcevs() if sb.check_axioms(A, "lie").passed]
 
 
 def test_builders_agree_with_the_dense_constructors():
@@ -155,12 +166,12 @@ def test_builders_agree_with_the_dense_constructors():
         for s in (A.binary, A.ternary):
             if s is not None:
                 same_as_dense(s)
-    for M in MALCEVS:
+    for M in malcevs():
         same_as_dense(sb.malcev_to_bol(M).ternary)
-    for L in LIES:
+    for L in lies():
         same_as_dense(sb.lie_to_supertriple(L).ternary)
         same_as_dense(sb.killing_form(L))
-    for B in (sb.malcev_to_bol(M) for M in MALCEVS):
+    for B in (sb.malcev_to_bol(M) for M in malcevs()):
         env = sb.enveloping(B)
         same_as_dense(env.lie.binary)
         same_as_dense(sb.killing_form(env.lie))
@@ -308,3 +319,83 @@ def test_pair_spaces_keep_their_brackets_sparse(monkeypatch):
     H = sb.ps_space(sb.catalog.load("abelian_6_0"))
     d = H.dim
     assert d == 42 and sum(len(c) for c in H._brackets.values()) < d ** 2
+
+
+def leaf_walk(structure):
+    """(index tuple, entry) of each nonzero leaf of `entries`, in itertools.product order."""
+    out = []
+    for at in itertools.product(range(structure.space.dim), repeat=structure.ARITY):
+        entry = structure.entries
+        for i in at:
+            entry = entry[i]
+        if entry:
+            out.append((at, entry))
+    return out
+
+
+def kept_half(rng, space, arity, density, scalars):
+    """Random cells at i <= j (no even square), within the grading, each
+    output nonzero with probability density: a super skew table's kept half."""
+    par = space.parities
+    cells = {}
+    for at in itertools.product(range(space.dim), repeat=arity):
+        if at[0] > at[1] or (at[0] == at[1] and not par[at[0]]):
+            continue
+        degree = sum(par[i] for i in at) % 2
+        entry = tuple((t, rng.choice(scalars)) for t in range(space.dim)
+                      if par[t] == degree and rng.random() < density)
+        if entry:
+            cells[at] = entry
+    return cells
+
+
+def shuffled_alg(rng, A):
+    """A's .alg text with its product lines in random order."""
+    lines = sb.serialize_algebra(A).splitlines()
+    products = [line for line in lines if line.startswith(("binary [", "ternary ["))]
+    rng.shuffle(products)
+    return "\n".join([line for line in lines if line not in products] + products) + "\n"
+
+
+def assert_cells_are_leaves(A):
+    """Each structure of A and of its lifted copies; True when L > 1."""
+    L, copies = A._lifted
+    for s in {id(s): s for s in (A.binary, A.ternary, *copies.values()) if s is not None}.values():
+        assert list(s.cells().items()) == leaf_walk(s), A.name
+    return L > 1
+
+
+def test_cells_are_the_nonzero_leaves_in_product_order():
+    """cells() lists exactly the nonzero leaves of `entries`, in the order a
+    walk over itertools.product visits them, on tables built by every path:
+    the dense constructor, from_products, _of on a shuffled _mirrored dict,
+    parse_algebra on shuffled product lines, malcev_to_bol, lie_to_supertriple,
+    enveloping(B).lie and the lifted copies check_axioms sweeps (L > 1);
+    random sparse and dense tables of both arities, int and Fraction."""
+    rng = random.Random(41)
+    ints, fractions = (1, -1, 2, -3), (Fraction(1, 2), Fraction(-2, 3), 1, -2)
+    lifted = 0
+    for seed in range(16):
+        space = sb.SuperSpace.even_first(rng.randint(1, 3), rng.randint(0, 2))
+        density, scalars = (0.2, 1)[seed % 2], (ints, fractions)[seed // 2 % 2]
+        built = {}
+        for cls in (BinaryStructure, TernaryStructure):
+            half = kept_half(rng, space, cls.ARITY, density, scalars)
+            full = list(_mirrored(space.parities, half).items())
+            rng.shuffle(full)
+            built[cls] = [from_cells(cls, space, dict(full)), cls._of(space, dict(full)),
+                          cls.from_products(space, {at: [dict(e).get(t, 0) for t in range(
+                              space.dim)] for at, e in half.items()})]
+        for path, (bs, ts) in enumerate(zip(built[BinaryStructure], built[TernaryStructure])):
+            A = AlgebraDef("random%d_%d" % (seed, path), space, binary=bs, ternary=ts)
+            lifted += assert_cells_are_leaves(A)
+            assert_cells_are_leaves(sb.parse_algebra(shuffled_alg(rng, A)))
+    for malcev in malcevs():
+        for M in (malcev, rescaled(malcev, Fraction(2, 3), 0, malcev.name + "*2/3")):
+            B = sb.malcev_to_bol(M)
+            derived = [M, B, sb.enveloping(B).lie]
+            if sb.check_axioms(M, "lie").passed:
+                derived.append(sb.lie_to_supertriple(M))
+            lifted += sum(map(assert_cells_are_leaves, derived))
+    lifted += sum(map(assert_cells_are_leaves, lifted_inputs()))
+    assert lifted >= 8

@@ -327,6 +327,8 @@ CLI_WALLS = {
     "pseudo_max_abelian_32_0": ("pseudo", "--max", "abelian_32_0"),
     "pseudo_max_abelian_16_16": ("pseudo", "--max", "abelian_16_16"),
     "envelope_maximal_abelian_20_0": ("envelope", "--maximal", "abelian_20_0"),
+    "report_abelian_64_0": ("report", "abelian_64_0"),
+    "check_bol_abelian_64_0": ("check", "abelian_64_0", "--kind", "bol"),
 }
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
