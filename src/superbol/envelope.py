@@ -1,15 +1,15 @@
 """Pseudo superderivation pairs and enveloping Lie superalgebras.
 
 A pair (P, a) is a homogeneous operator and a companion of its degree,
-held here in the rules' one form x (`structures`) and, for spans and
+held here in the rules' one form x (`rules`) and, for spans and
 membership tests, as flat entries: P's row-major at t n + m, then a's at
 n^2 + t.  The two rules that define the pairs are written once, in
-`structures`: check_pseudo runs the integer multiple of its pair through
+`rules`: check_pseudo runs the integer multiple of its pair through
 the Bol checker's evaluator, and companion_space and ps_space read their
 rows from it (`_pair_rows`), one unit pair per unknown, all on the lifted
 tables, B in the basis L e_i, each operator term times L.
 The inner pairs of the basis are read off the tables, as the Bol checker
-reads them (`structures._inner_pairs`); inner_pair is for any two vectors.
+reads them (`rules._inner_pairs`); inner_pair is for any two vectors.
 
 The enveloping algebra of a Bol algebra B over a pair space H >= IPS(B)
 is B + H with
@@ -41,9 +41,9 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _
                      _quotient, _sparse, hidden, rat, record, sign)
 from .linalg import (AffineSubspace, _affine, _by_lead, _in_span, _kernel, _reduced, _rref,
                      _span_coordinates, span_reduce)
-from .structures import (_RULES, AlgebraDef, BinaryStructure, CheckReport, StructureError,
-                         Witness, _all_skew, _digits, _inner_pairs, _mirrored,
-                         _pair_rows, _rule_defects, _structures, _swept, require_axioms)
+from .rules import _RULES, _inner_pairs, _pair_rows, _rule_defects
+from .structures import (AlgebraDef, BinaryStructure, CheckReport, StructureError, Witness,
+                         _all_skew, _digits, _mirrored, _structures, _swept, require_axioms)
 
 
 class EnvelopeError(RuntimeError):

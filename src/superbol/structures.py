@@ -13,18 +13,8 @@ Defect conventions:
 * equational axioms (Malcev, Nambu, product rule, morphism) report
   RHS - LHS.
 
-Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} = [x, y, .]
-derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator, `_rule_defects`, runs
-both for this checker and check_pseudo (the pair solvers call its two paths through `_pair_rows`),
-on the one form x of an integer pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The pairs of one
-degree are evaluated at once, by Kronecker substitution: packed into one pair whose coordinates
-hold theirs W bits apart, each coordinate of its defects read back as their signed W-bit digits,
-exact since every term is linear in x (`_width`).  The path is a property of the tables (`_joins`):
-where the rule's own product has fewer than half its n^arity cells nonzero, `_joined` joins the
-pair with an index of the tables by the value in each slot (`_by_slot`), built in one pass per
-table with each cell's slots, parities and windows computed inline, adding each cell it reaches
-straight into its tuple's sum; else `_listed` visits each of the tuples the rule lists, each term's
-slot and sign from `_terms`.
+The pseudo-derivation rules, Nambu and the product rule, are evaluated in `rules`, and the
+Malcev sweep is the walk in `malcev`; a sweep loads its module when it first runs.
 Each sweep evaluates the least tuple of each symmetry orbit and reports the rest as signed
 copies of its defect D.  The skew sweeps always, only i <= j: D(j,i,...) = (-1)^{p_i p_j}
 D(i,j,...).  The cyclic sums (super and ternary Jacobi) always: D(j,k,i) = (-1)^{p_i(p_j+p_k)}
@@ -32,21 +22,9 @@ D(i,j,k).  Once the skew sweeps of the tables read find nothing (each runs once 
 object): super Jacobi D(j,i,k) = -(-1)^{p_i p_j} D(i,j,k), so i <= j <= k; Malcev D(j,k,l,i) =
 (-1)^{p_i(p_j+p_k+p_l)} D(i,j,k,l), not i <-> k, so its loops keep i <= j, k, l and, where i
 repeats, the least rotation; the pseudo-derivation rules by that skew sign in (i, j), as the
-inner pairs are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.  Once the
-ternary table's Jacobi sweep (also run once per structure object) finds nothing too, the triple
-rule's defect F of any homogeneous operator obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) +
-(-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only u < v, u <= w are then evaluated:
-the derived ones, u == v or w < u < v, are zero where these are ((a, a, a) is 0).  A Nambu sweep
-that finds a defect there evaluates its failing inner pairs again at every u <= v, and the
-derived rows, combinations of kept rows, are not listed in the pair-space solvers.  A table
+inner pairs are, and in (u, v): i <= j and u <= v, here and in the pair-space solvers.  A table
 listed by its kept half, i <= j (from_products, the .alg parser, enveloping algebras and pair
 brackets), is completed by one routine, `_mirrored`.
-
-The Malcev sweep visits no tuple.  Each of its five terms is an inner product from `_products`,
-(e_i e_j) e_k, e_i (e_k e_l) or (e_i e_k) e_b, times one more basis vector: it walks from the
-inner product's support to the nonzero cells there, one first index i at a time, each path
-adding one packed int into its tuple's slot (j n + k) n + l (`_slots`).  The work is the paths,
-on sparse and dense tables alike, and only nonzero slots are decoded.
 
 The sweeps run on integer tables.  With L the lcm of every denominator in the binary table B and
 the ternary table T, check_axioms sweeps L*B and L^2*T, the algebra in the basis L e_i.  Every
@@ -60,22 +38,20 @@ tables, where an operator's matrix is unchanged and a companion's coordinates ar
 smaller: they take operator terms times L.  The lift is made once per algebra object; when
 L = 1 the tables are swept as they stand.  Only these integer tables reach the packed layer.
 
-Each table also packs its cells once, by the same substitution, as {cell: sum of c 2^(W t)}
-(`_packs`, by `_packed_cells`) with 2^(W-1) > 4 S1 M (S1, M as in `_width`): above the skew (2M),
-ternary Jacobi (3M) and super Jacobi (3 S1 M) defects and the sums of malcev_to_bol (weights 2,
--1, -1: 4 S1 M) and lie_to_supertriple (1, 0, 0: S1 M), which add these ints (a super Jacobi
-term: one multiply-add per (m, c) of e_i e_j).  The Malcev sweep packs by `_packed_cells` at its
-own W, 2^(W-1) > 5 S1^2 M: each of its five terms is at most S1^2 M per coordinate.  One
-decoder, `_packed_orbits`, reads back every sweep's nonzero defects.
+Each table also packs its cells once, by Kronecker substitution, as {cell: sum of c 2^(W t)}
+(`_packs`, by `_packed_cells`) with 2^(W-1) > 4 S1 M, S1 the largest cell L1 norm and M the
+largest |entry| (`_magnitudes`): above the skew (2M), ternary Jacobi (3M) and super Jacobi
+(3 S1 M) defects and the sums of malcev_to_bol (weights 2, -1, -1: 4 S1 M) and
+lie_to_supertriple (1, 0, 0: S1 M), which add these ints (a super Jacobi term: one multiply-add
+per (m, c) of e_i e_j); the Malcev walk packs at its own W.  One decoder, `_packed_orbits`,
+reads back every sweep's nonzero defects.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from functools import cached_property, partial
-from operator import itemgetter
 
 from .graded import (GradingError, SuperVector, _dense, _exact, _into, _quotient,
                      _sparse, _SparseValue, _transposed, _vector, record, sign)
@@ -450,104 +426,6 @@ def _sweep_super_jacobi(space, bs):
                           moves)
 
 
-def _products(vec, cells):
-    """{x: vec times e_x} where nonzero, packed, with cells[m] the nonzero (x, packed e_m e_x) of
-    row m; with those (x, packed e_x e_m) of column m, {x: e_x times vec}."""
-    out = {}
-    for m, c in vec:
-        for x, e in cells[m]:
-            out[x] = out.get(x, 0) + c * e
-    return {x: v for x, v in out.items() if v}
-
-
-def _slots(n, paths):
-    """`_sweep_malcev`'s zero slots of one i: n^3 ints once its writes, about 2 paths, reach n^4/50,
-    else a dict (measured: a dict write costs about as much as 50 slots of the n lists)."""
-    return [0] * n ** 3 if 100 * paths >= n ** 4 else defaultdict(int)
-
-
-def _sweep_malcev(space, bs):
-    """RHS - LHS of the Malcev identity, s = (-1)^{jk}, s4 = (-1)^{j(k+l)}, s5 = (-1)^{l(j+k)}:
-    D = s (e_i e_k)(e_j e_l) - ((e_i e_j) e_k) e_l + e_i ((e_j e_k) e_l)
-        + s4 (e_i (e_k e_l)) e_j + s5 ((e_i e_l) e_j) e_k.
-    No tuple is visited: each path from a term's inner product to a nonzero cell adds one int (W
-    as the module says), signed by parity bits, into the slot (j n + k) n + l of its tuple in its
-    first index i's `_slots`; only nonzero slots are decoded.  Once the product is super skew D
-    is cyclic: i <= j, k, l, and a tuple with i repeated is kept when least among its rotations."""
-    n, nn, par, mirror = space.dim, space.dim ** 2, space.parities, _all_skew((bs,))
-    (m, s1), cells, found = bs._magnitudes, bs.cells(), []
-    W, rows, cols = (5 * s1 * s1 * m).bit_length() + 1, [[] for _ in par], [[] for _ in par]
-    for (a, b), v in reversed(_packed_cells(cells, W).items()):  # by falling index
-        rows[a].append((b, v))
-        cols[b].append((a, v))
-    # right[a, b][c] = (e_a e_b) e_c; skew, read off its kept half: e_b e_a = -(-1)^{ab} e_a e_b
-    if mirror:
-        right = {at: _products(entry, rows) for at, entry in cells.items() if at[0] <= at[1]}
-        right.update({(b, a): {c: v if par[a] & par[b] else -v for c, v in r.items()}
-                      for (a, b), r in right.items() if a < b})
-    else:
-        right = {at: _products(entry, rows) for at, entry in cells.items()}
-    # per i: heads (k, e_i e_k's right map), k >= i if skew, and tails (k n + l, p_k + p_l,
-    # e_i (e_k e_l)), skew only i <= k, l, read off right: -(-1)^{i(k+l)} (e_k e_l) e_i; per b,
-    # least index first: units (least, j n^2 + l, p_j, d) of d e_b in e_j e_l and into
-    # (least, slot, d) of d e_b in (e_j e_k) e_l
-    heads, tails, units, into = ([[] for _ in par] for _ in range(4))
-    for (a, b), entry in cells.items():
-        for t, d in entry:
-            units[t].append((min(a, b) if mirror else n, a * nn + b, par[a], d))
-        for c, vec in ({} if mirror else _products(entry, cols)).items():
-            tails[c].append((a * n + b, par[a] ^ par[b], vec))
-    for (a, b), r in right.items():
-        r, p = [(c, vec, list(_digits(vec, W))) for c, vec in r.items()], par[a] ^ par[b]
-        if b >= a or not mirror:
-            heads[a].append((b, r))
-        for c, vec, digits in r:
-            if mirror and c <= a and c <= b:
-                tails[c].append((a * n + b, p, vec if par[c] & p else -vec))
-            for t, d in digits:
-                into[t].append((min(a, b, c) if mirror else n, (a * n + b) * n + c, d))
-    for group in units + into:
-        group.sort(key=itemgetter(0), reverse=True)
-    paths = sum(len(c) * len(t) for c, t in zip(cols, into))  # e_i ((e_j e_k) e_l)'s, unpruned
-    for i in range(n):
-        lo, slots = i if mirror else 0, _slots(n, paths)
-        for k, rik in heads[i]:
-            kn, pk = k * n, par[k]
-            for y, vec, digits in rik:  # s (e_i e_k)(e_j e_l): s d (e_i e_k) e_y, (y, d) of e_j e_l
-                for least, at, pj, d in units[y]:
-                    if least < i:
-                        break
-                    slots[at + kn] += -d * vec if pj & pk else d * vec
-                if y >= lo:  # -((e_i e_k) e_y) e_f at (i, k, y, f); s5 times at (i, y, f, k)
-                    b2, b5, py = (kn + y) * n, y * nn + k, par[y]
-                    for b, d in digits:
-                        for f, e in rows[b]:
-                            if f < lo:
-                                break
-                            t = d * e
-                            slots[b2 + f] -= t
-                            slots[b5 + f * n] += -t if pk & (py ^ par[f]) else t
-        for b, e in rows[i]:  # e_i ((e_j e_k) e_l): d e_i e_b, (b, d) of (e_j e_k) e_l
-            for least, at, d in into[b]:
-                if least < i:
-                    break
-                slots[at] += d * e
-        for kl, p, vec in tails[i]:  # s4 (e_i (e_k e_l)) e_j
-            for b, d in _digits(vec, W):
-                for j, e in rows[b]:
-                    if j < lo:
-                        break
-                    slots[j * nn + kl] += -d * e if par[j] & p else d * e
-        # the nonzero slots (one count passes a list of zeros), each orbit's least rotation: with
-        # i least, a rotation to a later i is less only when it is l (not all four), or k and l < j
-        for at in (slots.count(0) < n * nn and itertools.compress(range(n * nn), slots) or ()
-                   if isinstance(slots, list) else itertools.compress(slots, slots.values())):
-            j, k, l = at // nn, at // n % n, at % n
-            if not mirror or (l != i or i == j == k) and (k != i or j <= l):
-                found.append(((i, j, k, l), slots[at]))
-    return _packed_orbits("malcev", space, W, found, (partial(_rotated, par),) if mirror else ())
-
-
 def _sweep_ternary_jacobi(space, ts):
     # the cyclic sum, at the least rotation of each nonzero product's tuple
     (W, packs), par = ts._packs, space.parities
@@ -558,187 +436,6 @@ def _sweep_ternary_jacobi(space, ts):
     return _packed_orbits("triple-jacobi", space, W, sums, (partial(_rotated, par),))
 
 
-# the pseudo-derivation rules: a degree-r pair (P, a) derives the ternary product (the triple
-# rule) and, with its companion, the binary one (the product rule).  The structures a rule reads
-# name it: the ternary alone, or the binary then the ternary.  At the tuple at, the defect RHS -
-# LHS sums, over the terms t as `_terms` lays them out, s * x[slot] through the row view of term
-# t's product with e_slot in slot t (the rule's own product, but the ternary for the product
-# rule's companion term), and w, the rule's product at at, through the pair's w view:
-#   [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k],
-#   [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j).
-
-
-def _terms(par, at):
-    """Per term t of a rule at its tuple at, (slot, p): it reads x[slot], slot at[t] or, past
-    the last factor, the companion's n, and moves P past at[:t], of parity p."""
-    i, j, k = at if len(at) == 3 else at + (len(par),)
-    return (i, 0), (j, par[i]), (k, par[i] ^ par[j])
-
-
-# each rule with check_pseudo's name for it and the structures it reads
-_RULES = (("derives-triple", ("ternary",)), ("derives-product", ("binary", "ternary")))
-
-
-def _w_view(x, structures):
-    """The w view of the pair x: view[m] = -P e_m, plus [a, e_m] where the rule reads the binary
-    product, through which a acts; -P e_m alone, negated, where it reads no companion or a = 0."""
-    *P, a = x
-    if not (structures[1:] and a):
-        return [tuple((t, -c) for t, c in row) for row in P]
-    view = [_into([0] * len(P), a, col) for col in structures[0].col]
-    for acc, row in zip(view, P):
-        for t, c in row:
-            acc[t] -= c
-    return [_sparse(acc) for acc in view]
-
-
-def _ordered(n, a, d):
-    """The a-tuples at of basis indices with at[0] + d[0] <= at[1] and, for a = 3,
-    at[0] + d[1] <= at[2], in order: those a rule is evaluated at, d from `_order`."""
-    return ((i,) + rest for i in range(n)
-            for rest in itertools.product(*(range(max(0, i + e), n) for e in d[:a - 1])))
-
-
-def _by_slot(par, st, a, d):
-    """Table st's part of the join's index for the rule of arity a: per m, each cell with e_m in
-    a slot t of st's terms (the product rule's ternary: the companion's) as (base, stride, p,
-    entry, lo, hi), the term at the tuple keyed base + v stride reading x[v], v in [lo, hi] (or
-    the companion's n, stride 0), P past at[:t] of parity p; per m, the kept (key, c) of w's
-    cells if st is the rule's own.  One pass over st's cells, each unpacked once with its key
-    and windows computed inline; (i, j, k) is `_ordered` when i + d[0] <= j, i + d[1] <= k, so
-    v <= j - d[0], k - d[1] in slot 0 and v >= i + d[t - 1] in slot t while the other slot
-    holds.  The product rule's ternary, read for the companion's term alone, has its own loop.
-    A tuple's key is its indices' base-n digits, (i n + j) n + k."""
-    n, (d0, d1), index, w = len(par), d, [[] for _ in par], [[] for _ in par]
-    if st.ARITY > a:  # the product rule's ternary: its companion term at (i, j) reads x[n]
-        for (i, j, k), entry in st.cells().items():
-            if i + d0 <= j:
-                index[k].append((i * n + j, 0, par[i] ^ par[j], entry, n, n))
-        return index, w
-    s0, s1 = (n * n, n) if a == 3 else (n, 1)
-    for at, entry in st.cells().items():
-        i, j, k = at if a == 3 else at + (math.inf,)
-        key = (i * n + j) * n + k if a == 3 else i * n + j
-        ok1, ok2, hi = i + d0 <= j, i + d1 <= k, min(n - 1, j - d0, k - d1)
-        if hi >= 0:
-            index[i].append((key - i * s0, s0, 0, entry, 0, hi))
-        if ok2 and i + d0 < n:
-            index[j].append((key - j * s1, s1, par[i], entry, i + d0, n - 1))
-        if a == 3 and ok1:
-            index[k].append((key - k, 1, par[i] ^ par[j], entry, i + d1, n - 1))
-        if ok1 and ok2:
-            for m, c in entry:
-                w[m].append((key, c))
-    return index, w
-
-
-def _joins(structures):
-    """Whether the rule's own product, structures[0], has fewer than half its n^arity cells
-    nonzero: the join's work grows with the cells, the listed path's with the tuples."""
-    st = structures[0]
-    return 2 * len(st.cells()) < st.space.dim ** st.ARITY
-
-
-def _joined(space, structures, r, x, order):
-    """The rule's defects at one degree-r pair x at its tuples `_ordered` by order, (at, acc) in
-    order, acc dense: the sums over the cells its nonzero (v, m, c) reach in the index of each
-    table read, its own part of it (`_by_slot`) kept on it per order and rule arity and the
-    parts read in turn, and over those meeting its w view's support, each cell added straight
-    into its tuple's sum under the tuple's int key; only the keys with a nonzero sum are sorted
-    and decoded."""
-    a, sg, found, n = structures[0].ARITY, (1, sign(r)), {}, space.dim
-    parts = [st._indexes.get((order, a)) or st._indexes.setdefault((order, a), _by_slot(
-        space.parities, st, a, order)) for st in structures]
-    for v, row in enumerate(x):
-        for m, c in row:
-            for index, _ in parts:
-                for base, stride, p, entry, lo, hi in index[m]:
-                    if lo <= v <= hi:
-                        key, f = base + v * stride, sg[p] * c
-                        acc = found.get(key) or found.setdefault(key, [0] * n)
-                        for q, e in entry:
-                            acc[q] += f * e
-    for m, row in enumerate(_w_view(x, structures)):
-        for key, c in parts[0][1][m] if row else ():
-            acc = found.get(key) or found.setdefault(key, [0] * n)
-            for q, e in row:
-                acc[q] += c * e
-    return [(divmod(key, n) if a == 2 else (key // n // n, key // n % n, key % n), found[key])
-            for key in sorted(key for key, acc in found.items() if any(acc))]
-
-
-def _listed(space, structures, r, x, order):
-    """The rule's defects at one degree-r pair x, at each of its tuples `_ordered` by order in
-    turn: (at, acc) in order, acc dense."""
-    n, par, st, sg = space.dim, space.parities, structures[0], (1, sign(r))
-    a, v2 = st.ARITY, structures[-1].entries    # term 2 reads the ternary product
-    v0, v1 = (st.col, st.entries) if a == 2 else (st.first, st.mid)
-    view = _w_view(x, structures)
-    for at in _ordered(n, a, order):
-        (i, p0), (j, p1), (k, p2) = _terms(par, at)
-        r0, r1 = (v0[j], v1[i]) if a == 2 else (v0[j][k], v1[i][k])
-        w, xi, xj, xk = r1[j], x[i], x[j], x[k]
-        if not (w or xi or xj or xk):
-            continue    # no term reaches the pair
-        acc = _into([0] * n, w, view)
-        if xi:
-            _into(acc, xi, r0, sg[p0])
-        if xj:
-            _into(acc, xj, r1, sg[p1])
-        if xk:
-            _into(acc, xk, v2[i][j], sg[p2])
-        if any(acc):
-            yield at, acc
-
-
-def _width(xs, structures):
-    """W with 2^(W-1) > X1 (3M + S1 (1 + M)), a bound on every defect coordinate of the integer
-    pairs xs: X1 the largest L1 norm of a pair row, M the largest |entry| and S1 the largest L1
-    norm of a cell of the tables read.  Per tuple the three x terms are at most X1 M each, and
-    w . view at most S1 X1 (1 + M)."""
-    m, s1 = (max(values) for values in zip(*(st._magnitudes for st in structures)))
-    x1 = max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
-    return (x1 * (3 * m + s1 * (1 + m))).bit_length() + 1
-
-
-def _packed(xs, W):
-    """The pair sum over b of xs[b] 2^(W b), sparse: its rows' coordinates hold those of the
-    pairs W bits apart, nonzero where some pair's is, as each |c| < 2^(W-1) but the last's."""
-    out = []
-    for rows in zip(*xs):
-        acc = [0] * (len(xs[0]) - 1)
-        for b, row in enumerate(rows):
-            for m, c in row:
-                acc[m] += c << W * b
-        out.append(_sparse(acc))
-    return tuple(out)
-
-
-def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
-    """The nonzero defects of the rule the structures name on each integer degree-r pair (key,
-    r, x) of pairs at its tuples `_ordered` by order, as (key + at, acc) in pair order, acc
-    dense.  The pairs of each degree are evaluated at once, as one pair `_packed` W bits apart
-    (every term is linear in x), joined or listed as `_joins` chooses for the tables: digit b
-    of coordinate t of a packed defect, read by `_digits`, is coordinate t of pair b's."""
-    evaluate = _joined if _joins(structures) else _listed
-    found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
-    for key, r, x in pairs:
-        if any(x):  # a zero pair derives everything
-            found.append((key, []))
-            degrees.setdefault(r, []).append((x, found[-1][1]))
-    for r, group in degrees.items():
-        xs, outs = zip(*group)
-        W = _width(xs, structures)
-        for at, acc in evaluate(space, structures, r, _packed(xs, W), order):
-            defects = {}    # per pair with a nonzero digit, its dense defect
-            for t, v in enumerate(acc):
-                for b, c in _digits(v, W) if v else ():
-                    (defects.get(b) or defects.setdefault(b, [0] * len(acc)))[t] = c
-            for b, defect in defects.items():
-                outs[b].append((at, defect))
-    return [(key + at, acc) for key, defects in found for at, acc in defects]
-
-
 def _structures(A, reads):
     """A's structures named in reads, in order; a missing one raises."""
     for what in reads:
@@ -747,26 +444,9 @@ def _structures(A, reads):
     return tuple(getattr(A, what) for what in reads)
 
 
-def _inner_pairs(space, *structures):
-    """((i, j), degree, x) for every inner pair (D_{i,j}, e_i.e_j) of basis
-    vectors, in (i, j) order: x as in the rules, x[m] = [e_i, e_j, e_m] and
-    x[n] = e_i.e_j, or () when the structures are the ternary one alone."""
-    n, par = space.dim, space.parities
-    Et, Eb = structures[-1].entries, structures[0].entries if len(structures) == 2 else None
-    for i, j in itertools.product(range(n), repeat=2):
-        yield (i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),)
-
-
 def _all_skew(structures):
     """Whether the skew sweep finds nothing on each of the structures."""
     return not any(st._skew_witnesses for st in structures)
-
-
-def _derives(structures):
-    """Whether the structures are the triple rule's, a ternary table alone, whose skew and
-    ternary Jacobi sweeps find nothing: then its derived tuples are zero where the rest are."""
-    st = structures[0]
-    return st.ARITY == 3 and _all_skew(structures) and not st._jacobi_witnesses
 
 
 def _swept(A, reads):
@@ -774,36 +454,6 @@ def _swept(A, reads):
     raises): the tables check_axioms sweeps and the pair solvers read."""
     _structures(A, reads)
     return tuple(A._lifted[1][what] for what in reads)
-
-
-def _order(structures):
-    """The offsets d, `_ordered`'s, of the tuples a sweep or solver evaluates the structures'
-    rule at: at[0] <= at[1] once they are super skew, u < v, u <= w once derived ones follow
-    (a failing Nambu sweep then evaluates its failing pairs again at every u <= v)."""
-    if _derives(structures):
-        return 1, 0
-    return (0 if _all_skew(structures) else -math.inf), -math.inf
-
-
-def _pair_rows(A, r, pairs):
-    """The pair solvers' rows: both rules, the triple rule's first, on A's lifted tables at
-    `_order`'s tuples, for the integer degree-r pairs (column, x) in column order, packed into
-    one W bits apart (`_packed`; `_width` over both tables), joined or listed as `_joins`
-    chooses for each rule's tables, as in `_rule_defects`.  Each nonzero packed defect
-    coordinate is one row ((column, c), ...), c that coordinate of x's defect: one seen
-    before, up to sign, is dropped, and a new one is read by `_digits`.  A missing structure
-    raises before any row."""
-    rules = [_swept(A, reads) for _, reads in _RULES]
-    columns, xs = zip(*pairs)
-    W = _width(xs, [st for structures in rules for st in structures])
-    x, seen = _packed(xs, W), set()
-    for structures in rules:
-        evaluate = _joined if _joins(structures) else _listed
-        for _, acc in evaluate(A.space, structures, r, x, _order(structures)):
-            for v in map(abs, acc):
-                if v and v not in seen:
-                    seen.add(v)
-                    yield [(columns[b], c) for b, c in _digits(v, W)]
 
 
 def _packed_cells(cells, W):
@@ -829,18 +479,14 @@ def _digits(v, W):
         v, b = (v - c) >> W, b + 1
 
 
-def _inner_witnesses(axiom, space, *structures):
-    # the structures' rule on every inner pair, mirrored in (i, j) and (u, v) once they are
-    # super skew; where the derived tuples were left out, the failing pairs again at all u <= v
-    par, mirror = space.parities, _all_skew(structures)
-    pairs = [p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror]
-    defects = _rule_defects(space, structures, pairs, _order(structures))
-    if defects and _derives(structures):
-        failing = {at[:2] for at, _ in defects}
-        defects = _rule_defects(space, structures, [p for p in pairs if p[0] in failing],
-                                (0, -math.inf))
-    return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
-                                                    partial(_swapped, 2, par)) if mirror else ())
+def _malcev(space, bs):  # the Malcev walk, compiled only by the commands that run it
+    from .malcev import _sweep_malcev
+    return _sweep_malcev(space, bs)
+
+
+def _rules(axiom, space, *structures):  # the pair rules, compiled only where a sweep runs them
+    from .rules import _inner_witnesses
+    return _inner_witnesses(axiom, space, *structures)
 
 
 # every sweep with the structures it reads and the weight of its identity,
@@ -849,11 +495,11 @@ def _inner_witnesses(axiom, space, *structures):
 _SWEEPS = {
     "skew": (lambda space, st: st._skew_witnesses, ("binary",), 1),
     "jacobi": (_sweep_super_jacobi, ("binary",), 2),
-    "malcev": (_sweep_malcev, ("binary",), 3),
+    "malcev": (_malcev, ("binary",), 3),
     "triple-skew": (lambda space, st: st._skew_witnesses, ("ternary",), 2),
     "triple-jacobi": (lambda space, ts: ts._jacobi_witnesses, ("ternary",), 2),
-    "nambu": (partial(_inner_witnesses, "nambu"), ("ternary",), 4),
-    "product-rule": (partial(_inner_witnesses, "product-rule"), ("binary", "ternary"), 3),
+    "nambu": (partial(_rules, "nambu"), ("ternary",), 4),
+    "product-rule": (partial(_rules, "product-rule"), ("binary", "ternary"), 3),
 }
 _SYSTEMS = {
     "lie": ("skew", "jacobi"),

@@ -9,6 +9,7 @@ to `check`, `report`, `center` and `killing-ricci` in both formats.
 """
 
 import contextlib
+import functools
 import io
 import os
 import tempfile
@@ -21,8 +22,15 @@ from bench_inputs import inputs
 from superbol.cli import main
 
 EVEN, ODD = ("a", "b", "c"), ("u", "v")
-VALID = [sb.serialize_algebra(ent.algebra) for ent in sb.catalog.entries()] + [
-    sb.serialize_algebra(sb.malcev_to_bol(inputs.osp12()))]
+
+
+@functools.cache
+def valid():
+    """The valid files, written at their first draw, so that a fault in building them fails
+    the fuzz test, not the collection of this module."""
+    return [sb.serialize_algebra(ent.algebra) for ent in sb.catalog.entries()] + [
+        sb.serialize_algebra(sb.malcev_to_bol(inputs.osp12()))]
+
 
 coefficients = st.sampled_from(["", "2", "-", "1/2", "-3", "2*", "1/0", "0*", "7 /3 "])
 labels = st.sampled_from(EVEN + ODD + ("w", "x1"))
@@ -57,7 +65,7 @@ def generated(draw):
 
 @st.composite
 def edited(draw):
-    lines = draw(st.sampled_from(VALID)).splitlines()
+    lines = draw(st.sampled_from(valid())).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(lines) - 1))
         edit = draw(st.sampled_from(("drop", "copy", "sign", "scale", "junk")))

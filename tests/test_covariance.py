@@ -16,6 +16,7 @@ maps C onto A.  Then:
   the lcm of A's denominators, C has exactly A's lifted tables.
 """
 
+import functools
 import random
 
 from hypothesis import given, settings
@@ -37,20 +38,18 @@ def pulled_back(b, g):
         for j in range(n)) for i in range(n)))
 
 
-def _lies():
+@functools.cache
+def lies():
     osp = inputs.osp12()
     return [sb.catalog.load("aff2_lie"), osp,
             sb.enveloping(sb.catalog.load("L2_3_1_bol")).lie,
             sb.enveloping(sb.malcev_to_bol(osp)).lie]
 
 
-LIES = _lies()
-
-
 @settings(max_examples=10, deadline=None)
-@given(st.integers(0, len(LIES) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(lies()) - 1)), st.integers(0, 2 ** 32))
 def test_killing_form_transforms_as_gt_kappa_g(index, seed):
-    L = LIES[index]
+    L = lies()[index]
     g = even_map(L.space, random.Random(seed))
     assert sb.killing_form(transport(L, g)) == pulled_back(sb.killing_form(L), g)
 
@@ -61,8 +60,8 @@ def verdicts(report):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, len(bols()) - 1), st.integers(0, 2 ** 32), st.sampled_from(
-    ("killing-ricci", "supersymmetric", "random")))
+@given(st.deferred(lambda: st.integers(0, len(bols()) - 1)), st.integers(0, 2 ** 32),
+       st.sampled_from(("killing-ricci", "supersymmetric", "random")))
 def test_check_invariant_keeps_verdicts_and_flags(index, seed, which):
     rng = random.Random(seed)
     B = bols()[index]
@@ -85,32 +84,38 @@ def _heisenberg():
         space, {(0, 1): z, (3, 3): z, (4, 4): z}))
 
 
-CENTERED = pool() + [_heisenberg(), sb.malcev_to_bol(_heisenberg())]
+@functools.cache
+def centered():
+    return pool() + [_heisenberg(), sb.malcev_to_bol(_heisenberg())]
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, len(CENTERED) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(centered()) - 1)), st.integers(0, 2 ** 32))
 def test_g_maps_the_center_onto_the_center(index, seed):
-    A = CENTERED[index]
+    A = centered()[index]
     g = even_map(A.space, random.Random(seed))
     Z = sb.center(transport(A, g))
     assert sb.span_reduce(A.space, [g(z) for z in Z.basis]) == sb.center(A)
 
 
-MALCEVS = [A for A in pool() if A.ternary is None and sb.check_axioms(A, "malcev").passed]
+@functools.cache
+def malcevs():
+    return [A for A in pool() if A.ternary is None and sb.check_axioms(A, "malcev").passed]
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, len(MALCEVS) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(malcevs()) - 1)), st.integers(0, 2 ** 32))
 def test_malcev_to_bol_commutes_with_even_changes_of_basis(index, seed):
-    M = MALCEVS[index]
+    M = malcevs()[index]
     g = even_map(M.space, random.Random(seed))
     left = sb.malcev_to_bol(transport(M, g))
     right = transport(sb.malcev_to_bol(M), g)
     assert left == right.renamed(left.name)
 
 
-PAIRED = [A for A in bols() + lifted_inputs() if sb.check_axioms(A, "bol").passed]
+@functools.cache
+def paired():
+    return [A for A in bols() + lifted_inputs() if sb.check_axioms(A, "bol").passed]
 
 
 def assert_pairs_map_under(A, g):
@@ -135,14 +140,14 @@ def assert_pairs_map_under(A, g):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(0, len(PAIRED) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(paired()) - 1)), st.integers(0, 2 ** 32))
 def test_g_maps_pair_spaces_and_companions(index, seed):
-    A = PAIRED[index]
+    A = paired()[index]
     assert_pairs_map_under(A, even_map(A.space, random.Random(seed)))
 
 
 def test_the_lift_is_the_change_of_basis_by_L():
-    for A in PAIRED:
+    for A in paired():
         L, lifted = A._lifted
         g = L * sb.GradedMap.identity(A.space)
         C = transport(A, g)

@@ -127,7 +127,41 @@ def test_the_killing_form_loads_no_envelope():
 def test_report_loads_every_module_but_the_file_reader():
     assert loaded("report", "L2_3_1_bol") == {
         "superbol.%s" % name for name in ("catalog", "cli", "constructions", "envelope",
-                                          "forms", "graded", "linalg", "structures")}
+                                          "forms", "graded", "linalg", "rules", "structures")}
+
+
+# the pair rules and the Malcev walk: each loaded only by a sweep that runs it
+RULES, MALCEV = "superbol.rules", "superbol.malcev"
+
+
+def test_lie_checks_and_the_center_load_neither_the_rules_nor_the_malcev_walk(tmp_path):
+    (tmp_path / "aff2.alg").write_text("name aff2\neven e1 e2\nbinary [e1,e2] = e2\n")
+    for argv in (("check", "aff2.alg", "--kind", "lie"), ("killing", "aff2.alg"),
+                 ("center", "aff2.alg")):
+        modules = loaded(*argv, cwd=tmp_path)
+        assert "superbol.structures" in modules
+        assert not modules & {RULES, MALCEV}, argv
+
+
+def test_the_bol_report_and_the_pairs_load_the_rules_but_not_the_malcev_walk():
+    for argv in (("report", "L2_3_1_bol"), ("pseudo", "L2_3_1_bol")):
+        modules = loaded(*argv)
+        assert RULES in modules and MALCEV not in modules, argv
+
+
+def test_a_malcev_check_and_derive_bol_load_the_malcev_walk():
+    for argv in (("check", "L2_2_2_malcev", "--kind", "malcev"), ("derive-bol", "L2_2_2_malcev")):
+        assert MALCEV in loaded(*argv), argv
+
+
+@pytest.mark.parametrize("module", [RULES, MALCEV])
+def test_each_split_module_imports_first_in_a_fresh_interpreter(module):
+    """No import cycle: the module loads the base itself, which never imports it."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", "import %s, sys; print(sorted(m for m in "
+                          "sys.modules if m.startswith('superbol.')))" % module], env=env,
+                         capture_output=True, text=True, check=True)
+    assert module in out.stdout and "superbol.structures" in out.stdout
 
 
 # ---------------------------------------------------------------------------

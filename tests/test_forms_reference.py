@@ -14,6 +14,7 @@ are neither invariant nor supersymmetric, so that witness lists are not
 empty.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -60,16 +61,18 @@ def random_vector(space, rng):
     return space.vector([rng.choice(VALUES) for _ in range(space.dim)])
 
 
-def _envelopes():
+@functools.cache
+def lies():
+    return [A for A in pool() if A.binary is not None and sb.check_axioms(A, "lie").passed]
+
+
+@functools.cache
+def envelopes():
     out = []
     for B in bols():
         out.append(sb.enveloping(B).lie)
         out.append(sb.enveloping(B, sb.ps_space(B)).lie)
     return out
-
-
-LIES = [A for A in pool() if A.binary is not None and sb.check_axioms(A, "lie").passed]
-ENVELOPES = _envelopes()
 
 
 def typed_gram(form):
@@ -94,18 +97,20 @@ def assert_same_invariance(B, b):
 
 
 def test_killing_forms_match_the_reference():
-    for L in LIES + ENVELOPES:
+    for L in lies() + envelopes():
         assert_same_killing(L)
 
 
 # the Lie check of a dense re-basing takes about a second from dim 13 on
-SMALL_LIES = LIES + [L for L in ENVELOPES if L.space.dim <= 8]
+@functools.cache
+def small_lies():
+    return lies() + [L for L in envelopes() if L.space.dim <= 8]
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, len(SMALL_LIES) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(small_lies()) - 1)), st.integers(0, 2 ** 32))
 def test_killing_forms_on_dense_rebasings_match_the_reference(index, seed):
-    L = SMALL_LIES[index]
+    L = small_lies()[index]
     assert_same_killing(transport(L, even_map(L.space, random.Random(seed))))
 
 
@@ -120,9 +125,9 @@ def test_killing_forms_of_fraction_constants_match_the_reference():
     the lcm of L's denominators, and divides by k^2: the same forms, types
     included, on constants with denominators, a dense re-basing of one, and
     the envelopes of bol(osp(1|2)), whose constants have k = 2."""
-    scaled = [fractional(L, b) for L in LIES if L.binary.cells() for b in (HALF, Fraction(2, 3))]
+    scaled = [fractional(L, b) for L in lies() if L.binary.cells() for b in (HALF, Fraction(2, 3))]
     inputs = scaled + [transport(scaled[0], even_map(scaled[0].space, random.Random(19)))] + [
-        L for L in ENVELOPES if L.name == "env(bol(osp12))"]
+        L for L in envelopes() if L.name == "env(bol(osp12))"]
     for L in inputs:
         assert_same_killing(L)
     assert len(inputs) > 10 and all(L._lifted[0] > 1 for L in inputs)
@@ -147,7 +152,8 @@ def test_invariance_witnesses_of_supersymmetric_forms_match_the_reference():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, len(bols()) - 1), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+@given(st.deferred(lambda: st.integers(0, len(bols()) - 1)), st.integers(0, 2 ** 32), st.booleans(),
+       st.booleans())
 def test_invariance_of_random_forms_matches_the_reference(index, seed, symmetric, dense):
     rng = random.Random(seed)
     B = bols()[index]
@@ -157,7 +163,7 @@ def test_invariance_of_random_forms_matches_the_reference(index, seed, symmetric
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, len(pool()) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(pool()) - 1)), st.integers(0, 2 ** 32))
 def test_evaluate_and_orthogonal_match_the_reference(index, seed):
     rng = random.Random(seed)
     space = pool()[index].space
@@ -191,7 +197,7 @@ def assert_same_maps(f, g, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, len(pool()) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(pool()) - 1)), st.integers(0, 2 ** 32))
 def test_random_maps_match_the_reference(index, seed):
     rng = random.Random(seed)
     space = pool()[index].space
@@ -226,7 +232,9 @@ def test_pairing_identity_matches_the_reference():
         assert sb.semisimplicity_report(B).pairing_identity is True
 
 
-ZEROS = [sb.catalog.load(key) for key in ("abelian_2_2", "abelian_3_1")]
+@functools.cache
+def zeros():
+    return [sb.catalog.load(key) for key in ("abelian_2_2", "abelian_3_1")]
 
 
 def off_the_products(B, form):
@@ -241,10 +249,11 @@ def off_the_products(B, form):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, len(ZEROS + bols()) - 1), st.integers(0, 2 ** 32), st.booleans())
+@given(st.deferred(lambda: st.integers(0, len(zeros() + bols()) - 1)), st.integers(0, 2 ** 32),
+       st.booleans())
 def test_forms_off_the_products_match_the_reference(index, seed, symmetric):
     rng = random.Random(seed)
-    B = (ZEROS + bols())[index]
+    B = (zeros() + bols())[index]
     b = off_the_products(B, random_form(B.space, rng, symmetric))
     assert_same_invariance(B, b)
     env = sb.enveloping(B)

@@ -19,16 +19,22 @@ lacks one of the two structures, and the Bol check of a 64-label file
 with one binary and one ternary product.
 """
 
+import functools
 import random
 
 import pytest
 
 import superbol as sb
-from superbol import envelope, structures
+from superbol import envelope, rules
 from test_reference import even_map, lifted_inputs, mutate, pool, transport
 
-BOLS = [A for A in pool() if A.binary is not None and A.ternary is not None
-        and sb.check_axioms(A, "bol").passed]
+
+@functools.cache
+def passing_bols():
+    return [A for A in pool() if A.binary is not None and A.ternary is not None
+            and sb.check_axioms(A, "bol").passed]
+
+
 RULES = (("nambu", "derives-triple"), ("product-rule", "derives-product"))
 
 
@@ -70,8 +76,8 @@ def failing_mutants(pool, lifted):
 
 
 def test_catalog_and_derived_bol_algebras():
-    assert {B.name for B in BOLS} >= {"L2_2_2_bol", "L2_3_1_bol", "bol(osp12)"}
-    for B in BOLS:
+    assert {B.name for B in passing_bols()} >= {"L2_2_2_bol", "L2_3_1_bol", "bol(osp12)"}
+    for B in passing_bols():
         assert assert_rules_on_inner_pairs(B) == set(), B.name
 
 
@@ -83,7 +89,7 @@ def test_lifted_bol_algebras():
 
 @pytest.mark.parametrize("lifted", [False, True])
 def test_mutants_failing_both_identities(lifted):
-    mutants = failing_mutants(lifted_inputs() if lifted else BOLS, lifted)
+    mutants = failing_mutants(lifted_inputs() if lifted else passing_bols(), lifted)
     assert len(mutants) >= 3
     for M in mutants:
         assert assert_rules_on_inner_pairs(M) == {"nambu", "product-rule"}, M.name
@@ -135,14 +141,14 @@ def typed_pair(p):
 def test_inner_pairs_read_off_the_tables_equal_inner_pair():
     """On the catalog and derived Bol algebras (bol(osp(1|2)) among them),
     a dense re-basing and the inputs with Fraction constants."""
-    osp_bol = next(B for B in BOLS if B.name == "bol(osp12)")
+    osp_bol = next(B for B in passing_bols() if B.name == "bol(osp12)")
     dense = transport(osp_bol, even_map(osp_bol.space, random.Random(5)))
     assert any(type(c) is not int for B in lifted_inputs() for e in B.ternary.cells().values()
                for _, c in e)
-    for B in BOLS + lifted_inputs() + [dense]:
+    for B in passing_bols() + lifted_inputs() + [dense]:
         n, basis = B.space.dim, B.space.basis()
         read = [(at, envelope._pair(B.space, r, x))
-                for at, r, x in structures._inner_pairs(B.space, B.binary, B.ternary)]
+                for at, r, x in rules._inner_pairs(B.space, B.binary, B.ternary)]
         assert [at for at, _ in read] == [(i, j) for i in range(n) for j in range(n)]
         for (i, j), pair in read:
             built = sb.inner_pair(B, basis[i], basis[j])

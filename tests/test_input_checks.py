@@ -9,6 +9,7 @@ no row; the Lie re-check of every envelope and the closure check of every
 pair space run on each construction elsewhere.
 """
 
+import functools
 import sys
 
 import pytest
@@ -16,20 +17,29 @@ import pytest
 import superbol as sb
 from superbol.structures import AlgebraDef, BinaryStructure
 
-B = sb.catalog.load("L2_3_1_bol")    # even e1 e2 e3, odd e4
-SPACE = B.space
+SPACE = sb.catalog.build("L2_3_1_bol").algebra.space    # even e1 e2 e3, odd e4
 OTHER = sb.SuperSpace.even_first(("a", "b"), ("c", "d"))
 E1, E4 = SPACE.basis()[0], SPACE.basis()[3]
 X = OTHER.basis()[0]
 WIDE = sb.SuperSpace.even_first(("a", "b", "c"), ("d", "e"))
 ID, ID_OTHER = sb.GradedMap.identity(SPACE), sb.GradedMap.identity(OTHER)
-LTS = sb.lie_to_supertriple(sb.catalog.load("aff2_lie"))    # no binary structure
 ZERO = ((0,) * 4,) * 4
 PAIR = sb.SuperSpace.even_first(("a", "b"), ())
 KNOWN = ", ".join(sb.catalog.keys())
 LONG = "abelian_%s_0" % ("1" * 5000)    # int() of the 5000 digits would raise its own error
 ONE_SIDED = AlgebraDef("x", PAIR, binary=BinaryStructure(PAIR, (((0, 0), (1, 0)),
                                                                  ((0, 0), (0, 0)))))
+
+
+# the checked algebras are loaded at their first use inside a case, and kept
+@functools.cache
+def b():
+    return sb.catalog.load("L2_3_1_bol")
+
+
+@functools.cache
+def lts():
+    return sb.lie_to_supertriple(sb.catalog.load("aff2_lie"))    # no binary structure
 
 
 CASES = [
@@ -73,7 +83,7 @@ CASES = [
      "gram matrix must be 4 x 4"),
     ("form argument", lambda: sb.BilinearForm(SPACE, ZERO).evaluate(E1, X), sb.GradingError,
      "vector lives in a different space"),
-    ("invariance form", lambda: sb.check_invariant(B, sb.BilinearForm(OTHER, ZERO)),
+    ("invariance form", lambda: sb.check_invariant(b(), sb.BilinearForm(OTHER, ZERO)),
      sb.GradingError, "form lives on a different space"),
     ("orthogonal subspace", lambda: sb.orthogonal(sb.BilinearForm(SPACE, ZERO),
                                                   sb.whole_space(OTHER)),
@@ -92,9 +102,9 @@ CASES = [
         AlgebraDef("x", sb.SuperSpace((0,), ("a\n",)),
                    binary=BinaryStructure.from_products(sb.SuperSpace((0,), ("a\n",)), {}))),
      ValueError, "label 'a\\n' does not fit the file grammar"),
-    ("empty name", lambda: sb.serialize_algebra(B.renamed("")), ValueError,
+    ("empty name", lambda: sb.serialize_algebra(b().renamed("")), ValueError,
      "name '' does not fit the file grammar"),
-    ("padded name", lambda: sb.serialize_algebra(B.renamed(" x")), ValueError,
+    ("padded name", lambda: sb.serialize_algebra(b().renamed(" x")), ValueError,
      "name ' x' does not fit the file grammar"),
     ("table not skew", lambda: sb.serialize_algebra(ONE_SIDED), ValueError,
      "binary table is not super skew at [a,b], which the file grammar implies"),
@@ -120,26 +130,26 @@ CASES = [
      "[e2,e1] contradicts [e1,e2] under skew-symmetry"),
     ("table shape", lambda: BinaryStructure(SPACE, ((),)), sb.StructureError,
      "binary table must be 4 x 4"),
-    ("eval arity", lambda: B.binary.eval(E1), TypeError, "binary product takes 2 arguments"),
-    ("product space", lambda: B.product(E1, X), sb.GradingError,
+    ("eval arity", lambda: b().binary.eval(E1), TypeError, "binary product takes 2 arguments"),
+    ("product space", lambda: b().product(E1, X), sb.GradingError,
      "vector lives in a different space"),
-    ("triple space", lambda: B.triple(E1, E1, WIDE.basis()[4]), sb.GradingError,
+    ("triple space", lambda: b().triple(E1, E1, WIDE.basis()[4]), sb.GradingError,
      "vector lives in a different space"),
     ("no structure", lambda: AlgebraDef("x", SPACE), sb.StructureError,
      "an algebra needs at least one structure"),
-    ("structure space", lambda: AlgebraDef("x", OTHER, binary=B.binary), sb.StructureError,
+    ("structure space", lambda: AlgebraDef("x", OTHER, binary=b().binary), sb.StructureError,
      "structure lives on a different space"),
-    ("classify space", lambda: sb.classify_subspace(B, sb.whole_space(OTHER)),
+    ("classify space", lambda: sb.classify_subspace(b(), sb.whole_space(OTHER)),
      sb.GradingError, "V must be a subspace of A's space"),
-    ("classify grading", lambda: sb.classify_subspace(B, sb.span_reduce(SPACE, [E1 + E4])),
+    ("classify grading", lambda: sb.classify_subspace(b(), sb.span_reduce(SPACE, [E1 + E4])),
      sb.GradingError, "subspace is not graded"),
-    ("odd morphism", lambda: sb.check_morphism(sb.GradedMap.zero(SPACE, 1), B, B),
+    ("odd morphism", lambda: sb.check_morphism(sb.GradedMap.zero(SPACE, 1), b(), b()),
      sb.GradingError, "a morphism must be even"),
-    ("morphism domain", lambda: sb.check_morphism(ID_OTHER, B, B), sb.GradingError,
+    ("morphism domain", lambda: sb.check_morphism(ID_OTHER, b(), b()), sb.GradingError,
      "f is not defined on A's space"),
-    ("morphism parities", lambda: sb.check_morphism(ID, B, sb.catalog.load("L2_2_2_bol")),
+    ("morphism parities", lambda: sb.check_morphism(ID, b(), sb.catalog.load("L2_2_2_bol")),
      sb.GradingError, "A and B have different parity signatures"),
-    ("morphism kinds", lambda: sb.check_morphism(ID, B, AlgebraDef("b", SPACE, B.binary)),
+    ("morphism kinds", lambda: sb.check_morphism(ID, b(), AlgebraDef("b", SPACE, b().binary)),
      sb.StructureError, "A and B carry different structure kinds"),
     # envelope
     ("companion space", lambda: sb.PseudoDerivationPair(ID, X), sb.GradingError,
@@ -149,31 +159,31 @@ CASES = [
     ("flat degrees", lambda: sb.PseudoDerivationPair.from_flat(
         SPACE, (1,) + (0,) * 2 + (1,) + (0,) * 16), sb.GradingError,
      "flattened pair mixes degrees"),
-    ("inner pair vectors", lambda: sb.inner_pair(B, X, E1), sb.GradingError,
+    ("inner pair vectors", lambda: sb.inner_pair(b(), X, E1), sb.GradingError,
      "arguments live outside the algebra"),
-    ("checked pair", lambda: sb.check_pseudo(B, sb.PseudoDerivationPair(ID_OTHER, X)),
+    ("checked pair", lambda: sb.check_pseudo(b(), sb.PseudoDerivationPair(ID_OTHER, X)),
      sb.GradingError, "pair lives outside the algebra"),
-    ("spanned pair", lambda: sb.PairSpace.from_pairs(B, [sb.PseudoDerivationPair(ID_OTHER, X)]),
+    ("spanned pair", lambda: sb.PairSpace.from_pairs(b(), [sb.PseudoDerivationPair(ID_OTHER, X)]),
      sb.GradingError, "pair lives outside the algebra"),
-    ("pairs without a product", lambda: sb.PairSpace.from_pairs(LTS, [sb.PseudoDerivationPair(
-        sb.GradedMap.identity(LTS.space), LTS.space.zero())]), sb.StructureError,
+    ("pairs without a product", lambda: sb.PairSpace.from_pairs(lts(), [sb.PseudoDerivationPair(
+        sb.GradedMap.identity(lts().space), lts().space.zero())]), sb.StructureError,
      "lts(aff2_lie) has no binary structure"),
-    ("bracketed pair", lambda: sb.pair_bracket(B, *[sb.PseudoDerivationPair(ID_OTHER, X)] * 2),
+    ("bracketed pair", lambda: sb.pair_bracket(b(), *[sb.PseudoDerivationPair(ID_OTHER, X)] * 2),
      sb.GradingError, "pair lives outside the algebra"),
-    ("companion operator", lambda: sb.companion_space(B, ID_OTHER), sb.GradingError,
+    ("companion operator", lambda: sb.companion_space(b(), ID_OTHER), sb.GradingError,
      "operator lives outside the algebra"),
-    ("K space", lambda: sb.ips_space(B, sb.whole_space(OTHER)), sb.GradingError,
+    ("K space", lambda: sb.ips_space(b(), sb.whole_space(OTHER)), sb.GradingError,
      "K is not a subspace of B"),
-    ("K grading", lambda: sb.ips_space(B, sb.span_reduce(SPACE, [E1 + E4])), sb.GradingError,
+    ("K grading", lambda: sb.ips_space(b(), sb.span_reduce(SPACE, [E1 + E4])), sb.GradingError,
      "K is not graded"),
-    ("H algebra", lambda: sb.enveloping(B, sb.ips_space(sb.catalog.load("L2_2_2_bol"))),
+    ("H algebra", lambda: sb.enveloping(b(), sb.ips_space(sb.catalog.load("L2_2_2_bol"))),
      sb.GradingError, "H was built over a different algebra"),
-    ("pair space member", lambda: sb.ips_space(B).contains(sb.PseudoDerivationPair(ID_OTHER, X)),
+    ("pair space member", lambda: sb.ips_space(b()).contains(sb.PseudoDerivationPair(ID_OTHER, X)),
      sb.GradingError, "pair lives outside the algebra"),
-    ("ideal envelope", lambda: sb.ideal_envelope(B, sb.whole_space(SPACE),
+    ("ideal envelope", lambda: sb.ideal_envelope(b(), sb.whole_space(SPACE),
                                                  sb.enveloping(sb.catalog.load("L2_2_2_bol"))),
      sb.GradingError, "env was built over a different algebra"),
-    ("embedded vector", lambda: sb.enveloping(B).embed_base(X), sb.GradingError,
+    ("embedded vector", lambda: sb.enveloping(b()).embed_base(X), sb.GradingError,
      "vector lives outside the base algebra"),
 ]
 
@@ -190,7 +200,7 @@ def test_input_check(call, error, message):
 def test_no_pairs_need_no_product():
     """The product is looked up only to bracket a basis pair: no pairs, or
     only zero ones, give the zero-dimensional space on any algebra."""
-    zero = sb.PseudoDerivationPair(sb.GradedMap.zero(LTS.space), LTS.space.zero())
+    zero = sb.PseudoDerivationPair(sb.GradedMap.zero(lts().space), lts().space.zero())
     for pairs in ([], [zero]):
-        H = sb.PairSpace.from_pairs(LTS, pairs)
+        H = sb.PairSpace.from_pairs(lts(), pairs)
         assert (H.dim, H.basis, H.brackets) == (0, (), ())

@@ -1,6 +1,6 @@
 """The Malcev sweep walks paths of nonzero cells and equals the reference.
 
-`structures._sweep_malcev` visits no 4-tuple: each of the five terms of the
+`malcev._sweep_malcev` visits no 4-tuple: each of the five terms of the
 Malcev defect is a join of an inner product with the nonzero cells on its
 support, added into the tuple the path reaches, and once the product is super
 skew only i <= j, k, l, least among its rotations, is kept.  Its reports must
@@ -20,11 +20,12 @@ kind below has been seen:
   orbit of one tuple whose representative repeats i at l.
 
 Each first index's slots live in a list of n^3 ints or in a dict
-(`structures._slots`); the comparison runs with each container forced.  A
+(`malcev._slots`); the comparison runs with each container forced.  A
 mutant that drops the sign s4 or s5 of a term, or decodes a slot with k and
 l swapped, must fail that comparison.
 """
 
+import functools
 import inspect
 import random
 import tracemalloc
@@ -34,12 +35,15 @@ import pytest
 
 import slow_reference
 import superbol as sb
-from superbol import structures
+from superbol import malcev, structures
 from test_mirror import skew_mutant
 from test_orbits import evaluated, m7, malcev_reach, osp, random_algebra, representative
 from test_reference import even_map, from_cells, pool, transport, typed
 
-MALCEV = [A for A in pool() if A.binary is not None and sb.check_axioms(A, "malcev").passed]
+
+@functools.cache
+def malcevs():
+    return [A for A in pool() if A.binary is not None and sb.check_axioms(A, "malcev").passed]
 
 
 def draw(seed):
@@ -51,9 +55,9 @@ def draw(seed):
     if kind < 2:
         A = random_algebra(rng, rng.randint(1, 6), ("random", "skew", "nilpotent")[seed % 3], None)
     elif kind == 2:
-        A = skew_mutant(rng.choice([m7(), osp()] + MALCEV), rng)
+        A = skew_mutant(rng.choice([m7(), osp()] + malcevs()), rng)
     else:
-        A = rng.choice(MALCEV)
+        A = rng.choice(malcevs())
     dense = seed % 8 >= 4 and A.space.dim <= 5
     return (transport(A, even_map(A.space, rng)) if dense else A), dense
 
@@ -85,7 +89,7 @@ def container(monkeypatch, request):
     def slots(n, paths):
         made.append(kind)
         return [0] * n ** 3 if kind is list else defaultdict(int)
-    monkeypatch.setattr(structures, "_slots", slots)
+    monkeypatch.setattr(malcev, "_slots", slots)
     return kind, made
 
 
@@ -110,10 +114,10 @@ def test_the_join_matches_the_reference_on_every_kind_of_table(container, evalua
 def mutant(monkeypatch, old, new):
     """Put in the Malcev sweep a copy of _sweep_malcev with its one text old
     replaced by new."""
-    source = inspect.getsource(structures._sweep_malcev)
+    source = inspect.getsource(malcev._sweep_malcev)
     assert source.count(old) == 1
-    namespace = dict(vars(structures))
-    exec(compile(source.replace(old, new), structures.__file__, "exec"), namespace)
+    namespace = dict(vars(malcev))
+    exec(compile(source.replace(old, new), malcev.__file__, "exec"), namespace)
     monkeypatch.setitem(structures._SWEEPS, "malcev",
                         (namespace["_sweep_malcev"],) + structures._SWEEPS["malcev"][1:])
 
@@ -147,15 +151,15 @@ def test_a_skew_product_builds_the_kept_half_of_its_inner_products(monkeypatch):
     those by sign.  A product whose skew sweep fails builds both maps of every
     cell.  The reports equal the reference's either way."""
     calls = []
-    products = structures._products
-    monkeypatch.setattr(structures, "_products",
+    products = malcev._products
+    monkeypatch.setattr(malcev, "_products",
                         lambda vec, cells: calls.append(vec) or products(vec, cells))
     cells = dict(m7().binary.cells())
     cells[0, 1] = tuple((t, 2 * c) for t, c in cells[0, 1])
     broken = sb.AlgebraDef("broken M7", m7().space, binary=from_cells(
         sb.BinaryStructure, m7().space, cells))
     rng = random.Random(3)
-    for A in [m7(), osp(), transport(osp(), even_map(osp().space, rng)), broken] + MALCEV:
+    for A in [m7(), osp(), transport(osp(), even_map(osp().space, rng)), broken] + malcevs():
         skew, table = not A._lifted[1]["binary"]._skew_witnesses, A._lifted[1]["binary"]
         calls.clear()
         assert_same(A)

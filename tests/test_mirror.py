@@ -52,7 +52,7 @@ import pytest
 import slow_reference
 import superbol as sb
 from bench_inputs import inputs
-from superbol import envelope, structures
+from superbol import envelope, rules, structures
 from superbol.graded import sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 from test_rule_paths import nambu_broken
@@ -321,15 +321,15 @@ def evaluated(monkeypatch):
     given and the rule tuples it keeps, those its per-tuple path lists and
     the only ones its index walk reports."""
     calls = []
-    rule_defects = structures._rule_defects
+    rule_defects = rules._rule_defects
 
     def recording(space, tables, pairs, order=(-math.inf,) * 2, **options):
         pairs = list(pairs)
-        listed = list(structures._ordered(space.dim, tables[0].ARITY, order))
+        listed = list(rules._ordered(space.dim, tables[0].ARITY, order))
         calls.append(([key for key, _, _ in pairs], listed))
         return rule_defects(space, tables, pairs, order, **options)
 
-    monkeypatch.setattr(structures, "_rule_defects", recording)
+    monkeypatch.setattr(rules, "_rule_defects", recording)
     return calls
 
 
@@ -424,7 +424,7 @@ def test_the_derived_tuples_follow_the_verdict_of_the_table_swept(evaluated, mon
     B = A.renamed("withheld")
     vars(B._lifted[1]["ternary"])["_jacobi_witnesses"] = ("withheld",)
     evaluated.clear()
-    list(structures._inner_witnesses("nambu", B.space, B._lifted[1]["ternary"]))
+    list(rules._inner_witnesses("nambu", B.space, B._lifted[1]["ternary"]))
     assert evaluated[0][1] == [at for at in full if at[0] <= at[1]]
 
 

@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 import slow_reference
 import superbol as sb
 from bench_inputs import inputs
-from superbol import envelope, structures
+from superbol import envelope, malcev, structures
 from superbol.graded import _into, sign
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 from test_mirror import assert_same_solvers, kept_brackets, skew_mutant, typed_space
@@ -218,7 +218,7 @@ def evaluated(monkeypatch):
     (j n + k) n + l of the walk's i-th container (`_slots`) is (i, j, k, l).
     The tuples it hands on must be exactly the kept ones whose slot ends
     nonzero, so its one-per-orbit rule is held to `representative`."""
-    tuples, written, expand, slots = {}, {}, structures._orbit_witnesses, structures._slots
+    tuples, written, expand, slots = {}, {}, structures._orbit_witnesses, malcev._slots
 
     def recording(axiom, space, defects, moves):
         defects = list(defects)
@@ -245,7 +245,7 @@ def evaluated(monkeypatch):
         return Written(int) if isinstance(container, dict) else Written(container)
 
     monkeypatch.setattr(structures, "_orbit_witnesses", recording)
-    monkeypatch.setattr(structures, "_slots", recorded)
+    monkeypatch.setattr(malcev, "_slots", recorded)
     return tuples
 
 
@@ -329,7 +329,8 @@ def test_the_counts_are_the_orbits_of_the_full_evaluation(monkeypatch, evaluated
     """With the skew verdict withheld, the Malcev walk writes and keeps every
     reached tuple, and they fall into as many orbits as are kept above."""
     A = build()
-    monkeypatch.setattr(structures, "_all_skew", lambda tables: False)
+    for module in (structures, malcev):     # the Malcev walk's own binding too
+        monkeypatch.setattr(module, "_all_skew", lambda tables: False)
     tuples = sweep_tuples(A, evaluated)
     assert len({tuple(sorted(at)) for at in tuples["jacobi"]}) == triples
     reached = malcev_reach(A)

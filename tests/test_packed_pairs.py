@@ -1,6 +1,6 @@
 """The listed pairs of one degree are evaluated at once, as one packed pair.
 
-`structures._rule_defects` gathers the pairs per degree r and evaluates
+`rules._rule_defects` gathers the pairs per degree r and evaluates
 them as one pair whose coordinates hold theirs W bits apart (`_packed`), on
 the path `_joins` chooses for the tables; each coordinate of a packed defect
 is then read back as the pairs' signed W-bit digits (`_digits`).  Every
@@ -23,7 +23,7 @@ import pytest
 
 from bench_inputs import inputs
 import superbol as sb
-from superbol import structures
+from superbol import rules, structures
 from superbol.graded import _dense
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 from test_rule_paths import KINDS, RULES, dense, inner_input, inner_pairs, reference, typed
@@ -32,13 +32,13 @@ from test_rule_paths import KINDS, RULES, dense, inner_input, inner_pairs, refer
 @pytest.fixture
 def packs(monkeypatch):
     """The number of pairs of each packed evaluation, in order."""
-    sizes, packed = [], structures._packed
-    monkeypatch.setattr(structures, "_packed", lambda xs, W: sizes.append(len(xs)) or packed(xs, W))
+    sizes, packed = [], rules._packed
+    monkeypatch.setattr(rules, "_packed", lambda xs, W: sizes.append(len(xs)) or packed(xs, W))
     return sizes
 
 
 def evaluated(B, tables, pairs, order):
-    return [(at, typed(acc)) for at, acc in structures._rule_defects(B.space, tables, pairs, order)]
+    return [(at, typed(acc)) for at, acc in rules._rule_defects(B.space, tables, pairs, order)]
 
 
 def one_at_a_time(B, tables, pairs, order):
@@ -54,7 +54,7 @@ def assert_packed_as_one_at_a_time(B, pairs_of, packs):
         if any(getattr(B, what) is None for what in reads):
             continue
         tables = structures._swept(B, reads)
-        pairs, order = pairs_of(tables), structures._order(tables)
+        pairs, order = pairs_of(tables), rules._order(tables)
         together = evaluated(B, tables, pairs, order)
         assert together == one_at_a_time(B, tables, pairs, order), (B.name, axiom)
         assert all(t is int for _, acc in together for t, _ in acc)
@@ -100,7 +100,7 @@ def test_inner_pairs_packed_give_what_they_give_one_at_a_time(kind, packs, monke
     every pair listed, so the sparse ladder, whose tables join, is listed too,
     and every pair joined, so the dense copies are joined too."""
     for join in (True, False):
-        monkeypatch.setattr(structures, "_joins", lambda tables: join)
+        monkeypatch.setattr(rules, "_joins", lambda tables: join)
         for B in inner_input(kind):
             assert_packed_as_one_at_a_time(B, lambda tables: inner_pairs(B, tables), packs)
 
@@ -122,7 +122,7 @@ def test_pairs_of_both_degrees_past_2_64_pack_exactly(name, packs, monkeypatch):
     B = dense(sb.malcev_to_bol(inputs.osp12())) if name.startswith("dense") else next(
         A for A in reference().lifted_inputs() if A.name == name)
     assert B.name == name
-    monkeypatch.setattr(structures, "_joins", lambda tables: False)
+    monkeypatch.setattr(rules, "_joins", lambda tables: False)
     rng = random.Random(B.name)
     pairs = [big_pair(B, rng, r) for r in (0, 1, 1, 0, 1, 0, 0)]
     found = assert_packed_as_one_at_a_time(
@@ -139,7 +139,7 @@ def test_defects_near_the_bound_read_back_with_both_signs(packs):
     tables = structures._swept(B, ("binary", "ternary"))
     pairs = [uniform_pair(B, c) for c in (1 << 66, -(1 << 66), 3, -(1 << 60))]
     found = assert_packed_as_one_at_a_time(B, lambda tables: pairs, packs)
-    W = structures._width([x for _, _, x in pairs], tables)
+    W = rules._width([x for _, _, x in pairs], tables)
     biggest = max(abs(c) for _, acc in found for _, c in acc)
     assert biggest < 1 << W - 1 <= 4 * biggest
     assert {c > 0 for _, acc in found for _, c in acc} == {True, False}
@@ -156,7 +156,7 @@ def test_joined_and_listed_pairs_keep_pair_order(monkeypatch):
     for _, reads in RULES:
         tables, found = structures._swept(B, reads), []
         for join in (True, False):
-            monkeypatch.setattr(structures, "_joins", lambda tables: join)
+            monkeypatch.setattr(rules, "_joins", lambda tables: join)
             together = evaluated(B, tables, pairs, (0, -math.inf))
             assert together and together == one_at_a_time(B, tables, pairs, (0, -math.inf))
             assert [at[0] for at, _ in together] == sorted(at[0] for at, _ in together)
@@ -191,6 +191,6 @@ def test_signed_digits_read_back_up_to_the_edge(W):
                                                   if row[t]]
     xs = [tuple(tuple((m, c) for m, c in enumerate(digits[(b + s) % len(digits)]) if c)
                 for s in range(6)) for b in range(len(digits))]    # n = 5: six rows
-    for slot, row in enumerate(structures._packed(xs, W)):
+    for slot, row in enumerate(rules._packed(xs, W)):
         assert unpacked(list(_dense(row, 5)), len(xs), W) == \
             [list(_dense(x[slot], 5)) for x in xs]

@@ -1,7 +1,7 @@
 """The pair solvers read their rows from the packed rule evaluator.
 
 ps_space and companion_space take their linear systems from
-`structures._pair_rows`: each unknown is a unit pair, all packed into one
+`rules._pair_rows`: each unknown is a unit pair, all packed into one
 pair W bits apart, and that pair runs through the path `_joins` chooses for
 each rule's tables, as the Bol check's does.  Each nonzero packed coordinate
 of a defect is one row; one seen before, up to sign, is dropped, and a new
@@ -28,7 +28,7 @@ import pytest
 from bench_inputs import inputs
 import slow_reference
 import superbol as sb
-from superbol import envelope, structures
+from superbol import envelope, rules, structures
 from superbol.linalg import _divided, _rref
 from test_packed_pairs import positive
 from test_reference import lifted_inputs
@@ -166,10 +166,10 @@ def test_a_width_one_bit_short_reads_other_rows(monkeypatch, read):
     sb.companion_space(B, zero)
     [(_, rows)] = read
     assert_reference_rows(rows, reference)
-    width, widths = structures._width, []
+    width, widths = rules._width, []
     W = width([((), (), (), ((0, 1),))], structures._swept(B, ("binary", "ternary")))
     assert max(abs(c) for row in rows for _, c in row) >= 1 << W - 2
-    monkeypatch.setattr(structures, "_width", lambda *args: widths.append(1) or width(*args) - 1)
+    monkeypatch.setattr(rules, "_width", lambda *args: widths.append(1) or width(*args) - 1)
     read.clear()
     sb.companion_space(B.renamed("fresh"), zero)
     [(_, short)] = read
@@ -186,20 +186,20 @@ def test_both_paths_read_the_same_rows_in_the_same_order(name, monkeypatch):
     B = next(B for B in inner_input("sparse") + inner_input("dense") + [
         sb.catalog.load("abelian_6_2")] + lifted_inputs() if B.name == name)
     n, par, L = B.space.dim, B.space.parities, B._lifted[0]
-    found, joined, join_ = [], [], structures._joined
-    monkeypatch.setattr(structures, "_joined", lambda *args: joined.append(1) or join_(*args))
-    for rule in structures._RULES:
+    found, joined, join_ = [], [], rules._joined
+    monkeypatch.setattr(rules, "_joined", lambda *args: joined.append(1) or join_(*args))
+    for rule in rules._RULES:
         if any(getattr(B, what) is None for what in rule[1]):
             continue
-        monkeypatch.setattr(structures, "_RULES", (rule,))
+        monkeypatch.setattr(rules, "_RULES", (rule,))
         for r in (0, 1):
             columns = [k for k in range(n * n + n) if envelope._degree_at(par, k) == r]
             pairs = [(k, envelope._unflat(n, [(k, L if k < n * n else 1)])) for k in columns]
             rows = []
             for join in (True, False):
-                monkeypatch.setattr(structures, "_joins", lambda tables: join)
+                monkeypatch.setattr(rules, "_joins", lambda tables: join)
                 joined.clear()
-                rows.append(list(structures._pair_rows(B, r, pairs)) if pairs else [])
+                rows.append(list(rules._pair_rows(B, r, pairs)) if pairs else [])
                 assert bool(joined) == (join and bool(pairs))
             assert rows[0] == rows[1], (B.name, rule[0], r)
             found += rows[0]

@@ -564,10 +564,57 @@ def test_cli_walls_compare_each_wall_once_per_side(monkeypatch):
               "x": {"cpu_s": 0.1, "peak_rss_mb": 9.0, "exit_code": 1, "stdout_sha256": "a"}}
     monkeypatch.setattr(paired_bench, "cli_wall", lambda root, argv: calls.append(
         (root, argv)) or canned[root])
-    out = paired_bench.cli_walls({"parent": "p", "change": "c"}, {"w": ("pseudo", "--max")})
+    out = paired_bench.cli_walls({"parent": "p", "change": "c"}, {"w": ("pseudo", "--max")}, 1)
     assert calls == [("p", ("pseudo", "--max")), ("c", ("pseudo", "--max"))]
     assert out["w"]["argv"] == ["superbol", "--format", "machine", "pseudo", "--max"]
     assert (out["w"]["cpu_change_over_parent"], out["w"]["rss_change_over_parent"]) == (0.5, 0.5)
-    assert out["w"]["same_stdout"] and out["w"]["parent"] == canned["p"]
-    failed = paired_bench.cli_walls({"parent": "p", "change": "x"}, {"w": ("center",)})["w"]
+    assert out["w"]["same_stdout"] and out["w"]["parent"]["runs"] == [canned["p"]]
+    failed = paired_bench.cli_walls({"parent": "p", "change": "x"}, {"w": ("center",)}, 1)["w"]
     assert failed["cpu_change_over_parent"] is None and not failed["same_stdout"]
+
+
+STUB_MAIN = """\
+import pathlib, sys
+root = pathlib.Path.cwd()
+with open(root.parent / "order.log", "a") as log:
+    log.write(root.name + "\\n")
+runs = (root.parent / "order.log").read_text().split().count(root.name)
+print(*sys.argv[1:], "odd" if root.name == "odd" and runs == 3 else "")
+sum(range(%d))
+"""
+
+
+def test_cli_walls_alternate_repeated_runs_and_compare_their_medians(tmp_path):
+    """On stub trees whose `python -m superbol` logs its tree, prints its argv and
+    burns a fixed count of steps, each wall runs WALL_RUNS processes a side, the
+    parent first in odd-numbered runs; each side's median and min are those of its
+    runs, the ratios those of the medians; and one run of the change that prints
+    something else makes the wall's stdout differ."""
+    for name, steps in (("parent", 2_000_000), ("change", 10), ("odd", 10)):
+        package = tmp_path / name / "src" / "superbol"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text(STUB_MAIN % steps)
+    roots = {side: str(tmp_path / side) for side in ("parent", "change")}
+    out = paired_bench.cli_walls(roots, {"w": ("center", "x")})["w"]
+    runs = paired_bench.WALL_RUNS
+    assert runs >= 3 and (tmp_path / "order.log").read_text().split() == [
+        side for k in range(1, runs + 1)
+        for side in (("parent", "change") if k % 2 else ("change", "parent"))]
+    for side in ("parent", "change"):
+        cpu = [r["cpu_s"] for r in out[side]["runs"]]
+        assert len(cpu) == runs and all(r["exit_code"] == 0 for r in out[side]["runs"])
+        assert (out[side]["cpu_s_median"], out[side]["cpu_s_min"]) == (sorted(cpu)[runs // 2],
+                                                                      min(cpu))
+        rss = [r["peak_rss_mb"] for r in out[side]["runs"]]
+        assert (out[side]["peak_rss_mb_median"], out[side]["peak_rss_mb_min"]) == (
+            sorted(rss)[runs // 2], min(rss))
+    assert out["cpu_change_over_parent"] == \
+        out["change"]["cpu_s_median"] / out["parent"]["cpu_s_median"] < 1
+    assert out["rss_change_over_parent"] == \
+        out["change"]["peak_rss_mb_median"] / out["parent"]["peak_rss_mb_median"]
+    assert out["same_stdout"]
+    (tmp_path / "order.log").unlink()
+    odd = paired_bench.cli_walls({"parent": roots["parent"], "change": str(tmp_path / "odd")},
+                                 {"w": ("center", "x")})["w"]
+    assert not odd["same_stdout"] and odd["cpu_change_over_parent"] is not None

@@ -10,6 +10,7 @@ catalog-derived instances.
 """
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -22,17 +23,27 @@ from superbol.structures import AlgebraDef, _Structure
 HIDDEN = {"Subspace": {"pivots", "_common"}, "AffineSubspace": {"pivots", "_common"},
           "PairSpace": {"pivots", "_packs", "_common"}}
 
-B = sb.catalog.load("L2_3_1_bol")
-M = sb.catalog.load("L2_2_2_malcev")
-BETA = sb.killing_ricci(B, "direct")
 # the records that convert a dense argument in a constructor of their own
 OWN_INIT = (sb.GradedMap, _Structure, sb.BilinearForm)
+# every record class, in the order of instances(), which builds their instances at first use
+RECORDS = (sb.SuperSpace, sb.SuperVector, sb.GradedMap, _Structure, AlgebraDef, sb.Witness,
+           sb.CheckReport, sb.PairSpace, sb.PseudoDerivationPair, sb.EnvelopingLieSuperalgebra,
+           sb.Subspace, sb.AffineSubspace, sb.BilinearForm, sb.InvariantReport,
+           sb.SemisimplicityReport, CatalogEntry)
 
 
-def _instances():
+@functools.cache
+def b():
+    return sb.catalog.load("L2_3_1_bol")
+
+
+@functools.cache
+def instances():
     """{record class: instances}: for each class equal objects built apart,
     unequal ones and, where a class has hidden fields, objects that differ
     in those only."""
+    B, M = b(), sb.catalog.load("L2_2_2_malcev")
+    beta = sb.killing_ricci(B, "direct")
     space = B.space
     fresh = sb.catalog.build("L2_3_1_bol").algebra
     failed = sb.check_axioms(M, "lie")
@@ -66,8 +77,8 @@ def _instances():
         sb.AffineSubspace: [affine, sb.solve_affine([[2, 2, 0], [0, 1, 1]], [2, 2]),
                             sb.AffineSubspace(affine.point, affine.directions, (7,), ({}, {})),
                             sb.AffineSubspace.empty()],
-        sb.BilinearForm: [BETA, sb.killing_ricci(B, "restriction"), sb.killing_form(env.lie)],
-        sb.InvariantReport: [sb.check_invariant(B, BETA), sb.check_invariant(
+        sb.BilinearForm: [beta, sb.killing_ricci(B, "restriction"), sb.killing_form(env.lie)],
+        sb.InvariantReport: [sb.check_invariant(B, beta), sb.check_invariant(
             fresh, sb.killing_ricci(fresh, "direct")), sb.check_invariant(B, sb.BilinearForm(
                 space, [[int(i == j) for j in range(4)] for i in range(4)]))],
         sb.SemisimplicityReport: [sb.semisimplicity_report(B), sb.semisimplicity_report(fresh),
@@ -75,9 +86,6 @@ def _instances():
         CatalogEntry: [sb.catalog.entry("L2_3_1_bol"), sb.catalog.entry("L2_3_1_bol"),
                        sb.catalog.entry("aff2_lie")],
     }
-
-
-INSTANCES = _instances()
 
 
 def _twin_class(kind, cls):
@@ -97,16 +105,16 @@ def _outcome(call):
 
 
 def test_every_record_class_has_instances():
-    assert len(INSTANCES) == 16
-    for cls, objs in INSTANCES.items():
+    assert len(instances()) == 16 and tuple(instances()) == RECORDS
+    for cls, objs in instances().items():
         assert all(isinstance(obj, cls) for obj in objs), cls
         assert any(a == b and a is not b for a, b in itertools.combinations(objs, 2)), cls
         assert any(a != b for a, b in itertools.combinations(objs, 2)), cls
 
 
-@pytest.mark.parametrize("cls", list(INSTANCES), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_records_match_frozen_dataclasses(cls):
-    objs = INSTANCES[cls]
+    objs = instances()[cls]
     twins = {kind: _twin_class(kind, cls) for kind in {type(obj) for obj in objs}}
     names = tuple(cls.__annotations__)
     twin = {id(obj): twins[type(obj)](*(getattr(obj, f) for f in names)) for obj in objs}
@@ -120,9 +128,9 @@ def test_records_match_frozen_dataclasses(cls):
         assert (a == b, a != b) == (ta == tb, ta != tb), (a, b)
 
 
-@pytest.mark.parametrize("cls", list(INSTANCES), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_records_are_frozen(cls):
-    obj = INSTANCES[cls][0]
+    obj = instances()[cls][0]
     # a name that is no field too, on subclasses as well, where a dataclass would allow it
     for name in tuple(cls.__annotations__) + ("extra",):
         with pytest.raises(AttributeError):
@@ -134,16 +142,17 @@ def test_records_are_frozen(cls):
 def test_own_constructors_are_kept():
     for cls in OWN_INIT:
         assert "__init__" in vars(cls) and cls.__init__.__qualname__ == cls.__name__ + ".__init__"
+    B = b()
     assert sb.GradedMap(B.space, 0, sb.GradedMap.identity(B.space).matrix) == \
         sb.GradedMap.identity(B.space)
 
 
-@pytest.mark.parametrize("cls", [cls for cls in INSTANCES if cls not in OWN_INIT],
+@pytest.mark.parametrize("cls", [cls for cls in RECORDS if cls not in OWN_INIT],
                          ids=lambda cls: cls.__name__)
 def test_generated_init_takes_the_fields_in_order(cls):
     """Positional and keyword construction from an instance's fields gives an
     equal object, and one argument too many is a TypeError."""
-    obj = INSTANCES[cls][0]
+    obj = instances()[cls][0]
     values = {f: getattr(obj, f) for f in cls.__annotations__}
     for copy in (cls(*values.values()), cls(**values)):
         assert copy == obj and repr(copy) == repr(obj) and copy is not obj
@@ -152,6 +161,7 @@ def test_generated_init_takes_the_fields_in_order(cls):
 
 
 def test_defaults_post_init_and_cached_properties():
+    B = b()
     T = AlgebraDef("t", B.space, ternary=B.ternary)
     assert T.binary is None and AlgebraDef.binary is None
     with pytest.raises(sb.StructureError):

@@ -442,7 +442,7 @@ def test_only_int_tables_and_pairs_reach_the_packed_layer(monkeypatch):
     ps_space, companion_space and the .alg writer on the lifted inputs, malcev_to_bol on
     the Malcev product of one (3/2 L2_2_2_malcev) and lie_to_supertriple on osp(1|2)/3,
     each with a denominator, hand them ints only."""
-    from superbol import structures
+    from superbol import malcev as walk, rules, structures
     seen = []
 
     def recorded(f, read):
@@ -456,9 +456,11 @@ def test_only_int_tables_and_pairs_reach_the_packed_layer(monkeypatch):
             c for row in x for _, c in row]
 
     for name in ("_joined", "_listed"):
-        monkeypatch.setattr(structures, name, recorded(getattr(structures, name), rule_input))
-    monkeypatch.setattr(structures, "_packed_cells", recorded(
-        structures._packed_cells, lambda cells, *_: [c for e in cells.values() for _, c in e]))
+        monkeypatch.setattr(rules, name, recorded(getattr(rules, name), rule_input))
+    packed_cells = recorded(structures._packed_cells,
+                            lambda cells, *_: [c for e in cells.values() for _, c in e])
+    for module in (structures, walk):   # the Malcev walk's own binding too
+        monkeypatch.setattr(module, "_packed_cells", packed_cells)
     rng = random.Random(40)
     malcev = AlgebraDef("3/2 L2_2_2_malcev", lifted_inputs()[3].space,
                         binary=lifted_inputs()[3].binary)

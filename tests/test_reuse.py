@@ -126,7 +126,7 @@ def test_direct_killing_ricci_matches_the_right_map_route():
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, len(bols()) - 1), st.integers(0, 2 ** 32))
+@given(st.deferred(lambda: st.integers(0, len(bols()) - 1)), st.integers(0, 2 ** 32))
 def test_killing_ricci_routes_transform_as_gt_beta_g(index, seed):
     A = bols()[index]
     g = even_map(A.space, random.Random(seed))

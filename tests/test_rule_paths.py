@@ -1,6 +1,6 @@
 """The pseudo-derivation rules have two evaluation paths, and they agree.
 
-`structures._rule_defects` evaluates a rule on the pairs (P, a) of each
+`rules._rule_defects` evaluates a rule on the pairs (P, a) of each
 degree, packed into one, in one of two ways.  The join (`_joined`) walks the
 index of the tables by the value in each slot (`_by_slot`, built in one pass
 per table, each cell's key and value windows computed inline) from the pair's
@@ -44,7 +44,7 @@ import pytest
 from bench_inputs import inputs
 import slow_reference
 import superbol as sb
-from superbol import structures
+from superbol import rules, structures
 from superbol.structures import AlgebraDef
 
 RULES = (("nambu", ("ternary",)), ("product-rule", ("binary", "ternary")))
@@ -123,7 +123,7 @@ def inner_input(kind):
 @pytest.fixture
 def path(monkeypatch):
     """path(join) forces the join (True) or the per-tuple path (False)."""
-    return lambda join: monkeypatch.setattr(structures, "_joins", lambda tables: join)
+    return lambda join: monkeypatch.setattr(rules, "_joins", lambda tables: join)
 
 
 def typed(acc):
@@ -133,7 +133,7 @@ def typed(acc):
 def inner_pairs(B, tables):
     """The inner pairs the Bol check evaluates: i <= j once the tables are super skew."""
     mirror = structures._all_skew(tables)
-    return [p for p in structures._inner_pairs(B.space, *tables)
+    return [p for p in rules._inner_pairs(B.space, *tables)
             if p[0][0] <= p[0][1] or not mirror]
 
 
@@ -142,8 +142,8 @@ def sweep_defects(B, reads):
     the Bol check evaluates them: on the lifted tables, mirrored and derived by
     the sweeps' verdicts."""
     tables = structures._swept(B, reads)
-    return [(at, typed(acc)) for at, acc in structures._rule_defects(
-        B.space, tables, inner_pairs(B, tables), structures._order(tables))]
+    return [(at, typed(acc)) for at, acc in rules._rule_defects(
+        B.space, tables, inner_pairs(B, tables), rules._order(tables))]
 
 
 def sparse_odd_pair(B):
@@ -178,9 +178,9 @@ def pseudo_defects(B, pair):
     D = math.lcm(*(c.denominator for row in (*P, a) for _, c in row))
     x = tuple(tuple((t, int(c * D * s)) for t, c in row)
               for row, s in [(row, L) for row in P] + [(a, 1)])
-    return [(axiom, at, typed(acc)) for axiom, reads in structures._RULES
+    return [(axiom, at, typed(acc)) for axiom, reads in rules._RULES
             if all(getattr(B, what) is not None for what in reads)
-            for at, acc in structures._rule_defects(
+            for at, acc in rules._rule_defects(
                 B.space, structures._swept(B, reads), [((), pair.degree, x)])]
 
 
@@ -240,8 +240,8 @@ def test_the_join_reaches_every_edge_of_its_index_windows(seed):
             for v, m in itertools.product(range(n + 1), range(n)):
                 x = tuple(((m, 1),) if u == v else () for u in range(n + 1))
                 r = par[m] ^ (par[v] if v < n else 0)
-                joined = list(structures._joined(space, tables, r, x, order))
-                assert joined == list(structures._listed(space, tables, r, x, order)), \
+                joined = list(rules._joined(space, tables, r, x, order))
+                assert joined == list(rules._listed(space, tables, r, x, order)), \
                     (len(tables), order, v, m)
                 found += len(joined)
     assert found
@@ -263,7 +263,7 @@ def test_the_inputs_fail_where_they_should():
         axioms = {w.axiom for w in sb.check_axioms(B.renamed("fresh"), "bol").witnesses}
         assert {"nambu", "product-rule"} & axioms, B.name
     (nambu,) = inner_input("nambu broken")
-    assert nambu._lifted[0] == 3 and structures._derives(structures._swept(nambu, ("ternary",)))
+    assert nambu._lifted[0] == 3 and rules._derives(structures._swept(nambu, ("ternary",)))
     report = sb.check_axioms(nambu.renamed("fresh"), "lts")
     assert {w.axiom for w in report.witnesses} == {"nambu"} and len(report.witnesses) == 830
 
@@ -293,8 +293,8 @@ def test_an_odd_sparse_pair_that_fails_is_joined_and_matches_the_reference(monke
     entries test."""
     B = inner_input("sparse")[0]
     pair, joined = sparse_odd_pair(B), []
-    join = structures._joined
-    monkeypatch.setattr(structures, "_joined", lambda space, tables, *args: joined.append(
+    join = rules._joined
+    monkeypatch.setattr(rules, "_joined", lambda space, tables, *args: joined.append(
         tuple(st.ARITY for st in tables)) or join(space, tables, *args))
     report = sb.check_pseudo(B, pair)
     assert joined == [(3,), (2, 3)]
@@ -310,12 +310,12 @@ def test_the_sparse_ladder_is_joined_and_dense_copies_visit_tuples():
     bol_m7 = sb.malcev_to_bol(inputs.m7())
     for B, reads in ((bol12, ("ternary",)), (bol12, ("binary", "ternary")),
                      (lts, ("ternary",)), (bol_m7, ("ternary",))):
-        assert structures._joins(structures._swept(B, reads)), (B.name, reads)
+        assert rules._joins(structures._swept(B, reads)), (B.name, reads)
     assert len(bol_m7.binary.cells()) == 42
-    assert not structures._joins(structures._swept(bol_m7, ("binary", "ternary")))
+    assert not rules._joins(structures._swept(bol_m7, ("binary", "ternary")))
     for B in inner_input("dense") + [dense(bol_m7)]:
         for _, reads in RULES:
-            assert not structures._joins(structures._swept(B, reads)), (B.name, reads)
+            assert not rules._joins(structures._swept(B, reads)), (B.name, reads)
 
 
 def test_a_table_with_half_its_cells_nonzero_is_listed_and_one_fewer_is_joined():
@@ -324,10 +324,10 @@ def test_a_table_with_half_its_cells_nonzero_is_listed_and_one_fewer_is_joined()
     B = sb.catalog.load("L2_2_2_bol")
     cells = dict(B.binary.cells())
     assert len(cells) == 8 and B.space.dim == 4
-    assert not structures._joins((B.binary, B.ternary))
+    assert not rules._joins((B.binary, B.ternary))
     del cells[min(cells)]
     fewer = reference().from_cells(type(B.binary), B.space, cells)
-    assert len(fewer.cells()) == 7 and structures._joins((fewer, B.ternary))
+    assert len(fewer.cells()) == 7 and rules._joins((fewer, B.ternary))
 
 
 def test_check_pseudo_on_a_dense_and_a_fraction_pair_over_a_sparse_table_matches_the_reference():
@@ -335,7 +335,7 @@ def test_check_pseudo_on_a_dense_and_a_fraction_pair_over_a_sparse_table_matches
     degree allows nonzero, in ints, and the same pair over 3, in Fractions: each
     fails both rules, with the reference's witnesses and scalar types."""
     B = inner_input("sparse")[0]
-    assert all(structures._joins(structures._structures(B, reads)) for _, reads in RULES)
+    assert all(rules._joins(structures._structures(B, reads)) for _, reads in RULES)
     n, par, rng = B.space.dim, B.space.parities, random.Random(3)
     for r in (0, 1):
         rows = [[rng.choice([-2, -1, 1, 3]) if par[t] == (par[m] + r) % 2 else 0
@@ -360,8 +360,8 @@ def test_the_join_index_is_built_once_per_tables_and_order(monkeypatch):
     the same binary table object but its own, equal, ternary one builds only
     that ternary table's two parts, and no part is kept under another table."""
     builds = []
-    by_slot = structures._by_slot
-    monkeypatch.setattr(structures, "_by_slot", lambda par, st, a, d: builds.append(
+    by_slot = rules._by_slot
+    monkeypatch.setattr(rules, "_by_slot", lambda par, st, a, d: builds.append(
         (id(st), a, d)) or by_slot(par, st, a, d))
     B = sb.malcev_to_bol(inputs.direct_sum(inputs.m7(), inputs.osp12(), "M7+osp12"))
     pair, anywhere = sparse_odd_pair(B), (-math.inf,) * 2

@@ -50,13 +50,15 @@ Each side's min of both is kept, and so are the median and quartiles of the
 change/parent ratios of the runs paired by number, raw and normalized, which
 a swing of one side's min does not move.  A case's digest is a prefix of the sha256 of the
 repr of the expression's value; it must be the same in every run of both sides, or the case is listed under `regressions` with the
-metric "digest".  Each CLI wall in CLI_WALLS is one fresh `superbol --format
-machine` process per side, the parent first, with PYTHONHASHSEED=1, written under
-`cli_walls`: its CPU seconds and peak RSS, read by os.wait4 for that process
-alone, its exit code and the sha256 of its stdout; a wall whose exit code or
-stdout differs between the sides is listed under `regressions` with the metric
-"stdout".  `src_lines` holds each side's count of non-blank lines in
-the modules under src/superbol/.  Only the standard library is used.
+metric "digest".  Each CLI wall in CLI_WALLS runs WALL_RUNS fresh `superbol --format
+machine` processes per side, the parent first in odd-numbered runs, with
+PYTHONHASHSEED=1, written under `cli_walls`: each run's CPU seconds and peak RSS,
+read by os.wait4 for that process alone, its exit code and the sha256 of its
+stdout, each side's median and min of both, and the change/parent ratios of the
+medians; a wall where any run's exit code or stdout differs from the others is
+listed under `regressions` with the metric "stdout".  `src_lines` holds each
+side's count of non-blank lines in the modules under src/superbol/.  Only the
+standard library is used.
 
 With --trajectory it runs nothing: it prints, across every BENCH_*.json in
 the repository root in the order of their numbers, each workload metric's
@@ -321,15 +323,21 @@ CASES = {
         "constructions.lie_to_supertriple(B)"),
 }
 
-# the CLI walls: name -> the arguments of one `superbol --format machine` process, run once
-# per side from the checkout root with PYTHONHASHSEED=1 and timed from its own parent
+# the CLI walls: name -> the arguments of one `superbol --format machine` process, run
+# WALL_RUNS times per side from the checkout root with PYTHONHASHSEED=1 and timed from its
+# own parent; the aff2_lie walls run no pseudo-derivation rule
 CLI_WALLS = {
     "pseudo_max_abelian_32_0": ("pseudo", "--max", "abelian_32_0"),
     "pseudo_max_abelian_16_16": ("pseudo", "--max", "abelian_16_16"),
     "envelope_maximal_abelian_20_0": ("envelope", "--maximal", "abelian_20_0"),
     "report_abelian_64_0": ("report", "abelian_64_0"),
     "check_bol_abelian_64_0": ("check", "abelian_64_0", "--kind", "bol"),
+    "check_lie_aff2_lie": ("check", "aff2_lie", "--kind", "lie"),
+    "killing_aff2_lie": ("killing", "aff2_lie"),
 }
+# fresh processes per side and wall: one run of a wall read 1.39x its parent where three
+# more alternated runs a side read 0.98 (pseudo --max abelian_32_0)
+WALL_RUNS = 5
 
 # fresh processes per side and case: single runs of the dense bol(M7) case spread
 # from 13.7 to 21.3 ms on a shared 2-vCPU machine
@@ -493,19 +501,30 @@ def cli_wall(root, argv):
             "exit_code": proc.returncode, "stdout_sha256": hashlib.sha256(out).hexdigest()}
 
 
-def cli_walls(roots, walls=CLI_WALLS):
+def cli_walls(roots, walls=CLI_WALLS, runs=WALL_RUNS):
     """{wall: {argv, parent, change, cpu_change_over_parent, rss_change_over_parent,
-    same_stdout}}: each wall run once per side, the parent first, by cli_wall; the ratios
-    are None unless both sides exit 0."""
+    same_stdout}}: each wall run `runs` times per side by cli_wall, the parent first in
+    odd-numbered runs; each side holds its runs and the median and min of their cpu_s and
+    peak_rss_mb; the ratios are those of the medians, None unless every run exits 0; and
+    same_stdout needs every run of both sides to give one exit code and stdout."""
     out = {}
     for name, argv in walls.items():
-        sides = {side: cli_wall(roots[side], argv) for side in ("parent", "change")}
-        ran = all(r["exit_code"] == 0 for r in sides.values())
+        results = {"parent": [], "change": []}
+        for k in range(1, runs + 1):
+            for side in ("parent", "change") if k % 2 else ("change", "parent"):
+                results[side].append(cli_wall(roots[side], argv))
+        sides = {side: {"runs": rs, **{"%s_%s" % (metric, how): f([r[metric] for r in rs])
+                                       for metric in ("cpu_s", "peak_rss_mb")
+                                       for how, f in (("median", statistics.median),
+                                                      ("min", min))}}
+                 for side, rs in results.items()}
+        ran = all(r["exit_code"] == 0 for rs in results.values() for r in rs)
         out[name] = {"argv": ["superbol", "--format", "machine", *argv], **sides, **{
-            key + "_change_over_parent": sides["change"][metric] / sides["parent"][metric]
-            if ran else None for key, metric in (("cpu", "cpu_s"), ("rss", "peak_rss_mb"))},
-            "same_stdout": sides["change"]["stdout_sha256"] == sides["parent"]["stdout_sha256"]
-            and sides["change"]["exit_code"] == sides["parent"]["exit_code"]}
+            key + "_change_over_parent": sides["change"][metric + "_median"]
+            / sides["parent"][metric + "_median"] if ran else None
+            for key, metric in (("cpu", "cpu_s"), ("rss", "peak_rss_mb"))},
+            "same_stdout": len({(r["exit_code"], r["stdout_sha256"])
+                                for rs in results.values() for r in rs}) == 1}
         print("cli wall %s done" % name, file=sys.stderr, flush=True)
     return out
 
