@@ -16,6 +16,7 @@ from operator import itemgetter
 
 from .structures import _all_skew, _digits, _packed_cells, _packed_orbits, _rotated
 
+
 def _products(vec, cells):
     """{x: vec times e_x} where nonzero, packed, with cells[m] the nonzero (x, packed e_m e_x) of
     row m; with those (x, packed e_x e_m) of column m, {x: e_x times vec}."""

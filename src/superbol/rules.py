@@ -12,12 +12,13 @@ pair with an index of the tables by the value in each slot (`_by_slot`), built i
 table with each cell's slots, parities and windows computed inline, adding each cell it reaches
 straight into its tuple's sum; else `_listed` visits each of the tuples the rule lists, each term's
 slot and sign from `_terms`.
-Once the ternary table's Jacobi sweep (run once per structure object) finds nothing too, the triple
-rule's defect F of any homogeneous operator obeys F(u,v,w) + (-1)^{p_u(p_v+p_w)} F(v,w,u) +
-(-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only u < v, u <= w are then evaluated:
-the derived ones, u == v or w < u < v, are zero where these are ((a, a, a) is 0).  A Nambu sweep
-that finds a defect there evaluates its failing inner pairs again at every u <= v, and the
-derived rows, combinations of kept rows, are not listed in the pair-space solvers.
+Once the ternary table's skew and Jacobi sweeps (each run once per structure object) find
+nothing, the triple rule's defect F of any homogeneous operator obeys F(u,v,w) +
+(-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only
+u < v, u <= w are then evaluated: the derived ones, u == v or w < u < v, are zero where these
+are ((a, a, a) is 0).  A Nambu sweep that finds a defect there evaluates its failing inner pairs
+again at every u <= v, and the derived rows, combinations of kept rows, are not listed in the
+pair-space solvers.
 """
 
 import itertools

@@ -145,6 +145,11 @@ def same_case(root, name, seed):
     return {"cpu_s": 1.0, "digest": "a" * 64}
 
 
+def same_wall(root, argv):
+    """A canned CLI wall run: the same time, memory and stdout on both sides."""
+    return {"cpu_s": 1.0, "peak_rss_mb": 20.0, "exit_code": 0, "stdout_sha256": "a" * 64}
+
+
 def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, monkeypatch):
     """main() on canned runs: the change is faster on pairs but fails an
     operation there, and its check-sparse peak RSS is past the bound."""
@@ -163,6 +168,7 @@ def test_the_report_lists_regressions_and_claims_only_on_correct_runs(tmp_path, 
     monkeypatch.setattr(paired_bench, "run",
                         lambda root, workload, seed: canned[side_of[str(root)], workload])
     monkeypatch.setattr(paired_bench, "case_run", same_case)
+    monkeypatch.setattr(paired_bench, "cli_wall", same_wall)
     out = tmp_path / "bench.json"
     paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "3",
                        "--out", str(out), "--claim", "pairs:wall_s", "--claim-seed", "7"])
@@ -202,6 +208,7 @@ def test_a_run_that_exits_nonzero_is_listed_and_the_other_pairs_are_kept(tmp_pat
 
     monkeypatch.setattr(paired_bench, "run", run)
     monkeypatch.setattr(paired_bench, "case_run", same_case)
+    monkeypatch.setattr(paired_bench, "cli_wall", same_wall)
     out = tmp_path / "bench.json"
     paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "4",
                        "--out", str(out), "--claim", "pairs:wall_s"])
@@ -396,6 +403,7 @@ def test_the_report_counts_each_sides_source_lines(tmp_path, monkeypatch):
                        for name, better, bound in METRICS]}))
     monkeypatch.setattr(paired_bench, "run", lambda root, workload, seed: result(1.0))
     monkeypatch.setattr(paired_bench, "case_run", same_case)
+    monkeypatch.setattr(paired_bench, "cli_wall", same_wall)
     out = tmp_path / "bench.json"
     paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "1",
                        "--out", str(out)])
@@ -425,6 +433,7 @@ def test_main_lists_a_case_whose_digests_differ(tmp_path, monkeypatch):
         return {"cpu_s": cpu_s, "norm_s": cpu_s / 2 + seed, "digest": digest * 64}
 
     monkeypatch.setattr(paired_bench, "case_run", case_run)
+    monkeypatch.setattr(paired_bench, "cli_wall", same_wall)
     out = tmp_path / "bench.json"
     paired_bench.main([str(roots["parent"]), str(roots["change"]), "--pairs", "1",
                        "--out", str(out)])
