@@ -6,7 +6,8 @@ membership tests, as flat entries: P's row-major at t n + m, then a's at
 n^2 + t.  The two rules that define the pairs are written once, in
 `rules`: check_pseudo runs the integer multiple of its pair through
 the Bol checker's evaluator, and companion_space and ps_space read their
-rows from it (`_pair_rows`), one unit pair per unknown, all on the lifted
+rows from it (`_pair_rows`), all unknowns packed into one pair W bits
+apart (ps_space packs each straight into its digit), all on the lifted
 tables, B in the basis L e_i, each operator term times L.
 The inner pairs of the basis are read off the tables, as the Bol checker
 reads them (`rules._inner_pairs`); inner_pair is for any two vectors.
@@ -41,7 +42,7 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _
                      _quotient, _sparse, hidden, rat, record, sign)
 from .linalg import (AffineSubspace, _affine, _by_lead, _in_span, _kernel, _reduced, _rref,
                      _span_coordinates, span_reduce)
-from .rules import _RULES, _inner_pairs, _pair_rows, _rule_defects
+from .rules import _RULES, _inner_pairs, _norm, _packed, _pair_rows, _rule_defects, _width
 from .structures import (AlgebraDef, BinaryStructure, CheckReport, StructureError, Witness,
                          _all_skew, _digits, _mirrored, _structures, _swept, require_axioms)
 
@@ -212,12 +213,14 @@ def companion_space(B, P):
         raise GradingError("operator lives outside the algebra")
     n, par, r, L = B.space.dim, B.space.parities, P.degree, B._lifted[0]
     # the unknowns a_m of P's degree at column m, the others zero; b at column n, from
-    # -P (operator terms times L): all times D, the lcm of P's denominators
+    # -P (operator terms times L): all times D, the lcm of P's denominators, and `_packed`
     D = math.lcm(*(c.denominator for col in P.columns for _, c in col))
     known = tuple(tuple((t, -L * int(D * c)) for t, c in col) for col in P.columns) + ((),)
+    columns, xs = zip(*[(m, _unflat(n, [(n * n + m, D)])) for m in range(n) if par[m] == r]
+                      + [(n, known)])
+    W = _width(_norm(xs), _swept(B, ("binary", "ternary")))
     rows = []
-    for row in _pair_rows(B, r, [(m, _unflat(n, [(n * n + m, D)])) for m in range(n)
-                                 if par[m] == r] + [(n, known)]):
+    for row in _pair_rows(B, r, columns, _packed(xs, W), W):
         if row[0][0] == n:
             return AffineSubspace.empty()   # 0 = b, b nonzero: no companion
         rows.append(row)
@@ -366,12 +369,16 @@ def ps_space(B):
     """
     n, par, L, rows = B.space.dim, B.space.parities, B._lifted[0], []
     for r in (0, 1):
-        # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k,
-        # each as its unit pair, operator terms times L
+        # the unknowns: the flat entries k a degree-r pair may have nonzero, at column k, the
+        # b-th packed straight into one pair at digit b: L (an operator term) at e_t of P e_m
+        # for k = t n + m, 1 at e_m of a for k = n^2 + m; W from the largest, L or (with no
+        # operator unknown) 1
         columns = [k for k in range(n * n + n) if _degree_at(par, k) == r]
         if not columns:
             continue    # no unknowns, no rows: the odd degree of an all-even algebra
-        found = _pair_rows(B, r, [(k, _unflat(n, [(k, L if k < n * n else 1)])) for k in columns])
+        W = _width(L if columns[0] < n * n else 1, _swept(B, ("binary", "ternary")))
+        found = _pair_rows(B, r, columns, _unflat(n, [(k, (L if k < n * n else 1) << W * b)
+                                                      for b, k in enumerate(columns)]), W)
         rows += _kernel(*_rref(found, len(columns)), columns)[0]
     # the degrees' reduced kernels share no column: by lead, they are what _rref would give
     out = PairSpace._closed(B, sorted(rows))

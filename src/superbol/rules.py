@@ -161,14 +161,19 @@ def _listed(space, structures, r, x, order):
             yield at, acc
 
 
-def _width(xs, structures):
-    """W with 2^(W-1) > X1 (3M + S1 (1 + M)), a bound on every defect coordinate of the integer
-    pairs xs: X1 the largest L1 norm of a pair row, M the largest |entry| and S1 the largest L1
-    norm of a cell of the tables read.  Per tuple the three x terms are at most X1 M each, and
+def _width(x1, structures):
+    """W with 2^(W-1) > X1 (3M + S1 (1 + M)), a bound on every defect coordinate of integer
+    pairs whose rows have L1 norm at most x1: M the largest |entry| and S1 the largest L1 norm
+    of a cell of the tables read.  Per tuple the three x terms are at most X1 M each, and
     w . view at most S1 X1 (1 + M)."""
     m, s1 = (max(values) for values in zip(*(st._magnitudes for st in structures)))
-    x1 = max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
     return (x1 * (3 * m + s1 * (1 + m))).bit_length() + 1
+
+
+def _norm(xs):
+    """The largest L1 norm of a row of the integer pairs xs, 0 if every row is empty:
+    `_width`'s x1 for them."""
+    return max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
 
 
 def _packed(xs, W):
@@ -198,7 +203,7 @@ def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
             degrees.setdefault(r, []).append((x, found[-1][1]))
     for r, group in degrees.items():
         xs, outs = zip(*group)
-        W = _width(xs, structures)
+        W = _width(_norm(xs), structures)
         for at, acc in evaluate(space, structures, r, _packed(xs, W), order):
             defects = {}    # per pair with a nonzero digit, its dense defect
             for t, v in enumerate(acc):
@@ -235,23 +240,20 @@ def _order(structures):
     return (0 if _all_skew(structures) else -math.inf), -math.inf
 
 
-def _pair_rows(A, r, pairs):
+def _pair_rows(A, r, columns, x, W):
     """The pair solvers' rows: both rules, the triple rule's first, on A's lifted tables at
-    `_order`'s tuples, for the integer degree-r pairs (column, x) in column order, packed into
-    one W bits apart (`_packed`; `_width` over both tables), joined or listed as `_joins`
-    chooses for each rule's tables, as in `_rule_defects`.  Each nonzero packed defect
-    coordinate is one row ((column, c), ...), c that coordinate of x's defect: one seen
-    before, up to sign, is dropped, and a new one is read by `_digits`.  A missing structure
-    raises before any row."""
-    rules = [_swept(A, reads) for _, reads in _RULES]
-    columns, xs = zip(*pairs)
-    W = _width(xs, [st for structures in rules for st in structures])
-    x, seen = _packed(xs, W), set()
+    `_order`'s tuples, for x, the integer degree-r pairs at columns packed W bits apart, pair b
+    at digit b (W from `_width` over both rules' tables), joined or listed as `_joins` chooses
+    for each rule's tables, as in `_rule_defects`.  Each nonzero packed defect coordinate is one row ((column,
+    c), ...), c that coordinate of pair b's defect at columns[b]: one seen before, up to sign,
+    is dropped, and a new one is read by `_digits`.  A missing structure raises before any
+    row."""
+    rules, seen = [_swept(A, reads) for _, reads in _RULES], set()
     for structures in rules:
         evaluate = _joined if _joins(structures) else _listed
         for _, acc in evaluate(A.space, structures, r, x, _order(structures)):
-            for v in map(abs, acc):
-                if v and v not in seen:
+            for v in map(abs, filter(None, acc)):
+                if v not in seen:
                     seen.add(v)
                     yield [(columns[b], c) for b, c in _digits(v, W)]
 

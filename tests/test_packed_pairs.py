@@ -139,7 +139,7 @@ def test_defects_near_the_bound_read_back_with_both_signs(packs):
     tables = structures._swept(B, ("binary", "ternary"))
     pairs = [uniform_pair(B, c) for c in (1 << 66, -(1 << 66), 3, -(1 << 60))]
     found = assert_packed_as_one_at_a_time(B, lambda tables: pairs, packs)
-    W = rules._width([x for _, _, x in pairs], tables)
+    W = rules._width(rules._norm([x for _, _, x in pairs]), tables)
     biggest = max(abs(c) for _, acc in found for _, c in acc)
     assert biggest < 1 << W - 1 <= 4 * biggest
     assert {c > 0 for _, acc in found for _, c in acc} == {True, False}

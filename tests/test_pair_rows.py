@@ -1,8 +1,10 @@
 """The pair solvers read their rows from the packed rule evaluator.
 
 ps_space and companion_space take their linear systems from
-`rules._pair_rows`: each unknown is a unit pair, all packed into one
-pair W bits apart, and that pair runs through the path `_joins` chooses for
+`rules._pair_rows`, which reads one pair holding every unknown W bits apart:
+ps_space packs its unknowns straight into it, one digit per unknown, and
+companion_space packs its unit companions and the known operator with
+`rules._packed`.  That pair runs through the path `_joins` chooses for
 each rule's tables, as the Bol check's does.  Each nonzero packed coordinate
 of a defect is one row; one seen before, up to sign, is dropped, and a new
 one is read off its signed W-bit digits.  `slow_reference.pair_rows` writes both rules out term
@@ -13,14 +15,18 @@ no repeat and the same reduced echelon form: on the catalog Bol algebras, bol(M7
 bol(osp(1|2) + osp(1|2)), a dense copy, lifted tables with Fraction
 constants and tables whose skew or ternary Jacobi sweep fails, in both
 degrees, for ps_space and for companion_space of integer and Fraction
-operators.  Both rules are read in one pass, the triple rule's first: an
-operator that fails it has no companion, seen at the first row read.  A
-width one bit short reads other rows.  Both paths read the same rows in the
-same order.
+operators.  ps_space's direct pack is `rules._packed` of its unit pairs at
+the same W, on those inputs and on the odd part of osp(1|2), whose odd
+degree has only companion unknowns.  Both rules are read in one pass, the triple rule's
+first: an operator that fails it has no companion, seen at the first row
+read.  A width one bit short reads other rows, for both solvers.  Both paths
+read the same rows in the same order.
 """
 
+import contextlib
 from fractions import Fraction
 import functools
+import itertools
 import random
 
 import pytest
@@ -52,6 +58,22 @@ def solver_inputs():
         sb.malcev_to_bol(inputs.direct_sum(osp, inputs.osp12("_2"), "osp12+osp12")),
         dense(sb.malcev_to_bol(osp)), lifted_inputs()[0], lifted_inputs()[3],
         broken(L231, "skew"), broken(L231, "jacobi")]
+
+
+@functools.cache
+def odd_osp12():
+    """The odd part of osp(1|2) as a Bol algebra: the ternary product [[x, y], z] / 3 (so
+    L = 3), the binary product zero (odd times odd is even).  A pair of odd degree on it has
+    no operator entry, so its unknowns are all the companion's, each at 1, not L."""
+    A = inputs.osp12()
+    odd = [i for i, p in enumerate(A.space.parities) if p]
+    space, e, P = sb.SuperSpace((1,) * len(odd), tuple(A.space.labels[i] for i in odd)), \
+        A.space.basis(), A.product
+    return sb.AlgebraDef("odd(%s)/3" % A.name, space,
+                         binary=sb.BinaryStructure.from_products(space, {}),
+                         ternary=sb.TernaryStructure.from_products(space, {
+        (a, b, c): [Fraction(P(P(e[i], e[j]), e[k]).coords[m], 3) for m in odd]
+        for (a, i), (b, j), (c, k) in itertools.product(enumerate(odd), repeat=3)}))
 
 
 def solver_input(name):
@@ -159,21 +181,69 @@ def test_an_operator_failing_the_triple_rule_has_no_companion(read):
 def test_a_width_one_bit_short_reads_other_rows(monkeypatch, read):
     """Companion rows whose digits come within a factor of 2 of `_width`'s
     bound: every entry of the tables near 2^70 and positive, and the zero
-    operator, so each row is the companions' a.(e_i e_j) + [e_i, e_j, a]."""
+    operator, so each row is the companions' a.(e_i e_j) + [e_i, e_j, a].
+    ps_space's own pack on the same tables, at the same W (x1 = L = 1), reads
+    rows of the reference until they reach full rank, its companion unknowns'
+    as near the bound; one bit short, it reads other rows or a digit past its
+    last unknown."""
     B = positive(3, 1 << 70)
     zero = sb.GradedMap.from_rows(B.space, 0, [[0] * 3 for _ in range(3)])
     reference = slow_reference.pair_rows(B, 0, zero)
     sb.companion_space(B, zero)
     [(_, rows)] = read
     assert_reference_rows(rows, reference)
-    width, widths = rules._width, []
-    W = width([((), (), (), ((0, 1),))], structures._swept(B, ("binary", "ternary")))
+    width, widths = envelope._width, []
+    W = width(1, structures._swept(B, ("binary", "ternary")))
     assert max(abs(c) for row in rows for _, c in row) >= 1 << W - 2
-    monkeypatch.setattr(rules, "_width", lambda *args: widths.append(1) or width(*args) - 1)
+
+    def ps_rows(B):     # the rows are read before the (escaping) inner pairs raise
+        read.clear()
+        with contextlib.suppress(envelope.EnvelopeError):
+            sb.ps_space(B)
+        [(_, found)] = read
+        return found
+    found, reference = ps_rows(B), slow_reference.pair_rows(B, 0)
+    assert {up_to_sign(row) for row in found} < {up_to_sign(row) for row in reference}
+    assert echelon(found) == echelon(reference)
+    assert max(abs(c) for row in found for _, c in row) >= 1 << W - 2
+    monkeypatch.setattr(envelope, "_width", lambda *args: widths.append(1) or width(*args) - 1)
     read.clear()
     sb.companion_space(B.renamed("fresh"), zero)
     [(_, short)] = read
     assert widths and {up_to_sign(row) for row in short} != {up_to_sign(row) for row in rows}
+    widths.clear()
+    try:
+        short = {up_to_sign(row) for row in ps_rows(B.renamed("fresh"))}
+    except IndexError:  # a borrow carried past the last unknown's digit
+        short = None
+    assert widths and short != {up_to_sign(row) for row in found}
+
+
+@pytest.mark.parametrize("r", (0, 1))
+@pytest.mark.parametrize("name", SOLVER_INPUTS + ("odd(osp12)/3",))
+def test_ps_space_packs_its_unit_pairs_as_the_packer_does(name, r, monkeypatch):
+    """ps_space's degree-r pair, packed straight from its columns, is `rules._packed` of the
+    unit pairs at those columns (`envelope._unflat`, operator terms times L) at the same W,
+    `_width` of their largest row: L, or 1 on the odd part of osp(1|2), whose odd degree has
+    only companion unknowns.  A degree without unknowns reads no rows."""
+    B = odd_osp12() if name == "odd(osp12)/3" else solver_input(name)
+    calls, pair_rows = [], envelope._pair_rows
+    monkeypatch.setattr(envelope, "_pair_rows", lambda B, degree, *args: calls.append(
+        (degree, args)) or pair_rows(B, degree, *args))
+    solved(B)
+    n, par, L = B.space.dim, B.space.parities, B._lifted[0]
+    columns = [k for k in range(n * n + n) if envelope._degree_at(par, k) == r]
+    packed = [args for degree, args in calls if degree == r]
+    if not columns:
+        assert packed == [] and r == 1 and 1 not in par
+        return
+    [(read_columns, x, W)] = packed
+    units = [envelope._unflat(n, [(k, L if k < n * n else 1)]) for k in columns]
+    x1 = rules._norm(units)
+    assert list(read_columns) == columns
+    assert (min(columns) >= n * n) == (x1 < L) == (name == "odd(osp12)/3" and r == 1)
+    assert W == rules._width(x1, structures._swept(B, ("binary", "ternary")))
+    assert x == rules._packed(units, W)
 
 
 @pytest.mark.parametrize("name", ["bol(M7+osp12)", "lts(osp12+osp12)", "dense bol(osp12)",
@@ -194,12 +264,14 @@ def test_both_paths_read_the_same_rows_in_the_same_order(name, monkeypatch):
         monkeypatch.setattr(rules, "_RULES", (rule,))
         for r in (0, 1):
             columns = [k for k in range(n * n + n) if envelope._degree_at(par, k) == r]
-            pairs = [(k, envelope._unflat(n, [(k, L if k < n * n else 1)])) for k in columns]
+            pairs = [envelope._unflat(n, [(k, L if k < n * n else 1)]) for k in columns]
+            W = rules._width(rules._norm(pairs), structures._swept(B, rule[1]))
             rows = []
             for join in (True, False):
                 monkeypatch.setattr(rules, "_joins", lambda tables: join)
                 joined.clear()
-                rows.append(list(rules._pair_rows(B, r, pairs)) if pairs else [])
+                rows.append(list(rules._pair_rows(B, r, columns, rules._packed(pairs, W), W))
+                            if pairs else [])
                 assert bool(joined) == (join and bool(pairs))
             assert rows[0] == rows[1], (B.name, rule[0], r)
             found += rows[0]

@@ -305,6 +305,34 @@ def test_a_case_scales_its_time_by_the_reference_chunks_around_it(tmp_path, monk
     assert run["digest"] == hashlib.sha256(repr(2.0).encode()).hexdigest()
 
 
+def test_a_case_imports_the_lazily_loaded_sweeps_before_its_timed_expression(tmp_path,
+                                                                            monkeypatch):
+    """In a stub checkout whose `superbol.rules` and `superbol.malcev` each advance a fake
+    CPU clock by 100 s when imported, a case whose expression imports both and then does
+    2 s of work reads 2 s: the case script imported them before its chunks and its clock."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "inputs.py").write_text("")
+    (tmp_path / "perfbench" / "reference.py").write_text(
+        "import time\n"
+        "CHUNK_S, now = 0.5, [0.0]\n"
+        "time.process_time = lambda: now[0]\n"
+        "def chunk():\n    now[0] += CHUNK_S\n"
+        "def work(seconds):\n    now[0] += seconds\n    return seconds\n")
+    package = tmp_path / "src" / "superbol"
+    package.mkdir(parents=True)
+    for name in ("__init__", "catalog", "constructions", "envelope", "forms", "structures"):
+        (package / (name + ".py")).write_text("")
+    (package / "graded.py").write_text("GradedMap = SuperSpace = sign = None\n")
+    for name in ("rules", "malcev"):
+        (package / (name + ".py")).write_text("import reference\nreference.now[0] += 100.0\n")
+    monkeypatch.setitem(paired_bench.CASES, "stub", (
+        "a stub", "2.0", "__import__('superbol.rules') and __import__('superbol.malcev') "
+        "and reference.work(B)"))
+    run = paired_bench.case_run(tmp_path, "stub", 1)
+    assert run["cpu_s"] == 2.0 and run["norm_s"] == 2.0
+    assert run["digest"] == hashlib.sha256(repr(2.0).encode()).hexdigest()
+
+
 def test_a_case_times_its_own_expression():
     """The semisimplicity_report case: its digest is that of the report the
     expression gives, built here from the same input."""

@@ -37,7 +37,8 @@ seeds.
 
 Each kernel case in CASES is timed too, written under `dense_cases`:
 CASE_RUNS fresh processes per side, the parent first in odd-numbered runs,
-each building its input from perfbench/inputs.py, the catalog or its own
+each importing every package module a case reads, `rules` and `malcev`
+included, building its input from perfbench/inputs.py, the catalog or its own
 constants and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
 runs one, a check_morphism call, a ps_space call or an enveloping call.
@@ -329,6 +330,7 @@ CASES = {
 CLI_WALLS = {
     "pseudo_max_abelian_32_0": ("pseudo", "--max", "abelian_32_0"),
     "pseudo_max_abelian_16_16": ("pseudo", "--max", "abelian_16_16"),
+    "pseudo_max_abelian_64_0": ("pseudo", "--max", "abelian_64_0"),
     "envelope_maximal_abelian_20_0": ("envelope", "--maximal", "abelian_20_0"),
     "report_abelian_64_0": ("report", "abelian_64_0"),
     "check_bol_abelian_64_0": ("check", "abelian_64_0", "--kind", "bol"),
@@ -350,7 +352,9 @@ import hashlib, json, random, statistics, sys, time
 from fractions import Fraction
 sys.path[:0] = ["src", "perfbench"]
 import inputs, reference
-from superbol import catalog, constructions, envelope, forms, structures
+# rules and malcev load at the first sweep that runs them: imported here, a case times
+# its sweep, not their compile
+from superbol import catalog, constructions, envelope, forms, malcev, rules, structures
 from superbol.graded import GradedMap, SuperSpace, sign
 
 
