@@ -153,27 +153,18 @@ def cmd_killing(args):
 def cmd_killing_ricci(args):
     from .forms import killing_ricci
     B = _load_algebra(args.algebra)
-    facts, lines = {}, []
-    if args.method == "both":
-        restr = killing_ricci(B, "restriction")
-        direct = killing_ricci(B, "direct")
-        agree = restr == direct
-        facts["method"] = "both"
+    both = args.method == "both"
+    routes = ("restriction", "direct") if both else (args.method,)
+    facts, lines, forms = {"method": args.method}, [], [killing_ricci(B, r) for r in routes]
+    for route, form in zip(routes, forms):
+        _matrix_facts(route if both else "gram", form.gram, facts)
+        lines.append("Killing-Ricci form of %s, %s route" % (B.name, route))
+        _matrix_lines(B.space.labels, form.gram, lines)
+    agree = forms[0] == forms[-1]
+    if both:
         facts["routes_agree"] = _flag(agree)
-        _matrix_facts("restriction", restr.gram, facts)
-        _matrix_facts("direct", direct.gram, facts)
-        lines.append("Killing-Ricci form of %s, restriction route" % B.name)
-        _matrix_lines(B.space.labels, restr.gram, lines)
-        lines.append("Killing-Ricci form of %s, direct route" % B.name)
-        _matrix_lines(B.space.labels, direct.gram, lines)
         lines.append("routes agree: %s" % _flag(agree))
-        return (0 if agree else 1), facts, lines
-    form = killing_ricci(B, args.method)
-    facts["method"] = args.method
-    _matrix_facts("gram", form.gram, facts)
-    lines.append("Killing-Ricci form of %s, %s route" % (B.name, args.method))
-    _matrix_lines(B.space.labels, form.gram, lines)
-    return 0, facts, lines
+    return (0 if agree else 1), facts, lines
 
 
 def cmd_center(args):

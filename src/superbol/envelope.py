@@ -279,7 +279,7 @@ class PairSpace:
 
             def close(m):  # p_m with each degree's packed partners: its ints at the pivots
                 for r, y in enumerate(views):
-                    cells = bracketed(m, y, r) if y else {}
+                    cells = bracketed(m, y, r) if top[r] else {}
                     if _reduced(cells, common[0]):  # the first escaping [p_m, p_l], each alone
                         m, l = next((m, l) for m in range(d) for l in range(m if mirror else 0, d)
                                     if _reduced(bracketed(m, xs[l], degrees[l]), common[0]))
@@ -288,11 +288,12 @@ class PairSpace:
                     kept.append((m, r, [(i, cells[p]) for i, p in enumerate(pivots) if p in cells]))
             # degree r's pairs every[r], each added to its pack from the last down at digit top[r]
             every, top = [[l for l, s in enumerate(degrees) if s == r] for r in (0, 1)], [0, 0]
-            mirror, packs, views = _all_skew((st,)), [[{} for _ in xs[0]] for _ in every], [(), ()]
+            mirror, packs = _all_skew((st,)), [[{} for _ in xs[0]] for _ in every]
+            views = [[slot.items() for slot in pack] for pack in packs]    # live, never copied
             for l, r in reversed(list(enumerate(degrees))):
                 for slot, col in zip(packs[r], xs[l]):
                     slot.update((i, slot.get(i, 0) + (c << W * top[r])) for i, c in col)
-                views[r], top[r] = tuple(tuple(slot.items()) for slot in packs[r]), top[r] + 1
+                top[r] += 1
                 if mirror:
                     close(l)    # with its partners l' >= l
             for m in () if mirror else range(d):
@@ -478,8 +479,6 @@ def ideal_envelope(B, K, env=None):
             raise EnvelopeError("inner pair over K escaped IPS(B, B)")
         vectors.append(SuperVector(env.lie.space, (0,) * env.base_dim + coords))
     combined = span_reduce(env.lie.space, vectors)
-    for kappa in combined.basis:
-        for x in env.lie.space.basis():
-            if not combined.contains(env.lie.product(kappa, x)):
-                raise EnvelopeError("combined subspace is not an ideal of the envelope")
+    if classify_subspace(env.lie, combined) != IDEAL:
+        raise EnvelopeError("combined subspace is not an ideal of the envelope")
     return combined

@@ -27,9 +27,9 @@ import math
 from functools import cached_property
 from operator import itemgetter
 
-from .graded import (GradedMap, GradingError, SuperVector, _dense, _exact, _into, _quotient,
-                     _sparse, _SparseValue, _transposed, rat, record, sign)
-from .linalg import _null_space, span_reduce
+from .graded import (GradedMap, GradingError, _dense, _exact, _into, _quotient, _sparse,
+                     _SparseValue, _transposed, rat, record, sign)
+from .linalg import _null_space, _rref, _subspace
 from .structures import (CheckReport, Witness, center, classify_subspace,
                          require_axioms)
 
@@ -326,9 +326,8 @@ def semisimplicity_report(B, ideals=()):
     if beta_nondeg:
         # span of all binary and ternary products; its orthogonal must be
         # exactly the center when beta is nondegenerate
-        closure = span_reduce(B.space, [SuperVector(B.space, _dense(entry, nb))
-                                        for st in (B.binary, B.ternary)
-                                        for entry in st.cells().values()])
+        closure = _subspace(B.space, *_rref((entry for st in (B.binary, B.ternary)
+                                             for entry in st.cells().values()), nb))
         center_match = orthogonal(beta, closure) == center(B)
 
     ideal_results = []

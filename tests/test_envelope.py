@@ -1,6 +1,7 @@
 import pytest
 
 import superbol as sb
+from superbol import envelope
 
 BOL_KEYS = ("L2_2_2_bol", "L2_3_1_bol", "abelian_2_2")
 
@@ -180,6 +181,18 @@ def test_ideal_envelope_builds_the_standard_envelope_when_none_is_given():
     B = sb.catalog.load("L2_3_1_bol")
     K = sb.span_reduce(B.space, [B.space.basis()[0]])
     assert sb.ideal_envelope(B, K) == sb.ideal_envelope(B, K, sb.enveloping(B))
+
+
+def test_ideal_envelope_rejects_a_combined_subspace_that_is_not_an_ideal(monkeypatch):
+    """With IPS(B, K) replaced by the zero pair space, span(e1) alone is not an ideal
+    of the envelope: its brackets with the base reach the inner pairs."""
+    B = sb.catalog.load("L2_3_1_bol")
+    K = sb.span_reduce(B.space, [B.space.basis()[0]])
+    env = sb.enveloping(B)
+    monkeypatch.setattr(envelope, "ips_space", lambda B, K: sb.PairSpace.from_pairs(B, []))
+    with pytest.raises(sb.EnvelopeError, match="^combined subspace is not an ideal of the "
+                       "envelope$"):
+        sb.ideal_envelope(B, K, env)
 
 
 def test_pair_labels_step_around_base_labels():

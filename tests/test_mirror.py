@@ -210,11 +210,12 @@ def one_sided():
 
 @pytest.fixture
 def brackets(monkeypatch):
-    """The pack, the second pair, of each closure bracket, in call order."""
+    """The pack, the second pair, of each closure bracket, in call order, each as that
+    call read it: the closure's packs are live views that grow after the call."""
     calls = []
     kernel = envelope._bracket_entries
-    monkeypatch.setattr(envelope, "_bracket_entries", lambda n, E, x, y, s: calls.append(y)
-                        or kernel(n, E, x, y, s))
+    monkeypatch.setattr(envelope, "_bracket_entries", lambda n, E, x, y, s: calls.append(
+        [tuple(col) for col in y]) or kernel(n, E, x, y, s))
     return calls
 
 

@@ -608,6 +608,25 @@ def test_cli_walls_compare_each_wall_once_per_side(monkeypatch):
     assert out["w"]["same_stdout"] and out["w"]["parent"]["runs"] == [canned["p"]]
     failed = paired_bench.cli_walls({"parent": "p", "change": "x"}, {"w": ("center",)}, 1)["w"]
     assert failed["cpu_change_over_parent"] is None and not failed["same_stdout"]
+    assert failed["cpu_min_change_over_parent"] is None
+
+
+def test_cli_walls_compare_the_cpu_minimums_beside_the_medians(monkeypatch):
+    """On canned runs where one slow change process moves the change's median but not its
+    min, cpu_min_change_over_parent is the ratio of the two sides' cpu_s_min; one run
+    that exits nonzero makes it None."""
+    cpu = {"p": iter([2.0, 2.2, 2.1]), "c": iter([1.8, 3.0, 2.9]),
+           "x": iter([1.0, 1.0, 1.0])}
+    monkeypatch.setattr(paired_bench, "cli_wall", lambda root, argv: {
+        "cpu_s": next(cpu[root]), "peak_rss_mb": 20.0,
+        "exit_code": 1 if root == "x" else 0, "stdout_sha256": "a"})
+    out = paired_bench.cli_walls({"parent": "p", "change": "c"}, {"w": ("center",)}, 3)["w"]
+    assert (out["parent"]["cpu_s_min"], out["change"]["cpu_s_min"]) == (2.0, 1.8)
+    assert out["cpu_min_change_over_parent"] == 1.8 / 2.0 < 1
+    assert out["cpu_change_over_parent"] == 2.9 / 2.1 > 1
+    cpu["p"] = iter([2.0, 2.2, 2.1])
+    failed = paired_bench.cli_walls({"parent": "p", "change": "x"}, {"w": ("center",)}, 3)["w"]
+    assert failed["cpu_min_change_over_parent"] is None
 
 
 STUB_MAIN = """\

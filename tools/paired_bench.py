@@ -56,10 +56,11 @@ machine` processes per side, the parent first in odd-numbered runs, with
 PYTHONHASHSEED=1, written under `cli_walls`: each run's CPU seconds and peak RSS,
 read by os.wait4 for that process alone, its exit code and the sha256 of its
 stdout, each side's median and min of both, and the change/parent ratios of the
-medians; a wall where any run's exit code or stdout differs from the others is
-listed under `regressions` with the metric "stdout".  `src_lines` holds each
-side's count of non-blank lines in the modules under src/superbol/.  Only the
-standard library is used.
+medians and, as `cpu_min_change_over_parent`, of the CPU minimums; a wall where
+any run's exit code or stdout differs from the others is listed under
+`regressions` with the metric "stdout".  `src_lines` holds each side's count of
+non-blank lines in the modules under src/superbol/.  Only the standard library is
+used.
 
 With --trajectory it runs nothing: it prints, across every BENCH_*.json in
 the repository root in the order of their numbers, each workload metric's
@@ -507,10 +508,12 @@ def cli_wall(root, argv):
 
 def cli_walls(roots, walls=CLI_WALLS, runs=WALL_RUNS):
     """{wall: {argv, parent, change, cpu_change_over_parent, rss_change_over_parent,
-    same_stdout}}: each wall run `runs` times per side by cli_wall, the parent first in
-    odd-numbered runs; each side holds its runs and the median and min of their cpu_s and
-    peak_rss_mb; the ratios are those of the medians, None unless every run exits 0; and
-    same_stdout needs every run of both sides to give one exit code and stdout."""
+    cpu_min_change_over_parent, same_stdout}}: each wall run `runs` times per side by
+    cli_wall, the parent first in odd-numbered runs; each side holds its runs and the median
+    and min of their cpu_s and peak_rss_mb; the first two ratios are those of the medians and
+    cpu_min_change_over_parent that of the cpu_s minimums, which one slow process of a few
+    cannot move as it moves a median, each None unless every run exits 0; and same_stdout
+    needs every run of both sides to give one exit code and stdout."""
     out = {}
     for name, argv in walls.items():
         results = {"parent": [], "change": []}
@@ -527,6 +530,8 @@ def cli_walls(roots, walls=CLI_WALLS, runs=WALL_RUNS):
             key + "_change_over_parent": sides["change"][metric + "_median"]
             / sides["parent"][metric + "_median"] if ran else None
             for key, metric in (("cpu", "cpu_s"), ("rss", "peak_rss_mb"))},
+            "cpu_min_change_over_parent": sides["change"]["cpu_s_min"]
+            / sides["parent"]["cpu_s_min"] if ran else None,
             "same_stdout": len({(r["exit_code"], r["stdout_sha256"])
                                 for rs in results.values() for r in rs}) == 1}
         print("cli wall %s done" % name, file=sys.stderr, flush=True)
