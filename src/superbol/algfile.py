@@ -97,11 +97,11 @@ def parse_algebra(text):
     odd = []
     binary = {}
     ternary = {}
-    first_product_line = None
+    staged = []  # the product lines, read once the space is known
     seen = {}  # label -> declaration line
 
     def declare(rest, base, line_no, into):
-        if first_product_line is not None:
+        if staged:
             raise ParseError("label declarations must precede products", line_no)
         found = list(re.finditer(r"\S+", rest))
         if not found:
@@ -121,7 +121,6 @@ def parse_algebra(text):
 
     lines = text.split("\n")
     # first pass: declarations only, so the space is known before products
-    staged = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -143,8 +142,6 @@ def parse_algebra(text):
         elif directive == "odd":
             declare(rest, base, line_no, odd)
         elif directive in ("binary", "ternary"):
-            if first_product_line is None:
-                first_product_line = line_no
             staged.append((directive, rest, base, line_no))
         else:
             raise ParseError("unknown directive %r" % directive, line_no, 1)

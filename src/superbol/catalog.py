@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .constructions import malcev_to_bol
+from .constructions import _jacobi_table
 from .graded import ABELIAN_MAX_DIM, SuperSpace, record
 from .structures import (AlgebraDef, BinaryStructure, TernaryStructure,
                          require_axioms)
@@ -41,8 +41,9 @@ def _l2_2_2_malcev():
 
 
 def _l2_2_2_bol():
-    # regenerated from the Malcev entry, never written out by hand
-    return malcev_to_bol(_l2_2_2_malcev()).renamed("L2_2_2_bol")
+    # malcev_to_bol's table of the Malcev entry, never written out by hand; `entry` checks it
+    M = _l2_2_2_malcev()
+    return AlgebraDef("L2_2_2_bol", M.space, M.binary, _jacobi_table(M, "malcev", (2, -1, -1), 3))
 
 
 def _l2_3_1_bol():

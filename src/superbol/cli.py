@@ -62,13 +62,12 @@ def _report_lines(report, lines):
         lines.append("  ... and %d more witnesses" % extra)
 
 
-def _matrix_lines(labels, gram, lines, indent="  "):
+def _matrix_lines(labels, gram, lines):
     cells = [[_text(x) for x in row] for row in gram]
     width = max((len(c) for row in cells for c in row), default=1)
     lwidth = max((len(lab) for lab in labels), default=1)
     for lab, row in zip(labels, cells):
-        lines.append("%s%-*s [ %s ]"
-                     % (indent, lwidth, lab, "  ".join("%*s" % (width, c) for c in row)))
+        lines.append("  %-*s [ %s ]" % (lwidth, lab, "  ".join("%*s" % (width, c) for c in row)))
 
 
 def _matrix_facts(name, gram, facts):
@@ -392,13 +391,9 @@ def main(argv=None):
             _witness_facts(err.report, facts)
         else:
             _report_lines(err.report, lines)
-    except (ValueError, RuntimeError, OSError) as err:
-        # ParseError, StructureError and GradingError are ValueErrors; of the
-        # RuntimeErrors only EnvelopeError is the input's fault
-        if isinstance(err, RuntimeError):
-            from .envelope import EnvelopeError
-            if not isinstance(err, EnvelopeError):
-                raise
+    except (ValueError, OSError) as err:
+        # the input's faults, ParseError, StructureError, GradingError and
+        # EnvelopeError, are ValueErrors
         print("error: %s" % err, file=sys.stderr)
         return 2
     # raw text output (.alg) comes with facts None, the same in both formats

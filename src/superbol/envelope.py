@@ -38,17 +38,19 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _exact, _into,
+from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _into,
                      _quotient, _sparse, hidden, rat, record, sign)
-from .linalg import (AffineSubspace, _affine, _by_lead, _in_span, _kernel, _reduced, _rref,
-                     _span_coordinates, span_reduce)
+from .linalg import (AffineSubspace, _Span, _affine, _by_lead, _in_span, _kernel, _reduced,
+                     _rref, _span_coordinates, span_reduce)
 from .rules import _RULES, _inner_pairs, _norm, _packed, _pair_rows, _rule_defects, _width
-from .structures import (AlgebraDef, BinaryStructure, CheckReport, StructureError, Witness,
-                         _all_skew, _digits, _mirrored, _structures, _swept, require_axioms)
+from .structures import (IDEAL, AlgebraDef, BinaryStructure, CheckReport, StructureError,
+                         Witness, _all_skew, _digits, _mirrored, _structures, _swept,
+                         classify_subspace, require_axioms)
 
 
-class EnvelopeError(RuntimeError):
-    """Internal consistency failure while building an enveloping algebra."""
+class EnvelopeError(ValueError):
+    """Consistency failure while building an enveloping algebra: a ValueError,
+    as every fault of the input is."""
 
 
 @record
@@ -138,22 +140,14 @@ def inner_pair(B, x, y):
         raise GradingError("arguments live outside the algebra")
     deg = (x.parity_or(0) + y.parity_or(0)) % 2
     bs, ts = _structures(B, ("binary", "ternary"))
-    # column m is D_{x,y}(e_m): y through the middle-slot view of each x_a e_a
-    n, mid, xs, ys = B.space.dim, ts.mid, _sparse(x.coords), _sparse(y.coords)
-    cols = []
-    for m in range(n):
-        acc = [0] * n
-        for a, c in xs:
-            _into(acc, ys, mid[a][m], c)
-        cols.append(_exact(acc))
-    return PseudoDerivationPair(GradedMap._of(B.space, deg, tuple(cols)), bs.eval(x, y))
+    return PseudoDerivationPair(GradedMap.from_columns(B.space, deg, [
+        ts.eval(x, y, z).coords for z in B.space.basis()]), bs.eval(x, y))
 
 
 def _basis_inner_pairs(B):
     """_inner_pairs of B, only i <= j once its tables are super skew (the rest are multiples)."""
     reads = ("binary", "ternary")
-    pairs, mirror = _inner_pairs(B.space, *_structures(B, reads)), _all_skew(_swept(B, reads))
-    return (p for p in pairs if p[0][0] <= p[0][1] or not mirror)
+    return _inner_pairs(B.space, _all_skew(_swept(B, reads)), *_structures(B, reads))
 
 
 def _bracket_entries(n, E, x, y, s):
@@ -229,7 +223,7 @@ def companion_space(B, P):
 
 
 @record
-class PairSpace:
+class PairSpace(_Span):
     """Span of pseudo superderivation pairs, closed under pair_bracket.
 
     `basis` holds homogeneous pairs read off the reduced rows of their flat
@@ -300,24 +294,14 @@ class PairSpace:
                 close(m)
         return cls(algebra, basis, pivots, kept and (W, L, leads, every, mirror, kept), common)
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
     def degree_dims(self):
         d0 = sum(1 for p in self.basis if p.degree == 0)
         return (d0, len(self.basis) - d0)
 
-    def contains(self, pair):
+    def _entries(self, pair):
         if pair.space != self.algebra.space:
             raise GradingError("pair lives outside the algebra")
-        return _in_span(self._common, pair._entries())
-
-    def coordinates_of(self, pair):
-        if pair.space != self.algebra.space:
-            raise GradingError("pair lives outside the algebra")
-        coords = _span_coordinates(self._common, pair._entries())
-        return None if coords is None else _dense(coords, self.dim)
+        return pair._entries()
 
     @cached_property
     def rows(self):  # the reduced rows, dense
@@ -465,7 +449,6 @@ def ideal_envelope(B, K, env=None):
     K must be an ideal of B.  The bracket containment [K', L] <= K' is
     verified exactly; failure raises.
     """
-    from .structures import IDEAL, classify_subspace
     if classify_subspace(B, K) != IDEAL:
         raise StructureError("K is not an ideal of %s" % B.name)
     if env is None:

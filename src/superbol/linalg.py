@@ -203,6 +203,24 @@ def _span_coordinates(common, vec):
                         if c in index))
 
 
+class _Span:
+    """Base of the spans held as a canonical reduced `basis` whose integer rows,
+    by lead (`_by_lead`), are `_common`: membership and coordinates of an item
+    read as sparse entries by the class's `_entries`, which checks it first."""
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def contains(self, item):
+        return _in_span(self._common, self._entries(item))
+
+    def coordinates_of(self, item):
+        """Coefficients of item over this basis, or None if outside."""
+        coords = _span_coordinates(self._common, self._entries(item))
+        return None if coords is None else _dense(coords, self.dim)
+
+
 def solve_affine(rows, rhs):
     """Exact solution set of rows . x = rhs, in as many unknowns as each row
     has entries; `rows` must not be empty, and rhs holds one entry per row."""
@@ -229,7 +247,7 @@ def _affine(reduced, pivots, ncols):
 
 
 @record
-class Subspace:
+class Subspace(_Span):
     """Subspace of a SuperSpace with a canonical reduced basis (leading
     columns in `pivots`; as integer rows by lead, `_by_lead`, in `_common`)."""
 
@@ -238,21 +256,10 @@ class Subspace:
     pivots: tuple = hidden
     _common: tuple = hidden
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def contains(self, v):
+    def _entries(self, v):
         if v.space != self.space:
             raise GradingError("vector lives in a different space")
-        return _in_span(self._common, _sparse(v.coords))
-
-    def coordinates_of(self, v):
-        """Coefficients of v over this basis, or None if outside."""
-        if v.space != self.space:
-            raise GradingError("vector lives in a different space")
-        coords = _span_coordinates(self._common, _sparse(v.coords))
-        return None if coords is None else _dense(coords, self.dim)
+        return _sparse(v.coords)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)

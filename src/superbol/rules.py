@@ -214,14 +214,16 @@ def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
     return [(key + at, acc) for key, defects in found for at, acc in defects]
 
 
-def _inner_pairs(space, *structures):
+def _inner_pairs(space, mirror, *structures):
     """((i, j), degree, x) for every inner pair (D_{i,j}, e_i.e_j) of basis
-    vectors, in (i, j) order: x as in the rules, x[m] = [e_i, e_j, e_m] and
-    x[n] = e_i.e_j, or () when the structures are the ternary one alone."""
+    vectors, in (i, j) order, only i <= j when mirror (the structures super
+    skew: the rest are multiples): x as in the rules, x[m] = [e_i, e_j, e_m]
+    and x[n] = e_i.e_j, or () when the structures are the ternary one alone."""
     n, par = space.dim, space.parities
     Et, Eb = structures[-1].entries, structures[0].entries if len(structures) == 2 else None
-    for i, j in itertools.product(range(n), repeat=2):
-        yield (i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),)
+    for i in range(n):
+        for j in range(i if mirror else 0, n):
+            yield (i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),)
 
 
 def _derives(structures):
@@ -262,7 +264,7 @@ def _inner_witnesses(axiom, space, *structures):
     # the structures' rule on every inner pair, mirrored in (i, j) and (u, v) once they are
     # super skew; where the derived tuples were left out, the failing pairs again at all u <= v
     par, mirror = space.parities, _all_skew(structures)
-    pairs = [p for p in _inner_pairs(space, *structures) if p[0][0] <= p[0][1] or not mirror]
+    pairs = list(_inner_pairs(space, mirror, *structures))
     defects = _rule_defects(space, structures, pairs, _order(structures))
     if defects and _derives(structures):
         failing = {at[:2] for at, _ in defects}

@@ -148,8 +148,11 @@ def test_inner_pairs_read_off_the_tables_equal_inner_pair():
     for B in passing_bols() + lifted_inputs() + [dense]:
         n, basis = B.space.dim, B.space.basis()
         read = [(at, envelope._pair(B.space, r, x))
-                for at, r, x in rules._inner_pairs(B.space, B.binary, B.ternary)]
+                for at, r, x in rules._inner_pairs(B.space, False, B.binary, B.ternary)]
         assert [at for at, _ in read] == [(i, j) for i in range(n) for j in range(n)]
+        mirrored = rules._inner_pairs(B.space, True, B.binary, B.ternary)
+        assert [p for p in read if p[0][0] <= p[0][1]] == [
+            (at, envelope._pair(B.space, r, x)) for at, r, x in mirrored]
         for (i, j), pair in read:
             built = sb.inner_pair(B, basis[i], basis[j])
             assert pair == built, (B.name, i, j)

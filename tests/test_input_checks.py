@@ -72,6 +72,8 @@ CASES = [
      "no equations: unknown count is undetermined"),
     ("affine length", lambda: sb.solve_affine([[1, 0]], [1]).contains((1,)), ValueError,
      "coordinate length mismatch"),
+    ("subspace member", lambda: sb.whole_space(SPACE).contains(X), sb.GradingError,
+     "vector lives in a different space"),
     ("subspace vector", lambda: sb.whole_space(SPACE).coordinates_of(X), sb.GradingError,
      "vector lives in a different space"),
     ("subspace sum", lambda: sb.whole_space(SPACE).sum_with(sb.whole_space(OTHER)),
@@ -180,6 +182,8 @@ CASES = [
      sb.GradingError, "H was built over a different algebra"),
     ("pair space member", lambda: sb.ips_space(b()).contains(sb.PseudoDerivationPair(ID_OTHER, X)),
      sb.GradingError, "pair lives outside the algebra"),
+    ("pair space coordinates", lambda: sb.ips_space(b()).coordinates_of(
+        sb.PseudoDerivationPair(ID_OTHER, X)), sb.GradingError, "pair lives outside the algebra"),
     ("ideal envelope", lambda: sb.ideal_envelope(b(), sb.whole_space(SPACE),
                                                  sb.enveloping(sb.catalog.load("L2_2_2_bol"))),
      sb.GradingError, "env was built over a different algebra"),

@@ -533,6 +533,24 @@ def test_the_trajectory_passes_over_other_layouts(tmp_path):
         "  BENCH_10.json          0.5        0.25"]
 
 
+def test_the_trajectory_shows_the_package_size_beside_the_metrics(tmp_path):
+    """Each file's `src_lines` is one point of the ("src_lines",) series; a file
+    without it, or with a side missing, adds none."""
+    files = []
+    for number, lines in ((29, None), (30, {"parent": 2851, "change": 2840}),
+                          (31, {"parent": 2840}), (44, {"parent": 2930, "change": 2919})):
+        files.append(tmp_path / ("BENCH_%d.json" % number))
+        files[-1].write_text(json.dumps({"end_to_end": {}} if lines is None else
+                                        {"end_to_end": {}, "src_lines": lines}))
+    series = paired_bench.trajectory(files)
+    assert series == {("src_lines",): [("BENCH_30.json", 2851, 2840),
+                                       ("BENCH_44.json", 2930, 2919)]}
+    assert paired_bench.trajectory_text(series).splitlines() == [
+        "src_lines: parent, change",
+        "  BENCH_30.json         2851        2840",
+        "  BENCH_44.json         2930        2919"]
+
+
 def test_main_needs_both_trees_and_an_output_without_the_trajectory(capsys):
     with pytest.raises(SystemExit):
         paired_bench.main(["parent", "change"])

@@ -542,18 +542,24 @@ def test_cells_are_kept_from_construction_through_a_bol_check():
 
 
 def test_inner_pairs_match_the_reference():
-    """inner_pair reads the sparse ternary form; the reference builds
+    """inner_pair evaluates the ternary product; the reference builds
     D_{x,y} from n dense triple evaluations.  The maps must be identical,
     coefficient types included, on basis vectors and on random
-    homogeneous vectors."""
+    homogeneous vectors, one of each parity with a Fraction coefficient
+    on every input, the dense bol(M7) among them."""
     rng = random.Random(3)
-    osp_bol = sb.malcev_to_bol(inputs.osp12())
-    for B in bols() + lifted_inputs() + [transport(osp_bol, even_map(osp_bol.space, rng))]:
+    osp_bol, m7_bol = sb.malcev_to_bol(inputs.osp12()), sb.malcev_to_bol(inputs.m7())
+    dense_m7 = inputs.transport(m7_bol, inputs.dense_even_map(random.Random(1), m7_bol.space),
+                                "dense " + m7_bol.name)
+    for B in bols() + lifted_inputs() + [transport(osp_bol, even_map(osp_bol.space, rng)),
+                                         dense_m7]:
         n, par = B.space.dim, B.space.parities
         vectors = list(B.space.basis())
         for p in (0, 1):
             vectors.append(B.space.vector([rng.choice(VALUES) if par[m] == p else 0
                                            for m in range(n)]))
+            vectors.append(B.space.vector([Fraction(rng.randint(1, 5), rng.randint(2, 4))
+                                           if par[m] == p else 0 for m in range(n)]))
         for x in vectors:
             for y in vectors:
                 fast, slow = sb.inner_pair(B, x, y), slow_reference.inner_pair(B, x, y)

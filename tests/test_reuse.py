@@ -65,6 +65,20 @@ def test_each_command_sweeps_each_algebra_once_per_kind(sweeps, argv, tmp_path, 
         assert not repeated, (argv, algebra, repeated)
 
 
+@pytest.mark.parametrize("argv, bols", [
+    (("pseudo", "L2_2_2_bol"), 1), (("killing-ricci", "L2_2_2_bol"), 1), (("catalog", "list"), 3)],
+    ids=["pseudo", "killing-ricci", "catalog-list"])
+def test_each_catalog_bol_runs_the_pair_rules_once(sweeps, argv, bols, capsys):
+    """L2_2_2_bol holds malcev_to_bol's table of its Malcev entry, and
+    catalog.entry alone checks it: no copy of a checked algebra is checked again."""
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    runs = collections.Counter()
+    for (_, _, name), count in sweeps.items():
+        runs[name] += count
+    assert (runs["nambu"], runs["product-rule"]) == (bols, bols), runs
+
+
 def test_check_axioms_stores_one_report_per_kind():
     B = sb.catalog.build("L2_3_1_bol").algebra
     report = sb.check_axioms(B, "bol")

@@ -132,9 +132,7 @@ def typed(acc):
 
 def inner_pairs(B, tables):
     """The inner pairs the Bol check evaluates: i <= j once the tables are super skew."""
-    mirror = structures._all_skew(tables)
-    return [p for p in rules._inner_pairs(B.space, *tables)
-            if p[0][0] <= p[0][1] or not mirror]
+    return list(rules._inner_pairs(B.space, structures._all_skew(tables), *tables))
 
 
 def sweep_defects(B, reads):

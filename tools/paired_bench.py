@@ -64,9 +64,10 @@ used.
 
 With --trajectory it runs nothing: it prints, across every BENCH_*.json in
 the repository root in the order of their numbers, each workload metric's
-parent and change medians (`end_to_end`, the first seed) and each kernel
-case's parent and change minimums, raw and, where written, normalized.  A
-file or an entry laid out otherwise, as some early files are, is passed over.
+parent and change medians (`end_to_end`, the first seed), each kernel
+case's parent and change minimums, raw and, where written, normalized, and
+each side's `src_lines`, the package's size.  A file or an entry laid out
+otherwise, as some early files are, is passed over.
 """
 
 from __future__ import annotations
@@ -545,9 +546,9 @@ def _number(path):
 def trajectory(paths):
     """{series: [(file name, parent, change), ...]} over the BENCH_*.json files at
     paths, in order: ("workload", name, metric) with the parent and change medians of
-    each `end_to_end` metric, ("case", name, "min") with each kernel case's raw minimums
-    and ("case", name, "norm_min") with its normalized ones where written.  An entry
-    laid out otherwise is passed over."""
+    each `end_to_end` metric, ("case", name, "min") with each kernel case's raw minimums,
+    ("case", name, "norm_min") with its normalized ones where written and ("src_lines",)
+    with each side's `src_lines`.  An entry laid out otherwise is passed over."""
     series = {}
     for path in paths:
         report, name = json.loads(pathlib.Path(path).read_text()), pathlib.Path(path).name
@@ -564,6 +565,9 @@ def trajectory(paths):
                 if isinstance(entry, dict) and "parent_" + what in entry:
                     series.setdefault(("case", case, what), []).append(
                         (name, entry["parent_" + what], entry["change_" + what]))
+        lines = report.get("src_lines")
+        if isinstance(lines, dict) and {"parent", "change"} <= lines.keys():
+            series.setdefault(("src_lines",), []).append((name, lines["parent"], lines["change"]))
     return series
 
 
