@@ -1,17 +1,19 @@
 """The pseudo-derivation rules, evaluated on integer pairs for the Bol checker and the pair solvers.
 
 Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} = [x, y, .]
-derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator, `_rule_defects`, runs
+derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator, `_defects`, runs
 both for the checker and check_pseudo (the pair solvers call its two paths through `_pair_rows`),
 on the one form x of an integer pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The pairs of one
 degree are evaluated at once, by Kronecker substitution: packed into one pair whose coordinates
 hold theirs W bits apart, each coordinate of its defects read back as their signed W-bit digits,
-exact since every term is linear in x (`_width`).  The path is a property of the tables (`_joins`):
-where the rule's own product has fewer than half its n^arity cells nonzero, `_joined` joins the
-pair with an index of the tables by the value in each slot (`_by_slot`), built in one pass per
-table with each cell's slots, parities and windows computed inline, adding each cell it reaches
-straight into its tuple's sum; else `_listed` visits each of the tuples the rule lists, each term's
-slot and sign from `_terms`.
+exact since every term is linear in x (`_width`).  The checker reads its inner pairs' pack off the
+cells (`_cell_rows`), W from the largest cell L1 norm (`_magnitudes`), and keeps the ternary rows
+on their table per (W, mirror): a Bol check packs them once for both rules where they agree on W.
+The path is a property of the tables (`_joins`): where the rule's own product has fewer than half
+its n^arity cells nonzero, `_joined` joins the pair with an index of the tables by the value in
+each slot (`_by_slot`), built in one pass per table with each cell's slots, parities and windows
+computed inline, adding each cell it reaches straight into its tuple's sum; else `_listed` visits
+each of the tuples the rule lists, each term's slot and sign from `_terms`.
 Once the ternary table's skew and Jacobi sweeps (each run once per structure object) find
 nothing, the triple rule's defect F of any homogeneous operator obeys F(u,v,w) +
 (-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only
@@ -189,41 +191,58 @@ def _packed(xs, W):
     return tuple(out)
 
 
-def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
-    """The nonzero defects of the rule the structures name on each integer degree-r pair (key,
-    r, x) of pairs at its tuples `_ordered` by order, as (key + at, acc) in pair order, acc
-    dense.  The pairs of each degree are evaluated at once, as one pair `_packed` W bits apart
-    (every term is linear in x), joined or listed as `_joins` chooses for the tables: digit b
-    of coordinate t of a packed defect, read by `_digits`, is coordinate t of pair b's."""
+def _defects(space, structures, packs, order, found):
+    """Per pack (r, W, x, pairs), x its degree-r pairs (key, out) W bits apart, pair b at digit b:
+    pair b's defects (at, acc) at order's tuples into its out; then found's as (key + at, acc)."""
     evaluate = _joined if _joins(structures) else _listed
-    found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
-    for key, r, x in pairs:
-        if any(x):  # a zero pair derives everything
-            found.append((key, []))
-            degrees.setdefault(r, []).append((x, found[-1][1]))
-    for r, group in degrees.items():
-        xs, outs = zip(*group)
-        W = _width(_norm(xs), structures)
-        for at, acc in evaluate(space, structures, r, _packed(xs, W), order):
+    for r, W, x, pairs in packs:
+        for at, acc in evaluate(space, structures, r, x, order):
             defects = {}    # per pair with a nonzero digit, its dense defect
             for t, v in enumerate(acc):
                 for b, c in _digits(v, W) if v else ():
                     (defects.get(b) or defects.setdefault(b, [0] * len(acc)))[t] = c
             for b, defect in defects.items():
-                outs[b].append((at, defect))
+                pairs[b][1].append((at, defect))
     return [(key + at, acc) for key, defects in found for at, acc in defects]
 
 
+def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
+    """The nonzero defects (key + at, acc) of the rule on each integer degree-r pair (key, r, x),
+    in pair order, at `_ordered` by order: `_defects` of each degree's `_packed` at its `_norm`."""
+    found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
+    for key, r, x in pairs:
+        if any(x):  # a zero pair derives everything
+            found.append((key, []))
+            degrees.setdefault(r, []).append((x, found[-1]))
+    groups = [(r, *zip(*group)) for r, group in degrees.items()]
+    return _defects(space, structures, [(r, W, _packed(xs, W), kept) for r, xs, kept in groups
+                                        for W in [_width(_norm(xs), structures)]], order, found)
+
+
 def _inner_pairs(space, mirror, *structures):
-    """((i, j), degree, x) for every inner pair (D_{i,j}, e_i.e_j) of basis
-    vectors, in (i, j) order, only i <= j when mirror (the structures super
-    skew: the rest are multiples): x as in the rules, x[m] = [e_i, e_j, e_m]
-    and x[n] = e_i.e_j, or () when the structures are the ternary one alone."""
+    """((i, j), degree, x) for every inner pair (D_{i,j}, e_i.e_j) of basis vectors, in (i, j)
+    order, only i <= j when mirror (the structures super skew: the rest are multiples): x as in
+    the rules, x[m] = [e_i, e_j, e_m] and x[n] = e_i.e_j, or () for the ternary table alone."""
     n, par = space.dim, space.parities
     Et, Eb = structures[-1].entries, structures[0].entries if len(structures) == 2 else None
     for i in range(n):
         for j in range(i if mirror else 0, n):
             yield (i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),)
+
+
+def _cell_rows(space, mirror, W, cells, h, keys=({}, {})):
+    """(keys, rows) per degree: keys {(i, j): shift W b}, those given, then each new pair the cells
+    reach (i <= j when mirror) at digit b; rows, entries times 2^shift at the last index or 0."""
+    n, par, keys = space.dim, space.parities, (dict(keys[0]), dict(keys[1]))
+    accs = ([[0] * n for _ in range(h)], [[0] * n for _ in range(h)])
+    for at, entry in cells.items():
+        i, j = key = at[:2]
+        if not (mirror and j < i):
+            r = par[i] ^ par[j]
+            s, acc = keys[r].setdefault(key, W * len(keys[r])), accs[r][at[-1] if h > 1 else 0]
+            for t, c in entry:
+                acc[t] += c << s
+    return keys, [tuple(map(_sparse, rows)) for rows in accs]
 
 
 def _derives(structures):
@@ -245,11 +264,10 @@ def _order(structures):
 def _pair_rows(A, r, columns, x, W):
     """The pair solvers' rows: both rules, the triple rule's first, on A's lifted tables at
     `_order`'s tuples, for x, the integer degree-r pairs at columns packed W bits apart, pair b
-    at digit b (W from `_width` over both rules' tables), joined or listed as `_joins` chooses
-    for each rule's tables, as in `_rule_defects`.  Each nonzero packed defect coordinate is one row ((column,
-    c), ...), c that coordinate of pair b's defect at columns[b]: one seen before, up to sign,
-    is dropped, and a new one is read by `_digits`.  A missing structure raises before any
-    row."""
+    at digit b (W from `_width` over both rules' tables), evaluated as in `_defects`.  Each
+    nonzero packed defect coordinate is one row ((column, c), ...), c that coordinate of pair
+    b's defect at columns[b]: one seen before, up to sign, is dropped, and a new one is read by
+    `_digits`.  A missing structure raises before any row."""
     rules, seen = [_swept(A, reads) for _, reads in _RULES], set()
     for structures in rules:
         evaluate = _joined if _joins(structures) else _listed
@@ -261,14 +279,19 @@ def _pair_rows(A, r, columns, x, W):
 
 
 def _inner_witnesses(axiom, space, *structures):
-    # the structures' rule on every inner pair, mirrored in (i, j) and (u, v) once they are
+    # the rule on the nonzero inner pairs, mirrored in (i, j) and (u, v) once the structures are
     # super skew; where the derived tuples were left out, the failing pairs again at all u <= v
-    par, mirror = space.parities, _all_skew(structures)
-    pairs = list(_inner_pairs(space, mirror, *structures))
-    defects = _rule_defects(space, structures, pairs, _order(structures))
+    par, mirror, (*bs, ts) = space.parities, _all_skew(structures), structures
+    W = _width(max(st._magnitudes[1] for st in structures), structures)
+    keys, rows = ts._inner_rows.get((W, mirror)) or ts._inner_rows.setdefault(
+        (W, mirror), _cell_rows(space, mirror, W, ts.cells(), space.dim))
+    keys, comp = _cell_rows(space, mirror, W, bs[0].cells() if bs else {}, 1, keys)
+    packs = [(r, W, rows[r] + comp[r], [(k, []) for k in keys[r]]) for r in (0, 1) if keys[r]]
+    defects = _defects(space, structures, packs, _order(structures),
+                       sorted(p for *_, pairs in packs for p in pairs))
     if defects and _derives(structures):
         failing = {at[:2] for at, _ in defects}
-        defects = _rule_defects(space, structures, [p for p in pairs if p[0] in failing],
-                                (0, -math.inf))
+        defects = _rule_defects(space, structures, [
+            p for p in _inner_pairs(space, mirror, *structures) if p[0] in failing], (0, -math.inf))
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
                                                     partial(_swapped, 2, par)) if mirror else ())

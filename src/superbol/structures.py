@@ -251,6 +251,8 @@ class TernaryStructure(_Structure):
     def _jacobi_witnesses(self):  # the ternary Jacobi sweep, run once per structure object
         return tuple(_sweep_ternary_jacobi(self.space, self))
 
+    _inner_rows = cached_property(lambda self: {})  # per (W, mirror), the rules' inner pack
+
     @cached_property
     def first(self):
         return tuple(tuple(zip(*plane)) for plane in zip(*self.entries))

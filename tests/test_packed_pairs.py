@@ -13,6 +13,14 @@ defect) lists, scalar types included, on both paths: on dense, lifted
 (L > 1), failing, odd-vector and both-degree tables, with coefficients past
 2^64, and on a table built so that its defects come within a factor of 2 of
 the bound.  The decode must read back every digit up to +-(2^(W-1) - 1).
+
+The Bol and Lie-supertriple checks read their inner pairs' pack straight off
+the cells instead (`_cell_rows`): each pack they hand the evaluator must be
+`_packed` of `rules._inner_pairs` at its W, digit by digit, holding the
+nonzero inner pairs of its degree, those the ternary cells reach first.  One
+Bol check packs the ternary cells once for both rules where the rules agree
+on W, and its witnesses stay the reference's on a table whose inner-pair
+defects come within a factor of 2 of 2^(W-1), with both signs.
 """
 
 import itertools
@@ -26,6 +34,7 @@ import superbol as sb
 from superbol import rules, structures
 from superbol.graded import _dense
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
+import slow_reference
 from test_rule_paths import KINDS, RULES, dense, inner_input, inner_pairs, reference, typed
 
 
@@ -194,3 +203,131 @@ def test_signed_digits_read_back_up_to_the_edge(W):
     for slot, row in enumerate(rules._packed(xs, W)):
         assert unpacked(list(_dense(row, 5)), len(xs), W) == \
             [list(_dense(x[slot], 5)) for x in xs]
+
+
+# ---------------------------------------------------------------------------
+# the checker's packs, read off the cells
+
+
+@pytest.fixture
+def cell_packs(monkeypatch):
+    """Per pack a sweep hands the evaluator off the cells, in order: (tables, r, W, keys, x),
+    keys the pairs at its digits; a failing Nambu sweep's re-run of explicit pairs, at
+    other tuples than `_order`'s, is not recorded."""
+    seen, defects = [], rules._defects
+
+    def recording(space, tables, packs, order, found):
+        packs = list(packs)
+        if order == rules._order(tables):
+            seen.extend((tables, r, W, [key for key, _ in pairs], x) for r, W, x, pairs in packs)
+        return defects(space, tables, packs, order, found)
+
+    monkeypatch.setattr(rules, "_defects", recording)
+    return seen
+
+
+def kind_of(B):
+    return "bol" if B.binary is not None else "lts"
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_checkers_pack_is_the_inner_pairs_packed_digit_by_digit(kind, cell_packs,
+                                                                     monkeypatch):
+    """On every inner input (lifted, dense, odd-vector and failing tables among them), on
+    both paths forced: each pack the Bol or Lie-supertriple check reads off the cells is
+    `_packed` of `_inner_pairs` listed in its digit order, at its W, every pair of its
+    degree; its pairs are the nonzero inner pairs of that degree (i <= j where the tables
+    read are super skew), those the ternary cells reach in (i, j) order, then those only a
+    binary cell reaches; and its W is at least `_width` of those pairs' own `_norm`."""
+    for join in (True, False):
+        monkeypatch.setattr(rules, "_joins", lambda tables: join)
+        for B in inner_input(kind):
+            cell_packs.clear()
+            sb.check_axioms(B.renamed("fresh " + B.name), kind_of(B))
+            assert {len(tables) for tables, *_ in cell_packs} == (
+                {1, 2} if B.binary is not None else {1}), B.name
+            for tables, r, W, keys, x in cell_packs:
+                mirror = structures._all_skew(tables)
+                inner = {key: (degree, y) for key, degree, y in
+                         rules._inner_pairs(B.space, mirror, *tables)}
+                xs = [inner[key][1] for key in keys]
+                assert {inner[key][0] for key in keys} == {r}
+                assert x == rules._packed(xs, W), (B.name, len(tables), r)
+                assert W >= rules._width(rules._norm(xs), tables)
+                nonzero = [key for key, (degree, y) in inner.items() if degree == r and any(y)]
+                reached = [key for key in nonzero if any(inner[key][1][:-1])]
+                assert keys == reached + [key for key in nonzero if key not in reached]
+
+
+def fresh(B):
+    """A copy of B on new tables, whose caches are empty."""
+    return inputs.permute(B, list(range(B.space.dim)), [1] * B.space.dim)
+
+
+def test_one_bol_check_packs_the_ternary_cells_once(cell_packs, monkeypatch):
+    """On a fresh copy of bol(M7 + osp(1|2)), whose two rules agree on W, the Bol check
+    reads the ternary cells once and the binary cells once, for the product rule's
+    companion row, and both rules get the same ternary rows; a Lie-supertriple check of
+    the same algebra after it reads no cell again.  Where the binary skew sweep fails,
+    the rules differ in their pairs, Nambu i <= j and the product rule every (i, j), and
+    each reads the ternary cells for its own."""
+    reads, cell_rows = [], rules._cell_rows    # per pass over cells: their arity, mirror, W
+
+    def recording(space, mirror, W, cells, *rest):
+        if cells:   # a table's cells, not the empty companion of Nambu's pack
+            reads.append((len(next(iter(cells))), mirror, W))
+        return cell_rows(space, mirror, W, cells, *rest)
+
+    monkeypatch.setattr(rules, "_cell_rows", recording)
+    B = fresh(inner_input("sparse")[0])
+    assert sb.check_axioms(B, "bol").passed
+    assert [len(tables) for tables, *_ in cell_packs] == [1, 1, 2, 2]    # per rule, 2 degrees
+    (W,) = {W for _, _, W, _, _ in cell_packs}
+    assert reads == [(3, True, W), (2, True, W)]
+    for (_, r, _, _, x), (_, s, _, _, y) in zip(cell_packs[:2], cell_packs[2:]):
+        assert r == s and all(a is b for a, b in zip(x[:-1], y[:-1]))
+        assert x[-1] == () != y[-1]
+    assert sb.check_axioms(B, "lts").passed and len(reads) == 2
+    reads.clear()
+    cell_packs.clear()
+    skew = fresh(inner_input("skew broken")[0])
+    sb.check_axioms(skew, "bol")
+    assert [(arity, mirror) for arity, mirror, _ in reads] == [(3, True), (3, False), (2, False)]
+    keys = [sorted(key for tables, _, _, keys, _ in cell_packs if len(tables) == rule
+                   for key in keys) for rule in (1, 2)]
+    ternary, binary = ({at[:2] for at in st.cells()} for st in (skew.ternary, skew.binary))
+    assert keys[0] == sorted((i, j) for i, j in ternary if i <= j)
+    assert keys[1] == sorted(ternary | binary) and any(i > j for i, j in keys[1])
+
+
+def near_width(n, M, m):
+    """An even algebra with every cell of both tables filled, each binary coordinate near M
+    (cell (0, 1) negated) and each ternary one near m < M: the product rule's defects on
+    its inner pairs, led by the binary product's a.(e_i e_j) term, come within a factor of
+    2 of 2^(W-1), W the product rule's, with both signs."""
+    space = sb.SuperSpace((0,) * n, tuple("e%d" % i for i in range(n)))
+    rng = random.Random(n)
+
+    def table(arity, M):
+        return {at: tuple((t, (-1 if at == (0, 1) else 1) * (M - rng.randrange(8)))
+                          for t in range(n)) for at in itertools.product(range(n), repeat=arity)}
+    from_cells = reference().from_cells
+    return AlgebraDef("near width", space, from_cells(BinaryStructure, space, table(2, M)),
+                      from_cells(TernaryStructure, space, table(3, m)))
+
+
+def test_inner_pair_defects_near_the_width_read_back_through_check_axioms(cell_packs):
+    """The Bol check of `near_width` gives the reference's witnesses, scalar types
+    included, though its largest product-rule defects of each sign are past 2^(W-2), W
+    the width the product rule's pack was read at: a W one bit short, one sized from the
+    ternary table or the largest entry alone, or a decode that reads digits unsigned,
+    gives other witnesses."""
+    A = near_width(4, 1 << 70, 1 << 60)
+    fast, slow = sb.check_axioms(A, "bol"), slow_reference.check_axioms(A, "bol")
+    assert fast == slow
+    assert [[type(c) for c in w.defect.coords] for w in fast.witnesses] == \
+        [[type(c) for c in w.defect.coords] for w in slow.witnesses]
+    (W,) = {W for tables, _, W, _, _ in cell_packs if len(tables) == 2}
+    coords = [c for w in fast.witnesses if w.axiom == "product-rule" for c in w.defect.coords]
+    assert A._lifted[0] == 1 and max(map(abs, coords)) < 1 << W - 1
+    assert min(coords) < -(1 << W - 2) and max(coords) > 1 << W - 2

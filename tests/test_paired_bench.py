@@ -647,6 +647,30 @@ def test_cli_walls_compare_the_cpu_minimums_beside_the_medians(monkeypatch):
     assert failed["cpu_min_change_over_parent"] is None
 
 
+def test_cli_walls_write_cpu_quartiles_and_whether_they_resolve_the_wall(monkeypatch):
+    """On canned runs each side's cpu_s_q1 and cpu_s_q3 are the inclusive quartiles of its
+    runs' CPU seconds; cpu_resolved is False where the two sides' interquartile ranges
+    overlap, True where they are apart (the change faster or slower), and None where a run
+    exits nonzero."""
+    def walls(parent, change, code=0):
+        cpu = {"p": iter(parent), "c": iter(change)}
+        monkeypatch.setattr(paired_bench, "cli_wall", lambda root, argv: {
+            "cpu_s": next(cpu[root]), "peak_rss_mb": 20.0,
+            "exit_code": code if root == "c" else 0, "stdout_sha256": "a"})
+        return paired_bench.cli_walls({"parent": "p", "change": "c"}, {"w": ("center",)},
+                                      len(parent))["w"]
+    parent = [2.0, 2.4, 2.1, 2.3, 2.2]    # quartiles 2.1 and 2.3
+    overlapping = walls(parent, [1.9, 2.2, 2.0, 2.15, 1.95])    # 1.95 to 2.15
+    assert (overlapping["parent"]["cpu_s_q1"], overlapping["parent"]["cpu_s_q3"]) == (2.1, 2.3)
+    assert (overlapping["change"]["cpu_s_q1"], overlapping["change"]["cpu_s_q3"]) == (1.95, 2.15)
+    assert overlapping["cpu_resolved"] is False and overlapping["cpu_change_over_parent"] < 1
+    separated = walls(parent, [1.9, 1.7, 2.2, 1.8, 1.75])    # 1.75 to 1.9, one slow run
+    assert (separated["change"]["cpu_s_q1"], separated["change"]["cpu_s_q3"]) == (1.75, 1.9)
+    assert separated["cpu_resolved"] is True
+    assert walls([1.8, 1.75, 1.9], parent[:3])["cpu_resolved"] is True    # the change slower
+    assert walls(parent, [1.0] * 5, code=1)["cpu_resolved"] is None
+
+
 STUB_MAIN = """\
 import pathlib, sys
 root = pathlib.Path.cwd()

@@ -505,7 +505,8 @@ def test_the_alg_writer_reads_the_skew_verdict_of_the_bol_check(monkeypatch):
 def test_check_pseudo_reads_only_the_lifted_tables():
     """After the Bol check of an algebra with L > 1, check_pseudo of a pair with
     Fraction entries builds no join index and no row view on the given tables,
-    and its report is the reference's, scalar types included."""
+    and the Bol check kept its inner pack on the lifted ternary table alone;
+    check_pseudo's report is the reference's, scalar types included."""
     rng = random.Random(41)
     for A in lifted_inputs():
         A = rescaled(A, 1, 1, "fresh " + A.name)
@@ -513,7 +514,8 @@ def test_check_pseudo_reads_only_the_lifted_tables():
         pairs = [random_pair(A, rng) for _ in range(3)]
         reports = [sb.check_pseudo(A, pair) for pair in pairs]
         for st in (A.binary, A.ternary):
-            assert not {"_indexes", "col", "first", "mid"} & set(vars(st)), A.name
+            assert not {"_indexes", "_inner_rows", "col", "first", "mid"} & set(vars(st)), A.name
+        assert A._lifted[1]["ternary"]._inner_rows, A.name
         for pair, fast in zip(pairs, reports):
             slow = slow_reference.check_pseudo(A, pair)
             assert fast == slow and typed(fast) == typed(slow), (A.name, str(pair))
