@@ -6,11 +6,11 @@ membership tests, as flat entries: P's row-major at t n + m, then a's at
 n^2 + t.  The two rules that define the pairs are written once, in
 `rules`: check_pseudo runs the integer multiple of its pair through
 the Bol checker's evaluator, and companion_space and ps_space read their
-rows from it (`_pair_rows`), all unknowns packed into one pair W bits
-apart (ps_space packs each straight into its digit), all on the lifted
-tables, B in the basis L e_i, each operator term times L.
-The inner pairs of the basis are read off the tables, as the Bol checker
-reads them (`rules._inner_pairs`); inner_pair is for any two vectors.
+rows from it (`_pair_rows`), each unknown packed straight into its digit
+of one pair W bits apart (`_unflat`), companion_space's known operator at
+the last, all on the lifted tables, B in the basis L e_i, each operator
+term times L.  The inner pairs of the basis are read off the tables
+(`_basis_inner_pairs`); inner_pair is for any two vectors.
 
 The enveloping algebra of a Bol algebra B over a pair space H >= IPS(B)
 is B + H with
@@ -42,7 +42,7 @@ from .graded import (GradedMap, GradingError, SuperSpace, SuperVector, _dense, _
                      _quotient, _sparse, hidden, rat, record, sign)
 from .linalg import (AffineSubspace, _Span, _affine, _by_lead, _in_span, _kernel, _reduced,
                      _rref, _span_coordinates, span_reduce)
-from .rules import _RULES, _inner_pairs, _norm, _packed, _pair_rows, _rule_defects, _width
+from .rules import _RULES, _evaluate, _pair_rows, _width
 from .structures import (IDEAL, AlgebraDef, BinaryStructure, CheckReport, StructureError,
                          Witness, _all_skew, _digits, _mirrored, _structures, _swept,
                          classify_subspace, require_axioms)
@@ -145,9 +145,12 @@ def inner_pair(B, x, y):
 
 
 def _basis_inner_pairs(B):
-    """_inner_pairs of B, only i <= j once its tables are super skew (the rest are multiples)."""
-    reads = ("binary", "ternary")
-    return _inner_pairs(B.space, _all_skew(_swept(B, reads)), *_structures(B, reads))
+    """((i, j), degree, x) per inner pair (D_{i,j}, e_i.e_j) of basis vectors in (i, j) order, i <= j
+    once B's tables are super skew (the rest are multiples): x[m] = [e_i, e_j, e_m], x[n] = e_i.e_j."""
+    reads, n, par = ("binary", "ternary"), B.space.dim, B.space.parities
+    (bs, ts), mirror = _structures(B, reads), _all_skew(_swept(B, reads))
+    return (((i, j), par[i] ^ par[j], ts.entries[i][j] + (bs.entries[i][j],))
+            for i in range(n) for j in range(i if mirror else 0, n))
 
 
 def _bracket_entries(n, E, x, y, s):
@@ -190,8 +193,8 @@ def check_pseudo(B, pair):
     x = tuple(tuple((t, int(D * s * c)) for t, c in row) for row, s in zip(x, [L] * len(lab) + [1]))
     witnesses = [Witness(axiom, tuple(lab[i] for i in at), SuperVector(B.space, tuple(
                      _quotient(c, D * L ** w) if c else 0 for c in acc)))
-                 for (axiom, reads), w in zip(_RULES, (3, 2))
-                 for at, acc in _rule_defects(B.space, _swept(B, reads), [((), pair.degree, x)])]
+                 for (axiom, reads), w in zip(_RULES, (3, 2)) for at, acc in _evaluate(
+                     B.space, _swept(B, reads), pair.degree, x, (-math.inf,) * 2)]
     subject = "pair of degree %d on %s" % (pair.degree, B.name)
     return CheckReport(subject, "pseudo", not witnesses, tuple(witnesses))
 
@@ -206,15 +209,18 @@ def companion_space(B, P):
     if P.space != B.space:
         raise GradingError("operator lives outside the algebra")
     n, par, r, L = B.space.dim, B.space.parities, P.degree, B._lifted[0]
-    # the unknowns a_m of P's degree at column m, the others zero; b at column n, from
-    # -P (operator terms times L): all times D, the lcm of P's denominators, and `_packed`
-    D = math.lcm(*(c.denominator for col in P.columns for _, c in col))
-    known = tuple(tuple((t, -L * int(D * c)) for t, c in col) for col in P.columns) + ((),)
-    columns, xs = zip(*[(m, _unflat(n, [(n * n + m, D)])) for m in range(n) if par[m] == r]
-                      + [(n, known)])
-    W = _width(_norm(xs), _swept(B, ("binary", "ternary")))
+    # the unknowns a_m of P's degree, the b-th at column units[b] and digit b, then b from -P
+    # (operator terms times L) at column n and the last digit, all times D, the lcm of P's
+    # denominators: packed straight into one pair, W from its largest row, D or one of D L P
+    D, units = math.lcm(*(c.denominator for col in P.columns for _, c in col)), [
+        m for m in range(n) if par[m] == r]
+    x1 = max([D] * bool(units) + [int(D * L * sum(abs(c) for _, c in col)) for col in P.columns],
+             default=0)
+    W = _width(x1, _swept(B, ("binary", "ternary")))
+    x = _unflat(n, [(n * n + m, D << W * b) for b, m in enumerate(units)] + [
+        (k, -L * int(D * c) << W * len(units)) for k, c in _flat(P.columns + ((),))])
     rows = []
-    for row in _pair_rows(B, r, columns, _packed(xs, W), W):
+    for row in _pair_rows(B, r, units + [n], x, W):
         if row[0][0] == n:
             return AffineSubspace.empty()   # 0 = b, b nonzero: no companion
         rows.append(row)

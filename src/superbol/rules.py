@@ -1,14 +1,14 @@
 """The pseudo-derivation rules, evaluated on integer pairs for the Bol checker and the pair solvers.
 
 Nambu and the product rule are the pseudo-derivation rules on the inner pairs: D_{x,y} = [x, y, .]
-derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator, `_defects`, runs
-both for the checker and check_pseudo (the pair solvers call its two paths through `_pair_rows`),
-on the one form x of an integer pair (P, a): x[m] = P e_m, x[n] = a, sparse.  The pairs of one
-degree are evaluated at once, by Kronecker substitution: packed into one pair whose coordinates
-hold theirs W bits apart, each coordinate of its defects read back as their signed W-bit digits,
-exact since every term is linear in x (`_width`).  The checker reads its inner pairs' pack off the
-cells (`_cell_rows`), W from the largest cell L1 norm (`_magnitudes`), and keeps the ternary rows
-on their table per (W, mirror): a Bol check packs them once for both rules where they agree on W.
+derives the triple product, and (D_{x,y}, x.y) the binary one.  One evaluator, `_evaluate`, runs
+both on the one form x of an integer pair (P, a): x[m] = P e_m, x[n] = a, sparse; check_pseudo
+hands it its one pair.  The checker and the pair solvers evaluate the pairs of one degree at once,
+by Kronecker substitution: packed by the code that knows them into one pair whose coordinates hold
+theirs W bits apart, each coordinate of its defects read back as their signed W-bit digits, exact
+since every term is linear in x (`_width`).  The checker reads its inner pairs' pack off the cells
+(`_cell_rows`), W from the largest cell L1 norm (`_magnitudes`), and keeps the ternary rows on
+their table per (W, mirror): a Bol check packs them once for both rules where they agree on W.
 The path is a property of the tables (`_joins`): where the rule's own product has fewer than half
 its n^arity cells nonzero, `_joined` joins the pair with an index of the tables by the value in
 each slot (`_by_slot`), built in one pass per table with each cell's slots, parities and windows
@@ -19,8 +19,8 @@ nothing, the triple rule's defect F of any homogeneous operator obeys F(u,v,w) +
 (-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only
 u < v, u <= w are then evaluated: the derived ones, u == v or w < u < v, are zero where these
 are ((a, a, a) is 0).  A Nambu sweep that finds a defect there evaluates its failing inner pairs
-again at every u <= v, and the derived rows, combinations of kept rows, are not listed in the
-pair-space solvers.
+again at every u <= v, packed off their ternary cells alone at the same W, and the derived rows,
+combinations of kept rows, are not listed in the pair-space solvers.
 """
 
 import itertools
@@ -111,6 +111,12 @@ def _joins(structures):
     return 2 * len(st.cells()) < st.space.dim ** st.ARITY
 
 
+def _evaluate(space, structures, r, x, order):
+    """The rule's defects at one degree-r pair x at its tuples `_ordered` by order, (at, acc)
+    in order, acc dense and nonzero: on the path `_joins` picks for the structures."""
+    return (_joined if _joins(structures) else _listed)(space, structures, r, x, order)
+
+
 def _joined(space, structures, r, x, order):
     """The rule's defects at one degree-r pair x at its tuples `_ordered` by order, (at, acc) in
     order, acc dense: the sums over the cells its nonzero (v, m, c) reach in the index of each
@@ -172,62 +178,23 @@ def _width(x1, structures):
     return (x1 * (3 * m + s1 * (1 + m))).bit_length() + 1
 
 
-def _norm(xs):
-    """The largest L1 norm of a row of the integer pairs xs, 0 if every row is empty:
-    `_width`'s x1 for them."""
-    return max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
-
-
-def _packed(xs, W):
-    """The pair sum over b of xs[b] 2^(W b), sparse: its rows' coordinates hold those of the
-    pairs W bits apart, nonzero where some pair's is, as each |c| < 2^(W-1) but the last's."""
-    out = []
-    for rows in zip(*xs):
-        acc = [0] * (len(xs[0]) - 1)
-        for b, row in enumerate(rows):
-            for m, c in row:
-                acc[m] += c << W * b
-        out.append(_sparse(acc))
-    return tuple(out)
-
-
-def _defects(space, structures, packs, order, found):
-    """Per pack (r, W, x, pairs), x its degree-r pairs (key, out) W bits apart, pair b at digit b:
-    pair b's defects (at, acc) at order's tuples into its out; then found's as (key + at, acc)."""
-    evaluate = _joined if _joins(structures) else _listed
-    for r, W, x, pairs in packs:
-        for at, acc in evaluate(space, structures, r, x, order):
+def _defects(space, structures, W, pack, order):
+    """The nonzero defects (key + at, acc) of the rule on the integer pairs of pack, in key
+    order, at `_ordered` by order: pack (keys, rows) as `_cell_rows` gives it, per degree r
+    the pairs keys[r] {key: W b} summed in rows[r], pair b at digit b, each defect coordinate
+    read back as its pairs' signed W-bit digits."""
+    found = []
+    for r, (keys, x) in enumerate(zip(*pack)):
+        pairs = [(key, []) for key in keys]     # in digit order
+        for at, acc in _evaluate(space, structures, r, x, order) if pairs else ():
             defects = {}    # per pair with a nonzero digit, its dense defect
             for t, v in enumerate(acc):
                 for b, c in _digits(v, W) if v else ():
                     (defects.get(b) or defects.setdefault(b, [0] * len(acc)))[t] = c
             for b, defect in defects.items():
                 pairs[b][1].append((at, defect))
-    return [(key + at, acc) for key, defects in found for at, acc in defects]
-
-
-def _rule_defects(space, structures, pairs, order=(-math.inf,) * 2):
-    """The nonzero defects (key + at, acc) of the rule on each integer degree-r pair (key, r, x),
-    in pair order, at `_ordered` by order: `_defects` of each degree's `_packed` at its `_norm`."""
-    found, degrees = [], {}  # per pair, its key and defects; per degree, its pairs
-    for key, r, x in pairs:
-        if any(x):  # a zero pair derives everything
-            found.append((key, []))
-            degrees.setdefault(r, []).append((x, found[-1]))
-    groups = [(r, *zip(*group)) for r, group in degrees.items()]
-    return _defects(space, structures, [(r, W, _packed(xs, W), kept) for r, xs, kept in groups
-                                        for W in [_width(_norm(xs), structures)]], order, found)
-
-
-def _inner_pairs(space, mirror, *structures):
-    """((i, j), degree, x) for every inner pair (D_{i,j}, e_i.e_j) of basis vectors, in (i, j)
-    order, only i <= j when mirror (the structures super skew: the rest are multiples): x as in
-    the rules, x[m] = [e_i, e_j, e_m] and x[n] = e_i.e_j, or () for the ternary table alone."""
-    n, par = space.dim, space.parities
-    Et, Eb = structures[-1].entries, structures[0].entries if len(structures) == 2 else None
-    for i in range(n):
-        for j in range(i if mirror else 0, n):
-            yield (i, j), par[i] ^ par[j], Et[i][j] + (Eb[i][j] if Eb else (),)
+        found += pairs
+    return [(key + at, acc) for key, defects in sorted(found) for at, acc in defects]
 
 
 def _cell_rows(space, mirror, W, cells, h, keys=({}, {})):
@@ -264,14 +231,13 @@ def _order(structures):
 def _pair_rows(A, r, columns, x, W):
     """The pair solvers' rows: both rules, the triple rule's first, on A's lifted tables at
     `_order`'s tuples, for x, the integer degree-r pairs at columns packed W bits apart, pair b
-    at digit b (W from `_width` over both rules' tables), evaluated as in `_defects`.  Each
+    at digit b (W from `_width` over both rules' tables), evaluated by `_evaluate`.  Each
     nonzero packed defect coordinate is one row ((column, c), ...), c that coordinate of pair
     b's defect at columns[b]: one seen before, up to sign, is dropped, and a new one is read by
     `_digits`.  A missing structure raises before any row."""
     rules, seen = [_swept(A, reads) for _, reads in _RULES], set()
     for structures in rules:
-        evaluate = _joined if _joins(structures) else _listed
-        for _, acc in evaluate(A.space, structures, r, x, _order(structures)):
+        for _, acc in _evaluate(A.space, structures, r, x, _order(structures)):
             for v in map(abs, filter(None, acc)):
                 if v not in seen:
                     seen.add(v)
@@ -286,12 +252,12 @@ def _inner_witnesses(axiom, space, *structures):
     keys, rows = ts._inner_rows.get((W, mirror)) or ts._inner_rows.setdefault(
         (W, mirror), _cell_rows(space, mirror, W, ts.cells(), space.dim))
     keys, comp = _cell_rows(space, mirror, W, bs[0].cells() if bs else {}, 1, keys)
-    packs = [(r, W, rows[r] + comp[r], [(k, []) for k in keys[r]]) for r in (0, 1) if keys[r]]
-    defects = _defects(space, structures, packs, _order(structures),
-                       sorted(p for *_, pairs in packs for p in pairs))
+    defects = _defects(space, structures, W, (keys, [x + y for x, y in zip(rows, comp)]),
+                       _order(structures))
     if defects and _derives(structures):
         failing = {at[:2] for at, _ in defects}
-        defects = _rule_defects(space, structures, [
-            p for p in _inner_pairs(space, mirror, *structures) if p[0] in failing], (0, -math.inf))
+        again = _cell_rows(space, mirror, W, {at: entry for at, entry in ts.cells().items()
+                                              if at[:2] in failing}, space.dim + 1)
+        defects = _defects(space, structures, W, again, (0, -math.inf))
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
                                                     partial(_swapped, 2, par)) if mirror else ())

@@ -20,6 +20,12 @@ term by term, the rows the package's two solvers read from its packed
 rule evaluator, at the same tuples and on the same lifted scale;
 `tests/test_pair_rows.py` holds the solvers' rows to it.
 
+packed and norm are the explicit-pair packer the rules module kept before
+every caller packed its own pairs: any integer pairs of one degree summed
+W bits apart, one coordinate at a time, and the largest L1 norm of a row
+that sizes their W.  The tests drive the package's evaluator with them
+and hold the packs the package builds from its cells and unknowns to them.
+
 killing_ricci_direct is the direct Killing-Ricci route as it was before
 the closed-form sum: one GradedMap per right multiplication R_{e_i,e_j},
 read through its supertrace.  Those maps, and inner_pair's D_{x,y}, are
@@ -716,6 +722,29 @@ def pair_rows(B, r, P=None):
         if cells:
             out.append(tuple((k, int(c)) for k, c in cells))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the explicit-pair packer
+
+
+def norm(xs):
+    """The largest L1 norm of a row of the integer pairs xs, 0 if every row is empty: the x1
+    of `superbol.rules._width` for them."""
+    return max((sum(abs(c) for _, c in row) for x in xs for row in x if row), default=0)
+
+
+def packed(xs, W):
+    """The pair sum over b of xs[b] 2^(W b), sparse: its rows' coordinates hold those of the
+    pairs W bits apart, nonzero where some pair's is, as each |c| < 2^(W-1) but the last's."""
+    out = []
+    for rows in zip(*xs):
+        acc = [0] * (len(xs[0]) - 1)
+        for b, row in enumerate(rows):
+            for m, c in row:
+                acc[m] += c << W * b
+        out.append(_sparse(acc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

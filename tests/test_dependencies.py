@@ -61,6 +61,40 @@ def test_no_module_imports_a_name_it_never_uses():
         " as times\nos.sep\n")) == ["itemgetter", "times"]
 
 
+def unreferenced_private(sources):
+    """(module, name) of each private top-level function or class of the modules {module:
+    source} that no code of theirs references outside its own definition: by name, as an
+    attribute or in a `from ... import`.  Dunder names are left out."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+                n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} | {
+                alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                for alias in n.names}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((module, node.name))
+                names.discard(node.name)    # its own body, recursion included
+            read |= names
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    """Code kept in the package only for its tests is dead weight every CLI process
+    compiles; the tests hold the package to their own references instead."""
+    assert unreferenced_private({path.name: path.read_text()
+                                 for path in sorted(PACKAGE.glob("*.py"))}) == []
+    assert unreferenced_private({
+        "a.py": "def _used():\n    pass\n\n\ndef _unused():\n    pass\n\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n\n"
+                "class _Alone:\n    def _method(self):\n        return _Alone\n\n\n"
+                "def __getattr__(name):\n    return _used()\n",
+        "b.py": "from a import _imported as renamed\nimport a\na._by_attribute\n\n\n"
+                "def _by_attribute():\n    pass\n\n\ndef _imported():\n    pass\n",
+    }) == [("a.py", "_Alone"), ("a.py", "_recursive"), ("a.py", "_unused")]
+
+
 def test_the_reader_sees_a_third_party_import():
     tree = ast.parse("import os\nimport numpy.linalg\nfrom sympy import Matrix\n"
                      "from . import graded\nfrom .linalg import rref\n")

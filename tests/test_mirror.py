@@ -324,11 +324,10 @@ def evaluated(monkeypatch):
     calls = []
     defects = rules._defects
 
-    def recording(space, tables, packs, order, found):
-        packs = list(packs)
+    def recording(space, tables, W, pack, order):
         listed = list(rules._ordered(space.dim, tables[0].ARITY, order))
-        calls.append((sorted(key for *_, pairs in packs for key, _ in pairs), listed))
-        return defects(space, tables, packs, order, found)
+        calls.append((sorted(key for keys in pack[0] for key in keys), listed))
+        return defects(space, tables, W, pack, order)
 
     monkeypatch.setattr(rules, "_defects", recording)
     return calls
@@ -469,7 +468,7 @@ def assert_same_solvers(B, rng):
     # builds ips_space(B), and the span of a mutant's inner pairs need not close
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slow_reference, "ips_space", lambda B: sb.PairSpace.from_pairs(B, []))
-        mp.setattr(envelope, "_inner_pairs", lambda *args: iter(()))
+        mp.setattr(envelope, "_basis_inner_pairs", lambda B: iter(()))
         H, expected = solved(sb.ps_space, B), solved(slow_reference.ps_space, B)
     if isinstance(H, str) or isinstance(expected, str):
         assert H == expected, B.name

@@ -1,26 +1,29 @@
-"""The listed pairs of one degree are evaluated at once, as one packed pair.
+"""The pairs of one degree are evaluated at once, as one packed pair.
 
-`rules._rule_defects` gathers the pairs per degree r and evaluates
-them as one pair whose coordinates hold theirs W bits apart (`_packed`), on
-the path `_joins` chooses for the tables; each coordinate of a packed defect
-is then read back as the pairs' signed W-bit digits (`_digits`).  Every
-term of both rules is linear in the pair, so this is exact while each defect
-coordinate is under 2^(W-1) in size, which `_width` sizes from the pairs and
-the tables read.
+`rules._defects` evaluates the pairs of each degree r as one pair whose
+coordinates hold theirs W bits apart, on the path `_joins` chooses for the
+tables; each coordinate of a packed defect is then read back as the pairs'
+signed W-bit digits (`_digits`).  Every term of both rules is linear in the
+pair, so this is exact while each defect coordinate is under 2^(W-1) in
+size, which `_width` sizes from the pairs and the tables read.  Here any
+listed pairs are packed by the reference packer (`slow_reference.packed`,
+W from `slow_reference.norm`) and handed to `rules._defects`.
 
 Packed and one-pair-at-a-time evaluation must give the same (key + tuple,
 defect) lists, scalar types included, on both paths: on dense, lifted
 (L > 1), failing, odd-vector and both-degree tables, with coefficients past
 2^64, and on a table built so that its defects come within a factor of 2 of
-the bound.  The decode must read back every digit up to +-(2^(W-1) - 1).
+the bound.  The decode must read back every digit up to +-(2^(W-1) - 1), and
+`_cell_rows` must pack such digits as the reference packer does.
 
 The Bol and Lie-supertriple checks read their inner pairs' pack straight off
-the cells instead (`_cell_rows`): each pack they hand the evaluator must be
-`_packed` of `rules._inner_pairs` at its W, digit by digit, holding the
+the cells (`_cell_rows`): each pack they hand the evaluator must be the
+reference packer's of their inner pairs at its W, digit by digit, holding the
 nonzero inner pairs of its degree, those the ternary cells reach first.  One
 Bol check packs the ternary cells once for both rules where the rules agree
 on W, and its witnesses stay the reference's on a table whose inner-pair
-defects come within a factor of 2 of 2^(W-1), with both signs.
+defects come within a factor of 2 of 2^(W-1), with both signs.  A failing
+Nambu sweep packs exactly its failing pairs again, off their ternary cells.
 """
 
 import itertools
@@ -35,19 +38,21 @@ from superbol import rules, structures
 from superbol.graded import _dense
 from superbol.structures import AlgebraDef, BinaryStructure, TernaryStructure
 import slow_reference
-from test_rule_paths import KINDS, RULES, dense, inner_input, inner_pairs, reference, typed
+from test_rule_paths import (KINDS, RULES, dense, inner_input, inner_pairs, nambu_broken,
+                             reference, rule_defects, typed)
 
 
 @pytest.fixture
 def packs(monkeypatch):
     """The number of pairs of each packed evaluation, in order."""
-    sizes, packed = [], rules._packed
-    monkeypatch.setattr(rules, "_packed", lambda xs, W: sizes.append(len(xs)) or packed(xs, W))
+    sizes, packed = [], slow_reference.packed
+    monkeypatch.setattr(slow_reference, "packed",
+                        lambda xs, W: sizes.append(len(xs)) or packed(xs, W))
     return sizes
 
 
 def evaluated(B, tables, pairs, order):
-    return [(at, typed(acc)) for at, acc in rules._rule_defects(B.space, tables, pairs, order)]
+    return [(at, typed(acc)) for at, acc in rule_defects(B.space, tables, pairs, order)]
 
 
 def one_at_a_time(B, tables, pairs, order):
@@ -148,7 +153,7 @@ def test_defects_near_the_bound_read_back_with_both_signs(packs):
     tables = structures._swept(B, ("binary", "ternary"))
     pairs = [uniform_pair(B, c) for c in (1 << 66, -(1 << 66), 3, -(1 << 60))]
     found = assert_packed_as_one_at_a_time(B, lambda tables: pairs, packs)
-    W = rules._width(rules._norm([x for _, _, x in pairs]), tables)
+    W = rules._width(slow_reference.norm([x for _, _, x in pairs]), tables)
     biggest = max(abs(c) for _, acc in found for _, c in acc)
     assert biggest < 1 << W - 1 <= 4 * biggest
     assert {c > 0 for _, acc in found for _, c in acc} == {True, False}
@@ -187,7 +192,9 @@ def unpacked(acc, g, W):
 def test_signed_digits_read_back_up_to_the_edge(W):
     """Every digit in +-(2^(W-1) - 1), 0 and +-1 among them, next to every
     other, through `_digits`, from a positive int and from its negative, and
-    pairs with such entries through `_packed`."""
+    pairs with such entries through the reference packer, and through `_cell_rows` as the
+    ternary cells of the inner pairs (0, b), (1, b - 5) of an even dim-5 space, which packs
+    them as the reference packer does at the same W, in the cells' order."""
     top = (1 << W - 1) - 1
     edge = [top, -top, 0, 1, -1]
     digits = [[edge[(b + t) % 5] for t in range(5)] for b in range(5)]
@@ -200,9 +207,14 @@ def test_signed_digits_read_back_up_to_the_edge(W):
                                                   if row[t]]
     xs = [tuple(tuple((m, c) for m, c in enumerate(digits[(b + s) % len(digits)]) if c)
                 for s in range(6)) for b in range(len(digits))]    # n = 5: six rows
-    for slot, row in enumerate(rules._packed(xs, W)):
+    for slot, row in enumerate(slow_reference.packed(xs, W)):
         assert unpacked(list(_dense(row, 5)), len(xs), W) == \
             [list(_dense(x[slot], 5)) for x in xs]
+    space = sb.SuperSpace((0,) * 5, tuple("e%d" % i for i in range(5)))
+    cells = {divmod(b, 5) + (m,): x[m] for b, x in enumerate(xs) for m in range(5) if x[m]}
+    keys, rows = rules._cell_rows(space, False, W, cells, 6)
+    assert keys == ({divmod(b, 5): W * b for b in range(len(xs))}, {})
+    assert rows[0] == slow_reference.packed([x[:5] + ((),) for x in xs], W)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +223,15 @@ def test_signed_digits_read_back_up_to_the_edge(W):
 
 @pytest.fixture
 def cell_packs(monkeypatch):
-    """Per pack a sweep hands the evaluator off the cells, in order: (tables, r, W, keys, x),
-    keys the pairs at its digits; a failing Nambu sweep's re-run of explicit pairs, at
-    other tuples than `_order`'s, is not recorded."""
+    """Per degree with pairs of each pack a sweep hands the evaluator off the cells, in order:
+    (tables, r, W, keys, x), keys {key: its digit's shift}; a failing Nambu sweep's re-run of
+    its failing pairs, at other tuples than `_order`'s, is not recorded."""
     seen, defects = [], rules._defects
 
-    def recording(space, tables, packs, order, found):
-        packs = list(packs)
+    def recording(space, tables, W, pack, order):
         if order == rules._order(tables):
-            seen.extend((tables, r, W, [key for key, _ in pairs], x) for r, W, x, pairs in packs)
-        return defects(space, tables, packs, order, found)
+            seen.extend((tables, r, W, keys, x) for r, (keys, x) in enumerate(zip(*pack)) if keys)
+        return defects(space, tables, W, pack, order)
 
     monkeypatch.setattr(rules, "_defects", recording)
     return seen
@@ -235,10 +246,11 @@ def test_the_checkers_pack_is_the_inner_pairs_packed_digit_by_digit(kind, cell_p
                                                                      monkeypatch):
     """On every inner input (lifted, dense, odd-vector and failing tables among them), on
     both paths forced: each pack the Bol or Lie-supertriple check reads off the cells is
-    `_packed` of `_inner_pairs` listed in its digit order, at its W, every pair of its
-    degree; its pairs are the nonzero inner pairs of that degree (i <= j where the tables
-    read are super skew), those the ternary cells reach in (i, j) order, then those only a
-    binary cell reaches; and its W is at least `_width` of those pairs' own `_norm`."""
+    the reference packer's of the inner pairs listed in its digit order, at its W, every pair
+    of its degree, pair b at shift W b; its pairs are the nonzero inner pairs of that degree
+    (i <= j where the tables read are super skew), those the ternary cells reach in (i, j)
+    order, then those only a binary cell reaches; and its W is at least `_width` of those
+    pairs' own norm."""
     for join in (True, False):
         monkeypatch.setattr(rules, "_joins", lambda tables: join)
         for B in inner_input(kind):
@@ -246,14 +258,14 @@ def test_the_checkers_pack_is_the_inner_pairs_packed_digit_by_digit(kind, cell_p
             sb.check_axioms(B.renamed("fresh " + B.name), kind_of(B))
             assert {len(tables) for tables, *_ in cell_packs} == (
                 {1, 2} if B.binary is not None else {1}), B.name
-            for tables, r, W, keys, x in cell_packs:
-                mirror = structures._all_skew(tables)
-                inner = {key: (degree, y) for key, degree, y in
-                         rules._inner_pairs(B.space, mirror, *tables)}
+            for tables, r, W, shifts, x in cell_packs:
+                keys = list(shifts)
+                assert list(shifts.values()) == [W * b for b in range(len(keys))]
+                inner = {key: (degree, y) for key, degree, y in inner_pairs(B, tables)}
                 xs = [inner[key][1] for key in keys]
                 assert {inner[key][0] for key in keys} == {r}
-                assert x == rules._packed(xs, W), (B.name, len(tables), r)
-                assert W >= rules._width(rules._norm(xs), tables)
+                assert x == slow_reference.packed(xs, W), (B.name, len(tables), r)
+                assert W >= rules._width(slow_reference.norm(xs), tables)
                 nonzero = [key for key, (degree, y) in inner.items() if degree == r and any(y)]
                 reached = [key for key in nonzero if any(inner[key][1][:-1])]
                 assert keys == reached + [key for key in nonzero if key not in reached]
@@ -331,3 +343,44 @@ def test_inner_pair_defects_near_the_width_read_back_through_check_axioms(cell_p
     coords = [c for w in fast.witnesses if w.axiom == "product-rule" for c in w.defect.coords]
     assert A._lifted[0] == 1 and max(map(abs, coords)) < 1 << W - 1
     assert min(coords) < -(1 << W - 2) and max(coords) > 1 << W - 2
+
+
+def test_a_failing_nambu_sweep_packs_exactly_its_failing_pairs_again(monkeypatch):
+    """On fresh copies of the nambu-broken inputs, osp(1|2) and M7 + osp(1|2) so built,
+    whose tables pass triple skew and ternary Jacobi but fail Nambu, the Lie-supertriple
+    check evaluates Nambu twice: at `_order`'s tuples, then at every u <= v.  The second
+    pack comes from one `_cell_rows` pass over the ternary cells of the pairs the first
+    pass's defects name, {at[:2]}, and those alone, at the first pass's W with an empty
+    companion row; it packs exactly those pairs (21 of the 31 nonzero i <= j on
+    M7 + osp(1|2)), and the witnesses are the reference's."""
+    passes, calls, cell_rows, defects = [], [], rules._cell_rows, rules._defects
+
+    def rows_recording(space, mirror, W, cells, h, *rest):
+        passes.append((dict(cells), h, W))
+        return cell_rows(space, mirror, W, cells, h, *rest)
+
+    def defects_recording(space, tables, W, pack, order):
+        calls.append((W, pack, order, defects(space, tables, W, pack, order)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(rules, "_cell_rows", rows_recording)
+    monkeypatch.setattr(rules, "_defects", defects_recording)
+    m7osp = inputs.direct_sum(inputs.m7(), inputs.osp12(), "M7+osp12")
+    counts = []
+    for B in (fresh(inner_input("nambu broken")[0]), nambu_broken(m7osp)):
+        n, (ternary,) = B.space.dim, structures._swept(B, ("ternary",))
+        passes.clear()
+        calls.clear()
+        report = sb.check_axioms(B, "lts")
+        assert report == slow_reference.check_axioms(B, "lts"), B.name
+        (W, _, first, found), (W2, (keys, rows), again, _) = calls
+        assert (first, again) == ((1, 0), (0, -math.inf)) and W2 == W
+        failing = {at[:2] for at, _ in found}
+        [(cells, h, W3)] = [p for p in passes if p[1] == n + 1]
+        assert W3 == W and cells == {at: e for at, e in ternary.cells().items()
+                                     if at[:2] in failing}
+        assert sorted(key for shifts in keys for key in shifts) == sorted(failing)
+        assert all(len(x) == n + 1 and x[-1] == () for x in rows)
+        counts.append((len(failing), len({at[:2] for at in ternary.cells() if at[0] <= at[1]}),
+                       len(report.witnesses)))
+    assert counts == [(11, 11, 830), (21, 31, 2912)]

@@ -3,8 +3,8 @@
 ps_space and companion_space take their linear systems from
 `rules._pair_rows`, which reads one pair holding every unknown W bits apart:
 ps_space packs its unknowns straight into it, one digit per unknown, and
-companion_space packs its unit companions and the known operator with
-`rules._packed`.  That pair runs through the path `_joins` chooses for
+companion_space its unit companions and then the known operator, -P, at
+the last digit.  That pair runs through the path `_joins` chooses for
 each rule's tables, as the Bol check's does.  Each nonzero packed coordinate
 of a defect is one row; one seen before, up to sign, is dropped, and a new
 one is read off its signed W-bit digits.  `slow_reference.pair_rows` writes both rules out term
@@ -15,18 +15,21 @@ no repeat and the same reduced echelon form: on the catalog Bol algebras, bol(M7
 bol(osp(1|2) + osp(1|2)), a dense copy, lifted tables with Fraction
 constants and tables whose skew or ternary Jacobi sweep fails, in both
 degrees, for ps_space and for companion_space of integer and Fraction
-operators.  ps_space's direct pack is `rules._packed` of its unit pairs at
-the same W, on those inputs and on the odd part of osp(1|2), whose odd
-degree has only companion unknowns.  Both rules are read in one pass, the triple rule's
-first: an operator that fails it has no companion, seen at the first row
-read.  A width one bit short reads other rows, for both solvers.  Both paths
-read the same rows in the same order.
+operators.  ps_space's direct pack is the reference packer's
+(`slow_reference.packed`) of its unit pairs at the same W, on those inputs
+and on the odd part of osp(1|2), whose odd degree has only companion
+unknowns, and so is companion_space's of its unit companions and -P.  Both
+rules are read in one pass, the triple rule's first: an operator that fails
+it has no companion, seen at the first row read.  A width one bit short
+reads other rows, for both solvers.  Both paths read the same rows in the
+same order.
 """
 
 import contextlib
 from fractions import Fraction
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -222,15 +225,18 @@ def test_a_width_one_bit_short_reads_other_rows(monkeypatch, read):
 @pytest.mark.parametrize("r", (0, 1))
 @pytest.mark.parametrize("name", SOLVER_INPUTS + ("odd(osp12)/3",))
 def test_ps_space_packs_its_unit_pairs_as_the_packer_does(name, r, monkeypatch):
-    """ps_space's degree-r pair, packed straight from its columns, is `rules._packed` of the
-    unit pairs at those columns (`envelope._unflat`, operator terms times L) at the same W,
-    `_width` of their largest row: L, or 1 on the odd part of osp(1|2), whose odd degree has
-    only companion unknowns.  A degree without unknowns reads no rows."""
+    """ps_space's degree-r pair, packed straight from its columns, is the reference packer's
+    of the unit pairs at those columns (`envelope._unflat`, operator terms times L) at the
+    same W, `_width` of their largest row: L, or 1 on the odd part of osp(1|2), whose odd
+    degree has only companion unknowns.  A degree without unknowns reads no rows.
+    companion_space's pair for degree-r operators (PS's first, a third of its last, and
+    the zero map) is the reference packer's of its unit companions at D, the lcm of the
+    operator's denominators, and then -D L P at the same W, `_width` of their largest row."""
     B = odd_osp12() if name == "odd(osp12)/3" else solver_input(name)
     calls, pair_rows = [], envelope._pair_rows
     monkeypatch.setattr(envelope, "_pair_rows", lambda B, degree, *args: calls.append(
         (degree, args)) or pair_rows(B, degree, *args))
-    solved(B)
+    H = solved(B)
     n, par, L = B.space.dim, B.space.parities, B._lifted[0]
     columns = [k for k in range(n * n + n) if envelope._degree_at(par, k) == r]
     packed = [args for degree, args in calls if degree == r]
@@ -239,11 +245,27 @@ def test_ps_space_packs_its_unit_pairs_as_the_packer_does(name, r, monkeypatch):
         return
     [(read_columns, x, W)] = packed
     units = [envelope._unflat(n, [(k, L if k < n * n else 1)]) for k in columns]
-    x1 = rules._norm(units)
+    x1 = slow_reference.norm(units)
     assert list(read_columns) == columns
     assert (min(columns) >= n * n) == (x1 < L) == (name == "odd(osp12)/3" and r == 1)
     assert W == rules._width(x1, structures._swept(B, ("binary", "ternary")))
-    assert x == rules._packed(units, W)
+    assert x == slow_reference.packed(units, W)
+    operators = [sb.GradedMap.zero(B.space, r)] + (
+        [p.operator for p in H.basis if p.degree == r][:1] + [
+            Fraction(1, 3) * p.operator for p in H.basis[::-1] if p.degree == r][:1] if H else [])
+    for P in operators:
+        calls.clear()
+        sb.companion_space(B, P)
+        [(degree, (read_columns, x, W))] = calls
+        D = math.lcm(*(c.denominator for col in P.columns for _, c in col))
+        companions = [m for m in range(n) if par[m] == r]
+        known = tuple(tuple((t, -L * int(D * c)) for t, c in col) for col in P.columns) + ((),)
+        pairs = [envelope._unflat(n, [(n * n + m, D)]) for m in companions] + [known]
+        assert degree == r and list(read_columns) == companions + [n]
+        assert W == rules._width(slow_reference.norm(pairs),
+                                 structures._swept(B, ("binary", "ternary")))
+        assert x == slow_reference.packed(pairs, W), (B.name, str(P.columns))
+    assert len(operators) == 3 or not H or not any(p.degree == r for p in H.basis)
 
 
 @pytest.mark.parametrize("name", ["bol(M7+osp12)", "lts(osp12+osp12)", "dense bol(osp12)",
@@ -265,12 +287,13 @@ def test_both_paths_read_the_same_rows_in_the_same_order(name, monkeypatch):
         for r in (0, 1):
             columns = [k for k in range(n * n + n) if envelope._degree_at(par, k) == r]
             pairs = [envelope._unflat(n, [(k, L if k < n * n else 1)]) for k in columns]
-            W = rules._width(rules._norm(pairs), structures._swept(B, rule[1]))
+            W = rules._width(slow_reference.norm(pairs), structures._swept(B, rule[1]))
             rows = []
             for join in (True, False):
                 monkeypatch.setattr(rules, "_joins", lambda tables: join)
                 joined.clear()
-                rows.append(list(rules._pair_rows(B, r, columns, rules._packed(pairs, W), W))
+                rows.append(list(rules._pair_rows(B, r, columns, slow_reference.packed(pairs, W),
+                                                  W))
                             if pairs else [])
                 assert bool(joined) == (join and bool(pairs))
             assert rows[0] == rows[1], (B.name, rule[0], r)

@@ -397,6 +397,23 @@ def test_the_pair_space_case_times_its_own_expression():
         assert run["digest"] == hashlib.sha256(repr(value).encode()).hexdigest(), name
 
 
+def test_the_companion_case_solves_the_pairs_workloads_companions():
+    """companion_bol_osp2: its digest is that of companion_space on ps_bol_osp2's input and
+    the operator of the inner pair of the basis vectors that were e_0, e_1, built here: six
+    companions, as the pairs workload expects of bol(osp(1|2) + osp(1|2))."""
+    root = Path(__file__).resolve().parents[1]
+    A = constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), inputs.osp12("_2"),
+                                                      "osp12+osp12"))
+    perm, signs = inputs.signed_permutation(random.Random(1), 10)
+    B = inputs.permute(A, perm, signs)
+    x, y = (B.space.basis_vector(perm.index(k)) for k in (0, 1))
+    found = envelope.companion_space(B, envelope.inner_pair(B, x, y).operator)
+    assert not found.is_empty and len(found.directions) == 6
+    run = paired_bench.case_run(root, "companion_bol_osp2", 1)
+    assert run["cpu_s"] > 0
+    assert run["digest"] == hashlib.sha256(repr(found).encode()).hexdigest()
+
+
 def test_the_sparse_pseudo_case_checks_the_sparse_odd_pair():
     """pseudo_sparse_odd_dim12: its digest is that of check_pseudo on the permuted
     sparse dim-12 Bol algebra of check_sparse_dim12 and the pair the rule-path tests

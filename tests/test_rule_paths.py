@@ -1,7 +1,10 @@
 """The pseudo-derivation rules have two evaluation paths, and they agree.
 
-`rules._rule_defects` evaluates a rule on the pairs (P, a) of each
-degree, packed into one, in one of two ways.  The join (`_joined`) walks the
+`rules._evaluate` evaluates a rule on one pair (P, a), which may hold
+the pairs of one degree packed W bits apart, in one of two ways.  The
+pairs here are packed by the reference packer (`slow_reference.packed`)
+and read back by `rules._defects`; check_pseudo evaluates its one pair
+unpacked.  The join (`_joined`) walks the
 index of the tables by the value in each slot (`_by_slot`, built in one pass
 per table, each cell's key and value windows computed inline) from the pair's
 nonzero entries, plus the cells that meet its w view, adding each cell it
@@ -25,7 +28,8 @@ On random sparse tables with mostly odd parities, unit pairs x[v] = e_m
 at every v, the companion's included, reach each edge of every index
 window, and the join gives the per-tuple path's list at each order.
 On both paths check_axioms and check_pseudo match `slow_reference`, on
-inner pairs and on random and sparse pairs of both degrees.  Each table
+inner pairs, on random and sparse pairs of both degrees and on a pair with
+Fraction entries past 2^200 of both signs, and the zero pair passes.  Each table
 keeps its own part of the join's index, so algebras that share a table
 share its part and keep no other table alive.  The sparse
 ladder's tables take the join and the dense copies' the per-tuple path.
@@ -131,8 +135,29 @@ def typed(acc):
 
 
 def inner_pairs(B, tables):
-    """The inner pairs the Bol check evaluates: i <= j once the tables are super skew."""
-    return list(rules._inner_pairs(B.space, structures._all_skew(tables), *tables))
+    """((i, j), degree, x) for each inner pair the Bol check evaluates, in (i, j) order, i <= j
+    once the tables are super skew: x[m] = [e_i, e_j, e_m] and x[n] = e_i.e_j, or () for the
+    ternary table alone."""
+    n, par, mirror = B.space.dim, B.space.parities, structures._all_skew(tables)
+    return [((i, j), par[i] ^ par[j], tables[-1].entries[i][j] + (
+        tables[0].entries[i][j] if len(tables) == 2 else (),))
+            for i in range(n) for j in range(i if mirror else 0, n)]
+
+
+def rule_defects(space, tables, pairs, order=(-math.inf,) * 2):
+    """The rule's nonzero defects (key + at, acc) on the integer pairs (key, r, x), in pair
+    order: the nonzero pairs of each degree packed by the reference packer, at `_width` of
+    their norm, and read back by `rules._defects` under their positions as keys."""
+    kept = [(key, r, x) for key, r, x in pairs if any(x)]     # a zero pair derives everything
+    W = rules._width(slow_reference.norm([x for *_, x in kept]), tables)
+    keys, rows = ({}, {}), [(), ()]
+    for r in (0, 1):
+        group = [(b, x) for b, (_, s, x) in enumerate(kept) if s == r]
+        if group:
+            keys[r].update(((b,), W * d) for d, (b, _) in enumerate(group))
+            rows[r] = slow_reference.packed([x for _, x in group], W)
+    return [(kept[at[0]][0] + at[1:], acc)
+            for at, acc in rules._defects(space, tables, W, (keys, rows), order)]
 
 
 def sweep_defects(B, reads):
@@ -140,7 +165,7 @@ def sweep_defects(B, reads):
     the Bol check evaluates them: on the lifted tables, mirrored and derived by
     the sweeps' verdicts."""
     tables = structures._swept(B, reads)
-    return [(at, typed(acc)) for at, acc in rules._rule_defects(
+    return [(at, typed(acc)) for at, acc in rule_defects(
         B.space, tables, inner_pairs(B, tables), rules._order(tables))]
 
 
@@ -155,9 +180,24 @@ def sparse_odd_pair(B):
     return sb.PseudoDerivationPair(sb.GradedMap.from_rows(B.space, 1, rows), B.space.vector(comp))
 
 
+def huge_pair(B, rng):
+    """A pair, odd where B has vectors of both parities, with every entry its degree allows
+    nonzero: Fractions over 1, 3 or 7 with numerators past 2^200, of random sign."""
+    n, par = B.space.dim, B.space.parities
+    r = int(0 in par and 1 in par)
+
+    def huge():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1 << 200, 1 << 210),
+                        rng.choice((1, 3, 7)))
+    rows = [[huge() if par[t] == (par[m] + r) % 2 else 0 for m in range(n)] for t in range(n)]
+    comp = [huge() if par[m] == r else 0 for m in range(n)]
+    return sb.PseudoDerivationPair(sb.GradedMap.from_rows(B.space, r, rows),
+                                   B.space.vector(comp))
+
+
 def probe_pairs(B):
-    """Two inner pairs (when B has both products), two random pairs and the
-    sparse odd pair."""
+    """Two inner pairs (when B has both products), two random pairs, the
+    sparse odd pair and the huge pair."""
     rng, basis = random.Random(B.name), B.space.basis()
     pairs = [reference().random_pair(B, rng) for _ in range(2)]
     if B.binary is not None:
@@ -165,6 +205,10 @@ def probe_pairs(B):
     if B.space.parities.count(1) and B.space.parities.count(0):
         pairs.append(sparse_odd_pair(B))
     assert {p.degree for p in pairs} == {0, 1} or not any(B.space.parities)
+    pairs.append(huge_pair(B, rng))
+    entries = [c for row in pairs[-1].operator.matrix for c in row if c]
+    assert max(map(abs, entries)) > 1 << 200 and min(entries) < 0 < max(entries)
+    assert Fraction in {type(c) for c in entries}
     return pairs
 
 
@@ -178,8 +222,8 @@ def pseudo_defects(B, pair):
               for row, s in [(row, L) for row in P] + [(a, 1)])
     return [(axiom, at, typed(acc)) for axiom, reads in rules._RULES
             if all(getattr(B, what) is not None for what in reads)
-            for at, acc in rules._rule_defects(
-                B.space, structures._swept(B, reads), [((), pair.degree, x)])]
+            for at, acc in rules._evaluate(
+                B.space, structures._swept(B, reads), pair.degree, x, (-math.inf,) * 2)]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -278,6 +322,8 @@ def test_checks_on_both_paths_match_the_reference(join, path):
             [(w.axiom, w.at, typed(w.defect.coords)) for w in slow.witnesses], (B.name, join)
         if B.binary is None:
             continue
+        zero = sb.PseudoDerivationPair(sb.GradedMap.zero(B.space, 0), B.space.zero())
+        assert sb.check_pseudo(B, zero).passed and slow_reference.check_pseudo(B, zero).passed
         for pair in probe_pairs(B):
             fast, slow = sb.check_pseudo(B, pair), slow_reference.check_pseudo(B, pair)
             assert fast == slow, (B.name, str(pair), join)

@@ -41,7 +41,8 @@ each importing every package module a case reads, `rules` and `malcev`
 included, building its input from perfbench/inputs.py, the catalog or its own
 constants and timing one
 expression of it in CPU seconds: a check_axioms call, a command that
-runs one, a check_morphism call, a ps_space call or an enveloping call.
+runs one, a check_morphism call, a ps_space or companion_space call or an
+enveloping call.
 Each process also runs CASE_CHUNKS reference chunks (perfbench/reference.py)
 just before and as many just after the expression, and divides its CPU
 seconds by the median of their CPU time over nominal time, to seconds at
@@ -298,6 +299,13 @@ CASES = {
         "inputs.permute(constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), "
         "inputs.osp12('_2'), 'osp12+osp12')), *inputs.signed_permutation(random.Random(1), 10))",
         "envelope.ps_space(B)"),
+    "companion_bol_osp2": (
+        "companion_space(B, P), B as in ps_bol_osp2 and P the operator of the inner pair of the "
+        "basis vectors that were e_0, e_1, as the pairs workload picks it: both rules' rows, "
+        "six companions",
+        "inner_operator(constructions.malcev_to_bol(inputs.direct_sum(inputs.osp12(), "
+        "inputs.osp12('_2'), 'osp12+osp12')))",
+        "envelope.companion_space(*B)"),
     "ps_abelian_14_0": (
         "ps_space(Z), Z = abelian_14_0 (dim 14, every product zero) built afresh from the "
         "catalog: PS is gl(14) + V, of dim 210, the pair-space half of its maximal envelope",
@@ -420,6 +428,15 @@ def fraction_pair(B):
     comp = [Fraction(m + 1, 2) if not par[m] else 0 for m in range(n)]
     return B, envelope.PseudoDerivationPair(GradedMap.from_rows(B.space, 0, rows),
                                             B.space.vector(comp))
+
+
+def inner_operator(A):
+    # (B, P): B = A under the signed permutation of random.Random(1), P the operator of the
+    # inner pair of the basis vectors that were e_0, e_1
+    perm, signs = inputs.signed_permutation(random.Random(1), A.space.dim)
+    B = inputs.permute(A, perm, signs)
+    x, y = (B.space.basis_vector(perm.index(k)) for k in (0, 1))
+    return B, envelope.inner_pair(B, x, y).operator
 
 
 def chunk():
