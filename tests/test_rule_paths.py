@@ -1,17 +1,16 @@
 """The pseudo-derivation rules have two evaluation paths, and they agree.
 
-`rules._evaluate` evaluates a rule on one pair (P, a), which may hold
-the pairs of one degree packed W bits apart, in one of two ways.  The
-pairs here are packed by the reference packer (`slow_reference.packed`)
-and read back by `rules._defects`; check_pseudo evaluates its one pair
-unpacked.  The join (`_joined`) walks the
-index of the tables by the value in each slot (`_by_slot`, built in one pass
-per table, each cell's key and value windows computed inline) from the pair's
-nonzero entries, plus the cells that meet its w view, adding each cell it
-reaches straight into its tuple's sum.  The per-tuple path
-(`_listed`) visits every tuple the rule lists.  `_joins` picks one per
-table: the join where the rule's own product has fewer than half its
-n^arity cells nonzero.
+`rules._evaluate` evaluates a rule on one pair (P, a), which may hold the
+pairs of one degree packed W bits apart, in one of two ways.  The pairs here
+are packed by the reference packer (`slow_reference.packed`) and read back
+by `rules._defects`; check_pseudo evaluates its one pair unpacked.  The join
+(`_joined`) walks the index of the tables by the value in each slot
+(`_by_slot`, built in one pass per table, each cell's key and value windows
+computed inline) from the pair's nonzero entries, plus the cells that meet
+its w view, adding each cell it reaches straight into its tuple's sum.  The
+per-tuple path (`_listed`) visits every tuple the rule lists.  `_joins`
+picks one per table: the join where the rule's own product has fewer than
+half its n^arity cells nonzero.
 
 Both paths must give the same (key + tuple, defect) list, scalar types
 included.  Each path is forced by patching `_joins`, on one input of each
