@@ -76,8 +76,7 @@ def _matrix_facts(name, gram, facts):
             facts["%s[%02d][%02d]" % (name, i, j)] = _text(x)
 
 
-def cmd_check(args):
-    A = _load_algebra(args.algebra)
+def cmd_check(args, A):
     report = check_axioms(A, args.kind)
     facts, lines = {}, []
     facts["check.kind"] = args.kind
@@ -87,9 +86,8 @@ def cmd_check(args):
     return (0 if report.passed else 1), facts, lines
 
 
-def _derived(args, construct):
+def _derived(args, A, construct):
     from .algfile import serialize_algebra
-    A = _load_algebra(args.algebra)
     out = construct(A)
     text = serialize_algebra(out)
     if args.out:
@@ -100,19 +98,18 @@ def _derived(args, construct):
     return 0, None, [text.rstrip("\n")]
 
 
-def cmd_derive_bol(args):
+def cmd_derive_bol(args, A):
     from .constructions import malcev_to_bol
-    return _derived(args, malcev_to_bol)
+    return _derived(args, A, malcev_to_bol)
 
 
-def cmd_lie_to_lts(args):
+def cmd_lie_to_lts(args, A):
     from .constructions import lie_to_supertriple
-    return _derived(args, lie_to_supertriple)
+    return _derived(args, A, lie_to_supertriple)
 
 
-def cmd_envelope(args):
+def cmd_envelope(args, B):
     from .envelope import enveloping, ips_space, ps_space
-    B = _load_algebra(args.algebra)
     require_axioms(B, "bol")
     H = ps_space(B) if args.maximal else ips_space(B)
     env = enveloping(B, H)
@@ -133,9 +130,8 @@ def cmd_envelope(args):
     return 0, facts, lines
 
 
-def cmd_killing(args):
+def cmd_killing(args, A):
     from .forms import killing_form
-    A = _load_algebra(args.algebra)
     form = killing_form(A)
     facts, lines = {}, []
     facts["labels"] = ",".join(A.space.labels)
@@ -149,9 +145,8 @@ def cmd_killing(args):
     return 0, facts, lines
 
 
-def cmd_killing_ricci(args):
+def cmd_killing_ricci(args, B):
     from .forms import killing_ricci
-    B = _load_algebra(args.algebra)
     both = args.method == "both"
     routes = ("restriction", "direct") if both else (args.method,)
     facts, lines, forms = {"method": args.method}, [], [killing_ricci(B, r) for r in routes]
@@ -166,8 +161,7 @@ def cmd_killing_ricci(args):
     return (0 if agree else 1), facts, lines
 
 
-def cmd_center(args):
-    A = _load_algebra(args.algebra)
+def cmd_center(args, A):
     Z = center(A)
     facts, lines = {}, []
     facts["center.dim"] = str(Z.dim)
@@ -179,9 +173,8 @@ def cmd_center(args):
     return 0, facts, lines
 
 
-def cmd_pseudo(args):
+def cmd_pseudo(args, B):
     from .envelope import ips_space, ps_space
-    B = _load_algebra(args.algebra)
     require_axioms(B, "bol")
     facts, lines = {}, []
     if args.inner or args.max:
@@ -209,9 +202,8 @@ def cmd_pseudo(args):
     return 0, facts, lines
 
 
-def cmd_report(args):
+def cmd_report(args, B):
     from .forms import check_invariant, semisimplicity_report
-    B = _load_algebra(args.algebra)
     bol = check_axioms(B, "bol")
     facts, lines = {}, []
     _witness_facts(bol, facts, "bol.")
@@ -262,7 +254,7 @@ def cmd_report(args):
     return (0 if ok else 1), facts, lines
 
 
-def cmd_catalog(args):
+def cmd_catalog(args, _):
     from . import catalog
     if args.what == "list":
         facts, lines = {}, []
@@ -384,7 +376,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "human")
     try:
-        code, facts, lines = args.func(args)
+        # every command but catalog reads one algebra, a file or a catalog key
+        A = None if args.command == "catalog" else _load_algebra(args.algebra)
+        code, facts, lines = args.func(args, A)
     except AxiomError as err:
         code, facts, lines = 1, {}, []
         if fmt == "machine":

@@ -13,13 +13,13 @@ The path is a property of the tables (`_joins`): where the rule's own product ha
 its n^arity cells nonzero, `_joined` joins the pair with an index of the tables by the value in
 each slot (`_by_slot`), built in one pass per table with each cell's slots, parities and windows
 computed inline, adding each cell it reaches straight into its tuple's sum; else `_listed` visits
-each of the tuples the rule lists, each term's slot and sign from `_terms`.
+each of the tuples the rule lists, computing each term's slot and sign inline as `_by_slot` does.
 Once the ternary table's skew and Jacobi sweeps (each run once per structure object) find
 nothing, the triple rule's defect F of any homogeneous operator obeys F(u,v,w) +
 (-1)^{p_u(p_v+p_w)} F(v,w,u) + (-1)^{p_w(p_u+p_v)} F(w,u,v) = 0.  Of the tuples u <= v only
 u < v, u <= w are then evaluated: the derived ones, u == v or w < u < v, are zero where these
-are ((a, a, a) is 0).  A Nambu sweep that finds a defect there evaluates its failing inner pairs
-again at every u <= v, packed off their ternary cells alone at the same W, and the derived rows,
+are ((a, a, a) is 0).  A Nambu sweep that finds a defect there evaluates its pack again at every
+u <= v, where a pair with no defect at the kept tuples adds none, and the derived rows,
 combinations of kept rows, are not listed in the pair-space solvers.
 """
 
@@ -33,18 +33,11 @@ from .structures import _all_skew, _digits, _orbit_witnesses, _swapped, _swept
 # the pseudo-derivation rules: a degree-r pair (P, a) derives the ternary product (the triple
 # rule) and, with its companion, the binary one (the product rule).  The structures a rule reads
 # name it: the ternary alone, or the binary then the ternary.  At the tuple at, the defect RHS -
-# LHS sums, over the terms t as `_terms` lays them out, s * x[slot] through the row view of term
+# LHS sums, over the terms t as `_listed` lays them out, s * x[slot] through the row view of term
 # t's product with e_slot in slot t (the rule's own product, but the ternary for the product
 # rule's companion term), and w, the rule's product at at, through the pair's w view:
 #   [P e_i, e_j, e_k] +- [e_i, P e_j, e_k] +- [e_i, e_j, P e_k] - P[e_i, e_j, e_k],
 #   [P e_i, e_j] +- [e_i, P e_j] +- [e_i, e_j, a] + a.(e_i e_j) - P(e_i e_j).
-
-
-def _terms(par, at):
-    """Per term t of a rule at its tuple at, (slot, p): it reads x[slot], slot at[t] or, past
-    the last factor, the companion's n, and moves P past at[:t], of parity p."""
-    i, j, k = at if len(at) == 3 else at + (len(par),)
-    return (i, 0), (j, par[i]), (k, par[i] ^ par[j])
 
 
 # each rule with check_pseudo's name for it and the structures it reads
@@ -147,24 +140,25 @@ def _joined(space, structures, r, x, order):
 
 def _listed(space, structures, r, x, order):
     """The rule's defects at one degree-r pair x, at each of its tuples `_ordered` by order in
-    turn: (at, acc) in order, acc dense."""
+    turn: (at, acc) in order, acc dense; term t reads x[slot], slot at[t] or, past the last
+    factor, the companion's n, with P moved past at[:t]."""
     n, par, st, sg = space.dim, space.parities, structures[0], (1, sign(r))
     a, v2 = st.ARITY, structures[-1].entries    # term 2 reads the ternary product
     v0, v1 = (st.col, st.entries) if a == 2 else (st.first, st.mid)
     view = _w_view(x, structures)
     for at in _ordered(n, a, order):
-        (i, p0), (j, p1), (k, p2) = _terms(par, at)
+        i, j, k = at if a == 3 else at + (n,)
         r0, r1 = (v0[j], v1[i]) if a == 2 else (v0[j][k], v1[i][k])
         w, xi, xj, xk = r1[j], x[i], x[j], x[k]
         if not (w or xi or xj or xk):
             continue    # no term reaches the pair
         acc = _into([0] * n, w, view)
         if xi:
-            _into(acc, xi, r0, sg[p0])
+            _into(acc, xi, r0)
         if xj:
-            _into(acc, xj, r1, sg[p1])
+            _into(acc, xj, r1, sg[par[i]])
         if xk:
-            _into(acc, xk, v2[i][j], sg[p2])
+            _into(acc, xk, v2[i][j], sg[par[i] ^ par[j]])
         if any(acc):
             yield at, acc
 
@@ -222,7 +216,7 @@ def _derives(structures):
 def _order(structures):
     """The offsets d, `_ordered`'s, of the tuples a sweep or solver evaluates the structures'
     rule at: at[0] <= at[1] once they are super skew, u < v, u <= w once derived ones follow
-    (a failing Nambu sweep then evaluates its failing pairs again at every u <= v)."""
+    (a failing Nambu sweep then evaluates its pack again at every u <= v)."""
     if _derives(structures):
         return 1, 0
     return (0 if _all_skew(structures) else -math.inf), -math.inf
@@ -246,18 +240,15 @@ def _pair_rows(A, r, columns, x, W):
 
 def _inner_witnesses(axiom, space, *structures):
     # the rule on the nonzero inner pairs, mirrored in (i, j) and (u, v) once the structures are
-    # super skew; where the derived tuples were left out, the failing pairs again at all u <= v
+    # super skew; where the derived tuples were left out and a pair fails, the pack at all u <= v
     par, mirror, (*bs, ts) = space.parities, _all_skew(structures), structures
     W = _width(max(st._magnitudes[1] for st in structures), structures)
     keys, rows = ts._inner_rows.get((W, mirror)) or ts._inner_rows.setdefault(
         (W, mirror), _cell_rows(space, mirror, W, ts.cells(), space.dim))
     keys, comp = _cell_rows(space, mirror, W, bs[0].cells() if bs else {}, 1, keys)
-    defects = _defects(space, structures, W, (keys, [x + y for x, y in zip(rows, comp)]),
-                       _order(structures))
+    pack = keys, [x + y for x, y in zip(rows, comp)]
+    defects = _defects(space, structures, W, pack, _order(structures))
     if defects and _derives(structures):
-        failing = {at[:2] for at, _ in defects}
-        again = _cell_rows(space, mirror, W, {at: entry for at, entry in ts.cells().items()
-                                              if at[:2] in failing}, space.dim + 1)
-        defects = _defects(space, structures, W, again, (0, -math.inf))
+        defects = _defects(space, structures, W, pack, (0, -math.inf))
     return _orbit_witnesses(axiom, space, defects, (partial(_swapped, 0, par),
                                                     partial(_swapped, 2, par)) if mirror else ())

@@ -23,9 +23,8 @@ nothing; when one finds a witness, every tuple and every ordered pair is
 evaluated.  Once the ternary table passes ternary Jacobi as well, the triple
 rule lists only u < v, u <= w: the other tuples u <= v are zero where these
 are, so a passing Nambu sweep and the solvers leave them out, and a failing
-sweep evaluates its failing inner pairs again at every u <= v, on the
-verdict of the table each one reads (`tests/test_orbits.py` holds this on
-random tables).
+sweep evaluates its first pack again at every u <= v, on the verdict of the
+table each one reads (`tests/test_orbits.py` holds this on random tables).
 
 Both paths must agree with `slow_reference`, which evaluates every tuple on
 dense tables: the same witnesses (axiom, tuple, defect with its scalar
@@ -352,8 +351,9 @@ def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated
     and its skew mirror, so only ternary Jacobi fails, and Nambu lists every
     tuple u <= v.  "nambu" is osp(1|2) with one product doubled and the ternary
     product malcev_to_bol makes from it: both ternary sweeps pass and Nambu
-    fails, so a second Nambu call takes exactly the failing inner pairs and
-    lists every tuple u <= v for them; the product rule follows."""
+    fails, so a second Nambu call takes the first call's pack again and lists
+    every tuple u <= v for it; there every nonzero inner pair fails, so its
+    keys are also the failing ones.  The product rule follows."""
     B = nambu_broken(inputs.osp12()) if broken == "nambu" else sb.catalog.load("L2_3_1_bol")
     if broken in ("binary", "ternary", "jacobi"):
         st = getattr(B, "ternary" if broken == "jacobi" else broken)
@@ -374,12 +374,12 @@ def test_bol_check_evaluates_the_rules_on_i_le_j_only_when_skew_passes(evaluated
         ({"binary": {"skew"}, "ternary": {"triple-skew"}}.get(broken, set()))
     assert ("triple-jacobi" in axioms) == (broken in ("ternary", "jacobi"))
     n = B.space.dim
-    if broken == "nambu":   # the failing inner pairs again, at every u <= v
-        failing, relisted = evaluated.pop(1)
+    if broken == "nambu":   # the first pass's pairs again, at every u <= v
+        keys, relisted = evaluated.pop(1)
         index = B.space.labels.index
-        assert failing == sorted({(index(w.at[0]), index(w.at[1])) for w in witnesses
-                                  if w.axiom == "nambu" and index(w.at[0]) <= index(w.at[1])})
-        assert 0 < len(failing) < n * (n + 1) // 2 and set(failing) <= set(evaluated[0][0])
+        assert keys == sorted({(index(w.at[0]), index(w.at[1])) for w in witnesses
+                               if w.axiom == "nambu" and index(w.at[0]) <= index(w.at[1])})
+        assert 0 < len(keys) < n * (n + 1) // 2 and set(keys) <= set(evaluated[0][0])
         assert relisted == [at for at in every_tuple(B, ("ternary",)) if at[0] <= at[1]]
     assert len(evaluated) == 2
     for (keys, listed), reads in zip(evaluated, READS):

@@ -414,6 +414,19 @@ def test_the_companion_case_solves_the_pairs_workloads_companions():
     assert run["digest"] == hashlib.sha256(repr(found).encode()).hexdigest()
 
 
+def test_the_partial_nambu_case_checks_the_partly_failing_sum():
+    """check_lts_nambu_partial: its digest is that of the Lie-supertriple check of M7 +
+    osp(1|2) broken as the rule-path tests break Nambu, under the case's name: the input
+    where some inner pairs fail Nambu and the rest pass."""
+    from test_rule_paths import nambu_broken
+    root = Path(__file__).resolve().parents[1]
+    B = nambu_broken(inputs.direct_sum(inputs.m7(), inputs.osp12(), "M7+osp12"))
+    report = structures.check_axioms(B.renamed("M7+osp12 failing nambu"), "lts")
+    assert {w.axiom for w in report.witnesses} == {"nambu"} and len(report.witnesses) == 2912
+    run = paired_bench.case_run(root, "check_lts_nambu_partial", 1)
+    assert run["digest"] == hashlib.sha256(repr(report).encode()).hexdigest()
+
+
 def test_the_sparse_pseudo_case_checks_the_sparse_odd_pair():
     """pseudo_sparse_odd_dim12: its digest is that of check_pseudo on the permuted
     sparse dim-12 Bol algebra of check_sparse_dim12 and the pair the rule-path tests

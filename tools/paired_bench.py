@@ -267,6 +267,12 @@ CASES = {
         "space)), B as in check_lts_nambu_failing: fails Nambu at 12,348 tuples on the "
         "per-tuple path",
         "dense(nambu_failing(inputs.m7()))", "structures.check_axioms(B, 'lts')"),
+    "check_lts_nambu_partial": (
+        "check_axioms(B, 'lts'), B = M7 + osp(1|2) (dim 12) so broken as in "
+        "check_lts_nambu_failing: 21 of its 31 nonzero inner pairs i <= j fail Nambu, at "
+        "2,912 tuples, and the 10 that pass are evaluated again with them",
+        "nambu_failing(inputs.direct_sum(inputs.m7(), inputs.osp12(), 'M7+osp12'))",
+        "structures.check_axioms(B, 'lts')"),
     "check_dense_m7_lie": (
         "check_axioms(D, 'lie'), D as in check_dense_m7_malcev: fails super Jacobi with 210 "
         "witnesses, as check-dense's dense M7 Lie check does, each divided by L^2",
